@@ -22,7 +22,6 @@
 
 #include "bench_util.h"
 #include "client/client.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "dwarf/dwarf_cube.h"
@@ -259,18 +258,13 @@ RevalidationProbe ProbeRevalidation(server::QueryServer& server,
 }
 
 // Range phase: the same value window answered two ways — as a value-form
-// range predicate (resolved to a rank window, pruned through the min/max-rank
-// subtree index) and as a set predicate enumerating every matching value
-// (identical answer, per-cell membership checks, no pruning). Also probes
-// range-aware revalidation: a cached value-range aggregate must survive a
-// publish whose keys all fall outside the window.
+// range predicate (resolved to a rank window) and as a set predicate
+// enumerating every matching value — must give identical answers. Also
+// probes range-aware revalidation: a cached value-range aggregate must
+// survive a publish whose keys all fall outside the window.
 struct RangeProbe {
   bool ran = false;
   std::string dim_name;
-  double pruned_us = 0;  ///< per-query, value-form range
-  double enum_us = 0;    ///< per-query, equivalent set enumeration
-  double speedup = 0;
-  uint64_t subtrees_pruned = 0;  ///< counter delta over the timed loop
   bool answers_match = false;
   bool reval_hit = false;
 };
@@ -294,45 +288,13 @@ RangeProbe ProbeRangeQueries(server::QueryServer& server,
                              const dwarf::DwarfCube& base_cube, Rng& rng) {
   RangeProbe probe;
   size_t range_dim = WidestOrderedDimension(base_cube);
-  if (range_dim == base_cube.num_dimensions() || range_dim == 0) return probe;
+  if (range_dim == base_cube.num_dimensions()) return probe;
   probe.dim_name = base_cube.schema().dimensions()[range_dim].name;
-  // Subtree pruning only has work when a level ABOVE the ordered dim fans
-  // out over subtrees with differing rank spans. The generated feed covers
-  // the time dimensions uniformly — every subtree spans every value — so
-  // first publish the skew real smart-city feeds have: a few late-arriving
-  // shards (fresh values on the widest ancestor dim) whose only range-dim
-  // value is the earliest one, outside the probe window below.
-  size_t parent_dim = 0;
-  for (size_t dim = 1; dim < range_dim; ++dim) {
-    if (base_cube.dictionary(dim).size() >
-        base_cube.dictionary(parent_dim).size()) {
-      parent_dim = dim;
-    }
-  }
-  {
-    std::string earliest = base_cube.dictionary(range_dim).DecodeUnchecked(
-        base_cube.dictionary(range_dim).IdAtRank(0));
-    std::vector<std::pair<std::vector<std::string>, dwarf::Measure>> shards;
-    for (int i = 0; i < 8; ++i) {
-      std::vector<std::string> keys;
-      for (size_t dim = 0; dim < base_cube.num_dimensions(); ++dim) {
-        if (dim == parent_dim) {
-          keys.push_back("probe-shard-" + std::to_string(i));
-        } else if (dim == range_dim) {
-          keys.push_back(earliest);
-        } else {
-          keys.push_back(RandomKey(base_cube, dim, rng));
-        }
-      }
-      shards.emplace_back(std::move(keys), 1);
-    }
-    if (!server.ApplyUpdate(shards).ok()) return probe;
-  }
   server::EpochCubeStore::Snapshot snapshot = server.store().snapshot();
   const dwarf::DwarfCube& cube = *snapshot.cube;
   const dwarf::Dictionary& dict = cube.dictionary(range_dim);
-  // Middle third of the value order; rank 0 (where the probe shards and the
-  // miss-publish below live) stays outside the window.
+  // Middle third of the value order; rank 0 (where the miss-publish below
+  // lives) stays outside the window.
   dwarf::DimKey lo_rank = static_cast<dwarf::DimKey>(dict.size() / 3);
   dwarf::DimKey hi_rank = static_cast<dwarf::DimKey>(2 * dict.size() / 3);
   std::string lo = dict.DecodeUnchecked(dict.IdAtRank(lo_rank));
@@ -345,19 +307,6 @@ RangeProbe ProbeRangeQueries(server::QueryServer& server,
     for (size_t dim = 0; dim < cube.num_dimensions(); ++dim) {
       if (dim == range_dim) {
         predicates.push_back(json::JsonValue(std::move(range_predicate)));
-      } else if (dim == parent_dim) {
-        // Every parent value, spelled as a set: the same rows as ALL, but
-        // the evaluator must fan out per subtree instead of riding the ALL
-        // pointer — which is what gives the range index subtrees to skip.
-        json::JsonObject fan_out;
-        fan_out.emplace_back("kind", json::JsonValue("set"));
-        json::JsonArray parent_values;
-        const dwarf::Dictionary& parents = cube.dictionary(parent_dim);
-        for (dwarf::DimKey id = 0; id < parents.size(); ++id) {
-          parent_values.push_back(json::JsonValue(parents.DecodeUnchecked(id)));
-        }
-        fan_out.emplace_back("keys", json::JsonValue(std::move(parent_values)));
-        predicates.push_back(json::JsonValue(std::move(fan_out)));
       } else {
         json::JsonObject all;
         all.emplace_back("kind", json::JsonValue("all"));
@@ -388,11 +337,7 @@ RangeProbe ProbeRangeQueries(server::QueryServer& server,
   auto enumerated_request = server::ParseRequest(enumerated_json);
   if (!ranged_request.ok() || !enumerated_request.ok()) return probe;
 
-  // Direct ExecuteRequest keeps the result cache out of the measurement.
-  metrics::Counter* pruned_counter = metrics::GlobalRegistry().GetCounter(
-      "dwarf_range_subtrees_pruned_total");
-  uint64_t pruned_before = pruned_counter->value();
-  constexpr int kIters = 200;
+  // Direct ExecuteRequest keeps the result cache out of the comparison.
   server::ExecResult ranged_result =
       server::ExecuteRequest(cube, *ranged_request);
   server::ExecResult enumerated_result =
@@ -400,18 +345,6 @@ RangeProbe ProbeRangeQueries(server::QueryServer& server,
   probe.answers_match =
       ranged_result.ok && enumerated_result.ok &&
       ranged_result.payload_json == enumerated_result.payload_json;
-  Stopwatch ranged_watch;
-  for (int i = 0; i < kIters; ++i) {
-    server::ExecuteRequest(cube, *ranged_request);
-  }
-  probe.pruned_us = ranged_watch.ElapsedMicros() / kIters;
-  probe.subtrees_pruned = pruned_counter->value() - pruned_before;
-  Stopwatch enumerated_watch;
-  for (int i = 0; i < kIters; ++i) {
-    server::ExecuteRequest(cube, *enumerated_request);
-  }
-  probe.enum_us = enumerated_watch.ElapsedMicros() / kIters;
-  probe.speedup = probe.pruned_us > 0 ? probe.enum_us / probe.pruned_us : 0;
 
   // Revalidation: warm through the caching path, publish keys pinned to the
   // rank-0 value (outside the window), and the entry must carry over.
@@ -747,14 +680,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(update_profile.nodes_reused),
         update_full_ms, update_speedup, publish_hz);
     if (range_probe.ran) {
-      std::printf(
-          "  range(%s): pruned %.1f us vs enum %.1f us -> %.1fx, "
-          "%llu subtrees pruned, match=%s reval_hit=%s\n",
-          range_probe.dim_name.c_str(), range_probe.pruned_us,
-          range_probe.enum_us, range_probe.speedup,
-          static_cast<unsigned long long>(range_probe.subtrees_pruned),
-          range_probe.answers_match ? "yes" : "NO",
-          range_probe.reval_hit ? "yes" : "NO");
+      std::printf("  range(%s): match=%s reval_hit=%s\n",
+                  range_probe.dim_name.c_str(),
+                  range_probe.answers_match ? "yes" : "NO",
+                  range_probe.reval_hit ? "yes" : "NO");
     } else {
       std::printf("  range: skipped (no ordered dimension with >= 3 values)\n");
     }
@@ -812,12 +741,6 @@ int main(int argc, char** argv) {
     row.emplace_back("invalidated_recompute",
                      json::JsonValue(probe.invalidated_recompute));
     row.emplace_back("range_dim", json::JsonValue(range_probe.dim_name));
-    row.emplace_back("range_pruned_us", json::JsonValue(range_probe.pruned_us));
-    row.emplace_back("range_enum_us", json::JsonValue(range_probe.enum_us));
-    row.emplace_back("range_speedup", json::JsonValue(range_probe.speedup));
-    row.emplace_back("range_subtrees_pruned",
-                     json::JsonValue(static_cast<int64_t>(
-                         range_probe.subtrees_pruned)));
     row.emplace_back("range_answers_match",
                      json::JsonValue(range_probe.answers_match));
     row.emplace_back("range_reval_hit",

@@ -19,9 +19,8 @@ namespace scdwarf::dwarf {
 /// `ordered` declares that the dimension's decoded values carry a total order
 /// — lexicographic string order, so it fits ISO dates ("2013-07-01") and
 /// zero-padded numerics ("07") but NOT month names ("July" < "June"). Ordered
-/// dimensions get a dictionary rank view and a per-subtree min/max-rank index
-/// at cube finalize, enabling value-level range predicates and range subtree
-/// pruning (see query.h).
+/// dimensions get a dictionary rank view at cube finalize, enabling
+/// value-level range predicates (see query.h).
 struct DimensionSpec {
   std::string name;
   std::string dimension_table;  // empty when no dimension table is attached

@@ -1,22 +1,6 @@
 #include "dwarf/cursor.h"
 
-#include "common/metrics.h"
-
 namespace scdwarf::dwarf {
-
-namespace {
-
-/// Same series query.cc registers — the registry dedupes by name, so both
-/// call sites feed one counter.
-metrics::Counter* RangePrunedCounter() {
-  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
-      "dwarf_range_subtrees_pruned_total", {},
-      "subtrees skipped because their min/max-rank span misses a range "
-      "predicate's window");
-  return counter;
-}
-
-}  // namespace
 
 RowCursor::RowCursor(const DwarfCube& cube, std::vector<bool> enumerate,
                      std::vector<std::optional<DimKey>> pinned,
@@ -26,11 +10,10 @@ RowCursor::RowCursor(const DwarfCube& cube, std::vector<bool> enumerate,
       pinned_(std::move(pinned)),
       filters_(std::move(filters)),
       order_(std::move(order)) {
-  if (!filters_.empty()) ridx_ = cube.range_index();
   for (size_t j = 0; j < order_.size(); ++j) {
     order_identity_ = order_identity_ && order_[j] == j;
   }
-  if (!cube.empty() && !Prunable(cube.root(), 0)) {
+  if (!cube.empty() && !Prunable(0)) {
     Frame root;
     root.node = cube.root();
     root.level = 0;
@@ -64,17 +47,10 @@ Result<RowCursor> RowCursor::OverRollUp(const DwarfCube& cube,
                    std::move(order));
 }
 
-bool RowCursor::Prunable(NodeId id, size_t level) {
-  if (filters_.empty()) return false;
+bool RowCursor::Prunable(size_t level) const {
   for (size_t dim = level; dim < filters_.size(); ++dim) {
-    if (!filters_[dim].has_value()) continue;
-    const RankWindow& window = *filters_[dim];
-    if (window.lo > window.hi) return true;  // empty window: no rows at all
-    if (ridx_ != nullptr && ridx_->covers(dim) &&
-        ridx_->span(id, dim).Disjoint(window.lo, window.hi)) {
-      RangePrunedCounter()->Increment();
-      return true;
-    }
+    const std::optional<RankWindow>& window = filters_[dim];
+    if (window.has_value() && window->lo > window->hi) return true;
   }
   return false;
 }
@@ -118,7 +94,7 @@ size_t RowCursor::Next(size_t max_rows, std::vector<SliceRow>* out) {
         EmitRow(cell.measure, out);
         labels_.pop_back();
         ++produced;
-      } else if (Prunable(cell.child, frame.level + 1)) {
+      } else if (Prunable(frame.level + 1)) {
         labels_.pop_back();
       } else {
         Frame child;
@@ -146,7 +122,7 @@ size_t RowCursor::Next(size_t max_rows, std::vector<SliceRow>* out) {
         PopFrame();
         continue;
       }
-      if (Prunable(cell->child, frame.level + 1)) {
+      if (Prunable(frame.level + 1)) {
         PopFrame();
         continue;
       }
@@ -168,7 +144,7 @@ size_t RowCursor::Next(size_t max_rows, std::vector<SliceRow>* out) {
       PopFrame();
       continue;
     }
-    if (Prunable(node.all_child, frame.level + 1)) {
+    if (Prunable(frame.level + 1)) {
       PopFrame();
       continue;
     }

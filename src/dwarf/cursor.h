@@ -34,9 +34,9 @@ class RowCursor {
 
   /// Cursor over the rows of dwarf::RollUp(cube, group_dims, filters).
   /// Row keys come back in requested \p group_dims order, and \p filters
-  /// (optional, copied) restricts grouped ordered dims to rank windows with
-  /// the same subtree pruning as the one-shot roll-up — the paged row
-  /// sequence stays byte-identical to the one-shot rows in every case.
+  /// (optional, copied) restricts grouped ordered dims to rank windows,
+  /// tested per cell exactly as the one-shot roll-up tests them — the paged
+  /// row sequence stays byte-identical to the one-shot rows in every case.
   static Result<RowCursor> OverRollUp(const DwarfCube& cube,
                                       const std::vector<size_t>& group_dims,
                                       const RankFilters* filters = nullptr);
@@ -70,10 +70,9 @@ class RowCursor {
 
   void PopFrame();
 
-  /// True when the subtree rooted at \p id cannot contain a row: some rank
-  /// filter at or below \p level has an empty window, or the cube's range
-  /// index proves the subtree's span disjoint from a window.
-  bool Prunable(NodeId id, size_t level);
+  /// True when no row can come out of a subtree at \p level: some rank
+  /// filter at or below it has an empty window.
+  bool Prunable(size_t level) const;
 
   /// Appends one result row holding the current labels (permuted to the
   /// caller's requested key order) and \p measure.
@@ -83,7 +82,6 @@ class RowCursor {
   std::vector<bool> enumerate_;
   std::vector<std::optional<DimKey>> pinned_;
   RankFilters filters_;             ///< empty when the cursor has no windows
-  const RangeIndex* ridx_ = nullptr;
   std::vector<size_t> order_;       ///< labels_ index per output key position
   bool order_identity_ = true;
   std::vector<Frame> stack_;

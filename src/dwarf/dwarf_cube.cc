@@ -85,18 +85,23 @@ void DwarfCube::ShareArenaAndAppend(const DwarfCube& base,
 }
 
 void DwarfCube::FinalizeOrderedViews() {
-  bool any_ordered = false;
-  for (const DimensionSpec& dim : schema_.dimensions()) {
-    any_ordered = any_ordered || dim.ordered;
-  }
-  if (!any_ordered) {
-    range_index_.reset();
-    return;
-  }
   for (size_t dim = 0; dim < dictionaries_.size(); ++dim) {
     if (schema_.dimensions()[dim].ordered) dictionaries_[dim].BuildRankView();
   }
-  range_index_ = RangeIndex::Build(*this);
+}
+
+void DwarfCube::DeferStats(uint64_t tuple_count, uint64_t source_tuple_count) {
+  stats_ = CubeStats{};
+  stats_.tuple_count = tuple_count;
+  stats_.source_tuple_count = source_tuple_count;
+  lazy_stats_ = std::make_shared<LazyStats>();
+}
+
+const CubeStats& DwarfCube::stats() const {
+  if (lazy_stats_ == nullptr) return stats_;
+  std::call_once(lazy_stats_->once,
+                 [this] { lazy_stats_->stats = ComputeStats(); });
+  return lazy_stats_->stats;
 }
 
 CubeStats DwarfCube::ComputeStats() const {

@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -39,7 +40,6 @@
 #include "common/result.h"
 #include "dwarf/cube_schema.h"
 #include "dwarf/dictionary.h"
-#include "dwarf/range_index.h"
 #include "dwarf/tuple.h"
 
 namespace scdwarf::dwarf {
@@ -260,12 +260,17 @@ class DwarfCube {
   const Dictionary& dictionary(size_t dim) const { return dictionaries_[dim]; }
   const std::vector<Dictionary>& dictionaries() const { return dictionaries_; }
 
-  /// Min/max-rank subtree sidecar for ordered dimensions, or nullptr when no
-  /// dimension is marked ordered. Rebuilt at every finalize point; range
-  /// evaluators use it to skip subtrees disjoint from the query window.
-  const RangeIndex* range_index() const { return range_index_.get(); }
+  /// Structural and tuple statistics. A cube built from tuples, reassembled
+  /// from a store or loaded from a snapshot carries them from construction.
+  /// A merged cube computes the structural fields on the first call (one
+  /// walk of the reachable nodes; concurrent first calls are safe), and
+  /// every copy of it shares that result.
+  const CubeStats& stats() const;
 
-  const CubeStats& stats() const { return stats_; }
+  /// stats().tuple_count and stats().source_tuple_count without the walk —
+  /// what the publish path reads.
+  uint64_t tuple_count() const { return stats_.tuple_count; }
+  uint64_t source_tuple_count() const { return stats_.source_tuple_count; }
 
   /// \brief Recomputes structural statistics by walking the arena.
   /// (Counts every node exactly once even though coalesced subtrees are
@@ -316,21 +321,34 @@ class DwarfCube {
   /// publish path).
   void ShareArenaAndAppend(const DwarfCube& base, std::vector<DwarfNode> tail);
 
-  /// Builds the ordered-dimension state — dictionary rank views plus the
-  /// min/max-rank subtree index — for schemas with ordered dims (no-op and
-  /// zero cost otherwise). Every finalize point (DwarfBuilder::Build,
-  /// CubeAssembler::Finish, CubeMerger::Merge) calls this eagerly: cubes are
-  /// shared immutably across server epochs, so building lazily on first
-  /// query would be a data race.
+  /// Builds the dictionary rank views of the ordered dimensions (a no-op
+  /// unless an ordered dictionary grew). Every finalize point
+  /// (DwarfBuilder::Build, CubeAssembler::Finish, CubeMerger::Merge) calls
+  /// this eagerly: cubes are shared immutably across server epochs, so
+  /// building lazily on first query would be a data race.
   void FinalizeOrderedViews();
+
+  /// Sets the tuple counts and leaves the structural stats to the first
+  /// stats() call, under a fresh memo (the merge outputs).
+  void DeferStats(uint64_t tuple_count, uint64_t source_tuple_count);
+
+  /// A merged cube's structural stats, computed once on first use.
+  struct LazyStats {
+    std::once_flag once;
+    CubeStats stats;
+  };
 
   CubeSchema schema_;
   std::vector<NodeChunk> chunks_;
   size_t num_nodes_ = 0;
   std::vector<Dictionary> dictionaries_;
   NodeId root_ = kNullNode;
+  /// The tuple counts always; the structural fields too unless lazy_stats_
+  /// is set.
   CubeStats stats_;
-  std::shared_ptr<const RangeIndex> range_index_;
+  /// Set on merged cubes. Copies share it: they share the arena and the
+  /// root, so one walk serves them all.
+  std::shared_ptr<LazyStats> lazy_stats_;
 };
 
 /// \brief Low-level assembler used by the store mappers to rebuild a cube

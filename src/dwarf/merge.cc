@@ -22,12 +22,11 @@ Result<DwarfCube> CubeMerger::Merge(uint64_t tuple_count,
   }
   if (nodes_reused != nullptr) *nodes_reused = 0;
 
-  // Degenerate epochs short-circuit to a cheap cube copy; only the logical
-  // tuple stats need restating.
+  // Degenerate epochs short-circuit to a cheap cube copy. It restates the
+  // tuple counts, so it gets its own stats memo.
   if (delta_.empty() || base_.empty()) {
     DwarfCube merged = delta_.empty() ? base_ : delta_;
-    merged.stats_.tuple_count = tuple_count;
-    merged.stats_.source_tuple_count = source_tuple_count;
+    merged.DeferStats(tuple_count, source_tuple_count);
     return merged;
   }
 
@@ -38,9 +37,8 @@ Result<DwarfCube> CubeMerger::Merge(uint64_t tuple_count,
   merged.dictionaries_ = delta_.dictionaries_;  // superset of the base's
   merged.root_ = root;
   merged.ShareArenaAndAppend(base_, std::move(tail_));
-  merged.stats_.tuple_count = tuple_count;
-  merged.stats_.source_tuple_count = source_tuple_count;
-  merged.stats_ = merged.ComputeStats();
+  // No structural walk here: it would make every publish O(cube).
+  merged.DeferStats(tuple_count, source_tuple_count);
   merged.FinalizeOrderedViews();
   if (nodes_reused != nullptr) *nodes_reused = reused_;
   return merged;

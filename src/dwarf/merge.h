@@ -45,6 +45,8 @@ class CubeMerger {
   /// Builds the merged cube. \p tuple_count / \p source_tuple_count are the
   /// merged cube's logical tuple stats (the merger cannot derive them
   /// structurally — dead base slots hide how many distinct paths are new).
+  /// The structural stats are left to the merged cube's first stats() call,
+  /// so the merge stays O(delta x depth).
   /// When \p nodes_reused is non-null it receives the number of base
   /// subtrees adopted wholesale instead of rebuilt.
   Result<DwarfCube> Merge(uint64_t tuple_count, uint64_t source_tuple_count,

@@ -2,23 +2,7 @@
 
 #include <algorithm>
 
-#include "common/metrics.h"
-
 namespace scdwarf::dwarf {
-
-namespace {
-
-/// Subtrees skipped via the ordered-dim min/max-rank sidecar. Shared with
-/// cursor.cc by name: the registry hands back one counter per series.
-metrics::Counter* RangePrunedCounter() {
-  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
-      "dwarf_range_subtrees_pruned_total", {},
-      "subtrees skipped because their min/max-rank span misses a range "
-      "predicate's window");
-  return counter;
-}
-
-}  // namespace
 
 bool DimPredicate::Matches(DimKey key) const {
   switch (kind) {
@@ -119,23 +103,8 @@ struct AggregateEvaluator {
   AggFn agg;
   Measure accumulated;
   bool found = false;
-  /// Dims with a pending rank-range predicate, for subtree span pruning
-  /// (empty when the query has no rank ranges — zero per-node overhead).
-  std::vector<size_t> rank_dims;
-  const RangeIndex* ridx = nullptr;
-  uint64_t pruned = 0;
 
   void Visit(NodeId id, size_t level) {
-    if (ridx != nullptr) {
-      for (size_t dim : rank_dims) {
-        if (dim < level) continue;
-        const DimPredicate& rp = predicates[dim];
-        if (ridx->span(id, dim).Disjoint(rp.lo, rp.hi)) {
-          ++pruned;
-          return;
-        }
-      }
-    }
     const NodeView node = cube.node(id);
     const DimPredicate& pred = predicates[level];
     bool leaf = level + 1 == predicates.size();
@@ -195,19 +164,9 @@ Result<Measure> AggregateQuery(const DwarfCube& cube,
                                const std::vector<DimPredicate>& predicates) {
   SCD_RETURN_IF_ERROR(ValidatePredicates(cube, predicates));
   if (cube.empty()) return Status::NotFound("cube is empty");
-  AggregateEvaluator evaluator{cube,  predicates, cube.agg(),
-                               AggIdentity(cube.agg()),
-                               false, {},         nullptr,
-                               0};
-  for (size_t dim = 0; dim < predicates.size(); ++dim) {
-    if (predicates[dim].kind == DimPredicate::Kind::kRange &&
-        predicates[dim].by_rank) {
-      evaluator.rank_dims.push_back(dim);
-    }
-  }
-  if (!evaluator.rank_dims.empty()) evaluator.ridx = cube.range_index();
+  AggregateEvaluator evaluator{cube, predicates, cube.agg(),
+                               AggIdentity(cube.agg())};
   evaluator.Visit(cube.root(), 0);
-  if (evaluator.pruned > 0) RangePrunedCounter()->Increment(evaluator.pruned);
   if (!evaluator.found) return Status::NotFound("no tuples match the query");
   return evaluator.accumulated;
 }
@@ -267,35 +226,28 @@ namespace {
 /// Shared enumerator for Slice and RollUp: dims in `enumerate` are grouped
 /// (cells fanned out and labels recorded); dims with a pinned key filter to
 /// that key; all remaining dims roll up through the ALL pointer. Grouped
-/// dims may carry a rank window; subtrees whose span misses a pending
-/// window are pruned through the cube's range index.
+/// dims may carry a rank window, tested per cell.
 struct Enumerator {
   const DwarfCube& cube;
   const std::vector<bool>& enumerate;
   const std::vector<std::optional<DimKey>>& pinned;
   std::vector<SliceRow>* rows;
   const RankFilters* filters = nullptr;
-  const RangeIndex* ridx = nullptr;
-  uint64_t pruned = 0;
   std::vector<std::string> labels;
 
-  bool Prunable(NodeId id, size_t level) {
+  /// True when a rank window at or below \p level is empty: the subtree
+  /// cannot yield a row.
+  bool Prunable(size_t level) const {
     if (filters == nullptr) return false;
     for (size_t dim = level; dim < filters->size(); ++dim) {
-      if (!(*filters)[dim].has_value()) continue;
-      const RankWindow& window = *(*filters)[dim];
-      if (window.lo > window.hi) return true;  // empty window: no rows
-      if (ridx != nullptr && ridx->covers(dim) &&
-          ridx->span(id, dim).Disjoint(window.lo, window.hi)) {
-        ++pruned;
-        return true;
-      }
+      const std::optional<RankWindow>& window = (*filters)[dim];
+      if (window.has_value() && window->lo > window->hi) return true;
     }
     return false;
   }
 
   void Visit(NodeId id, size_t level) {
-    if (Prunable(id, level)) return;
+    if (Prunable(level)) return;
     const NodeView node = cube.node(id);
     bool leaf = level + 1 == cube.num_dimensions();
     if (enumerate[level]) {
@@ -345,7 +297,7 @@ Result<std::vector<SliceRow>> Slice(const DwarfCube& cube, size_t fixed_dim,
   std::vector<std::optional<DimKey>> pinned(cube.num_dimensions());
   pinned[fixed_dim] = key;
   std::vector<SliceRow> rows;
-  Enumerator enumerator{cube, enumerate, pinned, &rows, nullptr, nullptr, 0, {}};
+  Enumerator enumerator{cube, enumerate, pinned, &rows, nullptr, {}};
   enumerator.Visit(cube.root(), 0);
   return rows;
 }
@@ -361,10 +313,8 @@ Result<std::vector<SliceRow>> RollUp(const DwarfCube& cube,
   if (cube.empty()) return std::vector<SliceRow>{};
   std::vector<std::optional<DimKey>> pinned(cube.num_dimensions());
   std::vector<SliceRow> rows;
-  Enumerator enumerator{cube,    enumerate,          pinned, &rows,
-                        filters, cube.range_index(), 0,      {}};
+  Enumerator enumerator{cube, enumerate, pinned, &rows, filters, {}};
   enumerator.Visit(cube.root(), 0);
-  if (enumerator.pruned > 0) RangePrunedCounter()->Increment(enumerator.pruned);
   // Row keys come out of the enumerator in ascending dimension order;
   // reorder to the caller's requested group_dims order.
   bool identity = true;

@@ -94,11 +94,8 @@ Result<Measure> PointQueryByName(
 /// \brief General aggregate query: applies one predicate per dimension and
 /// aggregates all matching leaf measures with the cube's aggregate function.
 /// ALL predicates use the precomputed ALL sub-dwarfs; other predicates fan
-/// out over matching cells — except ranges, which bound the fan-out: id
-/// ranges binary-search the sorted cell window, and rank ranges additionally
-/// skip whole subtrees whose min/max-rank span (cube.range_index()) is
-/// disjoint from the window (counted by dwarf_range_subtrees_pruned_total).
-/// Returns NotFound when nothing matches; InvalidArgument for a range with
+/// out over matching cells — id ranges binary-search the sorted cell
+/// window, rank ranges test each cell's value-order rank. Returns NotFound when nothing matches; InvalidArgument for a range with
 /// lo > hi or a rank range on an unordered dimension.
 Result<Measure> AggregateQuery(const DwarfCube& cube,
                                const std::vector<DimPredicate>& predicates);
@@ -150,8 +147,8 @@ Result<std::vector<size_t>> RollUpKeyOrder(size_t num_dimensions,
 /// group dims are InvalidArgument.
 ///
 /// \p filters, when non-null, restricts grouped ordered dims to rank
-/// windows; subtrees whose min/max-rank span misses a window are pruned via
-/// cube.range_index(). Filters on non-grouped or unordered dims are
+/// windows, tested per cell at the window's level (an empty window yields
+/// no rows without a walk). Filters on non-grouped or unordered dims are
 /// InvalidArgument.
 Result<std::vector<SliceRow>> RollUp(const DwarfCube& cube,
                                      const std::vector<size_t>& group_dims,

@@ -119,7 +119,7 @@ Result<DwarfCube> CubeUpdater::Apply(UpdateProfile* profile) && {
   Stopwatch watch;
   UpdateProfile local;
   local.incremental = true;
-  local.base_tuples = cube_.stats().tuple_count;
+  local.base_tuples = cube_.tuple_count();
   local.new_tuples = pending_.size();
   std::vector<std::vector<std::string>> changed = ChangedKeyPrefixes();
   local.changed_prefixes = changed.size();
@@ -148,12 +148,11 @@ Result<DwarfCube> CubeUpdater::Apply(UpdateProfile* profile) && {
 
   // The merged tuple count is the base count plus the changed paths the base
   // cube does not already hold — probed directly, O(delta x depth).
-  uint64_t tuple_count = cube_.stats().tuple_count;
+  uint64_t tuple_count = cube_.tuple_count();
   for (const auto& path : changed) {
     if (!CubeContainsPath(cube_, path)) ++tuple_count;
   }
-  uint64_t source_tuple_count =
-      cube_.stats().source_tuple_count + pending_.size();
+  uint64_t source_tuple_count = cube_.source_tuple_count() + pending_.size();
 
   phase_watch.Restart();
   DwarfCube merged;

@@ -140,17 +140,16 @@ QueryServer::QueryServer(dwarf::DwarfCube cube, ServerOptions options)
   store_.set_full_rebuild(options_.full_rebuild);
   store_.set_retain_epochs(options_.retain_epochs);
   // Delta-epoch revalidation: carry a cached result over to the new epoch
-  // iff its query provably misses every changed key prefix. The hook runs
-  // under the store's update lock, so sweeps — and snapshot spools — arrive
-  // in epoch order.
+  // iff its query provably misses every changed key prefix. The cache hands
+  // over each entry's parsed request, so the sweep parses nothing. The hook
+  // runs under the store's update lock, so sweeps — and snapshot spools —
+  // arrive in epoch order.
   store_.set_publish_hook(
       [this](uint64_t epoch,
              const std::vector<std::vector<std::string>>& changed) {
-        cache_.Revalidate(epoch, [this, &changed](const std::string& key) {
-          Result<QueryRequest> parsed = ParseRequest(key);
-          bool keep = parsed.ok() &&
-                      !RequestMayTouchPrefixes(schema_, *parsed, changed);
-          if (keep && RequestHasRangeConstraint(*parsed)) {
+        cache_.Revalidate(epoch, [this, &changed](const QueryRequest& request) {
+          bool keep = !RequestMayTouchPrefixes(schema_, request, changed);
+          if (keep && RequestHasRangeConstraint(request)) {
             range_revalidations_->Increment();
           }
           return keep;
@@ -358,7 +357,8 @@ std::string QueryServer::Dispatch(const QueryRequest& request,
     return MakeResponse(cached->ok, snapshot.epoch, true, cached->payload_json);
   }
   ExecResult result = ExecuteRequest(*snapshot.cube, request);
-  cache_.Put(key, snapshot.epoch, CachedResult{result.ok, result.payload_json});
+  cache_.Put(key, snapshot.epoch, CachedResult{result.ok, result.payload_json},
+             request);
   return MakeResponse(result.ok, snapshot.epoch, false, result.payload_json);
 }
 
@@ -509,7 +509,7 @@ Result<uint64_t> QueryServer::LoadSnapshot(const std::string& path) {
   // A snapshot publish carries no changed-prefix list, so no cached entry
   // can be proven unaffected: drop the cache wholesale. Open cursor
   // sessions keep their pinned snapshots and are untouched.
-  cache_.Revalidate(epoch, [](const std::string&) { return false; });
+  cache_.Revalidate(epoch, nullptr);
   snapshots_loaded_->Increment();
   snapshot_load_us_->Record(watch.ElapsedMicros());
   struct stat file_info {};

@@ -63,7 +63,7 @@ std::optional<CachedResult> ResultCache::Get(const std::string& key,
 }
 
 void ResultCache::Put(const std::string& key, uint64_t epoch,
-                      CachedResult result) {
+                      CachedResult result, QueryRequest request) {
   if (capacity_ == 0) return;
   Shard& shard = ShardFor(key);
   std::string composed = ComposeKey(key, epoch);
@@ -74,7 +74,8 @@ void ResultCache::Put(const std::string& key, uint64_t epoch,
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.push_front(Entry{key, epoch, std::move(result)});
+  shard.lru.push_front(
+      Entry{key, epoch, std::move(result), std::move(request)});
   shard.index.emplace(std::move(composed), shard.lru.begin());
   while (shard.lru.size() > shard_capacity_) {
     const Entry& victim = shard.lru.back();
@@ -86,30 +87,35 @@ void ResultCache::Put(const std::string& key, uint64_t epoch,
 
 size_t ResultCache::Revalidate(
     uint64_t new_epoch,
-    const std::function<bool(const std::string& key)>& unaffected) {
+    const std::function<bool(const QueryRequest& request)>& unaffected) {
   size_t kept = 0;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     for (auto it = shard->lru.begin(); it != shard->lru.end();) {
       if (it->epoch == new_epoch) {
-        ++it;  // already current (shouldn't happen under serialized publishes)
-        continue;
-      }
-      // Only the immediately-previous epoch is a carry-over candidate: an
-      // older entry missed at least one intervening publish, so nothing
-      // proves its result still holds.
-      if (it->epoch + 1 == new_epoch && unaffected && unaffected(it->key)) {
-        shard->index.erase(ComposeKey(it->key, it->epoch));
-        it->epoch = new_epoch;
-        shard->index.emplace(ComposeKey(it->key, it->epoch), it);
-        revalidated_->Increment();
-        ++kept;
-        ++it;
+        ++it;  // a reader cached it at the new epoch before this sweep
         continue;
       }
       shard->index.erase(ComposeKey(it->key, it->epoch));
-      it = shard->lru.erase(it);
-      invalidations_->Increment();
+      // Only the immediately-previous epoch is a carry-over candidate: an
+      // older entry missed at least one intervening publish, so nothing
+      // proves its result still holds. A publish makes its epoch visible
+      // before it sweeps, so a reader may already have cached this key at
+      // the new epoch; that entry stays and this one goes, or one key would
+      // own two LRU nodes.
+      bool keep =
+          it->epoch + 1 == new_epoch && unaffected &&
+          unaffected(it->request) &&
+          shard->index.try_emplace(ComposeKey(it->key, new_epoch), it).second;
+      if (keep) {
+        it->epoch = new_epoch;
+        revalidated_->Increment();
+        ++kept;
+        ++it;
+      } else {
+        it = shard->lru.erase(it);
+        invalidations_->Increment();
+      }
     }
   }
   return kept;

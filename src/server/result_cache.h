@@ -7,7 +7,9 @@
 /// wholesale invalidated: Revalidate() re-tags every previous-epoch entry
 /// whose query a caller-supplied predicate proves unaffected by the publish
 /// (counted as `revalidated`), and drops the rest (counted as
-/// `invalidations`). A later Get at the new epoch then hits the carried-over
+/// `invalidations`). Each entry keeps the parsed request it was computed
+/// from, so the predicate never re-parses a key. A later Get at the new
+/// epoch then hits the carried-over
 /// entry without recomputing anything. Sharding is by the *normalized
 /// request* alone — all epochs of one query live in one shard — which keeps
 /// re-tagging a per-shard operation and the lock a short critical section on
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "server/wire.h"
 
 namespace scdwarf::server {
 
@@ -62,16 +65,21 @@ class ResultCache {
   std::optional<CachedResult> Get(const std::string& key, uint64_t epoch);
 
   /// Inserts or refreshes (key, epoch) -> result, evicting the shard's
-  /// least-recently-used entry when over capacity.
-  void Put(const std::string& key, uint64_t epoch, CachedResult result);
+  /// least-recently-used entry when over capacity. \p request is the parsed
+  /// form of \p key, kept for Revalidate.
+  void Put(const std::string& key, uint64_t epoch, CachedResult result,
+           QueryRequest request);
 
   /// \brief Epoch-publish sweep. Entries tagged \p new_epoch - 1 whose
-  /// normalized key satisfies \p unaffected are re-tagged to \p new_epoch
-  /// (their results provably carry over); every other stale entry is
-  /// dropped. Returns the number of entries re-tagged. \p unaffected runs
-  /// under the shard lock — keep it cheap relative to a query execution.
-  size_t Revalidate(uint64_t new_epoch,
-                    const std::function<bool(const std::string& key)>& unaffected);
+  /// request satisfies \p unaffected are re-tagged to \p new_epoch (their
+  /// results provably carry over); every other stale entry is dropped, and
+  /// so is a re-tag candidate whose key a reader already cached at
+  /// \p new_epoch. Returns the number of entries re-tagged. \p unaffected
+  /// runs under the shard lock — keep it cheap relative to a query
+  /// execution.
+  size_t Revalidate(
+      uint64_t new_epoch,
+      const std::function<bool(const QueryRequest& request)>& unaffected);
 
   /// Drops every entry unconditionally (a Revalidate that keeps nothing).
   void InvalidateAll();
@@ -85,6 +93,7 @@ class ResultCache {
     std::string key;  ///< normalized request, without the epoch
     uint64_t epoch = 0;
     CachedResult result;
+    QueryRequest request;  ///< parsed form of key, for Revalidate
   };
   struct Shard {
     std::mutex mu;

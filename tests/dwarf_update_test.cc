@@ -222,6 +222,67 @@ TEST(CubeUpdaterTest, EpochDropFreesArenaAsWholeChunks) {
   EXPECT_EQ(NodeArena::live_instances(), baseline);
 }
 
+void ExpectSameStats(const CubeStats& actual, const CubeStats& expected) {
+  EXPECT_EQ(actual.node_count, expected.node_count);
+  EXPECT_EQ(actual.cell_count, expected.cell_count);
+  EXPECT_EQ(actual.coalesced_all_count, expected.coalesced_all_count);
+  EXPECT_EQ(actual.tuple_count, expected.tuple_count);
+  EXPECT_EQ(actual.source_tuple_count, expected.source_tuple_count);
+  EXPECT_EQ(actual.approx_bytes, expected.approx_bytes);
+}
+
+// A merged cube computes its structural stats on first use, not inside the
+// merge. On every path stats() must equal a fresh walk (ComputeStats) and
+// the stats of a full Rebuild of the same history: each cube of a chained
+// Apply run, a copy taken before its first stats() call (which shares the
+// one result), and the empty-delta path.
+TEST(CubeUpdaterTest, DeferredStatsMatchComputeStatsAndRebuild) {
+  using Batch = std::vector<std::pair<std::vector<std::string>, Measure>>;
+  const Batch base = {{{"Mon", "Fenian St"}, 3},
+                      {{"Mon", "Pearse St"}, 5},
+                      {{"Tue", "Fenian St"}, 4}};
+  const std::vector<Batch> batches = {
+      {{{"Tue", "Fenian St"}, 2}, {{"Wed", "Eyre Sq"}, 9}},
+      {{{"Mon", "Eyre Sq"}, 1}},
+      {{{"Wed", "Eyre Sq"}, 4},
+       {{"Thu", "Pearse St"}, 6},
+       {{"Thu", "Pearse St"}, 1}}};
+  auto rebuilt_through = [&](size_t count) {
+    CubeUpdater full(BuildCube(base));
+    for (size_t b = 0; b < count; ++b) {
+      for (const auto& [keys, measure] : batches[b]) {
+        EXPECT_TRUE(full.AddTuple(keys, measure).ok());
+      }
+    }
+    return std::move(full).Rebuild().ValueOrDie();
+  };
+
+  DwarfCube cube = BuildCube(base);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    CubeUpdater updater(std::move(cube));
+    for (const auto& [keys, measure] : batches[b]) {
+      ASSERT_TRUE(updater.AddTuple(keys, measure).ok());
+    }
+    auto applied = std::move(updater).Apply();
+    ASSERT_TRUE(applied.ok()) << applied.status();
+    cube = std::move(applied).ValueOrDie();
+    const CubeStats reference = rebuilt_through(b + 1).stats();
+
+    DwarfCube copy = cube;  // before either cube's first stats() call
+    ExpectSameStats(copy.stats(), reference);
+    EXPECT_EQ(&copy.stats(), &cube.stats());
+    ExpectSameStats(cube.stats(), cube.ComputeStats());
+  }
+
+  CubeUpdater idle{DwarfCube(cube)};
+  auto unchanged = std::move(idle).Apply();
+  ASSERT_TRUE(unchanged.ok()) << unchanged.status();
+  EXPECT_NE(&unchanged->stats(), &cube.stats());
+  ExpectSameStats(unchanged->stats(), unchanged->ComputeStats());
+  ExpectSameStats(unchanged->stats(), rebuilt_through(batches.size()).stats());
+}
+
 TEST(CubeUpdaterTest, ApplyWithNoPendingTuplesIsIdentity) {
   DwarfCube cube = BuildCube({{{"Mon", "Fenian St"}, 3}});
   DwarfCube copy = BuildCube({{{"Mon", "Fenian St"}, 3}});

@@ -3,21 +3,25 @@
 // bit-identical cube arenas (structure, statistics, bytes), and storing a
 // cube into a durable nosql database with any thread count must write
 // byte-identical segment files — the parallel paths are pure speedups, never
-// observable behavior.
+// observable behavior. Also: concurrent first stats() calls on a merged cube
+// share one memoized result.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "dwarf/builder.h"
 #include "dwarf/dwarf_cube.h"
 #include "dwarf/query.h"
+#include "dwarf/update.h"
 #include "mapper/nosql_dwarf_mapper.h"
 #include "nosql/database.h"
 
@@ -212,6 +216,39 @@ TEST(ParallelSweepTest, StoreThreadMatrixWritesByteIdenticalSegments) {
       }
     }
     fs::remove_all(dir);
+  }
+}
+
+// A merged cube computes its structural stats on the first stats() call.
+// Server epochs share one cube across threads, so that first call can come
+// from several at once; all must get the one memoized result, equal to a
+// fresh walk. Under TSAN this is the race check for the memo.
+TEST(ParallelSweepTest, ConcurrentFirstStatsCallsShareOneResult) {
+  auto merged = MergeTuples(BuildWithThreads(1, nullptr),
+                            {{{"d1", "s-new", "a1"}, 4}, {{"d2", "s2", "a2"}, 1}});
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  const DwarfCube& cube = *merged;
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::vector<const CubeStats*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Start together, so the first calls overlap.
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      seen[t] = &cube.stats();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const CubeStats expected = cube.ComputeStats();
+  for (const CubeStats* stats : seen) {
+    ASSERT_EQ(stats, seen[0]);
+    EXPECT_EQ(stats->node_count, expected.node_count);
+    EXPECT_EQ(stats->cell_count, expected.cell_count);
+    EXPECT_EQ(stats->coalesced_all_count, expected.coalesced_all_count);
+    EXPECT_EQ(stats->tuple_count, expected.tuple_count);
+    EXPECT_EQ(stats->approx_bytes, expected.approx_bytes);
   }
 }
 

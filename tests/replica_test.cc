@@ -245,7 +245,7 @@ TEST(SnapshotCodecTest, RoundTripAfterIncrementalMerges) {
 }
 
 // v2 snapshots persist each dimension's ordered flag; the load path
-// recomputes the rank views and range index from the dictionaries, so a
+// recomputes the rank views from the dictionaries, so a
 // freshly-bootstrapped replica answers value-range requests identically.
 TEST(SnapshotCodecTest, OrderedFlagsSurviveRoundTrip) {
   std::vector<dwarf::DimensionSpec> specs;
@@ -266,8 +266,6 @@ TEST(SnapshotCodecTest, OrderedFlagsSurviveRoundTrip) {
   EXPECT_TRUE(loaded->cube.schema().dimensions()[0].ordered);
   EXPECT_FALSE(loaded->cube.schema().dimensions()[1].ordered);
   ASSERT_TRUE(loaded->cube.dictionary(0).has_rank_view());
-  ASSERT_NE(loaded->cube.range_index(), nullptr);
-  EXPECT_TRUE(loaded->cube.range_index()->covers(0));
 
   const std::string ranged =
       R"({"op":"aggregate","predicates":[)"
@@ -394,7 +392,6 @@ TEST(SnapshotCodecTest, V1SnapshotsLoadAsUnordered) {
   for (const auto& dim : loaded->cube.schema().dimensions()) {
     EXPECT_FALSE(dim.ordered);
   }
-  EXPECT_EQ(loaded->cube.range_index(), nullptr);
   ExpectSameAnswers(cube, loaded->cube);
 
   // An unknown future version is an InvalidArgument, not a parse attempt.

@@ -5,15 +5,15 @@
 #   tools/check_update_latency.sh [path/to/BENCH_server.json]
 #
 # Asserts that the incremental delta-merge publish beats the full-rebuild
-# baseline on the Month-scale dataset (the O(history) rebuild the delta
-# merge exists to kill). Prints both numbers either way; on a regression it
-# fails loudly with them. SCDWARF_MIN_UPDATE_SPEEDUP overrides the required
-# ratio (default 1.0 — CI runners are too noisy for the ~10x seen on quiet
-# hardware, which docs/BENCHMARKS.md records instead).
+# baseline by at least 10x on the Month-scale dataset. An incremental publish
+# is O(batch x depth) and the rebuild is O(history), so a whole-cube walk
+# that comes back into the publish path pulls the ratio under the floor.
+# Prints both numbers either way; on a regression it fails loudly with them.
+# SCDWARF_MIN_UPDATE_SPEEDUP overrides the required ratio (default 10).
 
 set -u
 bench_json="${1:-build/BENCH_server.json}"
-min_speedup="${SCDWARF_MIN_UPDATE_SPEEDUP:-1.0}"
+min_speedup="${SCDWARF_MIN_UPDATE_SPEEDUP:-10}"
 
 if [[ ! -f "${bench_json}" ]]; then
   echo "check_update_latency: ${bench_json} not found (run bench_query_server first)" >&2
