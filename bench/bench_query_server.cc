@@ -26,7 +26,6 @@
 #include "common/stopwatch.h"
 #include "dwarf/dwarf_cube.h"
 #include "json/json_parser.h"
-#include "server/binwire.h"
 #include "server/query_server.h"
 #include "server/tcp_server.h"
 #include "server/wire.h"
@@ -366,26 +365,19 @@ RangeProbe ProbeRangeQueries(server::QueryServer& server,
   return probe;
 }
 
-// Wire-format phase: the same cursor drain and one-shot mix over a real
-// TCP connection, once per negotiated format. The binary drain is measured
-// twice — through Call (client transcodes every page back to JSON) and
-// through the raw CallRaw + PeekCursorPage path (no reconstruction, the
-// fleet-drain shape) — against the JSON connection as baseline. Row
-// equality across the three drains doubles as an end-to-end differential.
+// Wire phase: the same cursor drain and one-shot mix over a real TCP
+// connection through CubeClient::Call, so the socket, framing and client
+// parse are what's measured on top of the in-process numbers.
 struct WirePhase {
   bool ran = false;
   double json_drain_ms = 0;
-  double bin_drain_ms = 0;   ///< Call path: binary frames + JSON rebuild
-  double raw_drain_ms = 0;   ///< CallRaw path: binary frames, header peeks
-  uint64_t rows = 0;
-  bool rows_match = false;
+  uint64_t rows = 0;  ///< rows one drain returned
   double json_oneshot_us = 0;
-  double bin_oneshot_us = 0;
 };
 
-WirePhase RunWireFormatPhase(server::QueryServer& server,
-                             const std::string& cursor_query,
-                             const std::vector<std::string>& pool) {
+WirePhase RunWirePhase(server::QueryServer& server,
+                       const std::string& cursor_query,
+                       const std::vector<std::string>& pool) {
   WirePhase phase;
   server::TcpServer tcp(&server);
   if (!tcp.Start().ok()) return phase;
@@ -393,16 +385,15 @@ WirePhase RunWireFormatPhase(server::QueryServer& server,
   endpoint.port = static_cast<uint16_t>(tcp.port());
   // The pool contains unfiltered slices over wide dimensions — multi-MB
   // responses on the bigger datasets — so raise the frame cap well past
-  // the 1 MiB default on both sides of the comparison.
-  client::ClientOptions json_options;
-  json_options.max_frame_bytes = 64u << 20;
-  client::CubeClient json_conn(endpoint, json_options);
-  client::ClientOptions binary_options = json_options;
-  binary_options.prefer_binary = true;
-  client::CubeClient bin_conn(endpoint, binary_options);
+  // the 1 MiB default.
+  client::ClientOptions options;
+  options.max_frame_bytes = 64u << 20;
+  client::CubeClient conn(endpoint, options);
   constexpr size_t kPageSize = 64;
 
-  auto open_cursor = [&](client::CubeClient& conn) -> uint64_t {
+  // Timed drain: opens a cursor and pages it to exhaustion, parsing every
+  // page. Returns the rows drained, or 0 on any failure.
+  auto drain = [&](double* ms) -> uint64_t {
     auto opened = conn.Call("{\"op\":\"query_open\",\"query\":" +
                             cursor_query +
                             ",\"page_size\":" + std::to_string(kPageSize) +
@@ -410,105 +401,50 @@ WirePhase RunWireFormatPhase(server::QueryServer& server,
     if (!opened.ok()) return 0;
     auto envelope = json::ParseJson(*opened);
     if (!envelope.ok() || !GetBool(*envelope, "ok")) return 0;
-    return static_cast<uint64_t>(GetNumber(*envelope, "cursor"));
-  };
-  // Timed drain through Call: pages arrive in whatever format the
-  // connection negotiated and come back as canonical JSON rows.
-  auto drain = [&](client::CubeClient& conn, double* ms) -> std::string {
-    uint64_t cursor = open_cursor(conn);
-    if (cursor == 0) return "";
-    json::JsonArray drained;
+    const uint64_t cursor =
+        static_cast<uint64_t>(GetNumber(*envelope, "cursor"));
+    uint64_t drained = 0;
     Stopwatch watch;
     while (true) {
       auto raw = conn.Call("{\"op\":\"query_next\",\"cursor\":" +
                            std::to_string(cursor) + "}");
-      if (!raw.ok()) return "";
+      if (!raw.ok()) return 0;
       auto page = json::ParseJson(*raw);
-      if (!page.ok() || !GetBool(*page, "ok")) return "";
+      if (!page.ok() || !GetBool(*page, "ok")) return 0;
       auto rows = page->Get("rows");
-      if (!rows.ok() || rows->AsArray() == nullptr) return "";
-      for (const json::JsonValue& row : *rows->AsArray()) {
-        drained.push_back(row);
-      }
+      if (!rows.ok() || rows->AsArray() == nullptr) return 0;
+      drained += rows->AsArray()->size();
       if (GetBool(*page, "done")) break;
     }
     *ms = watch.ElapsedMillis();
-    return json::SerializeJson(json::JsonValue(std::move(drained)));
+    return drained;
   };
 
   // Sub-millisecond drains are noisy one at a time; report the mean of a
-  // batch, comparing the rows of the last drain of each format.
+  // batch.
   constexpr int kDrainReps = 25;
-  std::string json_rows;
-  std::string bin_rows;
   double total_ms = 0;
   for (int rep = 0; rep < kDrainReps; ++rep) {
     double ms = 0;
-    json_rows = drain(json_conn, &ms);
+    phase.rows = drain(&ms);
+    if (phase.rows == 0) return phase;
     total_ms += ms;
   }
   phase.json_drain_ms = total_ms / kDrainReps;
-  total_ms = 0;
-  for (int rep = 0; rep < kDrainReps; ++rep) {
-    double ms = 0;
-    bin_rows = drain(bin_conn, &ms);
-    total_ms += ms;
-  }
-  phase.bin_drain_ms = total_ms / kDrainReps;
-  phase.rows_match = !json_rows.empty() && json_rows == bin_rows;
 
-  // Raw binary drain: pre-encoded query_next, kind-3 pages steered by the
-  // header peek alone. This is the shape a page-relay (or a byte-counting
-  // consumer) uses; decode cost drops out of the loop entirely.
-  double raw_total_ms = 0;
-  int raw_reps_done = 0;
-  for (int rep = 0; rep < kDrainReps; ++rep) {
-    uint64_t cursor = open_cursor(bin_conn);
-    if (cursor == 0) break;
-    server::QueryRequest next;
-    next.op = server::RequestOp::kQueryNext;
-    next.cursor_id = cursor;
-    auto encoded = server::binwire::EncodeRequest(next);
-    if (!encoded.ok()) break;
-    uint64_t raw_rows = 0;
-    Stopwatch watch;
-    while (true) {
-      auto raw = bin_conn.CallRaw(*encoded);
-      if (!raw.ok()) break;
-      auto header = server::binwire::PeekCursorPage(*raw);
-      if (!header.ok()) break;
-      raw_rows += header->num_rows;
-      if (header->done) {
-        raw_total_ms += watch.ElapsedMillis();
-        phase.rows = raw_rows;
-        ++raw_reps_done;
-        break;
-      }
-    }
-  }
-  if (raw_reps_done > 0) phase.raw_drain_ms = raw_total_ms / raw_reps_done;
-
-  // One-shot latency per format, same request mix, cache fully warm (the
-  // load phase already cycled the pool), so the wire is what's measured.
+  // One-shot latency over the same request mix, cache fully warm (the load
+  // phase already cycled the pool), so the wire is what's measured.
   constexpr int kOneShots = 2000;
-  auto time_oneshots = [&](client::CubeClient& conn) -> double {
-    for (size_t i = 0; i < 32; ++i) conn.Call(pool[i % pool.size()]);
-    Stopwatch watch;
-    for (int i = 0; i < kOneShots; ++i) {
-      if (!conn.Call(pool[static_cast<size_t>(i) % pool.size()]).ok()) {
-        return 0;
-      }
+  for (size_t i = 0; i < 32; ++i) (void)conn.Call(pool[i % pool.size()]);
+  Stopwatch watch;
+  for (int i = 0; i < kOneShots; ++i) {
+    if (!conn.Call(pool[static_cast<size_t>(i) % pool.size()]).ok()) {
+      return phase;
     }
-    return watch.ElapsedMicros() / kOneShots;
-  };
-  phase.json_oneshot_us = time_oneshots(json_conn);
-  phase.bin_oneshot_us = time_oneshots(bin_conn);
-
-  phase.ran = bin_conn.binary() && phase.rows_match;
-  json_conn.Close();
-  bin_conn.Close();
-  tcp.Stop();
-  return phase;
+  }
+  phase.json_oneshot_us = watch.ElapsedMicros() / kOneShots;
+  phase.ran = true;
+  return phase;  // conn closes, then tcp stops, on scope exit
 }
 
 RunResult RunClients(server::QueryServer& server,
@@ -653,7 +589,7 @@ int main(int argc, char** argv) {
 
     RevalidationProbe probe = ProbeRevalidation(server, **cube, rng);
     RangeProbe range_probe = ProbeRangeQueries(server, **cube, rng);
-    WirePhase wire = RunWireFormatPhase(server, cursor_query, pool);
+    WirePhase wire = RunWirePhase(server, cursor_query, pool);
     stats = server.Stats();  // refresh: the probes moved the cache counters
 
     std::printf("%-8s %10llu %10.0f %10.1f %10.1f %10.1f %9.3f %9llu %12.1f\n",
@@ -688,15 +624,12 @@ int main(int argc, char** argv) {
       std::printf("  range: skipped (no ordered dimension with >= 3 values)\n");
     }
     if (wire.ran) {
-      std::printf(
-          "  wire(tcp): drain json %.2f ms vs bin1 %.2f ms (raw peek %.2f "
-          "ms, %llu rows), oneshot json %.1f us vs bin1 %.1f us, "
-          "rows_match=%s\n",
-          wire.json_drain_ms, wire.bin_drain_ms, wire.raw_drain_ms,
-          static_cast<unsigned long long>(wire.rows), wire.json_oneshot_us,
-          wire.bin_oneshot_us, wire.rows_match ? "yes" : "NO");
+      std::printf("  wire(tcp): drain %.2f ms (%llu rows), oneshot %.1f us\n",
+                  wire.json_drain_ms,
+                  static_cast<unsigned long long>(wire.rows),
+                  wire.json_oneshot_us);
     } else {
-      std::printf("  wire(tcp): skipped (negotiation or drain failed)\n");
+      std::printf("  wire(tcp): skipped (drain or one-shot failed)\n");
     }
 
     benchutil::BenchJsonRow row;
@@ -746,15 +679,10 @@ int main(int argc, char** argv) {
     row.emplace_back("range_reval_hit",
                      json::JsonValue(range_probe.reval_hit));
     row.emplace_back("wire_json_drain_ms", json::JsonValue(wire.json_drain_ms));
-    row.emplace_back("wire_bin_drain_ms", json::JsonValue(wire.bin_drain_ms));
-    row.emplace_back("wire_raw_drain_ms", json::JsonValue(wire.raw_drain_ms));
     row.emplace_back("wire_drain_rows",
                      json::JsonValue(static_cast<int64_t>(wire.rows)));
-    row.emplace_back("wire_rows_match", json::JsonValue(wire.rows_match));
     row.emplace_back("wire_json_oneshot_us",
                      json::JsonValue(wire.json_oneshot_us));
-    row.emplace_back("wire_bin_oneshot_us",
-                     json::JsonValue(wire.bin_oneshot_us));
     rows.push_back(std::move(row));
 
     benchutil::EvictDatasetCube(dataset);

@@ -14,9 +14,6 @@
 #include <cstring>
 #include <utility>
 
-#include "json/json_parser.h"
-#include "json/json_value.h"
-#include "server/binwire.h"
 #include "server/wire.h"
 
 namespace scdwarf::client {
@@ -93,7 +90,6 @@ void CubeClient::Close() {
     ::close(fd_);
     fd_ = -1;
   }
-  binary_ = false;  // the format is per-connection; renegotiate on reconnect
 }
 
 Status CubeClient::Connect() {
@@ -153,39 +149,14 @@ Status CubeClient::Connect() {
   int enable = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
   fd_ = fd;
-  if (options_.prefer_binary) {
-    Status negotiated = Negotiate();
-    if (!negotiated.ok()) {
-      Close();
-      return negotiated;
-    }
-  }
   return Status::OK();
 }
 
-Status CubeClient::Negotiate() {
-  static constexpr std::string_view kHelloFrame =
-      "{\"op\":\"hello\",\"formats\":[\"json\",\"bin1\"]}";
-  SCD_RETURN_IF_ERROR(server::WriteFrame(fd_, kHelloFrame, peer_));
-  SCD_ASSIGN_OR_RETURN(
-      std::string response,
-      server::ReadFrame(fd_, options_.max_frame_bytes, peer_));
-  // Anything but an explicit {"ok":true,...,"format":"bin1"} — an old server
-  // rejecting the unknown op included — leaves the connection on JSON.
-  Result<json::JsonValue> root = json::ParseJson(response);
-  if (!root.ok()) return Status::OK();
-  Result<json::JsonValue> format = root->Get("format");
-  if (!format.ok()) return Status::OK();
-  Result<std::string> chosen = format->AsString();
-  binary_ = chosen.ok() && *chosen == "bin1";
-  return Status::OK();
-}
-
-Result<std::string> CubeClient::CallRaw(std::string_view payload) {
+Result<std::string> CubeClient::Call(std::string_view request_json) {
   if (fd_ < 0) {
     SCD_RETURN_IF_ERROR(Connect());
   }
-  Status written = server::WriteFrame(fd_, payload, peer_);
+  Status written = server::WriteFrame(fd_, request_json, peer_);
   if (!written.ok()) {
     Close();
     return written;
@@ -194,38 +165,6 @@ Result<std::string> CubeClient::CallRaw(std::string_view payload) {
       server::ReadFrame(fd_, options_.max_frame_bytes, peer_);
   if (!response.ok()) Close();
   return response;
-}
-
-Result<std::string> CubeClient::Call(std::string_view request_json) {
-  if (fd_ < 0) {
-    SCD_RETURN_IF_ERROR(Connect());
-  }
-  if (!binary_) {
-    return CallRaw(request_json);
-  }
-  // Binary connection: transcode the JSON request to bin1 and decode the
-  // response back to the canonical JSON string, so callers are format-blind.
-  // A request that fails to parse is forwarded as JSON — the server detects
-  // the format per frame and answers with its normal JSON parse error.
-  Result<server::QueryRequest> parsed = server::ParseRequest(request_json);
-  if (!parsed.ok()) {
-    return CallRaw(request_json);
-  }
-  Result<std::string> encoded = server::binwire::EncodeRequest(*parsed);
-  if (!encoded.ok()) {
-    return CallRaw(request_json);  // e.g. a hand-sent hello: JSON-only op
-  }
-  SCD_ASSIGN_OR_RETURN(std::string raw, CallRaw(*encoded));
-  Result<std::string> decoded = server::binwire::DecodeResponse(raw);
-  if (!decoded.ok()) {
-    // A malformed response is a transport-level failure: the stream can no
-    // longer be trusted, so drop the connection like any other I/O error.
-    Close();
-    return Status::IoError("binary response decode failed: " +
-                           decoded.status().message() + " (peer " + peer_ +
-                           ")");
-  }
-  return decoded;
 }
 
 ClientPool::ClientPool(Endpoint endpoint, ClientOptions options)

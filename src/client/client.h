@@ -66,13 +66,6 @@ struct ClientOptions {
   /// Idle connections the pool keeps per endpoint; extras are closed on
   /// release.
   size_t max_idle = 8;
-  /// Offer the "bin1" binary wire format when connecting (a "hello" frame
-  /// right after connect). When the server accepts, every Call encodes the
-  /// request in binary and decodes the response back to the canonical JSON
-  /// string — callers see byte-identical responses either way. A server
-  /// that rejects the offer (or predates it) leaves the connection on JSON;
-  /// negotiation failure is never a connection error.
-  bool prefer_binary = false;
 };
 
 /// \brief One connection to one server. Not thread-safe — either own one per
@@ -88,19 +81,7 @@ class CubeClient {
   /// \brief Sends one request payload and returns the response payload.
   /// Connects lazily; any transport error closes the connection (the next
   /// Call reconnects) and is returned with the peer address in the message.
-  /// On a binary-negotiated connection the JSON request is transcoded to
-  /// bin1 on the way out and the response decoded back to canonical JSON.
   Result<std::string> Call(std::string_view request_json);
-
-  /// \brief Sends \p payload verbatim and returns the raw response payload,
-  /// with no transcoding in either direction. The zero-copy drain path:
-  /// benches and cursor-heavy callers pre-encode binary requests once and
-  /// read binary pages via binwire::PeekCursorPage without JSON
-  /// reconstruction. Same transport semantics as Call.
-  Result<std::string> CallRaw(std::string_view payload);
-
-  /// True when this connection negotiated the bin1 format.
-  bool binary() const { return binary_; }
 
   /// True while a socket is open (it may still be dead; the next Call finds
   /// out).
@@ -113,15 +94,11 @@ class CubeClient {
 
  private:
   Status Connect();
-  /// Sends the hello frame offering bin1 and records the server's choice.
-  /// Only transport failures are errors; a refusal just stays on JSON.
-  Status Negotiate();
 
   Endpoint endpoint_;
   ClientOptions options_;
   std::string peer_;  ///< endpoint_.ToString(), for error annotation
   int fd_ = -1;
-  bool binary_ = false;  ///< this connection negotiated bin1
 };
 
 /// \brief Thread-safe pool of CubeClient connections to one endpoint.

@@ -146,10 +146,7 @@ Router::Router(std::vector<client::Endpoint> replicas, RouterOptions options)
           "ping probes sent to replicas")),
       replica_unhealthy_(registry_.GetCounter(
           "router_replica_unhealthy_total", {},
-          "healthy->unhealthy transitions across all replicas")),
-      binary_connections_(registry_.GetCounter(
-          "router_binary_connections_total", {},
-          "client connections that negotiated the bin1 wire format")) {
+          "healthy->unhealthy transitions across all replicas")) {
   backends_.reserve(replicas.size());
   for (client::Endpoint& endpoint : replicas) {
     auto backend = std::make_unique<Backend>();
@@ -227,24 +224,6 @@ std::string Router::HandleFrame(std::string_view request_json,
           false, BestEpoch(), false,
           MakeErrorPayload(Status::FailedPrecondition(
               "load_snapshot must be sent to a replica, not the router")));
-    case RequestOp::kHello: {
-      // The router negotiates with ITS client; replica-facing connections
-      // stay JSON (responses are forwarded as raw bytes, and the cursor
-      // rewrite is string surgery on JSON).
-      bool offers_binary = false;
-      for (const std::string& format : request->hello_formats) {
-        if (format == "bin1") offers_binary = true;
-      }
-      bool accept = offers_binary && client != nullptr;
-      if (accept && !client->binary) {
-        client->binary = true;
-        binary_connections_->Increment();
-      }
-      JsonObject payload;
-      payload.emplace_back("format", JsonValue(accept ? "bin1" : "json"));
-      return MakeResponse(true, BestEpoch(), false,
-                          json::SerializeJson(JsonValue(std::move(payload))));
-    }
     case RequestOp::kQueryOpen:
       return HandleOpen(*request, request_json, client);
     case RequestOp::kQueryNext:

@@ -164,7 +164,6 @@ class Router : public server::FrameHandler {
   metrics::Gauge* sessions_open_;            ///< router_sessions_open
   metrics::Counter* health_checks_total_;    ///< router_health_checks_total
   metrics::Counter* replica_unhealthy_;      ///< router_replica_unhealthy_total
-  metrics::Counter* binary_connections_;     ///< router_binary_connections_total
 
   mutable std::mutex sessions_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<RouterSession>> sessions_;

@@ -17,31 +17,23 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'C', 'D', 'W', 'C', 'U', 'B', 'E'};
 constexpr char kTrailer[8] = {'S', 'C', 'D', 'W', 'E', 'N', 'D', '\0'};
-/// v2 adds one ordered-flag byte per dimension spec (rank views themselves
-/// are not serialized — the load path recomputes them from the
-/// dictionaries, which are identical to the publisher's, so the views are
-/// too). v1 files load as all-unordered.
-///
-/// v3 replaces the per-node records with a direct image of the flat arena
-/// (dwarf_cube.h): after the dictionaries come root/node/cell counts, the
-/// CubeStats block, padding to an 8-byte file offset, then the raw FlatNode
-/// and DwarfCell arrays (first_cell globalized across chunks). Loading a v3
-/// file validates the arrays in place and points the cube at the mapping —
-/// no per-node rebuild — with the mapping pinned for the cube's lifetime.
-/// v1/v2 files still load through the CubeAssembler path below.
+/// v3 is a direct image of the flat arena (dwarf_cube.h): after the
+/// dictionaries come root/node/cell counts, the CubeStats block, padding to
+/// an 8-byte file offset, then the raw FlatNode and DwarfCell arrays
+/// (first_cell globalized across chunks). Rank views of ordered dimensions
+/// are not serialized — the load path recomputes them from the dictionaries,
+/// which are identical to the publisher's, so the views are too. Loading
+/// validates the arrays in place and points the cube at the mapping — no
+/// per-node rebuild — with the mapping pinned for the cube's lifetime.
+/// Spool files live only as long as their fleet, so this is the one version
+/// the loader reads.
 constexpr uint32_t kVersion = 3;
-constexpr uint32_t kMinVersion = 1;
 
 // The v3 arrays are memcpy'd native structs; every producer and consumer of
-// snapshot files in this codebase is little-endian (x86-64 / aarch64), and
-// the scalar fields of v1/v2 were already little-endian on the wire.
+// snapshot files in this codebase is little-endian (x86-64 / aarch64), like
+// the scalar fields around them.
 static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
               "snapshot v3 writes native little-endian arrays");
-
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
 
 void PutU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -84,17 +76,6 @@ class Reader {
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();
-  }
-
-  Result<uint16_t> ReadU16() {
-    SCD_RETURN_IF_ERROR(Need(2));
-    uint16_t v = 0;
-    for (int i = 1; i >= 0; --i) {
-      v = static_cast<uint16_t>(
-          (v << 8) | static_cast<unsigned char>(data_[pos_ + i]));
-    }
-    pos_ += 2;
-    return v;
   }
 
   Result<uint32_t> ReadU32() {
@@ -143,9 +124,10 @@ class Reader {
   size_t pos_ = 0;
 };
 
-/// RAII over the read-only mapping. Held by shared_ptr when a v3 load points
+/// RAII over the read-only mapping. Held by shared_ptr because a load points
 /// the cube's arena straight into the mapped bytes (the keepalive handle of
-/// dwarf::NodeArena); released at end of parse for v1/v2 rebuild loads.
+/// dwarf::NodeArena); released once the cube is gone, or at once when the
+/// file fails to load.
 struct Mapping {
   void* addr = MAP_FAILED;
   size_t size = 0;
@@ -306,12 +288,10 @@ Result<CubeSnapshot> LoadCubeSnapshot(const std::string& path) {
     return Status::ParseError(path + " is not a cube snapshot (bad magic)");
   }
   SCD_ASSIGN_OR_RETURN(uint32_t version, in.ReadU32());
-  if (version < kMinVersion || version > kVersion) {
-    return Status::InvalidArgument("snapshot version " +
-                                   std::to_string(version) +
-                                   " is not supported (want " +
-                                   std::to_string(kMinVersion) + ".." +
-                                   std::to_string(kVersion) + ")");
+  if (version != kVersion) {
+    return Status::InvalidArgument(
+        path + " is snapshot version " + std::to_string(version) +
+        "; only version " + std::to_string(kVersion) + " is supported");
   }
   SCD_ASSIGN_OR_RETURN(uint64_t epoch, in.ReadU64());
   SCD_ASSIGN_OR_RETURN(std::string schema_name, in.ReadString());
@@ -325,13 +305,9 @@ Result<CubeSnapshot> LoadCubeSnapshot(const std::string& path) {
   for (uint32_t d = 0; d < num_dims; ++d) {
     SCD_ASSIGN_OR_RETURN(std::string name, in.ReadString());
     SCD_ASSIGN_OR_RETURN(std::string table, in.ReadString());
-    bool ordered = false;  // v1 predates ordered dims
-    if (version >= 2) {
-      char flag = 0;
-      SCD_RETURN_IF_ERROR(in.ReadRaw(&flag, 1));
-      ordered = flag != 0;
-    }
-    dims.emplace_back(std::move(name), std::move(table), ordered);
+    char ordered = 0;
+    SCD_RETURN_IF_ERROR(in.ReadRaw(&ordered, 1));
+    dims.emplace_back(std::move(name), std::move(table), ordered != 0);
   }
   SCD_ASSIGN_OR_RETURN(std::string measure_name, in.ReadString());
   SCD_ASSIGN_OR_RETURN(uint32_t agg_raw, in.ReadU32());
@@ -365,82 +341,36 @@ Result<CubeSnapshot> LoadCubeSnapshot(const std::string& path) {
   }
   SCD_ASSIGN_OR_RETURN(uint32_t root, in.ReadU32());
   SCD_ASSIGN_OR_RETURN(uint64_t num_nodes, in.ReadU64());
-  if (version >= 3) {
-    // Direct arena image: validate the raw arrays in place and point the
-    // cube at the mapping (pinned by the arena's keepalive handle). No
-    // per-node rebuild, no stats walk — load cost is the validation scan.
-    SCD_ASSIGN_OR_RETURN(uint64_t num_cells, in.ReadU64());
-    if (num_nodes >= dwarf::kNullNode ||
-        num_cells > static_cast<uint64_t>(UINT32_MAX)) {
-      return Status::ParseError("snapshot arena counts exceed 32-bit ids");
-    }
-    dwarf::CubeStats stats;
-    SCD_ASSIGN_OR_RETURN(stats.node_count, in.ReadU64());
-    SCD_ASSIGN_OR_RETURN(stats.cell_count, in.ReadU64());
-    SCD_ASSIGN_OR_RETURN(stats.coalesced_all_count, in.ReadU64());
-    SCD_ASSIGN_OR_RETURN(stats.tuple_count, in.ReadU64());
-    SCD_ASSIGN_OR_RETURN(stats.source_tuple_count, in.ReadU64());
-    SCD_ASSIGN_OR_RETURN(stats.approx_bytes, in.ReadU64());
-    SCD_RETURN_IF_ERROR(in.AlignTo8());
-    const auto* nodes = reinterpret_cast<const dwarf::FlatNode*>(in.cursor());
-    SCD_RETURN_IF_ERROR(in.Skip(num_nodes * sizeof(dwarf::FlatNode)));
-    const auto* cells = reinterpret_cast<const dwarf::DwarfCell*>(in.cursor());
-    SCD_RETURN_IF_ERROR(in.Skip(num_cells * sizeof(dwarf::DwarfCell)));
-    char trailer[8];
-    SCD_RETURN_IF_ERROR(in.ReadRaw(trailer, sizeof(trailer)));
-    if (std::memcmp(trailer, kTrailer, sizeof(kTrailer)) != 0) {
-      return Status::ParseError(path + " has a corrupt snapshot trailer");
-    }
-    auto arena = std::make_shared<const dwarf::NodeArena>(
-        nodes, num_nodes, cells, num_cells, mapping);
-    Result<dwarf::DwarfCube> cube = dwarf::DwarfCube::FromFlatArena(
-        std::move(schema), std::move(dictionaries), std::move(arena), root,
-        stats);
-    if (!cube.ok()) return cube.status().WithContext("loading " + path);
-    return CubeSnapshot{epoch, std::move(*cube)};
+  // Direct arena image: validate the raw arrays in place and point the
+  // cube at the mapping (pinned by the arena's keepalive handle). No
+  // per-node rebuild, no stats walk — load cost is the validation scan.
+  SCD_ASSIGN_OR_RETURN(uint64_t num_cells, in.ReadU64());
+  if (num_nodes >= dwarf::kNullNode ||
+      num_cells > static_cast<uint64_t>(UINT32_MAX)) {
+    return Status::ParseError("snapshot arena counts exceed 32-bit ids");
   }
-  // Each node needs at least its 19-byte fixed header.
-  if (num_nodes * 19 > in.remaining()) {
-    return Status::ParseError("snapshot claims " + std::to_string(num_nodes) +
-                              " nodes past end of file");
-  }
-  dwarf::CubeAssembler assembler(std::move(schema), std::move(dictionaries));
-  for (uint64_t i = 0; i < num_nodes; ++i) {
-    dwarf::DwarfNode node;
-    SCD_ASSIGN_OR_RETURN(node.level, in.ReadU16());
-    char flags = 0;
-    SCD_RETURN_IF_ERROR(in.ReadRaw(&flags, 1));
-    node.all_coalesced = (flags & 1) != 0;
-    SCD_ASSIGN_OR_RETURN(node.all_child, in.ReadU32());
-    SCD_ASSIGN_OR_RETURN(uint64_t all_measure, in.ReadU64());
-    node.all_measure = static_cast<dwarf::Measure>(all_measure);
-    SCD_ASSIGN_OR_RETURN(uint32_t num_cells, in.ReadU32());
-    if (static_cast<uint64_t>(num_cells) * 16 > in.remaining()) {
-      return Status::ParseError("snapshot node " + std::to_string(i) +
-                                " claims " + std::to_string(num_cells) +
-                                " cells past end of file");
-    }
-    node.cells.reserve(num_cells);
-    for (uint32_t c = 0; c < num_cells; ++c) {
-      dwarf::DwarfCell cell;
-      SCD_ASSIGN_OR_RETURN(cell.key, in.ReadU32());
-      SCD_ASSIGN_OR_RETURN(cell.child, in.ReadU32());
-      SCD_ASSIGN_OR_RETURN(uint64_t measure, in.ReadU64());
-      cell.measure = static_cast<dwarf::Measure>(measure);
-      node.cells.push_back(cell);
-    }
-    assembler.AddNode(std::move(node));
-  }
-  SCD_ASSIGN_OR_RETURN(uint64_t tuple_count, in.ReadU64());
-  SCD_ASSIGN_OR_RETURN(uint64_t source_tuple_count, in.ReadU64());
+  dwarf::CubeStats stats;
+  SCD_ASSIGN_OR_RETURN(stats.node_count, in.ReadU64());
+  SCD_ASSIGN_OR_RETURN(stats.cell_count, in.ReadU64());
+  SCD_ASSIGN_OR_RETURN(stats.coalesced_all_count, in.ReadU64());
+  SCD_ASSIGN_OR_RETURN(stats.tuple_count, in.ReadU64());
+  SCD_ASSIGN_OR_RETURN(stats.source_tuple_count, in.ReadU64());
+  SCD_ASSIGN_OR_RETURN(stats.approx_bytes, in.ReadU64());
+  SCD_RETURN_IF_ERROR(in.AlignTo8());
+  const auto* nodes = reinterpret_cast<const dwarf::FlatNode*>(in.cursor());
+  SCD_RETURN_IF_ERROR(in.Skip(num_nodes * sizeof(dwarf::FlatNode)));
+  const auto* cells = reinterpret_cast<const dwarf::DwarfCell*>(in.cursor());
+  SCD_RETURN_IF_ERROR(in.Skip(num_cells * sizeof(dwarf::DwarfCell)));
   char trailer[8];
   SCD_RETURN_IF_ERROR(in.ReadRaw(trailer, sizeof(trailer)));
   if (std::memcmp(trailer, kTrailer, sizeof(kTrailer)) != 0) {
     return Status::ParseError(path + " has a corrupt snapshot trailer");
   }
-  assembler.SetRoot(root);
-  assembler.SetTupleCounts(tuple_count, source_tuple_count);
-  Result<dwarf::DwarfCube> cube = assembler.Finish();
+  auto arena = std::make_shared<const dwarf::NodeArena>(
+      nodes, num_nodes, cells, num_cells, mapping);
+  Result<dwarf::DwarfCube> cube = dwarf::DwarfCube::FromFlatArena(
+      std::move(schema), std::move(dictionaries), std::move(arena), root,
+      stats);
   if (!cube.ok()) return cube.status().WithContext("loading " + path);
   return CubeSnapshot{epoch, std::move(*cube)};
 }

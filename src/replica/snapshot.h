@@ -5,7 +5,7 @@
 /// kernel page cache holds a single copy of the file bytes no matter how
 /// many replicas on the machine map it.
 ///
-/// File layout, current version v3 (all integers little-endian, strings
+/// File layout, version 3 (all integers little-endian, strings
 /// length-prefixed):
 ///
 ///   "SCDWCUBE"  u32 version  u64 epoch
@@ -23,9 +23,8 @@
 /// loading validates the arrays in place (id bounds, level monotonicity,
 /// strict cell sort) and points the cube at the mapping, which stays mapped
 /// for the cube's lifetime via the arena's keepalive handle — replica load
-/// is validate-and-point, not rebuild. v1 (unordered dims, per-node records)
-/// and v2 (ordered flags, per-node records) still load through the
-/// CubeAssembler rebuild path.
+/// is validate-and-point, not rebuild. v3 is the only version the loader
+/// reads: any other version is an InvalidArgument naming both versions.
 ///
 /// Nodes are written in arena-id order *including dead merge slots* (ids an
 /// incremental merge left unreachable), so node ids survive the round trip
@@ -53,7 +52,7 @@
 namespace scdwarf::replica {
 
 /// \brief One loaded snapshot: the epoch the file was published under plus
-/// the reassembled cube.
+/// the loaded cube.
 struct CubeSnapshot {
   uint64_t epoch = 0;
   dwarf::DwarfCube cube;
@@ -70,9 +69,10 @@ struct SnapshotFileEntry {
 Status WriteCubeSnapshot(const dwarf::DwarfCube& cube, uint64_t epoch,
                          const std::string& path);
 
-/// \brief Maps \p path read-only and reassembles the cube. IoError when the
-/// file cannot be opened or mapped; ParseError / InvalidArgument when the
-/// bytes are truncated or corrupt.
+/// \brief Maps \p path read-only and points a cube at the mapped arena.
+/// IoError when the file cannot be opened or mapped; InvalidArgument when it
+/// is not version 3; ParseError / InvalidArgument when the bytes are
+/// truncated or corrupt.
 Result<CubeSnapshot> LoadCubeSnapshot(const std::string& path);
 
 /// \brief Canonical spool file name of \p epoch: "epoch-<20 digits>.cf".

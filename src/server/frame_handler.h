@@ -19,10 +19,6 @@ namespace scdwarf::server {
 /// connection thread — not thread-safe on its own.
 struct ClientContext {
   std::vector<uint64_t> cursors;
-  /// Set when this connection negotiated the "bin1" wire format (a "hello"
-  /// frame offering it); the transport then routes every later frame
-  /// through HandleBinaryFrame.
-  bool binary = false;
 };
 
 /// \brief Serves one request frame at a time. Implementations must be
@@ -38,17 +34,6 @@ class FrameHandler {
   /// CloseClientSessions can reclaim them on disconnect.
   virtual std::string HandleFrame(std::string_view request_json,
                                   ClientContext* client = nullptr) = 0;
-
-  /// \brief Serves one frame on a connection that negotiated the "bin1"
-  /// format. \p request_payload may be a binary request (magic 0xB1) or a
-  /// JSON request — the format is detected per frame by the first byte, and
-  /// the response mirrors the request's format. The default implementation
-  /// decodes the binary request, spells it canonically in JSON, routes it
-  /// through HandleFrame, and wraps the JSON response as a binary
-  /// passthrough — so every FrameHandler supports binary clients;
-  /// implementations override to add zero-copy response paths.
-  virtual std::string HandleBinaryFrame(std::string_view request_payload,
-                                        ClientContext* client = nullptr);
 
   /// \brief Closes every cursor session recorded in \p client (idempotent;
   /// already-expired cursors are skipped silently).

@@ -11,7 +11,6 @@
 #include "json/json_parser.h"
 #include "json/json_value.h"
 #include "replica/snapshot.h"
-#include "server/binwire.h"
 
 namespace scdwarf::server {
 
@@ -121,14 +120,7 @@ QueryServer::QueryServer(dwarf::DwarfCube cube, ServerOptions options)
           "snapshot mmap + parse + publish latency (us)")),
       snapshot_bytes_(registry_.GetGauge(
           "replica_snapshot_bytes", {},
-          "size of the most recently loaded snapshot file")),
-      binary_connections_(registry_.GetCounter(
-          "server_binary_connections_total", {},
-          "connections that negotiated the bin1 wire format")),
-      zero_copy_pages_(registry_.GetCounter(
-          "server_zero_copy_pages_total", {},
-          "cursor pages served on the native binary path, rows encoded "
-          "straight from the cursor with no JSON materialization")) {
+          "size of the most recently loaded snapshot file")) {
   for (size_t i = 0; i < kNumRequestOps; ++i) {
     op_latency_us_[i] = registry_.GetHistogram(
         "server_op_us", {{"op", RequestOpName(static_cast<RequestOp>(i))}},
@@ -228,47 +220,6 @@ std::string QueryServer::HandleFrame(std::string_view request_json,
                    MakeOverloadPayload(options_.max_queue_depth)));
 }
 
-std::string QueryServer::HandleBinaryFrame(std::string_view request_payload,
-                                           ClientContext* client) {
-  if (!binwire::IsBinaryPayload(request_payload)) {
-    return HandleFrame(request_payload, client);
-  }
-  Result<QueryRequest> request = binwire::DecodeRequest(request_payload);
-  if (!request.ok()) {
-    return binwire::EncodeJsonPassthrough(MakeResponse(
-        false, store_.epoch(), false, MakeErrorPayload(request.status())));
-  }
-  if (request->op != RequestOp::kQueryNext) {
-    // Everything but paging routes through the canonical JSON path: same
-    // parsing, same cache keys, same responses — wrapped as a passthrough.
-    return binwire::EncodeJsonPassthrough(
-        HandleFrame(NormalizedCacheKey(*request), client));
-  }
-  // Native page path: rows are encoded from the cursor straight into the
-  // binary response, with no JSON materialized anywhere.
-  const uint64_t cursor_id = request->cursor_id;
-  return Admitted(
-      [this, cursor_id, client] {
-        Stopwatch watch;
-        CursorPage page = FetchCursorPage(cursor_id, client);
-        std::string response;
-        if (page.ok) {
-          response = binwire::EncodeCursorPage(page.epoch, cursor_id,
-                                               page.rows, page.done);
-          zero_copy_pages_->Increment();
-        } else {
-          response = binwire::EncodeJsonPassthrough(
-              MakeResponse(false, page.epoch, false, page.error_payload));
-        }
-        op_latency_us_[static_cast<size_t>(RequestOp::kQueryNext)]->Record(
-            watch.ElapsedMicros());
-        return response;
-      },
-      binwire::EncodeJsonPassthrough(
-          MakeResponse(false, store_.epoch(), false,
-                       MakeOverloadPayload(options_.max_queue_depth))));
-}
-
 std::string QueryServer::Process(std::string_view request_json,
                                  ClientContext* client) {
   trace::ScopedSpan span("server.process");
@@ -311,24 +262,6 @@ std::string QueryServer::Dispatch(const QueryRequest& request,
     }
     case RequestOp::kLoadSnapshot:
       return HandleLoadSnapshot(request);
-    case RequestOp::kHello: {
-      // Format negotiation. "bin1" is accepted only for callers with a
-      // per-connection context to pin the choice to; everyone else (and any
-      // client that did not offer it) stays on JSON.
-      bool offers_binary = false;
-      for (const std::string& format : request.hello_formats) {
-        if (format == "bin1") offers_binary = true;
-      }
-      bool accept = offers_binary && client != nullptr;
-      if (accept && !client->binary) {
-        client->binary = true;
-        binary_connections_->Increment();
-      }
-      JsonObject payload;
-      payload.emplace_back("format", JsonValue(accept ? "bin1" : "json"));
-      return MakeResponse(true, snapshot.epoch, false,
-                          json::SerializeJson(JsonValue(std::move(payload))));
-    }
     case RequestOp::kQueryOpen: {
       // An epoch-pinned open (router failover) re-opens against the retained
       // snapshot of that exact epoch, so the new cursor replays the same
@@ -400,53 +333,42 @@ std::string QueryServer::HandleQueryOpen(
                       json::SerializeJson(JsonValue(std::move(payload))));
 }
 
-QueryServer::CursorPage QueryServer::FetchCursorPage(uint64_t cursor_id,
-                                                     ClientContext* client) {
-  CursorPage page;
+std::string QueryServer::HandleQueryNext(const QueryRequest& request,
+                                         ClientContext* client) {
   std::shared_ptr<Session> session;
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
-    auto it = sessions_.find(cursor_id);
+    auto it = sessions_.find(request.cursor_id);
     if (it != sessions_.end()) {
       session = it->second;
       session->last_used = uptime_.ElapsedSeconds();
     }
   }
   if (session == nullptr) {
-    page.epoch = store_.epoch();
-    page.error_payload = MakeErrorPayload(Status::NotFound(
-        "unknown cursor " + std::to_string(cursor_id) +
-        " (closed, drained, or expired)"));
-    return page;
+    return MakeResponse(
+        false, store_.epoch(), false,
+        MakeErrorPayload(Status::NotFound(
+            "unknown cursor " + std::to_string(request.cursor_id) +
+            " (closed, drained, or expired)")));
   }
+  std::vector<dwarf::SliceRow> rows;
+  bool done = false;
   {
     std::lock_guard<std::mutex> lock(session->mu);
-    page.rows.reserve(session->page_size);
-    session->cursor.Next(session->page_size, &page.rows);
-    page.done = session->cursor.done();
+    rows.reserve(session->page_size);
+    session->cursor.Next(session->page_size, &rows);
+    done = session->cursor.done();
   }
-  if (page.done) {
+  if (done) {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions_.erase(session->id);
     sessions_open_->Set(static_cast<int64_t>(sessions_.size()));
     ForgetClientCursor(client, session->id);
   }
-  page.ok = true;
   // The page reports the session's pinned epoch — what the rows were
   // computed against — not the store's possibly-newer epoch.
-  page.epoch = session->epoch;
-  return page;
-}
-
-std::string QueryServer::HandleQueryNext(const QueryRequest& request,
-                                         ClientContext* client) {
-  CursorPage page = FetchCursorPage(request.cursor_id, client);
-  if (!page.ok) {
-    return MakeResponse(false, page.epoch, false, page.error_payload);
-  }
-  return MakeResponse(
-      true, page.epoch, false,
-      MakeCursorPagePayload(request.cursor_id, page.rows, page.done));
+  return MakeResponse(true, session->epoch, false,
+                      MakeCursorPagePayload(request.cursor_id, rows, done));
 }
 
 std::string QueryServer::HandleQueryClose(const QueryRequest& request,

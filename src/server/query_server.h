@@ -143,16 +143,6 @@ class QueryServer : public FrameHandler {
   std::string HandleFrame(std::string_view request_json,
                           ClientContext* client = nullptr) override;
 
-  /// \brief Binary-format entry point (see FrameHandler). query_next frames
-  /// take a native path: the page's rows are encoded straight from the
-  /// cursor into the binary response, skipping JSON materialization
-  /// entirely (counted by server_zero_copy_pages_total). Every other op
-  /// routes through the canonical JSON path and is wrapped as a
-  /// passthrough. Admission control and latency metrics apply identically
-  /// to both formats.
-  std::string HandleBinaryFrame(std::string_view request_payload,
-                                ClientContext* client = nullptr) override;
-
   /// \brief Merges \p tuples into the served cube and publishes the next
   /// epoch. Before returning, the result cache is swept: entries whose query
   /// provably misses every changed key prefix carry over to the new epoch,
@@ -220,16 +210,6 @@ class QueryServer : public FrameHandler {
     double last_used;        ///< uptime seconds; guarded by sessions_mu_
   };
 
-  /// One query_next page fetched from a session, still structured — the
-  /// JSON and binary response paths serialize it their own way.
-  struct CursorPage {
-    bool ok = false;
-    uint64_t epoch = 0;  ///< session's pinned epoch, or current on error
-    bool done = false;
-    std::vector<dwarf::SliceRow> rows;
-    std::string error_payload;  ///< set when !ok
-  };
-
   /// Runs \p run under admission control on the worker pool (or inline for
   /// single-worker servers) and records the request metrics; returns
   /// \p reject_response without executing when the server is over capacity.
@@ -237,9 +217,6 @@ class QueryServer : public FrameHandler {
                        const std::string& reject_response);
   /// Executes a parsed-or-unparsable request (cache + snapshot path).
   std::string Process(std::string_view request_json, ClientContext* client);
-  /// Looks up the session of \p cursor_id and advances it one page,
-  /// reclaiming the session (and the client's cursor record) when drained.
-  CursorPage FetchCursorPage(uint64_t cursor_id, ClientContext* client);
   /// Runs one successfully-parsed request (the op switch + cache path).
   std::string Dispatch(const QueryRequest& request,
                        const EpochCubeStore::Snapshot& snapshot,
@@ -247,6 +224,8 @@ class QueryServer : public FrameHandler {
   std::string HandleQueryOpen(const QueryRequest& request,
                               const EpochCubeStore::Snapshot& snapshot,
                               ClientContext* client);
+  /// Advances the request's cursor session one page, reclaiming the session
+  /// (and the client's cursor record) when drained.
   std::string HandleQueryNext(const QueryRequest& request,
                               ClientContext* client);
   std::string HandleQueryClose(const QueryRequest& request,
@@ -304,9 +283,6 @@ class QueryServer : public FrameHandler {
   metrics::Counter* snapshots_loaded_;       ///< replica_snapshots_loaded_total
   FixedBucketHistogram* snapshot_load_us_;   ///< replica_snapshot_load_us
   metrics::Gauge* snapshot_bytes_;           ///< replica_snapshot_bytes
-  /// Binary wire format instrumentation.
-  metrics::Counter* binary_connections_;  ///< server_binary_connections_total
-  metrics::Counter* zero_copy_pages_;     ///< server_zero_copy_pages_total
 };
 
 /// \brief In-process client used by tests and the load-generator bench: the

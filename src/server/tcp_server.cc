@@ -85,11 +85,7 @@ void TcpServer::ServeConnection(uint64_t id, int fd) {
   while (!stopping_.load(std::memory_order_acquire)) {
     Result<std::string> frame = ReadFrame(fd, max_frame_bytes_);
     if (!frame.ok()) break;  // clean EOF, oversized frame, or read error
-    // A "hello" frame negotiating bin1 flips client.binary for the rest of
-    // the connection; its own response is still JSON.
-    std::string response = client.binary
-                               ? server_->HandleBinaryFrame(*frame, &client)
-                               : server_->HandleFrame(*frame, &client);
+    std::string response = server_->HandleFrame(*frame, &client);
     if (!WriteFrame(fd, response).ok()) break;
   }
   // A dropped connection must not leak its cursor sessions until the TTL.

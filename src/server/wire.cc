@@ -34,7 +34,6 @@ Result<RequestOp> ParseOp(std::string_view name) {
   if (name == "ping") return RequestOp::kPing;
   if (name == "metrics_text") return RequestOp::kMetricsText;
   if (name == "load_snapshot") return RequestOp::kLoadSnapshot;
-  if (name == "hello") return RequestOp::kHello;
   return Status::InvalidArgument("unknown op '" + std::string(name) + "'");
 }
 
@@ -143,7 +142,6 @@ const char* RequestOpName(RequestOp op) {
     case RequestOp::kPing: return "ping";
     case RequestOp::kMetricsText: return "metrics_text";
     case RequestOp::kLoadSnapshot: return "load_snapshot";
-    case RequestOp::kHello: return "hello";
   }
   return "?";
 }
@@ -295,14 +293,6 @@ Result<QueryRequest> ParseRequestValue(const JsonValue& root) {
       }
       break;
     }
-    case RequestOp::kHello: {
-      // "formats" is optional: a bare hello means JSON only.
-      if (Result<JsonValue> formats = root.Get("formats"); formats.ok()) {
-        SCD_ASSIGN_OR_RETURN(request.hello_formats,
-                             ParseStringArray(*formats, "formats"));
-      }
-      break;
-    }
   }
   return request;
 }
@@ -444,14 +434,6 @@ std::string NormalizedCacheKey(const QueryRequest& request) {
     case RequestOp::kLoadSnapshot:
       root.emplace_back("path", JsonValue(request.snapshot_path));
       break;
-    case RequestOp::kHello: {
-      JsonArray formats;
-      for (const std::string& format : request.hello_formats) {
-        formats.push_back(JsonValue(format));
-      }
-      root.emplace_back("formats", JsonValue(std::move(formats)));
-      break;
-    }
   }
   return json::SerializeJson(JsonValue(std::move(root)));
 }
@@ -680,7 +662,6 @@ ExecResult ExecuteRequest(const dwarf::DwarfCube& cube,
     case RequestOp::kMetrics:
     case RequestOp::kMetricsText:
     case RequestOp::kPing:
-    case RequestOp::kHello:
       return {false, MakeErrorPayload(Status::Internal(
                          "stats/metrics requests are handled by the server"))};
     case RequestOp::kLoadSnapshot:
@@ -842,7 +823,6 @@ bool RequestMayTouchPrefixes(
     case RequestOp::kQueryOpen:
     case RequestOp::kQueryNext:
     case RequestOp::kQueryClose:
-    case RequestOp::kHello:
       // Uncacheable or stateful ops — always treat as touched.
       return true;
   }

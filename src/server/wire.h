@@ -69,12 +69,7 @@
 /// result ("measure" or "rows") or {"code","error"} on failure. Overloaded
 /// servers answer {"ok":false, "code":"overloaded", ...} without executing.
 ///
-/// Format negotiation: {"op":"hello","formats":["json","bin1"]} offers the
-/// server the wire formats this connection can speak. The server answers
-/// {"format":"bin1"} (or "json") and, once "bin1" is chosen, decodes every
-/// later frame on the connection by its first payload byte — 0xB1 for the
-/// length-prefixed binary encoding of binwire.h, '{' for JSON. The complete
-/// frame-level spec of both formats lives in docs/WIRE_PROTOCOL.md.
+/// The complete frame-level spec lives in docs/WIRE_PROTOCOL.md.
 
 #ifndef SCDWARF_SERVER_WIRE_H_
 #define SCDWARF_SERVER_WIRE_H_
@@ -107,11 +102,10 @@ enum class RequestOp {
   kPing,
   kMetricsText,
   kLoadSnapshot,
-  kHello,
 };
 
 /// Number of RequestOp values, for op-indexed tables.
-constexpr size_t kNumRequestOps = static_cast<size_t>(RequestOp::kHello) + 1;
+constexpr size_t kNumRequestOps = static_cast<size_t>(RequestOp::kLoadSnapshot) + 1;
 
 /// Wire name of \p op ("point", "aggregate", ...).
 const char* RequestOpName(RequestOp op);
@@ -154,9 +148,6 @@ struct QueryRequest {
   /// current one (absent = current).
   std::optional<uint64_t> open_epoch;
   std::string snapshot_path;  ///< kLoadSnapshot
-  /// kHello: wire formats the client can speak, in preference order
-  /// (e.g. ["json","bin1"]). Empty means JSON only.
-  std::vector<std::string> hello_formats;
 };
 
 /// Largest accepted query_open page_size (keeps one response frame bounded).

@@ -943,11 +943,6 @@ void Fleet::SessionLoop(int session_index) {
   endpoint.port = router_port_;
   client::ClientOptions client_options;
   client_options.io_timeout_ms = 10000;
-  // Odd sessions negotiate the bin1 wire format, so every soak run mixes
-  // binary and JSON connections against the router — the injected drops
-  // below also exercise renegotiation on reconnect. The differential
-  // checks are format-blind: the client reconstructs canonical JSON.
-  client_options.prefer_binary = (session_index % 2) == 1;
   client::CubeClient conn(endpoint, client_options);
   Rng rng(options_.seed * 7919 + static_cast<uint64_t>(session_index) + 1);
   int since_drop = 0;

@@ -17,9 +17,7 @@
 ///  - M session threads hammering the router with a mixed workload (point /
 ///    slice / rollup / rollup-where / aggregate-range / cursor drains),
 ///    each answer differentially checked against a model cube pinned to the
-///    epoch the answer declares (see below). Odd-numbered sessions
-///    negotiate the bin1 binary wire format, so every run soaks both
-///    framings — and renegotiation, via the injected connection drops;
+///    epoch the answer declares (see below);
 ///  - optional fault injectors: a killer (SIGKILL a random replica, respawn
 ///    it, require the restart to catch up to the newest spooled epoch), a
 ///    spool corrupter (bad-magic / truncated / leftover-tmp files dropped

@@ -7,14 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -244,7 +241,7 @@ TEST(SnapshotCodecTest, RoundTripAfterIncrementalMerges) {
   fs::remove_all(dir);
 }
 
-// v2 snapshots persist each dimension's ordered flag; the load path
+// Snapshots persist each dimension's ordered flag; the load path
 // recomputes the rank views from the dictionaries, so a
 // freshly-bootstrapped replica answers value-range requests identically.
 TEST(SnapshotCodecTest, OrderedFlagsSurviveRoundTrip) {
@@ -277,194 +274,6 @@ TEST(SnapshotCodecTest, OrderedFlagsSurviveRoundTrip) {
   ASSERT_TRUE(original.ok);
   EXPECT_EQ(original.payload_json, replica.payload_json);
   fs::remove_all(dir);
-}
-
-/// Re-encodes \p cube in the legacy v2 snapshot layout (per-node records,
-/// no arena image) — the bytes a pre-v3 publisher shipped. The production
-/// writer moved to the v3 flat-arena image, so v2/v1 compat coverage (and
-/// golden regen) builds its legacy bytes here.
-std::string EncodeLegacyV2Snapshot(const dwarf::DwarfCube& cube,
-                                   uint64_t epoch) {
-  std::string out;
-  auto put_u16 = [&out](uint16_t v) {
-    for (int i = 0; i < 2; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  };
-  auto put_u32 = [&out](uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  };
-  auto put_u64 = [&out](uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  };
-  auto put_string = [&](const std::string& s) {
-    put_u32(static_cast<uint32_t>(s.size()));
-    out.append(s);
-  };
-  const dwarf::CubeSchema& schema = cube.schema();
-  out.append("SCDWCUBE", 8);
-  put_u32(2);  // legacy version
-  put_u64(epoch);
-  put_string(schema.name());
-  put_u32(static_cast<uint32_t>(schema.num_dimensions()));
-  for (const dwarf::DimensionSpec& dim : schema.dimensions()) {
-    put_string(dim.name);
-    put_string(dim.dimension_table);
-    out.push_back(dim.ordered ? 1 : 0);
-  }
-  put_string(schema.measure_name());
-  put_u32(static_cast<uint32_t>(schema.agg()));
-  for (size_t d = 0; d < cube.num_dimensions(); ++d) {
-    const dwarf::Dictionary& dict = cube.dictionary(d);
-    put_u64(dict.size());
-    for (dwarf::DimKey id = 0; id < dict.size(); ++id) {
-      put_string(dict.DecodeUnchecked(id));
-    }
-  }
-  put_u32(cube.root());
-  put_u64(cube.num_nodes());
-  for (dwarf::NodeId id = 0; id < cube.num_nodes(); ++id) {
-    const dwarf::NodeView node = cube.node(id);
-    put_u16(node.level);
-    out.push_back(node.all_coalesced ? 1 : 0);
-    put_u32(node.all_child);
-    put_u64(static_cast<uint64_t>(node.all_measure));
-    put_u32(static_cast<uint32_t>(node.cells.size()));
-    for (const dwarf::DwarfCell& cell : node.cells) {
-      put_u32(cell.key);
-      put_u32(cell.child);
-      put_u64(static_cast<uint64_t>(cell.measure));
-    }
-  }
-  put_u64(cube.stats().tuple_count);
-  put_u64(cube.stats().source_tuple_count);
-  out.append("SCDWEND", 7);
-  out.push_back('\0');
-  return out;
-}
-
-/// Downgrades v2 snapshot bytes to the v1 layout in place: version field
-/// back to 1 and the per-dimension ordered byte v2 appends after each
-/// dimension spec stripped (it must be 0 — v1 cannot express ordered dims).
-std::string DowngradeV2ToV1(std::string bytes) {
-  auto u32le = [&bytes](size_t pos) {
-    uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) |
-          static_cast<unsigned char>(bytes[pos + static_cast<size_t>(i)]);
-    }
-    return v;
-  };
-  size_t pos = 8;  // past the magic
-  EXPECT_EQ(u32le(pos), 2u);
-  bytes[pos] = 1;
-  pos += 4 + 8;             // version + epoch
-  pos += 4 + u32le(pos);    // schema name
-  uint32_t num_dims = u32le(pos);
-  pos += 4;
-  for (uint32_t d = 0; d < num_dims; ++d) {
-    pos += 4 + u32le(pos);  // dimension name
-    pos += 4 + u32le(pos);  // dimension table
-    EXPECT_EQ(bytes[pos], 0);
-    bytes.erase(pos, 1);
-  }
-  return bytes;
-}
-
-// A v2 file (per-node records) and a v1 file (additionally predating the
-// per-dimension ordered byte) both still load — v1 as all-unordered;
-// versions past kVersion are rejected cleanly.
-TEST(SnapshotCodecTest, V1SnapshotsLoadAsUnordered) {
-  dwarf::DwarfCube cube = BuildCube(0xabc, 40);  // all-unordered schema
-  fs::path dir = ScratchDir("v1compat");
-  const std::string v2_path = (dir / SnapshotFileName(2)).string();
-  WriteFileBytes(v2_path, EncodeLegacyV2Snapshot(cube, 2));
-  const std::string v1_path = (dir / SnapshotFileName(3)).string();
-  WriteFileBytes(v1_path, DowngradeV2ToV1(ReadFileBytes(v2_path)));
-
-  auto v2_loaded = LoadCubeSnapshot(v2_path);
-  ASSERT_TRUE(v2_loaded.ok()) << v2_loaded.status();
-  EXPECT_EQ(v2_loaded->epoch, 2u);
-  EXPECT_TRUE(v2_loaded->cube.StructurallyEquals(cube));
-  ExpectSameAnswers(cube, v2_loaded->cube);
-
-  auto loaded = LoadCubeSnapshot(v1_path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->epoch, 2u);
-  for (const auto& dim : loaded->cube.schema().dimensions()) {
-    EXPECT_FALSE(dim.ordered);
-  }
-  ExpectSameAnswers(cube, loaded->cube);
-
-  // An unknown future version is an InvalidArgument, not a parse attempt.
-  std::string future = ReadFileBytes(v2_path);
-  future[8] = 99;
-  const std::string future_path = (dir / SnapshotFileName(4)).string();
-  WriteFileBytes(future_path, future);
-  EXPECT_TRUE(LoadCubeSnapshot(future_path).status().IsInvalidArgument());
-  fs::remove_all(dir);
-}
-
-/// The fixed cube behind the committed v1 golden file — small enough that
-/// the pinned answers below are hand-checkable.
-dwarf::DwarfCube GoldenCube() {
-  dwarf::DwarfBuilder builder(TestSchema());
-  const std::vector<std::tuple<const char*, const char*, Measure>> tuples = {
-      {"Mon", "Station0", 5},  {"Mon", "Station1", 7}, {"Tue", "Station0", 11},
-      {"Wed", "Station2", 13}, {"Mon", "Station0", 3}, {"Sun", "Station4", 2},
-  };
-  for (const auto& [day, station, measure] : tuples) {
-    EXPECT_TRUE(builder.AddTuple({day, station}, measure).ok());
-  }
-  return std::move(builder).Build().ValueOrDie();
-}
-
-// The committed golden file pins the v1 on-disk layout: bytes an older
-// publisher shipped must keep loading under every future reader, with the
-// answers they encoded. Unlike V1SnapshotsLoadAsUnordered (which builds its
-// legacy bytes fresh each run), this catches reader regressions against the
-// historical format even after the writer moves on (it writes v3 images
-// now). SCDWARF_REGEN_GOLDEN=1 rewrites the file and prints fresh pinned
-// payloads — only legitimate when the legacy encode/downgrade helpers
-// themselves change; never regen to paper over a reader-side failure.
-TEST(SnapshotCodecTest, V1GoldenFileKeepsLoadingWithPinnedAnswers) {
-  const std::string golden =
-      std::string(SCDWARF_TESTDATA_DIR) + "/epoch-v1-golden.cf";
-  const std::pair<const char*, const char*> kPinned[] = {
-      {R"({"op":"point","keys":["Mon","Station0"]})", R"({"measure":8})"},
-      {R"({"op":"point","keys":[null,null]})", R"({"measure":41})"},
-      {R"({"op":"rollup","dims":["Day"]})",
-       R"({"rows":[{"keys":["Mon"],"measure":15},{"keys":["Tue"],"measure":11},)"
-       R"({"keys":["Wed"],"measure":13},{"keys":["Sun"],"measure":2}]})"},
-      {R"({"op":"slice","dim":"Station","key":"Station0"})",
-       R"({"rows":[{"keys":["Mon"],"measure":8},)"
-       R"({"keys":["Tue"],"measure":11}]})"},
-  };
-
-  if (std::getenv("SCDWARF_REGEN_GOLDEN") != nullptr) {
-    WriteFileBytes(golden,
-                   DowngradeV2ToV1(EncodeLegacyV2Snapshot(GoldenCube(), 1)));
-    for (const auto& [request_json, unused] : kPinned) {
-      auto request = ParseRequest(request_json);
-      ASSERT_TRUE(request.ok());
-      ExecResult fresh = server::ExecuteRequest(GoldenCube(), *request);
-      std::fprintf(stderr, "pin %s -> %s\n", request_json,
-                   fresh.payload_json.c_str());
-    }
-  }
-
-  auto loaded = LoadCubeSnapshot(golden);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->epoch, 1u);
-  for (const auto& dim : loaded->cube.schema().dimensions()) {
-    EXPECT_FALSE(dim.ordered);
-  }
-  ExpectSameAnswers(GoldenCube(), loaded->cube);
-  for (const auto& [request_json, payload] : kPinned) {
-    auto request = ParseRequest(request_json);
-    ASSERT_TRUE(request.ok()) << request_json;
-    ExecResult got = server::ExecuteRequest(loaded->cube, *request);
-    EXPECT_TRUE(got.ok) << request_json;
-    EXPECT_EQ(got.payload_json, payload) << request_json;
-  }
 }
 
 // v3 files are direct flat-arena images: loading validates the raw arrays
@@ -532,6 +341,16 @@ TEST(SnapshotCodecTest, TruncatedAndCorruptBytesNeverCrash) {
       static_cast<char>(bad_trailer.back() ^ 0xff);
   WriteFileBytes(victim, bad_trailer);
   EXPECT_FALSE(LoadCubeSnapshot(victim.string()).ok());
+
+  // Version 3 is the only one the loader reads: an older or newer version
+  // field is an InvalidArgument, not a parse attempt.
+  for (char version : {2, 99}) {
+    std::string other_version = bytes;
+    other_version[8] = version;
+    WriteFileBytes(victim, other_version);
+    EXPECT_TRUE(LoadCubeSnapshot(victim.string()).status().IsInvalidArgument())
+        << "version " << static_cast<int>(version);
+  }
 
   EXPECT_FALSE(LoadCubeSnapshot((dir / "missing.cf").string()).ok());
   fs::remove_all(dir);

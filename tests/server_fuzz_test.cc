@@ -33,7 +33,6 @@
 #include "nosql/database.h"
 #include "replica/router.h"
 #include "replica/snapshot.h"
-#include "server/binwire.h"
 #include "server/query_server.h"
 #include "server/tcp_server.h"
 #include "server/wire.h"
@@ -641,18 +640,15 @@ TEST(ServerFuzzTest, EpochStormMatchesFromScratchRebuilds) {
   EXPECT_EQ(server.open_sessions(), 0u);
 }
 
-// ----------------------------------------------------- binary wire mode
+// --------------------------------------------------------------- TCP mode
 
-// Differential fuzz of the bin1 binary framing: the same seeded random
-// requests served over real TCP through a JSON connection and a
-// binary-negotiated connection, across two epoch publishes. Every binary
-// response reconstructed by the client must be byte-identical to the JSON
-// connection's bytes (cache state advances in lockstep: warm, binary,
-// JSON), one-shots must match direct traversal, and cursor drains on both
-// connections must replay exactly the same rows — the binary side checked
-// both through Call's transcoding and through the raw CallRaw +
-// PeekCursorPage zero-copy path.
-TEST(ServerFuzzTest, BinaryWireMatchesJsonAcrossPublishStorm) {
+// Differential fuzz of the TCP path: the same seeded random requests served
+// through a real CubeClient and TcpServer across two epoch publishes. Every
+// one-shot — the first (cold) answer and the repeat (cached) answer — must
+// be byte-identical to direct traversal of the current snapshot, and cursor
+// drains opened over the socket must replay exactly the direct rows at the
+// epoch they pinned.
+TEST(ServerFuzzTest, TcpWireMatchesDirectAcrossPublishStorm) {
   FuzzWorld world;
   Rng rng(kSeed ^ 0xb141);
   QueryServer server(BuildFuzzCube(world, rng, 400));
@@ -660,23 +656,20 @@ TEST(ServerFuzzTest, BinaryWireMatchesJsonAcrossPublishStorm) {
   ASSERT_TRUE(tcp.Start(0).ok());
   client::Endpoint endpoint;
   endpoint.port = static_cast<uint16_t>(tcp.port());
-  client::CubeClient json_client(endpoint);
-  client::ClientOptions binary_options;
-  binary_options.prefer_binary = true;
-  client::CubeClient bin_client(endpoint, binary_options);
+  client::CubeClient wire(endpoint);
 
-  auto call = [](client::CubeClient& wire, const std::string& request_json) {
+  auto call = [&wire](const std::string& request_json) {
     auto response = wire.Call(request_json);
     EXPECT_TRUE(response.ok()) << response.status();
     return response.ok() ? *response : std::string();
   };
-  // Opens a cursor over \p wire and drains it to exhaustion; returns the
-  // concatenated rows, asserting every page reports \p want_epoch.
-  auto drain = [&](client::CubeClient& wire, const std::string& query,
-                   size_t page_size, uint64_t want_epoch) {
+  // Opens a cursor and drains it to exhaustion; returns the concatenated
+  // rows, asserting every page reports \p want_epoch.
+  auto drain = [&](const std::string& query, size_t page_size,
+                   uint64_t want_epoch) {
     ParsedEnvelope opened = ParseEnvelope(
-        call(wire, "{\"op\":\"query_open\",\"query\":" + query +
-                       ",\"page_size\":" + std::to_string(page_size) + "}"));
+        call("{\"op\":\"query_open\",\"query\":" + query +
+             ",\"page_size\":" + std::to_string(page_size) + "}"));
     EXPECT_TRUE(opened.ok) << query;
     if (!opened.ok) return std::string();
     EXPECT_EQ(opened.epoch, want_epoch);
@@ -684,9 +677,9 @@ TEST(ServerFuzzTest, BinaryWireMatchesJsonAcrossPublishStorm) {
         opened.value.Get("cursor").ValueOrDie().AsNumber().ValueOrDie());
     JsonArray rows;
     for (;;) {
-      ParsedEnvelope page = ParseEnvelope(call(
-          wire, "{\"op\":\"query_next\",\"cursor\":" + std::to_string(cursor) +
-                    "}"));
+      ParsedEnvelope page = ParseEnvelope(
+          call("{\"op\":\"query_next\",\"cursor\":" +
+               std::to_string(cursor) + "}"));
       EXPECT_TRUE(page.ok) << query;
       if (!page.ok) break;
       EXPECT_EQ(page.epoch, want_epoch) << "cursor lost its pinned snapshot";
@@ -698,44 +691,12 @@ TEST(ServerFuzzTest, BinaryWireMatchesJsonAcrossPublishStorm) {
     }
     return json::SerializeJson(JsonValue(rows));
   };
-  // The zero-copy drain: pre-encoded binary query_next via CallRaw, pages
-  // steered by PeekCursorPage without JSON reconstruction. Returns the
-  // total row count the headers reported.
-  auto raw_drain = [&](const std::string& query, size_t page_size,
-                       uint64_t want_epoch) -> uint64_t {
-    ParsedEnvelope opened = ParseEnvelope(
-        call(bin_client,
-             "{\"op\":\"query_open\",\"query\":" + query +
-                 ",\"page_size\":" + std::to_string(page_size) + "}"));
-    EXPECT_TRUE(opened.ok) << query;
-    if (!opened.ok) return 0;
-    uint64_t cursor = static_cast<uint64_t>(
-        opened.value.Get("cursor").ValueOrDie().AsNumber().ValueOrDie());
-    QueryRequest next;
-    next.op = RequestOp::kQueryNext;
-    next.cursor_id = cursor;
-    std::string encoded = binwire::EncodeRequest(next).ValueOrDie();
-    uint64_t total_rows = 0;
-    for (;;) {
-      auto raw = bin_client.CallRaw(encoded);
-      EXPECT_TRUE(raw.ok()) << raw.status();
-      if (!raw.ok()) break;
-      auto header = binwire::PeekCursorPage(*raw);
-      EXPECT_TRUE(header.ok()) << header.status();
-      if (!header.ok()) break;
-      EXPECT_EQ(header->epoch, want_epoch);
-      EXPECT_EQ(header->cursor_id, cursor);
-      total_rows += header->num_rows;
-      if (header->done) break;
-    }
-    return total_rows;
-  };
 
   int publishes_left = 2;
   uint64_t drains_compared = 0;
-  constexpr int kBinQueries = 250;
-  for (int i = 0; i < kBinQueries; ++i) {
-    if (publishes_left > 0 && i > 0 && i % (kBinQueries / 3) == 0) {
+  constexpr int kTcpQueries = 250;
+  for (int i = 0; i < kTcpQueries; ++i) {
+    if (publishes_left > 0 && i > 0 && i % (kTcpQueries / 3) == 0) {
       std::vector<std::pair<std::vector<std::string>, Measure>> batch;
       for (int t = 0; t < 8; ++t) {
         batch.emplace_back(RandomKeyPath(world, rng),
@@ -750,47 +711,28 @@ TEST(ServerFuzzTest, BinaryWireMatchesJsonAcrossPublishStorm) {
     ASSERT_TRUE(request.ok()) << request_json;
     EpochCubeStore::Snapshot snapshot = server.store().snapshot();
 
-    // Warm the cache, then binary and JSON back-to-back: identical cache
-    // state, so the reconstructed bytes must equal the JSON bytes exactly.
-    call(json_client, request_json);
-    std::string via_binary = call(bin_client, request_json);
-    std::string via_json = call(json_client, request_json);
-    EXPECT_EQ(via_binary, via_json) << request_json;
-    ExpectResponseMatchesDirect(via_binary, *snapshot.cube, *request,
-                                request_json);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      ExpectResponseMatchesDirect(call(request_json), *snapshot.cube,
+                                  *request, request_json);
+    }
 
     if (i % 10 == 0 && (request->op == RequestOp::kSlice ||
                         request->op == RequestOp::kRollUp)) {
       ExecResult direct = ExecuteRequest(*snapshot.cube, *request);
       if (!direct.ok) continue;
       size_t page_size = 1 + rng.NextBelow(8);
-      std::string expect_rows = DirectRowsJson(direct);
-      EXPECT_EQ(drain(bin_client, request_json, page_size, snapshot.epoch),
-                expect_rows)
-          << request_json;
-      EXPECT_EQ(drain(json_client, request_json, page_size, snapshot.epoch),
-                expect_rows)
-          << request_json;
-      // Row-count cross-check on the raw zero-copy path.
-      auto expect_count = json::ParseJson(expect_rows);
-      ASSERT_TRUE(expect_count.ok());
-      EXPECT_EQ(raw_drain(request_json, page_size, snapshot.epoch),
-                expect_count->AsArray()->size())
+      EXPECT_EQ(drain(request_json, page_size, snapshot.epoch),
+                DirectRowsJson(direct))
           << request_json;
       ++drains_compared;
     }
   }
 
-  EXPECT_TRUE(bin_client.binary());
   EXPECT_GT(drains_compared, 5u);
   EXPECT_EQ(server.epoch(), 2u);
   EXPECT_EQ(server.open_sessions(), 0u);
-  const std::string metrics_text = server.MetricsText();
-  EXPECT_EQ(MetricValue(metrics_text, "server_binary_connections_total"), 1u);
-  EXPECT_GT(MetricValue(metrics_text, "server_zero_copy_pages_total"), 0u);
 
-  bin_client.Close();
-  json_client.Close();
+  wire.Close();
   tcp.Stop();
 }
 
@@ -850,19 +792,8 @@ TEST(ServerFuzzTest, RouterModeMatchesDirectTraversal) {
   client::Endpoint front_endpoint;
   front_endpoint.port = static_cast<uint16_t>(front.port());
   client::CubeClient wire_client(front_endpoint);
-  // A second, binary-negotiated client: the router serves bin1 through the
-  // generic FrameHandler path while its replica-facing connections stay
-  // JSON. A third of the one-shots go through it below.
-  client::ClientOptions front_binary_options;
-  front_binary_options.prefer_binary = true;
-  client::CubeClient binary_client(front_endpoint, front_binary_options);
   auto call = [&](const std::string& request_json) {
     auto response = wire_client.Call(request_json);
-    EXPECT_TRUE(response.ok()) << response.status();
-    return response.ok() ? *response : std::string();
-  };
-  auto binary_call = [&](const std::string& request_json) {
-    auto response = binary_client.Call(request_json);
     EXPECT_TRUE(response.ok()) << response.status();
     return response.ok() ? *response : std::string();
   };
@@ -935,11 +866,8 @@ TEST(ServerFuzzTest, RouterModeMatchesDirectTraversal) {
     EpochCubeStore::Snapshot snapshot = publisher.store().snapshot();
 
     // One-shot through client -> router -> replica, byte-identical to
-    // direct traversal of the publisher's current snapshot — whichever
-    // wire format the client negotiated.
-    std::string one_shot =
-        (i % 3 == 2) ? binary_call(request_json) : call(request_json);
-    ExpectResponseMatchesDirect(one_shot, *snapshot.cube, *request,
+    // direct traversal of the publisher's current snapshot.
+    ExpectResponseMatchesDirect(call(request_json), *snapshot.cube, *request,
                                 request_json);
 
     for (RouterDrain& drain : drains) {
@@ -978,12 +906,7 @@ TEST(ServerFuzzTest, RouterModeMatchesDirectTraversal) {
   EXPECT_GT(rows_compared, 5u);
   EXPECT_EQ(router.healthy_replicas(), 2u);  // the kill was observed
   EXPECT_EQ(router.open_sessions(), 0u);
-  EXPECT_TRUE(binary_client.binary());
-  EXPECT_GE(MetricValue(router.MetricsText(),
-                        "router_binary_connections_total"),
-            1u);
 
-  binary_client.Close();
   wire_client.Close();
   front.Stop();
   for (auto& tcp : replica_tcps) tcp->Stop();

@@ -24,12 +24,10 @@
 #include <thread>
 #include <vector>
 
-#include "client/client.h"
 #include "common/parallel.h"
 #include "dwarf/builder.h"
 #include "dwarf/query.h"
 #include "json/json_parser.h"
-#include "server/binwire.h"
 #include "server/query_server.h"
 #include "server/tcp_server.h"
 #include "server/wire.h"
@@ -112,6 +110,10 @@ TEST(WireTest, RejectsMalformedRequests) {
       {R"({"op":"rollup","dims":["Day","NoSuchDim"]})", "not_found"},
       {R"({"op":"aggregate","predicates":[{"kind":"all"}]})",
        "invalid_argument"},  // predicate arity 1 != 3
+      // JSON is the only payload format: a format offer is an unknown op,
+      // and bytes that are not JSON are a parse error.
+      {R"({"op":"hello","formats":["json"]})", "invalid_argument"},
+      {"\xB1\x01\x03\x01", "parse_error"},
   };
   for (const Case& c : cases) {
     ParsedResponse parsed = ParseResponse(handle.Call(c.request));
@@ -1036,234 +1038,6 @@ TEST(TcpServerTest, OversizedFrameClosesConnection) {
   auto response = ReadFrame(fd, 1 << 20);
   EXPECT_FALSE(response.ok());  // server hung up instead of serving it
   ::close(fd);
-  tcp.Stop();
-}
-
-// --- Binary wire format (bin1) -------------------------------------------
-
-constexpr std::string_view kHelloOffer =
-    R"({"op":"hello","formats":["json","bin1"]})";
-
-// The negotiated format in a hello response payload ("" when absent).
-std::string NegotiatedFormat(const std::string& response) {
-  ParsedResponse parsed = ParseResponse(response);
-  auto format = parsed.value.Get("format");
-  return format.ok() ? format->AsString().ValueOrDie() : std::string();
-}
-
-TEST(BinaryWireTest, HelloNegotiatesBin1PerConnection) {
-  QueryServer server{BuildSeedCube()};
-
-  ClientContext offers;
-  EXPECT_EQ(NegotiatedFormat(server.HandleFrame(kHelloOffer, &offers)),
-            "bin1");
-  EXPECT_TRUE(offers.binary);
-  // Renegotiating on the same connection is idempotent for the counter.
-  EXPECT_EQ(NegotiatedFormat(server.HandleFrame(kHelloOffer, &offers)),
-            "bin1");
-
-  // A client that never mentions bin1 stays on JSON.
-  ClientContext json_only;
-  EXPECT_EQ(NegotiatedFormat(server.HandleFrame(
-                R"({"op":"hello","formats":["json"]})", &json_only)),
-            "json");
-  EXPECT_FALSE(json_only.binary);
-  // No client context (one-shot in-process call): nowhere to pin the
-  // format, so the server declines.
-  EXPECT_EQ(NegotiatedFormat(server.HandleFrame(kHelloOffer)), "json");
-
-  std::map<std::string, double> metrics = FlattenMetrics(
-      ParseResponse(server.HandleFrame(R"({"op":"metrics"})")).value);
-  EXPECT_EQ(metrics["server_binary_connections_total"], 1.0);
-}
-
-TEST(BinaryWireTest, RequestsRoundTripThroughTheCodec) {
-  std::vector<std::string> pool = MixedRequests();
-  pool.push_back(
-      R"({"op":"aggregate","predicates":[{"kind":"range","lo":"Mon","hi":"Tue"},{"kind":"all"},{"kind":"all"}]})");
-  pool.push_back(
-      R"({"op":"rollup","dims":["Day"],"where":[{"dim":"Day","lo":"Mon","hi":"Tue"}]})");
-  pool.push_back(
-      R"({"op":"query_open","query":{"op":"rollup","dims":["Area"]},"page_size":3})");
-  pool.push_back(R"({"op":"query_next","cursor":42})");
-  pool.push_back(R"({"op":"query_close","cursor":42})");
-  pool.push_back(R"({"op":"stats"})");
-  pool.push_back(R"({"op":"ping"})");
-  pool.push_back(R"({"op":"load_snapshot","path":"/tmp/x.snap"})");
-  for (const std::string& request_json : pool) {
-    auto request = ParseRequest(request_json);
-    ASSERT_TRUE(request.ok()) << request_json;
-    auto encoded = binwire::EncodeRequest(*request);
-    ASSERT_TRUE(encoded.ok()) << request_json;
-    EXPECT_TRUE(binwire::IsBinaryPayload(*encoded));
-    auto decoded = binwire::DecodeRequest(*encoded);
-    ASSERT_TRUE(decoded.ok()) << request_json << ": " << decoded.status();
-    // The normalized spelling is the identity of a request; surviving the
-    // codec means every field survived.
-    EXPECT_EQ(NormalizedCacheKey(*decoded), NormalizedCacheKey(*request))
-        << request_json;
-  }
-  // hello never travels in binary — it IS the format negotiation.
-  auto hello = ParseRequest(kHelloOffer);
-  ASSERT_TRUE(hello.ok());
-  EXPECT_FALSE(binwire::EncodeRequest(*hello).ok());
-}
-
-TEST(BinaryWireTest, BinaryResponsesDecodeToTheExactJsonBytes) {
-  // Two identical servers: one answers JSON, one binary, so cache state
-  // (and thus the "cached" flag) advances in lockstep.
-  QueryServer json_server{BuildSeedCube()};
-  QueryServer bin_server{BuildSeedCube()};
-  ClientContext json_ctx;
-  ClientContext bin_ctx;
-  ASSERT_EQ(NegotiatedFormat(bin_server.HandleFrame(kHelloOffer, &bin_ctx)),
-            "bin1");
-
-  for (const std::string& request_json : MixedRequests()) {
-    auto request = ParseRequest(request_json);
-    ASSERT_TRUE(request.ok()) << request_json;
-    auto encoded = binwire::EncodeRequest(*request);
-    ASSERT_TRUE(encoded.ok()) << request_json;
-    for (int repeat = 0; repeat < 2; ++repeat) {  // miss then cache hit
-      std::string expect = json_server.HandleFrame(request_json, &json_ctx);
-      std::string raw = bin_server.HandleBinaryFrame(*encoded, &bin_ctx);
-      EXPECT_TRUE(binwire::IsBinaryPayload(raw)) << request_json;
-      auto decoded = binwire::DecodeResponse(raw);
-      ASSERT_TRUE(decoded.ok()) << request_json << ": " << decoded.status();
-      EXPECT_EQ(*decoded, expect) << request_json;
-    }
-  }
-
-  // A negotiated connection may still send JSON frames: detection is per
-  // frame, and the answer comes back as JSON, not binary.
-  std::string mixed = bin_server.HandleBinaryFrame(
-      R"({"op":"point","keys":["Mon",null,"D2"]})", &bin_ctx);
-  EXPECT_FALSE(binwire::IsBinaryPayload(mixed));
-  EXPECT_TRUE(ParseResponse(mixed).ok);
-}
-
-TEST(BinaryWireTest, CursorPagesServeZeroCopyAndDecodeByteIdentically) {
-  QueryServer json_server{BuildSeedCube()};
-  QueryServer bin_server{BuildSeedCube()};
-  ServerHandle json_handle(&json_server);
-  ClientContext bin_ctx;
-  ASSERT_EQ(NegotiatedFormat(bin_server.HandleFrame(kHelloOffer, &bin_ctx)),
-            "bin1");
-
-  const std::string open_json =
-      R"({"op":"query_open","query":{"op":"rollup","dims":["Day","Area"]},"page_size":2})";
-  auto open_request = ParseRequest(open_json);
-  ASSERT_TRUE(open_request.ok());
-  auto open_encoded = binwire::EncodeRequest(*open_request);
-  ASSERT_TRUE(open_encoded.ok());
-
-  // query_open answers via the generic passthrough kind; the bytes must
-  // still match the JSON server's answer exactly.
-  std::string json_opened = json_server.HandleFrame(open_json);
-  std::string raw_opened = bin_server.HandleBinaryFrame(*open_encoded,
-                                                        &bin_ctx);
-  auto opened = binwire::DecodeResponse(raw_opened);
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  EXPECT_EQ(*opened, json_opened);
-  ParsedResponse opened_parsed = ParseResponse(*opened);
-  ASSERT_TRUE(opened_parsed.ok);
-  uint64_t cursor = static_cast<uint64_t>(
-      opened_parsed.value.Get("cursor").ValueOrDie().AsNumber().ValueOrDie());
-
-  // Drain: binary pages are kind-3 (peekable without row decode) and must
-  // reconstruct the JSON server's page bytes exactly.
-  QueryRequest next;
-  next.op = RequestOp::kQueryNext;
-  next.cursor_id = cursor;
-  auto next_encoded = binwire::EncodeRequest(next);
-  ASSERT_TRUE(next_encoded.ok());
-  bool done = false;
-  int pages = 0;
-  while (!done && pages < 100) {
-    std::string raw_page = bin_server.HandleBinaryFrame(*next_encoded,
-                                                        &bin_ctx);
-    auto header = binwire::PeekCursorPage(raw_page);
-    ASSERT_TRUE(header.ok()) << header.status();
-    EXPECT_EQ(header->cursor_id, cursor);
-    done = header->done;
-    auto page = binwire::DecodeResponse(raw_page);
-    ASSERT_TRUE(page.ok()) << page.status();
-    EXPECT_EQ(*page, json_handle.QueryNext(cursor));
-    ++pages;
-  }
-  EXPECT_TRUE(done);
-  EXPECT_GT(pages, 1);  // page_size 2 over >2 rows: a real multi-page drain
-  EXPECT_EQ(bin_server.open_sessions(), 0u);
-
-  std::map<std::string, double> metrics = FlattenMetrics(
-      ParseResponse(bin_server.HandleFrame(R"({"op":"metrics"})")).value);
-  EXPECT_EQ(metrics["server_zero_copy_pages_total"],
-            static_cast<double>(pages));
-}
-
-TEST(BinaryWireTest, MalformedBinaryPayloadsAreErrorsNotCrashes) {
-  QueryServer server{BuildSeedCube()};
-  ClientContext ctx;
-  ASSERT_EQ(NegotiatedFormat(server.HandleFrame(kHelloOffer, &ctx)), "bin1");
-
-  auto good = binwire::EncodeRequest(
-      ParseRequest(R"({"op":"slice","dim":"Area","key":"D2"})").ValueOrDie());
-  ASSERT_TRUE(good.ok());
-  std::vector<std::string> corrupt = {
-      std::string("\xB1", 1),                 // magic alone
-      std::string("\xB1\x07", 2),             // unsupported version
-      std::string("\xB1\x01\xFF", 3),         // unknown op
-      good->substr(0, good->size() - 3),      // truncated mid-string
-      *good + std::string("xx", 2),           // trailing bytes
-      std::string("\xB1\x01\x01\xFF\xFF\xFF\xFF", 7),  // count > payload
-  };
-  for (const std::string& payload : corrupt) {
-    std::string raw = server.HandleBinaryFrame(payload, &ctx);
-    auto decoded = binwire::DecodeResponse(raw);
-    ASSERT_TRUE(decoded.ok());
-    ParsedResponse parsed = ParseResponse(*decoded);
-    EXPECT_FALSE(parsed.ok);
-    EXPECT_EQ(ErrorCode(parsed), "invalid_argument");
-  }
-  // The connection survives the abuse.
-  std::string after = server.HandleBinaryFrame(*good, &ctx);
-  auto decoded = binwire::DecodeResponse(after);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(ParseResponse(*decoded).ok);
-}
-
-TEST(BinaryWireTest, ClientTranscodesTransparentlyOverTcp) {
-  QueryServer server{BuildSeedCube()};
-  TcpServer tcp(&server);
-  ASSERT_TRUE(tcp.Start().ok());
-
-  client::Endpoint endpoint;
-  endpoint.port = static_cast<uint16_t>(tcp.port());
-  client::ClientOptions binary_options;
-  binary_options.prefer_binary = true;
-  client::CubeClient json_client(endpoint);
-  client::CubeClient bin_client(endpoint, binary_options);
-
-  for (const std::string& request_json : MixedRequests()) {
-    // Warm the cache so both observe the same cached flag, then compare
-    // the JSON client's bytes against the binary client's reconstruction.
-    auto warm = json_client.Call(request_json);
-    ASSERT_TRUE(warm.ok()) << warm.status();
-    auto via_binary = bin_client.Call(request_json);
-    ASSERT_TRUE(via_binary.ok()) << via_binary.status();
-    auto via_json = json_client.Call(request_json);
-    ASSERT_TRUE(via_json.ok()) << via_json.status();
-    EXPECT_EQ(*via_binary, *via_json) << request_json;
-  }
-  EXPECT_TRUE(bin_client.binary());
-  EXPECT_FALSE(json_client.binary());
-
-  std::map<std::string, double> metrics = FlattenMetrics(
-      ParseResponse(server.HandleFrame(R"({"op":"metrics"})")).value);
-  EXPECT_EQ(metrics["server_binary_connections_total"], 1.0);
-
-  bin_client.Close();
-  json_client.Close();
   tcp.Stop();
 }
 
