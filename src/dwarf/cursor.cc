@@ -56,15 +56,12 @@ bool RowCursor::Prunable(size_t level) const {
 }
 
 void RowCursor::EmitRow(Measure measure, std::vector<SliceRow>* out) {
-  SliceRow row;
+  SliceRow& row = out->emplace_back();
   row.measure = measure;
-  if (order_identity_) {
-    row.keys = labels_;
-  } else {
-    row.keys.resize(order_.size());
-    for (size_t j = 0; j < order_.size(); ++j) row.keys[j] = labels_[order_[j]];
+  row.keys.reserve(labels_.size());
+  for (size_t j = 0; j < labels_.size(); ++j) {
+    row.keys.push_back(*labels_[order_identity_ ? j : order_[j]]);
   }
-  out->push_back(std::move(row));
 }
 
 void RowCursor::PopFrame() {
@@ -89,7 +86,8 @@ size_t RowCursor::Next(size_t max_rows, std::vector<SliceRow>* out) {
         DimKey rank = cube_->dictionary(frame.level).RankOf(cell.key);
         if (rank < window.lo || rank > window.hi) continue;
       }
-      labels_.push_back(cube_->dictionary(frame.level).DecodeUnchecked(cell.key));
+      labels_.push_back(
+          &cube_->dictionary(frame.level).DecodeUnchecked(cell.key));
       if (leaf) {
         EmitRow(cell.measure, out);
         labels_.pop_back();

@@ -85,7 +85,10 @@ class RowCursor {
   std::vector<size_t> order_;       ///< labels_ index per output key position
   bool order_identity_ = true;
   std::vector<Frame> stack_;
-  std::vector<std::string> labels_;
+  /// Labels of the enumerated levels, pointing into the cube's dictionaries
+  /// (the cube is immutable and outlives the cursor), so EmitRow copies each
+  /// label once, into its row.
+  std::vector<const std::string*> labels_;
   uint64_t rows_emitted_ = 0;
 };
 

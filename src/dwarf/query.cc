@@ -233,7 +233,10 @@ struct Enumerator {
   const std::vector<std::optional<DimKey>>& pinned;
   std::vector<SliceRow>* rows;
   const RankFilters* filters = nullptr;
-  std::vector<std::string> labels;
+  /// Labels of the enumerated levels, pointing into the cube's dictionaries
+  /// (the cube outlives the enumerator), so each label is copied once, into
+  /// its row.
+  std::vector<const std::string*> labels;
 
   /// True when a rank window at or below \p level is empty: the subtree
   /// cannot yield a row.
@@ -259,7 +262,7 @@ struct Enumerator {
           DimKey rank = dict.RankOf(cell.key);
           if (rank < window->lo || rank > window->hi) continue;
         }
-        labels.push_back(dict.DecodeUnchecked(cell.key));
+        labels.push_back(&dict.DecodeUnchecked(cell.key));
         Emit(node, cell, leaf, level);
         labels.pop_back();
       }
@@ -268,7 +271,7 @@ struct Enumerator {
       if (cell != nullptr) Emit(node, *cell, leaf, level);
     } else {
       if (leaf) {
-        rows->push_back({labels, node.all_measure});
+        EmitRow(node.all_measure);
       } else {
         Visit(node.all_child, level + 1);
       }
@@ -277,10 +280,17 @@ struct Enumerator {
 
   void Emit(const NodeView&, const DwarfCell& cell, bool leaf, size_t level) {
     if (leaf) {
-      rows->push_back({labels, cell.measure});
+      EmitRow(cell.measure);
     } else {
       Visit(cell.child, level + 1);
     }
+  }
+
+  void EmitRow(Measure measure) {
+    SliceRow& row = rows->emplace_back();
+    row.measure = measure;
+    row.keys.reserve(labels.size());
+    for (const std::string* label : labels) row.keys.push_back(*label);
   }
 };
 

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 namespace scdwarf::json {
@@ -272,7 +271,7 @@ void SerializeInto(const JsonValue& value, bool pretty, int indent,
       break;
     case JsonType::kString:
       out->push_back('"');
-      out->append(EscapeJsonString(value.AsString().ValueOrDie()));
+      AppendEscapedJsonString(value.AsString().ValueOrDie(), out);
       out->push_back('"');
       break;
     case JsonType::kArray: {
@@ -294,7 +293,7 @@ void SerializeInto(const JsonValue& value, bool pretty, int indent,
         if (i > 0) out->push_back(',');
         pad(indent + 1);
         out->push_back('"');
-        out->append(EscapeJsonString(object[i].first));
+        AppendEscapedJsonString(object[i].first, out);
         out->append(pretty ? "\": " : "\":");
         SerializeInto(object[i].second, pretty, indent + 1, out);
       }
@@ -321,26 +320,34 @@ std::string SerializeJson(const JsonValue& value, bool pretty) {
 std::string EscapeJsonString(std::string_view text) {
   std::string out;
   out.reserve(text.size());
-  for (char c : text) {
+  AppendEscapedJsonString(text, &out);
+  return out;
+}
+
+void AppendEscapedJsonString(std::string_view text, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t run = 0;  // start of the pending run of bytes that need no escape
+  for (size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\b': out->append("\\b"); break;
+      case '\f': out->append("\\f"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default: {
+        const char escaped[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xf]};
+        out->append(escaped, sizeof(escaped));
+      }
     }
   }
-  return out;
+  out->append(text.data() + run, text.size() - run);
 }
 
 }  // namespace scdwarf::json

@@ -22,6 +22,11 @@ std::string SerializeJson(const JsonValue& value, bool pretty = false);
 /// \brief Escapes a string for embedding in JSON output (no quotes added).
 std::string EscapeJsonString(std::string_view text);
 
+/// \brief Appends \p text escaped as EscapeJsonString escapes it (no quotes
+/// added) to \p out. Each run of bytes that needs no escape is appended with
+/// one append, so a label with nothing to escape costs one copy.
+void AppendEscapedJsonString(std::string_view text, std::string* out);
+
 }  // namespace scdwarf::json
 
 #endif  // SCDWARF_JSON_JSON_PARSER_H_

@@ -9,6 +9,7 @@
 #include "json/json_parser.h"
 #include "json/json_value.h"
 #include "replica/snapshot.h"
+#include "server/wire.h"
 
 namespace scdwarf::replica {
 
@@ -196,12 +197,8 @@ size_t SnapshotNotifier::NotifyAll(const std::string& path) {
   for (const std::unique_ptr<client::ClientPool>& pool : pools_) {
     Result<std::string> response = pool->Call(frame);
     if (!response.ok()) continue;
-    Result<json::JsonValue> root = json::ParseJson(*response);
-    if (!root.ok()) continue;
-    Result<json::JsonValue> ok = root->Get("ok");
-    if (!ok.ok()) continue;
-    Result<bool> flag = ok->AsBool();
-    if (flag.ok() && *flag) ++acknowledged;
+    Result<server::Envelope> env = server::ReadEnvelope(*response);
+    if (env.ok() && env->ok) ++acknowledged;
   }
   return acknowledged;
 }

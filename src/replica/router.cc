@@ -5,6 +5,7 @@
 #include <iterator>
 #include <utility>
 
+#include "common/trace.h"
 #include "json/json_parser.h"
 #include "json/json_value.h"
 
@@ -14,91 +15,56 @@ namespace {
 
 using json::JsonObject;
 using json::JsonValue;
+using server::Envelope;
 using server::MakeErrorPayload;
 using server::MakeResponse;
 using server::QueryRequest;
+using server::ReadEnvelope;
 using server::RequestOp;
 
-/// Envelope fields the router needs from a replica response. Parsed for
-/// routing decisions only — the bytes forwarded to the client stay raw.
-struct Envelope {
-  bool valid = false;  ///< the response parsed and carried an "ok" field
-  bool ok = false;
-  std::string code;    ///< error code on ok:false responses
-  bool has_cursor = false;
-  uint64_t cursor = 0;
-  uint64_t epoch = 0;
-  bool done = false;
+constexpr char kHopHelp[] =
+    "router hop latency by phase (us): rtt = one replica call's wall time, "
+    "relay = the router's own work on the response";
+
+/// Points the cursor id ReadEnvelope found in \p response at \p id, in
+/// place. Replica responses are forwarded as raw bytes; re-serializing
+/// through the JSON model would route int64 measures through doubles, so
+/// rewriting the digit span is what keeps the rows byte-identical.
+void RewriteCursor(const Envelope& env, uint64_t id, std::string* response) {
+  if (env.has_cursor) {
+    response->replace(env.cursor_pos, env.cursor_len, std::to_string(id));
+  }
+}
+
+/// Times the router's own work on one replica response (envelope read,
+/// session bookkeeping, cursor rewrite) as a router.relay span and a
+/// router_hop_us{phase="relay"} sample.
+class RelayScope {
+ public:
+  explicit RelayScope(FixedBucketHistogram* relay_us)
+      : relay_us_(relay_us) {}
+  ~RelayScope() { relay_us_->Record(watch_.ElapsedMicros()); }
+
+  RelayScope(const RelayScope&) = delete;
+  RelayScope& operator=(const RelayScope&) = delete;
+
+ private:
+  trace::ScopedSpan span_{"router.relay"};
+  FixedBucketHistogram* relay_us_;
+  Stopwatch watch_;
 };
 
-Envelope ParseEnvelope(const std::string& raw) {
-  Envelope env;
-  Result<JsonValue> root = json::ParseJson(raw);
-  if (!root.ok()) return env;
-  Result<JsonValue> ok = root->Get("ok");
-  if (!ok.ok()) return env;
-  Result<bool> ok_value = ok->AsBool();
-  if (!ok_value.ok()) return env;
-  env.valid = true;
-  env.ok = *ok_value;
-  if (Result<JsonValue> code = root->Get("code"); code.ok()) {
-    if (Result<std::string> text = code->AsString(); text.ok()) {
-      env.code = *text;
-    }
-  }
-  if (Result<JsonValue> cursor = root->Get("cursor"); cursor.ok()) {
-    if (Result<double> num = cursor->AsNumber(); num.ok() && *num >= 0) {
-      env.cursor = static_cast<uint64_t>(*num);
-      env.has_cursor = true;
-    }
-  }
-  if (Result<JsonValue> epoch = root->Get("epoch"); epoch.ok()) {
-    if (Result<double> num = epoch->AsNumber(); num.ok() && *num >= 0) {
-      env.epoch = static_cast<uint64_t>(*num);
-    }
-  }
-  if (Result<JsonValue> done = root->Get("done"); done.ok()) {
-    if (Result<bool> flag = done->AsBool(); flag.ok()) env.done = *flag;
-  }
-  return env;
-}
-
-/// Rewrites the first "cursor":<digits> to carry \p id. Replica responses
-/// are forwarded as raw bytes; re-serializing through the JSON model would
-/// route int64 measures through doubles, so string surgery is what keeps the
-/// row payloads byte-identical to the replica's. The cursor field precedes
-/// the rows array in every payload that has one, so the first match is
-/// always the envelope's.
-std::string ReplaceCursorField(const std::string& raw, uint64_t id) {
-  static constexpr std::string_view kField = "\"cursor\":";
-  size_t pos = raw.find(kField);
-  if (pos == std::string::npos) return raw;
-  size_t digits = pos + kField.size();
-  size_t end = digits;
-  while (end < raw.size() && raw[end] >= '0' && raw[end] <= '9') ++end;
-  if (end == digits) return raw;
-  return raw.substr(0, pos) + std::string(kField) + std::to_string(id) +
-         raw.substr(end);
-}
-
 std::string MakeNoHealthyReplicaPayload(const Status& last) {
-  JsonObject payload;
-  payload.emplace_back("code", JsonValue("no_healthy_replica"));
   std::string message = "no healthy replica available";
   if (!last.ok()) message += "; last error: " + last.message();
-  payload.emplace_back("error", JsonValue(std::move(message)));
-  return json::SerializeJson(JsonValue(std::move(payload)));
+  return MakeErrorPayload("no_healthy_replica", message);
 }
 
 std::string MakeTooManySessionsPayload(size_t max_sessions) {
-  JsonObject payload;
-  payload.emplace_back("code", JsonValue("too_many_sessions"));
-  payload.emplace_back(
-      "error",
-      JsonValue("router session table full (max " +
-                std::to_string(max_sessions) +
-                "); close or drain a session and retry"));
-  return json::SerializeJson(JsonValue(std::move(payload)));
+  return MakeErrorPayload("too_many_sessions",
+                          "router session table full (max " +
+                              std::to_string(max_sessions) +
+                              "); close or drain a session and retry");
 }
 
 void ForgetCursor(server::ClientContext* client, uint64_t cursor_id) {
@@ -146,7 +112,11 @@ Router::Router(std::vector<client::Endpoint> replicas, RouterOptions options)
           "ping probes sent to replicas")),
       replica_unhealthy_(registry_.GetCounter(
           "router_replica_unhealthy_total", {},
-          "healthy->unhealthy transitions across all replicas")) {
+          "healthy->unhealthy transitions across all replicas")),
+      hop_rtt_us_(registry_.GetHistogram("router_hop_us", {{"phase", "rtt"}},
+                                         kHopHelp)),
+      hop_relay_us_(registry_.GetHistogram(
+          "router_hop_us", {{"phase", "relay"}}, kHopHelp)) {
   backends_.reserve(replicas.size());
   for (client::Endpoint& endpoint : replicas) {
     auto backend = std::make_unique<Backend>();
@@ -253,19 +223,19 @@ std::string Router::ForwardOneShot(const QueryRequest& request,
     Backend* backend =
         backends_[candidates[(start + i) % candidates.size()]].get();
     if (i > 0) retries_total_->Increment();
-    Result<std::string> response = backend->pool->Call(request_json);
+    Result<std::string> response = Forward(backend, request_json);
     if (!response.ok()) {
       last = response.status();
       MarkFailure(backend);
       continue;
     }
+    RelayScope relay(hop_relay_us_);
     backend->forwarded->Increment();
-    Envelope env = ParseEnvelope(*response);
-    if (env.valid) {
+    if (Result<Envelope> env = ReadEnvelope(*response); env.ok()) {
       MarkHealthy(backend);
-      ObserveEpoch(backend, env.epoch);
+      ObserveEpoch(backend, env->epoch);
     }
-    return *response;
+    return std::move(*response);
   }
   return MakeResponse(false, BestEpoch(), false,
                       MakeNoHealthyReplicaPayload(last));
@@ -292,29 +262,30 @@ std::string Router::HandleOpen(const QueryRequest& request,
     size_t index = candidates[(start + i) % candidates.size()];
     Backend* backend = backends_[index].get();
     if (i > 0) retries_total_->Increment();
-    Result<std::string> response = backend->pool->Call(request_json);
+    Result<std::string> response = Forward(backend, request_json);
     if (!response.ok()) {
       last = response.status();
       MarkFailure(backend);
       continue;
     }
+    RelayScope relay(hop_relay_us_);
     backend->forwarded->Increment();
-    Envelope env = ParseEnvelope(*response);
-    if (!env.valid) return *response;
+    Result<Envelope> env = ReadEnvelope(*response);
+    if (!env.ok()) return std::move(*response);
     MarkHealthy(backend);
-    if (!env.ok || !env.has_cursor) {
+    if (!env->ok || !env->has_cursor) {
       // Deterministic rejection (bad query, replica session table full):
       // forward it — another replica would answer the same way.
-      return *response;
+      return std::move(*response);
     }
     auto session = std::make_shared<RouterSession>();
-    session->epoch = env.epoch;
+    session->epoch = env->epoch;
     session->backend = index;
-    session->replica_cursor = env.cursor;
+    session->replica_cursor = env->cursor;
     // The reopen frame pins the session's epoch so a failover lands on the
     // exact snapshot this drain started on.
     QueryRequest pinned = request;
-    pinned.open_epoch = env.epoch;
+    pinned.open_epoch = env->epoch;
     session->open_request = server::NormalizedCacheKey(pinned);
     uint64_t id = 0;
     {
@@ -326,7 +297,8 @@ std::string Router::HandleOpen(const QueryRequest& request,
     }
     sessions_opened_->Increment();
     if (client != nullptr) client->cursors.push_back(id);
-    return ReplaceCursorField(*response, id);
+    RewriteCursor(*env, id, &*response);
+    return std::move(*response);
   }
   return MakeResponse(false, BestEpoch(), false,
                       MakeNoHealthyReplicaPayload(last));
@@ -352,17 +324,20 @@ std::string Router::HandleNext(const QueryRequest& request,
   std::lock_guard<std::mutex> lock(session->mu);
   Backend* backend = backends_[session->backend].get();
   Result<std::string> response =
-      backend->pool->Call(NextRequestFrame(session->replica_cursor));
+      Forward(backend, NextRequestFrame(session->replica_cursor));
   if (response.ok()) {
-    Envelope env = ParseEnvelope(*response);
-    if (env.valid && env.ok) {
+    RelayScope relay(hop_relay_us_);
+    Result<Envelope> env = ReadEnvelope(*response);
+    if (env.ok() && env->ok) {
       MarkHealthy(backend);
-      return DeliverPage(session.get(), *response, env.done, client);
+      DeliverPage(session.get(), *env, client, &*response);
+      return std::move(*response);
     }
-    if (env.valid && env.code != "not_found") {
-      return *response;  // deterministic error; the session stays pinned
+    if (env.ok() && env->code != "not_found") {
+      return std::move(*response);  // deterministic error; session stays pinned
     }
-    // not_found: the replica lost the session (restart, TTL) — fail over.
+    // not_found: the replica lost the session (restart, TTL); an unreadable
+    // envelope: the replica answered garbage. Either way, fail over.
   } else {
     MarkFailure(backend);
   }
@@ -379,37 +354,42 @@ std::string Router::FailOverSession(RouterSession* session,
     if (index == failed_backend) continue;
     Backend* backend = backends_[index].get();
     if (!backend->healthy.load(std::memory_order_acquire)) continue;
-    Result<std::string> opened = backend->pool->Call(session->open_request);
+    Result<std::string> opened = Forward(backend, session->open_request);
     if (!opened.ok()) {
       last = opened.status();
       MarkFailure(backend);
       continue;
     }
-    Envelope open_env = ParseEnvelope(*opened);
-    if (!open_env.valid) continue;
-    MarkHealthy(backend);
-    if (!open_env.ok || !open_env.has_cursor) {
-      // epoch_gone here, or the replica's session table is full; remember
-      // the response and try the rest of the fleet.
-      last_error_response = *opened;
-      continue;
+    uint64_t replica_cursor = 0;
+    {
+      RelayScope relay(hop_relay_us_);
+      Result<Envelope> open_env = ReadEnvelope(*opened);
+      if (!open_env.ok()) continue;
+      MarkHealthy(backend);
+      if (!open_env->ok || !open_env->has_cursor) {
+        // epoch_gone here, or the replica's session table is full; remember
+        // the response and try the rest of the fleet.
+        last_error_response = std::move(*opened);
+        continue;
+      }
+      replica_cursor = open_env->cursor;
     }
-    uint64_t replica_cursor = open_env.cursor;
     std::string next_frame = NextRequestFrame(replica_cursor);
     // Replay the pages the client already consumed, discarding them. The
     // replicas serve bit-identical snapshot files and row order is
     // deterministic, so page k on this replica is page k on the dead one.
     bool candidate_failed = false;
     for (uint64_t page = 0; page < session->pages_delivered; ++page) {
-      Result<std::string> replayed = backend->pool->Call(next_frame);
+      Result<std::string> replayed = Forward(backend, next_frame);
       if (!replayed.ok()) {
         last = replayed.status();
         MarkFailure(backend);
         candidate_failed = true;
         break;
       }
-      Envelope env = ParseEnvelope(*replayed);
-      if (!env.valid || !env.ok || env.done) {
+      RelayScope relay(hop_relay_us_);
+      Result<Envelope> env = ReadEnvelope(*replayed);
+      if (!env.ok() || !env->ok || env->done) {
         // The cursor ran out before reaching the client's position: the
         // replicas disagree about the snapshot. Surface it, don't guess.
         return MakeResponse(
@@ -422,34 +402,36 @@ std::string Router::FailOverSession(RouterSession* session,
       }
     }
     if (candidate_failed) continue;
-    Result<std::string> next = backend->pool->Call(next_frame);
+    Result<std::string> next = Forward(backend, next_frame);
     if (!next.ok()) {
       last = next.status();
       MarkFailure(backend);
       continue;
     }
-    Envelope env = ParseEnvelope(*next);
-    if (!env.valid || !env.ok) {
-      last_error_response = *next;
+    RelayScope relay(hop_relay_us_);
+    Result<Envelope> env = ReadEnvelope(*next);
+    if (!env.ok() || !env->ok) {
+      last_error_response = std::move(*next);
       continue;
     }
     session->backend = index;
     session->replica_cursor = replica_cursor;
-    return DeliverPage(session, *next, env.done, client);
+    DeliverPage(session, *env, client, &*next);
+    return std::move(*next);
   }
   if (!last_error_response.empty()) return last_error_response;
   return MakeResponse(false, session->epoch, false,
                       MakeNoHealthyReplicaPayload(last));
 }
 
-std::string Router::DeliverPage(RouterSession* session, const std::string& raw,
-                                bool done, server::ClientContext* client) {
+void Router::DeliverPage(RouterSession* session, const Envelope& env,
+                         server::ClientContext* client, std::string* page) {
   ++session->pages_delivered;
-  if (done) {
+  if (env.done) {
     EraseSession(session->id);
     ForgetCursor(client, session->id);
   }
-  return ReplaceCursorField(raw, session->id);
+  RewriteCursor(env, session->id, page);
 }
 
 std::string Router::HandleClose(const QueryRequest& request,
@@ -471,14 +453,14 @@ std::string Router::HandleClose(const QueryRequest& request,
   std::lock_guard<std::mutex> lock(session->mu);
   Backend* backend = backends_[session->backend].get();
   Result<std::string> response =
-      backend->pool->Call(CloseRequestFrame(session->replica_cursor));
+      Forward(backend, CloseRequestFrame(session->replica_cursor));
   if (!response.ok()) {
     MarkFailure(backend);
     // The replica-side session dies with its process or its idle TTL; the
     // router-side one is gone either way, which is what "closed" promises.
     return MakeResponse(true, session->epoch, false, "{\"closed\":true}");
   }
-  return *response;
+  return std::move(*response);
 }
 
 void Router::CloseClientSessions(server::ClientContext& client) {
@@ -497,7 +479,7 @@ void Router::CloseClientSessions(server::ClientContext& client) {
     std::lock_guard<std::mutex> lock(session->mu);
     Backend* backend = backends_[session->backend].get();
     // Best effort: an unreachable replica reaps the session by TTL.
-    (void)backend->pool->Call(CloseRequestFrame(session->replica_cursor));
+    (void)Forward(backend, CloseRequestFrame(session->replica_cursor));
   }
 }
 
@@ -505,12 +487,13 @@ size_t Router::CheckReplicasOnce() {
   size_t answered = 0;
   for (const std::unique_ptr<Backend>& backend : backends_) {
     health_checks_total_->Increment();
-    Result<std::string> response = backend->pool->Call("{\"op\":\"ping\"}");
+    Result<std::string> response = Forward(backend.get(), "{\"op\":\"ping\"}");
     if (response.ok()) {
-      Envelope env = ParseEnvelope(*response);
-      if (env.valid && env.ok) {
+      RelayScope relay(hop_relay_us_);
+      Result<Envelope> env = ReadEnvelope(*response);
+      if (env.ok() && env->ok) {
         MarkHealthy(backend.get());
-        ObserveEpoch(backend.get(), env.epoch);
+        ObserveEpoch(backend.get(), env->epoch);
         ++answered;
         continue;
       }
@@ -518,6 +501,15 @@ size_t Router::CheckReplicasOnce() {
     MarkFailure(backend.get());
   }
   return answered;
+}
+
+Result<std::string> Router::Forward(Backend* backend,
+                                    std::string_view request_json) {
+  trace::ScopedSpan span("router.forward");
+  Stopwatch watch;
+  Result<std::string> response = backend->pool->Call(request_json);
+  hop_rtt_us_->Record(watch.ElapsedMicros());
+  return response;
 }
 
 std::vector<size_t> Router::HealthyIndices() const {

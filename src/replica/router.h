@@ -19,9 +19,11 @@
 ///    everywhere surface code "epoch_gone".
 ///  - stats / metrics / metrics_text / ping answer about the router itself;
 ///    load_snapshot is rejected (the publisher notifies replicas directly).
-///  - Responses are forwarded as raw bytes; only the "cursor" field is
-///    rewritten (replica cursor id -> router cursor id) by string surgery,
-///    so row payloads stay byte-identical to what the replica produced.
+///  - Responses are forwarded as raw bytes. The router reads only the
+///    envelope (server::ReadEnvelope: ok, epoch, code, cursor, done from
+///    the response's fixed head and page trailer, never the rows) and
+///    rewrites the cursor id's digits in place (replica cursor id -> router
+///    cursor id), so row payloads stay byte-identical to the replica's.
 ///
 /// Health: a background thread pings every replica each health_interval_ms;
 /// unhealthy_after consecutive failures mark a replica down (its idle
@@ -137,10 +139,14 @@ class Router : public server::FrameHandler {
   /// replica response on success; an error response payload otherwise.
   std::string FailOverSession(RouterSession* session, size_t failed_backend,
                               server::ClientContext* client);
-  /// Delivers one raw query_next replica response: bumps page accounting,
-  /// reaps the session when done, rewrites the cursor id.
-  std::string DeliverPage(RouterSession* session, const std::string& raw,
-                          bool done, server::ClientContext* client);
+  /// Delivers one raw query_next replica response \p page whose envelope
+  /// is \p env: bumps page accounting, reaps the session when done,
+  /// rewrites the cursor id in place.
+  void DeliverPage(RouterSession* session, const server::Envelope& env,
+                   server::ClientContext* client, std::string* page);
+  /// One replica call, timed as router_hop_us{phase="rtt"} and a
+  /// router.forward span.
+  Result<std::string> Forward(Backend* backend, std::string_view request_json);
 
   /// Healthy backend indices, in order.
   std::vector<size_t> HealthyIndices() const;
@@ -164,6 +170,8 @@ class Router : public server::FrameHandler {
   metrics::Gauge* sessions_open_;            ///< router_sessions_open
   metrics::Counter* health_checks_total_;    ///< router_health_checks_total
   metrics::Counter* replica_unhealthy_;      ///< router_replica_unhealthy_total
+  FixedBucketHistogram* hop_rtt_us_;         ///< router_hop_us{phase=rtt}
+  FixedBucketHistogram* hop_relay_us_;       ///< router_hop_us{phase=relay}
 
   mutable std::mutex sessions_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<RouterSession>> sessions_;

@@ -20,30 +20,17 @@ using json::JsonObject;
 using json::JsonValue;
 
 std::string MakeOverloadPayload(size_t max_queue_depth) {
-  JsonObject payload;
-  payload.emplace_back("code", JsonValue("overloaded"));
-  payload.emplace_back(
-      "error", JsonValue("server over capacity (max queue depth " +
-                         std::to_string(max_queue_depth) + "); retry later"));
-  return json::SerializeJson(JsonValue(std::move(payload)));
+  return MakeErrorPayload("overloaded",
+                          "server over capacity (max queue depth " +
+                              std::to_string(max_queue_depth) +
+                              "); retry later");
 }
 
 std::string MakeTooManySessionsPayload(size_t max_sessions) {
-  JsonObject payload;
-  payload.emplace_back("code", JsonValue("too_many_sessions"));
-  payload.emplace_back(
-      "error",
-      JsonValue("cursor session table full (max " +
-                std::to_string(max_sessions) +
-                "); close or drain a session and retry"));
-  return json::SerializeJson(JsonValue(std::move(payload)));
-}
-
-std::string MakeEpochGonePayload(const Status& status) {
-  JsonObject payload;
-  payload.emplace_back("code", JsonValue("epoch_gone"));
-  payload.emplace_back("error", JsonValue(status.message()));
-  return json::SerializeJson(JsonValue(std::move(payload)));
+  return MakeErrorPayload("too_many_sessions",
+                          "cursor session table full (max " +
+                              std::to_string(max_sessions) +
+                              "); close or drain a session and retry");
 }
 
 /// True when \p request carries a value-range constraint — a value-bound
@@ -271,8 +258,9 @@ std::string QueryServer::Dispatch(const QueryRequest& request,
         Result<EpochCubeStore::Snapshot> pinned =
             store_.SnapshotAt(*request.open_epoch);
         if (!pinned.ok()) {
-          return MakeResponse(false, snapshot.epoch, false,
-                              MakeEpochGonePayload(pinned.status()));
+          return MakeResponse(
+              false, snapshot.epoch, false,
+              MakeErrorPayload("epoch_gone", pinned.status().message()));
         }
         return HandleQueryOpen(request, *pinned, client);
       }
@@ -323,14 +311,9 @@ std::string QueryServer::HandleQueryOpen(
   }
   sessions_opened_->Increment();
   if (client != nullptr) client->cursors.push_back(id);
-  JsonObject payload;
-  payload.emplace_back("cursor", JsonValue(static_cast<int64_t>(id)));
-  payload.emplace_back("epoch",
-                       JsonValue(static_cast<int64_t>(snapshot.epoch)));
-  payload.emplace_back(
-      "page_size", JsonValue(static_cast<int64_t>(request.page_size)));
-  return MakeResponse(true, snapshot.epoch, false,
-                      json::SerializeJson(JsonValue(std::move(payload))));
+  return MakeResponse(
+      true, snapshot.epoch, false,
+      MakeCursorOpenPayload(id, snapshot.epoch, request.page_size));
 }
 
 std::string QueryServer::HandleQueryNext(const QueryRequest& request,

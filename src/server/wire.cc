@@ -513,7 +513,7 @@ Result<std::vector<dwarf::DimPredicate>> EncodePredicates(
 
 void AppendJsonString(std::string_view text, std::string* out) {
   out->push_back('"');
-  out->append(json::EscapeJsonString(text));
+  json::AppendEscapedJsonString(text, out);
   out->push_back('"');
 }
 
@@ -846,14 +846,156 @@ std::string MakeResponse(bool ok, uint64_t epoch, bool cached,
   return out;
 }
 
+std::string MakeErrorPayload(std::string_view code, std::string_view message) {
+  std::string payload = "{\"code\":";
+  AppendJsonString(code, &payload);
+  payload.append(",\"error\":");
+  AppendJsonString(message, &payload);
+  payload.push_back('}');
+  return payload;
+}
+
 std::string MakeErrorPayload(const Status& status) {
   std::string code = StatusCodeToString(status.code());
   std::replace(code.begin(), code.end(), ' ', '_');
   for (char& c : code) c = static_cast<char>(std::tolower(c));
-  JsonObject payload;
-  payload.emplace_back("code", JsonValue(std::move(code)));
-  payload.emplace_back("error", JsonValue(status.message()));
-  return json::SerializeJson(JsonValue(std::move(payload)));
+  return MakeErrorPayload(code, status.message());
+}
+
+std::string MakeCursorOpenPayload(uint64_t cursor_id, uint64_t epoch,
+                                  size_t page_size) {
+  // Numbers go through AppendJsonMeasure so the payload stays byte-identical
+  // to the JSON model's rendering of the same object.
+  std::string payload = "{\"cursor\":";
+  AppendJsonMeasure(static_cast<dwarf::Measure>(cursor_id), &payload);
+  payload.append(",\"epoch\":");
+  AppendJsonMeasure(static_cast<dwarf::Measure>(epoch), &payload);
+  payload.append(",\"page_size\":");
+  AppendJsonMeasure(static_cast<dwarf::Measure>(page_size), &payload);
+  payload.push_back('}');
+  return payload;
+}
+
+namespace {
+
+/// Consumes \p literal at *pos.
+bool ConsumeLiteral(std::string_view text, size_t* pos,
+                    std::string_view literal) {
+  if (text.size() - *pos < literal.size() ||
+      text.compare(*pos, literal.size(), literal) != 0) {
+    return false;
+  }
+  *pos += literal.size();
+  return true;
+}
+
+bool ConsumeBool(std::string_view text, size_t* pos, bool* value) {
+  if (ConsumeLiteral(text, pos, "true")) {
+    *value = true;
+    return true;
+  }
+  *value = false;
+  return ConsumeLiteral(text, pos, "false");
+}
+
+/// Consumes a JSON integer that fits uint64_t exactly: digits only, no
+/// leading zero, no overflow.
+bool ConsumeUint64(std::string_view text, size_t* pos, uint64_t* value) {
+  const size_t start = *pos;
+  uint64_t result = 0;
+  for (; *pos < text.size() && text[*pos] >= '0' && text[*pos] <= '9';
+       ++*pos) {
+    const uint64_t digit = static_cast<uint64_t>(text[*pos] - '0');
+    if (result > (std::numeric_limits<uint64_t>::max() - digit) / 10) {
+      return false;
+    }
+    result = result * 10 + digit;
+  }
+  if (*pos == start || (text[start] == '0' && *pos - start > 1)) return false;
+  *value = result;
+  return true;
+}
+
+/// True when the field just read ends at \p pos: the next field's opening
+/// quote follows, or the closing brace that is the response's last byte.
+bool AtFieldEnd(std::string_view text, size_t pos) {
+  return text.substr(pos, 2) == ",\"" ||
+         (pos + 1 == text.size() && text[pos] == '}');
+}
+
+bool IsSlugByte(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_';
+}
+
+}  // namespace
+
+Result<Envelope> ReadEnvelope(std::string_view response) {
+  auto malformed = [](const char* what) {
+    return Status::ParseError(std::string("malformed response envelope: ") +
+                              what);
+  };
+  Envelope env;
+  size_t pos = 0;
+  if (!ConsumeLiteral(response, &pos, "{\"ok\":") ||
+      !ConsumeBool(response, &pos, &env.ok)) {
+    return malformed("expected {\"ok\":true|false at the head");
+  }
+  if (!ConsumeLiteral(response, &pos, ",\"epoch\":") ||
+      !ConsumeUint64(response, &pos, &env.epoch)) {
+    return malformed("expected \"epoch\":<uint64> after \"ok\"");
+  }
+  if (!ConsumeLiteral(response, &pos, ",\"cached\":") ||
+      !ConsumeBool(response, &pos, &env.cached)) {
+    return malformed("expected \"cached\":true|false after \"epoch\"");
+  }
+  if (response.back() != '}') {
+    return malformed("the response does not end in }");
+  }
+  if (pos + 1 == response.size()) return env;  // no payload fields
+  if (!ConsumeLiteral(response, &pos, ",\"")) {
+    return malformed("expected a payload field after \"cached\"");
+  }
+  if (ConsumeLiteral(response, &pos, "code\"")) {
+    if (!ConsumeLiteral(response, &pos, ":\"")) {
+      return malformed("\"code\" must be a string");
+    }
+    const size_t start = pos;
+    while (pos < response.size() && IsSlugByte(response[pos])) ++pos;
+    const size_t end = pos;
+    if (end == start || !ConsumeLiteral(response, &pos, "\"") ||
+        !AtFieldEnd(response, pos)) {
+      return malformed("\"code\" must be a slug of [a-z0-9_]");
+    }
+    env.code = response.substr(start, end - start);
+    return env;
+  }
+  if (ConsumeLiteral(response, &pos, "cursor\"")) {
+    if (!ConsumeLiteral(response, &pos, ":")) {
+      return malformed("expected : after \"cursor\"");
+    }
+    env.cursor_pos = pos;
+    if (!ConsumeUint64(response, &pos, &env.cursor)) {
+      return malformed("\"cursor\" must be a uint64");
+    }
+    env.cursor_len = pos - env.cursor_pos;
+    env.has_cursor = true;
+    if (ConsumeLiteral(response, &pos, ",\"rows\"")) {
+      if (!ConsumeLiteral(response, &pos, ":[")) {
+        return malformed("a page's \"rows\" must be an array");
+      }
+      // The rows are never scanned: the page ends in a fixed trailer.
+      const std::string_view rows_and_trailer = response.substr(pos);
+      env.done = rows_and_trailer.ends_with("],\"done\":true}");
+      if (!env.done && !rows_and_trailer.ends_with("],\"done\":false}")) {
+        return malformed("a page must end in ],\"done\":true|false}");
+      }
+      return env;
+    }
+    if (!AtFieldEnd(response, pos)) {
+      return malformed("\"cursor\" must be a uint64");
+    }
+  }
+  return env;
 }
 
 namespace {

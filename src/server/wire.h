@@ -68,6 +68,10 @@
 /// Responses carry {"ok":bool, "epoch":N, "cached":bool} plus either a
 /// result ("measure" or "rows") or {"code","error"} on failure. Overloaded
 /// servers answer {"ok":false, "code":"overloaded", ...} without executing.
+/// The envelope has a fixed byte layout (MakeResponse writes it, ReadEnvelope
+/// reads it back without parsing the payload): "ok", "epoch" and "cached"
+/// first with no whitespace, "code" first in an error payload, "cursor"
+/// first in a query_open or query_next payload, and "done" last in a page.
 ///
 /// The complete frame-level spec lives in docs/WIRE_PROTOCOL.md.
 
@@ -240,7 +244,43 @@ std::string MakeResponse(bool ok, uint64_t epoch, bool cached,
                          const std::string& payload_json);
 
 /// \brief Payload for a failed request: {"code":<slug>,"error":<message>}.
+/// "code" comes first, where ReadEnvelope reads it; \p code must be a slug
+/// of [a-z0-9_].
+std::string MakeErrorPayload(std::string_view code, std::string_view message);
+
+/// \brief The same for \p status, its code slugged from StatusCodeToString
+/// (lowercased, spaces replaced with underscores).
 std::string MakeErrorPayload(const Status& status);
+
+/// \brief Payload of a "query_open" answer:
+/// {"cursor":id,"epoch":E,"page_size":N}, "cursor" first, where ReadEnvelope
+/// reads it.
+std::string MakeCursorOpenPayload(uint64_t cursor_id, uint64_t epoch,
+                                  size_t page_size);
+
+/// \brief The envelope fields of one response, as ReadEnvelope found them.
+/// \p code views the response it was read from.
+struct Envelope {
+  bool ok = false;
+  uint64_t epoch = 0;
+  bool cached = false;
+  std::string_view code;    ///< when "code" is the first payload field
+  bool has_cursor = false;  ///< "cursor" is the first payload field
+  uint64_t cursor = 0;
+  size_t cursor_pos = 0;    ///< offset of the cursor id's digits
+  size_t cursor_len = 0;    ///< number of those digits
+  bool done = false;        ///< a page's trailing "done" ("rows" follows
+                            ///< "cursor" in a page); false otherwise
+};
+
+/// \brief Reads the envelope of a response MakeResponse wrote, from its
+/// fixed byte layout, without parsing the payload or scanning the rows:
+/// {"ok":B,"epoch":N,"cached":B at the head; then "code":"<slug>" or
+/// "cursor":N when that is the first payload field; for a page, the
+/// ,"done":B} trailer. Epoch and cursor are exact uint64_t values. Strict:
+/// any other bytes in those positions (whitespace, a number that overflows,
+/// an escape inside a code, a missing closing brace) are a ParseError.
+Result<Envelope> ReadEnvelope(std::string_view response);
 
 /// \brief Writes exactly \p size bytes to \p fd, looping over short writes
 /// and retrying on EINTR — a signal delivered mid-write must not tear a

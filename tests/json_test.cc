@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <string_view>
+
 #include "json/json_parser.h"
 #include "json/json_value.h"
 
@@ -128,6 +132,70 @@ TEST(JsonSerializerTest, PrettyOutputReparses) {
 TEST(JsonSerializerTest, EscapesControlCharacters) {
   JsonValue value(std::string("a\x01""b"));
   EXPECT_EQ(SerializeJson(value), "\"a\\u0001b\"");
+}
+
+/// The per-byte escaper the run-appending one replaced: the byte-identity
+/// reference for AppendEscapedJsonString.
+std::string ReferenceEscape(std::string_view text) {
+  std::string out;
+  for (char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
+          out += buffer;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
+/// Escapes \p text all three ways and checks each against the reference,
+/// then checks that the escaped form parses back to \p text.
+void ExpectEscapesAndRoundTrips(const std::string& text) {
+  const std::string want = ReferenceEscape(text);
+  EXPECT_EQ(EscapeJsonString(text), want);
+  std::string appended = "[prefix]";
+  AppendEscapedJsonString(text, &appended);
+  EXPECT_EQ(appended, "[prefix]" + want);
+  EXPECT_EQ(SerializeJson(JsonValue(text)), "\"" + want + "\"");
+  auto parsed = ParseJson("\"" + want + "\"");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(*parsed->AsString(), text);
+}
+
+TEST(JsonSerializerTest, AppendsEscapedRunsByteIdenticallyForEveryByte) {
+  std::string every_byte;
+  for (int b = 0; b < 256; ++b) {
+    SCOPED_TRACE(b);
+    const std::string byte(1, static_cast<char>(b));
+    ExpectEscapesAndRoundTrips(byte);
+    ExpectEscapesAndRoundTrips("ab" + byte + "cd");
+    every_byte += byte;
+  }
+  ExpectEscapesAndRoundTrips(every_byte);
+  // Escapes at the first and the last position, next to each other, and
+  // strings that are nothing but escapes or nothing at all.
+  for (const std::string& text :
+       {std::string("\"abc"), std::string("abc\\"), std::string("\"abc\n"),
+        std::string("a\"\\b"), std::string("\n\t\r"), std::string("\x01\x1f"),
+        std::string("\""), std::string(""), std::string("Fenian St"),
+        std::string("caf\xc3\xa9\x7f")}) {
+    SCOPED_TRACE(text);
+    ExpectEscapesAndRoundTrips(text);
+  }
+  // Control characters keep their lowercase \u00XX spelling.
+  EXPECT_EQ(EscapeJsonString("\x1f\x0b"), "\\u001f\\u000b");
 }
 
 TEST(JsonSerializerTest, EmptyContainers) {

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -153,6 +156,173 @@ Envelope Parse(const std::string& response) {
     env.code = code->AsString().ValueOrDie();
   }
   return env;
+}
+
+/// The JSON-model reading of a response envelope: parses the whole
+/// response, rows included, and reads the fields by name. The oracle that
+/// server::ReadEnvelope, which reads only the fixed head and trailer, is
+/// checked against.
+struct ModelEnvelope {
+  bool valid = false;  ///< the response parsed and carried a boolean "ok"
+  bool ok = false;
+  uint64_t epoch = 0;
+  bool cached = false;
+  std::string code;
+  bool has_cursor = false;
+  uint64_t cursor = 0;
+  bool done = false;
+};
+
+ModelEnvelope ReadEnvelopeThroughJsonModel(const std::string& raw) {
+  ModelEnvelope env;
+  Result<JsonValue> root = json::ParseJson(raw);
+  if (!root.ok()) return env;
+  Result<JsonValue> ok = root->Get("ok");
+  if (!ok.ok() || !ok->AsBool().ok()) return env;
+  env.valid = true;
+  env.ok = *ok->AsBool();
+  if (auto epoch = root->Get("epoch"); epoch.ok() && epoch->AsNumber().ok()) {
+    env.epoch = static_cast<uint64_t>(*epoch->AsNumber());
+  }
+  if (auto cached = root->Get("cached"); cached.ok() && cached->AsBool().ok()) {
+    env.cached = *cached->AsBool();
+  }
+  if (auto code = root->Get("code"); code.ok() && code->AsString().ok()) {
+    env.code = *code->AsString();
+  }
+  if (auto cursor = root->Get("cursor");
+      cursor.ok() && cursor->AsNumber().ok() && *cursor->AsNumber() >= 0) {
+    env.cursor = static_cast<uint64_t>(*cursor->AsNumber());
+    env.has_cursor = true;
+  }
+  if (auto done = root->Get("done"); done.ok() && done->AsBool().ok()) {
+    env.done = *done->AsBool();
+  }
+  return env;
+}
+
+/// A port nothing listens on: a listener is bound, then closed.
+uint16_t DeadPort() {
+  QueryServer server(BuildCube(1, 10));
+  server::TcpServer tcp(&server);
+  EXPECT_TRUE(tcp.Start(0).ok());
+  const uint16_t port = static_cast<uint16_t>(tcp.port());
+  tcp.Stop();
+  return port;
+}
+
+TEST(EnvelopeTest, ReadEnvelopeMatchesJsonModel) {
+  std::vector<std::string> responses;
+  ServerOptions options;
+  options.num_workers = 1;
+  options.max_sessions = 3;
+  options.retain_epochs = 1;
+  QueryServer server(BuildCube(13, 80), options);
+  ServerHandle handle(&server);
+
+  // One-shot answers, cold and cached, and one-shot errors.
+  for (const std::string& request_json : DifferentialRequests()) {
+    responses.push_back(handle.Call(request_json));
+    responses.push_back(handle.Call(request_json));
+  }
+  responses.push_back(handle.Call("{not json"));
+  responses.push_back(handle.Call(R"({"op":"slice","dim":"Nope","key":"x"})"));
+
+  // A cursor session drained page by page: done false, then done true.
+  const std::string rollup = R"({"op":"rollup","dims":["Station","Day"]})";
+  responses.push_back(handle.QueryOpen(rollup, 4));
+  const uint64_t cursor =
+      ReadEnvelopeThroughJsonModel(responses.back()).cursor;
+  for (;;) {
+    responses.push_back(handle.QueryNext(cursor));
+    const ModelEnvelope page = ReadEnvelopeThroughJsonModel(responses.back());
+    ASSERT_TRUE(page.ok);
+    if (page.done) break;
+  }
+  // A page with no rows: the cursor over an unknown slice key.
+  responses.push_back(
+      handle.QueryOpen(R"({"op":"slice","dim":"Day","key":"NoSuchDay"})", 4));
+  responses.push_back(
+      handle.QueryNext(ReadEnvelopeThroughJsonModel(responses.back()).cursor));
+  ASSERT_NE(responses.back().find("\"rows\":[]"), std::string::npos);
+  // query_close of an open and of an unknown cursor; query_next of an
+  // unknown cursor.
+  responses.push_back(handle.QueryOpen(rollup, 4));
+  const uint64_t closing =
+      ReadEnvelopeThroughJsonModel(responses.back()).cursor;
+  responses.push_back(handle.Call(R"({"op":"query_close","cursor":)" +
+                                  std::to_string(closing) + "}"));
+  responses.push_back(handle.Call(R"({"op":"query_close","cursor":999})"));
+  responses.push_back(handle.QueryNext(999));
+  // too_many_sessions: three sessions fill the table, the fourth is refused.
+  for (int i = 0; i < 4; ++i) responses.push_back(handle.QueryOpen(rollup, 4));
+  // epoch_gone: epoch 0 left the one-epoch retention window.
+  Rng rng(131);
+  ASSERT_TRUE(server.ApplyUpdate(RandomBatch(rng, 4)).ok());
+  responses.push_back(handle.Call(R"({"op":"query_open","query":)" + rollup +
+                                  R"(,"page_size":4,"epoch":0})"));
+  for (const char* op : {"ping", "stats", "metrics"}) {
+    responses.push_back(handle.Call(std::string(R"({"op":")") + op + "\"}"));
+  }
+
+  // overloaded: a queue depth of zero admits nothing.
+  ServerOptions closed_options;
+  closed_options.max_queue_depth = 0;
+  QueryServer closed(BuildCube(13, 20), closed_options);
+  responses.push_back(ServerHandle(&closed).Call(DifferentialRequests()[0]));
+
+  // The router's own answers: no_healthy_replica (its only replica is
+  // down), too_many_sessions (a table of zero), ping, stats and metrics.
+  client::Endpoint dead;
+  dead.port = DeadPort();
+  RouterOptions router_options;
+  router_options.health_interval_ms = 0;
+  router_options.max_sessions = 0;
+  Router router({dead}, router_options);
+  responses.push_back(router.HandleFrame(DifferentialRequests()[0]));
+  responses.push_back(router.HandleFrame(
+      R"({"op":"query_open","query":)" + rollup + R"(,"page_size":4})"));
+  for (const char* op : {"ping", "stats", "metrics"}) {
+    responses.push_back(
+        router.HandleFrame(std::string(R"({"op":")") + op + "\"}"));
+  }
+
+  std::set<std::string> codes;
+  int pages_done = 0;
+  int pages_not_done = 0;
+  int cached = 0;
+  for (const std::string& response : responses) {
+    SCOPED_TRACE(response.substr(0, 160));
+    const ModelEnvelope model = ReadEnvelopeThroughJsonModel(response);
+    ASSERT_TRUE(model.valid);
+    Result<server::Envelope> env = server::ReadEnvelope(response);
+    ASSERT_TRUE(env.ok()) << env.status();
+    EXPECT_EQ(env->ok, model.ok);
+    EXPECT_EQ(env->epoch, model.epoch);
+    EXPECT_EQ(env->cached, model.cached);
+    EXPECT_EQ(env->code, model.code);
+    EXPECT_EQ(env->has_cursor, model.has_cursor);
+    EXPECT_EQ(env->cursor, model.cursor);
+    EXPECT_EQ(env->done, model.done);
+    if (env->has_cursor) {
+      EXPECT_EQ(response.substr(env->cursor_pos, env->cursor_len),
+                std::to_string(env->cursor));
+    }
+    if (!model.code.empty()) codes.insert(model.code);
+    if (response.find("\"rows\":") != std::string::npos && env->has_cursor) {
+      ++(env->done ? pages_done : pages_not_done);
+    }
+    cached += env->cached ? 1 : 0;
+  }
+  // Every shape the list is meant to cover was produced.
+  for (const char* code :
+       {"parse_error", "not_found", "overloaded", "too_many_sessions",
+        "epoch_gone", "no_healthy_replica"}) {
+    EXPECT_EQ(codes.count(code), 1u) << code;
+  }
+  EXPECT_EQ(pages_done, 2);
+  EXPECT_GT(pages_not_done, 1);
+  EXPECT_GT(cached, 0);
 }
 
 // ------------------------------------------------------------ snapshot codec
@@ -742,6 +912,126 @@ TEST(RouterTest, RoutesOneShotsSticksCursorsAndFailsOver) {
   EXPECT_EQ(router.open_sessions(), 0u);
 
   for (auto& tcp : tcps) tcp->Stop();
+  fs::remove_all(dir);
+}
+
+TEST(RouterTest, ReportsExactEpochsAbove2To53) {
+  // 2^53 + 1 is the first epoch a double cannot hold.
+  const uint64_t epoch = (uint64_t{1} << 53) + 1;
+  ServerOptions options;
+  options.num_workers = 1;
+  options.initial_epoch = epoch;
+  QueryServer replica(BuildCube(14, 40), options);
+  server::TcpServer tcp(&replica);
+  ASSERT_TRUE(tcp.Start(0).ok());
+  client::Endpoint endpoint;
+  endpoint.port = static_cast<uint16_t>(tcp.port());
+
+  RouterOptions router_options;
+  router_options.health_interval_ms = 0;
+  Router router({endpoint}, router_options);
+  EXPECT_EQ(router.CheckReplicasOnce(), 1u);
+  EXPECT_EQ(router.BestEpoch(), epoch);
+  tcp.Stop();
+}
+
+/// Serves through a real QueryServer, but breaks the envelope head of the
+/// second query_next page it answers.
+class BreaksSecondPage : public server::FrameHandler {
+ public:
+  explicit BreaksSecondPage(server::FrameHandler* inner) : inner_(inner) {}
+
+  std::string HandleFrame(std::string_view request_json,
+                          server::ClientContext* client) override {
+    std::string response = inner_->HandleFrame(request_json, client);
+    if (request_json.find("\"query_next\"") != std::string_view::npos &&
+        ++pages_ == 2) {
+      response[6] = 'x';  // {"ok":true -> {"ok":xrue
+    }
+    return response;
+  }
+
+  void CloseClientSessions(server::ClientContext& client) override {
+    inner_->CloseClientSessions(client);
+  }
+
+ private:
+  server::FrameHandler* inner_;
+  std::atomic<int> pages_{0};
+};
+
+double RouterFailovers(Router& router) {
+  Envelope stats = Parse(router.HandleFrame(R"({"op":"stats"})"));
+  return stats.value.GetPath("stats.router.failovers_total")
+      .ValueOrDie()
+      .AsNumber()
+      .ValueOrDie();
+}
+
+TEST(RouterTest, MalformedReplicaPageFailsOver) {
+  fs::path dir = ScratchDir("malformed");
+  dwarf::DwarfCube cube = BuildCube(15, 80);
+  const std::string path = (dir / SnapshotFileName(0)).string();
+  ASSERT_TRUE(WriteCubeSnapshot(cube, 0, path).ok());
+
+  // Replica 0 breaks its second page; replica 1 is healthy. Both serve the
+  // same snapshot file.
+  std::vector<std::unique_ptr<QueryServer>> replicas;
+  for (int i = 0; i < 2; ++i) {
+    auto loaded = LoadCubeSnapshot(path);
+    ASSERT_TRUE(loaded.ok());
+    ServerOptions options;
+    options.num_workers = 1;
+    options.initial_epoch = loaded->epoch;
+    replicas.push_back(
+        std::make_unique<QueryServer>(std::move(loaded->cube), options));
+  }
+  BreaksSecondPage breaker(replicas[0].get());
+  server::TcpServer tcp0(&breaker);
+  server::TcpServer tcp1(replicas[1].get());
+  ASSERT_TRUE(tcp0.Start(0).ok());
+  ASSERT_TRUE(tcp1.Start(0).ok());
+  std::vector<client::Endpoint> endpoints(2);
+  endpoints[0].port = static_cast<uint16_t>(tcp0.port());
+  endpoints[1].port = static_cast<uint16_t>(tcp1.port());
+
+  RouterOptions options;
+  options.health_interval_ms = 0;
+  Router router(endpoints, options);
+  ASSERT_EQ(router.CheckReplicasOnce(), 2u);
+  const double failovers_before = RouterFailovers(router);
+
+  // The first query_open lands on replica 0 (round-robin from zero).
+  const std::string query = R"({"op":"rollup","dims":["Station","Day"]})";
+  ExecResult direct = server::ExecuteRequest(cube, *ParseRequest(query));
+  ASSERT_TRUE(direct.ok);
+  Envelope opened = Parse(router.HandleFrame(
+      R"({"op":"query_open","query":)" + query + R"(,"page_size":3})"));
+  ASSERT_TRUE(opened.ok);
+  const uint64_t cursor = static_cast<uint64_t>(
+      opened.value.Get("cursor").ValueOrDie().AsNumber().ValueOrDie());
+  json::JsonArray rows;
+  int pages = 0;
+  for (;;) {
+    Envelope page = Parse(router.HandleFrame(
+        R"({"op":"query_next","cursor":)" + std::to_string(cursor) + "}"));
+    ASSERT_TRUE(page.ok) << "page " << pages;
+    const json::JsonArray* got = page.value.Get("rows").ValueOrDie().AsArray();
+    ASSERT_NE(got, nullptr);
+    rows.insert(rows.end(), got->begin(), got->end());
+    ++pages;
+    if (page.value.Get("done").ValueOrDie().AsBool().ValueOrDie()) break;
+  }
+  ASSERT_GT(pages, 2);
+  auto direct_payload = json::ParseJson(direct.payload_json);
+  ASSERT_TRUE(direct_payload.ok());
+  EXPECT_EQ(json::SerializeJson(JsonValue(std::move(rows))),
+            json::SerializeJson(direct_payload->Get("rows").ValueOrDie()));
+  EXPECT_EQ(RouterFailovers(router), failovers_before + 1);
+  EXPECT_EQ(router.open_sessions(), 0u);
+
+  tcp0.Stop();
+  tcp1.Stop();
   fs::remove_all(dir);
 }
 

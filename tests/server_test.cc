@@ -122,6 +122,105 @@ TEST(WireTest, RejectsMalformedRequests) {
   }
 }
 
+TEST(WireTest, ReadEnvelopeRejectsMalformedHeaders) {
+  const std::vector<dwarf::SliceRow> rows = {{{"Mon", "D2"}, 3},
+                                             {{"Tue", "D1"}, 7}};
+  const std::string valid[] = {
+      MakeResponse(false, 7, false,
+                   MakeErrorPayload(Status::NotFound("no such cursor"))),
+      MakeResponse(true, 7, true, R"({"measure":42})"),
+      MakeResponse(true, 7, false, R"({"cursor":12,"epoch":7,"page_size":4})"),
+      MakeResponse(true, 7, false, MakeCursorPagePayload(12, rows, false)),
+      MakeResponse(true, 7, false, MakeCursorPagePayload(12, {}, true)),
+      MakeResponse(true, 7, false, "{}"),
+  };
+  for (const std::string& response : valid) {
+    Result<Envelope> env = ReadEnvelope(response);
+    ASSERT_TRUE(env.ok()) << response << ": " << env.status();
+    EXPECT_EQ(env->epoch, 7u) << response;
+    // A header truncated at any byte is an error, not a shorter header.
+    for (size_t size = 0; size < response.size(); ++size) {
+      EXPECT_FALSE(ReadEnvelope(response.substr(0, size)).ok())
+          << response.substr(0, size);
+    }
+  }
+
+  const char* malformed[] = {
+      // Whitespace anywhere in the fixed positions.
+      R"({ "ok":true,"epoch":7,"cached":false})",
+      R"({"ok" :true,"epoch":7,"cached":false})",
+      R"({"ok": true,"epoch":7,"cached":false})",
+      R"({"ok":true, "epoch":7,"cached":false})",
+      R"({"ok":true,"epoch": 7,"cached":false})",
+      R"({"ok":true,"epoch":7 ,"cached":false})",
+      R"({"ok":true,"epoch":7,"cached":false })",
+      R"({"ok":false,"epoch":7,"cached":false, "code":"not_found"})",
+      R"({"ok":false,"epoch":7,"cached":false,"code": "not_found"})",
+      R"({"ok":false,"epoch":7,"cached":false,"code":"not_found" })",
+      R"({"ok":true,"epoch":7,"cached":false,"cursor": 12,"epoch":7})",
+      R"({"ok":true,"epoch":7,"cached":false,"cursor":12, "rows":[],"done":true})",
+      R"({"ok":true,"epoch":7,"cached":false,"cursor":12,"rows":[], "done":true})",
+      R"({"ok":true,"epoch":7,"cached":false,"cursor":12,"rows":[],"done":true })",
+      // Epochs and cursors that are not exact uint64_t values: 21 digits,
+      // 2^64, a sign, a leading zero, a fraction, an exponent.
+      R"({"ok":true,"epoch":100000000000000000000,"cached":false})",
+      R"({"ok":true,"epoch":18446744073709551616,"cached":false})",
+      R"({"ok":true,"epoch":-7,"cached":false})",
+      R"({"ok":true,"epoch":07,"cached":false})",
+      R"({"ok":true,"epoch":7.0,"cached":false})",
+      R"({"ok":true,"epoch":7e0,"cached":false})",
+      R"({"ok":true,"epoch":7,"cached":false,"cursor":18446744073709551616,"epoch":7})",
+      R"({"ok":true,"epoch":7,"cached":false,"cursor":1.5,"epoch":7})",
+      // Booleans that are not true or false.
+      R"({"ok":yes,"epoch":7,"cached":false})",
+      R"({"ok":True,"epoch":7,"cached":false})",
+      R"({"ok":true,"epoch":7,"cached":1})",
+      // Codes are slugs: an escape, a capital or an empty code is an error.
+      R"({"ok":false,"epoch":7,"cached":false,"code":"not\u005ffound","error":"x"})",
+      R"({"ok":false,"epoch":7,"cached":false,"code":"not\"found","error":"x"})",
+      R"({"ok":false,"epoch":7,"cached":false,"code":"Not_Found","error":"x"})",
+      R"({"ok":false,"epoch":7,"cached":false,"code":"","error":"x"})",
+      R"({"ok":false,"epoch":7,"cached":false,"code":7,"error":"x"})",
+      // Fields out of order or missing, and pages without their trailer.
+      R"({"epoch":7,"ok":true,"cached":false})",
+      R"({"ok":true,"cached":false,"epoch":7})",
+      R"({"ok":true,"epoch":7})",
+      R"({"ok":true,"epoch":7,"cached":false,"cursor":12,"rows":null,"done":true})",
+      R"({"ok":true,"epoch":7,"cached":false,"cursor":12,"rows":[],"done":1})",
+      R"({"ok":true,"epoch":7,"cached":false,"cursor":12,"rows":[]})",
+      R"({"ok":true,"epoch":7,"cached":false}{"ok":true})",
+      R"({"ok":true,"epoch":7,"cached":false}})",
+      "",
+      "{",
+  };
+  for (const char* response : malformed) {
+    EXPECT_TRUE(ReadEnvelope(response).status().IsParseError()) << response;
+  }
+}
+
+TEST(WireTest, HandBuiltPayloadsMatchTheJsonModel) {
+  // Error payloads, with a message that needs escapes.
+  for (const char* message : {"plain", "quote \" slash \\ newline \n \x01"}) {
+    json::JsonObject model;
+    model.emplace_back("code", json::JsonValue("epoch_gone"));
+    model.emplace_back("error", json::JsonValue(message));
+    EXPECT_EQ(MakeErrorPayload("epoch_gone", message),
+              json::SerializeJson(json::JsonValue(std::move(model))));
+  }
+  // query_open answers, including values the model renders with %.17g.
+  const uint64_t values[] = {0, 7, 999999999999999, 1000000000000000,
+                             (uint64_t{1} << 53) + 1};
+  for (uint64_t value : values) {
+    json::JsonObject model;
+    model.emplace_back("cursor", json::JsonValue(static_cast<int64_t>(value)));
+    model.emplace_back("epoch", json::JsonValue(static_cast<int64_t>(value)));
+    model.emplace_back("page_size", json::JsonValue(int64_t{64}));
+    EXPECT_EQ(MakeCursorOpenPayload(value, value, 64),
+              json::SerializeJson(json::JsonValue(std::move(model))))
+        << value;
+  }
+}
+
 TEST(WireTest, UnknownKeysReportNotFound) {
   QueryServer server{BuildSeedCube()};
   ServerHandle handle(&server);
