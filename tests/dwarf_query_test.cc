@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
+#include <set>
 
 #include "common/rng.h"
 #include "dwarf/builder.h"
+#include "dwarf/cursor.h"
 #include "dwarf/query.h"
 #include "dwarf/update.h"
 
@@ -363,6 +366,236 @@ TEST_P(AggregateQueryPropertyTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AggregateQueryPropertyTest,
                          ::testing::Values(101, 202, 303, 404));
+
+// ---------------------------------------------------------------------------
+// Row enumeration: Slice, RollUp and RowCursor pages at every page size,
+// compared row for row (order included) with a brute-force group-by over
+// the input tuples, on a fresh cube and after an incremental Apply.
+
+/// One input tuple, or one result row: decoded keys plus the measure.
+using Row = std::pair<std::vector<std::string>, Measure>;
+
+/// A slice pins `fixed_dim` to `key`. A roll-up (`fixed_dim` unset) groups
+/// by `group_dims` in requested order, and `window` restricts the ordered
+/// dim by value-order rank.
+struct RowQuery {
+  std::optional<size_t> fixed_dim;
+  DimKey key = 0;
+  std::vector<size_t> group_dims;
+  std::optional<RankWindow> window;
+};
+
+class RowEnumerationPropertyTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static constexpr size_t kDims = 4;
+
+  /// Random tuples. Dim `ordered_` holds ISO dates drawn in random order,
+  /// so its first-seen ids are not its value-order ranks; `extra` widens
+  /// every dim past the values of earlier batches.
+  std::vector<Row> RandomTuples(size_t count, size_t extra) {
+    std::vector<Row> tuples;
+    for (size_t i = 0; i < count; ++i) {
+      std::vector<std::string> keys(kDims);
+      for (size_t dim = 0; dim < kDims; ++dim) {
+        if (dim == ordered_) {
+          uint64_t day = 1 + rng_.NextBelow(12 + extra);
+          keys[dim] = day < 10 ? "2013-07-0" : "2013-07-";
+          keys[dim] += std::to_string(day);
+        } else {
+          keys[dim] = "v";
+          keys[dim] += std::to_string(rng_.NextBelow(3 + dim + extra));
+        }
+      }
+      tuples.emplace_back(std::move(keys), rng_.NextInRange(1, 9));
+    }
+    return tuples;
+  }
+
+  /// Brute-force answer: the tuples that pass the slice pin or the rank
+  /// window, summed per group, in enumeration order — ascending dictionary
+  /// ids of the grouped dims, taken in dimension order.
+  std::vector<Row> Expected(const DwarfCube& cube,
+                            const std::vector<Row>& tuples,
+                            const RowQuery& query) const {
+    std::vector<size_t> requested = query.group_dims;
+    if (query.fixed_dim.has_value()) {
+      requested.clear();
+      for (size_t dim = 0; dim < kDims; ++dim) {
+        if (dim != *query.fixed_dim) requested.push_back(dim);
+      }
+    }
+    std::vector<size_t> ascending = requested;
+    std::sort(ascending.begin(), ascending.end());
+    std::set<std::string> dates;
+    for (const Row& tuple : tuples) dates.insert(tuple.first[ordered_]);
+
+    std::map<std::vector<DimKey>, Row> groups;
+    for (const Row& tuple : tuples) {
+      if (query.fixed_dim.has_value()) {
+        const Dictionary& dict = cube.dictionary(*query.fixed_dim);
+        if (query.key >= dict.size() ||
+            tuple.first[*query.fixed_dim] != dict.DecodeUnchecked(query.key)) {
+          continue;
+        }
+      }
+      if (query.window.has_value()) {
+        auto rank = static_cast<DimKey>(std::distance(
+            dates.begin(), dates.find(tuple.first[ordered_])));
+        if (rank < query.window->lo || rank > query.window->hi) continue;
+      }
+      std::vector<DimKey> ids;
+      for (size_t dim : ascending) {
+        ids.push_back(cube.dictionary(dim).Lookup(tuple.first[dim]).ValueOrDie());
+      }
+      Row& row = groups[ids];
+      if (row.first.empty()) {
+        for (size_t dim : requested) row.first.push_back(tuple.first[dim]);
+      }
+      row.second += tuple.second;
+    }
+    std::vector<Row> rows;
+    for (auto& [ids, row] : groups) rows.push_back(std::move(row));
+    return rows;
+  }
+
+  static std::vector<Row> ToRows(const std::vector<SliceRow>& rows) {
+    std::vector<Row> out;
+    for (const SliceRow& row : rows) out.emplace_back(row.keys, row.measure);
+    return out;
+  }
+
+  RankFilters Filters(const RowQuery& query) const {
+    RankFilters filters(kDims);
+    filters[ordered_] = query.window;
+    return filters;
+  }
+
+  std::vector<Row> OneShot(const DwarfCube& cube, const RowQuery& query) const {
+    RankFilters filters = Filters(query);
+    Result<std::vector<SliceRow>> rows =
+        query.fixed_dim.has_value()
+            ? Slice(cube, *query.fixed_dim, query.key)
+            : RollUp(cube, query.group_dims,
+                     query.window.has_value() ? &filters : nullptr);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    return rows.ok() ? ToRows(*rows) : std::vector<Row>{};
+  }
+
+  /// Drains a fresh cursor in pages of \p page_size rows: it stops at the
+  /// first short page, and a drained cursor is done and stays empty.
+  std::vector<Row> Drain(const DwarfCube& cube, const RowQuery& query,
+                         size_t page_size) const {
+    RankFilters filters = Filters(query);
+    Result<RowCursor> cursor =
+        query.fixed_dim.has_value()
+            ? RowCursor::OverSlice(cube, *query.fixed_dim, query.key)
+            : RowCursor::OverRollUp(
+                  cube, query.group_dims,
+                  query.window.has_value() ? &filters : nullptr);
+    EXPECT_TRUE(cursor.ok()) << cursor.status();
+    if (!cursor.ok()) return {};
+    std::vector<SliceRow> rows;
+    for (;;) {
+      size_t before = rows.size();
+      size_t got = cursor->Next(page_size, &rows);
+      EXPECT_EQ(got, rows.size() - before);
+      if (got < page_size) break;
+    }
+    EXPECT_TRUE(cursor->done());
+    EXPECT_EQ(cursor->Next(page_size, &rows), 0u);
+    return ToRows(rows);
+  }
+
+  /// Random slices and roll-ups against \p cube, built or updated from
+  /// exactly \p tuples.
+  void CheckQueries(const DwarfCube& cube, const std::vector<Row>& tuples) {
+    const auto num_ranks =
+        static_cast<DimKey>(cube.dictionary(ordered_).size());
+    std::vector<RowQuery> queries;
+    for (size_t trial = 0; trial < 24; ++trial) {
+      RowQuery slice;
+      slice.fixed_dim = rng_.NextBelow(kDims);
+      // Up to one id past the end of the dictionary, which no cell holds.
+      slice.key = static_cast<DimKey>(
+          rng_.NextBelow(cube.dictionary(*slice.fixed_dim).size() + 1));
+      queries.push_back(slice);
+
+      // A random permutation of a random number of dims; the first two
+      // trials group by no dim and by every dim.
+      RowQuery rollup;
+      std::vector<size_t> dims = {0, 1, 2, 3};
+      for (size_t i = dims.size(); i > 1; --i) {
+        std::swap(dims[i - 1], dims[rng_.NextBelow(i)]);
+      }
+      size_t count = trial == 0   ? 0
+                     : trial == 1 ? kDims
+                                  : rng_.NextBelow(kDims + 1);
+      rollup.group_dims.assign(dims.begin(), dims.begin() + count);
+      bool ordered_grouped =
+          std::find(rollup.group_dims.begin(), rollup.group_dims.end(),
+                    ordered_) != rollup.group_dims.end();
+      if (ordered_grouped && rng_.NextBool(0.6)) {
+        auto lo = static_cast<DimKey>(rng_.NextBelow(num_ranks + 1));
+        // One window in four is empty (lo > hi); others may run past the
+        // last rank.
+        auto hi = lo > 0 && rng_.NextBool(0.25)
+                      ? static_cast<DimKey>(rng_.NextBelow(lo))
+                      : static_cast<DimKey>(lo + rng_.NextBelow(num_ranks - lo + 1));
+        rollup.window = RankWindow{lo, hi};
+      }
+      queries.push_back(rollup);
+    }
+    for (const RowQuery& query : queries) {
+      std::vector<Row> want = Expected(cube, tuples, query);
+      EXPECT_EQ(OneShot(cube, query), want);
+      for (size_t page_size : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                               std::numeric_limits<size_t>::max()}) {
+        EXPECT_EQ(Drain(cube, query, page_size), want)
+            << "page size " << page_size;
+      }
+    }
+  }
+
+  Rng rng_{GetParam()};
+  size_t ordered_ = rng_.NextBelow(kDims);
+};
+
+TEST_P(RowEnumerationPropertyTest, MatchesBruteForceGroupBy) {
+  std::vector<DimensionSpec> dims;
+  for (size_t dim = 0; dim < kDims; ++dim) {
+    dims.emplace_back("d" + std::to_string(dim), "", dim == ordered_);
+  }
+  std::vector<Row> tuples = RandomTuples(60, 0);
+  DwarfBuilder builder(CubeSchema("rows", dims, "m", AggFn::kSum));
+  for (const Row& tuple : tuples) {
+    ASSERT_TRUE(builder.AddTuple(tuple.first, tuple.second).ok());
+  }
+  auto built = std::move(builder).Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  const Dictionary& dates = built->dictionary(ordered_);
+  bool ids_in_value_order = true;
+  for (DimKey id = 0; id < dates.size(); ++id) {
+    ids_in_value_order = ids_in_value_order && dates.RankOf(id) == id;
+  }
+  EXPECT_FALSE(ids_in_value_order);
+  CheckQueries(*built, tuples);
+
+  // An incremental publish with new values in every dim: the merged cube
+  // spans two arena chunks, and the walk crosses both.
+  std::vector<Row> delta = RandomTuples(25, 2);
+  CubeUpdater updater(std::move(built).ValueOrDie());
+  for (const Row& tuple : delta) {
+    ASSERT_TRUE(updater.AddTuple(tuple.first, tuple.second).ok());
+  }
+  auto applied = std::move(updater).Apply();
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_GT(applied->arena_chunks(), 1u);
+  tuples.insert(tuples.end(), delta.begin(), delta.end());
+  CheckQueries(*applied, tuples);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RowEnumerationPropertyTest,
+                         ::testing::Values(11, 22, 33, 44, 55, 66));
 
 // ---------------------------------------------------------------------------
 // Ordered dimensions: value-order rank ranges and roll-up rank filters —
