@@ -1,8 +1,9 @@
 // Query primitives over DWARF cubes — the conclusion's future-work target
 // ("efficient query primitives for our DWARF cubes"), benchmarked over the
 // Week dataset: point queries (full path and via precomputed ALL cells),
-// range/set aggregates, rollups, flat-file queries in both [1] layouts, and
-// the bidirectional mapping's load path (store -> cube rebuild).
+// range/set aggregates, rollups, slices, base-tuple extraction, flat-file
+// queries in both [1] layouts, and the bidirectional mapping's load path
+// (store -> cube rebuild).
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +14,7 @@
 #include "bench_util.h"
 #include "clustered/flat_file.h"
 #include "dwarf/query.h"
+#include "dwarf/update.h"
 #include "mapper/nosql_dwarf_mapper.h"
 #include "nosql/database.h"
 
@@ -116,6 +118,27 @@ void BM_RollUpAreaStation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RollUpAreaStation);
+
+// Wide rows: a slice on one Date groups by the other seven dimensions.
+void BM_SliceDate(benchmark::State& state) {
+  auto cube = Cube();
+  const auto dates = static_cast<dwarf::DimKey>(cube->dictionary(1).size());
+  dwarf::DimKey date = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dwarf::Slice(*cube, 1, date));
+    date = (date + 1) % dates;
+  }
+}
+BENCHMARK(BM_SliceDate);
+
+// Every base tuple, eight labels a row: the compaction rebuild's input.
+void BM_ExtractBaseTuples(benchmark::State& state) {
+  auto cube = Cube();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dwarf::ExtractBaseTuples(*cube));
+  }
+}
+BENCHMARK(BM_ExtractBaseTuples)->Unit(benchmark::kMillisecond);
 
 void BM_FlatFilePointQuery(benchmark::State& state) {
   auto cube = Cube();

@@ -1,24 +1,86 @@
 #include "dwarf/cursor.h"
 
+#include <algorithm>
+
 namespace scdwarf::dwarf {
 
-RowCursor::RowCursor(const DwarfCube& cube, std::vector<bool> enumerate,
-                     std::vector<std::optional<DimKey>> pinned,
-                     RankFilters filters, std::vector<size_t> order)
+namespace {
+
+/// Rejects out-of-range (OutOfRange) and duplicate (InvalidArgument) roll-up
+/// group dims. The smallest offending dim decides which error comes back.
+Status ValidateGroupDims(size_t num_dimensions,
+                         const std::vector<size_t>& group_dims) {
+  size_t in_range = 0;
+  for (size_t dim = 0; dim < num_dimensions; ++dim) {
+    auto copies = static_cast<size_t>(
+        std::count(group_dims.begin(), group_dims.end(), dim));
+    if (copies > 1) {
+      return Status::InvalidArgument("duplicate group dimension " +
+                                     std::to_string(dim));
+    }
+    in_range += copies;
+  }
+  if (in_range < group_dims.size()) {
+    return Status::OutOfRange("group dimension out of range");
+  }
+  return Status::OK();
+}
+
+/// Validates roll-up rank filters: one slot per cube dimension, and every
+/// set window on a grouped dimension that the schema marks ordered.
+Status ValidateRankFilters(const DwarfCube& cube,
+                           const std::vector<size_t>& group_dims,
+                           const RankFilters* filters) {
+  if (filters == nullptr) return Status::OK();
+  if (filters->size() != cube.num_dimensions()) {
+    return Status::InvalidArgument("rank filter arity mismatch");
+  }
+  for (size_t dim = 0; dim < filters->size(); ++dim) {
+    if (!(*filters)[dim].has_value()) continue;
+    const std::string& name = cube.schema().dimensions()[dim].name;
+    if (std::find(group_dims.begin(), group_dims.end(), dim) ==
+        group_dims.end()) {
+      return Status::InvalidArgument(
+          "rank filter on dimension '" + name +
+          "', which is not a grouped dimension of this roll-up");
+    }
+    if (!cube.schema().dimensions()[dim].ordered ||
+        !cube.dictionary(dim).has_rank_view()) {
+      return Status::InvalidArgument(
+          "rank filter on dimension '" + name +
+          "', which is not marked ordered in the cube schema");
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+RowCursor::RowCursor(const DwarfCube& cube, std::vector<Frame> frames,
+                     size_t pinned_dim, DimKey pinned_key)
     : cube_(&cube),
-      enumerate_(std::move(enumerate)),
-      pinned_(std::move(pinned)),
-      filters_(std::move(filters)),
-      order_(std::move(order)) {
-  for (size_t j = 0; j < order_.size(); ++j) {
-    order_identity_ = order_identity_ && order_[j] == j;
+      frames_(std::move(frames)),
+      labels_(frames_.size()),
+      pinned_dim_(pinned_dim),
+      pinned_key_(pinned_key) {
+  // No row comes out of an empty cube, past an empty rank window, or under a
+  // pinned key past the dictionary, which no cell holds.
+  bool empty = cube.empty() ||
+               (pinned_dim < cube.num_dimensions() &&
+                pinned_key >= cube.dictionary(pinned_dim).size());
+  for (Frame& frame : frames_) {
+    frame.dict = &cube.dictionary(frame.dim);
+    empty = empty ||
+            (frame.window.has_value() && frame.window->lo > frame.window->hi);
   }
-  if (!cube.empty() && !Prunable(0)) {
-    Frame root;
-    root.node = cube.root();
-    root.level = 0;
-    stack_.push_back(root);
+  if (empty) {
+    done_ = true;
+    return;
   }
+  Frame* top = frames_.data();
+  Measure measure = 0;
+  if (Descend(cube.root(), 0, &top, &measure)) root_row_ = measure;
+  depth_ = static_cast<size_t>(top - frames_.data());
 }
 
 Result<RowCursor> RowCursor::OverSlice(const DwarfCube& cube, size_t fixed_dim,
@@ -26,132 +88,110 @@ Result<RowCursor> RowCursor::OverSlice(const DwarfCube& cube, size_t fixed_dim,
   if (fixed_dim >= cube.num_dimensions()) {
     return Status::OutOfRange("slice dimension out of range");
   }
-  std::vector<bool> enumerate(cube.num_dimensions(), true);
-  enumerate[fixed_dim] = false;
-  std::vector<std::optional<DimKey>> pinned(cube.num_dimensions());
-  pinned[fixed_dim] = key;
-  return RowCursor(cube, std::move(enumerate), std::move(pinned), {}, {});
+  std::vector<Frame> frames(cube.num_dimensions() - 1);
+  for (size_t j = 0; j < frames.size(); ++j) {
+    frames[j].dim = j < fixed_dim ? j : j + 1;
+    frames[j].slot = j;
+  }
+  return RowCursor(cube, std::move(frames), fixed_dim, key);
 }
 
 Result<RowCursor> RowCursor::OverRollUp(const DwarfCube& cube,
                                         const std::vector<size_t>& group_dims,
                                         const RankFilters* filters) {
-  SCD_ASSIGN_OR_RETURN(std::vector<size_t> order,
-                       RollUpKeyOrder(cube.num_dimensions(), group_dims));
-  std::vector<bool> enumerate(cube.num_dimensions(), false);
-  for (size_t dim : group_dims) enumerate[dim] = true;
-  SCD_RETURN_IF_ERROR(ValidateRankFilters(cube, enumerate, filters));
-  std::vector<std::optional<DimKey>> pinned(cube.num_dimensions());
-  return RowCursor(cube, std::move(enumerate), std::move(pinned),
-                   filters != nullptr ? *filters : RankFilters{},
-                   std::move(order));
-}
-
-bool RowCursor::Prunable(size_t level) const {
-  for (size_t dim = level; dim < filters_.size(); ++dim) {
-    const std::optional<RankWindow>& window = filters_[dim];
-    if (window.has_value() && window->lo > window->hi) return true;
+  SCD_RETURN_IF_ERROR(ValidateGroupDims(cube.num_dimensions(), group_dims));
+  SCD_RETURN_IF_ERROR(ValidateRankFilters(cube, group_dims, filters));
+  std::vector<Frame> frames(group_dims.size());
+  for (size_t j = 0; j < group_dims.size(); ++j) {
+    // The j-th requested dim's frame follows the frames of the smaller ones.
+    auto at = static_cast<size_t>(
+        std::count_if(group_dims.begin(), group_dims.end(),
+                      [&](size_t dim) { return dim < group_dims[j]; }));
+    frames[at].dim = group_dims[j];
+    frames[at].slot = j;
+    if (filters != nullptr) frames[at].window = (*filters)[group_dims[j]];
   }
-  return false;
+  return RowCursor(cube, std::move(frames), cube.num_dimensions(), 0);
 }
 
-void RowCursor::EmitRow(Measure measure, std::vector<SliceRow>* out) {
+inline bool RowCursor::Descend(NodeId id, size_t level, Frame** top,
+                               Measure* measure) {
+  const size_t num_dims = cube_->num_dimensions();
+  const size_t grouped =
+      *top != frames_.data() + frames_.size() ? (*top)->dim : num_dims;
+  for (;; ++level) {
+    const NodeView node = cube_->node(id);
+    if (level == grouped) {
+      (*top)->next = node.cells.begin();
+      (*top)->end = node.cells.end();
+      ++*top;
+      return false;
+    }
+    const bool leaf = level + 1 == num_dims;
+    if (level == pinned_dim_) {
+      const DwarfCell* cell = node.FindCell(pinned_key_);
+      if (cell == nullptr) return false;
+      if (leaf) {
+        *measure = cell->measure;
+        return true;
+      }
+      id = cell->child;
+    } else {
+      // Rolled-up dimension: follow the precomputed ALL cell.
+      if (leaf) {
+        *measure = node.all_measure;
+        return true;
+      }
+      id = node.all_child;
+    }
+  }
+}
+
+void RowCursor::EmitRow(Measure measure, std::vector<SliceRow>* out) const {
   SliceRow& row = out->emplace_back();
   row.measure = measure;
   row.keys.reserve(labels_.size());
-  for (size_t j = 0; j < labels_.size(); ++j) {
-    row.keys.push_back(*labels_[order_identity_ ? j : order_[j]]);
-  }
-}
-
-void RowCursor::PopFrame() {
-  if (stack_.back().pushed_label) labels_.pop_back();
-  stack_.pop_back();
+  for (const std::string* label : labels_) row.keys.push_back(*label);
 }
 
 size_t RowCursor::Next(size_t max_rows, std::vector<SliceRow>* out) {
   size_t produced = 0;
-  while (produced < max_rows && !stack_.empty()) {
-    Frame& frame = stack_.back();
-    const NodeView node = cube_->node(frame.node);
-    bool leaf = static_cast<size_t>(frame.level) + 1 == cube_->num_dimensions();
-    if (enumerate_[frame.level]) {
-      if (frame.next_cell == node.cells.size()) {
-        PopFrame();
-        continue;
-      }
-      const DwarfCell& cell = node.cells[frame.next_cell++];
-      if (!filters_.empty() && filters_[frame.level].has_value()) {
-        const RankWindow& window = *filters_[frame.level];
-        DimKey rank = cube_->dictionary(frame.level).RankOf(cell.key);
-        if (rank < window.lo || rank > window.hi) continue;
-      }
-      labels_.push_back(
-          &cube_->dictionary(frame.level).DecodeUnchecked(cell.key));
-      if (leaf) {
-        EmitRow(cell.measure, out);
-        labels_.pop_back();
-        ++produced;
-      } else if (Prunable(frame.level + 1)) {
-        labels_.pop_back();
-      } else {
-        Frame child;
-        child.node = cell.child;
-        child.level = static_cast<uint16_t>(frame.level + 1);
-        child.pushed_label = true;  // pops the label pushed above
-        stack_.push_back(child);    // invalidates `frame`
-      }
-      continue;
-    }
-    if (pinned_[frame.level].has_value()) {
-      if (frame.entered) {
-        PopFrame();
-        continue;
-      }
-      frame.entered = true;
-      const DwarfCell* cell = node.FindCell(*pinned_[frame.level]);
-      if (cell == nullptr) {
-        PopFrame();
-        continue;
-      }
-      if (leaf) {
-        EmitRow(cell->measure, out);
-        ++produced;
-        PopFrame();
-        continue;
-      }
-      if (Prunable(frame.level + 1)) {
-        PopFrame();
-        continue;
-      }
-      Frame child;
-      child.node = cell->child;
-      child.level = static_cast<uint16_t>(frame.level + 1);
-      stack_.push_back(child);
-      continue;
-    }
-    // Rolled-up dimension: follow the precomputed ALL cell.
-    if (frame.entered) {
-      PopFrame();
-      continue;
-    }
-    frame.entered = true;
-    if (leaf) {
-      EmitRow(node.all_measure, out);
-      ++produced;
-      PopFrame();
-      continue;
-    }
-    if (Prunable(frame.level + 1)) {
-      PopFrame();
-      continue;
-    }
-    Frame child;
-    child.node = node.all_child;
-    child.level = static_cast<uint16_t>(frame.level + 1);
-    stack_.push_back(child);
+  if (root_row_.has_value() && max_rows > 0) {
+    EmitRow(*root_row_, out);
+    root_row_.reset();
+    produced = 1;
+    // A one-dimension walk ends at the root it started from.
+    done_ = cube_->num_dimensions() == 1;
   }
-  rows_emitted_ += produced;
+  const size_t leaf_dim = cube_->num_dimensions() - 1;
+  Frame* const base = frames_.data();
+  Frame* top = base + depth_;  // one past the innermost open frame
+  while (produced < max_rows) {
+    if (top == base) {
+      done_ = true;
+      break;
+    }
+    Frame& frame = top[-1];
+    if (frame.next == frame.end) {
+      --top;
+      continue;
+    }
+    const DwarfCell& cell = *frame.next++;
+    if (frame.window.has_value()) {
+      DimKey rank = frame.dict->RankOf(cell.key);
+      if (rank < frame.window->lo || rank > frame.window->hi) continue;
+    }
+    labels_[frame.slot] = &frame.dict->DecodeUnchecked(cell.key);
+    Measure measure = 0;
+    if (frame.dim == leaf_dim) {
+      measure = cell.measure;
+    } else if (!Descend(cell.child, frame.dim + 1, &top, &measure)) {
+      continue;
+    }
+    EmitRow(measure, out);
+    ++produced;
+  }
+  depth_ = static_cast<size_t>(top - base);
   return produced;
 }
 

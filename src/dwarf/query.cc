@@ -1,6 +1,9 @@
 #include "dwarf/query.h"
 
 #include <algorithm>
+#include <limits>
+
+#include "dwarf/cursor.h"
 
 namespace scdwarf::dwarf {
 
@@ -171,174 +174,27 @@ Result<Measure> AggregateQuery(const DwarfCube& cube,
   return evaluator.accumulated;
 }
 
-Status ValidateRankFilters(const DwarfCube& cube,
-                           const std::vector<bool>& enumerate,
-                           const RankFilters* filters) {
-  if (filters == nullptr) return Status::OK();
-  if (filters->size() != cube.num_dimensions()) {
-    return Status::InvalidArgument("rank filter arity mismatch");
-  }
-  for (size_t dim = 0; dim < filters->size(); ++dim) {
-    if (!(*filters)[dim].has_value()) continue;
-    const std::string& name = cube.schema().dimensions()[dim].name;
-    if (!enumerate[dim]) {
-      return Status::InvalidArgument(
-          "rank filter on dimension '" + name +
-          "', which is not a grouped dimension of this roll-up");
-    }
-    if (!cube.schema().dimensions()[dim].ordered ||
-        !cube.dictionary(dim).has_rank_view()) {
-      return Status::InvalidArgument(
-          "rank filter on dimension '" + name +
-          "', which is not marked ordered in the cube schema");
-    }
-  }
-  return Status::OK();
-}
-
-Result<std::vector<size_t>> RollUpKeyOrder(
-    size_t num_dimensions, const std::vector<size_t>& group_dims) {
-  std::vector<size_t> sorted = group_dims;
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] >= num_dimensions) {
-      return Status::OutOfRange("group dimension out of range");
-    }
-    if (i > 0 && sorted[i] == sorted[i - 1]) {
-      return Status::InvalidArgument("duplicate group dimension " +
-                                     std::to_string(sorted[i]));
-    }
-  }
-  // The enumerator emits one key per grouped dim in ascending dimension
-  // order; position j of the requested order reads the key at the dim's
-  // ascending position.
-  std::vector<size_t> order(group_dims.size());
-  for (size_t j = 0; j < group_dims.size(); ++j) {
-    order[j] = static_cast<size_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), group_dims[j]) -
-        sorted.begin());
-  }
-  return order;
-}
-
 namespace {
 
-/// Shared enumerator for Slice and RollUp: dims in `enumerate` are grouped
-/// (cells fanned out and labels recorded); dims with a pinned key filter to
-/// that key; all remaining dims roll up through the ALL pointer. Grouped
-/// dims may carry a rank window, tested per cell.
-struct Enumerator {
-  const DwarfCube& cube;
-  const std::vector<bool>& enumerate;
-  const std::vector<std::optional<DimKey>>& pinned;
-  std::vector<SliceRow>* rows;
-  const RankFilters* filters = nullptr;
-  /// Labels of the enumerated levels, pointing into the cube's dictionaries
-  /// (the cube outlives the enumerator), so each label is copied once, into
-  /// its row.
-  std::vector<const std::string*> labels;
-
-  /// True when a rank window at or below \p level is empty: the subtree
-  /// cannot yield a row.
-  bool Prunable(size_t level) const {
-    if (filters == nullptr) return false;
-    for (size_t dim = level; dim < filters->size(); ++dim) {
-      const std::optional<RankWindow>& window = (*filters)[dim];
-      if (window.has_value() && window->lo > window->hi) return true;
-    }
-    return false;
-  }
-
-  void Visit(NodeId id, size_t level) {
-    if (Prunable(level)) return;
-    const NodeView node = cube.node(id);
-    bool leaf = level + 1 == cube.num_dimensions();
-    if (enumerate[level]) {
-      const Dictionary& dict = cube.dictionary(level);
-      const std::optional<RankWindow>& window =
-          filters != nullptr ? (*filters)[level] : std::optional<RankWindow>{};
-      for (const DwarfCell& cell : node.cells) {
-        if (window.has_value()) {
-          DimKey rank = dict.RankOf(cell.key);
-          if (rank < window->lo || rank > window->hi) continue;
-        }
-        labels.push_back(&dict.DecodeUnchecked(cell.key));
-        Emit(node, cell, leaf, level);
-        labels.pop_back();
-      }
-    } else if (pinned[level].has_value()) {
-      const DwarfCell* cell = node.FindCell(*pinned[level]);
-      if (cell != nullptr) Emit(node, *cell, leaf, level);
-    } else {
-      if (leaf) {
-        EmitRow(node.all_measure);
-      } else {
-        Visit(node.all_child, level + 1);
-      }
-    }
-  }
-
-  void Emit(const NodeView&, const DwarfCell& cell, bool leaf, size_t level) {
-    if (leaf) {
-      EmitRow(cell.measure);
-    } else {
-      Visit(cell.child, level + 1);
-    }
-  }
-
-  void EmitRow(Measure measure) {
-    SliceRow& row = rows->emplace_back();
-    row.measure = measure;
-    row.keys.reserve(labels.size());
-    for (const std::string* label : labels) row.keys.push_back(*label);
-  }
-};
+/// The one-shot rows: \p cursor drained in one page.
+Result<std::vector<SliceRow>> DrainRows(Result<RowCursor> cursor) {
+  SCD_RETURN_IF_ERROR(cursor.status());
+  std::vector<SliceRow> rows;
+  cursor->Next(std::numeric_limits<size_t>::max(), &rows);
+  return rows;
+}
 
 }  // namespace
 
 Result<std::vector<SliceRow>> Slice(const DwarfCube& cube, size_t fixed_dim,
                                     DimKey key) {
-  if (fixed_dim >= cube.num_dimensions()) {
-    return Status::OutOfRange("slice dimension out of range");
-  }
-  if (cube.empty()) return std::vector<SliceRow>{};
-  std::vector<bool> enumerate(cube.num_dimensions(), true);
-  enumerate[fixed_dim] = false;
-  std::vector<std::optional<DimKey>> pinned(cube.num_dimensions());
-  pinned[fixed_dim] = key;
-  std::vector<SliceRow> rows;
-  Enumerator enumerator{cube, enumerate, pinned, &rows, nullptr, {}};
-  enumerator.Visit(cube.root(), 0);
-  return rows;
+  return DrainRows(RowCursor::OverSlice(cube, fixed_dim, key));
 }
 
 Result<std::vector<SliceRow>> RollUp(const DwarfCube& cube,
                                      const std::vector<size_t>& group_dims,
                                      const RankFilters* filters) {
-  SCD_ASSIGN_OR_RETURN(std::vector<size_t> order,
-                       RollUpKeyOrder(cube.num_dimensions(), group_dims));
-  std::vector<bool> enumerate(cube.num_dimensions(), false);
-  for (size_t dim : group_dims) enumerate[dim] = true;
-  SCD_RETURN_IF_ERROR(ValidateRankFilters(cube, enumerate, filters));
-  if (cube.empty()) return std::vector<SliceRow>{};
-  std::vector<std::optional<DimKey>> pinned(cube.num_dimensions());
-  std::vector<SliceRow> rows;
-  Enumerator enumerator{cube, enumerate, pinned, &rows, filters, {}};
-  enumerator.Visit(cube.root(), 0);
-  // Row keys come out of the enumerator in ascending dimension order;
-  // reorder to the caller's requested group_dims order.
-  bool identity = true;
-  for (size_t j = 0; j < order.size(); ++j) identity = identity && order[j] == j;
-  if (!identity) {
-    std::vector<std::string> reordered(order.size());
-    for (SliceRow& row : rows) {
-      for (size_t j = 0; j < order.size(); ++j) {
-        reordered[j] = std::move(row.keys[order[j]]);
-      }
-      row.keys.swap(reordered);
-    }
-  }
-  return rows;
+  return DrainRows(RowCursor::OverRollUp(cube, group_dims, filters));
 }
 
 }  // namespace scdwarf::dwarf

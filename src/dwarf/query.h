@@ -109,6 +109,7 @@ struct SliceRow {
 
 /// \brief Materializes the sub-cube where dimension \p fixed_dim equals
 /// \p key, grouped by every remaining dimension (a classic OLAP slice).
+/// Slice and RollUp drain a RowCursor (cursor.h) in one page.
 Result<std::vector<SliceRow>> Slice(const DwarfCube& cube, size_t fixed_dim,
                                     DimKey key);
 
@@ -124,21 +125,6 @@ struct RankWindow {
 /// One optional window per cube dimension; windows are only meaningful on
 /// grouped (enumerated) dims, and require the dim to be schema-ordered.
 using RankFilters = std::vector<std::optional<RankWindow>>;
-
-/// \brief Validates roll-up rank filters: one slot per cube dimension, and
-/// every set window must sit on a grouped (\p enumerate) dimension that the
-/// schema marks ordered. Shared by the one-shot RollUp and RowCursor.
-Status ValidateRankFilters(const DwarfCube& cube,
-                           const std::vector<bool>& enumerate,
-                           const RankFilters* filters);
-
-/// \brief Permutation taking ascending-dimension-order roll-up row keys to
-/// the caller's requested \p group_dims order: `out[j] = keys[order[j]]`.
-/// Shared by RollUp and RowCursor so paginated rows are byte-identical to
-/// one-shot rows. Rejects duplicate (InvalidArgument) and out-of-range
-/// (OutOfRange) group dims.
-Result<std::vector<size_t>> RollUpKeyOrder(size_t num_dimensions,
-                                           const std::vector<size_t>& group_dims);
 
 /// \brief Group-by over a subset of dimensions (roll-up of the rest):
 /// returns one row per distinct combination of \p group_dims values, with

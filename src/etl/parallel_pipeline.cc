@@ -9,47 +9,15 @@
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
+#include "etl/etl_metrics.h"
 
 namespace scdwarf::etl {
 
 namespace {
 
-metrics::Counter* ParallelDocumentsCounter(bool is_json) {
-  static metrics::Counter* const xml = metrics::GlobalRegistry().GetCounter(
-      "etl_documents_total", {{"format", "xml"}},
-      "feed documents consumed by the ETL front-end");
-  static metrics::Counter* const json = metrics::GlobalRegistry().GetCounter(
-      "etl_documents_total", {{"format", "json"}},
-      "feed documents consumed by the ETL front-end");
-  return is_json ? json : xml;
-}
-
-metrics::Counter* ParallelBytesCounter() {
-  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
-      "etl_bytes_total", {}, "raw feed bytes consumed");
-  return counter;
-}
-
-metrics::Counter* ParallelRecordsCounter() {
-  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
-      "etl_records_total", {}, "feed records mapped into cube tuples");
-  return counter;
-}
-
-metrics::Counter* ParallelSkippedCounter() {
-  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
-      "etl_skipped_records_total", {},
-      "malformed records dropped by non-strict pipelines");
-  return counter;
-}
-
-FixedBucketHistogram* ParallelParseHistogram() {
-  static FixedBucketHistogram* const hist =
-      metrics::GlobalRegistry().GetHistogram(
-          "etl_parse_us", {},
-          "per-document extract + map + intern latency (us)");
-  return hist;
-}
+/// Backpressure bound: Consume* blocks once this many documents per worker
+/// wait in the queue.
+constexpr size_t kQueuedDocumentsPerWorker = 4;
 
 FixedBucketHistogram* DrainHistogram() {
   static FixedBucketHistogram* const hist =
@@ -186,11 +154,11 @@ struct ParallelCubePipeline::State {
       out.tuples.push_back(std::move(tuple));
       ++out.records;
     }
-    ParallelDocumentsCounter(task.is_json)->Increment();
-    ParallelBytesCounter()->Increment(task.text.size());
-    ParallelRecordsCounter()->Increment(out.records);
-    ParallelSkippedCounter()->Increment(out.skipped);
-    ParallelParseHistogram()->Record(watch.ElapsedMicros());
+    DocumentsCounter(task.is_json)->Increment();
+    BytesCounter()->Increment(task.text.size());
+    RecordsCounter()->Increment(out.records);
+    SkippedRecordsCounter()->Increment(out.skipped);
+    ParseHistogram()->Record(watch.ElapsedMicros());
     return out;
   }
 };
@@ -208,12 +176,10 @@ ParallelCubePipeline::ParallelCubePipeline(
         std::move(json_extractor), strict, builder_options);
     return;
   }
-  size_t max_queue = parallel_options.max_queued_documents > 0
-                         ? parallel_options.max_queued_documents
-                         : static_cast<size_t>(threads) * 4;
   state_ = std::make_unique<State>(
       std::move(schema), std::move(mapper), std::move(xml_extractor),
-      std::move(json_extractor), strict, builder_options, max_queue);
+      std::move(json_extractor), strict, builder_options,
+      static_cast<size_t>(threads) * kQueuedDocumentsPerWorker);
   workers_.reserve(threads);
   for (int i = 0; i < threads; ++i) {
     workers_.emplace_back([state = state_.get()] { state->WorkerLoop(); });

@@ -31,10 +31,6 @@ struct ParallelPipelineOptions {
   /// hardware_concurrency). A resolved count of 1 degrades to the serial
   /// CubePipeline — exact single-threaded semantics, no queue, no threads.
   int num_threads = 0;
-
-  /// Backpressure bound on queued documents; Consume* blocks when the queue
-  /// is full. 0 = four documents per worker.
-  size_t max_queued_documents = 0;
 };
 
 /// \brief Thread-parallel drop-in for CubePipeline.

@@ -1,51 +1,10 @@
 #include "etl/pipeline.h"
 
-#include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
+#include "etl/etl_metrics.h"
 
 namespace scdwarf::etl {
-
-namespace {
-
-metrics::Counter* DocumentsCounter(bool is_json) {
-  static metrics::Counter* const xml = metrics::GlobalRegistry().GetCounter(
-      "etl_documents_total", {{"format", "xml"}},
-      "feed documents consumed by the ETL front-end");
-  static metrics::Counter* const json = metrics::GlobalRegistry().GetCounter(
-      "etl_documents_total", {{"format", "json"}},
-      "feed documents consumed by the ETL front-end");
-  return is_json ? json : xml;
-}
-
-metrics::Counter* BytesCounter() {
-  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
-      "etl_bytes_total", {}, "raw feed bytes consumed");
-  return counter;
-}
-
-metrics::Counter* RecordsCounter() {
-  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
-      "etl_records_total", {}, "feed records mapped into cube tuples");
-  return counter;
-}
-
-metrics::Counter* SkippedRecordsCounter() {
-  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
-      "etl_skipped_records_total", {},
-      "malformed records dropped by non-strict pipelines");
-  return counter;
-}
-
-FixedBucketHistogram* ParseHistogram() {
-  static FixedBucketHistogram* const hist =
-      metrics::GlobalRegistry().GetHistogram(
-          "etl_parse_us", {},
-          "per-document extract + map + intern latency (us)");
-  return hist;
-}
-
-}  // namespace
 
 CubePipeline::CubePipeline(dwarf::CubeSchema schema, TupleMapper mapper,
                            std::optional<XmlExtractor> xml_extractor,

@@ -573,12 +573,11 @@ ExecResult MeasureResult(const Result<dwarf::Measure>& measure) {
   return {true, std::move(payload)};
 }
 
-ExecResult RowsResult(const Result<std::vector<dwarf::SliceRow>>& rows) {
-  if (!rows.ok()) return {false, MakeErrorPayload(rows.status())};
+ExecResult RowsResult(const std::vector<dwarf::SliceRow>& rows) {
   std::string payload;
-  payload.reserve(16 + EstimateRowsJsonBytes(*rows));
+  payload.reserve(16 + EstimateRowsJsonBytes(rows));
   payload.append("{\"rows\":");
-  AppendRowsJson(*rows, &payload);
+  AppendRowsJson(rows, &payload);
   payload.push_back('}');
   return {true, std::move(payload)};
 }
@@ -633,30 +632,13 @@ ExecResult ExecuteRequest(const dwarf::DwarfCube& cube,
       }
       return MeasureResult(dwarf::AggregateQuery(cube, *predicates));
     }
-    case RequestOp::kSlice: {
-      auto dim = cube.schema().DimensionIndex(request.slice_dim);
-      if (!dim.ok()) return {false, MakeErrorPayload(dim.status())};
-      auto key = cube.dictionary(*dim).Lookup(request.slice_key);
-      if (!key.ok()) {
-        // A value the dictionary has never seen selects the empty sub-cube.
-        return RowsResult(std::vector<dwarf::SliceRow>{});
-      }
-      return RowsResult(dwarf::Slice(cube, *dim, *key));
-    }
+    case RequestOp::kSlice:
     case RequestOp::kRollUp: {
-      std::vector<size_t> dims;
-      dims.reserve(request.rollup_dims.size());
-      for (const std::string& name : request.rollup_dims) {
-        auto dim = cube.schema().DimensionIndex(name);
-        if (!dim.ok()) return {false, MakeErrorPayload(dim.status())};
-        dims.push_back(*dim);
-      }
-      dwarf::RankFilters filters;
-      Status resolved = ResolveRollupFilters(cube, request.rollup_where,
-                                             &filters);
-      if (!resolved.ok()) return {false, MakeErrorPayload(resolved)};
-      return RowsResult(dwarf::RollUp(
-          cube, dims, filters.empty() ? nullptr : &filters));
+      Result<dwarf::RowCursor> cursor = OpenRowCursor(cube, request);
+      if (!cursor.ok()) return {false, MakeErrorPayload(cursor.status())};
+      std::vector<dwarf::SliceRow> rows;
+      cursor->Next(std::numeric_limits<size_t>::max(), &rows);
+      return RowsResult(rows);
     }
     case RequestOp::kStats:
     case RequestOp::kMetrics:

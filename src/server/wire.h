@@ -193,10 +193,10 @@ struct ExecResult {
 ExecResult ExecuteRequest(const dwarf::DwarfCube& cube,
                           const QueryRequest& request);
 
-/// \brief Opens a resumable row cursor for the query wrapped by a
-/// "query_open" request (\p query must be a slice or rollup). A slice key
-/// the dictionary has never seen yields an immediately-exhausted cursor —
-/// the same empty row set the one-shot path returns.
+/// \brief Opens a resumable row cursor for a slice or rollup \p query: the
+/// one translation of such a request, which ExecuteRequest drains in one
+/// page and a "query_open" session pages through. A slice key the
+/// dictionary has never seen yields an immediately-exhausted cursor.
 Result<dwarf::RowCursor> OpenRowCursor(const dwarf::DwarfCube& cube,
                                        const QueryRequest& query);
 

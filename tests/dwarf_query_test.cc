@@ -445,7 +445,8 @@ class RowEnumerationPropertyTest : public ::testing::TestWithParam<uint64_t> {
       }
       std::vector<DimKey> ids;
       for (size_t dim : ascending) {
-        ids.push_back(cube.dictionary(dim).Lookup(tuple.first[dim]).ValueOrDie());
+        ids.push_back(
+            cube.dictionary(dim).Lookup(tuple.first[dim]).ValueOrDie());
       }
       Row& row = groups[ids];
       if (row.first.empty()) {
@@ -538,9 +539,10 @@ class RowEnumerationPropertyTest : public ::testing::TestWithParam<uint64_t> {
         auto lo = static_cast<DimKey>(rng_.NextBelow(num_ranks + 1));
         // One window in four is empty (lo > hi); others may run past the
         // last rank.
-        auto hi = lo > 0 && rng_.NextBool(0.25)
-                      ? static_cast<DimKey>(rng_.NextBelow(lo))
-                      : static_cast<DimKey>(lo + rng_.NextBelow(num_ranks - lo + 1));
+        auto hi = static_cast<DimKey>(
+            lo > 0 && rng_.NextBool(0.25)
+                ? rng_.NextBelow(lo)
+                : lo + rng_.NextBelow(num_ranks - lo + 1));
         rollup.window = RankWindow{lo, hi};
       }
       queries.push_back(rollup);
@@ -596,6 +598,38 @@ TEST_P(RowEnumerationPropertyTest, MatchesBruteForceGroupBy) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RowEnumerationPropertyTest,
                          ::testing::Values(11, 22, 33, 44, 55, 66));
+
+// A page that ends on the last row leaves the cursor open, and the next call
+// returns no rows and reports done — unless the walk ended at the root, as
+// it does on a one-dimension cube. A cursor session's "done" flag is this.
+TEST(RowCursorTest, DoneComesWithTheWalksEndNotItsLastRow) {
+  DwarfCube cube = BuildBikesCube();
+  for (const std::vector<size_t>& dims : {std::vector<size_t>{},
+                                          std::vector<size_t>{0}}) {
+    Result<RowCursor> cursor = RowCursor::OverRollUp(cube, dims);
+    ASSERT_TRUE(cursor.ok());
+    std::vector<SliceRow> rows;
+    size_t count = dims.empty() ? 1 : 3;
+    EXPECT_EQ(cursor->Next(count, &rows), count);
+    EXPECT_FALSE(cursor->done());
+    EXPECT_EQ(cursor->Next(count, &rows), 0u);
+    EXPECT_TRUE(cursor->done());
+  }
+
+  DwarfBuilder builder(CubeSchema("one", {DimensionSpec("x")}, "m"));
+  ASSERT_TRUE(builder.AddTuple({"a"}, 4).ok());
+  auto one_dim = std::move(builder).Build();
+  ASSERT_TRUE(one_dim.ok());
+  for (Result<RowCursor> cursor : {RowCursor::OverRollUp(*one_dim, {}),
+                                   RowCursor::OverSlice(*one_dim, 0, 0)}) {
+    ASSERT_TRUE(cursor.ok());
+    std::vector<SliceRow> rows;
+    EXPECT_EQ(cursor->Next(1, &rows), 1u);
+    EXPECT_TRUE(cursor->done());
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].measure, 4);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Ordered dimensions: value-order rank ranges and roll-up rank filters —
