@@ -1,6 +1,7 @@
 #include "dwarf/cursor.h"
 
 #include <algorithm>
+#include <ranges>
 
 namespace scdwarf::dwarf {
 
@@ -150,8 +151,11 @@ inline bool RowCursor::Descend(NodeId id, size_t level, Frame** top,
 void RowCursor::EmitRow(Measure measure, std::vector<SliceRow>* out) const {
   SliceRow& row = out->emplace_back();
   row.measure = measure;
-  row.keys.reserve(labels_.size());
-  for (const std::string* label : labels_) row.keys.push_back(*label);
+  auto labels = std::views::transform(
+      labels_, [](const std::string* label) -> const std::string& {
+        return *label;
+      });
+  row.keys.assign(labels.begin(), labels.end());
 }
 
 size_t RowCursor::Next(size_t max_rows, std::vector<SliceRow>* out) {
