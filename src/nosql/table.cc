@@ -1,5 +1,7 @@
 #include "nosql/table.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace scdwarf::nosql {
@@ -7,6 +9,15 @@ namespace scdwarf::nosql {
 namespace {
 constexpr uint32_t kSegmentMagic = 0x43465345;  // "ESFC"
 constexpr uint8_t kSegmentVersion = 1;
+
+/// Raises \p container's capacity to at least \p needed, and to at least
+/// double its current capacity whenever it has to grow at all.
+template <typename Container>
+void ReserveGeometric(Container* container, size_t needed) {
+  if (needed > container->capacity()) {
+    container->reserve(std::max(needed, 2 * container->capacity()));
+  }
+}
 }  // namespace
 
 Table::Table(TableSchema schema) : schema_(std::move(schema)) {
@@ -101,6 +112,15 @@ Status Table::Insert(Row row) {
   IndexRow(slot);
   BumpVersion();
   return Status::OK();
+}
+
+void Table::ReserveAdditional(size_t additional) {
+  ReserveGeometric(&rows_, rows_.size() + additional);
+  ReserveGeometric(&live_, live_.size() + additional);
+  const size_t index_needed = primary_.size() + additional;
+  if (index_needed > primary_.bucket_count() * primary_.max_load_factor()) {
+    primary_.reserve(std::max(index_needed, 2 * primary_.size()));
+  }
 }
 
 Status Table::CreateIndex(std::string_view column) {

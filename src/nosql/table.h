@@ -32,11 +32,10 @@ class Table {
 
   /// Pre-sizes the row store and primary index for \p additional rows
   /// (called by the bulk write path before applying a mutation batch).
-  void ReserveAdditional(size_t additional) {
-    rows_.reserve(rows_.size() + additional);
-    live_.reserve(live_.size() + additional);
-    primary_.reserve(primary_.size() + additional);
-  }
+  /// Capacity grows geometrically, so a stream of small batches into a
+  /// large table stays amortized O(1) per row instead of moving every row
+  /// and rehashing the index on each batch.
+  void ReserveAdditional(size_t additional);
 
   /// Adds a secondary index on \p column and back-fills it from existing rows.
   Status CreateIndex(std::string_view column);
