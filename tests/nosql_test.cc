@@ -2,8 +2,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "nosql/cql.h"
 #include "nosql/database.h"
 
@@ -268,6 +274,194 @@ TEST(TableTest, SecondaryIndexGrowsSegment) {
   }
   EXPECT_GT(indexed.EstimateSegmentBytes(), plain.EstimateSegmentBytes());
 }
+
+// Differential property test of the primary index: random upserts, deletes
+// and lookups against a std::map model, with one secondary index and one
+// unindexed column read through ALLOW FILTERING. The keys are chosen so
+// that their Value::Hash() values share the low kClusterBits bits: they
+// crowd into a few home buckets, so probe runs get long and cross each
+// other, and a delete inside a run has to move later entries back.
+class PrimaryIndexPropertyTest : public ::testing::TestWithParam<DataType> {
+ protected:
+  static constexpr uint64_t kClusterBits = 4;
+  static constexpr size_t kPoolSize = 1500;
+  static constexpr int64_t kGroups = 64;
+  static constexpr int64_t kTags = 32;
+
+  using Model = std::map<Value, Row>;
+
+  static TableSchema Schema(DataType pk_type) {
+    return TableSchema("ks", "kv",
+                       {{"id", pk_type},
+                        {"grp", DataType::kInt},
+                        {"tag", DataType::kInt},
+                        {"payload", DataType::kText}},
+                       "id");
+  }
+
+  static std::vector<Value> KeyPool(DataType pk_type) {
+    std::vector<Value> pool;
+    for (int64_t i = 0; pool.size() < kPoolSize; ++i) {
+      Value key = pk_type == DataType::kInt
+                      ? Value::Int(i)
+                      : Value::Text("key-" + std::to_string(i));
+      if ((key.Hash() & ((uint64_t{1} << kClusterBits) - 1)) == 0) {
+        pool.push_back(std::move(key));
+      }
+    }
+    return pool;
+  }
+
+  static std::vector<Value> SortedKeys(const std::vector<const Row*>& rows) {
+    std::vector<Value> keys;
+    for (const Row* row : rows) keys.push_back((*row)[0]);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
+
+  /// Every returned row must be the model's row for its key, and the keys
+  /// must be exactly the model keys whose \p column equals \p value.
+  static void ExpectSelection(const Model& model, size_t column,
+                              const Value& value,
+                              const Result<std::vector<const Row*>>& got) {
+    ASSERT_TRUE(got.ok()) << got.status();
+    std::vector<Value> expected;
+    for (const auto& [key, row] : model) {
+      if (row[column] == value) expected.push_back(key);
+    }
+    for (const Row* row : *got) {
+      auto it = model.find((*row)[0]);
+      ASSERT_NE(it, model.end()) << (*row)[0].ToCqlLiteral();
+      EXPECT_EQ(*row, it->second);
+    }
+    EXPECT_EQ(SortedKeys(*got), expected) << "column " << column << " = "
+                                          << value.ToCqlLiteral();
+  }
+
+  /// The checks run after every step: the row count, \p key through
+  /// GetByPk and primary-key SelectEq, and \p key's group and tag through
+  /// the secondary index and an ALLOW FILTERING scan.
+  static void CheckStep(const Table& table, const Model& model,
+                        const Value& key, int64_t grp, int64_t tag) {
+    ASSERT_EQ(table.num_rows(), model.size());
+    auto it = model.find(key);
+    auto got = table.GetByPk(key);
+    auto by_pk = table.SelectEq("id", key);
+    ASSERT_TRUE(by_pk.ok()) << by_pk.status();
+    if (it == model.end()) {
+      EXPECT_TRUE(got.status().IsNotFound()) << key.ToCqlLiteral();
+      EXPECT_TRUE(by_pk->empty());
+    } else {
+      ASSERT_TRUE(got.ok()) << key.ToCqlLiteral();
+      EXPECT_EQ(**got, it->second);
+      ASSERT_EQ(by_pk->size(), 1u);
+      EXPECT_EQ(by_pk->front(), *got);
+    }
+    ExpectSelection(model, 1, Value::Int(grp),
+                    table.SelectEq("grp", Value::Int(grp)));
+    ExpectSelection(model, 2, Value::Int(tag),
+                    table.SelectEq("tag", Value::Int(tag), true));
+  }
+
+  /// Every pool key, every group and every tag, and the full scan.
+  static void CheckAll(const Table& table, const Model& model,
+                       const std::vector<Value>& pool) {
+    ASSERT_EQ(table.num_rows(), model.size());
+    for (const Value& key : pool) {
+      auto it = model.find(key);
+      auto got = table.GetByPk(key);
+      if (it == model.end()) {
+        ASSERT_TRUE(got.status().IsNotFound()) << key.ToCqlLiteral();
+      } else {
+        ASSERT_TRUE(got.ok()) << key.ToCqlLiteral();
+        ASSERT_EQ(**got, it->second);
+      }
+    }
+    for (int64_t grp = 0; grp < kGroups; ++grp) {
+      ExpectSelection(model, 1, Value::Int(grp),
+                      table.SelectEq("grp", Value::Int(grp)));
+    }
+    for (int64_t tag = 0; tag < kTags; ++tag) {
+      ExpectSelection(model, 2, Value::Int(tag),
+                      table.SelectEq("tag", Value::Int(tag), true));
+    }
+    std::vector<Value> model_keys;
+    for (const auto& [key, row] : model) model_keys.push_back(key);
+    EXPECT_EQ(SortedKeys(table.ScanAll()), model_keys);
+  }
+};
+
+TEST_P(PrimaryIndexPropertyTest, MatchesMapModelThroughGrowthAndDeletes) {
+  const DataType pk_type = GetParam();
+  const std::vector<Value> pool = KeyPool(pk_type);
+  auto table = std::make_unique<Table>(Schema(pk_type));
+  ASSERT_TRUE(table->CreateIndex("grp").ok());
+  Model model;
+  Rng rng(pk_type == DataType::kInt ? 17 : 29);
+
+  // Phases as {steps, upsert %, delete %}; the rest are plain lookups. The
+  // first grows the table through several index resizes, the second
+  // empties most of it, the third grows it again over the tombstones.
+  struct Phase {
+    int steps;
+    uint64_t upsert_pct;
+    uint64_t delete_pct;
+  };
+  const Phase phases[] = {{3000, 65, 15}, {2500, 15, 70}, {3000, 70, 10}};
+  int step = 0;
+  for (const Phase& phase : phases) {
+    SCOPED_TRACE("phase ending at step " + std::to_string(step + phase.steps));
+    for (int i = 0; i < phase.steps; ++i, ++step) {
+      const Value& key = pool[rng.NextBelow(pool.size())];
+      const uint64_t roll = rng.NextBelow(100);
+      const auto it = model.find(key);
+      if (roll < phase.upsert_pct) {
+        Row row = {key, Value::Int(rng.NextInRange(0, kGroups - 1)),
+                   Value::Int(rng.NextInRange(0, kTags - 1)),
+                   Value::Text("v" + std::to_string(step))};
+        ASSERT_TRUE(table->Insert(row).ok()) << "step " << step;
+        model[key] = std::move(row);
+      } else if (roll < phase.upsert_pct + phase.delete_pct) {
+        Status status = table->DeleteByPk(key);
+        if (it == model.end()) {
+          ASSERT_TRUE(status.IsNotFound()) << "step " << step << ": " << status;
+        } else {
+          ASSERT_TRUE(status.ok()) << "step " << step << ": " << status;
+          model.erase(it);
+        }
+      }
+      // Lookups (and the after-effects of the mutation above) are checked
+      // on every step; the touched row's group and tag, or random ones
+      // when the key is absent, drive the secondary reads.
+      const auto now = model.find(key);
+      const int64_t grp = now != model.end()
+                              ? *now->second[1].AsInt()
+                              : rng.NextInRange(0, kGroups - 1);
+      const int64_t tag = now != model.end() ? *now->second[2].AsInt()
+                                             : rng.NextInRange(0, kTags - 1);
+      ASSERT_NO_FATAL_FAILURE(CheckStep(*table, model, key, grp, tag))
+          << "step " << step;
+    }
+    ASSERT_NO_FATAL_FAILURE(CheckAll(*table, model, pool));
+
+    ByteWriter writer;
+    table->SerializeTo(&writer);
+    ByteReader reader(writer.data());
+    auto loaded = Table::Deserialize(&reader);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    EXPECT_TRUE(reader.AtEnd());
+    ASSERT_NO_FATAL_FAILURE(CheckAll(**loaded, model, pool));
+    // The next phase mutates the reloaded table.
+    table = std::move(*loaded);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PrimaryKeyTypes, PrimaryIndexPropertyTest,
+    ::testing::Values(DataType::kInt, DataType::kText),
+    [](const ::testing::TestParamInfo<DataType>& info) {
+      return std::string(info.param == DataType::kInt ? "Int" : "Text");
+    });
 
 // -------------------------------------------------------------- database
 
