@@ -1,6 +1,7 @@
 #include "nosql/table.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -91,21 +92,72 @@ void Table::UnindexRow(size_t row_index) {
   }
 }
 
+size_t Table::FindBucket(const Value& key) const {
+  if (buckets_.empty()) return kNoSlot;
+  const uint64_t hash = key.Hash();
+  const size_t mask = buckets_.size() - 1;
+  for (size_t bucket = hash & mask; buckets_[bucket].slot != kNoSlot;
+       bucket = (bucket + 1) & mask) {
+    if (buckets_[bucket].hash == hash &&
+        rows_[buckets_[bucket].slot][pk_index_] == key) {
+      return bucket;
+    }
+  }
+  return kNoSlot;
+}
+
+void Table::ReserveIndex(size_t entries) {
+  if (2 * entries <= buckets_.size()) return;
+  size_t size = std::max(kMinBuckets, buckets_.size());
+  while (size < 2 * entries) size *= 2;
+  // Reinsert by the stored hashes: no key is read or compared.
+  std::vector<Bucket> old = std::exchange(buckets_, std::vector<Bucket>(size));
+  const size_t mask = size - 1;
+  for (const Bucket& entry : old) {
+    if (entry.slot == kNoSlot) continue;
+    size_t bucket = entry.hash & mask;
+    while (buckets_[bucket].slot != kNoSlot) bucket = (bucket + 1) & mask;
+    buckets_[bucket] = entry;
+  }
+}
+
+void Table::EraseBucket(size_t hole) {
+  const size_t mask = buckets_.size() - 1;
+  for (size_t next = (hole + 1) & mask; buckets_[next].slot != kNoSlot;
+       next = (next + 1) & mask) {
+    // The entry at `next` may fill the hole only when the hole lies on its
+    // probe path, i.e. its home is no nearer to `next` than the hole is.
+    const size_t home = buckets_[next].hash & mask;
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      buckets_[hole] = buckets_[next];
+      hole = next;
+    }
+  }
+  buckets_[hole] = Bucket{};
+}
+
 Status Table::Insert(Row row) {
   SCD_RETURN_IF_ERROR(ValidateRow(row));
-  // Single hash probe: try_emplace inserts a placeholder slot, the upsert
-  // branch reuses the existing one.
-  auto [it, inserted] = primary_.try_emplace(row[pk_index_], rows_.size());
-  if (!inserted) {
-    // Upsert: replace in place, fixing secondary index entries.
-    size_t slot = it->second;
-    UnindexRow(slot);
-    rows_[slot] = std::move(row);
-    IndexRow(slot);
-    BumpVersion();
-    return Status::OK();
+  ReserveIndex(live_count_ + 1);
+  // One probe run finds either the key (upsert) or the free bucket the new
+  // row's slot goes into.
+  const uint64_t hash = row[pk_index_].Hash();
+  const size_t mask = buckets_.size() - 1;
+  size_t bucket = hash & mask;
+  for (; buckets_[bucket].slot != kNoSlot; bucket = (bucket + 1) & mask) {
+    const size_t slot = buckets_[bucket].slot;
+    if (buckets_[bucket].hash == hash &&
+        rows_[slot][pk_index_] == row[pk_index_]) {
+      // Upsert: replace in place, fixing secondary index entries.
+      UnindexRow(slot);
+      rows_[slot] = std::move(row);
+      IndexRow(slot);
+      BumpVersion();
+      return Status::OK();
+    }
   }
-  size_t slot = rows_.size();
+  const size_t slot = rows_.size();
+  buckets_[bucket] = {hash, slot};
   rows_.push_back(std::move(row));
   live_.push_back(true);
   ++live_count_;
@@ -117,10 +169,7 @@ Status Table::Insert(Row row) {
 void Table::ReserveAdditional(size_t additional) {
   ReserveGeometric(&rows_, rows_.size() + additional);
   ReserveGeometric(&live_, live_.size() + additional);
-  const size_t index_needed = primary_.size() + additional;
-  if (index_needed > primary_.bucket_count() * primary_.max_load_factor()) {
-    primary_.reserve(std::max(index_needed, 2 * primary_.size()));
-  }
+  ReserveIndex(live_count_ + additional);
 }
 
 Status Table::CreateIndex(std::string_view column) {
@@ -137,14 +186,14 @@ Status Table::CreateIndex(std::string_view column) {
 }
 
 Status Table::DeleteByPk(const Value& key) {
-  auto it = primary_.find(key);
-  if (it == primary_.end()) {
+  const size_t bucket = FindBucket(key);
+  if (bucket == kNoSlot) {
     return Status::NotFound("no row with primary key " + key.ToCqlLiteral() +
                             " in " + schema_.QualifiedName());
   }
-  size_t slot = it->second;
+  const size_t slot = buckets_[bucket].slot;
   UnindexRow(slot);
-  primary_.erase(it);
+  EraseBucket(bucket);
   live_[slot] = false;
   rows_[slot].clear();
   rows_[slot].shrink_to_fit();
@@ -154,12 +203,12 @@ Status Table::DeleteByPk(const Value& key) {
 }
 
 Result<const Row*> Table::GetByPk(const Value& key) const {
-  auto it = primary_.find(key);
-  if (it == primary_.end()) {
+  const size_t bucket = FindBucket(key);
+  if (bucket == kNoSlot) {
     return Status::NotFound("no row with primary key " + key.ToCqlLiteral() +
                             " in " + schema_.QualifiedName());
   }
-  return &rows_[it->second];
+  return &rows_[buckets_[bucket].slot];
 }
 
 Result<std::vector<const Row*>> Table::SelectEq(std::string_view column,
@@ -178,8 +227,8 @@ Result<std::vector<const Row*>> Table::SelectEq(std::string_view column,
     for (auto it = begin; it != end; ++it) {
       // Resolve the index entry through the base table (Cassandra's 2i read
       // path: index hit, then base-row fetch by primary key).
-      auto base = primary_.find(it->second[1]);
-      if (base != primary_.end()) result.push_back(&rows_[base->second]);
+      const size_t base = FindBucket(it->second[1]);
+      if (base != kNoSlot) result.push_back(&rows_[buckets_[base].slot]);
     }
     return result;
   }

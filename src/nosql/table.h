@@ -2,6 +2,12 @@
 /// \brief One column family: an in-memory partition (hash-indexed by primary
 /// key, Cassandra-style) plus hidden ordered secondary indexes, with binary
 /// segment serialization for on-disk persistence.
+///
+/// Rows live in a slot array in insertion order; a delete leaves a
+/// tombstone slot, and segments write the live slots in slot order. The
+/// primary index is a flat open-addressing table over those slots: an
+/// insert allocates nothing (outside growth) and copies no key, because the
+/// key is read from the row's slot and compared only on a hash match.
 
 #ifndef SCDWARF_NOSQL_TABLE_H_
 #define SCDWARF_NOSQL_TABLE_H_
@@ -9,7 +15,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -94,6 +99,24 @@ class Table {
   }
 
  private:
+  static constexpr size_t kNoSlot = ~size_t{0};
+  static constexpr size_t kMinBuckets = 16;
+  /// One primary-index bucket: the full hash of a live row's primary key
+  /// and the row's slot; kNoSlot marks a free bucket.
+  struct Bucket {
+    uint64_t hash = 0;
+    size_t slot = kNoSlot;
+  };
+
+  /// The bucket holding \p key, or kNoSlot when the key is absent.
+  size_t FindBucket(const Value& key) const;
+  /// Grows the bucket array (doubling) until \p entries keys fit at a load
+  /// factor of at most 1/2.
+  void ReserveIndex(size_t entries);
+  /// Empties \p bucket and shifts the rest of its probe run back, so every
+  /// entry stays reachable from its home bucket without tombstones.
+  void EraseBucket(size_t bucket);
+
   void BumpVersion() { version_.fetch_add(1, std::memory_order_acq_rel); }
   Status ValidateRow(const Row& row) const;
   void IndexRow(size_t row_index);
@@ -109,8 +132,12 @@ class Table {
   size_t pk_index_ = 0;
   std::vector<Row> rows_;        // slot array; erased slots are tombstones
   std::vector<bool> live_;
-  size_t live_count_ = 0;
-  std::unordered_map<Value, size_t, ValueHash> primary_;
+  size_t live_count_ = 0;  // live slots, which is also the index's entries
+  /// Primary index: open addressing with linear probing over a power-of-two
+  /// bucket array (empty until the first insert), kept at most half full.
+  /// A key's home bucket is the low bits of its Value::Hash(); deletes
+  /// shift later entries of the probe run back instead of leaving markers.
+  std::vector<Bucket> buckets_;
   /// Hidden index column families, one per indexed column. Cassandra models
   /// a secondary index as an internal table keyed by the indexed value whose
   /// entries are materialized rows (value, pk); maintaining one costs about
