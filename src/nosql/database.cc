@@ -1,11 +1,13 @@
 #include "nosql/database.h"
 
+#include <algorithm>
 #include <cctype>
 #include <condition_variable>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -99,6 +101,23 @@ Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
   return bytes;
 }
 
+/// One commit-log record: the delete flag, the table's names and the rows.
+std::vector<uint8_t> EncodeLogRecord(const std::string& keyspace,
+                                     const std::string& table,
+                                     const std::vector<Row>& rows,
+                                     bool is_delete) {
+  ByteWriter writer;
+  writer.PutU8(is_delete ? 1 : 0);
+  writer.PutString(keyspace);
+  writer.PutString(table);
+  writer.PutVarint(rows.size());
+  for (const Row& row : rows) {
+    writer.PutVarint(row.size());
+    for (const Value& value : row) value.EncodeTo(&writer);
+  }
+  return writer.TakeBuffer();
+}
+
 /// Encodes a table or keyspace name safely into a file name.
 std::string SanitizeName(const std::string& name) {
   std::string out;
@@ -114,8 +133,15 @@ std::string SanitizeName(const std::string& name) {
 
 }  // namespace
 
-/// \brief Background segment serializer: one worker thread drains a bounded
-/// queue of (keyspace, table) flush jobs.
+/// \brief Background segment serializer: a small fixed pool of worker
+/// threads drains a bounded queue of (keyspace, table) flush jobs, so the
+/// segments of different tables serialize concurrently.
+///
+/// No two flushes of one table ever run at once: a worker takes the oldest
+/// queued job whose table has no flush running. Otherwise an older
+/// serialization could reach disk after a newer one was marked flushed,
+/// and the next Flush() would skip the table as clean and delete the
+/// sidecar holding the rows the stale segment lacks.
 ///
 /// Enqueue() blocks while the queue is full (back-pressure against an
 /// ingester outrunning the disk), Wait() blocks until the queue and any
@@ -124,7 +150,11 @@ std::string SanitizeName(const std::string& name) {
 /// flush is ever dropped.
 class Database::Flusher {
  public:
-  explicit Flusher(Database* db) : db_(db), worker_([this] { Loop(); }) {}
+  explicit Flusher(Database* db) : db_(db) {
+    for (size_t i = 0; i < kWorkers; ++i) {
+      workers_.emplace_back([this] { Loop(); });
+    }
+  }
 
   ~Flusher() {
     {
@@ -133,7 +163,7 @@ class Database::Flusher {
     }
     wake_.notify_all();
     space_.notify_all();
-    worker_.join();
+    for (std::thread& worker : workers_) worker.join();
   }
 
   Status Enqueue(const std::string& keyspace, const std::string& table) {
@@ -156,36 +186,53 @@ class Database::Flusher {
   }
 
  private:
+  using Job = std::pair<std::string, std::string>;  ///< (keyspace, table)
+
   /// Bounded queue depth: enough to overlap serialization with ingestion,
   /// small enough that back-pressure caps memory held in pending jobs.
   static constexpr size_t kCapacity = 8;
+  /// Worker threads. A Store() flushes two large column families (nodes
+  /// and cells) and two small ones; four workers serialize them all at
+  /// once, and each holds at most one segment image in memory.
+  static constexpr size_t kWorkers = 4;
 
   void Loop() {
     std::unique_lock<std::mutex> lock(mu_);
     while (true) {
-      wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping, and fully drained
-      std::pair<std::string, std::string> job = std::move(queue_.front());
-      queue_.pop_front();
+      auto next = queue_.end();
+      wake_.wait(lock, [&] {
+        next = std::find_if(queue_.begin(), queue_.end(), [this](const Job& job) {
+          return running_.count(job) == 0;
+        });
+        return next != queue_.end() || (stopping_ && queue_.empty());
+      });
+      if (next == queue_.end()) return;  // stopping, and fully drained
+      Job job = std::move(*next);
+      queue_.erase(next);
+      running_.insert(job);
       space_.notify_all();
       lock.unlock();
       Status status = db_->FlushTableNow(job.first, job.second);
       lock.lock();
+      running_.erase(job);
       if (!status.ok() && first_error_.ok()) first_error_ = std::move(status);
       if (--in_flight_ == 0) drained_.notify_all();
+      // A job queued behind this table's flush may run now.
+      if (!queue_.empty()) wake_.notify_all();
     }
   }
 
   Database* db_;
   std::mutex mu_;
-  std::condition_variable wake_;     ///< worker: work available or stopping
+  std::condition_variable wake_;     ///< workers: a runnable job, or stopping
   std::condition_variable space_;    ///< producers: queue has room
   std::condition_variable drained_;  ///< barrier: all jobs completed
-  std::deque<std::pair<std::string, std::string>> queue_;
-  size_t in_flight_ = 0;  ///< queued + currently running
+  std::deque<Job> queue_;
+  std::set<Job> running_;  ///< tables with a flush in progress
+  size_t in_flight_ = 0;   ///< queued + currently running
   bool stopping_ = false;
   Status first_error_;
-  std::thread worker_;  // last member: starts after the state above exists
+  std::vector<std::thread> workers_;  // started last, once the state exists
 };
 
 Database::Database() : sync_(std::make_unique<Sync>()) {}
@@ -322,27 +369,29 @@ Result<std::shared_ptr<const Table>> Database::GetTable(
 
 Status Database::Insert(const std::string& keyspace, const std::string& table,
                         Row row) {
+  std::vector<Row> rows;
+  rows.push_back(std::move(row));
+  return BulkInsert(keyspace, table, std::move(rows));
+}
+
+Status Database::BulkInsert(const std::string& keyspace,
+                            const std::string& table, std::vector<Row> rows) {
+  trace::ScopedSpan span("nosql.bulk_insert");
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
+  // The log record is encoded before any lock is taken, so concurrent
+  // writers to different tables encode in parallel.
+  std::vector<uint8_t> record;
+  if (!data_dir_.empty()) {
+    trace::ScopedSpan encode_span("nosql.log_encode");
+    record = EncodeLogRecord(keyspace, table, rows, /*is_delete=*/false);
+  }
   // One shard-lock critical section covers the log append and the in-memory
   // apply, so no mutation straddles Flush()'s log rotation (which holds
   // every shard lock): a logged row is applied before the rotation cut or
   // logged entirely after it.
   std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
-  if (!data_dir_.empty()) {
-    std::lock_guard<std::mutex> log_lock(sync_->log_mu);
-    SCD_RETURN_IF_ERROR(AppendToCommitLog(keyspace, table, {row}));
-  }
-  return t->Insert(std::move(row));
-}
-
-Status Database::BulkInsert(const std::string& keyspace,
-                            const std::string& table, std::vector<Row> rows) {
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
-  std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
-  if (!data_dir_.empty()) {
-    std::lock_guard<std::mutex> log_lock(sync_->log_mu);
-    SCD_RETURN_IF_ERROR(AppendToCommitLog(keyspace, table, rows));
-  }
+  if (!data_dir_.empty()) SCD_RETURN_IF_ERROR(AppendToCommitLog(record));
+  trace::ScopedSpan apply_span("nosql.table_apply");
   t->ReserveAdditional(rows.size());
   for (Row& row : rows) {
     SCD_RETURN_IF_ERROR(t->Insert(std::move(row)));
@@ -359,16 +408,16 @@ Status Database::BulkDelete(const std::string& keyspace,
                             const std::string& table,
                             const std::vector<Value>& keys) {
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
-  std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
+  std::vector<uint8_t> record;
   if (!data_dir_.empty()) {
     // Deletes are logged as single-value rows with the delete flag set.
     std::vector<Row> key_rows;
     key_rows.reserve(keys.size());
     for (const Value& key : keys) key_rows.push_back({key});
-    std::lock_guard<std::mutex> log_lock(sync_->log_mu);
-    SCD_RETURN_IF_ERROR(
-        AppendToCommitLog(keyspace, table, key_rows, /*is_delete=*/true));
+    record = EncodeLogRecord(keyspace, table, key_rows, /*is_delete=*/true);
   }
+  std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
+  if (!data_dir_.empty()) SCD_RETURN_IF_ERROR(AppendToCommitLog(record));
   for (const Value& key : keys) {
     SCD_RETURN_IF_ERROR(t->DeleteByPk(key));
   }
@@ -465,6 +514,7 @@ Status Database::FlushTableNow(const std::string& keyspace,
     std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
     version = t->mutation_version();
     if (version == t->flushed_version()) return Status::OK();  // clean
+    trace::ScopedSpan serialize_span("nosql.serialize");
     t->SerializeTo(&writer);
   }
   // The segment is written under the catalog shared lock: a concurrent
@@ -573,28 +623,18 @@ Status Database::RotateCommitLog() {
   return Status::OK();
 }
 
-Status Database::AppendToCommitLog(const std::string& keyspace,
-                                   const std::string& table,
-                                   const std::vector<Row>& rows,
-                                   bool is_delete) {
-  ByteWriter writer;
-  writer.PutU8(is_delete ? 1 : 0);
-  writer.PutString(keyspace);
-  writer.PutString(table);
-  writer.PutVarint(rows.size());
-  for (const Row& row : rows) {
-    writer.PutVarint(row.size());
-    for (const Value& value : row) value.EncodeTo(&writer);
-  }
+Status Database::AppendToCommitLog(const std::vector<uint8_t>& record) {
+  trace::ScopedSpan span("nosql.log_append");
+  std::lock_guard<std::mutex> log_lock(sync_->log_mu);
   std::ofstream out(CommitLogPath(), std::ios::binary | std::ios::app);
   if (!out) return Status::IoError("cannot open commit log");
   // Length-prefixed record so replay can find batch boundaries.
   ByteWriter framed;
-  framed.PutU32(static_cast<uint32_t>(writer.size()));
+  framed.PutU32(static_cast<uint32_t>(record.size()));
   out.write(reinterpret_cast<const char*>(framed.data().data()),
             static_cast<std::streamsize>(framed.size()));
-  out.write(reinterpret_cast<const char*>(writer.data().data()),
-            static_cast<std::streamsize>(writer.size()));
+  out.write(reinterpret_cast<const char*>(record.data()),
+            static_cast<std::streamsize>(record.size()));
   if (!out) return Status::IoError("short write to commit log");
   return Status::OK();
 }

@@ -35,8 +35,10 @@ namespace scdwarf::nosql {
 /// table become no-ops on an orphan. Reads concurrent with writes to the
 /// *same* table are not synchronized; callers partition work so one table
 /// has one writer at a time or accept shard-lock serialization.
-/// FlushTableAsync() hands segment serialization to a background flusher
-/// thread with a bounded queue; WaitFlushed() is the completion barrier.
+/// FlushTableAsync() hands segment serialization to a small pool of
+/// background flusher threads with a bounded queue (different tables
+/// serialize concurrently, one table never twice at once); WaitFlushed()
+/// is the completion barrier.
 ///
 /// Durability: each mutation appends to the commit log and applies to the
 /// table under one shard-lock critical section, so no mutation straddles
@@ -55,7 +57,7 @@ class Database {
   static Result<Database> Open(const std::string& data_dir);
 
   /// Moving drains and stops both databases' flusher threads first (they
-  /// hold back-pointers); the flusher restarts lazily on the next async
+  /// hold back-pointers); the flusher pool restarts lazily on the next async
   /// flush. Concurrent use of a Database while it is being moved is UB, as
   /// for any standard type.
   Database(Database&&) noexcept;
@@ -82,7 +84,9 @@ class Database {
   Status Insert(const std::string& keyspace, const std::string& table, Row row);
 
   /// Applies many inserts into one table with a single commit-log append —
-  /// the paper's "executed in a bulk process" (§4).
+  /// the paper's "executed in a bulk process" (§4). The record is encoded
+  /// before any lock is taken; the append and the apply share one
+  /// shard-lock critical section.
   Status BulkInsert(const std::string& keyspace, const std::string& table,
                     std::vector<Row> rows);
 
@@ -103,7 +107,7 @@ class Database {
   Status Flush();
 
   /// Queues one column family for serialization on the background flusher
-  /// thread and returns once the job is accepted (blocking only while the
+  /// pool and returns once the job is accepted (blocking only while the
   /// bounded queue is full). Clean tables — no mutations since their last
   /// flush — are skipped when the job runs. No-op in memory mode.
   Status FlushTableAsync(const std::string& keyspace, const std::string& table);
@@ -138,8 +142,10 @@ class Database {
     std::mutex flusher_mu;  ///< lazy flusher creation
   };
 
-  Status AppendToCommitLog(const std::string& keyspace, const std::string& table,
-                           const std::vector<Row>& rows, bool is_delete = false);
+  /// Appends one encoded record to the live commit log under log_mu. The
+  /// caller holds the table's shard lock and applies the mutation before
+  /// releasing it.
+  Status AppendToCommitLog(const std::vector<uint8_t>& record);
   /// Replays the rotated sidecar (crash mid-flush) then the live log.
   Status ReplayCommitLog();
   Status ReplayCommitLogFile(const std::string& path);
@@ -156,7 +162,7 @@ class Database {
   std::mutex& TableLock(const std::string& keyspace,
                         const std::string& table) const;
 
-  /// Serializes one column family to its segment file (runs on the flusher
+  /// Serializes one column family to its segment file (runs on a flusher
   /// thread). Tables dropped since enqueue, or clean since their last
   /// flush, are skipped; the segment hits disk under the catalog shared
   /// lock so a racing DropTable cannot have its file removal overwritten.
