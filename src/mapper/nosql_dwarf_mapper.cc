@@ -10,7 +10,6 @@
 #include "mapper/id_map.h"
 #include "mapper/parallel_apply.h"
 #include "mapper/parallel_rows.h"
-#include "mapper/row_batcher.h"
 #include "mapper/stored_cube.h"
 #include "nosql/cql.h"
 
@@ -105,8 +104,6 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
       dwarf::ComputeParentIds(cube);
 
   NoSqlStoreStats local_stats;
-  RowBatcher<nosql::Database> node_batch(db_, keyspace_, kNodeCf);
-  RowBatcher<nosql::Database> cell_batch(db_, keyspace_, kCellCf);
 
   const std::vector<std::string> kSchemaCols = {
       "id", "node_count", "cell_count", "size_as_mb", "entry_node_id",
@@ -118,7 +115,8 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
       "leaf", "schema_id", "dimension_table_name"};
 
   // §4 / Fig. 3 statement mode: render each row as a textual CQL INSERT and
-  // execute it; bulk mode stages rows through bounded mutation batches.
+  // execute it; bulk mode applies each generated chunk as one mutation
+  // batch per column family.
   auto insert_cql = [this, &local_stats](const std::string& table,
                                          const std::vector<std::string>& cols,
                                          const Row& row) -> Status {
@@ -152,10 +150,11 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
   }
 
   // Row serialization: generation (key decoding, Value construction) runs on
-  // worker threads in node chunks; application happens in chunk order —
-  // serially here, or with more than one thread pushed onto one ordered
-  // ApplyLane per column family so the node and cell inserts overlap. Either
-  // way each table receives the exact serial row sequence.
+  // worker threads in node chunks; application happens in chunk order, one
+  // BulkInsert per chunk and column family — serially here, or with more
+  // than one thread pushed onto one ordered ApplyLane per column family so
+  // the node and cell inserts overlap to the last chunk. Either way each
+  // table receives the exact serial row sequence.
   struct NodeCellRows {
     std::vector<Row> node_rows;
     std::vector<Row> cell_rows;
@@ -218,57 +217,44 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
     }
     return out;
   };
+  // One chunk's rows for one column family: a single BulkInsert, on the
+  // table's lane when laned.
+  auto insert_chunk = [&](std::optional<ApplyLane>& lane, const char* table,
+                          std::vector<Row> rows) -> Status {
+    if (rows.empty()) return Status::OK();
+    if (!lane) return db_->BulkInsert(keyspace_, table, std::move(rows));
+    // std::function requires copyable callables, so the moved row chunk
+    // rides in a shared_ptr.
+    auto chunk = std::make_shared<std::vector<Row>>(std::move(rows));
+    return lane->Push([this, table, chunk]() -> Status {
+      return db_->BulkInsert(keyspace_, table, std::move(*chunk));
+    });
+  };
   auto apply = [&](NodeCellRows rows) -> Status {
     local_stats.node_rows += rows.node_rows.size();
     local_stats.cell_rows += rows.cell_rows.size();
-    if (laned) {
-      // std::function requires copyable callables, so the moved row chunks
-      // ride in shared_ptrs.
-      auto node_rows =
-          std::make_shared<std::vector<Row>>(std::move(rows.node_rows));
-      auto cell_rows =
-          std::make_shared<std::vector<Row>>(std::move(rows.cell_rows));
-      SCD_RETURN_IF_ERROR(node_lane->Push([&node_batch, node_rows]() -> Status {
-        for (Row& row : *node_rows) {
-          SCD_RETURN_IF_ERROR(node_batch.Add(std::move(row)));
-        }
-        return Status::OK();
-      }));
-      SCD_RETURN_IF_ERROR(cell_lane->Push([&cell_batch, cell_rows]() -> Status {
-        for (Row& row : *cell_rows) {
-          SCD_RETURN_IF_ERROR(cell_batch.Add(std::move(row)));
-        }
-        return Status::OK();
-      }));
+    if (options.via_cql_statements) {
+      for (const Row& row : rows.node_rows) {
+        SCD_RETURN_IF_ERROR(insert_cql(kNodeCf, kNodeCols, row));
+      }
+      for (const Row& row : rows.cell_rows) {
+        SCD_RETURN_IF_ERROR(insert_cql(kCellCf, kCellCols, row));
+      }
       return Status::OK();
     }
-    for (Row& row : rows.node_rows) {
-      if (options.via_cql_statements) {
-        SCD_RETURN_IF_ERROR(insert_cql(kNodeCf, kNodeCols, row));
-      } else {
-        SCD_RETURN_IF_ERROR(node_batch.Add(std::move(row)));
-      }
-    }
-    for (Row& row : rows.cell_rows) {
-      if (options.via_cql_statements) {
-        SCD_RETURN_IF_ERROR(insert_cql(kCellCf, kCellCols, row));
-      } else {
-        SCD_RETURN_IF_ERROR(cell_batch.Add(std::move(row)));
-      }
-    }
-    return Status::OK();
+    SCD_RETURN_IF_ERROR(
+        insert_chunk(node_lane, kNodeCf, std::move(rows.node_rows)));
+    return insert_chunk(cell_lane, kCellCf, std::move(rows.cell_rows));
   };
   Stopwatch apply_watch;
   Status chunks_status = GenerateApplyChunks<NodeCellRows>(
       threads, ids.visit_order.size(), kDefaultRowChunkItems, generate, apply);
-  // Join the lanes before touching the batchers they own, even on error.
+  // Join the lanes even on error: their tasks reference this frame.
   Status node_lane_status = node_lane ? node_lane->Finish() : Status::OK();
   Status cell_lane_status = cell_lane ? cell_lane->Finish() : Status::OK();
   SCD_RETURN_IF_ERROR(chunks_status);
   SCD_RETURN_IF_ERROR(node_lane_status);
   SCD_RETURN_IF_ERROR(cell_lane_status);
-  SCD_RETURN_IF_ERROR(node_batch.Flush());
-  SCD_RETURN_IF_ERROR(cell_batch.Flush());
   local_stats.apply_ms = apply_watch.ElapsedMillis();
 
   // Metadata extension rows.

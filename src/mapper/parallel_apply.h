@@ -7,8 +7,9 @@
 /// tables the apply phase serializes behind one thread. An ApplyLane moves
 /// the per-table application onto its own worker: the mapper pushes one
 /// closure per (chunk, table) and each lane drains its queue in push order.
-/// Because a single worker owns each table's batcher, rows reach every table
-/// in exactly the serial order — segment bytes stay byte-identical to the
+/// Because a single worker applies every chunk of its table (through a
+/// batcher, or one BulkInsert per chunk), rows reach every table in exactly
+/// the serial order — segment bytes stay byte-identical to the
 /// single-threaded apply — while different tables' inserts overlap. The
 /// engines' per-table shard locks make the concurrent BulkInserts safe.
 ///
