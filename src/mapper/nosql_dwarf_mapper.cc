@@ -249,7 +249,7 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
   Stopwatch apply_watch;
   Status chunks_status = GenerateApplyChunks<NodeCellRows>(
       threads, ids.visit_order.size(), kDefaultRowChunkItems, generate, apply);
-  // Join the lanes even on error: their tasks reference this frame.
+  // Join the lanes even on error, so no insert outlives this call.
   Status node_lane_status = node_lane ? node_lane->Finish() : Status::OK();
   Status cell_lane_status = cell_lane ? cell_lane->Finish() : Status::OK();
   SCD_RETURN_IF_ERROR(chunks_status);

@@ -201,9 +201,10 @@ class Database::Flusher {
     while (true) {
       auto next = queue_.end();
       wake_.wait(lock, [&] {
-        next = std::find_if(queue_.begin(), queue_.end(), [this](const Job& job) {
-          return running_.count(job) == 0;
-        });
+        next = std::find_if(queue_.begin(), queue_.end(),
+                            [this](const Job& job) {
+                              return running_.count(job) == 0;
+                            });
         return next != queue_.end() || (stopping_ && queue_.empty());
       });
       if (next == queue_.end()) return;  // stopping, and fully drained
