@@ -35,6 +35,9 @@ struct NodeListHash {
   }
 };
 
+/// SuffixCoalesce results by sorted input ids.
+using MergeMemo = std::unordered_map<std::vector<NodeId>, NodeId, NodeListHash>;
+
 }  // namespace
 
 /// \brief Stateful construction pass over the sorted, deduplicated tuples.
@@ -95,7 +98,7 @@ class DwarfBuilder::Impl {
   ///   BeginStitch(split, nodes);
   ///   for each group: StitchBoundary(first, prev);  // closes, then opens
   ///                   <append the group's rebased arena to nodes>
-  ///                   WireGroupRoot(rebased_root);
+  ///                   WireGroupRoot(rebased_root, begin, &group_memo);
   ///   root = FinishStitch();
   ///
   /// StitchBoundary runs *before* the group's arena is appended because the
@@ -127,8 +130,16 @@ class DwarfBuilder::Impl {
   }
 
   /// Wires the just-appended group's subtree root into the pending
-  /// split-level cell opened by StitchBoundary.
-  void WireGroupRoot(NodeId root) { open_[stitch_split_].back().child = root; }
+  /// split-level cell opened by StitchBoundary, and makes the group's merge
+  /// memo (keyed by its local ids; it must outlive the stitch) visible to
+  /// later top-phase merges. \p begin is the group's first id in the arena.
+  void WireGroupRoot(NodeId root, NodeId begin, const MergeMemo* memo) {
+    open_[stitch_split_].back().child = root;
+    groups_.push_back({begin, static_cast<NodeId>(nodes_->size()), memo});
+  }
+
+  /// Hands over the merge memo of a finished Run.
+  MergeMemo TakeMergeMemo() { return std::move(merge_memo_); }
 
   /// Final cascade: closes split..0 and returns the root id.
   NodeId FinishStitch() {
@@ -140,6 +151,29 @@ class DwarfBuilder::Impl {
   }
 
  private:
+  /// A group stitched into the arena: its id range [begin, end) and the
+  /// memo its own sweep built.
+  struct StitchedGroup {
+    NodeId begin;
+    NodeId end;
+    const MergeMemo* memo;
+  };
+
+  /// Looks up a sorted memo key in the memo of the stitched group whose id
+  /// range holds every id of the key; kNullNode when there is none.
+  NodeId FindInGroupMemo(const std::vector<NodeId>& key) {
+    auto group = std::upper_bound(
+        groups_.begin(), groups_.end(), key.front(),
+        [](NodeId id, const StitchedGroup& g) { return id < g.begin; });
+    if (group == groups_.begin()) return kNullNode;
+    --group;
+    if (key.back() >= group->end) return kNullNode;
+    local_key_.clear();
+    for (NodeId id : key) local_key_.push_back(id - group->begin);
+    auto it = group->memo->find(local_key_);
+    return it == group->memo->end() ? kNullNode : it->second + group->begin;
+  }
+
   DwarfCell MakeCell(const Tuple& tuple, size_t level) const {
     DwarfCell cell;
     cell.key = tuple.keys[level];
@@ -208,6 +242,8 @@ class DwarfBuilder::Impl {
       std::sort(memo_key.begin(), memo_key.end());
       auto it = merge_memo_.find(memo_key);
       if (it != merge_memo_.end()) return it->second;
+      NodeId hit = FindInGroupMemo(memo_key);
+      if (hit != kNullNode) return hit;
     }
 
     // Gather all input cells and sort by key; equal keys group together.
@@ -278,7 +314,9 @@ class DwarfBuilder::Impl {
   std::vector<DwarfNode>* nodes_ = nullptr;
   std::vector<std::vector<DwarfCell>> open_;
   size_t stitch_split_ = 0;
-  std::unordered_map<std::vector<NodeId>, NodeId, NodeListHash> merge_memo_;
+  MergeMemo merge_memo_;
+  std::vector<StitchedGroup> groups_;  ///< ascending begin ids
+  std::vector<NodeId> local_key_;      ///< FindInGroupMemo scratch
 };
 
 DwarfBuilder::DwarfBuilder(CubeSchema schema, BuilderOptions options)
@@ -446,17 +484,21 @@ void DwarfBuilder::SortAndAggregate(int num_threads) {
 // split-level cell, and FinishStitch replays the final cascade for levels
 // s..0 in descending order.
 //
-// The merge memo never spans phases either: memo keys recorded while a
-// group is open consist solely of that group's ids (contiguous, disjoint
-// ranges in serial), while keys recorded or looked up during boundary/final
-// closes contain either >= 2 distinct groups' subtree-root ids or ids of
-// earlier top-phase nodes (a size-one input set is shared/copied, never
-// memoized, and cells within one node have distinct keys, so every memoized
-// top-phase merge draws from >= 2 children). Serial top-phase lookups
-// therefore never hit group-internal entries and vice versa, so building
-// each group with a fresh Impl and closing the top with another fresh Impl
-// reproduces the serial arena id-for-id — for any thread count, any split
-// level, and every ablation combination.
+// The merge memo is where the two sweeps could part. Keys recorded while a
+// group is open consist solely of that group's ids, so a fresh Impl per
+// group finds exactly the entries the serial memo would hold for it. A
+// boundary or final close, however, can reach a merge whose inputs all lie
+// inside one earlier group: suffix coalescing lets a top-phase node's cells
+// share children from a group's subtree, and merging those recurses into
+// the group's own nodes. The serial sweep finds such a key in the memo
+// entries the group recorded. So each group's memo is kept, keyed by its
+// local ids, until the stitch ends, and a top-phase miss whose ids all fall
+// inside one stitched group's id range is looked up there, de-rebased.
+// Every other top-phase key holds ids of >= 2 groups or of top-phase nodes,
+// which only the top Impl's own memo can hold. Group-phase lookups never
+// need top-phase entries, which hold only ids below the group's range. With
+// that, the stitched arena equals the serial one id for id — for any thread
+// count, any split level, and every ablation combination.
 Result<NodeId> DwarfBuilder::ConstructSweep(int num_threads,
                                             std::vector<DwarfNode>* nodes,
                                             int* sweep_tasks) {
@@ -512,6 +554,7 @@ Result<NodeId> DwarfBuilder::ConstructSweep(int num_threads,
       struct Subtree {
         std::vector<DwarfNode> nodes;
         NodeId root = kNullNode;
+        MergeMemo memo;
       };
       std::vector<Subtree> built(groups.size());
       Status first_error;
@@ -541,6 +584,7 @@ Result<NodeId> DwarfBuilder::ConstructSweep(int num_threads,
                                              &built[g].nodes);
               if (root.ok()) {
                 built[g].root = *root;
+                built[g].memo = impl.TakeMergeMemo();
               } else {
                 failed.store(true, std::memory_order_relaxed);
                 std::lock_guard<std::mutex> lock(error_mu);
@@ -571,7 +615,7 @@ Result<NodeId> DwarfBuilder::ConstructSweep(int num_threads,
           }
           nodes->push_back(std::move(node));
         }
-        top_impl.WireGroupRoot(offset + built[g].root);
+        top_impl.WireGroupRoot(offset + built[g].root, offset, &built[g].memo);
         prev = &first;
       }
       return top_impl.FinishStitch();
