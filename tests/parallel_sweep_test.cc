@@ -1,6 +1,6 @@
 // Thread-count matrix for the parallel construction sweep and the parallel
 // store apply: DwarfBuilder::Build with num_threads in {1, 2, 8} must produce
-// bit-identical cube arenas (structure, statistics, bytes), and storing a
+// node-for-node identical cube arenas (and so statistics), and storing a
 // cube into a durable nosql database with any thread count must write
 // byte-identical segment files — the parallel paths are pure speedups, never
 // observable behavior. Also: concurrent first stats() calls on a merged cube
@@ -18,10 +18,13 @@
 #include <utility>
 #include <vector>
 
+#include "citibikes/bike_feed.h"
 #include "dwarf/builder.h"
 #include "dwarf/dwarf_cube.h"
 #include "dwarf/query.h"
 #include "dwarf/update.h"
+#include "etl/parallel_pipeline.h"
+#include "expect_same_arena.h"
 #include "mapper/nosql_dwarf_mapper.h"
 #include "nosql/database.h"
 
@@ -53,16 +56,47 @@ DwarfBuilder MakeSeededBuilder(BuilderOptions options) {
   return builder;
 }
 
+// The bikes XML feed over 7 days (24 stations, 12,000 records), extracted
+// and mapped record by record. Its boundary closes reach merges whose
+// inputs all lie inside one group, which the group's own sweep memoized.
+DwarfBuilder MakeBikesWeekBuilder(BuilderOptions options) {
+  citibikes::BikeFeedConfig config;
+  config.num_stations = 24;
+  config.period_seconds = 7 * 24 * 3600;
+  config.target_records = 12000;
+  citibikes::BikeFeedGenerator feed(config);
+  CubeSchema schema = etl::MakeBikesCubeSchema();
+  auto extractor = etl::XmlExtractor::Create("station", etl::BikesFieldSpecs());
+  auto mapper = etl::TupleMapper::Create(schema, etl::BikesDimensionMappings(),
+                                         "available_bikes");
+  EXPECT_TRUE(extractor.ok() && mapper.ok());
+  DwarfBuilder builder(schema, options);
+  while (feed.HasNext()) {
+    auto records = extractor->Extract(feed.NextXml());
+    EXPECT_TRUE(records.ok()) << records.status();
+    for (const etl::FeedRecord& record : *records) {
+      auto mapped = mapper->Map(record);
+      EXPECT_TRUE(mapped.ok()) << mapped.status();
+      EXPECT_TRUE(builder.AddTuple(mapped->first, mapped->second).ok());
+    }
+  }
+  return builder;
+}
+
+using MakeBuilderFn = DwarfBuilder (*)(BuilderOptions);
+
 DwarfCube BuildWithThreads(int threads, BuildProfile* profile,
-                           BuilderOptions options = {}) {
+                           BuilderOptions options = {},
+                           MakeBuilderFn make = &MakeSeededBuilder) {
   options.num_threads = threads;
-  DwarfBuilder builder = MakeSeededBuilder(options);
+  DwarfBuilder builder = make(options);
   auto cube = std::move(builder).Build(profile);
   EXPECT_TRUE(cube.ok()) << cube.status();
   return std::move(*cube);
 }
 
 void ExpectBitIdentical(const DwarfCube& serial, const DwarfCube& parallel) {
+  ExpectSameArena(serial, parallel);
   EXPECT_TRUE(serial.StructurallyEquals(parallel));
   EXPECT_EQ(serial.stats().node_count, parallel.stats().node_count);
   EXPECT_EQ(serial.stats().cell_count, parallel.stats().cell_count);
@@ -80,17 +114,20 @@ void ExpectBitIdentical(const DwarfCube& serial, const DwarfCube& parallel) {
 }
 
 TEST(ParallelSweepTest, ThreadMatrixProducesBitIdenticalCubes) {
-  BuildProfile serial_profile;
-  DwarfCube serial = BuildWithThreads(1, &serial_profile);
-  EXPECT_EQ(serial_profile.sweep_tasks, 0);  // exact serial path
+  for (MakeBuilderFn make : {&MakeSeededBuilder, &MakeBikesWeekBuilder}) {
+    SCOPED_TRACE(make == &MakeSeededBuilder ? "seeded" : "bikes week");
+    BuildProfile serial_profile;
+    DwarfCube serial = BuildWithThreads(1, &serial_profile, {}, make);
+    EXPECT_EQ(serial_profile.sweep_tasks, 0);  // exact serial path
 
-  for (int threads : {2, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    BuildProfile profile;
-    DwarfCube parallel = BuildWithThreads(threads, &profile);
-    // The sweep actually split into per-first-dimension subtree tasks.
-    EXPECT_GT(profile.sweep_tasks, 1);
-    ExpectBitIdentical(serial, parallel);
+    for (int threads : {2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      BuildProfile profile;
+      DwarfCube parallel = BuildWithThreads(threads, &profile, {}, make);
+      // The sweep actually split into per-first-dimension subtree tasks.
+      EXPECT_GT(profile.sweep_tasks, 1);
+      ExpectBitIdentical(serial, parallel);
+    }
   }
 }
 
