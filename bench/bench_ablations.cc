@@ -19,7 +19,7 @@
 #include "citibikes/bike_feed.h"
 #include "common/stopwatch.h"
 #include "dwarf/builder.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 #include "mapper/id_map.h"
 #include "mapper/nosql_dwarf_mapper.h"
 #include "mapper/nosql_min_mapper.h"
@@ -146,8 +146,8 @@ Result<dwarf::DwarfCube> BuildWithOptions(dwarf::BuilderOptions options) {
   config.target_records = 20000;
   config.period_seconds = 3 * 24 * 3600;
   citibikes::BikeFeedGenerator feed(config);
-  SCD_ASSIGN_OR_RETURN(etl::CubePipeline pipeline,
-                       etl::MakeBikesXmlPipeline(options));
+  SCD_ASSIGN_OR_RETURN(etl::ParallelCubePipeline pipeline,
+                       etl::MakeBikesXmlParallelPipeline(options));
   while (feed.HasNext()) {
     SCD_RETURN_IF_ERROR(pipeline.ConsumeXml(feed.NextXml()));
   }

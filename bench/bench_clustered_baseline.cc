@@ -19,7 +19,7 @@
 #include "bench_util.h"
 #include "citibikes/bike_feed.h"
 #include "clustered/flat_file.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 #include "mapper/nosql_dwarf_mapper.h"
 #include "nosql/database.h"
 
@@ -44,7 +44,8 @@ Result<dwarf::DwarfCube> BuildBaselineCube() {
   config.target_records = kTuples;
   config.period_seconds = 60ll * 24 * 3600;
   citibikes::BikeFeedGenerator feed(config);
-  SCD_ASSIGN_OR_RETURN(etl::CubePipeline pipeline, etl::MakeBikesXmlPipeline());
+  SCD_ASSIGN_OR_RETURN(etl::ParallelCubePipeline pipeline,
+                       etl::MakeBikesXmlParallelPipeline());
   while (feed.HasNext()) {
     SCD_RETURN_IF_ERROR(pipeline.ConsumeXml(feed.NextXml()));
   }

@@ -7,7 +7,7 @@
 
 #include "citibikes/bike_feed.h"
 #include "dwarf/builder.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 #include "json/json_parser.h"
 #include "xml/xml_parser.h"
 
@@ -33,7 +33,7 @@ void BM_EndToEndPipeline(benchmark::State& state) {
   uint64_t records = static_cast<uint64_t>(state.range(0));
   std::vector<std::string> documents = FeedDocuments(records, false);
   for (auto _ : state) {
-    auto pipeline = etl::MakeBikesXmlPipeline();
+    auto pipeline = etl::MakeBikesXmlParallelPipeline();
     if (!pipeline.ok()) {
       state.SkipWithError(pipeline.status().ToString().c_str());
       return;
@@ -67,32 +67,14 @@ void BM_BuilderOnly(benchmark::State& state) {
   // Pre-extract tuples once; measure pure DWARF construction.
   uint64_t records = static_cast<uint64_t>(state.range(0));
   std::vector<std::string> documents = FeedDocuments(records, false);
-  auto seed_pipeline = etl::MakeBikesXmlPipeline();
   std::vector<std::vector<std::string>> keys;
   std::vector<dwarf::Measure> measures;
   {
-    // Reuse the pipeline's extractor/mapper through a tiny local harness.
-    auto extractor = etl::XmlExtractor::Create(
-        "station",
-        {{"name", "name", etl::FieldScope::kRecord, true, ""},
-         {"area", "area", etl::FieldScope::kRecord, true, ""},
-         {"bike_stands", "bike_stands", etl::FieldScope::kRecord, true, ""},
-         {"available_bikes", "available_bikes", etl::FieldScope::kRecord, true,
-          ""},
-         {"status", "status", etl::FieldScope::kRecord, false, "UNKNOWN"},
-         {"last_update", "last_update", etl::FieldScope::kRecord, true, ""}});
-    auto schema = etl::MakeBikesCubeSchema();
-    auto mapper = etl::TupleMapper::Create(
-        schema,
-        {{"last_update", etl::Transform::kMonthName},
-         {"last_update", etl::Transform::kDate},
-         {"last_update", etl::Transform::kWeekday},
-         {"last_update", etl::Transform::kHour},
-         {"area"},
-         {"name"},
-         {"status"},
-         {"bike_stands", etl::Transform::kBucket10}},
-        "available_bikes");
+    auto extractor =
+        etl::XmlExtractor::Create("station", etl::BikesFieldSpecs());
+    auto mapper = etl::TupleMapper::Create(etl::MakeBikesCubeSchema(),
+                                           etl::BikesDimensionMappings(),
+                                           "available_bikes");
     for (const std::string& document : documents) {
       auto records_result = extractor->Extract(document);
       for (const etl::FeedRecord& record : *records_result) {

@@ -13,7 +13,7 @@
 #include "bench_util.h"
 #include "citibikes/bike_feed.h"
 #include "common/strings.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 
 namespace {
 
@@ -37,7 +37,7 @@ void BM_GenerateAndBuild(benchmark::State& state, const std::string& dataset) {
       return;
     }
     citibikes::BikeFeedGenerator feed(citibikes::MakeFeedConfig(*spec));
-    auto pipeline = etl::MakeBikesXmlPipeline();
+    auto pipeline = etl::MakeBikesXmlParallelPipeline();
     if (!pipeline.ok()) {
       state.SkipWithError(pipeline.status().ToString().c_str());
       return;

@@ -12,7 +12,7 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "common/trace.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 #include "mapper/nosql_dwarf_mapper.h"
 #include "mapper/nosql_min_mapper.h"
 #include "mapper/sql_dwarf_mapper.h"
@@ -136,12 +136,9 @@ std::vector<std::string> SelectedDatasets() {
 }
 
 namespace {
-struct DatasetCache {
-  std::shared_ptr<const dwarf::DwarfCube> cube;
-  FeedStats feed;
-};
-std::map<std::string, DatasetCache>& Cache() {
-  static auto* cache = new std::map<std::string, DatasetCache>();
+std::map<std::string, std::shared_ptr<const dwarf::DwarfCube>>& Cache() {
+  static auto* cache =
+      new std::map<std::string, std::shared_ptr<const dwarf::DwarfCube>>();
   return *cache;
 }
 }  // namespace
@@ -149,37 +146,20 @@ std::map<std::string, DatasetCache>& Cache() {
 Result<std::shared_ptr<const dwarf::DwarfCube>> GetDatasetCube(
     const std::string& dataset) {
   auto it = Cache().find(dataset);
-  if (it != Cache().end()) return it->second.cube;
+  if (it != Cache().end()) return it->second;
 
   SCD_ASSIGN_OR_RETURN(citibikes::DatasetSpec spec,
                        citibikes::FindDataset(dataset));
-  citibikes::BikeFeedConfig config = citibikes::MakeFeedConfig(spec);
-  citibikes::BikeFeedGenerator feed(config);
-  SCD_ASSIGN_OR_RETURN(etl::CubePipeline pipeline, etl::MakeBikesXmlPipeline());
-  Stopwatch watch;
+  citibikes::BikeFeedGenerator feed(citibikes::MakeFeedConfig(spec));
+  SCD_ASSIGN_OR_RETURN(etl::ParallelCubePipeline pipeline,
+                       etl::MakeBikesXmlParallelPipeline());
   while (feed.HasNext()) {
     SCD_RETURN_IF_ERROR(pipeline.ConsumeXml(feed.NextXml()));
   }
-  double parse_ms = watch.ElapsedMillis();
-  etl::PipelineProfile profile;
-  SCD_ASSIGN_OR_RETURN(dwarf::DwarfCube cube,
-                       std::move(pipeline).Finish(&profile));
-  DatasetCache entry;
-  entry.feed.documents = feed.documents_emitted();
-  entry.feed.records = feed.records_emitted();
-  entry.feed.raw_bytes = feed.bytes_emitted();
-  entry.feed.parse_ms = parse_ms;
-  entry.feed.sort_ms = profile.build.sort_ms;
-  entry.feed.construct_ms = profile.build.construct_ms;
-  entry.feed.parse_build_ms = watch.ElapsedMillis();
-  entry.cube = std::make_shared<const dwarf::DwarfCube>(std::move(cube));
-  Cache()[dataset] = entry;
-  return entry.cube;
-}
-
-Result<FeedStats> GetDatasetFeedStats(const std::string& dataset) {
-  SCD_RETURN_IF_ERROR(GetDatasetCube(dataset).status());
-  return Cache()[dataset].feed;
+  SCD_ASSIGN_OR_RETURN(dwarf::DwarfCube cube, std::move(pipeline).Finish());
+  auto shared = std::make_shared<const dwarf::DwarfCube>(std::move(cube));
+  Cache()[dataset] = shared;
+  return shared;
 }
 
 void EvictDatasetCube(const std::string& dataset) { Cache().erase(dataset); }

@@ -51,20 +51,6 @@ std::vector<std::string> SelectedDatasets();
 Result<std::shared_ptr<const dwarf::DwarfCube>> GetDatasetCube(
     const std::string& dataset);
 
-/// \brief Feed statistics captured while building a dataset cube.
-struct FeedStats {
-  uint64_t documents = 0;
-  uint64_t records = 0;
-  uint64_t raw_bytes = 0;
-  double parse_ms = 0;        ///< extraction + mapping (the Consume loop)
-  double sort_ms = 0;         ///< builder tuple sort + duplicate aggregation
-  double construct_ms = 0;    ///< DWARF construction sweep
-  double parse_build_ms = 0;  ///< end-to-end feed -> cube wall time
-};
-
-/// \brief Stats recorded by the last GetDatasetCube build of \p dataset.
-Result<FeedStats> GetDatasetFeedStats(const std::string& dataset);
-
 /// \brief Drops a dataset cube from the cache (frees memory between the
 /// sweep's datasets; the SMonth cube alone holds hundreds of MB).
 void EvictDatasetCube(const std::string& dataset);

@@ -13,7 +13,7 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "dwarf/query.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 #include "mapper/dimension_table.h"
 #include "mapper/nosql_dwarf_mapper.h"
 #include "nosql/cql.h"
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   citibikes::BikeFeedGenerator feed(config);
 
   // 2. Stream it through the 8-dimension cube pipeline.
-  auto pipeline = etl::MakeBikesXmlPipeline();
+  auto pipeline = etl::MakeBikesXmlParallelPipeline();
   if (!pipeline.ok()) {
     std::cerr << pipeline.status() << "\n";
     return 1;

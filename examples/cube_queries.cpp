@@ -15,7 +15,7 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "dwarf/query.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 
 using namespace scdwarf;
 
@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   config.target_records = records;
   config.period_seconds = 7 * 24 * 3600;
   citibikes::BikeFeedGenerator feed(config);
-  auto pipeline = etl::MakeBikesXmlPipeline();
+  auto pipeline = etl::MakeBikesXmlParallelPipeline();
   if (!pipeline.ok()) {
     std::cerr << pipeline.status() << "\n";
     return 1;

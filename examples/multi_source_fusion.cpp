@@ -10,7 +10,7 @@
 #include "dwarf/builder.h"
 #include "dwarf/query.h"
 #include "etl/extractor.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 #include "etl/tuple_mapper.h"
 
 using namespace scdwarf;
@@ -40,8 +40,8 @@ Result<dwarf::DwarfCube> BuildCarParkCube() {
            {"zone", "zone", etl::FieldScope::kRecord, true, ""},
            {"free_spaces", "free_spaces", etl::FieldScope::kRecord, true, ""},
            {"updated", "updated", etl::FieldScope::kRecord, true, ""}}));
-  etl::CubePipeline pipeline(schema, std::move(mapper), std::move(extractor),
-                             std::nullopt);
+  etl::ParallelCubePipeline pipeline(schema, std::move(mapper),
+                                     std::move(extractor), std::nullopt);
   citibikes::CarParkFeedGenerator feed(12, {2016, 1, 5, 6, 0, 0}, 1800, 11);
   for (int tick = 0; tick < 36; ++tick) {  // 6:00 .. 24:00, half-hourly
     SCD_RETURN_IF_ERROR(pipeline.ConsumeXml(feed.NextXml()));
@@ -72,8 +72,8 @@ Result<dwarf::DwarfCube> BuildAirQualityCube() {
            {"zone", "zone", etl::FieldScope::kRecord, true, ""},
            {"index", "index", etl::FieldScope::kRecord, true, ""},
            {"measured_at", "measured_at", etl::FieldScope::kRecord, true, ""}}));
-  etl::CubePipeline pipeline(schema, std::move(mapper), std::nullopt,
-                             std::move(extractor));
+  etl::ParallelCubePipeline pipeline(schema, std::move(mapper), std::nullopt,
+                                     std::move(extractor));
   citibikes::AirQualityFeedGenerator feed(8, {2016, 1, 5, 6, 0, 0}, 3600, 12);
   for (int tick = 0; tick < 18; ++tick) {
     SCD_RETURN_IF_ERROR(pipeline.ConsumeJson(feed.NextJson()));
@@ -103,8 +103,8 @@ Result<dwarf::DwarfCube> BuildAuctionCube() {
                   {"price", "price", etl::FieldScope::kRecord, true, ""},
                   {"closed_at", "closed_at", etl::FieldScope::kRecord, true,
                    ""}}));
-  etl::CubePipeline pipeline(schema, std::move(mapper), std::move(extractor),
-                             std::nullopt);
+  etl::ParallelCubePipeline pipeline(schema, std::move(mapper),
+                                     std::move(extractor), std::nullopt);
   citibikes::AuctionFeedGenerator feed({2016, 1, 5, 9, 0, 0}, 13);
   for (int batch = 0; batch < 12; ++batch) {
     SCD_RETURN_IF_ERROR(pipeline.ConsumeXml(feed.NextXml(25)));

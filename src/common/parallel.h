@@ -6,8 +6,9 @@
 ///
 /// Thread-count policy lives here in one place: a knob value of 0 means
 /// "auto", which honours the SCDWARF_THREADS environment variable and falls
-/// back to std::thread::hardware_concurrency(). A resolved count of 1 always
-/// means "run inline on the calling thread, no pool".
+/// back to std::thread::hardware_concurrency(). In the builder and the
+/// mappers a resolved count of 1 means "run inline on the calling thread, no
+/// pool"; the ETL pipeline always parses on at least one worker thread.
 
 #ifndef SCDWARF_COMMON_PARALLEL_H_
 #define SCDWARF_COMMON_PARALLEL_H_

@@ -5,11 +5,11 @@
 #include <mutex>
 #include <unordered_map>
 
+#include "common/histogram.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
-#include "etl/etl_metrics.h"
 
 namespace scdwarf::etl {
 
@@ -18,6 +18,43 @@ namespace {
 /// Backpressure bound: Consume* blocks once this many documents per worker
 /// wait in the queue.
 constexpr size_t kQueuedDocumentsPerWorker = 4;
+
+metrics::Counter* DocumentsCounter(bool is_json) {
+  static metrics::Counter* const xml = metrics::GlobalRegistry().GetCounter(
+      "etl_documents_total", {{"format", "xml"}},
+      "feed documents consumed by the ETL front-end");
+  static metrics::Counter* const json = metrics::GlobalRegistry().GetCounter(
+      "etl_documents_total", {{"format", "json"}},
+      "feed documents consumed by the ETL front-end");
+  return is_json ? json : xml;
+}
+
+metrics::Counter* BytesCounter() {
+  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
+      "etl_bytes_total", {}, "raw feed bytes consumed");
+  return counter;
+}
+
+metrics::Counter* RecordsCounter() {
+  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
+      "etl_records_total", {}, "feed records mapped into cube tuples");
+  return counter;
+}
+
+metrics::Counter* SkippedRecordsCounter() {
+  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
+      "etl_skipped_records_total", {},
+      "malformed records dropped by non-strict pipelines");
+  return counter;
+}
+
+FixedBucketHistogram* ParseHistogram() {
+  static FixedBucketHistogram* const hist =
+      metrics::GlobalRegistry().GetHistogram(
+          "etl_parse_us", {},
+          "per-document extract + map + intern latency (us)");
+  return hist;
+}
 
 FixedBucketHistogram* DrainHistogram() {
   static FixedBucketHistogram* const hist =
@@ -124,7 +161,7 @@ struct ParallelCubePipeline::State {
                      : xml_extractor->Extract(task.text);
     if (!records.ok()) {
       // Malformed documents fail the pipeline regardless of the record
-      // policy, matching CubePipeline::Consume*.
+      // policy.
       out.status = records.status();
       return out;
     }
@@ -168,25 +205,24 @@ ParallelCubePipeline::ParallelCubePipeline(
     std::optional<XmlExtractor> xml_extractor,
     std::optional<JsonExtractor> json_extractor, bool strict,
     dwarf::BuilderOptions builder_options,
-    ParallelPipelineOptions parallel_options) {
-  int threads = ResolveThreadCount(parallel_options.num_threads);
-  if (threads <= 1) {
-    serial_ = std::make_unique<CubePipeline>(
-        std::move(schema), std::move(mapper), std::move(xml_extractor),
-        std::move(json_extractor), strict, builder_options);
-    return;
-  }
+    ParallelPipelineOptions parallel_options)
+    : num_threads_(ResolveThreadCount(parallel_options.num_threads)) {
   state_ = std::make_unique<State>(
       std::move(schema), std::move(mapper), std::move(xml_extractor),
       std::move(json_extractor), strict, builder_options,
-      static_cast<size_t>(threads) * kQueuedDocumentsPerWorker);
-  workers_.reserve(threads);
-  for (int i = 0; i < threads; ++i) {
+      static_cast<size_t>(num_threads_) * kQueuedDocumentsPerWorker);
+  workers_.reserve(num_threads_);
+  for (int i = 0; i < num_threads_; ++i) {
     workers_.emplace_back([state = state_.get()] { state->WorkerLoop(); });
   }
 }
 
 ParallelCubePipeline::~ParallelCubePipeline() { JoinWorkers(); }
+
+// Out of line, where State is complete.
+ParallelCubePipeline::ParallelCubePipeline(ParallelCubePipeline&&) = default;
+ParallelCubePipeline& ParallelCubePipeline::operator=(
+    ParallelCubePipeline&&) = default;
 
 void ParallelCubePipeline::JoinWorkers() {
   if (state_ == nullptr) return;
@@ -201,12 +237,7 @@ void ParallelCubePipeline::JoinWorkers() {
   workers_.clear();
 }
 
-int ParallelCubePipeline::num_threads() const {
-  return serial_ != nullptr ? 1 : static_cast<int>(workers_.size());
-}
-
 Status ParallelCubePipeline::ConsumeXml(std::string document) {
-  if (serial_ != nullptr) return serial_->ConsumeXml(document);
   if (!state_->xml_extractor.has_value()) {
     return Status::FailedPrecondition("pipeline has no XML extractor");
   }
@@ -214,7 +245,6 @@ Status ParallelCubePipeline::ConsumeXml(std::string document) {
 }
 
 Status ParallelCubePipeline::ConsumeJson(std::string document) {
-  if (serial_ != nullptr) return serial_->ConsumeJson(document);
   if (!state_->json_extractor.has_value()) {
     return Status::FailedPrecondition("pipeline has no JSON extractor");
   }
@@ -239,7 +269,6 @@ Status ParallelCubePipeline::Enqueue(bool is_json, std::string document) {
 }
 
 PipelineStats ParallelCubePipeline::stats() const {
-  if (serial_ != nullptr) return serial_->stats();
   std::lock_guard<std::mutex> lock(state_->mu);
   if (state_->finished) return state_->final_stats;
   PipelineStats stats;
@@ -250,8 +279,6 @@ PipelineStats ParallelCubePipeline::stats() const {
 
 Result<dwarf::DwarfCube> ParallelCubePipeline::Finish(
     PipelineProfile* profile) && {
-  if (serial_ != nullptr) return std::move(*serial_).Finish(profile);
-
   Stopwatch watch;
   {
     trace::ScopedSpan span("etl.drain");
@@ -265,15 +292,16 @@ Result<dwarf::DwarfCube> ParallelCubePipeline::Finish(
   {
     trace::ScopedSpan merge_span("etl.dict_merge");
 
-    // The earliest failing document decides the pipeline's fate — the same
-    // error the serial pipeline would have returned from its Consume* call.
+    // The earliest failing document decides the pipeline's fate, whichever
+    // worker finished first.
     for (const State::DocResult& result : state_->results) {
       SCD_RETURN_IF_ERROR(result.status);
     }
 
     // Dictionary merge: global ids are assigned in document order, then in
-    // per-document first-seen order — exactly the order the serial pipeline's
-    // Encode calls would have produced. Tuple keys are remapped in place.
+    // per-document first-seen order — exactly the order a record-by-record
+    // DwarfBuilder::AddTuple loop would produce. Tuple keys are remapped in
+    // place.
     size_t dims = state_->schema.num_dimensions();
     std::vector<dwarf::Dictionary> dictionaries;
     dictionaries.reserve(dims);
@@ -320,6 +348,50 @@ Result<dwarf::DwarfCube> ParallelCubePipeline::Finish(
 
   return std::move(builder).Build(profile == nullptr ? nullptr
                                                      : &profile->build);
+}
+
+dwarf::CubeSchema MakeBikesCubeSchema() {
+  return dwarf::CubeSchema(
+      "bikes",
+      {
+          // Date (ISO "2013-07-01") and Hour ("%02d") are ordered: their
+          // lexicographic value order is chronological. Month stays
+          // unordered — its values are month *names* ("July" < "June"
+          // lexicographically, which is not the calendar order).
+          dwarf::DimensionSpec("Month"),
+          dwarf::DimensionSpec("Date", "", /*ordered_in=*/true),
+          dwarf::DimensionSpec("Weekday"),
+          dwarf::DimensionSpec("Hour", "", /*ordered_in=*/true),
+          dwarf::DimensionSpec("Area"),
+          dwarf::DimensionSpec("Station", "Station"),
+          dwarf::DimensionSpec("Status"),
+          dwarf::DimensionSpec("DockGroup"),
+      },
+      "available_bikes", dwarf::AggFn::kSum);
+}
+
+std::vector<FieldSpec> BikesFieldSpecs() {
+  return {
+      {"name", "name", FieldScope::kRecord, true, ""},
+      {"area", "area", FieldScope::kRecord, true, ""},
+      {"bike_stands", "bike_stands", FieldScope::kRecord, true, ""},
+      {"available_bikes", "available_bikes", FieldScope::kRecord, true, ""},
+      {"status", "status", FieldScope::kRecord, false, "UNKNOWN"},
+      {"last_update", "last_update", FieldScope::kRecord, true, ""},
+  };
+}
+
+std::vector<DimensionMapping> BikesDimensionMappings() {
+  return {
+      {"last_update", Transform::kMonthName},
+      {"last_update", Transform::kDate},
+      {"last_update", Transform::kWeekday},
+      {"last_update", Transform::kHour},
+      {"area", Transform::kIdentity},
+      {"name", Transform::kIdentity},
+      {"status", Transform::kIdentity},
+      {"bike_stands", Transform::kBucket10},
+  };
 }
 
 Result<ParallelCubePipeline> MakeBikesXmlParallelPipeline(

@@ -1,16 +1,22 @@
 /// \file parallel_pipeline.h
-/// \brief Multi-core front-end for cube construction: incoming XML/JSON
-/// documents fan out to worker threads, each running its own extractor +
-/// tuple mapper into a per-document tuple shard with local key interning.
-/// Finish() merges the shards deterministically — local key ids are remapped
-/// into global dictionaries in document order — and hands the tuples to the
-/// DwarfBuilder, whose Build()-time sort is itself parallel.
+/// \brief The end-to-end cube construction pipeline: feed documents in
+/// (XML or JSON — the paper's "canonical approach" treats both alike),
+/// extracted records through the tuple mapper into a DwarfBuilder, DWARF
+/// cube out. Includes the stock 8-dimension bikes pipeline used by the
+/// evaluation.
+///
+/// Incoming documents fan out to worker threads, each running the extractor
+/// and tuple mapper into a per-document tuple shard with local key
+/// interning. Finish() merges the shards deterministically — local key ids
+/// are remapped into global dictionaries in document order — and hands the
+/// tuples to the DwarfBuilder, whose Build()-time sort and sweep are
+/// themselves parallel.
 ///
 /// Determinism guarantee: for the same document sequence the produced cube
-/// is identical to CubePipeline's, for any thread count. Dictionary ids are
-/// assigned in document (not completion) order, the tuple sequence handed to
-/// the builder matches the serial one, and the builder's parallel sort is
-/// order-insensitive (total order on keys, commutative aggregates).
+/// is identical for any worker count. Dictionary ids are assigned in
+/// document order, then in first-seen order within a document — the order a
+/// record-by-record loop into DwarfBuilder::AddTuple would give — and the
+/// builder's arena does not depend on its thread count.
 
 #ifndef SCDWARF_ETL_PARALLEL_PIPELINE_H_
 #define SCDWARF_ETL_PARALLEL_PIPELINE_H_
@@ -21,28 +27,47 @@
 #include <thread>
 #include <vector>
 
-#include "etl/pipeline.h"
+#include "dwarf/builder.h"
+#include "etl/extractor.h"
+#include "etl/tuple_mapper.h"
 
 namespace scdwarf::etl {
+
+/// \brief Pipeline counters.
+struct PipelineStats {
+  uint64_t documents = 0;
+  uint64_t records = 0;
+  uint64_t bytes = 0;          ///< raw document bytes consumed
+  uint64_t skipped_records = 0;  ///< records dropped by a non-strict pipeline
+};
+
+/// \brief Per-stage wall-clock breakdown of one Finish() call.
+struct PipelineProfile {
+  double drain_ms = 0;       ///< waiting for the workers to finish the queue
+  double dict_merge_ms = 0;  ///< dictionary merge + shard remap
+  dwarf::BuildProfile build;  ///< sort + construct inside the builder
+};
 
 /// \brief Threading knobs of a ParallelCubePipeline.
 struct ParallelPipelineOptions {
   /// Worker threads: 0 = auto (SCDWARF_THREADS env override, else
-  /// hardware_concurrency). A resolved count of 1 degrades to the serial
-  /// CubePipeline — exact single-threaded semantics, no queue, no threads.
+  /// hardware_concurrency). A resolved count of 1 runs one worker thread.
   int num_threads = 0;
 };
 
-/// \brief Thread-parallel drop-in for CubePipeline.
+/// \brief Drives extraction + mapping + cube construction on worker threads.
 ///
-/// Differences from the serial pipeline, both consequences of asynchrony:
-/// Consume* only fails fast on configuration errors (missing extractor,
-/// already finished); malformed documents and strict-mode record failures
-/// surface at Finish() as the error of the *earliest* failing document, and
+/// A pipeline accepts either format as long as the corresponding extractor
+/// was configured; a single cube can fuse XML and JSON feeds of the same
+/// logical schema. Because documents are parsed asynchronously, Consume*
+/// only fails on configuration errors (missing extractor, already
+/// finished); a malformed document or a strict-mode record failure surfaces
+/// from Finish() as the error of the *earliest* failing document, and
 /// stats() is complete only after Finish().
 class ParallelCubePipeline {
  public:
-  /// Parameters mirror CubePipeline; \p parallel_options adds threading.
+  /// \p strict controls malformed-record policy: strict pipelines fail the
+  /// document, lenient ones count and skip the record.
   ParallelCubePipeline(dwarf::CubeSchema schema, TupleMapper mapper,
                        std::optional<XmlExtractor> xml_extractor,
                        std::optional<JsonExtractor> json_extractor,
@@ -51,8 +76,8 @@ class ParallelCubePipeline {
                        ParallelPipelineOptions parallel_options = {});
   ~ParallelCubePipeline();
 
-  ParallelCubePipeline(ParallelCubePipeline&&) = default;
-  ParallelCubePipeline& operator=(ParallelCubePipeline&&) = default;
+  ParallelCubePipeline(ParallelCubePipeline&&);
+  ParallelCubePipeline& operator=(ParallelCubePipeline&&);
 
   /// Enqueues one XML document (blocking when the queue is full).
   Status ConsumeXml(std::string document);
@@ -61,15 +86,16 @@ class ParallelCubePipeline {
   Status ConsumeJson(std::string document);
 
   /// Drains the workers, merges the shards and constructs the cube. The
-  /// pipeline must not be reused afterwards.
+  /// pipeline must not be reused afterwards. When \p profile is non-null it
+  /// receives the stage timings.
   Result<dwarf::DwarfCube> Finish(PipelineProfile* profile = nullptr) &&;
 
   /// Counters. documents/bytes are live; records/skipped_records are
   /// complete once Finish() returns (workers may still be mapping before).
   PipelineStats stats() const;
 
-  /// Resolved worker count (1 = serial mode).
-  int num_threads() const;
+  /// Resolved worker count; unchanged by Finish().
+  int num_threads() const { return num_threads_; }
 
  private:
   struct State;
@@ -77,18 +103,30 @@ class ParallelCubePipeline {
   Status Enqueue(bool is_json, std::string document);
   void JoinWorkers();
 
-  /// Serial fallback when the resolved thread count is 1.
-  std::unique_ptr<CubePipeline> serial_;
+  int num_threads_ = 0;
   std::unique_ptr<State> state_;
   std::vector<std::thread> workers_;
 };
 
-/// \brief Parallel analogue of MakeBikesXmlPipeline.
+/// \brief The evaluation's 8-dimension bikes cube schema:
+/// Month > Date > Weekday > Hour > Area > Station > Status > DockGroup,
+/// measure SUM(available_bikes). Dimension order follows DWARF practice:
+/// low-cardinality dimensions first maximize prefix sharing.
+dwarf::CubeSchema MakeBikesCubeSchema();
+
+/// \brief The extraction field specs of the bikes feed.
+std::vector<FieldSpec> BikesFieldSpecs();
+
+/// \brief The record-field -> dimension mappings of the bikes cube.
+std::vector<DimensionMapping> BikesDimensionMappings();
+
+/// \brief Pipeline for the XML bikes feed (bike_feed.h) over
+/// MakeBikesCubeSchema().
 Result<ParallelCubePipeline> MakeBikesXmlParallelPipeline(
     dwarf::BuilderOptions builder_options = {},
     ParallelPipelineOptions parallel_options = {});
 
-/// \brief Parallel analogue of MakeBikesJsonPipeline.
+/// \brief Same pipeline reading the JSON variant of the feed.
 Result<ParallelCubePipeline> MakeBikesJsonParallelPipeline(
     dwarf::BuilderOptions builder_options = {},
     ParallelPipelineOptions parallel_options = {});

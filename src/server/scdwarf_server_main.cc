@@ -47,7 +47,7 @@
 #include "citibikes/bike_feed.h"
 #include "client/client.h"
 #include "common/trace.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 #include "replica/replica.h"
 #include "server/query_server.h"
 #include "server/tcp_server.h"
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   citibikes::BikeFeedConfig config;
   config.target_records = records;
   citibikes::BikeFeedGenerator feed(config);
-  auto pipeline = etl::MakeBikesXmlPipeline();
+  auto pipeline = etl::MakeBikesXmlParallelPipeline();
   if (!pipeline.ok()) {
     std::cerr << pipeline.status() << "\n";
     return 1;

@@ -7,7 +7,7 @@
 #include "clustered/flat_file.h"
 #include "dwarf/builder.h"
 #include "dwarf/query.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 
 namespace scdwarf::clustered {
 namespace {
@@ -46,7 +46,7 @@ class FlatFileTest : public ::testing::Test {
     citibikes::BikeFeedConfig config;
     config.target_records = records;
     citibikes::BikeFeedGenerator feed(config);
-    auto pipeline = etl::MakeBikesXmlPipeline();
+    auto pipeline = etl::MakeBikesXmlParallelPipeline();
     EXPECT_TRUE(pipeline.ok());
     while (feed.HasNext()) {
       EXPECT_TRUE(pipeline->ConsumeXml(feed.NextXml()).ok());

@@ -3,7 +3,7 @@
 #include "citibikes/bike_feed.h"
 #include "dwarf/query.h"
 #include "etl/extractor.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 #include "etl/tuple_mapper.h"
 
 namespace scdwarf::etl {
@@ -189,16 +189,16 @@ TEST(PipelineTest, BikesXmlEndToEnd) {
   config.num_stations = 8;
   config.target_records = 200;
   citibikes::BikeFeedGenerator feed(config);
-  auto pipeline = MakeBikesXmlPipeline();
+  auto pipeline = MakeBikesXmlParallelPipeline();
   ASSERT_TRUE(pipeline.ok()) << pipeline.status();
   while (feed.HasNext()) {
     ASSERT_TRUE(pipeline->ConsumeXml(feed.NextXml()).ok());
   }
-  EXPECT_EQ(pipeline->stats().records, 200u);
-  EXPECT_EQ(pipeline->stats().documents, feed.documents_emitted());
-  EXPECT_GT(pipeline->stats().bytes, 0u);
   auto cube = std::move(*pipeline).Finish();
   ASSERT_TRUE(cube.ok()) << cube.status();
+  EXPECT_EQ(pipeline->stats().records, 200u);
+  EXPECT_EQ(pipeline->stats().documents, feed.documents_emitted());
+  EXPECT_EQ(pipeline->stats().bytes, feed.bytes_emitted());
   EXPECT_EQ(cube->num_dimensions(), 8u);
   EXPECT_EQ(cube->stats().source_tuple_count, 200u);
   // Grand total exists.
@@ -212,7 +212,7 @@ TEST(PipelineTest, XmlAndJsonFeedsProduceIdenticalCubes) {
   config.target_records = 160;
 
   citibikes::BikeFeedGenerator xml_feed(config);
-  auto xml_pipeline = MakeBikesXmlPipeline();
+  auto xml_pipeline = MakeBikesXmlParallelPipeline();
   ASSERT_TRUE(xml_pipeline.ok());
   while (xml_feed.HasNext()) {
     ASSERT_TRUE(xml_pipeline->ConsumeXml(xml_feed.NextXml()).ok());
@@ -221,7 +221,7 @@ TEST(PipelineTest, XmlAndJsonFeedsProduceIdenticalCubes) {
   ASSERT_TRUE(xml_cube.ok());
 
   citibikes::BikeFeedGenerator json_feed(config);
-  auto json_pipeline = MakeBikesJsonPipeline();
+  auto json_pipeline = MakeBikesJsonParallelPipeline();
   ASSERT_TRUE(json_pipeline.ok());
   while (json_feed.HasNext()) {
     auto status = json_pipeline->ConsumeJson(json_feed.NextJson());
@@ -236,19 +236,21 @@ TEST(PipelineTest, XmlAndJsonFeedsProduceIdenticalCubes) {
 }
 
 TEST(PipelineTest, WrongFormatRejected) {
-  auto pipeline = MakeBikesXmlPipeline();
+  auto pipeline = MakeBikesXmlParallelPipeline();
   ASSERT_TRUE(pipeline.ok());
   EXPECT_TRUE(pipeline->ConsumeJson("{}").IsFailedPrecondition());
 }
 
 TEST(PipelineTest, StrictPipelineFailsOnBadRecord) {
-  auto pipeline = MakeBikesXmlPipeline();
+  auto pipeline = MakeBikesXmlParallelPipeline();
   ASSERT_TRUE(pipeline.ok());
-  // Well-formed XML whose station lacks required fields.
-  EXPECT_FALSE(
+  // Well-formed XML whose station lacks required fields. The document is
+  // parsed on a worker, so the failure surfaces from Finish().
+  ASSERT_TRUE(
       pipeline->ConsumeXml("<stations><station><name>x</name></station>"
                            "</stations>")
           .ok());
+  EXPECT_FALSE(std::move(*pipeline).Finish().ok());
 }
 
 TEST(PipelineTest, LenientPipelineSkipsBadRecords) {
@@ -275,8 +277,9 @@ TEST(PipelineTest, LenientPipelineSkipsBadRecords) {
        {"last_update", "last_update", FieldScope::kRecord, false,
         "2016-01-01T00:00:00"}});
   ASSERT_TRUE(extractor.ok());
-  CubePipeline pipeline(schema, std::move(*mapper), std::move(*extractor),
-                        std::nullopt, /*strict=*/false);
+  ParallelCubePipeline pipeline(schema, std::move(*mapper),
+                                std::move(*extractor), std::nullopt,
+                                /*strict=*/false);
   // One good record, one with an unparsable bucket field.
   ASSERT_TRUE(pipeline
                   .ConsumeXml(
@@ -292,6 +295,7 @@ TEST(PipelineTest, LenientPipelineSkipsBadRecords) {
                       "</station>"
                       "</stations>")
                   .ok());
+  ASSERT_TRUE(std::move(pipeline).Finish().ok());
   EXPECT_EQ(pipeline.stats().records, 1u);
   EXPECT_EQ(pipeline.stats().skipped_records, 1u);
 }

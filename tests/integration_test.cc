@@ -16,7 +16,7 @@
 #include "dwarf/hierarchy.h"
 #include "dwarf/query.h"
 #include "dwarf/update.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 #include "mapper/nosql_dwarf_mapper.h"
 #include "mapper/nosql_min_mapper.h"
 #include "mapper/sql_dwarf_mapper.h"
@@ -36,7 +36,7 @@ class IntegrationTest : public ::testing::Test {
     config.target_records = 3000;
     config.period_seconds = 3 * 24 * 3600;
     citibikes::BikeFeedGenerator feed(config);
-    auto pipeline = etl::MakeBikesXmlPipeline();
+    auto pipeline = etl::MakeBikesXmlParallelPipeline();
     ASSERT_TRUE(pipeline.ok());
     while (feed.HasNext()) {
       ASSERT_TRUE(pipeline->ConsumeXml(feed.NextXml()).ok());

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "citibikes/bike_feed.h"
-#include "etl/pipeline.h"
+#include "etl/parallel_pipeline.h"
 #include "mapper/id_map.h"
 #include "mapper/nosql_dwarf_mapper.h"
 #include "mapper/nosql_min_mapper.h"
@@ -41,7 +41,7 @@ dwarf::DwarfCube BuildBikesCube(uint64_t records = 600) {
   config.target_records = records;
   config.period_seconds = 2 * 24 * 3600;
   citibikes::BikeFeedGenerator feed(config);
-  auto pipeline = etl::MakeBikesXmlPipeline();
+  auto pipeline = etl::MakeBikesXmlParallelPipeline();
   EXPECT_TRUE(pipeline.ok()) << pipeline.status();
   while (feed.HasNext()) {
     Status status = pipeline->ConsumeXml(feed.NextXml());

@@ -1,8 +1,9 @@
-// Determinism tests for the parallel construction path: cubes built through
+// Determinism tests for the ETL pipeline: cubes built through
 // ParallelCubePipeline with any worker count must be identical — same
-// dictionaries (ids AND order), same structure, same query results, same
-// stored bytes — to the serial CubePipeline's, including under the
-// lenient/strict malformed-record policies and the builder ablations.
+// dictionaries (ids AND order), same arena node for node, same query
+// results, same stored bytes — to a direct single-threaded loop over the
+// feed, including under the lenient/strict malformed-record policies and
+// the builder ablations.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +14,7 @@
 #include "common/parallel.h"
 #include "dwarf/query.h"
 #include "etl/parallel_pipeline.h"
-#include "etl/pipeline.h"
+#include "expect_same_arena.h"
 #include "mapper/nosql_dwarf_mapper.h"
 #include "mapper/nosql_min_mapper.h"
 #include "mapper/sql_dwarf_mapper.h"
@@ -31,15 +32,32 @@ citibikes::BikeFeedConfig TestFeedConfig() {
   return config;
 }
 
-dwarf::DwarfCube BuildSerialXml(dwarf::BuilderOptions builder_options = {}) {
+// The reference: every document extracted, every record mapped and added
+// to a one-thread builder, in feed order. No workers and no dictionary
+// merge, so its dictionary ids are the first-seen order the merge must
+// reproduce, and its arena comes from the serial construction sweep.
+dwarf::DwarfCube BuildReference(bool json,
+                                dwarf::BuilderOptions builder_options = {}) {
   citibikes::BikeFeedGenerator feed(TestFeedConfig());
-  auto pipeline = MakeBikesXmlPipeline(builder_options);
-  EXPECT_TRUE(pipeline.ok()) << pipeline.status();
+  dwarf::CubeSchema schema = MakeBikesCubeSchema();
+  auto xml_extractor = XmlExtractor::Create("station", BikesFieldSpecs());
+  auto json_extractor = JsonExtractor::Create("stations", BikesFieldSpecs());
+  auto mapper =
+      TupleMapper::Create(schema, BikesDimensionMappings(), "available_bikes");
+  EXPECT_TRUE(xml_extractor.ok() && json_extractor.ok() && mapper.ok());
+  builder_options.num_threads = 1;
+  dwarf::DwarfBuilder builder(schema, builder_options);
   while (feed.HasNext()) {
-    Status status = pipeline->ConsumeXml(feed.NextXml());
-    EXPECT_TRUE(status.ok()) << status;
+    auto records = json ? json_extractor->Extract(feed.NextJson())
+                        : xml_extractor->Extract(feed.NextXml());
+    EXPECT_TRUE(records.ok()) << records.status();
+    for (const FeedRecord& record : *records) {
+      auto mapped = mapper->Map(record);
+      EXPECT_TRUE(mapped.ok()) << mapped.status();
+      EXPECT_TRUE(builder.AddTuple(mapped->first, mapped->second).ok());
+    }
   }
-  auto cube = std::move(*pipeline).Finish();
+  auto cube = std::move(builder).Build();
   EXPECT_TRUE(cube.ok()) << cube.status();
   return std::move(*cube);
 }
@@ -68,43 +86,45 @@ uint64_t StoredBytes(const dwarf::DwarfCube& cube) {
   return db.EstimateBytes();
 }
 
-// Byte-identical in every observable way: structure, statistics, dictionary
-// contents *in id order* (the strongest determinism claim — ids depend on
-// first-seen order), query results, and serialized size.
-void ExpectCubesIdentical(const dwarf::DwarfCube& serial,
+// Identical in every observable way: the arena node for node, statistics,
+// dictionary contents *in id order* (the strongest determinism claim — ids
+// depend on first-seen order), query results, and serialized size.
+void ExpectCubesIdentical(const dwarf::DwarfCube& reference,
                           const dwarf::DwarfCube& parallel) {
-  EXPECT_TRUE(serial.StructurallyEquals(parallel));
-  EXPECT_EQ(serial.stats().node_count, parallel.stats().node_count);
-  EXPECT_EQ(serial.stats().cell_count, parallel.stats().cell_count);
-  EXPECT_EQ(serial.stats().coalesced_all_count,
+  dwarf::ExpectSameArena(reference, parallel);
+  EXPECT_TRUE(reference.StructurallyEquals(parallel));
+  EXPECT_EQ(reference.stats().node_count, parallel.stats().node_count);
+  EXPECT_EQ(reference.stats().cell_count, parallel.stats().cell_count);
+  EXPECT_EQ(reference.stats().coalesced_all_count,
             parallel.stats().coalesced_all_count);
-  EXPECT_EQ(serial.stats().tuple_count, parallel.stats().tuple_count);
-  EXPECT_EQ(serial.stats().source_tuple_count,
+  EXPECT_EQ(reference.stats().tuple_count, parallel.stats().tuple_count);
+  EXPECT_EQ(reference.stats().source_tuple_count,
             parallel.stats().source_tuple_count);
-  EXPECT_EQ(serial.stats().approx_bytes, parallel.stats().approx_bytes);
+  EXPECT_EQ(reference.stats().approx_bytes, parallel.stats().approx_bytes);
 
-  ASSERT_EQ(serial.num_dimensions(), parallel.num_dimensions());
-  for (size_t dim = 0; dim < serial.num_dimensions(); ++dim) {
-    ASSERT_EQ(serial.dictionary(dim).size(), parallel.dictionary(dim).size());
-    for (dwarf::DimKey id = 0; id < serial.dictionary(dim).size(); ++id) {
-      EXPECT_EQ(serial.dictionary(dim).DecodeUnchecked(id),
+  ASSERT_EQ(reference.num_dimensions(), parallel.num_dimensions());
+  for (size_t dim = 0; dim < reference.num_dimensions(); ++dim) {
+    ASSERT_EQ(reference.dictionary(dim).size(),
+              parallel.dictionary(dim).size());
+    for (dwarf::DimKey id = 0; id < reference.dictionary(dim).size(); ++id) {
+      EXPECT_EQ(reference.dictionary(dim).DecodeUnchecked(id),
                 parallel.dictionary(dim).DecodeUnchecked(id));
     }
   }
 
   // Grand total and a per-dimension rollup agree.
-  size_t dims = serial.num_dimensions();
+  size_t dims = reference.num_dimensions();
   std::vector<std::optional<dwarf::DimKey>> all(dims, std::nullopt);
-  auto serial_total = dwarf::PointQuery(serial, all);
+  auto reference_total = dwarf::PointQuery(reference, all);
   auto parallel_total = dwarf::PointQuery(parallel, all);
-  ASSERT_TRUE(serial_total.ok()) << serial_total.status();
+  ASSERT_TRUE(reference_total.ok()) << reference_total.status();
   ASSERT_TRUE(parallel_total.ok()) << parallel_total.status();
-  EXPECT_EQ(*serial_total, *parallel_total);
+  EXPECT_EQ(*reference_total, *parallel_total);
   for (size_t dim = 0; dim < dims; ++dim) {
-    for (dwarf::DimKey id = 0; id < serial.dictionary(dim).size(); ++id) {
+    for (dwarf::DimKey id = 0; id < reference.dictionary(dim).size(); ++id) {
       std::vector<std::optional<dwarf::DimKey>> keys(dims, std::nullopt);
       keys[dim] = id;
-      auto lhs = dwarf::PointQuery(serial, keys);
+      auto lhs = dwarf::PointQuery(reference, keys);
       auto rhs = dwarf::PointQuery(parallel, keys);
       ASSERT_EQ(lhs.ok(), rhs.ok());
       if (lhs.ok()) {
@@ -113,28 +133,19 @@ void ExpectCubesIdentical(const dwarf::DwarfCube& serial,
     }
   }
 
-  EXPECT_EQ(StoredBytes(serial), StoredBytes(parallel));
+  EXPECT_EQ(StoredBytes(reference), StoredBytes(parallel));
 }
 
 TEST(ParallelPipelineTest, XmlTwoAndFourThreadsMatchSerial) {
-  dwarf::DwarfCube serial = BuildSerialXml();
+  dwarf::DwarfCube reference = BuildReference(/*json=*/false);
   for (int threads : {2, 4}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     dwarf::DwarfCube parallel = BuildParallelXml(threads);
-    ExpectCubesIdentical(serial, parallel);
+    ExpectCubesIdentical(reference, parallel);
   }
 }
 
 TEST(ParallelPipelineTest, JsonParallelMatchesSerial) {
-  citibikes::BikeFeedGenerator serial_feed(TestFeedConfig());
-  auto serial_pipeline = MakeBikesJsonPipeline();
-  ASSERT_TRUE(serial_pipeline.ok());
-  while (serial_feed.HasNext()) {
-    ASSERT_TRUE(serial_pipeline->ConsumeJson(serial_feed.NextJson()).ok());
-  }
-  auto serial = std::move(*serial_pipeline).Finish();
-  ASSERT_TRUE(serial.ok()) << serial.status();
-
   citibikes::BikeFeedGenerator feed(TestFeedConfig());
   auto pipeline = MakeBikesJsonParallelPipeline({}, {.num_threads = 4});
   ASSERT_TRUE(pipeline.ok());
@@ -144,7 +155,7 @@ TEST(ParallelPipelineTest, JsonParallelMatchesSerial) {
   auto parallel = std::move(*pipeline).Finish();
   ASSERT_TRUE(parallel.ok()) << parallel.status();
 
-  ExpectCubesIdentical(*serial, *parallel);
+  ExpectCubesIdentical(BuildReference(/*json=*/true), *parallel);
 }
 
 TEST(ParallelPipelineTest, AblationOptionsStayIdentical) {
@@ -155,22 +166,13 @@ TEST(ParallelPipelineTest, AblationOptionsStayIdentical) {
   for (const dwarf::BuilderOptions& options : {no_coalescing, no_memo}) {
     SCOPED_TRACE(options.enable_suffix_coalescing ? "no_memo"
                                                   : "no_coalescing");
-    dwarf::DwarfCube serial = BuildSerialXml(options);
+    dwarf::DwarfCube reference = BuildReference(/*json=*/false, options);
     dwarf::DwarfCube parallel = BuildParallelXml(4, options);
-    ExpectCubesIdentical(serial, parallel);
+    ExpectCubesIdentical(reference, parallel);
   }
 }
 
 TEST(ParallelPipelineTest, StatsMatchSerial) {
-  citibikes::BikeFeedGenerator serial_feed(TestFeedConfig());
-  auto serial_pipeline = MakeBikesXmlPipeline();
-  ASSERT_TRUE(serial_pipeline.ok());
-  while (serial_feed.HasNext()) {
-    ASSERT_TRUE(serial_pipeline->ConsumeXml(serial_feed.NextXml()).ok());
-  }
-  PipelineStats serial_stats = serial_pipeline->stats();
-  ASSERT_TRUE(std::move(*serial_pipeline).Finish().ok());
-
   citibikes::BikeFeedGenerator feed(TestFeedConfig());
   auto pipeline = MakeBikesXmlParallelPipeline({}, {.num_threads = 3});
   ASSERT_TRUE(pipeline.ok());
@@ -179,12 +181,13 @@ TEST(ParallelPipelineTest, StatsMatchSerial) {
     ASSERT_TRUE(pipeline->ConsumeXml(feed.NextXml()).ok());
   }
   ASSERT_TRUE(std::move(*pipeline).Finish().ok());
-  PipelineStats parallel_stats = pipeline->stats();
+  EXPECT_EQ(pipeline->num_threads(), 3);
+  PipelineStats stats = pipeline->stats();
 
-  EXPECT_EQ(parallel_stats.documents, serial_stats.documents);
-  EXPECT_EQ(parallel_stats.records, serial_stats.records);
-  EXPECT_EQ(parallel_stats.bytes, serial_stats.bytes);
-  EXPECT_EQ(parallel_stats.skipped_records, serial_stats.skipped_records);
+  EXPECT_EQ(stats.documents, feed.documents_emitted());
+  EXPECT_EQ(stats.records, feed.records_emitted());
+  EXPECT_EQ(stats.bytes, feed.bytes_emitted());
+  EXPECT_EQ(stats.skipped_records, 0u);
 }
 
 // ------------------------------------------------- malformed-record policy
@@ -264,10 +267,20 @@ TEST(ParallelPipelineTest, WrongFormatRejectedImmediately) {
 
 // ------------------------------------------------------- thread-count knob
 
-TEST(ParallelPipelineTest, SingleThreadUsesSerialFallback) {
-  auto pipeline = MakeBikesXmlParallelPipeline({}, {.num_threads = 1});
+TEST(ParallelPipelineTest, OneWorkerBuildsTheReferenceCube) {
+  dwarf::DwarfCube reference = BuildReference(/*json=*/false);
+  citibikes::BikeFeedGenerator feed(TestFeedConfig());
+  auto pipeline = MakeBikesXmlParallelPipeline({.num_threads = 1},
+                                               {.num_threads = 1});
   ASSERT_TRUE(pipeline.ok());
   EXPECT_EQ(pipeline->num_threads(), 1);
+  while (feed.HasNext()) {
+    ASSERT_TRUE(pipeline->ConsumeXml(feed.NextXml()).ok());
+  }
+  auto cube = std::move(*pipeline).Finish();
+  ASSERT_TRUE(cube.ok()) << cube.status();
+  EXPECT_EQ(pipeline->num_threads(), 1);
+  ExpectCubesIdentical(reference, *cube);
 }
 
 TEST(ParallelPipelineTest, ScdwarfThreadsEnvOverridesAuto) {
@@ -282,12 +295,13 @@ TEST(ParallelPipelineTest, ScdwarfThreadsEnvOverridesAuto) {
   EXPECT_GE(DefaultThreadCount(), 1);  // unparsable -> hardware fallback
   ASSERT_EQ(::unsetenv("SCDWARF_THREADS"), 0);
   ASSERT_TRUE(std::move(*pipeline).Finish().ok());
+  EXPECT_EQ(pipeline->num_threads(), 3);
 }
 
 // ------------------------------------------------ parallel row serialization
 
 TEST(ParallelStoreTest, NoSqlMappersStoreIdenticalBytes) {
-  dwarf::DwarfCube cube = BuildSerialXml();
+  dwarf::DwarfCube cube = BuildReference(/*json=*/false);
 
   nosql::Database serial_db, parallel_db;
   mapper::NoSqlDwarfMapper serial_mapper(&serial_db, "ks");
@@ -312,7 +326,7 @@ TEST(ParallelStoreTest, NoSqlMappersStoreIdenticalBytes) {
 }
 
 TEST(ParallelStoreTest, SqlMappersStoreIdenticalBytes) {
-  dwarf::DwarfCube cube = BuildSerialXml();
+  dwarf::DwarfCube cube = BuildReference(/*json=*/false);
 
   sql::SqlEngine serial_engine, parallel_engine;
   mapper::SqlDwarfMapper serial_mapper(&serial_engine, "db");
