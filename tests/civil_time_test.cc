@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "common/civil_time.h"
+#include "common/strings.h"
 
 namespace scdwarf {
 namespace {
@@ -58,6 +61,20 @@ TEST(CivilTimeTest, FormatIso) {
   CivilTime time{2016, 1, 5, 8, 3, 0};
   EXPECT_EQ(FormatIso(time), "2016-01-05T08:03:00");
   EXPECT_EQ(FormatIsoDate(time), "2016-01-05");
+}
+
+TEST(CivilTimeTest, FormatIsoDateMatchesPrintf) {
+  // FormatIsoDate takes any CivilTime, so every int pads like %04d / %02d.
+  for (int year : {-5, 0, 999, 2016, 12345, -1, -999, -1000, INT_MIN,
+                   INT_MAX}) {
+    for (int month : {1, 9, 12, 0, -1, -10, 123}) {
+      for (int day : {1, 10, 31, INT_MIN}) {
+        CivilTime time{year, month, day, 0, 0, 0};
+        EXPECT_EQ(FormatIsoDate(time),
+                  StrFormat("%04d-%02d-%02d", year, month, day));
+      }
+    }
+  }
 }
 
 TEST(CivilTimeTest, ParseIsoVariants) {

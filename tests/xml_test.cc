@@ -114,6 +114,8 @@ TEST(XmlParserTest, ErrorsReportLocation) {
   ASSERT_FALSE(doc.ok());
   EXPECT_NE(doc.status().message().find("line 3"), std::string::npos)
       << doc.status();
+  EXPECT_NE(doc.status().message().find("line 3, column 8"), std::string::npos)
+      << doc.status();
 }
 
 TEST(XmlParserTest, WhitespaceOnlyTextIsTrimmedAway) {
