@@ -1,293 +1,49 @@
 #include "xml/xml_parser.h"
 
-#include <cctype>
-
 #include "common/strings.h"
+#include "xml/xml_tokenizer.h"
 
 namespace scdwarf::xml {
 
-namespace internal {
-
-char XmlCursor::Advance() {
-  if (AtEnd()) return '\0';
-  char c = input_[pos_++];
-  if (c == '\n') {
-    ++line_;
-    column_ = 1;
-  } else {
-    ++column_;
-  }
-  return c;
-}
-
-bool XmlCursor::Consume(char expected) {
-  if (Peek() != expected) return false;
-  Advance();
-  return true;
-}
-
-bool XmlCursor::ConsumeLiteral(std::string_view literal) {
-  if (input_.size() - pos_ < literal.size()) return false;
-  if (input_.compare(pos_, literal.size(), literal) != 0) return false;
-  for (size_t i = 0; i < literal.size(); ++i) Advance();
-  return true;
-}
-
-void XmlCursor::SkipWhitespace() {
-  while (!AtEnd() && std::isspace(static_cast<unsigned char>(Peek()))) {
-    Advance();
-  }
-}
-
-std::string XmlCursor::Location() const {
-  return "line " + std::to_string(line_) + ", column " + std::to_string(column_);
-}
-
-}  // namespace internal
-
-namespace {
-
-using internal::XmlCursor;
-
-bool IsNameStartChar(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
-
-bool IsNameChar(char c) {
-  return IsNameStartChar(c) || std::isdigit(static_cast<unsigned char>(c)) ||
-         c == '-' || c == '.';
-}
-
-/// Parser over an XmlCursor producing XmlElement trees.
-class Parser {
- public:
-  explicit Parser(std::string_view input) : cursor_(input) {}
-
-  Result<XmlDocument> ParseDocument() {
-    SCD_RETURN_IF_ERROR(SkipProlog());
-    SCD_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> root, ParseElement());
-    // Trailing misc: whitespace, comments, PIs.
-    while (true) {
-      cursor_.SkipWhitespace();
-      if (cursor_.AtEnd()) break;
-      if (cursor_.ConsumeLiteral("<!--")) {
-        SCD_RETURN_IF_ERROR(SkipUntil("-->"));
-      } else if (cursor_.ConsumeLiteral("<?")) {
-        SCD_RETURN_IF_ERROR(SkipUntil("?>"));
-      } else {
-        return Error("unexpected content after document element");
-      }
-    }
-    return XmlDocument(std::move(root));
-  }
-
- private:
-  Status Error(const std::string& message) const {
-    return Status::ParseError(message + " at " + cursor_.Location());
-  }
-
-  Status SkipUntil(std::string_view terminator) {
-    while (!cursor_.AtEnd()) {
-      if (cursor_.ConsumeLiteral(terminator)) return Status::OK();
-      cursor_.Advance();
-    }
-    return Error("unterminated construct, expected '" + std::string(terminator) +
-                 "'");
-  }
-
-  Status SkipProlog() {
-    while (true) {
-      cursor_.SkipWhitespace();
-      if (cursor_.ConsumeLiteral("<?")) {
-        SCD_RETURN_IF_ERROR(SkipUntil("?>"));
-      } else if (cursor_.ConsumeLiteral("<!--")) {
-        SCD_RETURN_IF_ERROR(SkipUntil("-->"));
-      } else if (cursor_.ConsumeLiteral("<!DOCTYPE")) {
-        // Skip a DOCTYPE without an internal subset; reject subsets since we
-        // do not implement entity definitions.
-        while (!cursor_.AtEnd() && cursor_.Peek() != '>') {
-          if (cursor_.Peek() == '[') {
-            return Error("DOCTYPE internal subsets are not supported");
-          }
-          cursor_.Advance();
-        }
-        if (!cursor_.Consume('>')) return Error("unterminated DOCTYPE");
-      } else {
-        return Status::OK();
-      }
-    }
-  }
-
-  Result<std::string> ParseName() {
-    if (!IsNameStartChar(cursor_.Peek())) {
-      return Error("expected a name");
-    }
-    size_t begin = cursor_.position();
-    while (IsNameChar(cursor_.Peek())) cursor_.Advance();
-    return std::string(cursor_.Slice(begin, cursor_.position()));
-  }
-
-  /// Decodes one entity reference starting after the '&'.
-  Result<std::string> ParseEntity() {
-    size_t begin = cursor_.position();
-    while (!cursor_.AtEnd() && cursor_.Peek() != ';') {
-      if (cursor_.position() - begin > 10) {
-        return Error("entity reference too long");
-      }
-      cursor_.Advance();
-    }
-    if (cursor_.AtEnd()) return Error("unterminated entity reference");
-    std::string name(cursor_.Slice(begin, cursor_.position()));
-    cursor_.Advance();  // ';'
-    if (name == "lt") return std::string("<");
-    if (name == "gt") return std::string(">");
-    if (name == "amp") return std::string("&");
-    if (name == "apos") return std::string("'");
-    if (name == "quot") return std::string("\"");
-    if (!name.empty() && name[0] == '#') {
-      int base = 10;
-      std::string_view digits(name);
-      digits.remove_prefix(1);
-      if (!digits.empty() && (digits[0] == 'x' || digits[0] == 'X')) {
-        base = 16;
-        digits.remove_prefix(1);
-      }
-      if (digits.empty()) return Error("empty character reference");
-      char* end = nullptr;
-      std::string buffer(digits);
-      long code = std::strtol(buffer.c_str(), &end, base);
-      if (end != buffer.c_str() + buffer.size() || code <= 0 || code > 0x10FFFF) {
-        return Error("invalid character reference '&" + name + ";'");
-      }
-      return EncodeUtf8(static_cast<uint32_t>(code));
-    }
-    return Error("unknown entity '&" + name + ";'");
-  }
-
-  static std::string EncodeUtf8(uint32_t code) {
-    std::string out;
-    if (code < 0x80) {
-      out.push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else if (code < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-    return out;
-  }
-
-  Result<std::string> ParseAttributeValue() {
-    char quote = cursor_.Peek();
-    if (quote != '"' && quote != '\'') {
-      return Error("expected quoted attribute value");
-    }
-    cursor_.Advance();
-    std::string value;
-    while (!cursor_.AtEnd() && cursor_.Peek() != quote) {
-      char c = cursor_.Peek();
-      if (c == '<') return Error("'<' not allowed in attribute value");
-      if (c == '&') {
-        cursor_.Advance();
-        SCD_ASSIGN_OR_RETURN(std::string decoded, ParseEntity());
-        value += decoded;
-      } else {
-        value.push_back(cursor_.Advance());
-      }
-    }
-    if (!cursor_.Consume(quote)) return Error("unterminated attribute value");
-    return value;
-  }
-
-  Result<std::unique_ptr<XmlElement>> ParseElement() {
-    if (!cursor_.Consume('<')) return Error("expected '<'");
-    SCD_ASSIGN_OR_RETURN(std::string name, ParseName());
-    auto element = std::make_unique<XmlElement>(std::move(name));
-
-    // Attributes.
-    while (true) {
-      cursor_.SkipWhitespace();
-      char c = cursor_.Peek();
-      if (c == '>' || c == '/') break;
-      SCD_ASSIGN_OR_RETURN(std::string attr_name, ParseName());
-      cursor_.SkipWhitespace();
-      if (!cursor_.Consume('=')) return Error("expected '=' after attribute name");
-      cursor_.SkipWhitespace();
-      SCD_ASSIGN_OR_RETURN(std::string attr_value, ParseAttributeValue());
-      if (element->FindAttribute(attr_name) != nullptr) {
-        return Error("duplicate attribute '" + attr_name + "'");
-      }
-      element->AddAttribute(std::move(attr_name), std::move(attr_value));
-    }
-
-    if (cursor_.ConsumeLiteral("/>")) return element;
-    if (!cursor_.Consume('>')) return Error("expected '>'");
-
-    // Content.
-    std::string text;
-    while (true) {
-      if (cursor_.AtEnd()) {
-        return Error("unexpected end of input inside <" + element->name() + ">");
-      }
-      if (cursor_.ConsumeLiteral("<!--")) {
-        SCD_RETURN_IF_ERROR(SkipUntil("-->"));
-      } else if (cursor_.ConsumeLiteral("<![CDATA[")) {
-        size_t begin = cursor_.position();
-        while (!cursor_.AtEnd()) {
-          if (cursor_.PeekAt(0) == ']' && cursor_.PeekAt(1) == ']' &&
-              cursor_.PeekAt(2) == '>') {
-            break;
-          }
-          cursor_.Advance();
-        }
-        if (cursor_.AtEnd()) return Error("unterminated CDATA section");
-        text.append(cursor_.Slice(begin, cursor_.position()));
-        cursor_.ConsumeLiteral("]]>");
-      } else if (cursor_.ConsumeLiteral("<?")) {
-        SCD_RETURN_IF_ERROR(SkipUntil("?>"));
-      } else if (cursor_.PeekAt(0) == '<' && cursor_.PeekAt(1) == '/') {
-        break;
-      } else if (cursor_.Peek() == '<') {
-        SCD_ASSIGN_OR_RETURN(std::unique_ptr<XmlElement> child, ParseElement());
-        element->AdoptChild(std::move(child));
-      } else if (cursor_.Peek() == '&') {
-        cursor_.Advance();
-        SCD_ASSIGN_OR_RETURN(std::string decoded, ParseEntity());
-        text += decoded;
-      } else {
-        text.push_back(cursor_.Advance());
-      }
-    }
-
-    // Closing tag.
-    cursor_.ConsumeLiteral("</");
-    SCD_ASSIGN_OR_RETURN(std::string close_name, ParseName());
-    if (close_name != element->name()) {
-      return Error("mismatched closing tag </" + close_name + "> for <" +
-                   element->name() + ">");
-    }
-    cursor_.SkipWhitespace();
-    if (!cursor_.Consume('>')) return Error("expected '>' in closing tag");
-
-    element->SetText(std::string(StrTrim(text)));
-    return element;
-  }
-
-  XmlCursor cursor_;
-};
-
-}  // namespace
-
 Result<XmlDocument> ParseXml(std::string_view input) {
-  Parser parser(input);
-  return parser.ParseDocument();
+  XmlTokenizer tokenizer(input);
+  std::unique_ptr<XmlElement> root;
+  std::vector<XmlElement*> open;
+  for (;;) {
+    SCD_ASSIGN_OR_RETURN(XmlTokenizer::Token token, tokenizer.Next());
+    switch (token) {
+      case XmlTokenizer::Token::kStartElement: {
+        std::string name(tokenizer.name());
+        XmlElement* element;
+        if (open.empty()) {
+          root = std::make_unique<XmlElement>(std::move(name));
+          element = root.get();
+        } else {
+          element = open.back()->AddChild(std::move(name));
+        }
+        for (const XmlAttribute& attribute : tokenizer.attributes()) {
+          element->AddAttribute(std::string(attribute.name),
+                                std::string(attribute.value));
+        }
+        open.push_back(element);
+        break;
+      }
+      case XmlTokenizer::Token::kText:
+        open.back()->AppendText(tokenizer.text());
+        break;
+      case XmlTokenizer::Token::kEndElement: {
+        XmlElement* element = open.back();
+        std::string_view trimmed = StrTrim(element->text());
+        if (trimmed.size() != element->text().size()) {
+          element->SetText(std::string(trimmed));
+        }
+        open.pop_back();
+        break;
+      }
+      case XmlTokenizer::Token::kEndOfDocument:
+        return XmlDocument(std::move(root));
+    }
+  }
 }
 
 std::string EscapeXmlText(std::string_view text) {

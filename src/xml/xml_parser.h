@@ -1,12 +1,7 @@
 /// \file xml_parser.h
-/// \brief Recursive-descent XML parser covering the subset produced by
-/// smart-city web feeds: elements, attributes, character data, CDATA,
-/// comments, processing instructions, DOCTYPE skipping and the five named
-/// entities plus numeric character references.
-///
-/// Not supported (rejected with ParseError where encountered): internal DTD
-/// subsets with entity definitions, namespaces beyond treating ':' as a name
-/// character.
+/// \brief DOM parser and serializer for the XML subset that XmlTokenizer
+/// (xml_tokenizer.h) reads. The parser builds an XmlElement tree from the
+/// tokenizer's events; the tokenizer makes every well-formedness check.
 
 #ifndef SCDWARF_XML_XML_PARSER_H_
 #define SCDWARF_XML_XML_PARSER_H_
@@ -20,7 +15,7 @@
 namespace scdwarf::xml {
 
 /// \brief Parses \p input into a document. Returns ParseError with
-/// line:column context on malformed input.
+/// "line L, column C" context on malformed input.
 Result<XmlDocument> ParseXml(std::string_view input);
 
 /// \brief Serializes \p element (recursively) as indented XML.
@@ -32,43 +27,6 @@ std::string SerializeXml(const XmlDocument& document);
 /// \brief Escapes the five XML special characters in character data.
 std::string EscapeXmlText(std::string_view text);
 
-namespace internal {
-
-/// \brief Character-level cursor with line/column tracking, shared by the
-/// parser; exposed for white-box tests.
-class XmlCursor {
- public:
-  explicit XmlCursor(std::string_view input) : input_(input) {}
-
-  bool AtEnd() const { return pos_ >= input_.size(); }
-  char Peek() const { return pos_ < input_.size() ? input_[pos_] : '\0'; }
-  char PeekAt(size_t lookahead) const {
-    return pos_ + lookahead < input_.size() ? input_[pos_ + lookahead] : '\0';
-  }
-  char Advance();
-  bool Consume(char expected);
-  bool ConsumeLiteral(std::string_view literal);
-  void SkipWhitespace();
-
-  size_t position() const { return pos_; }
-  int line() const { return line_; }
-  int column() const { return column_; }
-
-  /// Formats "line L, column C" for error messages.
-  std::string Location() const;
-
-  std::string_view Slice(size_t begin, size_t end) const {
-    return input_.substr(begin, end - begin);
-  }
-
- private:
-  std::string_view input_;
-  size_t pos_ = 0;
-  int line_ = 1;
-  int column_ = 1;
-};
-
-}  // namespace internal
 }  // namespace scdwarf::xml
 
 #endif  // SCDWARF_XML_XML_PARSER_H_

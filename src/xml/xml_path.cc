@@ -33,31 +33,36 @@ Result<XmlPath> XmlPath::Compile(std::string_view expression) {
   return path;
 }
 
+bool XmlPath::MatchesStack(std::span<const std::string_view> names) const {
+  if (names.size() > steps_.size()) return false;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (steps_[i] != "*" && steps_[i] != names[i]) return false;
+  }
+  return true;
+}
+
+void XmlPath::CollectElements(const XmlElement& element,
+                              std::vector<std::string_view>* names,
+                              std::vector<const XmlElement*>* out) const {
+  if (names->size() == steps_.size()) {
+    if (attribute_.empty() || element.FindAttribute(attribute_) != nullptr) {
+      out->push_back(&element);
+    }
+    return;
+  }
+  for (const auto& child : element.children()) {
+    names->push_back(child->name());
+    if (MatchesStack(*names)) CollectElements(*child, names, out);
+    names->pop_back();
+  }
+}
+
 std::vector<const XmlElement*> XmlPath::SelectElements(
     const XmlElement& context) const {
-  std::vector<const XmlElement*> current = {&context};
-  for (const std::string& step : steps_) {
-    std::vector<const XmlElement*> next;
-    for (const XmlElement* element : current) {
-      for (const auto& child : element->children()) {
-        if (step == "*" || child->name() == step) {
-          next.push_back(child.get());
-        }
-      }
-    }
-    current = std::move(next);
-    if (current.empty()) break;
-  }
-  if (!attribute_.empty()) {
-    std::vector<const XmlElement*> with_attr;
-    for (const XmlElement* element : current) {
-      if (element->FindAttribute(attribute_) != nullptr) {
-        with_attr.push_back(element);
-      }
-    }
-    return with_attr;
-  }
-  return current;
+  std::vector<const XmlElement*> selected;
+  std::vector<std::string_view> names;
+  CollectElements(context, &names, &selected);
+  return selected;
 }
 
 std::vector<std::string> XmlPath::SelectValues(const XmlElement& context) const {

@@ -7,10 +7,15 @@
 /// A path is evaluated relative to a context element. The final step may be
 /// an attribute reference; intermediate steps must be element names or '*'
 /// (any element).
+///
+/// MatchesStack() is the one rule for which element a path selects: the DOM
+/// selectors below and the streaming extractor (etl/extractor.h), which
+/// matches on tokenizer events, both apply it.
 
 #ifndef SCDWARF_XML_XML_PATH_H_
 #define SCDWARF_XML_XML_PATH_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,7 +32,21 @@ class XmlPath {
   /// steps, '@' on a non-final step, empty expression).
   static Result<XmlPath> Compile(std::string_view expression);
 
-  /// Returns every element matched by this path under \p context.
+  /// True when every name in \p names, the element names on the way down
+  /// from the context (its child first), matches the step at its depth. A
+  /// stack depth() names deep then reaches an element the element steps
+  /// select; a shallower one can still lead to one.
+  bool MatchesStack(std::span<const std::string_view> names) const;
+
+  /// Number of element steps: selected elements sit this deep below the
+  /// context.
+  size_t depth() const { return steps_.size(); }
+
+  /// Attribute name of an attribute path, empty otherwise.
+  const std::string& attribute() const { return attribute_; }
+
+  /// Returns every element matched by this path under \p context, in
+  /// document order.
   /// For attribute paths this returns the elements owning the attribute.
   std::vector<const XmlElement*> SelectElements(const XmlElement& context) const;
 
@@ -42,6 +61,12 @@ class XmlPath {
 
  private:
   XmlPath() = default;
+
+  /// Appends what this path selects at or below \p element, which the
+  /// context reaches through the child names \p names.
+  void CollectElements(const XmlElement& element,
+                       std::vector<std::string_view>* names,
+                       std::vector<const XmlElement*>* out) const;
 
   std::string expression_;
   std::vector<std::string> steps_;  // element name steps, "*" for wildcard
