@@ -1,6 +1,9 @@
 #include "etl/extractor.h"
 
-#include "xml/xml_parser.h"
+#include <span>
+
+#include "common/strings.h"
+#include "xml/xml_tokenizer.h"
 
 namespace scdwarf::etl {
 
@@ -14,6 +17,14 @@ Status HandleMissing(const FieldSpec& field, FeedRecord* record) {
   }
   record->Set(field.name, field.default_value);
   return Status::OK();
+}
+
+const std::string_view* FindAttribute(
+    const std::vector<xml::XmlAttribute>& attributes, std::string_view name) {
+  for (const xml::XmlAttribute& attribute : attributes) {
+    if (attribute.name == name) return &attribute.value;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -33,48 +44,113 @@ Result<XmlExtractor> XmlExtractor::Create(std::string record_path,
 
 Result<std::vector<FeedRecord>> XmlExtractor::Extract(
     std::string_view document) const {
-  SCD_ASSIGN_OR_RETURN(xml::XmlDocument parsed, xml::ParseXml(document));
-  return ExtractFromDocument(parsed);
-}
+  // Field values found so far: the document-scope ones in slots [0, n), then
+  // n slots per record. An element field's slot is taken at its element's
+  // start tag, since the first match wins, and gets the element's trimmed
+  // direct text at the end tag. Records are assembled once the whole
+  // document has tokenized: a malformed document fails as ParseXml does,
+  // and a document-scope field may follow the records.
+  struct Slot {
+    std::string value;
+    bool found = false;
+  };
+  struct OpenText {
+    bool captured = false;
+    std::string text;
+  };
+  const size_t num_fields = fields_.size();
+  const size_t record_depth = record_path_.depth();
+  std::vector<Slot> slots(num_fields);
+  size_t num_records = 0;
+  size_t record_base = 0;
+  bool in_record = false;
+  std::vector<OpenText> texts;  // by element depth, the root at 0
+  std::vector<std::pair<size_t, size_t>> pending;  // (slot, depth), innermost last
 
-Result<std::vector<FeedRecord>> XmlExtractor::ExtractFromDocument(
-    const xml::XmlDocument& document) const {
-  if (document.root() == nullptr) {
-    return Status::InvalidArgument("document has no root element");
-  }
-  const xml::XmlElement& root = *document.root();
-
-  // Document-scope values are read once.
-  std::vector<std::string> document_values(fields_.size());
-  std::vector<bool> document_found(fields_.size(), false);
-  for (size_t i = 0; i < fields_.size(); ++i) {
-    if (fields_[i].scope != FieldScope::kDocument) continue;
-    auto value = field_paths_[i].SelectFirstValue(root);
-    if (value.ok()) {
-      document_values[i] = *std::move(value);
-      document_found[i] = true;
+  xml::XmlTokenizer tokenizer(document);
+  for (;;) {
+    SCD_ASSIGN_OR_RETURN(xml::XmlTokenizer::Token token, tokenizer.Next());
+    if (token == xml::XmlTokenizer::Token::kEndOfDocument) break;
+    const std::vector<std::string_view>& open = tokenizer.open_elements();
+    const size_t depth = open.size() - 1;
+    switch (token) {
+      case xml::XmlTokenizer::Token::kStartElement: {
+        std::span<const std::string_view> below_root(open.data() + 1, depth);
+        if (texts.size() <= depth) texts.resize(depth + 1);
+        texts[depth].captured = false;
+        if (depth == record_depth) {
+          in_record = record_path_.MatchesStack(below_root) &&
+                      (record_path_.attribute().empty() ||
+                       FindAttribute(tokenizer.attributes(),
+                                     record_path_.attribute()) != nullptr);
+          if (in_record) {
+            record_base = slots.size();
+            slots.resize(slots.size() + num_fields);
+            ++num_records;
+          }
+        }
+        for (size_t i = 0; i < num_fields; ++i) {
+          const bool document_scope = fields_[i].scope == FieldScope::kDocument;
+          if (!document_scope && !in_record) continue;
+          const size_t context = document_scope ? 0 : record_depth;
+          const xml::XmlPath& path = field_paths_[i];
+          if (depth != context + path.depth() ||
+              !path.MatchesStack(below_root.subspan(context))) {
+            continue;
+          }
+          const size_t slot = document_scope ? i : record_base + i;
+          if (slots[slot].found) continue;
+          if (path.attribute().empty()) {
+            slots[slot].found = true;
+            pending.emplace_back(slot, depth);
+            if (!texts[depth].captured) {
+              texts[depth].captured = true;
+              texts[depth].text.clear();
+            }
+          } else if (const std::string_view* value = FindAttribute(
+                         tokenizer.attributes(), path.attribute())) {
+            slots[slot].value.assign(*value);
+            slots[slot].found = true;
+          }
+        }
+        break;
+      }
+      case xml::XmlTokenizer::Token::kText:
+        if (texts[depth].captured) texts[depth].text.append(tokenizer.text());
+        break;
+      case xml::XmlTokenizer::Token::kEndElement:
+        if (texts[depth].captured) {
+          std::string_view text = StrTrim(texts[depth].text);
+          while (!pending.empty() && pending.back().second == depth) {
+            slots[pending.back().first].value.assign(text);
+            pending.pop_back();
+          }
+          texts[depth].captured = false;
+        }
+        if (depth == record_depth) in_record = false;
+        break;
+      case xml::XmlTokenizer::Token::kEndOfDocument:
+        break;
     }
   }
 
   std::vector<FeedRecord> records;
-  for (const xml::XmlElement* element : record_path_.SelectElements(root)) {
+  records.reserve(num_records);
+  for (size_t r = 0; r < num_records; ++r) {
+    Slot* record_slots = slots.data() + num_fields * (r + 1);
     FeedRecord record;
-    for (size_t i = 0; i < fields_.size(); ++i) {
+    for (size_t i = 0; i < num_fields; ++i) {
       const FieldSpec& field = fields_[i];
       if (field.scope == FieldScope::kDocument) {
-        if (document_found[i]) {
-          record.Set(field.name, document_values[i]);
-        } else {
-          SCD_RETURN_IF_ERROR(HandleMissing(field, &record));
+        if (slots[i].found) {
+          record.Set(field.name, slots[i].value);
+          continue;
         }
+      } else if (record_slots[i].found) {
+        record.Set(field.name, std::move(record_slots[i].value));
         continue;
       }
-      auto value = field_paths_[i].SelectFirstValue(*element);
-      if (value.ok()) {
-        record.Set(field.name, *std::move(value));
-      } else {
-        SCD_RETURN_IF_ERROR(HandleMissing(field, &record));
-      }
+      SCD_RETURN_IF_ERROR(HandleMissing(field, &record));
     }
     records.push_back(std::move(record));
   }

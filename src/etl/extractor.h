@@ -40,12 +40,11 @@ class XmlExtractor {
   static Result<XmlExtractor> Create(std::string record_path,
                                      std::vector<FieldSpec> fields);
 
-  /// Parses \p document and extracts one record per matched element.
+  /// Extracts one record per matched element in one tokenizer pass over
+  /// \p document, without building a DOM. The result, and the status of a
+  /// malformed document, equal what XmlPath's DOM selectors give on
+  /// ParseXml's tree.
   Result<std::vector<FeedRecord>> Extract(std::string_view document) const;
-
-  /// Extracts from an already-parsed document.
-  Result<std::vector<FeedRecord>> ExtractFromDocument(
-      const xml::XmlDocument& document) const;
 
  private:
   XmlExtractor() = default;
