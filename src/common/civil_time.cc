@@ -92,7 +92,14 @@ std::string FormatIso(const CivilTime& time) {
 }
 
 std::string FormatIsoDate(const CivilTime& time) {
-  return StrFormat("%04d-%02d-%02d", time.year, time.month, time.day);
+  std::string out;
+  out.reserve(10);
+  AppendZeroPadded(time.year, 4, &out);
+  out.push_back('-');
+  AppendZeroPadded(time.month, 2, &out);
+  out.push_back('-');
+  AppendZeroPadded(time.day, 2, &out);
+  return out;
 }
 
 Result<CivilTime> ParseIso(std::string_view text) {

@@ -174,4 +174,21 @@ std::string StrFormat(const char* fmt, ...) {
   return result;
 }
 
+void AppendZeroPadded(int value, int width, std::string* out) {
+  // The magnitude in unsigned arithmetic, where INT_MIN negates cleanly.
+  unsigned magnitude = value < 0 ? 0u - static_cast<unsigned>(value)
+                                 : static_cast<unsigned>(value);
+  char digits[10];
+  int count = 0;
+  do {
+    digits[count++] = static_cast<char>('0' + magnitude % 10);
+    magnitude /= 10;
+  } while (magnitude != 0);
+  if (value < 0) out->push_back('-');
+  for (int pad = width - count - (value < 0 ? 1 : 0); pad > 0; --pad) {
+    out->push_back('0');
+  }
+  while (count > 0) out->push_back(digits[--count]);
+}
+
 }  // namespace scdwarf

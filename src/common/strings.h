@@ -56,6 +56,10 @@ std::string FormatWithCommas(int64_t value);
 /// \brief printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// \brief Appends \p value as printf's "%0<width>d" prints it, without
+/// printf: zero-padded to \p width characters, the sign counted in them.
+void AppendZeroPadded(int value, int width, std::string* out);
+
 }  // namespace scdwarf
 
 #endif  // SCDWARF_COMMON_STRINGS_H_

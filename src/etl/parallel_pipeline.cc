@@ -182,7 +182,7 @@ struct ParallelCubePipeline::State {
       tuple.keys.reserve(dims);
       for (size_t dim = 0; dim < dims; ++dim) {
         const std::string& key = mapped->first[dim];
-        auto [it, inserted] = local[dim].emplace(
+        auto [it, inserted] = local[dim].try_emplace(
             key, static_cast<dwarf::DimKey>(out.dict_values[dim].size()));
         if (inserted) out.dict_values[dim].push_back(key);
         tuple.keys.push_back(it->second);

@@ -34,12 +34,8 @@ class FeedRecord {
 
   bool Has(std::string_view name) const { return Find(name) != nullptr; }
 
-  const std::vector<std::pair<std::string, std::string>>& fields() const {
-    return fields_;
-  }
-  size_t size() const { return fields_.size(); }
-
- private:
+  /// Field value or nullptr, without the copy Get() makes; valid until the
+  /// record changes.
   const std::string* Find(std::string_view name) const {
     for (const auto& [field_name, value] : fields_) {
       if (field_name == name) return &value;
@@ -47,6 +43,12 @@ class FeedRecord {
     return nullptr;
   }
 
+  const std::vector<std::pair<std::string, std::string>>& fields() const {
+    return fields_;
+  }
+  size_t size() const { return fields_.size(); }
+
+ private:
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 

@@ -1,5 +1,7 @@
 #include "etl/tuple_mapper.h"
 
+#include <limits>
+
 #include "common/civil_time.h"
 #include "common/strings.h"
 
@@ -22,9 +24,39 @@ namespace {
 
 Result<std::string> BucketValue(const std::string& value, int64_t width) {
   SCD_ASSIGN_OR_RETURN(int64_t number, ParseInt64(value));
-  int64_t lo = (number >= 0 ? number / width : (number - width + 1) / width) *
-               width;
+  // Floor division; the bucket [lo, lo + width - 1] must fit in int64.
+  int64_t bucket = number / width - (number % width < 0 ? 1 : 0);
+  if (bucket < std::numeric_limits<int64_t>::min() / width ||
+      bucket > (std::numeric_limits<int64_t>::max() - (width - 1)) / width) {
+    return Status::OutOfRange("bucket bounds out of range: " +
+                              std::string(StrTrim(value)));
+  }
+  int64_t lo = bucket * width;
   return std::to_string(lo) + "-" + std::to_string(lo + width - 1);
+}
+
+bool IsCalendar(Transform transform) {
+  return transform == Transform::kMonthName || transform == Transform::kDate ||
+         transform == Transform::kWeekday || transform == Transform::kHour;
+}
+
+/// The key a calendar transform derives from a parsed timestamp.
+std::string CalendarKey(Transform transform, const CivilTime& time) {
+  switch (transform) {
+    case Transform::kMonthName:
+      return MonthName(time.month);
+    case Transform::kDate:
+      return FormatIsoDate(time);
+    case Transform::kWeekday:
+      return WeekdayName(WeekdayIndex(time.year, time.month, time.day));
+    case Transform::kHour: {
+      std::string hour;
+      AppendZeroPadded(time.hour, 2, &hour);
+      return hour;
+    }
+    default:
+      return std::string();  // callers pass calendar transforms only
+  }
 }
 
 }  // namespace
@@ -34,22 +66,12 @@ Result<std::string> ApplyTransform(Transform transform,
   switch (transform) {
     case Transform::kIdentity:
       return value;
-    case Transform::kMonthName: {
-      SCD_ASSIGN_OR_RETURN(CivilTime time, ParseIso(value));
-      return std::string(MonthName(time.month));
-    }
-    case Transform::kDate: {
-      SCD_ASSIGN_OR_RETURN(CivilTime time, ParseIso(value));
-      return FormatIsoDate(time);
-    }
-    case Transform::kWeekday: {
-      SCD_ASSIGN_OR_RETURN(CivilTime time, ParseIso(value));
-      return std::string(WeekdayName(WeekdayIndex(time.year, time.month,
-                                                  time.day)));
-    }
+    case Transform::kMonthName:
+    case Transform::kDate:
+    case Transform::kWeekday:
     case Transform::kHour: {
       SCD_ASSIGN_OR_RETURN(CivilTime time, ParseIso(value));
-      return StrFormat("%02d", time.hour);
+      return CalendarKey(transform, time);
     }
     case Transform::kBucket10:
       return BucketValue(value, 10);
@@ -86,17 +108,35 @@ Result<std::pair<std::vector<std::string>, dwarf::Measure>> TupleMapper::Map(
     const FeedRecord& record) const {
   std::vector<std::string> keys;
   keys.reserve(dimensions_.size());
+  // Calendar dimensions usually share one timestamp field: parse it once.
+  const std::string* parsed_field = nullptr;
+  CivilTime time;
   for (const DimensionMapping& dimension : dimensions_) {
-    SCD_ASSIGN_OR_RETURN(std::string raw, record.Get(dimension.field));
-    auto transformed = ApplyTransform(dimension.transform, raw);
+    const std::string* raw = record.Find(dimension.field);
+    if (raw == nullptr) return record.Get(dimension.field).status();
+    if (IsCalendar(dimension.transform)) {
+      if (raw != parsed_field) {
+        auto parsed = ParseIso(*raw);
+        if (!parsed.ok()) {
+          return parsed.status().WithContext("field '" + dimension.field +
+                                             "'");
+        }
+        time = *parsed;
+        parsed_field = raw;
+      }
+      keys.push_back(CalendarKey(dimension.transform, time));
+      continue;
+    }
+    auto transformed = ApplyTransform(dimension.transform, *raw);
     if (!transformed.ok()) {
       return transformed.status().WithContext("field '" + dimension.field +
                                               "'");
     }
     keys.push_back(*std::move(transformed));
   }
-  SCD_ASSIGN_OR_RETURN(std::string measure_raw, record.Get(measure_field_));
-  auto measure = ParseInt64(measure_raw);
+  const std::string* measure_raw = record.Find(measure_field_);
+  if (measure_raw == nullptr) return record.Get(measure_field_).status();
+  auto measure = ParseInt64(*measure_raw);
   if (!measure.ok()) {
     return measure.status().WithContext("measure field '" + measure_field_ +
                                         "'");

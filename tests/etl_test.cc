@@ -388,6 +388,17 @@ TEST(TransformTest, Buckets) {
   EXPECT_EQ(*ApplyTransform(Transform::kBucket10, "30"), "30-39");
   EXPECT_EQ(*ApplyTransform(Transform::kBucket10, "-5"), "-10--1");
   EXPECT_EQ(*ApplyTransform(Transform::kBucket100, "250"), "200-299");
+  // Buckets whose bounds leave int64 are rejected, like literals outside it.
+  EXPECT_TRUE(ApplyTransform(Transform::kBucket10, "9223372036854775807")
+                  .status()
+                  .IsOutOfRange());
+  EXPECT_TRUE(ApplyTransform(Transform::kBucket10, "-9223372036854775808")
+                  .status()
+                  .IsOutOfRange());
+  EXPECT_EQ(*ApplyTransform(Transform::kBucket10, "9223372036854775799"),
+            "9223372036854775790-9223372036854775799");
+  EXPECT_EQ(*ApplyTransform(Transform::kBucket10, "-9223372036854775800"),
+            "-9223372036854775800--9223372036854775791");
 }
 
 TEST(TransformTest, IdentityAndErrors) {
