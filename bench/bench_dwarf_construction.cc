@@ -1,7 +1,7 @@
 // DWARF construction scaling: build time, node/cell counts and compression
 // ratio as the tuple count grows — the cube-construction half of the
-// pipeline that feeds every Table-4/5 measurement. Also benchmarks the raw
-// parser throughputs the ETL path depends on.
+// pipeline that feeds every Table-4/5 measurement. Also benchmarks the ETL
+// worker's XML extract + map throughput and the raw JSON parser.
 
 #include <benchmark/benchmark.h>
 
@@ -9,7 +9,6 @@
 #include "dwarf/builder.h"
 #include "etl/parallel_pipeline.h"
 #include "json/json_parser.h"
-#include "xml/xml_parser.h"
 
 namespace {
 
@@ -108,17 +107,38 @@ BENCHMARK(BM_BuilderOnly)
     ->Arg(120000)
     ->Unit(benchmark::kMillisecond);
 
+// The ETL worker's per-document work on one thread: streaming extraction of
+// the station records, then their mapping to cube keys.
 void BM_XmlParseThroughput(benchmark::State& state) {
   std::vector<std::string> documents = FeedDocuments(5000, false);
   uint64_t bytes = 0;
   for (const std::string& document : documents) bytes += document.size();
+  auto extractor =
+      etl::XmlExtractor::Create("station", etl::BikesFieldSpecs());
+  auto mapper = etl::TupleMapper::Create(etl::MakeBikesCubeSchema(),
+                                         etl::BikesDimensionMappings(),
+                                         "available_bikes");
+  if (!extractor.ok() || !mapper.ok()) {
+    state.SkipWithError("bikes extractor or mapper rejected");
+    return;
+  }
+  uint64_t records = 0;
   for (auto _ : state) {
     for (const std::string& document : documents) {
-      auto parsed = xml::ParseXml(document);
-      benchmark::DoNotOptimize(parsed.ok());
+      auto extracted = extractor->Extract(document);
+      if (!extracted.ok()) {
+        state.SkipWithError(extracted.status().ToString().c_str());
+        return;
+      }
+      for (const etl::FeedRecord& record : *extracted) {
+        auto mapped = mapper->Map(record);
+        benchmark::DoNotOptimize(mapped);
+        ++records;
+      }
     }
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.SetItemsProcessed(static_cast<int64_t>(records));
 }
 BENCHMARK(BM_XmlParseThroughput)->Unit(benchmark::kMillisecond);
 
