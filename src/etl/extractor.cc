@@ -54,18 +54,19 @@ Result<std::vector<FeedRecord>> XmlExtractor::Extract(
     std::string value;
     bool found = false;
   };
-  struct OpenText {
-    bool captured = false;
-    std::string text;
-  };
   const size_t num_fields = fields_.size();
   const size_t record_depth = record_path_.depth();
   std::vector<Slot> slots(num_fields);
   size_t num_records = 0;
   size_t record_base = 0;
   bool in_record = false;
-  std::vector<OpenText> texts;  // by element depth, the root at 0
-  std::vector<std::pair<size_t, size_t>> pending;  // (slot, depth), innermost last
+  // Element fields waiting for their end tag as (slot, depth), innermost
+  // last, and the direct text collected so far at each depth (root at 0).
+  std::vector<std::pair<size_t, size_t>> pending;
+  std::vector<std::string> texts;
+  auto capturing = [&pending](size_t depth) {
+    return !pending.empty() && pending.back().second == depth;
+  };
 
   xml::XmlTokenizer tokenizer(document);
   for (;;) {
@@ -76,8 +77,6 @@ Result<std::vector<FeedRecord>> XmlExtractor::Extract(
     switch (token) {
       case xml::XmlTokenizer::Token::kStartElement: {
         std::span<const std::string_view> below_root(open.data() + 1, depth);
-        if (texts.size() <= depth) texts.resize(depth + 1);
-        texts[depth].captured = false;
         if (depth == record_depth) {
           in_record = record_path_.MatchesStack(below_root) &&
                       (record_path_.attribute().empty() ||
@@ -101,12 +100,10 @@ Result<std::vector<FeedRecord>> XmlExtractor::Extract(
           const size_t slot = document_scope ? i : record_base + i;
           if (slots[slot].found) continue;
           if (path.attribute().empty()) {
+            if (texts.size() <= depth) texts.resize(depth + 1);
+            if (!capturing(depth)) texts[depth].clear();
             slots[slot].found = true;
             pending.emplace_back(slot, depth);
-            if (!texts[depth].captured) {
-              texts[depth].captured = true;
-              texts[depth].text.clear();
-            }
           } else if (const std::string_view* value = FindAttribute(
                          tokenizer.attributes(), path.attribute())) {
             slots[slot].value.assign(*value);
@@ -116,16 +113,15 @@ Result<std::vector<FeedRecord>> XmlExtractor::Extract(
         break;
       }
       case xml::XmlTokenizer::Token::kText:
-        if (texts[depth].captured) texts[depth].text.append(tokenizer.text());
+        if (capturing(depth)) texts[depth].append(tokenizer.text());
         break;
       case xml::XmlTokenizer::Token::kEndElement:
-        if (texts[depth].captured) {
-          std::string_view text = StrTrim(texts[depth].text);
-          while (!pending.empty() && pending.back().second == depth) {
+        if (capturing(depth)) {
+          std::string_view text = StrTrim(texts[depth]);
+          do {
             slots[pending.back().first].value.assign(text);
             pending.pop_back();
-          }
-          texts[depth].captured = false;
+          } while (capturing(depth));
         }
         if (depth == record_depth) in_record = false;
         break;
