@@ -41,7 +41,10 @@ struct XmlAttribute {
 /// \endcode
 ///
 /// Views returned by the accessors point into the input or into the
-/// tokenizer and stay valid until the next call to Next().
+/// tokenizer and stay valid until the next call to Next(). An element's
+/// character data may arrive as several kText tokens, split around child
+/// elements, entities and CDATA; concatenated and trimmed they give
+/// XmlElement::text().
 class XmlTokenizer {
  public:
   enum class Token {
