@@ -4,6 +4,29 @@
 
 namespace scdwarf::xml {
 
+namespace {
+
+/// Appends what \p path selects at or below \p element, which the context
+/// reaches through the child names \p names.
+void CollectElements(const XmlPath& path, const XmlElement& element,
+                     std::vector<std::string_view>* names,
+                     std::vector<const XmlElement*>* out) {
+  if (names->size() == path.depth()) {
+    if (path.attribute().empty() ||
+        element.FindAttribute(path.attribute()) != nullptr) {
+      out->push_back(&element);
+    }
+    return;
+  }
+  for (const auto& child : element.children()) {
+    names->push_back(child->name());
+    if (path.MatchesStack(*names)) CollectElements(path, *child, names, out);
+    names->pop_back();
+  }
+}
+
+}  // namespace
+
 Result<XmlPath> XmlPath::Compile(std::string_view expression) {
   if (StrTrim(expression).empty()) {
     return Status::ParseError("empty path expression");
@@ -41,27 +64,11 @@ bool XmlPath::MatchesStack(std::span<const std::string_view> names) const {
   return true;
 }
 
-void XmlPath::CollectElements(const XmlElement& element,
-                              std::vector<std::string_view>* names,
-                              std::vector<const XmlElement*>* out) const {
-  if (names->size() == steps_.size()) {
-    if (attribute_.empty() || element.FindAttribute(attribute_) != nullptr) {
-      out->push_back(&element);
-    }
-    return;
-  }
-  for (const auto& child : element.children()) {
-    names->push_back(child->name());
-    if (MatchesStack(*names)) CollectElements(*child, names, out);
-    names->pop_back();
-  }
-}
-
 std::vector<const XmlElement*> XmlPath::SelectElements(
     const XmlElement& context) const {
   std::vector<const XmlElement*> selected;
   std::vector<std::string_view> names;
-  CollectElements(context, &names, &selected);
+  CollectElements(*this, context, &names, &selected);
   return selected;
 }
 

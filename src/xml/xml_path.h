@@ -62,12 +62,6 @@ class XmlPath {
  private:
   XmlPath() = default;
 
-  /// Appends what this path selects at or below \p element, which the
-  /// context reaches through the child names \p names.
-  void CollectElements(const XmlElement& element,
-                       std::vector<std::string_view>* names,
-                       std::vector<const XmlElement*>* out) const;
-
   std::string expression_;
   std::vector<std::string> steps_;  // element name steps, "*" for wildcard
   std::string attribute_;           // non-empty for attribute paths
