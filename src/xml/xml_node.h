@@ -49,11 +49,6 @@ class XmlElement {
   }
   XmlElement* AddChild(std::string name);
 
-  /// Transfers ownership of an already-built subtree into this element.
-  void AdoptChild(std::unique_ptr<XmlElement> child) {
-    children_.push_back(std::move(child));
-  }
-
   /// First child element with the given tag name, or nullptr.
   const XmlElement* FindChild(std::string_view name) const;
 
