@@ -273,12 +273,12 @@ Result<XmlTokenizer::Token> XmlTokenizer::Next() {
           pop_pending_ = true;
           return Token::kEndElement;
         }
-        if (StartsWith("<!--")) {
+        if (next == '!' && StartsWith("<!--")) {
           pos_ += 4;
           SCD_RETURN_IF_ERROR(SkipPast("-->"));
           continue;
         }
-        if (StartsWith("<![CDATA[")) {
+        if (next == '!' && StartsWith("<![CDATA[")) {
           pos_ += 9;
           size_t end = input_.find("]]>", pos_);
           if (end == std::string_view::npos) {

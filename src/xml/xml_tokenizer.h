@@ -58,7 +58,7 @@ class XmlTokenizer {
   explicit XmlTokenizer(std::string_view input) : input_(input) {}
 
   /// Advances to the next token. Malformed input gives a ParseError whose
-  /// message ends in "at line L, column C".
+  /// message ends in "at line L, column C"; the tokenizer is then spent.
   Result<Token> Next();
 
   std::string_view name() const { return open_.back(); }
