@@ -1,10 +1,10 @@
 // Thread-count matrix for the parallel construction sweep and the parallel
 // store apply: DwarfBuilder::Build with num_threads in {1, 2, 8} must produce
 // node-for-node identical cube arenas (and so statistics), and storing a
-// cube into a durable nosql database with any thread count must write
-// byte-identical segment files — the parallel paths are pure speedups, never
-// observable behavior. Also: concurrent first stats() calls on a merged cube
-// share one memoized result.
+// cube through any of the four mappers into a durable engine with any
+// thread count must leave byte-identical files, logs included — the
+// parallel paths are pure speedups, never observable behavior. Also:
+// concurrent first stats() calls on a merged cube share one memoized result.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -26,7 +27,11 @@
 #include "etl/parallel_pipeline.h"
 #include "expect_same_arena.h"
 #include "mapper/nosql_dwarf_mapper.h"
+#include "mapper/nosql_min_mapper.h"
+#include "mapper/sql_dwarf_mapper.h"
+#include "mapper/sql_min_mapper.h"
 #include "nosql/database.h"
+#include "sql/engine.h"
 
 namespace scdwarf::dwarf {
 namespace {
@@ -253,6 +258,127 @@ TEST(ParallelSweepTest, StoreThreadMatrixWritesByteIdenticalSegments) {
       }
     }
     fs::remove_all(dir);
+  }
+}
+
+// Every file under \p dir, logs included, keyed by path relative to \p dir.
+std::map<std::string, std::string> ReadFiles(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    files[fs::relative(entry.path(), dir).string()] = std::move(bytes);
+  }
+  return files;
+}
+
+// Four dimensions of 20 values each, every combination once: 160,000 tuples.
+// No node has a single cell, so nothing coalesces: level k holds 21^k nodes
+// (9,724 in all), each with 20 cells and an ALL cell (204,204 cell rows).
+// Every thread count cuts several 1,024-node chunks, and the SQL cell
+// tables cross a 128K-row insert boundary.
+constexpr uint64_t kFullCubeTuples = 160000;
+constexpr uint64_t kFullCubeNodes = 9724;
+constexpr uint64_t kFullCubeCellRows = 204204;
+
+DwarfCube BuildFullCube() {
+  CubeSchema schema("full",
+                    {DimensionSpec("A"), DimensionSpec("B"), DimensionSpec("C"),
+                     DimensionSpec("D")},
+                    "m", AggFn::kSum);
+  BuilderOptions options;
+  options.num_threads = 1;
+  DwarfBuilder builder(schema, options);
+  for (int i = 0; i < static_cast<int>(kFullCubeTuples); ++i) {
+    Status status = builder.AddTuple(
+        {"a" + std::to_string(i / 8000), "b" + std::to_string(i / 400 % 20),
+         "c" + std::to_string(i / 20 % 20), "d" + std::to_string(i % 20)},
+        static_cast<Measure>(i % 13));
+    EXPECT_TRUE(status.ok()) << status;
+  }
+  auto cube = std::move(builder).Build();
+  EXPECT_TRUE(cube.ok()) << cube.status();
+  return std::move(*cube);
+}
+
+TEST(ParallelSweepTest, EverySchemaStoresByteIdenticalFilesAtAnyThreadCount) {
+  DwarfCube cube = BuildFullCube();
+  ASSERT_EQ(cube.stats().tuple_count, kFullCubeTuples);
+  ASSERT_EQ(cube.stats().node_count, kFullCubeNodes);
+  ASSERT_EQ(cube.stats().cell_count + cube.stats().node_count,
+            kFullCubeCellRows);
+
+  // One durable Store() per schema into the data directory it is given.
+  using StoreFn = std::function<void(const std::string& dir, int threads)>;
+  const std::vector<std::pair<std::string, StoreFn>> schemas = {
+      {"nosql_dwarf",
+       [&](const std::string& dir, int threads) {
+         auto db = nosql::Database::Open(dir);
+         ASSERT_TRUE(db.ok()) << db.status();
+         mapper::NoSqlDwarfMapper cube_mapper(&*db, "ks");
+         mapper::NoSqlStoreStats stats;
+         auto id = cube_mapper.Store(cube, {.num_threads = threads}, &stats);
+         ASSERT_TRUE(id.ok()) << id.status();
+         EXPECT_EQ(stats.node_rows, kFullCubeNodes);
+         EXPECT_EQ(stats.cell_rows, kFullCubeCellRows);
+       }},
+      {"nosql_min",
+       [&](const std::string& dir, int threads) {
+         auto db = nosql::Database::Open(dir);
+         ASSERT_TRUE(db.ok()) << db.status();
+         mapper::NoSqlMinMapper cube_mapper(&*db, "ks",
+                                            {.num_threads = threads});
+         auto id = cube_mapper.Store(cube);
+         ASSERT_TRUE(id.ok()) << id.status();
+       }},
+      {"mysql_dwarf",
+       [&](const std::string& dir, int threads) {
+         auto engine = sql::SqlEngine::Open(dir);
+         ASSERT_TRUE(engine.ok()) << engine.status();
+         mapper::SqlDwarfMapper cube_mapper(&*engine, "db");
+         cube_mapper.set_num_threads(threads);
+         mapper::SqlDwarfStoreStats stats;
+         auto id = cube_mapper.Store(cube, &stats);
+         ASSERT_TRUE(id.ok()) << id.status();
+         EXPECT_EQ(stats.node_rows, kFullCubeNodes);
+         EXPECT_EQ(stats.cell_rows, kFullCubeCellRows);
+         EXPECT_EQ(stats.node_children_rows, kFullCubeCellRows);
+       }},
+      {"mysql_min",
+       [&](const std::string& dir, int threads) {
+         auto engine = sql::SqlEngine::Open(dir);
+         ASSERT_TRUE(engine.ok()) << engine.status();
+         mapper::SqlMinMapper cube_mapper(&*engine, "db");
+         cube_mapper.set_num_threads(threads);
+         auto id = cube_mapper.Store(cube);
+         ASSERT_TRUE(id.ok()) << id.status();
+       }},
+  };
+  for (const auto& [schema, store] : schemas) {
+    std::map<std::string, std::string> baseline;
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(schema + " threads=" + std::to_string(threads));
+      fs::path dir = fs::temp_directory_path() /
+                     ("scdwarf_schema_store_" + schema + "_" +
+                      std::to_string(threads));
+      fs::remove_all(dir);
+      store(dir.string(), threads);
+      std::map<std::string, std::string> files = ReadFiles(dir);
+      fs::remove_all(dir);
+      EXPECT_FALSE(files.empty());
+      if (threads == 1) {
+        baseline = std::move(files);
+        continue;
+      }
+      ASSERT_EQ(files.size(), baseline.size());
+      for (const auto& [name, bytes] : baseline) {
+        auto it = files.find(name);
+        ASSERT_NE(it, files.end()) << "missing file " << name;
+        EXPECT_EQ(it->second, bytes) << "file bytes differ: " << name;
+      }
+    }
   }
 }
 
