@@ -379,8 +379,12 @@ Status Database::BulkInsert(const std::string& keyspace,
                             const std::string& table, std::vector<Row> rows) {
   trace::ScopedSpan span("nosql.bulk_insert");
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
-  // The log record is encoded before any lock is taken, so concurrent
-  // writers to different tables encode in parallel.
+  // Every row is validated before the batch is logged, so a rejected batch
+  // leaves no log record for replay to trip over and applies no row. The
+  // check reads only the columns, which no writer changes, so it runs
+  // outside the lock; so does the encode, and concurrent writers to
+  // different tables do both in parallel.
+  for (const Row& row : rows) SCD_RETURN_IF_ERROR(t->ValidateRow(row));
   std::vector<uint8_t> record;
   if (!data_dir_.empty()) {
     trace::ScopedSpan encode_span("nosql.log_encode");
@@ -394,9 +398,7 @@ Status Database::BulkInsert(const std::string& keyspace,
   if (!data_dir_.empty()) SCD_RETURN_IF_ERROR(AppendToCommitLog(record));
   trace::ScopedSpan apply_span("nosql.table_apply");
   t->ReserveAdditional(rows.size());
-  for (Row& row : rows) {
-    SCD_RETURN_IF_ERROR(t->Insert(std::move(row)));
-  }
+  for (Row& row : rows) t->InsertValidated(std::move(row));
   return Status::OK();
 }
 

@@ -84,9 +84,11 @@ class Database {
   Status Insert(const std::string& keyspace, const std::string& table, Row row);
 
   /// Applies many inserts into one table with a single commit-log append —
-  /// the paper's "executed in a bulk process" (§4). The record is encoded
-  /// before any lock is taken; the append and the apply share one
-  /// shard-lock critical section.
+  /// the paper's "executed in a bulk process" (§4). All or nothing: every
+  /// row is validated before the record is encoded, so a batch holding one
+  /// bad row is rejected whole and logs nothing. The validation and the
+  /// encode run before any lock is taken; the append and the apply share
+  /// one shard-lock critical section.
   Status BulkInsert(const std::string& keyspace, const std::string& table,
                     std::vector<Row> rows);
 

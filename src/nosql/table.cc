@@ -138,6 +138,11 @@ void Table::EraseBucket(size_t hole) {
 
 Status Table::Insert(Row row) {
   SCD_RETURN_IF_ERROR(ValidateRow(row));
+  InsertValidated(std::move(row));
+  return Status::OK();
+}
+
+void Table::InsertValidated(Row row) {
   ReserveIndex(live_count_ + 1);
   // One probe run finds either the key (upsert) or the free bucket the new
   // row's slot goes into.
@@ -153,7 +158,7 @@ Status Table::Insert(Row row) {
       rows_[slot] = std::move(row);
       IndexRow(slot);
       BumpVersion();
-      return Status::OK();
+      return;
     }
   }
   const size_t slot = rows_.size();
@@ -163,7 +168,6 @@ Status Table::Insert(Row row) {
   ++live_count_;
   IndexRow(slot);
   BumpVersion();
-  return Status::OK();
 }
 
 void Table::ReserveAdditional(size_t additional) {

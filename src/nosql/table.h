@@ -30,10 +30,18 @@ class Table {
 
   const TableSchema& schema() const { return schema_; }
 
-  /// Upserts \p row. Validates arity and column types. Secondary indexes are
-  /// maintained inline (one hidden ordered-structure write per index — the
-  /// cost Table 5 measures for NoSQL-Min).
+  /// Checks \p row's arity, its column types and its primary key against
+  /// the schema.
+  Status ValidateRow(const Row& row) const;
+
+  /// Upserts \p row after ValidateRow. Secondary indexes are maintained
+  /// inline (one hidden ordered-structure write per index — the cost Table 5
+  /// measures for NoSQL-Min).
   Status Insert(Row row);
+
+  /// Upserts \p row, which has already passed ValidateRow: the bulk write
+  /// path validates a whole batch before logging it, and never twice.
+  void InsertValidated(Row row);
 
   /// Pre-sizes the row store and primary index for \p additional rows
   /// (called by the bulk write path before applying a mutation batch).
@@ -118,7 +126,6 @@ class Table {
   void EraseBucket(size_t bucket);
 
   void BumpVersion() { version_.fetch_add(1, std::memory_order_acq_rel); }
-  Status ValidateRow(const Row& row) const;
   void IndexRow(size_t row_index);
   void UnindexRow(size_t row_index);
   /// Full write path of one hidden index entry: materialize the (value, pk)

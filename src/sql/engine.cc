@@ -76,6 +76,23 @@ Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
   return bytes;
 }
 
+/// One redo record: the delete flag, the table's names and the rows.
+std::vector<uint8_t> EncodeRedoRecord(const std::string& database,
+                                      const std::string& table,
+                                      const std::vector<SqlRow>& rows,
+                                      bool is_delete) {
+  ByteWriter writer;
+  writer.PutU8(is_delete ? 1 : 0);
+  writer.PutString(database);
+  writer.PutString(table);
+  writer.PutVarint(rows.size());
+  for (const SqlRow& row : rows) {
+    writer.PutVarint(row.size());
+    for (const Value& value : row) value.EncodeTo(&writer);
+  }
+  return writer.TakeBuffer();
+}
+
 std::string SanitizeName(const std::string& name) {
   std::string out;
   for (char c : name) {
@@ -203,31 +220,35 @@ Result<std::shared_ptr<const HeapTable>> SqlEngine::GetTable(
 
 Status SqlEngine::Insert(const std::string& database, const std::string& table,
                          SqlRow row) {
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<HeapTable> t, GetTable(database, table));
-  // One shard-lock critical section covers the log append and the in-memory
-  // apply, so no mutation straddles Flush()'s log rotation (which holds
-  // every shard lock).
-  std::lock_guard<std::mutex> lock(TableLock(database, table));
-  if (!data_dir_.empty()) {
-    std::lock_guard<std::mutex> log_lock(sync_->log_mu);
-    SCD_RETURN_IF_ERROR(AppendToRedoLog(database, table, {row}));
-  }
-  return t->Insert(std::move(row));
+  std::vector<SqlRow> rows;
+  rows.push_back(std::move(row));
+  return BulkInsert(database, table, std::move(rows));
 }
 
 Status SqlEngine::BulkInsert(const std::string& database,
                              const std::string& table,
                              std::vector<SqlRow> rows) {
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<HeapTable> t, GetTable(database, table));
-  std::lock_guard<std::mutex> lock(TableLock(database, table));
+  // Every row is validated before the record is encoded, once; the check
+  // reads only the column definitions, which no writer changes, so it runs
+  // outside the lock, and so does the encode.
+  for (const SqlRow& row : rows) SCD_RETURN_IF_ERROR(t->ValidateRow(row));
+  std::vector<uint8_t> record;
   if (!data_dir_.empty()) {
+    record = EncodeRedoRecord(database, table, rows, /*is_delete=*/false);
+  }
+  // The batch is applied first and logged only once every row is in: a
+  // duplicate key (or a failed append) removes the rows the batch inserted
+  // and logs nothing, so the batch is all or nothing both now and after
+  // replay. One shard-lock critical section covers the apply and the
+  // append, so no batch straddles Flush()'s log rotation (which holds every
+  // shard lock).
+  std::lock_guard<std::mutex> lock(TableLock(database, table));
+  return t->InsertAll(std::move(rows), [&]() -> Status {
+    if (data_dir_.empty()) return Status::OK();
     std::lock_guard<std::mutex> log_lock(sync_->log_mu);
-    SCD_RETURN_IF_ERROR(AppendToRedoLog(database, table, rows));
-  }
-  for (SqlRow& row : rows) {
-    SCD_RETURN_IF_ERROR(t->Insert(std::move(row)));
-  }
-  return Status::OK();
+    return AppendToRedoLog(record);
+  });
 }
 
 Status SqlEngine::Delete(const std::string& database, const std::string& table,
@@ -239,14 +260,17 @@ Status SqlEngine::BulkDelete(const std::string& database,
                              const std::string& table,
                              const std::vector<Value>& keys) {
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<HeapTable> t, GetTable(database, table));
-  std::lock_guard<std::mutex> lock(TableLock(database, table));
+  std::vector<uint8_t> record;
   if (!data_dir_.empty()) {
     std::vector<SqlRow> key_rows;
     key_rows.reserve(keys.size());
     for (const Value& key : keys) key_rows.push_back({key});
+    record = EncodeRedoRecord(database, table, key_rows, /*is_delete=*/true);
+  }
+  std::lock_guard<std::mutex> lock(TableLock(database, table));
+  if (!data_dir_.empty()) {
     std::lock_guard<std::mutex> log_lock(sync_->log_mu);
-    SCD_RETURN_IF_ERROR(
-        AppendToRedoLog(database, table, key_rows, /*is_delete=*/true));
+    SCD_RETURN_IF_ERROR(AppendToRedoLog(record));
   }
   for (const Value& key : keys) {
     SCD_RETURN_IF_ERROR(t->DeleteByPk(key));
@@ -398,19 +422,7 @@ std::mutex& SqlEngine::TableLock(const std::string& database,
   return sync_->table_shards[h % kTableLockShards];
 }
 
-Status SqlEngine::AppendToRedoLog(const std::string& database,
-                                  const std::string& table,
-                                  const std::vector<SqlRow>& rows,
-                                  bool is_delete) {
-  ByteWriter writer;
-  writer.PutU8(is_delete ? 1 : 0);
-  writer.PutString(database);
-  writer.PutString(table);
-  writer.PutVarint(rows.size());
-  for (const SqlRow& row : rows) {
-    writer.PutVarint(row.size());
-    for (const Value& value : row) value.EncodeTo(&writer);
-  }
+Status SqlEngine::AppendToRedoLog(const std::vector<uint8_t>& record) {
   // InnoDB's default durability (innodb_flush_log_at_trx_commit = 1) flushes
   // and fsyncs the redo log at every commit; the Cassandra-style store uses
   // periodic commit-log sync instead, one of the write-path differences
@@ -418,7 +430,7 @@ Status SqlEngine::AppendToRedoLog(const std::string& database,
   int fd = ::open(RedoLogPath().c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) return Status::IoError("cannot open redo log");
   ByteWriter framed;
-  framed.PutU32(static_cast<uint32_t>(writer.size()));
+  framed.PutU32(static_cast<uint32_t>(record.size()));
   // Loop on short writes and EINTR: a signal delivered mid-append must not
   // turn into a torn redo record or a spurious IoError.
   auto write_full = [fd](const uint8_t* data, size_t size) {
@@ -434,7 +446,7 @@ Status SqlEngine::AppendToRedoLog(const std::string& database,
     return true;
   };
   bool ok = write_full(framed.data().data(), framed.size()) &&
-            write_full(writer.data().data(), writer.size());
+            write_full(record.data(), record.size());
   ok = ok && ::fsync(fd) == 0;
   ::close(fd);
   if (!ok) return Status::IoError("short write to redo log");

@@ -20,8 +20,9 @@ namespace scdwarf::sql {
 
 /// \brief A single-node relational engine.
 ///
-/// With a data directory, mutation batches append to a redo log before being
-/// applied, Flush() writes one tablespace file per table and truncates the
+/// With a data directory, every mutation batch goes to a redo log: an
+/// insert batch once all its rows are applied, a delete batch before it is
+/// applied. Flush() writes one tablespace file per table and truncates the
 /// log, Open() reloads tablespaces then replays any unflushed log tail.
 ///
 /// Concurrency: mirrors nosql::Database — mutations from different threads
@@ -32,8 +33,8 @@ namespace scdwarf::sql {
 /// entry and the object outlives every user. Reads concurrent with writes
 /// to the same table are not synchronized.
 ///
-/// Durability: each mutation appends to the redo log and applies to the
-/// table under one shard-lock critical section; Flush() rotates the log to
+/// Durability: each mutation applies to the table and appends to the redo
+/// log under one shard-lock critical section; Flush() rotates the log to
 /// a sidecar under all shard locks, serializes every table, and deletes the
 /// sidecar only after every tablespace hit disk, so acknowledged mutations
 /// survive a crash at any point (replay tolerates duplicates).
@@ -63,11 +64,15 @@ class SqlEngine {
   Result<std::shared_ptr<const HeapTable>> GetTable(
       const std::string& database, const std::string& table) const;
 
+  /// A one-row BulkInsert.
   Status Insert(const std::string& database, const std::string& table,
                 SqlRow row);
 
   /// Multi-row insert with one redo-log append (MySQL's bulk INSERT ...
-  /// VALUES (...), (...), the mode §5 uses for both engines).
+  /// VALUES (...), (...), the mode §5 uses for both engines). All or
+  /// nothing: every row is validated before the record is encoded, and the
+  /// rows are applied before the record is appended, so a bad row or a
+  /// duplicate key rejects the whole batch and logs nothing.
   Status BulkInsert(const std::string& database, const std::string& table,
                     std::vector<SqlRow> rows);
 
@@ -97,9 +102,8 @@ class SqlEngine {
     std::mutex log_mu;  ///< redo-log appends
   };
 
-  Status AppendToRedoLog(const std::string& database, const std::string& table,
-                         const std::vector<SqlRow>& rows,
-                         bool is_delete = false);
+  /// Appends one encoded record and fsyncs the log. Caller holds log_mu.
+  Status AppendToRedoLog(const std::vector<uint8_t>& record);
   /// Replays the rotated sidecar (crash mid-flush) then the live log.
   Status ReplayRedoLog();
   Status ReplayRedoLogFile(const std::string& path);

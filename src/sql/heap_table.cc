@@ -137,12 +137,24 @@ Status HeapTable::ValidateRow(const SqlRow& row) const {
 
 Status HeapTable::Insert(SqlRow row) {
   SCD_RETURN_IF_ERROR(ValidateRow(row));
+  return InsertValidated(std::move(row)).status();
+}
+
+Result<HeapTable::RowMap::iterator> HeapTable::InsertValidated(SqlRow row) {
+  Value key = row[pk_index_];
+  auto [it, inserted] = rows_.emplace(std::move(key), std::move(row));
+  if (!inserted) {
+    return Status::AlreadyExists("duplicate primary key " +
+                                 it->first.ToCqlLiteral() + " in " +
+                                 def_.QualifiedName());
+  }
+  const SqlRow& stored = it->second;
   // InnoDB constructs the physical (compact-format) record when the row is
   // inserted into its clustered-index page, not at flush time; build it here
   // so insert pays the same formatting cost and page-fill accounting stays
   // exact.
   record_scratch_.Clear();
-  for (const Value& value : row) value.EncodeTo(&record_scratch_);
+  for (const Value& value : stored) value.EncodeTo(&record_scratch_);
   data_bytes_ += record_scratch_.size() + InnoDbFormat::kRecordHeaderBytes +
                  InnoDbFormat::kTrxMetaBytes;
   // Copy the record into the buffer-pool page image (page-format storage).
@@ -156,18 +168,47 @@ Status HeapTable::Insert(SqlRow row) {
   for (size_t i = 0; i < InnoDbFormat::kUndoHeaderBytes; ++i) {
     undo_log_.PutU8(0);
   }
-  row[pk_index_].EncodeTo(&undo_log_);
-  Value key = row[pk_index_];
-  auto [it, inserted] = rows_.emplace(std::move(key), std::move(row));
-  if (!inserted) {
-    return Status::AlreadyExists("duplicate primary key " +
-                                 it->first.ToCqlLiteral() + " in " +
-                                 def_.QualifiedName());
-  }
+  it->first.EncodeTo(&undo_log_);
   for (auto& [column, index] : secondary_) {
-    index.emplace(it->second[column], it->first);
+    index.emplace(stored[column], it->first);
   }
-  return Status::OK();
+  return it;
+}
+
+Status HeapTable::InsertAll(std::vector<SqlRow> rows,
+                            const std::function<Status()>& commit) {
+  std::vector<RowMap::iterator> inserted;
+  inserted.reserve(rows.size());
+  Status status;
+  for (SqlRow& row : rows) {
+    Result<RowMap::iterator> it = InsertValidated(std::move(row));
+    if (!it.ok()) {
+      status = it.status();
+      break;
+    }
+    inserted.push_back(*it);
+  }
+  if (status.ok()) status = commit();
+  if (!status.ok()) {
+    // Newest first: each secondary entry is then the last of its run.
+    for (auto it = inserted.rbegin(); it != inserted.rend(); ++it) {
+      EraseRow(*it);
+    }
+  }
+  return status;
+}
+
+void HeapTable::EraseRow(RowMap::iterator row) {
+  for (auto& [column, index] : secondary_) {
+    auto [begin, end] = index.equal_range(row->second[column]);
+    while (end != begin) {
+      if ((--end)->second == row->first) {
+        index.erase(end);
+        break;
+      }
+    }
+  }
+  rows_.erase(row);
 }
 
 Status HeapTable::DeleteByPk(const Value& key) {
@@ -176,21 +217,12 @@ Status HeapTable::DeleteByPk(const Value& key) {
     return Status::NotFound("no row with primary key " + key.ToCqlLiteral() +
                             " in " + def_.QualifiedName());
   }
-  for (auto& [column, index] : secondary_) {
-    auto [begin, end] = index.equal_range(it->second[column]);
-    for (auto entry = begin; entry != end; ++entry) {
-      if (entry->second == key) {
-        index.erase(entry);
-        break;
-      }
-    }
-  }
   // Delete undo record (type + table id + pk), like the insert path.
   for (size_t i = 0; i < InnoDbFormat::kUndoHeaderBytes; ++i) {
     undo_log_.PutU8(0);
   }
   key.EncodeTo(&undo_log_);
-  rows_.erase(it);
+  EraseRow(it);
   return Status::OK();
 }
 

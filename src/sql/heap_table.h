@@ -7,6 +7,7 @@
 #ifndef SCDWARF_SQL_HEAP_TABLE_H_
 #define SCDWARF_SQL_HEAP_TABLE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -40,9 +41,21 @@ class HeapTable {
 
   const SqlTableDef& def() const { return def_; }
 
+  /// Checks \p row's arity, column types and NOT NULL constraints against
+  /// the definition.
+  Status ValidateRow(const SqlRow& row) const;
+
   /// Inserts a row; AlreadyExists on duplicate primary key,
   /// InvalidArgument on arity/type/nullability violations.
   Status Insert(SqlRow row);
+
+  /// Inserts every row of \p rows, each of which has already passed
+  /// ValidateRow, then runs \p commit. All or nothing: on a duplicate
+  /// primary key, or when \p commit fails, the rows this call inserted are
+  /// removed again and the error is returned. The engine logs the batch in
+  /// \p commit, so a batch is logged only once every row is in.
+  Status InsertAll(std::vector<SqlRow> rows,
+                   const std::function<Status()>& commit);
 
   Result<const SqlRow*> GetByPk(const Value& key) const;
 
@@ -74,7 +87,14 @@ class HeapTable {
   void CommitTransaction() { undo_log_.Clear(); }
 
  private:
-  Status ValidateRow(const SqlRow& row) const;
+  using RowMap = std::map<Value, SqlRow>;
+
+  /// Inserts a validated row and returns its clustered-index entry;
+  /// AlreadyExists on a duplicate primary key, which changes nothing.
+  Result<RowMap::iterator> InsertValidated(SqlRow row);
+  /// Removes \p row and its secondary index entries. Scans each entry run
+  /// from its end, so a batch erased newest-first finds each entry at once.
+  void EraseRow(RowMap::iterator row);
 
   SqlTableDef def_;
   size_t pk_index_ = 0;
@@ -90,7 +110,7 @@ class HeapTable {
   /// InnoDB writes one undo record per inserted row for rollback.
   ByteWriter undo_log_;
   /// Clustered index: pk -> full row (InnoDB stores rows in the PK B-tree).
-  std::map<Value, SqlRow> rows_;
+  RowMap rows_;
   /// column index -> (value -> pk) non-unique index.
   std::map<size_t, std::multimap<Value, Value>> secondary_;
 };

@@ -561,6 +561,36 @@ TEST_F(DatabaseDiskTest, BulkInsertAppliesAllRows) {
   EXPECT_EQ((*db->GetTable("dwarfks", "dwarf_cell"))->num_rows(), 100u);
 }
 
+// A rejected insert leaves neither a row nor a commit-log record. A record
+// logged ahead of its validation would fail every later Open at replay.
+TEST_F(DatabaseDiskTest, RejectedInsertsLeaveNoRowAndTheStoreReopens) {
+  {
+    auto db = Database::Open(dir_.string());
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(ExecuteCql(&*db, "CREATE KEYSPACE ks").ok());
+    ASSERT_TRUE(
+        ExecuteCql(&*db, "CREATE TABLE ks.t (id int, v text, PRIMARY KEY (id))")
+            .ok());
+    ASSERT_TRUE(db->Flush().ok());  // the table survives a reopen
+    EXPECT_TRUE(
+        ExecuteCql(&*db, "INSERT INTO ks.t (id, v) VALUES ('oops', 'x')")
+            .status()
+            .IsInvalidArgument());
+    // Only the second row is bad; the batch applies none of its rows.
+    std::vector<Row> rows;
+    rows.push_back({Value::Int(1), Value::Text("a")});
+    rows.push_back({Value::Text("oops"), Value::Text("b")});
+    EXPECT_TRUE(db->BulkInsert("ks", "t", std::move(rows)).IsInvalidArgument());
+    EXPECT_EQ((*db->GetTable("ks", "t"))->num_rows(), 0u);
+    // Close without a flush: the reopen replays the commit log.
+  }
+  auto db = Database::Open(dir_.string());
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto table = db->GetTable("ks", "t");
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ((*table)->num_rows(), 0u);
+}
+
 // ------------------------------------------------------------------- CQL
 
 class CqlTest : public ::testing::Test {

@@ -203,6 +203,69 @@ TEST_F(SqlEngineDiskTest, RedoLogReplayRecoversUnflushedWrites) {
   }
 }
 
+// A rejected insert leaves neither a row nor a redo record. A record logged
+// ahead of its validation would fail every later Open at replay.
+TEST_F(SqlEngineDiskTest, RejectedInsertsLeaveNoRowAndTheEngineReopens) {
+  {
+    auto engine = SqlEngine::Open(dir_.string());
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ASSERT_TRUE(ExecuteSql(&*engine, "CREATE DATABASE db").ok());
+    ASSERT_TRUE(ExecuteSql(&*engine,
+                           "CREATE TABLE db.t (id INT NOT NULL, "
+                           "v VARCHAR(8), PRIMARY KEY (id))")
+                    .ok());
+    ASSERT_TRUE(engine->Flush().ok());  // the table survives a reopen
+    EXPECT_TRUE(
+        ExecuteSql(&*engine, "INSERT INTO db.t (id, v) VALUES ('oops', 'x')")
+            .status()
+            .IsInvalidArgument());
+    // Only the second row is bad; the batch applies none of its rows.
+    std::vector<SqlRow> rows;
+    rows.push_back({Value::Int(1), Value::Text("a")});
+    rows.push_back({Value::Text("oops"), Value::Text("b")});
+    EXPECT_TRUE(engine->BulkInsert("db", "t", std::move(rows))
+                    .IsInvalidArgument());
+    EXPECT_EQ((*engine->GetTable("db", "t"))->num_rows(), 0u);
+    // Close without a flush: the reopen replays the redo log.
+  }
+  auto engine = SqlEngine::Open(dir_.string());
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  auto table = engine->GetTable("db", "t");
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ((*table)->num_rows(), 0u);
+}
+
+// A multi-row insert that repeats a key is rejected whole: no row stays in
+// the table or its index, and replay applies none either.
+TEST_F(SqlEngineDiskTest, DuplicateKeyBatchIsAllOrNothing) {
+  {
+    auto engine = SqlEngine::Open(dir_.string());
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ASSERT_TRUE(ExecuteSql(&*engine, "CREATE DATABASE db").ok());
+    ASSERT_TRUE(ExecuteSql(&*engine,
+                           "CREATE TABLE db.t (id INT NOT NULL, "
+                           "v VARCHAR(8), PRIMARY KEY (id), INDEX (v))")
+                    .ok());
+    ASSERT_TRUE(engine->Flush().ok());  // the table survives a reopen
+    EXPECT_TRUE(ExecuteSql(&*engine,
+                           "INSERT INTO db.t (id, v) VALUES "
+                           "(1, 'a'), (1, 'b'), (2, 'c')")
+                    .status()
+                    .IsAlreadyExists());
+    auto table = engine->GetTable("db", "t");
+    ASSERT_TRUE(table.ok()) << table.status();
+    EXPECT_EQ((*table)->num_rows(), 0u);
+    auto indexed = (*table)->SelectEq("v", Value::Text("a"));
+    ASSERT_TRUE(indexed.ok()) << indexed.status();
+    EXPECT_TRUE(indexed->empty());
+  }
+  auto engine = SqlEngine::Open(dir_.string());
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  auto table = engine->GetTable("db", "t");
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ((*table)->num_rows(), 0u);
+}
+
 // ------------------------------------------------------------------- SQL
 
 class SqlLanguageTest : public ::testing::Test {
