@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
-#include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "mapper/id_map.h"
-#include "mapper/parallel_apply.h"
-#include "mapper/parallel_rows.h"
+#include "mapper/store_rows.h"
 #include "mapper/stored_cube.h"
 #include "nosql/cql.h"
 
@@ -132,13 +129,13 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
     return nosql::ExecuteCql(db_, stmt).status();
   };
 
-  uint64_t total_cells = 0;
-  for (dwarf::NodeId node_id : ids.visit_order) {
-    total_cells += cube.node(node_id).cells.size() + 1;
-  }
+  // Every node contributes one node row, and one cell row per cell plus its
+  // ALL cell, each of which AssignIds numbered.
+  local_stats.node_rows = ids.visit_order.size();
+  local_stats.cell_rows = static_cast<uint64_t>(ids.next_cell_id - cell_base);
   Row schema_row = {Value::Int(schema_id),
-                    Value::Int(static_cast<int64_t>(ids.visit_order.size())),
-                    Value::Int(static_cast<int64_t>(total_cells)),
+                    Value::Int(static_cast<int64_t>(local_stats.node_rows)),
+                    Value::Int(static_cast<int64_t>(local_stats.cell_rows)),
                     Value::Int(0),  // size_as_mb updated after flush
                     cube.empty() ? Value::Null()
                                  : Value::Int(ids.node_ids[cube.root()]),
@@ -149,32 +146,13 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
     SCD_RETURN_IF_ERROR(db_->BulkInsert(keyspace_, kSchemaCf, {schema_row}));
   }
 
-  // Row serialization: generation (key decoding, Value construction) runs on
-  // worker threads in node chunks; application happens in chunk order, one
-  // BulkInsert per chunk and column family — serially here, or with more
-  // than one thread pushed onto one ordered ApplyLane per column family so
-  // the node and cell inserts overlap to the last chunk. Either way each
-  // table receives the exact serial row sequence.
-  struct NodeCellRows {
-    std::vector<Row> node_rows;
-    std::vector<Row> cell_rows;
-  };
-  // Statement mode stays serial: it exists to measure per-statement cost.
-  int threads = options.via_cql_statements
-                    ? 1
-                    : ResolveThreadCount(options.num_threads);
-  const bool laned = threads > 1 && !options.via_cql_statements;
-  // Lanes (and their worker threads) exist only when the apply actually
-  // runs laned; a serial Store spawns no threads.
-  std::optional<ApplyLane> node_lane;
-  std::optional<ApplyLane> cell_lane;
-  if (laned) {
-    node_lane.emplace(kNodeCf);
-    cell_lane.emplace(kCellCf);
-  }
+  // Node and cell rows go through the one store path (store_rows.h): every
+  // chunk becomes one BulkInsert per column family, on that family's lane.
   auto generate = [&](size_t begin, size_t end) {
-    NodeCellRows out;
-    out.node_rows.reserve(end - begin);
+    std::vector<Rows> out(2);
+    std::vector<Row>& node_rows = out[0];
+    std::vector<Row>& cell_rows = out[1];
+    node_rows.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       dwarf::NodeId node_id = ids.visit_order[i];
       const dwarf::NodeView node = cube.node(node_id);
@@ -189,18 +167,18 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
       }
       std::vector<int64_t> children_ids = ids.cell_ids[node_id];
       children_ids.push_back(ids.all_cell_ids[node_id]);
-      out.node_rows.push_back({Value::Int(ids.node_ids[node_id]),
-                               Value::IntSet(std::move(parent_ids)),
-                               Value::IntSet(std::move(children_ids)),
-                               Value::Bool(node_id == cube.root()),
-                               Value::Int(schema_id)});
+      node_rows.push_back({Value::Int(ids.node_ids[node_id]),
+                           Value::IntSet(std::move(parent_ids)),
+                           Value::IntSet(std::move(children_ids)),
+                           Value::Bool(node_id == cube.root()),
+                           Value::Int(schema_id)});
 
       // Regular cells.
       for (size_t c = 0; c < node.cells.size(); ++c) {
         const dwarf::DwarfCell& cell = node.cells[c];
         const std::string& key =
             cube.dictionary(node.level).DecodeUnchecked(cell.key);
-        out.cell_rows.push_back(
+        cell_rows.push_back(
             {Value::Int(ids.cell_ids[node_id][c]), Value::Text(key),
              Value::Int(leaf ? cell.measure : 0),
              Value::Int(ids.node_ids[node_id]),
@@ -208,7 +186,7 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
              Value::Bool(leaf), Value::Int(schema_id), Value::Text(dim_table)});
       }
       // ALL cell (reserved key, see id_map.h).
-      out.cell_rows.push_back(
+      cell_rows.push_back(
           {Value::Int(ids.all_cell_ids[node_id]), Value::Text(kAllCellKey),
            Value::Int(leaf ? node.all_measure : 0),
            Value::Int(ids.node_ids[node_id]),
@@ -217,44 +195,23 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
     }
     return out;
   };
-  // One chunk's rows for one column family: a single BulkInsert, on the
-  // table's lane when laned.
-  auto insert_chunk = [&](std::optional<ApplyLane>& lane, const char* table,
-                          std::vector<Row> rows) -> Status {
-    if (rows.empty()) return Status::OK();
-    if (!lane) return db_->BulkInsert(keyspace_, table, std::move(rows));
-    // std::function requires copyable callables, so the moved row chunk
-    // rides in a shared_ptr.
-    auto chunk = std::make_shared<std::vector<Row>>(std::move(rows));
-    return lane->Push([this, table, chunk]() -> Status {
-      return db_->BulkInsert(keyspace_, table, std::move(*chunk));
-    });
-  };
-  auto apply = [&](NodeCellRows rows) -> Status {
-    local_stats.node_rows += rows.node_rows.size();
-    local_stats.cell_rows += rows.cell_rows.size();
-    if (options.via_cql_statements) {
-      for (const Row& row : rows.node_rows) {
-        SCD_RETURN_IF_ERROR(insert_cql(kNodeCf, kNodeCols, row));
-      }
-      for (const Row& row : rows.cell_rows) {
-        SCD_RETURN_IF_ERROR(insert_cql(kCellCf, kCellCols, row));
-      }
-      return Status::OK();
+  auto apply = [&](const std::string& table, std::vector<Row> rows) -> Status {
+    if (!options.via_cql_statements) {
+      return db_->BulkInsert(keyspace_, table, std::move(rows));
     }
-    SCD_RETURN_IF_ERROR(
-        insert_chunk(node_lane, kNodeCf, std::move(rows.node_rows)));
-    return insert_chunk(cell_lane, kCellCf, std::move(rows.cell_rows));
+    const std::vector<std::string>& cols =
+        table == kNodeCf ? kNodeCols : kCellCols;
+    for (const Row& row : rows) {
+      SCD_RETURN_IF_ERROR(insert_cql(table, cols, row));
+    }
+    return Status::OK();
   };
   Stopwatch apply_watch;
-  Status chunks_status = GenerateApplyChunks<NodeCellRows>(
-      threads, ids.visit_order.size(), kDefaultRowChunkItems, generate, apply);
-  // Join the lanes even on error, so no insert outlives this call.
-  Status node_lane_status = node_lane ? node_lane->Finish() : Status::OK();
-  Status cell_lane_status = cell_lane ? cell_lane->Finish() : Status::OK();
-  SCD_RETURN_IF_ERROR(chunks_status);
-  SCD_RETURN_IF_ERROR(node_lane_status);
-  SCD_RETURN_IF_ERROR(cell_lane_status);
+  // Statement mode stays serial: it exists to measure per-statement cost.
+  SCD_RETURN_IF_ERROR(StoreRows(
+      options.via_cql_statements ? 1 : options.num_threads,
+      ids.visit_order.size(), {kNodeCf, kCellCf}, /*rows_per_insert=*/1,
+      generate, apply));
   local_stats.apply_ms = apply_watch.ElapsedMillis();
 
   // Metadata extension rows.

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "common/parallel.h"
 #include "mapper/id_map.h"
-#include "mapper/parallel_rows.h"
-#include "mapper/row_batcher.h"
+#include "mapper/store_rows.h"
 #include "mapper/stored_cube.h"
 
 namespace scdwarf::mapper {
@@ -83,13 +81,14 @@ Result<int64_t> NoSqlMinMapper::Store(const dwarf::DwarfCube& cube) {
   // Node ids never materialize as rows but must not collide with other
   // cubes' ids within the shared cell family id space; cells and nodes draw
   // from one counter here.
-  CubeIdMap ids = AssignIds(cube, node_base, node_base + cube.num_nodes());
+  const int64_t cell_base = node_base + static_cast<int64_t>(cube.num_nodes());
+  CubeIdMap ids = AssignIds(cube, node_base, cell_base);
 
-  RowBatcher<nosql::Database> cell_batch(db_, keyspace_, kCellCf);
-  // Cell rows are generated on worker threads in node chunks and applied
-  // here in chunk order — the row sequence matches the serial one exactly.
+  // Cell rows go through the one store path (store_rows.h), on the cell
+  // table's lane, one BulkInsert per chunk.
   auto generate = [&](size_t begin, size_t end) {
-    std::vector<Row> out;
+    std::vector<Rows> out(1);
+    std::vector<Row>& cell_rows = out[0];
     for (size_t i = begin; i < end; ++i) {
       dwarf::NodeId node_id = ids.visit_order[i];
       const dwarf::NodeView node = cube.node(node_id);
@@ -99,14 +98,14 @@ Result<int64_t> NoSqlMinMapper::Store(const dwarf::DwarfCube& cube) {
         const dwarf::DwarfCell& cell = node.cells[c];
         const std::string& key =
             cube.dictionary(node.level).DecodeUnchecked(cell.key);
-        out.push_back(
+        cell_rows.push_back(
             {Value::Int(ids.cell_ids[node_id][c]), Value::Text(key),
              Value::Int(leaf ? cell.measure : 0), Value::Bool(leaf),
              Value::Bool(is_root), Value::Int(cube_id),
              Value::Int(ids.node_ids[node_id]),
              leaf ? Value::Null() : Value::Int(ids.node_ids[cell.child])});
       }
-      out.push_back(
+      cell_rows.push_back(
           {Value::Int(ids.all_cell_ids[node_id]), Value::Text(kAllCellKey),
            Value::Int(leaf ? node.all_measure : 0), Value::Bool(leaf),
            Value::Bool(is_root), Value::Int(cube_id),
@@ -115,20 +114,18 @@ Result<int64_t> NoSqlMinMapper::Store(const dwarf::DwarfCube& cube) {
     }
     return out;
   };
-  auto apply = [&](std::vector<Row> rows) -> Status {
-    for (Row& row : rows) {
-      SCD_RETURN_IF_ERROR(cell_batch.Add(std::move(row)));
-    }
-    return Status::OK();
-  };
-  SCD_RETURN_IF_ERROR(GenerateApplyChunks<std::vector<Row>>(
-      ResolveThreadCount(options_.num_threads), ids.visit_order.size(),
-      kDefaultRowChunkItems, generate, apply));
-  SCD_RETURN_IF_ERROR(cell_batch.Flush());
+  SCD_RETURN_IF_ERROR(StoreRows(
+      options_.num_threads, ids.visit_order.size(), {kCellCf},
+      /*rows_per_insert=*/1, generate,
+      [this](const std::string& table, std::vector<Row> rows) {
+        return db_->BulkInsert(keyspace_, table, std::move(rows));
+      }));
+  // One cell row per cell and ALL cell, each of which AssignIds numbered.
+  const int64_t cell_rows = ids.next_cell_id - cell_base;
 
   Row cube_row = {Value::Int(cube_id),
                   Value::Int(static_cast<int64_t>(cube.num_nodes())),
-                  Value::Int(static_cast<int64_t>(cell_batch.total())),
+                  Value::Int(cell_rows),
                   Value::Int(0)};
   SCD_RETURN_IF_ERROR(db_->BulkInsert(keyspace_, kCubeCf, {cube_row}));
 

@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 
-#include "common/parallel.h"
 #include "mapper/id_map.h"
-#include "mapper/parallel_apply.h"
-#include "mapper/parallel_rows.h"
-#include "mapper/row_batcher.h"
+#include "mapper/store_rows.h"
 #include "mapper/stored_cube.h"
 
 namespace scdwarf::mapper {
@@ -98,13 +94,6 @@ Result<int64_t> SqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
 
   CubeIdMap ids = AssignIds(cube, node_base, cell_base);
 
-  RowBatcher<sql::SqlEngine> node_batch(engine_, database_, kNodeTable);
-  RowBatcher<sql::SqlEngine> cell_batch(engine_, database_, kCellTable);
-  RowBatcher<sql::SqlEngine> node_children_batch(engine_, database_,
-                                                 kNodeChildrenTable);
-  RowBatcher<sql::SqlEngine> cell_children_batch(engine_, database_,
-                                                 kCellChildrenTable);
-
   // The edge tables draw their ids from sequential counters. So chunks can
   // serialize independently, prefix-count the edges each node contributes:
   // every cell (incl. ALL) adds one NODE_CHILDREN row, and non-leaf nodes
@@ -121,26 +110,26 @@ Result<int64_t> SqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
         cc_prefix[i] + (cube.IsLeafLevel(node.level) ? 0 : cells);
   }
 
-  struct SqlDwarfRows {
-    std::vector<SqlRow> node_rows;
-    std::vector<SqlRow> cell_rows;
-    std::vector<SqlRow> node_children_rows;
-    std::vector<SqlRow> cell_children_rows;
-  };
+  // The four tables go through the one store path (store_rows.h), each on
+  // its own lane, in batches of at least kSqlRowsPerInsert rows.
   auto generate = [&](size_t begin, size_t end) {
-    SqlDwarfRows out;
+    std::vector<Rows> out(4);
+    std::vector<SqlRow>& node_rows = out[0];
+    std::vector<SqlRow>& cell_rows = out[1];
+    std::vector<SqlRow>& node_children_rows = out[2];
+    std::vector<SqlRow>& cell_children_rows = out[3];
     int64_t nc_id = node_children_base + static_cast<int64_t>(nc_prefix[begin]);
     int64_t cc_id = cell_children_base + static_cast<int64_t>(cc_prefix[begin]);
     auto emit_cell = [&](int64_t cell_id, const std::string& key,
                          dwarf::Measure measure, bool leaf, int64_t node_id,
                          int64_t pointed_node, const std::string& dim_table) {
-      out.cell_rows.push_back(
+      cell_rows.push_back(
           {Value::Int(cell_id), Value::Text(key), Value::Int(measure),
            Value::Bool(leaf), Value::Int(cube_id), Value::Text(dim_table)});
-      out.node_children_rows.push_back(
+      node_children_rows.push_back(
           {Value::Int(nc_id++), Value::Int(node_id), Value::Int(cell_id)});
       if (pointed_node >= 0) {
-        out.cell_children_rows.push_back(
+        cell_children_rows.push_back(
             {Value::Int(cc_id++), Value::Int(cell_id),
              Value::Int(pointed_node)});
       }
@@ -151,9 +140,9 @@ Result<int64_t> SqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
       bool leaf = cube.IsLeafLevel(node.level);
       const std::string& dim_table =
           cube.schema().dimensions()[node.level].dimension_table;
-      out.node_rows.push_back({Value::Int(ids.node_ids[node_id]),
-                               Value::Bool(node_id == cube.root()),
-                               Value::Int(cube_id)});
+      node_rows.push_back({Value::Int(ids.node_ids[node_id]),
+                           Value::Bool(node_id == cube.root()),
+                           Value::Int(cube_id)});
       for (size_t c = 0; c < node.cells.size(); ++c) {
         const dwarf::DwarfCell& cell = node.cells[c];
         const std::string& key =
@@ -168,86 +157,24 @@ Result<int64_t> SqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
     }
     return out;
   };
-  // With more than one thread each table's rows go to its own ordered
-  // ApplyLane: one worker per table applies chunks in order (byte-identical
-  // table contents), and the four tables' inserts overlap behind the
-  // engine's per-table shard locks.
-  int threads = ResolveThreadCount(num_threads_);
-  const bool laned = threads > 1;
-  // Lanes (and their worker threads) exist only when the apply actually
-  // runs laned; a serial Store spawns no threads.
-  std::optional<ApplyLane> node_lane;
-  std::optional<ApplyLane> cell_lane;
-  std::optional<ApplyLane> node_children_lane;
-  std::optional<ApplyLane> cell_children_lane;
-  if (laned) {
-    node_lane.emplace(kNodeTable);
-    cell_lane.emplace(kCellTable);
-    node_children_lane.emplace(kNodeChildrenTable);
-    cell_children_lane.emplace(kCellChildrenTable);
-  }
-  auto push_rows = [](ApplyLane& lane, RowBatcher<sql::SqlEngine>& batch,
-                      std::vector<SqlRow> rows) -> Status {
-    auto shared = std::make_shared<std::vector<SqlRow>>(std::move(rows));
-    return lane.Push([&batch, shared]() -> Status {
-      for (SqlRow& row : *shared) {
-        SCD_RETURN_IF_ERROR(batch.Add(std::move(row)));
-      }
-      return Status::OK();
-    });
-  };
-  auto apply = [&](SqlDwarfRows rows) -> Status {
-    if (laned) {
-      SCD_RETURN_IF_ERROR(
-          push_rows(*node_lane, node_batch, std::move(rows.node_rows)));
-      SCD_RETURN_IF_ERROR(
-          push_rows(*cell_lane, cell_batch, std::move(rows.cell_rows)));
-      SCD_RETURN_IF_ERROR(push_rows(*node_children_lane, node_children_batch,
-                                    std::move(rows.node_children_rows)));
-      SCD_RETURN_IF_ERROR(push_rows(*cell_children_lane, cell_children_batch,
-                                    std::move(rows.cell_children_rows)));
-      return Status::OK();
-    }
-    for (SqlRow& row : rows.node_rows) {
-      SCD_RETURN_IF_ERROR(node_batch.Add(std::move(row)));
-    }
-    for (SqlRow& row : rows.cell_rows) {
-      SCD_RETURN_IF_ERROR(cell_batch.Add(std::move(row)));
-    }
-    for (SqlRow& row : rows.node_children_rows) {
-      SCD_RETURN_IF_ERROR(node_children_batch.Add(std::move(row)));
-    }
-    for (SqlRow& row : rows.cell_children_rows) {
-      SCD_RETURN_IF_ERROR(cell_children_batch.Add(std::move(row)));
-    }
-    return Status::OK();
-  };
-  Status chunks_status = GenerateApplyChunks<SqlDwarfRows>(
-      threads, n, kDefaultRowChunkItems, generate, apply);
-  // Join the lanes before touching the batchers they own, even on error.
-  Status lane_status;
-  for (std::optional<ApplyLane>* lane :
-       {&node_lane, &cell_lane, &node_children_lane, &cell_children_lane}) {
-    if (!lane->has_value()) continue;
-    if (Status s = (**lane).Finish(); lane_status.ok()) lane_status = s;
-  }
-  SCD_RETURN_IF_ERROR(chunks_status);
-  SCD_RETURN_IF_ERROR(lane_status);
-  SCD_RETURN_IF_ERROR(node_batch.Flush());
-  SCD_RETURN_IF_ERROR(cell_batch.Flush());
-  SCD_RETURN_IF_ERROR(node_children_batch.Flush());
-  SCD_RETURN_IF_ERROR(cell_children_batch.Flush());
+  SCD_RETURN_IF_ERROR(StoreRows(
+      num_threads_, n,
+      {kNodeTable, kCellTable, kNodeChildrenTable, kCellChildrenTable},
+      kSqlRowsPerInsert, generate,
+      [this](const std::string& table, std::vector<SqlRow> rows) {
+        return engine_->BulkInsert(database_, table, std::move(rows));
+      }));
 
+  // One node row per node; one cell row and one NODE_CHILDREN row per cell.
   if (stats != nullptr) {
-    stats->node_rows = node_batch.total();
-    stats->cell_rows = cell_batch.total();
-    stats->node_children_rows = node_children_batch.total();
-    stats->cell_children_rows = cell_children_batch.total();
+    stats->node_rows = n;
+    stats->cell_rows = nc_prefix[n];
+    stats->node_children_rows = nc_prefix[n];
+    stats->cell_children_rows = cc_prefix[n];
   }
 
-  SqlRow cube_row = {Value::Int(cube_id),
-                     Value::Int(static_cast<int64_t>(node_batch.total())),
-                     Value::Int(static_cast<int64_t>(cell_batch.total())),
+  SqlRow cube_row = {Value::Int(cube_id), Value::Int(static_cast<int64_t>(n)),
+                     Value::Int(static_cast<int64_t>(nc_prefix[n])),
                      Value::Int(0),
                      cube.empty() ? Value::Null()
                                   : Value::Int(ids.node_ids[cube.root()])};

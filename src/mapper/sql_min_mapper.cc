@@ -2,10 +2,8 @@
 
 #include <algorithm>
 
-#include "common/parallel.h"
 #include "mapper/id_map.h"
-#include "mapper/parallel_rows.h"
-#include "mapper/row_batcher.h"
+#include "mapper/store_rows.h"
 #include "mapper/stored_cube.h"
 
 namespace scdwarf::mapper {
@@ -66,13 +64,14 @@ Result<int64_t> SqlMinMapper::Store(const dwarf::DwarfCube& cube) {
   SCD_RETURN_IF_ERROR(ValidateNoReservedKeys(cube));
   SCD_ASSIGN_OR_RETURN(int64_t cube_id, NextId(kCubeTable));
   SCD_ASSIGN_OR_RETURN(int64_t node_base, NextId(kCellTable));
-  CubeIdMap ids = AssignIds(cube, node_base, node_base + cube.num_nodes());
+  const int64_t cell_base = node_base + static_cast<int64_t>(cube.num_nodes());
+  CubeIdMap ids = AssignIds(cube, node_base, cell_base);
 
-  RowBatcher<sql::SqlEngine> cell_batch(engine_, database_, kCellTable);
-  // Cell rows are generated on worker threads in node chunks and applied
-  // here in chunk order — the row sequence matches the serial one exactly.
+  // Cell rows go through the one store path (store_rows.h), on the cell
+  // table's lane, in batches of at least kSqlRowsPerInsert rows.
   auto generate = [&](size_t begin, size_t end) {
-    std::vector<SqlRow> out;
+    std::vector<Rows> out(1);
+    std::vector<SqlRow>& cell_rows = out[0];
     for (size_t i = begin; i < end; ++i) {
       dwarf::NodeId node_id = ids.visit_order[i];
       const dwarf::NodeView node = cube.node(node_id);
@@ -82,14 +81,14 @@ Result<int64_t> SqlMinMapper::Store(const dwarf::DwarfCube& cube) {
         const dwarf::DwarfCell& cell = node.cells[c];
         const std::string& key =
             cube.dictionary(node.level).DecodeUnchecked(cell.key);
-        out.push_back(
+        cell_rows.push_back(
             {Value::Int(ids.cell_ids[node_id][c]), Value::Text(key),
              Value::Int(leaf ? cell.measure : 0), Value::Bool(leaf),
              Value::Bool(is_root), Value::Int(cube_id),
              Value::Int(ids.node_ids[node_id]),
              leaf ? Value::Null() : Value::Int(ids.node_ids[cell.child])});
       }
-      out.push_back(
+      cell_rows.push_back(
           {Value::Int(ids.all_cell_ids[node_id]), Value::Text(kAllCellKey),
            Value::Int(leaf ? node.all_measure : 0), Value::Bool(leaf),
            Value::Bool(is_root), Value::Int(cube_id),
@@ -98,21 +97,19 @@ Result<int64_t> SqlMinMapper::Store(const dwarf::DwarfCube& cube) {
     }
     return out;
   };
-  auto apply = [&](std::vector<SqlRow> rows) -> Status {
-    for (SqlRow& row : rows) {
-      SCD_RETURN_IF_ERROR(cell_batch.Add(std::move(row)));
-    }
-    return Status::OK();
-  };
-  SCD_RETURN_IF_ERROR(GenerateApplyChunks<std::vector<SqlRow>>(
-      ResolveThreadCount(num_threads_), ids.visit_order.size(),
-      kDefaultRowChunkItems, generate, apply));
-  SCD_RETURN_IF_ERROR(cell_batch.Flush());
+  SCD_RETURN_IF_ERROR(StoreRows(
+      num_threads_, ids.visit_order.size(), {kCellTable}, kSqlRowsPerInsert,
+      generate,
+      [this](const std::string& table, std::vector<SqlRow> rows) {
+        return engine_->BulkInsert(database_, table, std::move(rows));
+      }));
+  // One cell row per cell and ALL cell, each of which AssignIds numbered.
+  const int64_t cell_rows = ids.next_cell_id - cell_base;
 
   SCD_RETURN_IF_ERROR(engine_->BulkInsert(
       database_, kCubeTable,
       {{Value::Int(cube_id), Value::Int(static_cast<int64_t>(cube.num_nodes())),
-        Value::Int(static_cast<int64_t>(cell_batch.total())), Value::Int(0)}}));
+        Value::Int(cell_rows), Value::Int(0)}}));
 
   SCD_ASSIGN_OR_RETURN(int64_t meta_base, NextId(kMetaTable));
   std::vector<SqlRow> meta_rows;

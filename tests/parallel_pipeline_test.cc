@@ -8,7 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <map>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "citibikes/bike_feed.h"
 #include "common/parallel.h"
@@ -19,6 +26,7 @@
 #include "mapper/nosql_min_mapper.h"
 #include "mapper/sql_dwarf_mapper.h"
 #include "mapper/sql_min_mapper.h"
+#include "mapper/store_rows.h"
 
 namespace scdwarf::etl {
 namespace {
@@ -352,6 +360,105 @@ TEST(ParallelStoreTest, SqlMappersStoreIdenticalBytes) {
   auto min_reloaded = parallel_min.Load(0);
   ASSERT_TRUE(min_reloaded.ok()) << min_reloaded.status();
   EXPECT_TRUE(min_reloaded->StructurallyEquals(cube));
+}
+
+// ------------------------------------------------------- the one store path
+
+// 10,000 nodes: every node adds one row to "t_every", every third node two
+// rows to "t_third", and no node a row to "t_none".
+constexpr size_t kStoreRowsNodes = 10000;
+const std::vector<std::string> kStoreRowsTables = {"t_every", "t_third",
+                                                   "t_none"};
+
+std::vector<mapper::Rows> GenerateStoreRows(size_t begin, size_t end) {
+  std::vector<mapper::Rows> out(kStoreRowsTables.size());
+  for (size_t i = begin; i < end; ++i) {
+    const int64_t node = static_cast<int64_t>(i);
+    out[0].push_back({Value::Int(node)});
+    if (i % 3 == 0) {
+      out[1].push_back({Value::Int(node), Value::Int(0)});
+      out[1].push_back({Value::Int(node), Value::Int(1)});
+    }
+  }
+  return out;
+}
+
+TEST(StoreRowsTest, AppliesEveryTableInSerialOrderInFullBatches) {
+  const std::vector<mapper::Rows> serial =
+      GenerateStoreRows(0, kStoreRowsNodes);
+  for (size_t rows_per_insert : {size_t{1}, size_t{3000}}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("rows_per_insert=" + std::to_string(rows_per_insert) +
+                   " threads=" + std::to_string(threads));
+      std::mutex mu;
+      std::map<std::string, std::vector<mapper::Rows>> batches;
+      Status status = mapper::StoreRows(
+          threads, kStoreRowsNodes, kStoreRowsTables, rows_per_insert,
+          GenerateStoreRows,
+          [&](const std::string& table, mapper::Rows rows) {
+            std::lock_guard<std::mutex> lock(mu);
+            batches[table].push_back(std::move(rows));
+            return Status::OK();
+          });
+      ASSERT_TRUE(status.ok()) << status;
+      EXPECT_EQ(batches.count("t_none"), 0u);  // no rows, no call
+      for (size_t t = 0; t < 2; ++t) {
+        SCOPED_TRACE(kStoreRowsTables[t]);
+        const std::vector<mapper::Rows>& applied =
+            batches[kStoreRowsTables[t]];
+        ASSERT_FALSE(applied.empty());
+        mapper::Rows concatenated;
+        for (size_t b = 0; b < applied.size(); ++b) {
+          EXPECT_FALSE(applied[b].empty());
+          if (b + 1 < applied.size()) {
+            EXPECT_GE(applied[b].size(), rows_per_insert);
+          }
+          concatenated.insert(concatenated.end(), applied[b].begin(),
+                              applied[b].end());
+        }
+        EXPECT_EQ(concatenated, serial[t]);
+      }
+    }
+  }
+}
+
+TEST(StoreRowsTest, ApplyErrorStopsItsTableAndJoinsEveryLane) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::mutex mu;
+    std::map<std::string, int> calls;
+    std::atomic<int> in_flight{0};
+    Status status = mapper::StoreRows(
+        threads, kStoreRowsNodes, kStoreRowsTables, /*rows_per_insert=*/1,
+        GenerateStoreRows, [&](const std::string& table, mapper::Rows) {
+          in_flight.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          int call = 0;
+          {
+            std::lock_guard<std::mutex> lock(mu);
+            call = ++calls[table];
+          }
+          in_flight.fetch_sub(1);
+          if (table == "t_third" && call == 2) {
+            return Status::IoError("disk full");
+          }
+          return Status::OK();
+        });
+    EXPECT_TRUE(status.IsIoError()) << status;
+    EXPECT_NE(status.message().find("t_third"), std::string::npos) << status;
+    // Every lane was joined: none is inside an apply, and none starts one
+    // later.
+    EXPECT_EQ(in_flight.load(), 0);
+    std::map<std::string, int> returned;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      returned = calls;
+    }
+    EXPECT_EQ(returned["t_third"], 2);  // nothing after the failing apply
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(calls, returned);
+  }
 }
 
 // -------------------------------------------------- common/parallel helpers

@@ -16,7 +16,6 @@
 #include "json/json_parser.h"
 #include "mapper/id_map.h"
 #include "mapper/nosql_dwarf_mapper.h"
-#include "mapper/row_batcher.h"
 #include "mapper/stored_cube.h"
 #include "nosql/cql.h"
 #include "nosql/database.h"
@@ -254,35 +253,6 @@ TEST_P(ParserFuzzTest, StructuredGarbageNeverCrashesParsers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzTest, ::testing::Values(11, 22, 33));
-
-// ----------------------------------------------------------- row batcher
-
-TEST(RowBatcherTest, FlushesAtCapacityAndOnDemand) {
-  nosql::Database db;
-  ASSERT_TRUE(db.CreateKeyspace("ks").ok());
-  ASSERT_TRUE(db.CreateTable(nosql::TableSchema(
-                    "ks", "t", {{"id", DataType::kInt}}, "id"))
-                  .ok());
-  mapper::RowBatcher<nosql::Database> batcher(&db, "ks", "t", /*capacity=*/4);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(batcher.Add({Value::Int(i)}).ok());
-  }
-  // Two full batches applied automatically; two rows still staged.
-  EXPECT_EQ((*db.GetTable("ks", "t"))->num_rows(), 8u);
-  ASSERT_TRUE(batcher.Flush().ok());
-  EXPECT_EQ((*db.GetTable("ks", "t"))->num_rows(), 10u);
-  EXPECT_EQ(batcher.total(), 10u);
-  // Idempotent flush.
-  ASSERT_TRUE(batcher.Flush().ok());
-  EXPECT_EQ((*db.GetTable("ks", "t"))->num_rows(), 10u);
-}
-
-TEST(RowBatcherTest, PropagatesEngineErrors) {
-  nosql::Database db;  // table never created
-  mapper::RowBatcher<nosql::Database> batcher(&db, "ks", "missing",
-                                              /*capacity=*/1);
-  EXPECT_TRUE(batcher.Add({Value::Int(1)}).IsNotFound());
-}
 
 // --------------------------------------------------- CQL / SQL fuzzing
 
