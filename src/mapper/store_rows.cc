@@ -80,20 +80,27 @@ class RowLane {
     return Status::OK();
   }
 
-  /// Applies the last, partial batch on the lane, joins the worker, and
-  /// returns the lane's first error. Idempotent.
-  Status Finish() {
-    if (worker_.joinable()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        finished_ = true;
-      }
-      wake_.notify_all();
-      worker_.join();
-    } else if (!finished_) {
+  /// Ends the input: the lane drains its queue and applies its last,
+  /// partial batch — on its worker, or inline when it has none. Does not
+  /// wait for the worker, so every lane's last batch can run at once.
+  void Close() {
+    if (!worker_.joinable()) {
+      if (!finished_ && error_.ok()) error_ = ApplyBatch();
       finished_ = true;
-      if (error_.ok()) error_ = ApplyBatch();
+      return;
     }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      finished_ = true;
+    }
+    wake_.notify_all();
+  }
+
+  /// Closes the lane, joins its worker, and returns the lane's first error.
+  /// Idempotent.
+  Status Finish() {
+    Close();
+    if (worker_.joinable()) worker_.join();
     return error_;
   }
 
@@ -203,8 +210,9 @@ Status StoreRows(int num_threads, size_t num_nodes,
       }
     }
   }
-  // Every lane applies its last batch and is joined, even after an error,
-  // so no insert outlives this call.
+  // Every lane applies its last batch, all at once, and is joined, even
+  // after an error, so no insert outlives this call.
+  for (RowLane& lane : lanes) lane.Close();
   for (RowLane& lane : lanes) {
     Status lane_status = lane.Finish();
     if (status.ok()) status = std::move(lane_status);
