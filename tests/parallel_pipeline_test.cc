@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -459,6 +460,36 @@ TEST(StoreRowsTest, ApplyErrorStopsItsTableAndJoinsEveryLane) {
     std::lock_guard<std::mutex> lock(mu);
     EXPECT_EQ(calls, returned);
   }
+}
+
+// With more than one thread, no table's last batch waits for another's: each
+// apply below returns only once every table's apply has started, so lanes
+// that ran their last batches one after another would time out.
+TEST(StoreRowsTest, LastBatchesOfAllTablesRunAtOnce) {
+  std::mutex mu;
+  std::condition_variable all_started;
+  size_t started = 0;
+  bool timed_out = false;
+  Status status = mapper::StoreRows(
+      /*num_threads=*/4, kStoreRowsNodes, {"t_every", "t_third"},
+      /*rows_per_insert=*/kStoreRowsNodes * 2,
+      [](size_t begin, size_t end) {
+        std::vector<mapper::Rows> out = GenerateStoreRows(begin, end);
+        out.pop_back();  // no "t_none"
+        return out;
+      },
+      [&](const std::string&, mapper::Rows) {
+        std::unique_lock<std::mutex> lock(mu);
+        if (++started == 2) all_started.notify_all();
+        if (!all_started.wait_for(lock, std::chrono::seconds(10),
+                                  [&] { return started >= 2; })) {
+          timed_out = true;
+        }
+        return Status::OK();
+      });
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(started, 2u);  // one batch per table: the last one
+  EXPECT_FALSE(timed_out);
 }
 
 // -------------------------------------------------- common/parallel helpers
