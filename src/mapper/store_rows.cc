@@ -18,6 +18,9 @@ namespace scdwarf::mapper {
 
 namespace {
 
+/// Nodes per generation chunk.
+constexpr size_t kRowChunkNodes = 1024;
+
 // Lane instrumentation, shared across every lane (one gauge for the summed
 // queue depth rather than a per-table series — table names are unbounded).
 metrics::Gauge* ApplyQueueDepthGauge() {
@@ -64,7 +67,7 @@ class RowLane {
 
   /// Hands the lane one chunk's rows. Threaded, it blocks while the worker
   /// is kCapacity chunks behind, back-pressuring generation against the
-  /// engine. Call only before Finish.
+  /// engine. Call only before Close.
   Status Push(Rows rows) {
     if (!worker_.joinable()) {
       if (error_.ok()) error_ = Add(std::move(rows));
@@ -192,7 +195,8 @@ Status StoreRows(int num_threads, size_t num_nodes,
   if (threads <= 1) {
     for (size_t begin = 0; begin < num_nodes && status.ok();
          begin += kRowChunkNodes) {
-      status = push(generate(begin, std::min(num_nodes, begin + kRowChunkNodes)));
+      status =
+          push(generate(begin, std::min(num_nodes, begin + kRowChunkNodes)));
     }
   } else {
     ThreadPool pool(threads);

@@ -26,9 +26,6 @@
 
 namespace scdwarf::mapper {
 
-/// Nodes per generation chunk.
-inline constexpr size_t kRowChunkNodes = 1024;
-
 /// Rows per insert for the SQL mappers. Every sql::SqlEngine::BulkInsert
 /// appends and fsyncs one redo record (InnoDB's flush at each commit), so
 /// committing every chunk would pay one fsync per 1,024 nodes; the SQL
@@ -44,14 +41,15 @@ using Rows = std::vector<std::vector<Value>>;
 /// Generates the rows that nodes [begin, end) of the visit order contribute:
 /// one Rows per destination table, in the order of StoreRows' \p tables.
 /// Runs on pool threads, so it must not touch shared mutable state.
-using GenerateRowsFn = std::function<std::vector<Rows>(size_t begin, size_t end)>;
+using GenerateRowsFn =
+    std::function<std::vector<Rows>(size_t begin, size_t end)>;
 
 /// Inserts one batch of rows into \p table. Runs on \p table's lane; lanes
 /// of different tables call it concurrently.
 using ApplyRowsFn = std::function<Status(const std::string& table, Rows rows)>;
 
-/// \brief Generates the rows of \p num_nodes nodes in chunks of
-/// kRowChunkNodes and applies each table's rows in chunk order.
+/// \brief Generates the rows of \p num_nodes nodes in chunks of 1,024 nodes
+/// and applies each table's rows in chunk order.
 ///
 /// \p num_threads: 0 = auto (SCDWARF_THREADS, else hardware concurrency),
 /// 1 = inline on the caller. A table's chunks are coalesced until a batch
