@@ -7,9 +7,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "nosql/cql.h"
 #include "nosql/database.h"
 
@@ -80,6 +83,193 @@ TEST(ValueTest, HashStability) {
   EXPECT_EQ(Value::Text("x").Hash(), Value::Text("x").Hash());
   EXPECT_NE(Value::Text("x").Hash(), Value::Text("y").Hash());
   EXPECT_EQ(Value::IntSet({1, 2}).Hash(), Value::IntSet({2, 1}).Hash());
+}
+
+// A std::variant reference model of Value: the order, equality, hash,
+// encoding and literal every Value must reproduce exactly. Segments write
+// secondary indexes in Value order, so the order is part of the disk format.
+using RefValue = std::variant<std::monostate, bool, int64_t, std::string,
+                              std::vector<int64_t>>;
+
+uint64_t RefHash(const RefValue& ref) {
+  switch (ref.index()) {
+    case 0: return 0x6e756c6cULL;
+    case 1: return std::get<bool>(ref) ? 0x74727565ULL : 0x66616c73ULL;
+    case 2: return MixBits(static_cast<uint64_t>(std::get<int64_t>(ref)));
+    case 3: return HashString(std::get<std::string>(ref));
+  }
+  uint64_t h = 0x736574ULL;
+  for (int64_t member : std::get<std::vector<int64_t>>(ref)) {
+    h = HashCombine(h, static_cast<uint64_t>(member));
+  }
+  return h;
+}
+
+std::vector<uint8_t> RefEncode(const RefValue& ref) {
+  ByteWriter writer;
+  writer.PutU8(static_cast<uint8_t>(ref.index()));
+  switch (ref.index()) {
+    case 0: break;
+    case 1: writer.PutU8(std::get<bool>(ref) ? 1 : 0); break;
+    case 2: writer.PutSignedVarint(std::get<int64_t>(ref)); break;
+    case 3: writer.PutString(std::get<std::string>(ref)); break;
+    default: {
+      const auto& set = std::get<std::vector<int64_t>>(ref);
+      writer.PutVarint(set.size());
+      // Deltas wrap modulo 2^64, as two's-complement subtraction does.
+      uint64_t previous = 0;
+      for (int64_t member : set) {
+        const uint64_t bits = static_cast<uint64_t>(member);
+        writer.PutSignedVarint(static_cast<int64_t>(bits - previous));
+        previous = bits;
+      }
+    }
+  }
+  return writer.TakeBuffer();
+}
+
+std::string RefCqlLiteral(const RefValue& ref) {
+  switch (ref.index()) {
+    case 0: return "null";
+    case 1: return std::get<bool>(ref) ? "true" : "false";
+    case 2: return std::to_string(std::get<int64_t>(ref));
+    case 3: return QuoteSqlString(std::get<std::string>(ref));
+  }
+  std::string out = "{";
+  for (int64_t member : std::get<std::vector<int64_t>>(ref)) {
+    if (out.size() > 1) out += ",";
+    out += std::to_string(member);
+  }
+  return out + "}";
+}
+
+/// A random value and its reference. Small alphabets make equal values,
+/// shared prefixes and prefix pairs common, so the order is exercised at
+/// every boundary: text around the 14-byte inline limit with bytes >= 0x80
+/// and NULs, ints at both ends of int64, sets with extreme members.
+std::pair<Value, RefValue> RandomValue(Rng* rng) {
+  static const int64_t kInts[] = {INT64_MIN, INT64_MIN + 1, -1, 0, 1, 2,
+                                  INT64_MAX - 1, INT64_MAX};
+  static const char kChars[] = {'a', 'b', '\0', '\x7f', '\x80', '\xff'};
+  static const size_t kLengths[] = {0, 1, 2, 13, 14, 15, 16, 40, 300};
+  switch (rng->NextBelow(5)) {
+    case 0:
+      return {Value::Null(), RefValue{}};
+    case 1: {
+      const bool v = rng->NextBelow(2) == 1;
+      return {Value::Bool(v), RefValue(v)};
+    }
+    case 2: {
+      const int64_t v = rng->NextBelow(2) == 0
+                            ? kInts[rng->NextBelow(std::size(kInts))]
+                            : static_cast<int64_t>(rng->NextU64());
+      return {Value::Int(v), RefValue(v)};
+    }
+    case 3: {
+      const size_t length = kLengths[rng->NextBelow(std::size(kLengths))];
+      std::string text;
+      for (size_t i = 0; i < length; ++i) {
+        text.push_back(kChars[rng->NextBelow(length > 16 ? 2 : 6)]);
+      }
+      // Long texts draw from two letters and end in any byte, so they
+      // share long prefixes and often differ only near their ends.
+      if (length > 16) text.back() = kChars[rng->NextBelow(std::size(kChars))];
+      return {Value::Text(text), RefValue(text)};
+    }
+    default: {
+      // A few extreme members, duplicated and in any order, or a long run of
+      // small members that long sets share as a prefix.
+      std::vector<int64_t> members;
+      if (rng->NextBelow(4) == 0) {
+        const size_t size = 20 + rng->NextBelow(3);
+        for (size_t i = 0; i < size; ++i) {
+          members.push_back(static_cast<int64_t>(i) * 3 - 30);
+        }
+      } else {
+        for (size_t i = rng->NextBelow(5); i > 0; --i) {
+          members.push_back(kInts[rng->NextBelow(std::size(kInts))]);
+        }
+      }
+      std::vector<int64_t> canonical = members;
+      std::sort(canonical.begin(), canonical.end());
+      canonical.erase(std::unique(canonical.begin(), canonical.end()),
+                      canonical.end());
+      return {Value::IntSet(std::move(members)), RefValue(canonical)};
+    }
+  }
+}
+
+TEST(ValueTest, MatchesVariantReferenceModel) {
+  Rng rng(20);
+  std::vector<Value> values;
+  std::vector<RefValue> refs;
+  // The fixed extremes first, then random values.
+  const std::pair<Value, RefValue> fixed[] = {
+      {Value::Null(), RefValue{}},
+      {Value::Bool(false), RefValue(false)},
+      {Value::Bool(true), RefValue(true)},
+      {Value::Int(INT64_MIN), RefValue(INT64_MIN)},
+      {Value::Int(INT64_MAX), RefValue(INT64_MAX)},
+      {Value::Text(""), RefValue(std::string())},
+      {Value::Text(std::string(14, '\xff')), RefValue(std::string(14, '\xff'))},
+      {Value::Text(std::string(15, '\0')), RefValue(std::string(15, '\0'))},
+      {Value::IntSet({}), RefValue(std::vector<int64_t>{})},
+      {Value::IntSet({INT64_MAX, -1}),
+       RefValue(std::vector<int64_t>{-1, INT64_MAX})},
+      {Value::IntSet({INT64_MAX, INT64_MIN, 0}),
+       RefValue(std::vector<int64_t>{INT64_MIN, 0, INT64_MAX})},
+  };
+  for (const auto& [value, ref] : fixed) {
+    values.push_back(value);
+    refs.push_back(ref);
+  }
+  while (values.size() < 400) {
+    auto [value, ref] = RandomValue(&rng);
+    values.push_back(std::move(value));
+    refs.push_back(std::move(ref));
+  }
+
+  for (size_t i = 0; i < values.size(); ++i) {
+    SCOPED_TRACE("value " + std::to_string(i) + ": " + RefCqlLiteral(refs[i]));
+    const Value& value = values[i];
+    EXPECT_EQ(value.Hash(), RefHash(refs[i]));
+    EXPECT_EQ(value.ToCqlLiteral(), RefCqlLiteral(refs[i]));
+    ByteWriter writer;
+    value.EncodeTo(&writer);
+    const std::vector<uint8_t> expected = RefEncode(refs[i]);
+    EXPECT_EQ(writer.data(), expected);
+    EXPECT_EQ(value.EncodedSize(), expected.size());
+    ByteReader reader(writer.data());
+    auto decoded = Value::DecodeFrom(&reader);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_TRUE(reader.AtEnd());
+    EXPECT_EQ(*decoded, value);
+    EXPECT_EQ(decoded->Hash(), value.Hash());
+    for (size_t j = 0; j < values.size(); ++j) {
+      ASSERT_EQ(value < values[j], refs[i] < refs[j]) << "against " << j;
+      ASSERT_EQ(value == values[j], refs[i] == refs[j]) << "against " << j;
+      ASSERT_EQ(value != values[j], refs[i] != refs[j]) << "against " << j;
+    }
+
+    // Copy, move and self-assignment keep the value; a moved-from value
+    // can be assigned to again.
+    Value copy = value;
+    EXPECT_EQ(copy, value);
+    Value moved = std::move(copy);
+    EXPECT_EQ(moved, value);
+    copy = moved;
+    EXPECT_EQ(copy, value);
+    Value& alias = copy;
+    copy = alias;
+    EXPECT_EQ(copy, value);
+    Value assigned = values[(i + 1) % values.size()];
+    assigned = value;
+    EXPECT_EQ(assigned, value);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned, value);
+    moved = values[(i + 7) % values.size()];
+    EXPECT_EQ(moved, values[(i + 7) % values.size()]);
+  }
 }
 
 TEST(DataTypeTest, ParseNames) {
