@@ -14,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <numeric>
 
 #include "bench_util.h"
 #include "citibikes/bike_feed.h"
@@ -102,8 +103,9 @@ void BM_NodeChildrenRepresentation(benchmark::State& state) {
     int64_t edge_id = 0;
     uint64_t rows = 0;
     for (dwarf::NodeId node_id : ids.visit_order) {
-      std::vector<int64_t> children = ids.cell_ids[node_id];
-      children.push_back(ids.all_cell_ids[node_id]);
+      // The node's cells and its ALL cell, numbered consecutively.
+      std::vector<int64_t> children(cube->node(node_id).cells.size() + 1);
+      std::iota(children.begin(), children.end(), ids.first_cell_id[node_id]);
       if (as_sets) {
         status = db.Insert("ks", "node",
                            {Value::Int(ids.node_ids[node_id]),

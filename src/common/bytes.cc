@@ -22,6 +22,16 @@ void ByteWriter::PutRaw(const void* data, size_t size) {
   buffer_.insert(buffer_.end(), bytes, bytes + size);
 }
 
+Status ByteReader::Skip(size_t size) {
+  if (remaining() < size) {
+    return Status::OutOfRange("byte reader exhausted: need " +
+                              std::to_string(size) + " bytes, have " +
+                              std::to_string(remaining()));
+  }
+  offset_ += size;
+  return Status::OK();
+}
+
 Status ByteReader::ReadFixed(void* out, size_t size) {
   if (remaining() < size) {
     return Status::OutOfRange("byte reader exhausted: need " +

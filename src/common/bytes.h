@@ -79,6 +79,8 @@ class ByteReader {
   Result<double> ReadDouble();
   /// Reads a varint length prefix then that many bytes.
   Result<std::string> ReadString();
+  /// Advances past \p size bytes; fails without moving when fewer remain.
+  Status Skip(size_t size);
 
   /// Bytes not yet consumed.
   size_t remaining() const { return size_ - offset_; }

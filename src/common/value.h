@@ -7,8 +7,10 @@
 #define SCDWARF_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
-#include <variant>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -31,29 +33,58 @@ const char* DataTypeName(DataType type);
 /// \brief Parses a CQL type name; case-insensitive.
 Result<DataType> ParseDataType(std::string_view name);
 
-/// \brief A single typed value or NULL.
+/// \brief A single typed value or NULL, in 16 bytes.
 ///
 /// Set values are kept sorted and deduplicated so that comparison and
-/// serialization are canonical.
-class Value {
+/// serialization are canonical. Ints, bools and text of at most 14 bytes
+/// live inline; longer text and sets live in one heap block each (a 64-bit
+/// length or count, then the bytes or members), which a copy duplicates and
+/// a move steals. A DWARF_Cell row of eight values thus takes 128 bytes and
+/// usually no allocation beyond the row's own.
+class alignas(8) Value {
  public:
   /// NULL value.
-  Value() : data_(std::monostate{}) {}
+  Value() = default;
+  Value(const Value& other) { CopyFrom(other); }
+  Value(Value&& other) noexcept { StealFrom(&other); }
+  Value& operator=(const Value& other) {
+    if (this != &other) {
+      if (on_heap()) FreeBlock();
+      CopyFrom(other);
+    }
+    return *this;
+  }
+  Value& operator=(Value&& other) noexcept {
+    if (this != &other) {
+      if (on_heap()) FreeBlock();
+      StealFrom(&other);
+    }
+    return *this;
+  }
+  ~Value() {
+    if (on_heap()) FreeBlock();
+  }
 
   static Value Null() { return Value(); }
-  static Value Int(int64_t v) { return Value(Storage(v)); }
-  static Value Text(std::string v) { return Value(Storage(std::move(v))); }
-  static Value Bool(bool v) { return Value(Storage(v)); }
+  static Value Int(int64_t v) {
+    Value value(Kind::kInt);
+    std::memcpy(value.inline_, &v, sizeof(v));
+    return value;
+  }
+  static Value Text(std::string v);
+  static Value Bool(bool v) {
+    Value value(Kind::kBool);
+    value.inline_[0] = v ? 1 : 0;
+    return value;
+  }
   /// Sorts and deduplicates \p v.
   static Value IntSet(std::vector<int64_t> v);
 
-  bool is_null() const { return std::holds_alternative<std::monostate>(data_); }
-  bool is_int() const { return std::holds_alternative<int64_t>(data_); }
-  bool is_text() const { return std::holds_alternative<std::string>(data_); }
-  bool is_bool() const { return std::holds_alternative<bool>(data_); }
-  bool is_int_set() const {
-    return std::holds_alternative<std::vector<int64_t>>(data_);
-  }
+  bool is_null() const { return kind_ == Kind::kNull; }
+  bool is_int() const { return kind_ == Kind::kInt; }
+  bool is_text() const { return kind_ == Kind::kText; }
+  bool is_bool() const { return kind_ == Kind::kBool; }
+  bool is_int_set() const { return kind_ == Kind::kIntSet; }
 
   Result<int64_t> AsInt() const;
   Result<std::string> AsText() const;
@@ -65,9 +96,11 @@ class Value {
   bool MatchesType(DataType type) const;
 
   /// Total ordering across values of the same kind (NULL sorts first); used
-  /// by ordered indexes. Comparing values of different kinds orders by kind.
-  bool operator<(const Value& other) const { return data_ < other.data_; }
-  bool operator==(const Value& other) const { return data_ == other.data_; }
+  /// by ordered indexes. Comparing values of different kinds orders by kind:
+  /// null < bool < int < text < set. Text compares bytewise, as std::string
+  /// does, and sets lexicographically.
+  bool operator<(const Value& other) const;
+  bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
 
   /// Renders as a CQL literal: 7, 'text' (quotes doubled), true, {1,2}.
@@ -87,12 +120,61 @@ class Value {
   uint64_t Hash() const;
 
  private:
-  using Storage = std::variant<std::monostate, bool, int64_t, std::string,
-                               std::vector<int64_t>>;
-  explicit Value(Storage data) : data_(std::move(data)) {}
+  /// The kinds in comparison order; each number is also the kind's tag in
+  /// the binary encoding.
+  enum class Kind : uint8_t { kNull = 0, kBool = 1, kInt = 2, kText = 3,
+                              kIntSet = 4 };
+  static constexpr size_t kInlineBytes = 14;
+  /// length_ of a text whose bytes live in a heap block.
+  static constexpr uint8_t kHeapText = 0xff;
 
-  Storage data_;
+  explicit Value(Kind kind) : kind_(kind) {}
+
+  bool on_heap() const {
+    return kind_ == Kind::kIntSet ||
+           (kind_ == Kind::kText && length_ == kHeapText);
+  }
+  /// The heap block: word 0 is the text length or the member count.
+  uint64_t* block() const {
+    uint64_t* block = nullptr;
+    std::memcpy(&block, inline_, sizeof(block));
+    return block;
+  }
+  void set_block(uint64_t* block) {
+    std::memcpy(inline_, &block, sizeof(block));
+  }
+  int64_t int_value() const {
+    int64_t v = 0;
+    std::memcpy(&v, inline_, sizeof(v));
+    return v;
+  }
+  std::string_view text() const;
+  std::span<const int64_t> members() const;
+
+  void CopyFrom(const Value& other) {
+    std::memcpy(inline_, other.inline_, kInlineBytes);
+    length_ = other.length_;
+    kind_ = other.kind_;
+    if (on_heap()) CopyBlock();
+  }
+  /// Takes \p other's contents, its block included, and leaves it NULL.
+  void StealFrom(Value* other) {
+    std::memcpy(inline_, other->inline_, kInlineBytes);
+    length_ = other->length_;
+    kind_ = other->kind_;
+    other->kind_ = Kind::kNull;
+  }
+  /// Replaces the block pointer copied from another value with a pointer to
+  /// a fresh copy of that block.
+  void CopyBlock();
+  void FreeBlock();
+
+  unsigned char inline_[kInlineBytes] = {};
+  uint8_t length_ = 0;  ///< inline text length, or kHeapText
+  Kind kind_ = Kind::kNull;
 };
+
+static_assert(sizeof(Value) == 16);
 
 /// \brief Hash functor routing Values into unordered containers.
 struct ValueHash {

@@ -29,26 +29,26 @@ void PushChildren(const DwarfCube& cube, NodeId id, std::vector<bool>* visited,
                   std::deque<NodeId>* queue, bool front) {
   const NodeView node = cube.node(id);
   if (cube.IsLeafLevel(node.level)) return;
-  // For depth-first order children are pushed to the front in reverse so the
-  // first cell's subtree is processed first, mirroring §4's description.
-  std::vector<NodeId> children;
-  children.reserve(node.cells.size() + 1);
-  for (const DwarfCell& cell : node.cells) children.push_back(cell.child);
-  children.push_back(node.all_child);
+  auto push = [&](NodeId child) {
+    if ((*visited)[child]) return;
+    (*visited)[child] = true;
+    if (front) {
+      queue->push_front(child);
+    } else {
+      queue->push_back(child);
+    }
+  };
+  // For depth-first order children are pushed to the front in reverse —
+  // the ALL child, then the cells from last to first — so the first cell's
+  // subtree is processed first, mirroring §4's description.
   if (front) {
-    for (auto it = children.rbegin(); it != children.rend(); ++it) {
-      if (!(*visited)[*it]) {
-        (*visited)[*it] = true;
-        queue->push_front(*it);
-      }
+    push(node.all_child);
+    for (size_t c = node.cells.size(); c > 0; --c) {
+      push(node.cells[c - 1].child);
     }
   } else {
-    for (NodeId child : children) {
-      if (!(*visited)[child]) {
-        (*visited)[child] = true;
-        queue->push_back(child);
-      }
-    }
+    for (const DwarfCell& cell : node.cells) push(cell.child);
+    push(node.all_child);
   }
 }
 
@@ -86,24 +86,47 @@ std::vector<NodeId> CollectReachableNodes(const DwarfCube& cube,
   return ids;
 }
 
-std::vector<std::vector<NodeId>> ComputeParentIds(const DwarfCube& cube) {
-  std::vector<std::vector<NodeId>> parents(cube.num_nodes());
-  auto add_parent = [&parents](NodeId child, NodeId parent) {
-    std::vector<NodeId>& list = parents[child];
-    if (list.empty() || list.back() != parent) list.push_back(parent);
-  };
+ParentIds ComputeParentIds(const DwarfCube& cube) {
   // Walk reachable nodes only, in ascending id order: a merged cube's arena
   // carries dead nodes from prior epochs, and scanning them would record
-  // phantom parents for subtrees the new epoch still shares.
+  // phantom parents for subtrees the new epoch still shares. Ascending
+  // order makes each list ascending, and a parent that references a child
+  // twice does so back to back, so a list drops a repeat of its last entry.
   std::vector<NodeId> reachable =
       CollectReachableNodes(cube, TraversalOrder::kBreadthFirst);
   std::sort(reachable.begin(), reachable.end());
-  for (NodeId id : reachable) {
-    const NodeView node = cube.node(id);
-    if (cube.IsLeafLevel(node.level)) continue;
-    for (const DwarfCell& cell : node.cells) add_parent(cell.child, id);
-    add_parent(node.all_child, id);
+  auto for_each_edge = [&](auto&& visit) {
+    for (NodeId id : reachable) {
+      const NodeView node = cube.node(id);
+      if (cube.IsLeafLevel(node.level)) continue;
+      for (const DwarfCell& cell : node.cells) visit(cell.child, id);
+      visit(node.all_child, id);
+    }
+  };
+  ParentIds parents;
+  // Pass 1 counts each list into offsets[child + 1]; the prefix sum turns
+  // the counts into offsets.
+  parents.offsets.assign(cube.num_nodes() + 1, 0);
+  constexpr NodeId kNone = ~NodeId{0};
+  std::vector<NodeId> last(cube.num_nodes(), kNone);
+  for_each_edge([&](NodeId child, NodeId parent) {
+    if (last[child] == parent) return;
+    last[child] = parent;
+    ++parents.offsets[child + 1];
+  });
+  for (size_t n = 0; n < cube.num_nodes(); ++n) {
+    parents.offsets[n + 1] += parents.offsets[n];
   }
+  // Pass 2 fills the lists; next[n] is the end of node n's list so far.
+  parents.ids.resize(parents.offsets.back());
+  std::vector<size_t> next(parents.offsets.begin(), parents.offsets.end() - 1);
+  for_each_edge([&](NodeId child, NodeId parent) {
+    if (next[child] > parents.offsets[child] &&
+        parents.ids[next[child] - 1] == parent) {
+      return;
+    }
+    parents.ids[next[child]++] = parent;
+  });
   return parents;
 }
 

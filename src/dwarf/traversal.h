@@ -12,6 +12,7 @@
 #define SCDWARF_DWARF_TRAVERSAL_H_
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -53,10 +54,23 @@ Status TraverseCube(const DwarfCube& cube, TraversalOrder order,
 std::vector<NodeId> CollectReachableNodes(const DwarfCube& cube,
                                           TraversalOrder order);
 
-/// \brief For each node, the ids of nodes holding a cell (or ALL pointer)
-/// that references it — the DWARF_Node.parentIds field of Table 1-B.
-/// Index = NodeId; root has an empty list.
-std::vector<std::vector<NodeId>> ComputeParentIds(const DwarfCube& cube);
+/// \brief Every node's parents, the ids of the nodes holding a cell (or ALL
+/// pointer) that references it — the DWARF_Node.parentIds field of Table
+/// 1-B — in one flat array: node n's parents are ids[offsets[n],
+/// offsets[n + 1]), ascending and deduplicated.
+struct ParentIds {
+  std::vector<size_t> offsets;  ///< num_nodes() + 1 entries
+  std::vector<NodeId> ids;
+
+  /// The parents of \p node; empty for the root and for nodes no reachable
+  /// node references (the dead slots of a merged cube's arena).
+  std::span<const NodeId> of(NodeId node) const {
+    return {ids.data() + offsets[node], ids.data() + offsets[node + 1]};
+  }
+};
+
+/// \brief Computes every node's parents from the reachable nodes only.
+ParentIds ComputeParentIds(const DwarfCube& cube);
 
 }  // namespace scdwarf::dwarf
 

@@ -6,24 +6,16 @@ CubeIdMap AssignIds(const dwarf::DwarfCube& cube, int64_t node_base,
                     int64_t cell_base) {
   CubeIdMap map;
   map.node_ids.assign(cube.num_nodes(), CubeIdMap::kInvalidId);
-  map.cell_ids.resize(cube.num_nodes());
-  map.all_cell_ids.assign(cube.num_nodes(), CubeIdMap::kInvalidId);
+  map.first_cell_id.assign(cube.num_nodes(), CubeIdMap::kInvalidId);
+  map.visit_order =
+      dwarf::CollectReachableNodes(cube, dwarf::TraversalOrder::kDepthFirst);
   map.next_node_id = node_base;
   map.next_cell_id = cell_base;
-
-  dwarf::CubeVisitor visitor;
-  visitor.on_node = [&](dwarf::NodeId id, const dwarf::NodeView& node) {
+  for (dwarf::NodeId id : map.visit_order) {
     map.node_ids[id] = map.next_node_id++;
-    map.visit_order.push_back(id);
-    map.cell_ids[id].resize(node.cells.size());
-    for (size_t c = 0; c < node.cells.size(); ++c) {
-      map.cell_ids[id][c] = map.next_cell_id++;
-    }
-    map.all_cell_ids[id] = map.next_cell_id++;
-    return Status::OK();
-  };
-  // Traversal over an in-memory cube with an OK-returning visitor never fails.
-  (void)dwarf::TraverseCube(cube, dwarf::TraversalOrder::kDepthFirst, visitor);
+    map.first_cell_id[id] = map.next_cell_id;
+    map.next_cell_id += static_cast<int64_t>(cube.node(id).cells.size()) + 1;
+  }
   return map;
 }
 

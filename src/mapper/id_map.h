@@ -27,10 +27,10 @@ inline constexpr const char* kAllCellKey = "ALL";
 struct CubeIdMap {
   /// Store id per arena NodeId (index), kInvalidId when unreachable.
   std::vector<int64_t> node_ids;
-  /// Store id per (arena NodeId, cell index).
-  std::vector<std::vector<int64_t>> cell_ids;
-  /// Store id of each node's ALL cell.
-  std::vector<int64_t> all_cell_ids;
+  /// Store id of each node's first cell per arena NodeId, kInvalidId when
+  /// unreachable. A node's cells are numbered consecutively: cell c is
+  /// first_cell_id + c, and its ALL cell first_cell_id + cells.size().
+  std::vector<int64_t> first_cell_id;
   /// Nodes in traversal (assignment) order.
   std::vector<dwarf::NodeId> visit_order;
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
+#include <span>
 
 #include "common/stopwatch.h"
 #include "common/strings.h"
+#include "common/trace.h"
 #include "mapper/id_map.h"
 #include "mapper/store_rows.h"
 #include "mapper/stored_cube.h"
@@ -96,9 +99,13 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
   SCD_ASSIGN_OR_RETURN(int64_t cell_base, NextId(kCellCf, 0));
   SCD_ASSIGN_OR_RETURN(int64_t meta_base, NextId(kMetaCf, 0));
 
-  CubeIdMap ids = AssignIds(cube, node_base, cell_base);
-  std::vector<std::vector<dwarf::NodeId>> parents =
-      dwarf::ComputeParentIds(cube);
+  CubeIdMap ids;
+  dwarf::ParentIds parents;
+  {
+    trace::ScopedSpan span("mapper.assign_ids");
+    ids = AssignIds(cube, node_base, cell_base);
+    parents = dwarf::ComputeParentIds(cube);
+  }
 
   NoSqlStoreStats local_stats;
 
@@ -160,13 +167,17 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
       const std::string& dim_table =
           cube.schema().dimensions()[node.level].dimension_table;
 
-      // DWARF_Node row.
+      // DWARF_Node row. Its children are its cells and its ALL cell, which
+      // AssignIds numbered consecutively from first_cell.
+      const int64_t first_cell = ids.first_cell_id[node_id];
+      const std::span<const dwarf::NodeId> node_parents = parents.of(node_id);
       std::vector<int64_t> parent_ids;
-      for (dwarf::NodeId parent : parents[node_id]) {
+      parent_ids.reserve(node_parents.size());
+      for (dwarf::NodeId parent : node_parents) {
         parent_ids.push_back(ids.node_ids[parent]);
       }
-      std::vector<int64_t> children_ids = ids.cell_ids[node_id];
-      children_ids.push_back(ids.all_cell_ids[node_id]);
+      std::vector<int64_t> children_ids(node.cells.size() + 1);
+      std::iota(children_ids.begin(), children_ids.end(), first_cell);
       node_rows.push_back({Value::Int(ids.node_ids[node_id]),
                            Value::IntSet(std::move(parent_ids)),
                            Value::IntSet(std::move(children_ids)),
@@ -179,7 +190,8 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
         const std::string& key =
             cube.dictionary(node.level).DecodeUnchecked(cell.key);
         cell_rows.push_back(
-            {Value::Int(ids.cell_ids[node_id][c]), Value::Text(key),
+            {Value::Int(first_cell + static_cast<int64_t>(c)),
+             Value::Text(key),
              Value::Int(leaf ? cell.measure : 0),
              Value::Int(ids.node_ids[node_id]),
              leaf ? Value::Null() : Value::Int(ids.node_ids[cell.child]),
@@ -187,8 +199,8 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
       }
       // ALL cell (reserved key, see id_map.h).
       cell_rows.push_back(
-          {Value::Int(ids.all_cell_ids[node_id]), Value::Text(kAllCellKey),
-           Value::Int(leaf ? node.all_measure : 0),
+          {Value::Int(first_cell + static_cast<int64_t>(node.cells.size())),
+           Value::Text(kAllCellKey), Value::Int(leaf ? node.all_measure : 0),
            Value::Int(ids.node_ids[node_id]),
            leaf ? Value::Null() : Value::Int(ids.node_ids[node.all_child]),
            Value::Bool(leaf), Value::Int(schema_id), Value::Text(dim_table)});
@@ -206,6 +218,10 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
     }
     return Status::OK();
   };
+  // Both families' row counts are known: reserving each once means no
+  // chunk's insert grows a row array or rehashes a primary index.
+  SCD_RETURN_IF_ERROR(db_->Reserve(keyspace_, kNodeCf, local_stats.node_rows));
+  SCD_RETURN_IF_ERROR(db_->Reserve(keyspace_, kCellCf, local_stats.cell_rows));
   Stopwatch apply_watch;
   // Statement mode stays serial: it exists to measure per-statement cost.
   SCD_RETURN_IF_ERROR(StoreRows(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/trace.h"
 #include "mapper/id_map.h"
 #include "mapper/store_rows.h"
 #include "mapper/stored_cube.h"
@@ -82,7 +83,18 @@ Result<int64_t> NoSqlMinMapper::Store(const dwarf::DwarfCube& cube) {
   // cubes' ids within the shared cell family id space; cells and nodes draw
   // from one counter here.
   const int64_t cell_base = node_base + static_cast<int64_t>(cube.num_nodes());
-  CubeIdMap ids = AssignIds(cube, node_base, cell_base);
+  CubeIdMap ids;
+  {
+    trace::ScopedSpan span("mapper.assign_ids");
+    ids = AssignIds(cube, node_base, cell_base);
+  }
+
+  // One cell row per cell and ALL cell, each of which AssignIds numbered.
+  // The count is known before the first insert, so the cell table is
+  // reserved once and no chunk's insert grows or rehashes it.
+  const int64_t num_cell_rows = ids.next_cell_id - cell_base;
+  SCD_RETURN_IF_ERROR(
+      db_->Reserve(keyspace_, kCellCf, static_cast<size_t>(num_cell_rows)));
 
   // Cell rows go through the one store path (store_rows.h), on the cell
   // table's lane, one BulkInsert per chunk.
@@ -94,21 +106,23 @@ Result<int64_t> NoSqlMinMapper::Store(const dwarf::DwarfCube& cube) {
       const dwarf::NodeView node = cube.node(node_id);
       bool leaf = cube.IsLeafLevel(node.level);
       bool is_root = node_id == cube.root();
+      const int64_t first_cell = ids.first_cell_id[node_id];
       for (size_t c = 0; c < node.cells.size(); ++c) {
         const dwarf::DwarfCell& cell = node.cells[c];
         const std::string& key =
             cube.dictionary(node.level).DecodeUnchecked(cell.key);
         cell_rows.push_back(
-            {Value::Int(ids.cell_ids[node_id][c]), Value::Text(key),
+            {Value::Int(first_cell + static_cast<int64_t>(c)),
+             Value::Text(key),
              Value::Int(leaf ? cell.measure : 0), Value::Bool(leaf),
              Value::Bool(is_root), Value::Int(cube_id),
              Value::Int(ids.node_ids[node_id]),
              leaf ? Value::Null() : Value::Int(ids.node_ids[cell.child])});
       }
       cell_rows.push_back(
-          {Value::Int(ids.all_cell_ids[node_id]), Value::Text(kAllCellKey),
-           Value::Int(leaf ? node.all_measure : 0), Value::Bool(leaf),
-           Value::Bool(is_root), Value::Int(cube_id),
+          {Value::Int(first_cell + static_cast<int64_t>(node.cells.size())),
+           Value::Text(kAllCellKey), Value::Int(leaf ? node.all_measure : 0),
+           Value::Bool(leaf), Value::Bool(is_root), Value::Int(cube_id),
            Value::Int(ids.node_ids[node_id]),
            leaf ? Value::Null() : Value::Int(ids.node_ids[node.all_child])});
     }
@@ -120,12 +134,10 @@ Result<int64_t> NoSqlMinMapper::Store(const dwarf::DwarfCube& cube) {
       [this](const std::string& table, std::vector<Row> rows) {
         return db_->BulkInsert(keyspace_, table, std::move(rows));
       }));
-  // One cell row per cell and ALL cell, each of which AssignIds numbered.
-  const int64_t cell_rows = ids.next_cell_id - cell_base;
 
   Row cube_row = {Value::Int(cube_id),
                   Value::Int(static_cast<int64_t>(cube.num_nodes())),
-                  Value::Int(cell_rows),
+                  Value::Int(num_cell_rows),
                   Value::Int(0)};
   SCD_RETURN_IF_ERROR(db_->BulkInsert(keyspace_, kCubeCf, {cube_row}));
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 
+#include "common/trace.h"
 #include "mapper/id_map.h"
 #include "mapper/store_rows.h"
 #include "mapper/stored_cube.h"
@@ -92,7 +93,11 @@ Result<int64_t> SqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
   SCD_ASSIGN_OR_RETURN(int64_t node_children_base, NextId(kNodeChildrenTable));
   SCD_ASSIGN_OR_RETURN(int64_t cell_children_base, NextId(kCellChildrenTable));
 
-  CubeIdMap ids = AssignIds(cube, node_base, cell_base);
+  CubeIdMap ids;
+  {
+    trace::ScopedSpan span("mapper.assign_ids");
+    ids = AssignIds(cube, node_base, cell_base);
+  }
 
   // The edge tables draw their ids from sequential counters. So chunks can
   // serialize independently, prefix-count the edges each node contributes:
@@ -143,15 +148,17 @@ Result<int64_t> SqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
       node_rows.push_back({Value::Int(ids.node_ids[node_id]),
                            Value::Bool(node_id == cube.root()),
                            Value::Int(cube_id)});
+      const int64_t first_cell = ids.first_cell_id[node_id];
       for (size_t c = 0; c < node.cells.size(); ++c) {
         const dwarf::DwarfCell& cell = node.cells[c];
         const std::string& key =
             cube.dictionary(node.level).DecodeUnchecked(cell.key);
-        emit_cell(ids.cell_ids[node_id][c], key, leaf ? cell.measure : 0,
-                  leaf, ids.node_ids[node_id],
+        emit_cell(first_cell + static_cast<int64_t>(c), key,
+                  leaf ? cell.measure : 0, leaf, ids.node_ids[node_id],
                   leaf ? -1 : ids.node_ids[cell.child], dim_table);
       }
-      emit_cell(ids.all_cell_ids[node_id], kAllCellKey,
+      emit_cell(first_cell + static_cast<int64_t>(node.cells.size()),
+                kAllCellKey,
                 leaf ? node.all_measure : 0, leaf, ids.node_ids[node_id],
                 leaf ? -1 : ids.node_ids[node.all_child], dim_table);
     }

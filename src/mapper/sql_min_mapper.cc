@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/trace.h"
 #include "mapper/id_map.h"
 #include "mapper/store_rows.h"
 #include "mapper/stored_cube.h"
@@ -65,7 +66,11 @@ Result<int64_t> SqlMinMapper::Store(const dwarf::DwarfCube& cube) {
   SCD_ASSIGN_OR_RETURN(int64_t cube_id, NextId(kCubeTable));
   SCD_ASSIGN_OR_RETURN(int64_t node_base, NextId(kCellTable));
   const int64_t cell_base = node_base + static_cast<int64_t>(cube.num_nodes());
-  CubeIdMap ids = AssignIds(cube, node_base, cell_base);
+  CubeIdMap ids;
+  {
+    trace::ScopedSpan span("mapper.assign_ids");
+    ids = AssignIds(cube, node_base, cell_base);
+  }
 
   // Cell rows go through the one store path (store_rows.h), on the cell
   // table's lane, in batches of at least kSqlRowsPerInsert rows.
@@ -77,21 +82,23 @@ Result<int64_t> SqlMinMapper::Store(const dwarf::DwarfCube& cube) {
       const dwarf::NodeView node = cube.node(node_id);
       bool leaf = cube.IsLeafLevel(node.level);
       bool is_root = node_id == cube.root();
+      const int64_t first_cell = ids.first_cell_id[node_id];
       for (size_t c = 0; c < node.cells.size(); ++c) {
         const dwarf::DwarfCell& cell = node.cells[c];
         const std::string& key =
             cube.dictionary(node.level).DecodeUnchecked(cell.key);
         cell_rows.push_back(
-            {Value::Int(ids.cell_ids[node_id][c]), Value::Text(key),
+            {Value::Int(first_cell + static_cast<int64_t>(c)),
+             Value::Text(key),
              Value::Int(leaf ? cell.measure : 0), Value::Bool(leaf),
              Value::Bool(is_root), Value::Int(cube_id),
              Value::Int(ids.node_ids[node_id]),
              leaf ? Value::Null() : Value::Int(ids.node_ids[cell.child])});
       }
       cell_rows.push_back(
-          {Value::Int(ids.all_cell_ids[node_id]), Value::Text(kAllCellKey),
-           Value::Int(leaf ? node.all_measure : 0), Value::Bool(leaf),
-           Value::Bool(is_root), Value::Int(cube_id),
+          {Value::Int(first_cell + static_cast<int64_t>(node.cells.size())),
+           Value::Text(kAllCellKey), Value::Int(leaf ? node.all_measure : 0),
+           Value::Bool(leaf), Value::Bool(is_root), Value::Int(cube_id),
            Value::Int(ids.node_ids[node_id]),
            leaf ? Value::Null() : Value::Int(ids.node_ids[node.all_child])});
     }

@@ -101,21 +101,20 @@ Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
   return bytes;
 }
 
-/// One commit-log record: the delete flag, the table's names and the rows.
-std::vector<uint8_t> EncodeLogRecord(const std::string& keyspace,
-                                     const std::string& table,
-                                     const std::vector<Row>& rows,
-                                     bool is_delete) {
-  ByteWriter writer;
-  writer.PutU8(is_delete ? 1 : 0);
-  writer.PutString(keyspace);
-  writer.PutString(table);
-  writer.PutVarint(rows.size());
-  for (const Row& row : rows) {
-    writer.PutVarint(row.size());
-    for (const Value& value : row) value.EncodeTo(&writer);
-  }
-  return writer.TakeBuffer();
+/// A commit-log record is the delete flag, the table's names and the row
+/// count, then each row as its arity and its values. Writes the header.
+void PutLogHeader(ByteWriter* writer, const std::string& keyspace,
+                  const std::string& table, size_t num_rows, bool is_delete) {
+  writer->PutU8(is_delete ? 1 : 0);
+  writer->PutString(keyspace);
+  writer->PutString(table);
+  writer->PutVarint(num_rows);
+}
+
+/// Writes one row of a commit-log record.
+void PutLogRow(ByteWriter* writer, const Row& row) {
+  writer->PutVarint(row.size());
+  for (const Value& value : row) value.EncodeTo(writer);
 }
 
 /// Encodes a table or keyspace name safely into a file name.
@@ -379,26 +378,40 @@ Status Database::BulkInsert(const std::string& keyspace,
                             const std::string& table, std::vector<Row> rows) {
   trace::ScopedSpan span("nosql.bulk_insert");
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
-  // Every row is validated before the batch is logged, so a rejected batch
-  // leaves no log record for replay to trip over and applies no row. The
-  // check reads only the columns, which no writer changes, so it runs
-  // outside the lock; so does the encode, and concurrent writers to
-  // different tables do both in parallel.
-  for (const Row& row : rows) SCD_RETURN_IF_ERROR(t->ValidateRow(row));
-  std::vector<uint8_t> record;
-  if (!data_dir_.empty()) {
+  // One pass validates each row and encodes it into the log record; the
+  // record is appended only after the pass, so a rejected batch leaves no
+  // log record for replay to trip over and applies no row. The pass reads
+  // only the columns, which no writer changes, so it runs outside the lock,
+  // and concurrent writers to different tables run theirs in parallel.
+  const bool durable = !data_dir_.empty();
+  ByteWriter record;
+  {
     trace::ScopedSpan encode_span("nosql.log_encode");
-    record = EncodeLogRecord(keyspace, table, rows, /*is_delete=*/false);
+    if (durable) {
+      PutLogHeader(&record, keyspace, table, rows.size(), /*is_delete=*/false);
+    }
+    for (const Row& row : rows) {
+      SCD_RETURN_IF_ERROR(t->ValidateRow(row));
+      if (durable) PutLogRow(&record, row);
+    }
   }
   // One shard-lock critical section covers the log append and the in-memory
   // apply, so no mutation straddles Flush()'s log rotation (which holds
   // every shard lock): a logged row is applied before the rotation cut or
   // logged entirely after it.
   std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
-  if (!data_dir_.empty()) SCD_RETURN_IF_ERROR(AppendToCommitLog(record));
+  if (durable) SCD_RETURN_IF_ERROR(AppendToCommitLog(record.data()));
   trace::ScopedSpan apply_span("nosql.table_apply");
   t->ReserveAdditional(rows.size());
   for (Row& row : rows) t->InsertValidated(std::move(row));
+  return Status::OK();
+}
+
+Status Database::Reserve(const std::string& keyspace, const std::string& table,
+                         size_t rows) {
+  SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
+  std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
+  t->ReserveAdditional(rows);
   return Status::OK();
 }
 
@@ -411,16 +424,17 @@ Status Database::BulkDelete(const std::string& keyspace,
                             const std::string& table,
                             const std::vector<Value>& keys) {
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
-  std::vector<uint8_t> record;
+  ByteWriter record;
   if (!data_dir_.empty()) {
     // Deletes are logged as single-value rows with the delete flag set.
-    std::vector<Row> key_rows;
-    key_rows.reserve(keys.size());
-    for (const Value& key : keys) key_rows.push_back({key});
-    record = EncodeLogRecord(keyspace, table, key_rows, /*is_delete=*/true);
+    PutLogHeader(&record, keyspace, table, keys.size(), /*is_delete=*/true);
+    for (const Value& key : keys) {
+      record.PutVarint(1);
+      key.EncodeTo(&record);
+    }
   }
   std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
-  if (!data_dir_.empty()) SCD_RETURN_IF_ERROR(AppendToCommitLog(record));
+  if (!data_dir_.empty()) SCD_RETURN_IF_ERROR(AppendToCommitLog(record.data()));
   for (const Value& key : keys) {
     SCD_RETURN_IF_ERROR(t->DeleteByPk(key));
   }
@@ -658,30 +672,48 @@ Status Database::ReplayCommitLogFile(const std::string& path) {
     auto frame_size = reader.ReadU32();
     if (!frame_size.ok()) break;  // torn tail: stop replay
     if (reader.remaining() < *frame_size) break;
-    SCD_ASSIGN_OR_RETURN(uint8_t op, reader.ReadU8());
-    SCD_ASSIGN_OR_RETURN(std::string keyspace, reader.ReadString());
-    SCD_ASSIGN_OR_RETURN(std::string table, reader.ReadString());
-    SCD_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadVarint());
-    auto table_result = GetTable(keyspace, table);
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      SCD_ASSIGN_OR_RETURN(uint64_t arity, reader.ReadVarint());
-      Row row;
-      row.reserve(arity);
-      for (uint64_t c = 0; c < arity; ++c) {
-        SCD_ASSIGN_OR_RETURN(Value value, Value::DecodeFrom(&reader));
-        row.push_back(std::move(value));
-      }
-      // Rows for tables dropped since the log was written are skipped.
-      if (table_result.ok()) {
-        if (op == 1) {
-          // A delete of a row that never reached a segment replays as a
-          // no-op.
-          Status status = (*table_result)->DeleteByPk(row[0]);
-          if (!status.ok() && !status.IsNotFound()) return status;
-        } else {
-          SCD_RETURN_IF_ERROR((*table_result)->Insert(std::move(row)));
-        }
-      }
+    // Each record is parsed inside its frame, so a corrupt record cannot
+    // read into the next one.
+    ByteReader record(bytes.data() + reader.offset(), *frame_size);
+    SCD_RETURN_IF_ERROR(reader.Skip(*frame_size));
+    Status status = ReplayCommitLogRecord(&record);
+    if (!status.ok()) return status.WithContext("replaying " + path);
+  }
+  return Status::OK();
+}
+
+Status Database::ReplayCommitLogRecord(ByteReader* record) {
+  SCD_ASSIGN_OR_RETURN(uint8_t op, record->ReadU8());
+  SCD_ASSIGN_OR_RETURN(std::string keyspace, record->ReadString());
+  SCD_ASSIGN_OR_RETURN(std::string table, record->ReadString());
+  SCD_ASSIGN_OR_RETURN(uint64_t num_rows, record->ReadVarint());
+  auto table_result = GetTable(keyspace, table);
+  for (uint64_t r = 0; r < num_rows; ++r) {
+    SCD_ASSIGN_OR_RETURN(uint64_t arity, record->ReadVarint());
+    // Every value takes at least one byte, and a delete row is its key.
+    if (arity > record->remaining()) {
+      return Status::ParseError("row of " + std::to_string(arity) +
+                                " values in " +
+                                std::to_string(record->remaining()) + " bytes");
+    }
+    if (op == 1 && arity != 1) {
+      return Status::ParseError("delete row of " + std::to_string(arity) +
+                                " values");
+    }
+    Row row;
+    row.reserve(arity);
+    for (uint64_t c = 0; c < arity; ++c) {
+      SCD_ASSIGN_OR_RETURN(Value value, Value::DecodeFrom(record));
+      row.push_back(std::move(value));
+    }
+    // Rows for tables dropped since the log was written are skipped.
+    if (!table_result.ok()) continue;
+    if (op == 1) {
+      // A delete of a row that never reached a segment replays as a no-op.
+      Status status = (*table_result)->DeleteByPk(row[0]);
+      if (!status.ok() && !status.IsNotFound()) return status;
+    } else {
+      SCD_RETURN_IF_ERROR((*table_result)->Insert(std::move(row)));
     }
   }
   return Status::OK();

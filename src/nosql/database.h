@@ -84,13 +84,22 @@ class Database {
   Status Insert(const std::string& keyspace, const std::string& table, Row row);
 
   /// Applies many inserts into one table with a single commit-log append —
-  /// the paper's "executed in a bulk process" (§4). All or nothing: every
-  /// row is validated before the record is encoded, so a batch holding one
-  /// bad row is rejected whole and logs nothing. The validation and the
-  /// encode run before any lock is taken; the append and the apply share
-  /// one shard-lock critical section.
+  /// the paper's "executed in a bulk process" (§4). All or nothing: one
+  /// pass validates and encodes row by row, and the record is appended only
+  /// after it, so a batch holding one bad row is rejected whole and logs
+  /// nothing (in memory mode the pass only validates). The pass runs before
+  /// any lock is taken; the append and the apply share one shard-lock
+  /// critical section.
   Status BulkInsert(const std::string& keyspace, const std::string& table,
                     std::vector<Row> rows);
+
+  /// Pre-sizes \p table's row store and primary index for \p rows more rows
+  /// (Table::ReserveAdditional, under the table's shard lock). A caller that
+  /// knows a load's row count reserves once before its first insert, so no
+  /// later batch moves the rows or rehashes the index; without it, capacity
+  /// grows geometrically.
+  Status Reserve(const std::string& keyspace, const std::string& table,
+                 size_t rows);
 
   /// Deletes one row by primary key (logged like inserts).
   Status Delete(const std::string& keyspace, const std::string& table,
@@ -151,6 +160,8 @@ class Database {
   /// Replays the rotated sidecar (crash mid-flush) then the live log.
   Status ReplayCommitLog();
   Status ReplayCommitLogFile(const std::string& path);
+  /// Applies one framed commit-log record; \p record spans exactly it.
+  Status ReplayCommitLogRecord(ByteReader* record);
   /// Moves the live commit log aside to the sidecar (appending if a prior
   /// flush's sidecar survived a crash). Caller must exclude writers — every
   /// shard lock plus log_mu.

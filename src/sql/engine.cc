@@ -469,30 +469,48 @@ Status SqlEngine::ReplayRedoLogFile(const std::string& path) {
     auto frame_size = reader.ReadU32();
     if (!frame_size.ok()) break;  // torn tail
     if (reader.remaining() < *frame_size) break;
-    SCD_ASSIGN_OR_RETURN(uint8_t op, reader.ReadU8());
-    SCD_ASSIGN_OR_RETURN(std::string database, reader.ReadString());
-    SCD_ASSIGN_OR_RETURN(std::string table, reader.ReadString());
-    SCD_ASSIGN_OR_RETURN(uint64_t num_rows, reader.ReadVarint());
-    auto table_result = GetTable(database, table);
-    for (uint64_t r = 0; r < num_rows; ++r) {
-      SCD_ASSIGN_OR_RETURN(uint64_t arity, reader.ReadVarint());
-      SqlRow row;
-      row.reserve(arity);
-      for (uint64_t c = 0; c < arity; ++c) {
-        SCD_ASSIGN_OR_RETURN(Value value, Value::DecodeFrom(&reader));
-        row.push_back(std::move(value));
-      }
-      if (table_result.ok()) {
-        if (op == 1) {
-          Status status = (*table_result)->DeleteByPk(row[0]);
-          if (!status.ok() && !status.IsNotFound()) return status;
-        } else {
-          Status status = (*table_result)->Insert(std::move(row));
-          // Rows already present in a flushed tablespace replay as
-          // duplicates.
-          if (!status.ok() && !status.IsAlreadyExists()) return status;
-        }
-      }
+    // Each record is parsed inside its frame, so a corrupt record cannot
+    // read into the next one.
+    ByteReader record(bytes.data() + reader.offset(), *frame_size);
+    SCD_RETURN_IF_ERROR(reader.Skip(*frame_size));
+    Status status = ReplayRedoRecord(&record);
+    if (!status.ok()) return status.WithContext("replaying " + path);
+  }
+  return Status::OK();
+}
+
+Status SqlEngine::ReplayRedoRecord(ByteReader* record) {
+  SCD_ASSIGN_OR_RETURN(uint8_t op, record->ReadU8());
+  SCD_ASSIGN_OR_RETURN(std::string database, record->ReadString());
+  SCD_ASSIGN_OR_RETURN(std::string table, record->ReadString());
+  SCD_ASSIGN_OR_RETURN(uint64_t num_rows, record->ReadVarint());
+  auto table_result = GetTable(database, table);
+  for (uint64_t r = 0; r < num_rows; ++r) {
+    SCD_ASSIGN_OR_RETURN(uint64_t arity, record->ReadVarint());
+    // Every value takes at least one byte, and a delete row is its key.
+    if (arity > record->remaining()) {
+      return Status::ParseError("row of " + std::to_string(arity) +
+                                " values in " +
+                                std::to_string(record->remaining()) + " bytes");
+    }
+    if (op == 1 && arity != 1) {
+      return Status::ParseError("delete row of " + std::to_string(arity) +
+                                " values");
+    }
+    SqlRow row;
+    row.reserve(arity);
+    for (uint64_t c = 0; c < arity; ++c) {
+      SCD_ASSIGN_OR_RETURN(Value value, Value::DecodeFrom(record));
+      row.push_back(std::move(value));
+    }
+    if (!table_result.ok()) continue;
+    if (op == 1) {
+      Status status = (*table_result)->DeleteByPk(row[0]);
+      if (!status.ok() && !status.IsNotFound()) return status;
+    } else {
+      Status status = (*table_result)->Insert(std::move(row));
+      // Rows already present in a flushed tablespace replay as duplicates.
+      if (!status.ok() && !status.IsAlreadyExists()) return status;
     }
   }
   return Status::OK();

@@ -107,6 +107,8 @@ class SqlEngine {
   /// Replays the rotated sidecar (crash mid-flush) then the live log.
   Status ReplayRedoLog();
   Status ReplayRedoLogFile(const std::string& path);
+  /// Applies one framed redo record; \p record spans exactly it.
+  Status ReplayRedoRecord(ByteReader* record);
   /// Moves the live redo log aside to the sidecar (appending if a prior
   /// flush's sidecar survived). Caller must exclude writers — every shard
   /// lock plus log_mu.

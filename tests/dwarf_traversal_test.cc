@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 
 #include "common/rng.h"
 #include "dwarf/builder.h"
 #include "dwarf/traversal.h"
+#include "dwarf/update.h"
 
 namespace scdwarf::dwarf {
 namespace {
@@ -114,19 +117,76 @@ TEST(TraversalTest, EmptyCubeTraversalIsOk) {
 
 TEST(TraversalTest, ParentIdsInvertChildEdges) {
   DwarfCube cube = BuildSmallCube();
-  std::vector<std::vector<NodeId>> parents = ComputeParentIds(cube);
-  ASSERT_EQ(parents.size(), cube.num_nodes());
-  EXPECT_TRUE(parents[cube.root()].empty());
+  ParentIds parents = ComputeParentIds(cube);
+  ASSERT_EQ(parents.offsets.size(), cube.num_nodes() + 1);
+  EXPECT_TRUE(parents.of(cube.root()).empty());
   // Verify every parent list against a forward scan.
   for (NodeId id = 0; id < cube.num_nodes(); ++id) {
     const NodeView node = cube.node(id);
     if (cube.IsLeafLevel(node.level)) continue;
     for (const DwarfCell& cell : node.cells) {
-      const std::vector<NodeId>& p = parents[cell.child];
+      std::span<const NodeId> p = parents.of(cell.child);
       EXPECT_NE(std::find(p.begin(), p.end(), id), p.end());
     }
-    const std::vector<NodeId>& p = parents[node.all_child];
+    std::span<const NodeId> p = parents.of(node.all_child);
     EXPECT_NE(std::find(p.begin(), p.end(), id), p.end());
+  }
+}
+
+TEST(TraversalTest, ParentIdsMatchABruteForceScanOfAMergedCube) {
+  // Three merge epochs leave the arena holding the prior epochs' dead
+  // nodes, which still point at subtrees the live cube shares.
+  CubeSchema schema("m",
+                    {DimensionSpec("Day"), DimensionSpec("Hour"),
+                     DimensionSpec("Station")},
+                    "m");
+  DwarfBuilder builder(schema);
+  Rng rng(7);
+  auto random_tuple = [&rng] {
+    return std::vector<std::string>{"d" + std::to_string(rng.NextBelow(4)),
+                                    "h" + std::to_string(rng.NextBelow(6)),
+                                    "s" + std::to_string(rng.NextBelow(9))};
+  };
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(builder.AddTuple(random_tuple(), 1).ok());
+  }
+  DwarfCube cube = std::move(builder).Build().ValueOrDie();
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    CubeUpdater updater(std::move(cube));
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(updater.AddTuple(random_tuple(), 1).ok());
+    }
+    auto merged = std::move(updater).Apply();
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    cube = std::move(*merged);
+  }
+  const std::vector<NodeId> reachable =
+      CollectReachableNodes(cube, TraversalOrder::kBreadthFirst);
+  ASSERT_LT(reachable.size(), cube.num_nodes()) << "no dead nodes";
+  const std::set<NodeId> live(reachable.begin(), reachable.end());
+
+  ParentIds parents = ComputeParentIds(cube);
+  ASSERT_EQ(parents.offsets.size(), cube.num_nodes() + 1);
+  EXPECT_EQ(parents.offsets.back(), parents.ids.size());
+  for (NodeId child = 0; child < cube.num_nodes(); ++child) {
+    // Brute force: every live interior node, in ascending id order, that
+    // references the child through a cell or its ALL pointer.
+    std::vector<NodeId> expected;
+    for (NodeId parent : live) {
+      const NodeView node = cube.node(parent);
+      if (cube.IsLeafLevel(node.level)) continue;
+      bool references = node.all_child == child;
+      for (const DwarfCell& cell : node.cells) {
+        references = references || cell.child == child;
+      }
+      if (references) expected.push_back(parent);
+    }
+    std::span<const NodeId> actual = parents.of(child);
+    EXPECT_EQ(std::vector<NodeId>(actual.begin(), actual.end()), expected)
+        << "node " << child << (live.count(child) > 0 ? " (live)" : " (dead)");
+    for (NodeId parent : actual) {
+      EXPECT_EQ(live.count(parent), 1u) << "dead parent " << parent;
+    }
   }
 }
 
@@ -142,10 +202,10 @@ TEST(TraversalTest, CoalescedNodesHaveMultipleParents) {
   ASSERT_TRUE(builder.AddTuple({"a1", "b1"}, 1).ok());
   ASSERT_TRUE(builder.AddTuple({"a2", "b1"}, 2).ok());
   DwarfCube cube = std::move(builder).Build().ValueOrDie();
-  std::vector<std::vector<NodeId>> parents = ComputeParentIds(cube);
+  ParentIds parents = ComputeParentIds(cube);
   size_t multi_parent = 0;
-  for (const auto& p : parents) {
-    if (p.size() > 1) ++multi_parent;
+  for (NodeId id = 0; id < cube.num_nodes(); ++id) {
+    if (parents.of(id).size() > 1) ++multi_parent;
   }
   // With only two distinct leaves and one merged ALL node, no sharing is
   // guaranteed here; build a deeper shared case instead.
@@ -157,11 +217,11 @@ TEST(TraversalTest, CoalescedNodesHaveMultipleParents) {
   DwarfCube chain = std::move(builder3).Build().ValueOrDie();
   // Root: cell a1 -> node B, ALL -> node B (coalesced): B has 1 parent entry
   // (deduplicated), but B's child node C is pointed to by B.cell and B.ALL.
-  std::vector<std::vector<NodeId>> chain_parents = ComputeParentIds(chain);
+  ParentIds chain_parents = ComputeParentIds(chain);
   (void)multi_parent;
   size_t chain_multi = 0;
-  for (const auto& p : chain_parents) {
-    if (p.size() >= 1) ++chain_multi;
+  for (NodeId id = 0; id < chain.num_nodes(); ++id) {
+    if (chain_parents.of(id).size() >= 1) ++chain_multi;
   }
   EXPECT_EQ(chain.num_nodes(), 3u);
   EXPECT_EQ(chain.stats().coalesced_all_count, 2u);

@@ -63,8 +63,10 @@ TEST(IdMapTest, AssignsEveryNodeAndCellOnce) {
   for (dwarf::NodeId node : ids.visit_order) {
     EXPECT_NE(ids.node_ids[node], CubeIdMap::kInvalidId);
     node_ids.insert(ids.node_ids[node]);
-    for (int64_t id : ids.cell_ids[node]) cell_ids.insert(id);
-    cell_ids.insert(ids.all_cell_ids[node]);
+    const size_t num_cells = cube.node(node).cells.size();
+    for (size_t c = 0; c <= num_cells; ++c) {  // the cells, then ALL
+      cell_ids.insert(ids.first_cell_id[node] + static_cast<int64_t>(c));
+    }
   }
   EXPECT_EQ(node_ids.size(), cube.num_nodes());
   EXPECT_EQ(*node_ids.begin(), 100);
@@ -73,6 +75,47 @@ TEST(IdMapTest, AssignsEveryNodeAndCellOnce) {
   EXPECT_EQ(*cell_ids.begin(), 1000);
   // Root gets the first node id (top-down order).
   EXPECT_EQ(ids.node_ids[cube.root()], 100);
+}
+
+TEST(IdMapTest, NumbersEachNodesCellsConsecutivelyInVisitOrder) {
+  dwarf::DwarfCube cube = BuildGeoCube();
+  CubeIdMap ids = AssignIds(cube, 7, 40);
+  EXPECT_EQ(ids.visit_order, dwarf::CollectReachableNodes(
+                                 cube, dwarf::TraversalOrder::kDepthFirst));
+  // Node ids follow the visit order, and each node's cells take the next
+  // ids: cells first ... first+n-1, then its ALL cell first+n.
+  int64_t next_node = 7;
+  int64_t next_cell = 40;
+  for (dwarf::NodeId node : ids.visit_order) {
+    EXPECT_EQ(ids.node_ids[node], next_node++);
+    EXPECT_EQ(ids.first_cell_id[node], next_cell);
+    next_cell += static_cast<int64_t>(cube.node(node).cells.size()) + 1;
+  }
+  EXPECT_EQ(ids.next_node_id, next_node);
+  EXPECT_EQ(ids.next_cell_id, next_cell);
+
+  // A store into an empty keyspace numbers from 0 as AssignIds(0, 0) does:
+  // cell c of a node is stored under first + c, its ALL cell first + n.
+  nosql::Database db;
+  NoSqlDwarfMapper mapper(&db, "dwarfks");
+  ASSERT_TRUE(mapper.Store(cube).ok());
+  auto cells = db.GetTable("dwarfks", NoSqlDwarfMapper::kCellCf);
+  ASSERT_TRUE(cells.ok()) << cells.status();
+  CubeIdMap stored = AssignIds(cube, 0, 0);
+  for (dwarf::NodeId node : stored.visit_order) {
+    const dwarf::NodeView view = cube.node(node);
+    for (size_t c = 0; c <= view.cells.size(); ++c) {
+      auto row = (*cells)->GetByPk(
+          Value::Int(stored.first_cell_id[node] + static_cast<int64_t>(c)));
+      ASSERT_TRUE(row.ok()) << row.status();
+      EXPECT_EQ(*(**row)[1].AsText(),
+                c < view.cells.size()
+                    ? cube.dictionary(view.level).DecodeUnchecked(
+                          view.cells[c].key)
+                    : std::string(kAllCellKey));
+      EXPECT_EQ(*(**row)[3].AsInt(), stored.node_ids[node]);  // parentnode
+    }
+  }
 }
 
 TEST(IdMapTest, ReservedKeyValidation) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -270,6 +271,35 @@ TEST(ValueTest, MatchesVariantReferenceModel) {
     moved = values[(i + 7) % values.size()];
     EXPECT_EQ(moved, values[(i + 7) % values.size()]);
   }
+}
+
+TEST(ValueTest, DecodeRejectsASetCountLargerThanItsBytes) {
+  ByteWriter writer;
+  writer.PutU8(4);  // set<int>
+  writer.PutVarint(uint64_t{1000000000000});
+  writer.PutSignedVarint(1);
+  ByteReader reader(writer.data());
+  EXPECT_TRUE(Value::DecodeFrom(&reader).status().IsParseError());
+}
+
+TEST(ValueTest, ExtremeSetDeltasWrapWithoutOverflow) {
+  // Two INT64_MAX deltas sum past INT64_MAX; the running sum wraps modulo
+  // 2^64, to INT64_MAX then -2.
+  ByteWriter writer;
+  writer.PutU8(4);
+  writer.PutVarint(2);
+  writer.PutSignedVarint(INT64_MAX);
+  writer.PutSignedVarint(INT64_MAX);
+  ByteReader reader(writer.data());
+  auto decoded = Value::DecodeFrom(&reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(*decoded, Value::IntSet({-2, INT64_MAX}));
+  // Encoding a set whose members span more than INT64_MAX round-trips.
+  const Value wide = Value::IntSet({-1, INT64_MAX});
+  ByteWriter encoded;
+  wide.EncodeTo(&encoded);
+  ByteReader again(encoded.data());
+  EXPECT_EQ(*Value::DecodeFrom(&again), wide);
 }
 
 TEST(DataTypeTest, ParseNames) {
@@ -749,6 +779,91 @@ TEST_F(DatabaseDiskTest, BulkInsertAppliesAllRows) {
   }
   ASSERT_TRUE(db->BulkInsert("dwarfks", "dwarf_cell", std::move(rows)).ok());
   EXPECT_EQ((*db->GetTable("dwarfks", "dwarf_cell"))->num_rows(), 100u);
+}
+
+/// Appends one framed commit-log record to \p path: the delete flag, the
+/// table's names, then \p rows (each written as given, arity included).
+void AppendLogRecord(const fs::path& path, bool is_delete,
+                     const std::vector<std::vector<uint8_t>>& rows,
+                     uint64_t declared_rows) {
+  ByteWriter record;
+  record.PutU8(is_delete ? 1 : 0);
+  record.PutString("dwarfks");
+  record.PutString("dwarf_cell");
+  record.PutVarint(declared_rows);
+  for (const std::vector<uint8_t>& row : rows) {
+    record.PutRaw(row.data(), row.size());
+  }
+  // The frame is the record's size as PutU32 writes it, then the record.
+  const uint32_t size = static_cast<uint32_t>(record.size());
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.write(reinterpret_cast<const char*>(&size), sizeof(size));
+  out.write(reinterpret_cast<const char*>(record.data().data()),
+            static_cast<std::streamsize>(record.size()));
+}
+
+/// One log row: \p arity, then the encoded \p values.
+std::vector<uint8_t> LogRow(uint64_t arity, const std::vector<Value>& values) {
+  ByteWriter writer;
+  writer.PutVarint(arity);
+  for (const Value& value : values) value.EncodeTo(&writer);
+  return writer.TakeBuffer();
+}
+
+/// Corrupt commit-log records make Open return a status that names the
+/// log, never crash or throw.
+class CorruptCommitLogTest : public DatabaseDiskTest {
+ protected:
+  void SetUp() override {
+    DatabaseDiskTest::SetUp();
+    auto db = Database::Open(dir_.string());
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(db->CreateKeyspace("dwarfks").ok());
+    ASSERT_TRUE(db->CreateTable(CellSchema()).ok());
+    ASSERT_TRUE(db->Flush().ok());
+  }
+
+  void ExpectOpenFailsNamingTheLog() {
+    auto db = Database::Open(dir_.string());
+    ASSERT_FALSE(db.ok());
+    EXPECT_NE(db.status().ToString().find("commitlog.bin"), std::string::npos)
+        << db.status();
+  }
+
+  fs::path log() const { return dir_ / "commitlog.bin"; }
+};
+
+TEST_F(CorruptCommitLogTest, DeleteRowOfArityZero) {
+  AppendLogRecord(log(), /*is_delete=*/true, {LogRow(0, {})}, 1);
+  ExpectOpenFailsNamingTheLog();
+}
+
+TEST_F(CorruptCommitLogTest, RowArityLargerThanTheRecord) {
+  AppendLogRecord(log(), /*is_delete=*/false,
+                  {LogRow(uint64_t{1} << 62, {Value::Int(1)})}, 1);
+  ExpectOpenFailsNamingTheLog();
+}
+
+TEST_F(CorruptCommitLogTest, SetCountLargerThanTheRecord) {
+  ByteWriter set;
+  set.PutU8(4);
+  set.PutVarint(uint64_t{1000000000000});
+  std::vector<uint8_t> row = LogRow(1, {});
+  row.insert(row.end(), set.data().begin(), set.data().end());
+  AppendLogRecord(log(), /*is_delete=*/true, {row}, 1);
+  ExpectOpenFailsNamingTheLog();
+}
+
+TEST_F(CorruptCommitLogTest, RecordIsParsedInsideItsFrame) {
+  // The first record declares two rows but frames one; the second row's
+  // bytes would come from the next record's frame.
+  const std::vector<Value> row = {Value::Int(1), Value::Text("k"),
+                                  Value::Int(0), Value::Int(0), Value::Null(),
+                                  Value::Bool(true), Value::Int(0),
+                                  Value::Text("")};
+  AppendLogRecord(log(), /*is_delete=*/false, {LogRow(8, row)}, 2);
+  AppendLogRecord(log(), /*is_delete=*/false, {LogRow(8, row)}, 1);
+  ExpectOpenFailsNamingTheLog();
 }
 
 // A rejected insert leaves neither a row nor a commit-log record. A record

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "common/rng.h"
 #include "clustered/flat_file.h"
@@ -16,9 +18,12 @@
 #include "json/json_parser.h"
 #include "mapper/id_map.h"
 #include "mapper/nosql_dwarf_mapper.h"
+#include "mapper/nosql_min_mapper.h"
+#include "mapper/sql_dwarf_mapper.h"
 #include "mapper/stored_cube.h"
 #include "nosql/cql.h"
 #include "nosql/database.h"
+#include "sql/engine.h"
 #include "sql/sql.h"
 #include "xml/xml_parser.h"
 
@@ -214,6 +219,138 @@ TEST_P(FlatFileFuzzTest, TruncationsNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlatFileFuzzTest,
                          ::testing::Values(1001, 2002, 3003));
+
+// ------------------------------------------------------ store-file fuzzing
+
+/// Reads every byte of \p path.
+std::vector<uint8_t> ReadBytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const fs::path& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Truncates or flips bytes of one file of a real store at a time and
+/// reopens the store: Open must return OK or a status, never crash, throw
+/// or hit undefined behaviour. Each file is restored before the next trial.
+/// Returns how many reopens failed.
+template <typename OpenFn>
+int FuzzStoreFiles(const fs::path& dir, Rng* rng, const OpenFn& open) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (entry.is_regular_file()) files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_GE(files.size(), 3u);
+  int failures = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    const fs::path& file = files[rng->NextBelow(files.size())];
+    const std::vector<uint8_t> original = ReadBytes(file);
+    if (original.empty()) continue;
+    std::vector<uint8_t> mutated = original;
+    if (rng->NextBelow(2) == 0) {
+      mutated.resize(rng->NextBelow(original.size()));
+    } else {
+      for (uint64_t flips = 1 + rng->NextBelow(4); flips > 0; --flips) {
+        mutated[rng->NextBelow(mutated.size())] =
+            static_cast<uint8_t>(rng->NextU64());
+      }
+    }
+    WriteBytes(file, mutated);
+    Status status = open(dir.string());
+    if (!status.ok()) ++failures;
+    WriteBytes(file, original);
+  }
+  // The untouched store still opens.
+  EXPECT_TRUE(open(dir.string()).ok());
+  return failures;
+}
+
+class StoreFileFuzzTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void SetUp() override {
+    dir_ = fs::temp_directory_path() /
+           ("scdwarf_store_fuzz_" + std::to_string(::getpid()) + "_" +
+            std::to_string(GetParam()));
+    fs::remove_all(dir_);
+    dwarf::CubeSchema schema("f",
+                             {dwarf::DimensionSpec("a"),
+                              dwarf::DimensionSpec("b"),
+                              dwarf::DimensionSpec("c")},
+                             "m");
+    dwarf::DwarfBuilder builder(schema);
+    Rng rng(GetParam());
+    for (int i = 0; i < 30; ++i) {
+      ASSERT_TRUE(builder
+                      .AddTuple({"a" + std::to_string(rng.NextBelow(3)),
+                                 "b" + std::to_string(rng.NextBelow(4)),
+                                 "c" + std::to_string(rng.NextBelow(5))},
+                                1)
+                      .ok());
+    }
+    cube_ = std::move(builder).Build().ValueOrDie();
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  fs::path dir_;
+  dwarf::DwarfCube cube_;
+};
+
+TEST_P(StoreFileFuzzTest, CorruptNoSqlFilesNeverCrashOpen) {
+  {
+    auto db = nosql::Database::Open(dir_.string());
+    ASSERT_TRUE(db.ok()) << db.status();
+    mapper::NoSqlDwarfMapper dwarf_mapper(&*db, "dwarfks");
+    ASSERT_TRUE(dwarf_mapper.Store(cube_).ok());
+    mapper::NoSqlMinMapper min_mapper(&*db, "minks");
+    ASSERT_TRUE(min_mapper.Store(cube_).ok());
+    // Unflushed inserts and deletes leave both kinds of commit-log record.
+    const char* cells = mapper::NoSqlDwarfMapper::kCellCf;
+    auto table = db->GetTable("dwarfks", cells);
+    ASSERT_TRUE(table.ok());
+    nosql::Row row = *(*table)->ScanAll().front();
+    row[0] = Value::Int(100000);
+    ASSERT_TRUE(db->Insert("dwarfks", cells, row).ok());
+    ASSERT_TRUE(db->BulkDelete("dwarfks", cells,
+                               {Value::Int(100000), Value::Int(0)})
+                    .ok());
+  }
+  Rng rng(GetParam() * 7);
+  const int failures = FuzzStoreFiles(dir_, &rng, [](const std::string& dir) {
+    return nosql::Database::Open(dir).status();
+  });
+  EXPECT_GT(failures, 0);
+}
+
+TEST_P(StoreFileFuzzTest, CorruptSqlFilesNeverCrashOpen) {
+  {
+    auto engine = sql::SqlEngine::Open(dir_.string());
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    mapper::SqlDwarfMapper dwarf_mapper(&*engine, "dwarfdb");
+    ASSERT_TRUE(dwarf_mapper.Store(cube_).ok());
+    // Unflushed inserts and deletes leave both kinds of redo record.
+    const char* nodes = mapper::SqlDwarfMapper::kNodeTable;
+    ASSERT_TRUE(engine
+                    ->Insert("dwarfdb", nodes,
+                             {Value::Int(100000), Value::Bool(false),
+                              Value::Int(0)})
+                    .ok());
+    ASSERT_TRUE(
+        engine->BulkDelete("dwarfdb", nodes, {Value::Int(100000)}).ok());
+  }
+  Rng rng(GetParam() * 11);
+  const int failures = FuzzStoreFiles(dir_, &rng, [](const std::string& dir) {
+    return sql::SqlEngine::Open(dir).status();
+  });
+  EXPECT_GT(failures, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StoreFileFuzzTest,
+                         ::testing::Values(7, 77, 777));
 
 // --------------------------------------------------------- parser fuzzing
 

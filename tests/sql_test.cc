@@ -2,6 +2,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "sql/engine.h"
 #include "sql/sql.h"
@@ -201,6 +202,72 @@ TEST_F(SqlEngineDiskTest, RedoLogReplayRecoversUnflushedWrites) {
     ASSERT_TRUE(engine.ok()) << engine.status();
     EXPECT_EQ((*engine->GetTable("dwarfdb", "dwarf_node"))->num_rows(), 1u);
   }
+}
+
+/// Appends one framed redo record for dwarfdb.dwarf_node to \p path: the
+/// delete flag, the table's names, the declared row count, then \p rows.
+void AppendRedoRecord(const fs::path& path, bool is_delete,
+                      uint64_t declared_rows, const ByteWriter& rows) {
+  ByteWriter record;
+  record.PutU8(is_delete ? 1 : 0);
+  record.PutString("dwarfdb");
+  record.PutString("dwarf_node");
+  record.PutVarint(declared_rows);
+  record.PutRaw(rows.data().data(), rows.size());
+  // The frame is the record's size as PutU32 writes it, then the record.
+  const uint32_t size = static_cast<uint32_t>(record.size());
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.write(reinterpret_cast<const char*>(&size), sizeof(size));
+  out.write(reinterpret_cast<const char*>(record.data().data()),
+            static_cast<std::streamsize>(record.size()));
+}
+
+/// Corrupt redo records make Open return a status that names the log,
+/// never crash or throw.
+class CorruptRedoLogTest : public SqlEngineDiskTest {
+ protected:
+  void SetUp() override {
+    SqlEngineDiskTest::SetUp();
+    auto engine = SqlEngine::Open(dir_.string());
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    ASSERT_TRUE(engine->CreateDatabase("dwarfdb").ok());
+    ASSERT_TRUE(engine->CreateTable(NodeDef()).ok());
+    ASSERT_TRUE(engine->Flush().ok());
+  }
+
+  void ExpectOpenFailsNamingTheLog() {
+    auto engine = SqlEngine::Open(dir_.string());
+    ASSERT_FALSE(engine.ok());
+    EXPECT_NE(engine.status().ToString().find("redolog.bin"),
+              std::string::npos)
+        << engine.status();
+  }
+
+  fs::path log() const { return dir_ / "redolog.bin"; }
+};
+
+TEST_F(CorruptRedoLogTest, DeleteRowOfArityZero) {
+  ByteWriter rows;
+  rows.PutVarint(0);
+  AppendRedoRecord(log(), /*is_delete=*/true, 1, rows);
+  ExpectOpenFailsNamingTheLog();
+}
+
+TEST_F(CorruptRedoLogTest, RowArityLargerThanTheRecord) {
+  ByteWriter rows;
+  rows.PutVarint(uint64_t{1} << 62);
+  Value::Int(1).EncodeTo(&rows);
+  AppendRedoRecord(log(), /*is_delete=*/false, 1, rows);
+  ExpectOpenFailsNamingTheLog();
+}
+
+TEST_F(CorruptRedoLogTest, SetCountLargerThanTheRecord) {
+  ByteWriter rows;
+  rows.PutVarint(1);
+  rows.PutU8(4);  // set<int>
+  rows.PutVarint(uint64_t{1000000000000});
+  AppendRedoRecord(log(), /*is_delete=*/true, 1, rows);
+  ExpectOpenFailsNamingTheLog();
 }
 
 // A rejected insert leaves neither a row nor a redo record. A record logged
