@@ -34,9 +34,6 @@ Result<DataType> ParseDataType(std::string_view name) {
 
 namespace {
 
-/// A heap block of \p words 64-bit words.
-uint64_t* NewBlock(size_t words) { return new uint64_t[words]; }
-
 /// Words of a text block holding \p length bytes after its length word.
 size_t TextBlockWords(uint64_t length) { return 1 + (length + 7) / 8; }
 
@@ -48,7 +45,7 @@ Value Value::Text(std::string v) {
     std::memcpy(value.inline_, v.data(), v.size());
     value.length_ = static_cast<uint8_t>(v.size());
   } else {
-    uint64_t* block = NewBlock(TextBlockWords(v.size()));
+    uint64_t* block = new uint64_t[TextBlockWords(v.size())];
     block[0] = v.size();
     std::memcpy(block + 1, v.data(), v.size());
     value.length_ = kHeapText;
@@ -63,7 +60,7 @@ Value Value::IntSet(std::vector<int64_t> v) {
   }
   v.erase(std::unique(v.begin(), v.end()), v.end());
   Value value(Kind::kIntSet);
-  uint64_t* block = NewBlock(1 + v.size());
+  uint64_t* block = new uint64_t[1 + v.size()];
   block[0] = v.size();
   if (!v.empty()) std::memcpy(block + 1, v.data(), v.size() * sizeof(int64_t));
   value.set_block(block);
@@ -74,7 +71,7 @@ void Value::CopyBlock() {
   const uint64_t* source = block();
   const size_t words =
       kind_ == Kind::kText ? TextBlockWords(source[0]) : 1 + source[0];
-  uint64_t* copy = NewBlock(words);
+  uint64_t* copy = new uint64_t[words];
   std::memcpy(copy, source, words * sizeof(uint64_t));
   set_block(copy);
 }

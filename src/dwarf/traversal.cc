@@ -95,36 +95,33 @@ ParentIds ComputeParentIds(const DwarfCube& cube) {
   std::vector<NodeId> reachable =
       CollectReachableNodes(cube, TraversalOrder::kBreadthFirst);
   std::sort(reachable.begin(), reachable.end());
+  // Calls visit(child, parent) once per distinct (child, parent) pair.
   auto for_each_edge = [&](auto&& visit) {
+    constexpr NodeId kNone = ~NodeId{0};
+    std::vector<NodeId> last(cube.num_nodes(), kNone);
+    auto edge = [&](NodeId child, NodeId parent) {
+      if (last[child] == parent) return;
+      last[child] = parent;
+      visit(child, parent);
+    };
     for (NodeId id : reachable) {
       const NodeView node = cube.node(id);
       if (cube.IsLeafLevel(node.level)) continue;
-      for (const DwarfCell& cell : node.cells) visit(cell.child, id);
-      visit(node.all_child, id);
+      for (const DwarfCell& cell : node.cells) edge(cell.child, id);
+      edge(node.all_child, id);
     }
   };
+  // Pass 1 counts each list into offsets[child + 1], and the prefix sum
+  // turns the counts into offsets; pass 2 fills the lists.
   ParentIds parents;
-  // Pass 1 counts each list into offsets[child + 1]; the prefix sum turns
-  // the counts into offsets.
   parents.offsets.assign(cube.num_nodes() + 1, 0);
-  constexpr NodeId kNone = ~NodeId{0};
-  std::vector<NodeId> last(cube.num_nodes(), kNone);
-  for_each_edge([&](NodeId child, NodeId parent) {
-    if (last[child] == parent) return;
-    last[child] = parent;
-    ++parents.offsets[child + 1];
-  });
+  for_each_edge([&](NodeId child, NodeId) { ++parents.offsets[child + 1]; });
   for (size_t n = 0; n < cube.num_nodes(); ++n) {
     parents.offsets[n + 1] += parents.offsets[n];
   }
-  // Pass 2 fills the lists; next[n] is the end of node n's list so far.
   parents.ids.resize(parents.offsets.back());
   std::vector<size_t> next(parents.offsets.begin(), parents.offsets.end() - 1);
   for_each_edge([&](NodeId child, NodeId parent) {
-    if (next[child] > parents.offsets[child] &&
-        parents.ids[next[child] - 1] == parent) {
-      return;
-    }
     parents.ids[next[child]++] = parent;
   });
   return parents;

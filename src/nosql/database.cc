@@ -428,10 +428,7 @@ Status Database::BulkDelete(const std::string& keyspace,
   if (!data_dir_.empty()) {
     // Deletes are logged as single-value rows with the delete flag set.
     PutLogHeader(&record, keyspace, table, keys.size(), /*is_delete=*/true);
-    for (const Value& key : keys) {
-      record.PutVarint(1);
-      key.EncodeTo(&record);
-    }
+    for (const Value& key : keys) PutLogRow(&record, {key});
   }
   std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
   if (!data_dir_.empty()) SCD_RETURN_IF_ERROR(AppendToCommitLog(record.data()));
