@@ -1,6 +1,5 @@
 #include "dwarf/traversal.h"
 
-#include <algorithm>
 #include <deque>
 
 namespace scdwarf::dwarf {
@@ -92,9 +91,10 @@ ParentIds ComputeParentIds(const DwarfCube& cube) {
   // phantom parents for subtrees the new epoch still shares. Ascending
   // order makes each list ascending, and a parent that references a child
   // twice does so back to back, so a list drops a repeat of its last entry.
-  std::vector<NodeId> reachable =
-      CollectReachableNodes(cube, TraversalOrder::kBreadthFirst);
-  std::sort(reachable.begin(), reachable.end());
+  std::vector<bool> reachable(cube.num_nodes(), false);
+  for (NodeId id : CollectReachableNodes(cube, TraversalOrder::kBreadthFirst)) {
+    reachable[id] = true;
+  }
   // Calls visit(child, parent) once per distinct (child, parent) pair.
   auto for_each_edge = [&](auto&& visit) {
     constexpr NodeId kNone = ~NodeId{0};
@@ -104,7 +104,8 @@ ParentIds ComputeParentIds(const DwarfCube& cube) {
       last[child] = parent;
       visit(child, parent);
     };
-    for (NodeId id : reachable) {
+    for (NodeId id = 0; id < cube.num_nodes(); ++id) {
+      if (!reachable[id]) continue;
       const NodeView node = cube.node(id);
       if (cube.IsLeafLevel(node.level)) continue;
       for (const DwarfCell& cell : node.cells) edge(cell.child, id);
