@@ -270,29 +270,9 @@ Result<Value> Value::DecodeFrom(ByteReader* reader) {
 }
 
 size_t Value::EncodedSize() const {
-  switch (kind_) {
-    case Kind::kNull:
-      return 1;
-    case Kind::kBool:
-      return 2;
-    case Kind::kInt:
-      return 1 + VarintLength(ZigZagEncode(int_value()));
-    case Kind::kText: {
-      const size_t length = text().size();
-      return 1 + VarintLength(length) + length;
-    }
-    case Kind::kIntSet:
-      break;
-  }
-  const std::span<const int64_t> set = members();
-  size_t size = 1 + VarintLength(set.size());
-  uint64_t previous = 0;
-  for (int64_t member : set) {
-    const uint64_t bits = static_cast<uint64_t>(member);
-    size += VarintLength(ZigZagEncode(static_cast<int64_t>(bits - previous)));
-    previous = bits;
-  }
-  return size;
+  ByteWriter writer;
+  EncodeTo(&writer);
+  return writer.size();
 }
 
 uint64_t Value::Hash() const {
