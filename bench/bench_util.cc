@@ -8,6 +8,7 @@
 
 #include "citibikes/bike_feed.h"
 #include "json/json_parser.h"
+#include "common/files.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
@@ -27,19 +28,12 @@ namespace {
 std::string g_metrics_dump_path;
 std::string g_trace_dump_path;
 
-bool WriteTextFile(const std::string& path, const std::string& contents) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return false;
-  size_t written = std::fwrite(contents.data(), 1, contents.size(), out);
-  return std::fclose(out) == 0 && written == contents.size();
-}
-
 void WriteObservabilityDumps() {
   if (!g_metrics_dump_path.empty()) {
     std::string json =
         "{\"metrics\":" +
         metrics::SnapshotToJson(metrics::GlobalRegistry().Snapshot()) + "}\n";
-    if (WriteTextFile(g_metrics_dump_path, json)) {
+    if (WriteFileAtomic(g_metrics_dump_path, json).ok()) {
       std::fprintf(stderr, "metrics snapshot written to %s\n",
                    g_metrics_dump_path.c_str());
     } else {
@@ -48,7 +42,7 @@ void WriteObservabilityDumps() {
     }
   }
   if (!g_trace_dump_path.empty()) {
-    if (WriteTextFile(g_trace_dump_path, trace::ExportChromeJson())) {
+    if (WriteFileAtomic(g_trace_dump_path, trace::ExportChromeJson()).ok()) {
       std::fprintf(stderr, "trace written to %s (load via chrome://tracing)\n",
                    g_trace_dump_path.c_str());
     } else {
@@ -102,15 +96,7 @@ Status WriteBenchJson(const std::string& path, const std::string& benchmark,
   std::string text =
       json::SerializeJson(json::JsonValue(std::move(root)), /*pretty=*/true);
   text += "\n";
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    return Status::IoError("cannot write " + path);
-  }
-  size_t written = std::fwrite(text.data(), 1, text.size(), out);
-  std::fclose(out);
-  if (written != text.size()) {
-    return Status::IoError("short write to " + path);
-  }
+  SCD_RETURN_IF_ERROR(WriteFileAtomic(path, text));
   std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
   return Status::OK();
 }

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "common/bytes.h"
+#include "common/files.h"
 #include "dwarf/traversal.h"
 
 namespace scdwarf::clustered {
@@ -177,18 +178,6 @@ Result<FileHeader> DecodeHeader(ByteReader* reader) {
   return header;
 }
 
-Result<std::vector<uint8_t>> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (size > 0 && !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    return Status::IoError("short read from " + path);
-  }
-  return bytes;
-}
-
 Result<dwarf::CubeSchema> HeaderToSchema(const FileHeader& header) {
   std::vector<dwarf::DimensionSpec> dims;
   for (size_t i = 0; i < header.dim_names.size(); ++i) {
@@ -203,7 +192,7 @@ Result<dwarf::CubeSchema> HeaderToSchema(const FileHeader& header) {
 }  // namespace
 
 Result<DwarfCube> ReadDwarfFile(const std::string& path) {
-  SCD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadWholeFile(path));
+  SCD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
   ByteReader reader(bytes);
   SCD_ASSIGN_OR_RETURN(FileHeader header, DecodeHeader(&reader));
   SCD_ASSIGN_OR_RETURN(dwarf::CubeSchema schema, HeaderToSchema(header));
@@ -265,7 +254,7 @@ Result<DwarfCube> ReadDwarfFile(const std::string& path) {
 
 Result<FlatFileCube> FlatFileCube::Open(const std::string& path) {
   // Read the header + directory only.
-  SCD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadWholeFile(path));
+  SCD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
   ByteReader reader(bytes);
   SCD_ASSIGN_OR_RETURN(FileHeader header, DecodeHeader(&reader));
 

@@ -49,6 +49,11 @@ class ByteWriter {
 
   const std::vector<uint8_t>& data() const { return buffer_; }
 
+  /// The bytes written so far, valid until the next write.
+  std::string_view view() const {
+    return {reinterpret_cast<const char*>(buffer_.data()), buffer_.size()};
+  }
+
   /// Moves the accumulated bytes out of the writer.
   std::vector<uint8_t> TakeBuffer() { return std::move(buffer_); }
 

@@ -1,16 +1,15 @@
 #include "nosql/database.h"
 
 #include <algorithm>
-#include <cctype>
 #include <condition_variable>
 #include <deque>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <set>
 #include <thread>
 #include <utility>
 
+#include "common/files.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
@@ -70,64 +69,6 @@ FixedBucketHistogram* SegmentFlushHistogram() {
           "nosql_segment_flush_us", {},
           "one table's segment serialize + atomic write time (us)");
   return hist;
-}
-
-Status WriteFileAtomic(const std::string& path,
-                       const std::vector<uint8_t>& bytes) {
-  std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open " + tmp + " for writing");
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) return Status::IoError("short write to " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return Status::IoError("rename failed: " + ec.message());
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  if (size > 0 &&
-      !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    return Status::IoError("short read from " + path);
-  }
-  return bytes;
-}
-
-/// A commit-log record is the delete flag, the table's names and the row
-/// count, then each row as its arity and its values. Writes the header.
-void PutLogHeader(ByteWriter* writer, const std::string& keyspace,
-                  const std::string& table, size_t num_rows, bool is_delete) {
-  writer->PutU8(is_delete ? 1 : 0);
-  writer->PutString(keyspace);
-  writer->PutString(table);
-  writer->PutVarint(num_rows);
-}
-
-/// Writes one row of a commit-log record.
-void PutLogRow(ByteWriter* writer, const Row& row) {
-  writer->PutVarint(row.size());
-  for (const Value& value : row) value.EncodeTo(writer);
-}
-
-/// Encodes a table or keyspace name safely into a file name.
-std::string SanitizeName(const std::string& name) {
-  std::string out;
-  for (char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-') {
-      out.push_back(c);
-    } else {
-      out.push_back('_');
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -244,6 +185,7 @@ Database::Database(Database&& other) noexcept {
   data_dir_ = std::move(other.data_dir_);
   keyspaces_ = std::move(other.keyspaces_);
   sync_ = std::move(other.sync_);
+  log_ = std::move(other.log_);
 }
 
 Database& Database::operator=(Database&& other) noexcept {
@@ -253,6 +195,7 @@ Database& Database::operator=(Database&& other) noexcept {
     data_dir_ = std::move(other.data_dir_);
     keyspaces_ = std::move(other.keyspaces_);
     sync_ = std::move(other.sync_);
+    log_ = std::move(other.log_);
   }
   return *this;
 }
@@ -264,6 +207,9 @@ Result<Database> Database::Open(const std::string& data_dir) {
   }
   Database db;
   db.data_dir_ = data_dir;
+  // The commit log is not fsynced per append (Cassandra's periodic sync).
+  db.log_ = std::make_unique<RecordLog>(data_dir, "commitlog",
+                                        /*fsync_each_append=*/false);
   std::error_code ec;
   fs::create_directories(data_dir, ec);
   if (ec) return Status::IoError("cannot create " + data_dir + ": " + ec.message());
@@ -287,7 +233,11 @@ Result<Database> Database::Open(const std::string& data_dir) {
       db.keyspaces_[keyspace][name] = std::move(*table);
     }
   }
-  SCD_RETURN_IF_ERROR(db.ReplayCommitLog());
+  // The sidecar (a flush that never finished) holds older records than the
+  // live log and replays first. Inserts are upserts, so records whose rows
+  // also reached a segment re-apply idempotently.
+  SCD_RETURN_IF_ERROR(db.log_->Replay(
+      [&db](ByteReader* record) { return db.ReplayCommitLogRecord(record); }));
   return db;
 }
 
@@ -388,11 +338,12 @@ Status Database::BulkInsert(const std::string& keyspace,
   {
     trace::ScopedSpan encode_span("nosql.log_encode");
     if (durable) {
-      PutLogHeader(&record, keyspace, table, rows.size(), /*is_delete=*/false);
+      PutMutationHeader(&record, keyspace, table, rows.size(),
+                        /*is_delete=*/false);
     }
     for (const Row& row : rows) {
       SCD_RETURN_IF_ERROR(t->ValidateRow(row));
-      if (durable) PutLogRow(&record, row);
+      if (durable) PutMutationRow(&record, row);
     }
   }
   // One shard-lock critical section covers the log append and the in-memory
@@ -400,7 +351,10 @@ Status Database::BulkInsert(const std::string& keyspace,
   // every shard lock): a logged row is applied before the rotation cut or
   // logged entirely after it.
   std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
-  if (durable) SCD_RETURN_IF_ERROR(AppendToCommitLog(record.data()));
+  if (durable) {
+    trace::ScopedSpan log_span("nosql.log_append");
+    SCD_RETURN_IF_ERROR(log_->Append(record.data()));
+  }
   trace::ScopedSpan apply_span("nosql.table_apply");
   t->ReserveAdditional(rows.size());
   for (Row& row : rows) t->InsertValidated(std::move(row));
@@ -427,11 +381,15 @@ Status Database::BulkDelete(const std::string& keyspace,
   ByteWriter record;
   if (!data_dir_.empty()) {
     // Deletes are logged as single-value rows with the delete flag set.
-    PutLogHeader(&record, keyspace, table, keys.size(), /*is_delete=*/true);
-    for (const Value& key : keys) PutLogRow(&record, {key});
+    PutMutationHeader(&record, keyspace, table, keys.size(),
+                      /*is_delete=*/true);
+    for (const Value& key : keys) PutMutationRow(&record, {&key, 1});
   }
   std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
-  if (!data_dir_.empty()) SCD_RETURN_IF_ERROR(AppendToCommitLog(record.data()));
+  if (!data_dir_.empty()) {
+    trace::ScopedSpan log_span("nosql.log_append");
+    SCD_RETURN_IF_ERROR(log_->Append(record.data()));
+  }
   for (const Value& key : keys) {
     SCD_RETURN_IF_ERROR(t->DeleteByPk(key));
   }
@@ -443,18 +401,18 @@ Status Database::Flush() {
   trace::ScopedSpan span("nosql.flush");
   Stopwatch flush_watch;
   FlushesCounter()->Increment();
-  // Rotate the commit log with every writer excluded (all shard locks +
-  // log_mu). Afterwards each logged mutation is either in the sidecar and
-  // already applied to its table — so the serialization below captures it —
-  // or entirely in the fresh live log.
+  // Rotate the commit log with every writer excluded (all shard locks).
+  // Afterwards each logged mutation is either in the sidecar and already
+  // applied to its table — so the serialization below captures it — or
+  // entirely in the fresh live log.
   {
     Stopwatch rotate_watch;
     std::array<std::unique_lock<std::mutex>, kTableLockShards> shard_locks;
     for (size_t i = 0; i < kTableLockShards; ++i) {
       shard_locks[i] = std::unique_lock<std::mutex>(sync_->table_shards[i]);
     }
-    std::lock_guard<std::mutex> log_lock(sync_->log_mu);
-    SCD_RETURN_IF_ERROR(RotateCommitLog());
+    SCD_ASSIGN_OR_RETURN(bool rotated, log_->Rotate());
+    if (rotated) LogRotationsCounter()->Increment();
     LogRotateHistogram()->Record(rotate_watch.ElapsedMicros());
   }
   // Jobs are collected after the rotation so every table with sidecar
@@ -477,11 +435,12 @@ Status Database::Flush() {
     SCD_RETURN_IF_ERROR(FlushTableAsync(keyspace, name));
   }
   SCD_RETURN_IF_ERROR(WaitFlushed());
-  // Every sidecar record is now covered by a segment (records for tables
-  // dropped meanwhile are skipped at replay anyway), so the sidecar can go.
-  // On any earlier error it survives and is replayed at the next reopen.
-  std::error_code ec;
-  fs::remove(RotatedCommitLogPath(), ec);
+  // Every sidecar record is now covered by a fsynced segment (records for
+  // tables dropped meanwhile are skipped at replay anyway), so the sidecar
+  // can go once the keyspace directories' entries are durable too. On any
+  // earlier error it survives and is replayed at the next reopen.
+  SCD_RETURN_IF_ERROR(SyncDirectory(data_dir_));
+  log_->RemoveRotated();
   FlushHistogram()->Record(flush_watch.ElapsedMicros());
   return Status::OK();
 }
@@ -546,7 +505,7 @@ Status Database::FlushTableNow(const std::string& keyspace,
     return Status::IoError("cannot create keyspace dir: " + ec.message());
   }
   SCD_RETURN_IF_ERROR(
-      WriteFileAtomic(SegmentPath(keyspace, table), writer.data()));
+      WriteFileAtomic(SegmentPath(keyspace, table), writer.view()));
   t->MarkFlushed(version);
   SegmentFlushesCounter()->Increment();
   SegmentFlushHistogram()->Record(watch.ElapsedMicros());
@@ -562,14 +521,7 @@ std::mutex& Database::TableLock(const std::string& keyspace,
 
 Result<uint64_t> Database::DiskSizeBytes() const {
   if (data_dir_.empty()) return uint64_t{0};
-  uint64_t total = 0;
-  std::error_code ec;
-  for (auto it = fs::recursive_directory_iterator(data_dir_, ec);
-       it != fs::recursive_directory_iterator(); ++it) {
-    if (it->is_regular_file()) total += it->file_size();
-  }
-  if (ec) return Status::IoError("walking " + data_dir_ + ": " + ec.message());
-  return total;
+  return DirectoryBytes(data_dir_);
 }
 
 uint64_t Database::EstimateBytes() const {
@@ -603,109 +555,13 @@ std::string Database::SegmentPath(const std::string& keyspace,
       .string();
 }
 
-std::string Database::CommitLogPath() const {
-  return (fs::path(data_dir_) / "commitlog.bin").string();
-}
-
-std::string Database::RotatedCommitLogPath() const {
-  return (fs::path(data_dir_) / "commitlog.old.bin").string();
-}
-
-Status Database::RotateCommitLog() {
-  if (!fs::exists(CommitLogPath())) return Status::OK();
-  LogRotationsCounter()->Increment();
-  std::error_code ec;
-  const std::string rotated = RotatedCommitLogPath();
-  if (!fs::exists(rotated)) {
-    fs::rename(CommitLogPath(), rotated, ec);
-    if (ec) return Status::IoError("rotating commit log: " + ec.message());
-    return Status::OK();
-  }
-  // A prior flush failed (or crashed) after rotating: append the live log
-  // to the surviving sidecar so replay order — sidecar, then live — still
-  // reproduces append order.
-  SCD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(CommitLogPath()));
-  {
-    std::ofstream out(rotated, std::ios::binary | std::ios::app);
-    if (!out) return Status::IoError("cannot open rotated commit log");
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) return Status::IoError("short append to rotated commit log");
-  }
-  fs::remove(CommitLogPath(), ec);
-  if (ec) return Status::IoError("removing commit log: " + ec.message());
-  return Status::OK();
-}
-
-Status Database::AppendToCommitLog(const std::vector<uint8_t>& record) {
-  trace::ScopedSpan span("nosql.log_append");
-  std::lock_guard<std::mutex> log_lock(sync_->log_mu);
-  std::ofstream out(CommitLogPath(), std::ios::binary | std::ios::app);
-  if (!out) return Status::IoError("cannot open commit log");
-  // Length-prefixed record so replay can find batch boundaries.
-  ByteWriter framed;
-  framed.PutU32(static_cast<uint32_t>(record.size()));
-  out.write(reinterpret_cast<const char*>(framed.data().data()),
-            static_cast<std::streamsize>(framed.size()));
-  out.write(reinterpret_cast<const char*>(record.data()),
-            static_cast<std::streamsize>(record.size()));
-  if (!out) return Status::IoError("short write to commit log");
-  return Status::OK();
-}
-
-Status Database::ReplayCommitLog() {
-  // The sidecar (a flush that never finished) holds older records than the
-  // live log; replay it first. Inserts are upserts, so records whose rows
-  // also reached a segment re-apply idempotently.
-  SCD_RETURN_IF_ERROR(ReplayCommitLogFile(RotatedCommitLogPath()));
-  return ReplayCommitLogFile(CommitLogPath());
-}
-
-Status Database::ReplayCommitLogFile(const std::string& path) {
-  if (!fs::exists(path)) return Status::OK();
-  SCD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path));
-  ByteReader reader(bytes);
-  while (!reader.AtEnd()) {
-    auto frame_size = reader.ReadU32();
-    if (!frame_size.ok()) break;  // torn tail: stop replay
-    if (reader.remaining() < *frame_size) break;
-    // Each record is parsed inside its frame, so a corrupt record cannot
-    // read into the next one.
-    ByteReader record(bytes.data() + reader.offset(), *frame_size);
-    SCD_RETURN_IF_ERROR(reader.Skip(*frame_size));
-    Status status = ReplayCommitLogRecord(&record);
-    if (!status.ok()) return status.WithContext("replaying " + path);
-  }
-  return Status::OK();
-}
-
 Status Database::ReplayCommitLogRecord(ByteReader* record) {
-  SCD_ASSIGN_OR_RETURN(uint8_t op, record->ReadU8());
-  SCD_ASSIGN_OR_RETURN(std::string keyspace, record->ReadString());
-  SCD_ASSIGN_OR_RETURN(std::string table, record->ReadString());
-  SCD_ASSIGN_OR_RETURN(uint64_t num_rows, record->ReadVarint());
-  auto table_result = GetTable(keyspace, table);
-  for (uint64_t r = 0; r < num_rows; ++r) {
-    SCD_ASSIGN_OR_RETURN(uint64_t arity, record->ReadVarint());
-    // Every value takes at least one byte, and a delete row is its key.
-    if (arity > record->remaining()) {
-      return Status::ParseError("row of " + std::to_string(arity) +
-                                " values in " +
-                                std::to_string(record->remaining()) + " bytes");
-    }
-    if (op == 1 && arity != 1) {
-      return Status::ParseError("delete row of " + std::to_string(arity) +
-                                " values");
-    }
-    Row row;
-    row.reserve(arity);
-    for (uint64_t c = 0; c < arity; ++c) {
-      SCD_ASSIGN_OR_RETURN(Value value, Value::DecodeFrom(record));
-      row.push_back(std::move(value));
-    }
-    // Rows for tables dropped since the log was written are skipped.
-    if (!table_result.ok()) continue;
-    if (op == 1) {
+  SCD_ASSIGN_OR_RETURN(Mutation mutation, DecodeMutation(record));
+  auto table_result = GetTable(mutation.scope, mutation.table);
+  // Rows for tables dropped since the log was written are skipped.
+  if (!table_result.ok()) return Status::OK();
+  for (Row& row : mutation.rows) {
+    if (mutation.is_delete) {
       // A delete of a row that never reached a segment replays as a no-op.
       Status status = (*table_result)->DeleteByPk(row[0]);
       if (!status.ok() && !status.IsNotFound()) return status;

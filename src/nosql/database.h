@@ -14,6 +14,7 @@
 #include <shared_mutex>
 #include <string>
 
+#include "common/record_log.h"
 #include "common/result.h"
 #include "nosql/table.h"
 
@@ -40,13 +41,16 @@ namespace scdwarf::nosql {
 /// serialize concurrently, one table never twice at once); WaitFlushed()
 /// is the completion barrier.
 ///
-/// Durability: each mutation appends to the commit log and applies to the
-/// table under one shard-lock critical section, so no mutation straddles
-/// Flush()'s log rotation. Flush() rotates the log to a sidecar under all
-/// shard locks, serializes every dirty table, and deletes the sidecar only
-/// after every segment hit disk; a crash anywhere in between leaves either
-/// the sidecar or the live log to replay, so acknowledged mutations are
-/// never lost (inserts are upserts, so re-replay is idempotent).
+/// Durability: each mutation appends to the commit log (a RecordLog) and
+/// applies to the table under one shard-lock critical section, so no
+/// mutation straddles Flush()'s log rotation. Flush() rotates the log to a
+/// sidecar under all shard locks, serializes every dirty table, and deletes
+/// the sidecar only after every segment, and the directories holding them,
+/// are fsynced. A process crash anywhere in between leaves the sidecar or
+/// the live log to replay, so it loses no acknowledged mutation (inserts are
+/// upserts, so re-replay is idempotent). The commit log itself is not
+/// fsynced per append, as in Cassandra's periodic commit-log sync: a power
+/// loss can lose the batches written since the last Flush().
 class Database {
  public:
   /// In-memory database.
@@ -149,27 +153,13 @@ class Database {
   struct Sync {
     std::shared_mutex catalog_mu;  ///< keyspaces_ map shape
     std::array<std::mutex, kTableLockShards> table_shards;  ///< row contents
-    std::mutex log_mu;      ///< commit-log appends
     std::mutex flusher_mu;  ///< lazy flusher creation
   };
 
-  /// Appends one encoded record to the live commit log under log_mu. The
-  /// caller holds the table's shard lock and applies the mutation before
-  /// releasing it.
-  Status AppendToCommitLog(const std::vector<uint8_t>& record);
-  /// Replays the rotated sidecar (crash mid-flush) then the live log.
-  Status ReplayCommitLog();
-  Status ReplayCommitLogFile(const std::string& path);
   /// Applies one framed commit-log record; \p record spans exactly it.
   Status ReplayCommitLogRecord(ByteReader* record);
-  /// Moves the live commit log aside to the sidecar (appending if a prior
-  /// flush's sidecar survived a crash). Caller must exclude writers — every
-  /// shard lock plus log_mu.
-  Status RotateCommitLog();
   std::string SegmentPath(const std::string& keyspace,
                           const std::string& table) const;
-  std::string CommitLogPath() const;
-  std::string RotatedCommitLogPath() const;
 
   /// The shard lock guarding (keyspace, table)'s row contents.
   std::mutex& TableLock(const std::string& keyspace,
@@ -185,6 +175,7 @@ class Database {
   std::map<std::string, std::map<std::string, std::shared_ptr<Table>>>
       keyspaces_;
   std::unique_ptr<Sync> sync_;
+  std::unique_ptr<RecordLog> log_;    // commitlog.bin; null in memory mode
   std::unique_ptr<Flusher> flusher_;  // created lazily by FlushTableAsync
 };
 

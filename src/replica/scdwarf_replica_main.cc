@@ -29,24 +29,14 @@
 // explicitly. Runs until stdin closes or a "quit" line arrives.
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
+#include "common/files.h"
 #include "common/trace.h"
 #include "replica/replica.h"
 
 using namespace scdwarf;
-
-namespace {
-
-bool WriteTextFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  return static_cast<bool>(out);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   replica::ReplicaOptions options;
@@ -108,21 +98,23 @@ int main(int argc, char** argv) {
   }
   replica_server.Stop();
   if (!metrics_dump.empty() &&
-      !WriteTextFile(metrics_dump,
-                     replica_server.server()->MetricsJson() + "\n")) {
+      !WriteFileAtomic(metrics_dump,
+                       replica_server.server()->MetricsJson() + "\n")
+           .ok()) {
     std::cerr << "failed to write metrics snapshot to " << metrics_dump
               << "\n";
     return 1;
   }
   if (!prometheus_dump.empty() &&
-      !WriteTextFile(prometheus_dump,
-                     replica_server.server()->MetricsText())) {
+      !WriteFileAtomic(prometheus_dump,
+                       replica_server.server()->MetricsText())
+           .ok()) {
     std::cerr << "failed to write prometheus metrics to " << prometheus_dump
               << "\n";
     return 1;
   }
   if (!trace_dump.empty() &&
-      !WriteTextFile(trace_dump, trace::ExportChromeJson())) {
+      !WriteFileAtomic(trace_dump, trace::ExportChromeJson()).ok()) {
     std::cerr << "failed to write trace to " << trace_dump << "\n";
     return 1;
   }

@@ -20,25 +20,15 @@
 // Runs until stdin closes or a "quit" line arrives.
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "client/client.h"
+#include "common/files.h"
 #include "replica/router.h"
 #include "server/tcp_server.h"
 
 using namespace scdwarf;
-
-namespace {
-
-bool WriteTextFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  return static_cast<bool>(out);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string replica_list;
@@ -98,13 +88,13 @@ int main(int argc, char** argv) {
   }
   tcp.Stop();
   if (!metrics_dump.empty() &&
-      !WriteTextFile(metrics_dump, router.MetricsJson() + "\n")) {
+      !WriteFileAtomic(metrics_dump, router.MetricsJson() + "\n").ok()) {
     std::cerr << "failed to write metrics snapshot to " << metrics_dump
               << "\n";
     return 1;
   }
   if (!prometheus_dump.empty() &&
-      !WriteTextFile(prometheus_dump, router.MetricsText())) {
+      !WriteFileAtomic(prometheus_dump, router.MetricsText()).ok()) {
     std::cerr << "failed to write prometheus metrics to " << prometheus_dump
               << "\n";
     return 1;

@@ -11,6 +11,8 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/files.h"
+
 namespace scdwarf::replica {
 
 namespace {
@@ -136,45 +138,6 @@ struct Mapping {
   }
 };
 
-Status WriteFileAtomically(const std::string& path,
-                           const std::string& contents) {
-  std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("open " + tmp + ": " +
-                           std::string(std::strerror(errno)));
-  }
-  size_t written = 0;
-  while (written < contents.size()) {
-    ssize_t n =
-        ::write(fd, contents.data() + written, contents.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      Status status = Status::IoError("write " + tmp + ": " +
-                                      std::string(std::strerror(errno)));
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return status;
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    Status status = Status::IoError("fsync " + tmp + ": " +
-                                    std::string(std::strerror(errno)));
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status status = Status::IoError("rename " + tmp + " -> " + path + ": " +
-                                    std::string(std::strerror(errno)));
-    ::unlink(tmp.c_str());
-    return status;
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status WriteCubeSnapshot(const dwarf::DwarfCube& cube, uint64_t epoch,
@@ -250,7 +213,7 @@ Status WriteCubeSnapshot(const dwarf::DwarfCube& cube, uint64_t epoch,
                node.cells.size() * sizeof(dwarf::DwarfCell));
   }
   out.append(kTrailer, sizeof(kTrailer));
-  return WriteFileAtomically(path, out);
+  return WriteFileAtomic(path, out);
 }
 
 Result<CubeSnapshot> LoadCubeSnapshot(const std::string& path) {

@@ -38,7 +38,6 @@
 //   print(json.loads(s.recv(n)))
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -46,6 +45,7 @@
 
 #include "citibikes/bike_feed.h"
 #include "client/client.h"
+#include "common/files.h"
 #include "common/trace.h"
 #include "etl/parallel_pipeline.h"
 #include "replica/replica.h"
@@ -53,16 +53,6 @@
 #include "server/tcp_server.h"
 
 using namespace scdwarf;
-
-namespace {
-
-bool WriteTextFile(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  return static_cast<bool>(out);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string metrics_dump;
@@ -180,7 +170,7 @@ int main(int argc, char** argv) {
             << stats.rejected_total << " rejected), cache hit rate "
             << stats.cache_hit_rate << "\n";
   if (!metrics_dump.empty()) {
-    if (WriteTextFile(metrics_dump, server.MetricsJson() + "\n")) {
+    if (WriteFileAtomic(metrics_dump, server.MetricsJson() + "\n").ok()) {
       std::cout << "metrics snapshot written to " << metrics_dump << "\n";
     } else {
       std::cerr << "failed to write metrics snapshot to " << metrics_dump
@@ -189,7 +179,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!prometheus_dump.empty()) {
-    if (WriteTextFile(prometheus_dump, server.MetricsText())) {
+    if (WriteFileAtomic(prometheus_dump, server.MetricsText()).ok()) {
       std::cout << "prometheus metrics written to " << prometheus_dump << "\n";
     } else {
       std::cerr << "failed to write prometheus metrics to " << prometheus_dump
@@ -198,7 +188,7 @@ int main(int argc, char** argv) {
     }
   }
   if (!trace_dump.empty()) {
-    if (WriteTextFile(trace_dump, trace::ExportChromeJson())) {
+    if (WriteFileAtomic(trace_dump, trace::ExportChromeJson()).ok()) {
       std::cout << "trace written to " << trace_dump
                 << " (load via chrome://tracing)\n";
     } else {

@@ -13,6 +13,7 @@
 #include <shared_mutex>
 #include <string>
 
+#include "common/record_log.h"
 #include "common/result.h"
 #include "sql/heap_table.h"
 
@@ -28,16 +29,18 @@ namespace scdwarf::sql {
 /// Concurrency: mirrors nosql::Database — mutations from different threads
 /// serialize behind a fixed pool of per-table shard locks, catalog changes
 /// take the catalog lock exclusively, and redo-log appends serialize behind
-/// a dedicated log lock. Tables are shared_ptr-owned: GetTable() hands out
+/// the log's own lock. Tables are shared_ptr-owned: GetTable() hands out
 /// shared ownership, so a concurrent DropTable only removes the catalog
 /// entry and the object outlives every user. Reads concurrent with writes
 /// to the same table are not synchronized.
 ///
 /// Durability: each mutation applies to the table and appends to the redo
-/// log under one shard-lock critical section; Flush() rotates the log to
-/// a sidecar under all shard locks, serializes every table, and deletes the
-/// sidecar only after every tablespace hit disk, so acknowledged mutations
-/// survive a crash at any point (replay tolerates duplicates).
+/// log (a RecordLog) under one shard-lock critical section, and the append
+/// is fsynced before the mutation returns, so an acknowledged mutation
+/// survives a process crash and a power loss alike. Flush() rotates the log
+/// to a sidecar under all shard locks, serializes every table, and deletes
+/// the sidecar only after every tablespace, and the directories holding
+/// them, are fsynced (replay tolerates duplicates).
 class SqlEngine {
  public:
   /// In-memory engine.
@@ -99,24 +102,12 @@ class SqlEngine {
   struct Sync {
     std::shared_mutex catalog_mu;  ///< databases_ map shape
     std::array<std::mutex, kTableLockShards> table_shards;  ///< row contents
-    std::mutex log_mu;  ///< redo-log appends
   };
 
-  /// Appends one encoded record and fsyncs the log. Caller holds log_mu.
-  Status AppendToRedoLog(const std::vector<uint8_t>& record);
-  /// Replays the rotated sidecar (crash mid-flush) then the live log.
-  Status ReplayRedoLog();
-  Status ReplayRedoLogFile(const std::string& path);
   /// Applies one framed redo record; \p record spans exactly it.
   Status ReplayRedoRecord(ByteReader* record);
-  /// Moves the live redo log aside to the sidecar (appending if a prior
-  /// flush's sidecar survived). Caller must exclude writers — every shard
-  /// lock plus log_mu.
-  Status RotateRedoLog();
   std::string TablespacePath(const std::string& database,
                              const std::string& table) const;
-  std::string RedoLogPath() const;
-  std::string RotatedRedoLogPath() const;
 
   /// The shard lock guarding (database, table)'s row contents.
   std::mutex& TableLock(const std::string& database,
@@ -126,6 +117,7 @@ class SqlEngine {
   std::map<std::string, std::map<std::string, std::shared_ptr<HeapTable>>>
       databases_;
   std::unique_ptr<Sync> sync_ = std::make_unique<Sync>();
+  std::unique_ptr<RecordLog> log_;  // redolog.bin; null in memory mode
 };
 
 }  // namespace scdwarf::sql
