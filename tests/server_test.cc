@@ -27,6 +27,7 @@
 #include "common/parallel.h"
 #include "dwarf/builder.h"
 #include "dwarf/query.h"
+#include "dwarf/update.h"
 #include "json/json_parser.h"
 #include "server/query_server.h"
 #include "server/tcp_server.h"
@@ -825,6 +826,73 @@ TEST(QueryServerTest, CacheRevalidatesEntriesThatMissTheChangedPrefixes) {
             mon_first.value.Get("measure").ValueOrDie()
                     .AsNumber().ValueOrDie() +
                 100);
+}
+
+// Each incremental publish appends one arena chunk to the served cube, so the
+// publish that starts at kCompactionChunkLimit chunks is the one compaction
+// rebuild in 70 publishes. After every publish the served answers must equal
+// a from-scratch CubeUpdater::Rebuild of the same history, and the Day=Fri
+// slice, which no batch touches, must stay cached across every publish —
+// the compaction one included.
+TEST(QueryServerTest, PublishesAcrossTheCompactionBoundary) {
+  constexpr int kPublishes = 70;
+  const DwarfCube seed = BuildSeedCube();
+  ServerOptions options;
+  options.num_workers = 1;
+  QueryServer server(DwarfCube(seed), options);
+  ServerHandle handle(&server);
+  const std::string untouched = R"({"op":"slice","dim":"Day","key":"Fri"})";
+  handle.Call(untouched);
+
+  const std::vector<std::string> days = {"Mon", "Tue", "Wed", "Sat"};
+  const std::vector<std::string> stations = {"Fenian St", "Pearse St",
+                                             "Heuston", "Custom House"};
+  std::vector<Tuple> history;
+  std::vector<int> compactions;
+  for (int publish = 1; publish <= kPublishes; ++publish) {
+    // One tuple over existing values, one that grows two dictionaries.
+    std::vector<Tuple> batch = {
+        {{days[publish % days.size()], stations[publish % stations.size()],
+          "D" + std::to_string(publish % 3)},
+         publish},
+        {{"Sun", "Station" + std::to_string(publish), "D9"}, 1},
+    };
+    history.insert(history.end(), batch.begin(), batch.end());
+    const size_t chunks = server.store().snapshot().cube->arena_chunks();
+    ASSERT_TRUE(server.ApplyUpdate(batch).ok()) << "publish " << publish;
+    const bool incremental = server.Stats().last_update.incremental;
+    EXPECT_EQ(incremental, chunks < EpochCubeStore::kCompactionChunkLimit)
+        << "publish " << publish << " started at " << chunks << " chunks";
+    if (!incremental) {
+      compactions.push_back(publish);
+      EXPECT_EQ(server.store().snapshot().cube->arena_chunks(), 1u);
+    }
+
+    ParsedResponse carried = ParseResponse(handle.Call(untouched));
+    EXPECT_TRUE(carried.cached) << "publish " << publish;
+    EXPECT_EQ(carried.epoch, static_cast<uint64_t>(publish));
+
+    dwarf::CubeUpdater updater{DwarfCube(seed)};
+    for (const auto& [keys, measure] : history) {
+      ASSERT_TRUE(updater.AddTuple(keys, measure).ok());
+    }
+    Result<DwarfCube> reference = std::move(updater).Rebuild();
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    for (const std::string& request_json : MixedRequests()) {
+      const std::string response = handle.Call(request_json);
+      ParsedResponse parsed = ParseResponse(response);
+      EXPECT_EQ(parsed.epoch, static_cast<uint64_t>(publish));
+      ExecResult expected =
+          ExecuteRequest(*reference, ParseRequest(request_json).ValueOrDie());
+      EXPECT_EQ(response, MakeResponse(expected.ok, parsed.epoch,
+                                       parsed.cached, expected.payload_json))
+          << request_json << " at publish " << publish;
+    }
+  }
+  EXPECT_EQ(compactions, std::vector<int>{static_cast<int>(
+                             EpochCubeStore::kCompactionChunkLimit)});
+  EXPECT_EQ(server.Stats().updates_applied,
+            static_cast<uint64_t>(kPublishes));
 }
 
 TEST(QueryServerTest, StatsEndpointReportsSessionAndRevalidationCounters) {
