@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "dwarf/dwarf_cube.h"
+#include "dwarf/update.h"
 #include "json/json_parser.h"
 #include "server/query_server.h"
 #include "server/tcp_server.h"
@@ -508,9 +509,9 @@ int main(int argc, char** argv) {
                      : 0;
 
     // Epoch-bump path: merge a small batch and let the cache invalidate.
-    // The default server publishes via the incremental delta merge; a
-    // second full-rebuild server applies the identical batch from the same
-    // base cube as the O(history) baseline the merge is supposed to kill.
+    // The server publishes via the incremental delta merge; a from-scratch
+    // CubeUpdater::Rebuild of the identical batch over the same base cube is
+    // the O(history) baseline the merge is supposed to kill.
     std::vector<std::pair<std::vector<std::string>, dwarf::Measure>> batch;
     size_t dims = (*cube)->num_dimensions();
     Rng rng(0xfeed);
@@ -532,16 +533,18 @@ int main(int argc, char** argv) {
 
     double update_full_ms = 0;
     {
-      server::ServerOptions full_options;
-      full_options.full_rebuild = true;
-      full_options.num_workers = 1;
-      server::QueryServer full_server(dwarf::DwarfCube(**cube), full_options);
       Stopwatch full_watch;
-      auto full_epoch = full_server.ApplyUpdate(batch);
+      Result<dwarf::DwarfCube> rebuilt = [&]() -> Result<dwarf::DwarfCube> {
+        dwarf::CubeUpdater updater{dwarf::DwarfCube(**cube)};
+        for (const auto& [keys, measure] : batch) {
+          SCD_RETURN_IF_ERROR(updater.AddTuple(keys, measure));
+        }
+        return std::move(updater).Rebuild();
+      }();
       update_full_ms = full_watch.ElapsedMillis();
-      if (!full_epoch.ok()) {
-        std::fprintf(stderr, "full-rebuild update failed: %s\n",
-                     full_epoch.status().ToString().c_str());
+      if (!rebuilt.ok()) {
+        std::fprintf(stderr, "full rebuild failed: %s\n",
+                     rebuilt.status().ToString().c_str());
       }
     }
     double update_speedup = update_ms > 0 ? update_full_ms / update_ms : 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -194,6 +195,14 @@ std::vector<MetricSnapshot> MetricRegistry::Snapshot() const {
     out.push_back(std::move(snap));
   }
   return out;
+}
+
+std::vector<MetricSnapshot> SnapshotWithGlobal(const MetricRegistry& instance) {
+  std::vector<MetricSnapshot> all = instance.Snapshot();
+  std::vector<MetricSnapshot> global = GlobalRegistry().Snapshot();
+  all.insert(all.end(), std::make_move_iterator(global.begin()),
+             std::make_move_iterator(global.end()));
+  return all;
 }
 
 size_t MetricRegistry::size() const {

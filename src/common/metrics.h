@@ -156,6 +156,11 @@ class MetricRegistry {
 /// \brief The process-wide registry used by build-side instrumentation.
 MetricRegistry& GlobalRegistry();
 
+/// \brief Every series of \p instance followed by every series of
+/// GlobalRegistry(): what a server's or router's "metrics" and
+/// "metrics_text" ops report.
+std::vector<MetricSnapshot> SnapshotWithGlobal(const MetricRegistry& instance);
+
 /// \brief Renders snapshots as a JSON array (self-contained serializer so
 /// common/ stays dependency-free):
 ///   [{"name":..., "type":"counter", "labels":{...}, "help":...,

@@ -194,6 +194,13 @@ Result<DwarfCube> DwarfCube::FromFlatArena(
                                        " cells are not strictly sorted");
       }
     }
+    // Strictly sorted, so the last key bounds them all: every key must
+    // decode through its level's dictionary.
+    if (node.num_cells > 0 &&
+        run[node.num_cells - 1].key >= dictionaries[node.level].size()) {
+      return Status::InvalidArgument("flat arena node " + std::to_string(i) +
+                                     " has a key past its dictionary");
+    }
     if (!leaf) {
       if (node.all_child >= num_nodes) {
         return Status::InvalidArgument("flat arena node " + std::to_string(i) +
@@ -313,60 +320,14 @@ NodeId CubeAssembler::AddNode(DwarfNode node) {
 }
 
 Result<DwarfCube> CubeAssembler::Finish() {
-  SCD_RETURN_IF_ERROR(schema_.Validate());
-  if (dictionaries_.size() != schema_.num_dimensions()) {
-    return Status::InvalidArgument(
-        "assembler needs one dictionary per dimension");
-  }
-  size_t num_dims = schema_.num_dimensions();
-  if (root_ == kNullNode && !nodes_.empty()) {
-    return Status::InvalidArgument("nodes added but no root set");
-  }
-  if (root_ != kNullNode && root_ >= nodes_.size()) {
-    return Status::InvalidArgument("root id out of range");
-  }
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    const DwarfNode& node = nodes_[i];
-    if (node.level >= num_dims) {
-      return Status::InvalidArgument("node " + std::to_string(i) +
-                                     " has invalid level " +
-                                     std::to_string(node.level));
-    }
-    bool leaf = static_cast<size_t>(node.level) + 1 == num_dims;
-    for (const DwarfCell& cell : node.cells) {
-      if (!leaf) {
-        if (cell.child >= nodes_.size()) {
-          return Status::InvalidArgument("node " + std::to_string(i) +
-                                         " has dangling child reference");
-        }
-        if (nodes_[cell.child].level != node.level + 1) {
-          return Status::InvalidArgument(
-              "node " + std::to_string(i) + " child level mismatch");
-        }
-      }
-    }
-    if (!leaf) {
-      if (node.all_child >= nodes_.size()) {
-        return Status::InvalidArgument("node " + std::to_string(i) +
-                                       " has dangling ALL reference");
-      }
-    }
-    for (size_t c = 1; c < node.cells.size(); ++c) {
-      if (node.cells[c - 1].key >= node.cells[c].key) {
-        return Status::InvalidArgument("node " + std::to_string(i) +
-                                       " cells are not strictly sorted");
-      }
-    }
-  }
-  DwarfCube cube;
-  cube.schema_ = std::move(schema_);
-  cube.dictionaries_ = std::move(dictionaries_);
-  cube.root_ = root_;
-  cube.AdoptArena(std::move(nodes_));
-  cube.stats_.tuple_count = tuple_count_;
-  cube.stats_.source_tuple_count = source_tuple_count_;
+  CubeStats counts;
+  counts.tuple_count = tuple_count_;
+  counts.source_tuple_count = source_tuple_count_;
+  SCD_ASSIGN_OR_RETURN(
+      DwarfCube cube,
+      DwarfCube::FromFlatArena(std::move(schema_), std::move(dictionaries_),
+                               FlattenNodes(nodes_), root_, counts));
   cube.stats_ = cube.ComputeStats();
-  cube.FinalizeOrderedViews();
   return cube;
 }
 

@@ -278,11 +278,13 @@ class DwarfCube {
   CubeStats ComputeStats() const;
 
   /// \brief Builds a cube directly over a validated single-chunk flat arena —
-  /// the snapshot v3 load path (validate-and-point instead of rebuild).
-  /// Validates id bounds, level monotonicity (which also rules out cycles)
-  /// and strict cell sort; \p stats is trusted from the snapshot header so no
-  /// arena walk happens. FinalizeOrderedViews still runs (rank views are not
-  /// persisted).
+  /// the snapshot v3 load path (validate-and-point instead of rebuild), and
+  /// the one validator every reassembled cube passes (CubeAssembler::Finish
+  /// flattens into it). Validates id bounds, level monotonicity (which also
+  /// rules out cycles), a level-0 root, strict cell sort and every cell key
+  /// below its level's dictionary size; \p stats is trusted from the
+  /// snapshot header so no arena walk happens. FinalizeOrderedViews still
+  /// runs (rank views are not persisted).
   static Result<DwarfCube> FromFlatArena(CubeSchema schema,
                                          std::vector<Dictionary> dictionaries,
                                          std::shared_ptr<const NodeArena> arena,
@@ -313,7 +315,7 @@ class DwarfCube {
   NodeView NodeInSharedChunk(NodeId id) const;
 
   /// Replaces the arena with a single chunk flattened from \p nodes
-  /// (from-scratch builds and store-side reassembly).
+  /// (from-scratch builds).
   void AdoptArena(std::vector<DwarfNode> nodes);
 
   /// Shares \p base's chunks and appends \p tail, flattened, as one new
@@ -372,7 +374,7 @@ class CubeAssembler {
     source_tuple_count_ = source_tuple_count;
   }
 
-  /// Validates child references and level consistency, computes stats and
+  /// Validates the nodes through DwarfCube::FromFlatArena, computes stats and
   /// produces the cube.
   Result<DwarfCube> Finish();
 

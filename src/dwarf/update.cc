@@ -27,6 +27,18 @@ bool CubeContainsPath(const DwarfCube& cube,
   return true;
 }
 
+/// A builder over \p cube's schema, seeded with the cube's dictionaries so
+/// every existing value keeps its id (new values append past them). Both
+/// update paths build through it: one id space lets the merge compare keys
+/// directly, and stable ids keep cell order — and therefore slice/rollup row
+/// order — stable for untouched subtrees, which the serving layer's
+/// delta-epoch cache revalidation relies on.
+Result<DwarfBuilder> SeededBuilder(const DwarfCube& cube) {
+  DwarfBuilder builder(cube.schema());
+  SCD_RETURN_IF_ERROR(builder.ImportDictionaries(cube.dictionaries()));
+  return builder;
+}
+
 }  // namespace
 
 Result<std::vector<SliceRow>> ExtractBaseTuples(const DwarfCube& cube) {
@@ -67,19 +79,7 @@ Result<DwarfCube> CubeUpdater::Rebuild(UpdateProfile* profile) && {
   trace::ScopedSpan span("dwarf.rebuild");
   Stopwatch watch;
   SCD_ASSIGN_OR_RETURN(std::vector<SliceRow> base, ExtractBaseTuples(cube_));
-  DwarfBuilder builder(cube_.schema());
-  // Seed the builder with the current dictionaries so every existing value
-  // keeps its id (new values append past them). Stable ids keep cell order —
-  // and therefore slice/rollup row order — stable for untouched subtrees,
-  // which the serving layer's delta-epoch cache revalidation relies on.
-  {
-    std::vector<Dictionary> dictionaries;
-    dictionaries.reserve(cube_.num_dimensions());
-    for (size_t dim = 0; dim < cube_.num_dimensions(); ++dim) {
-      dictionaries.push_back(cube_.dictionary(dim));
-    }
-    SCD_RETURN_IF_ERROR(builder.ImportDictionaries(std::move(dictionaries)));
-  }
+  SCD_ASSIGN_OR_RETURN(DwarfBuilder builder, SeededBuilder(cube_));
   for (const SliceRow& row : base) {
     SCD_RETURN_IF_ERROR(builder.AddAggregatedTuple(row.keys, row.measure));
   }
@@ -93,7 +93,6 @@ Result<DwarfCube> CubeUpdater::Rebuild(UpdateProfile* profile) && {
   SCD_ASSIGN_OR_RETURN(DwarfCube updated, std::move(builder).Build());
   local.rebuild_ms = watch.ElapsedMillis();
   if (profile != nullptr) *profile = local;
-  if (hook_) hook_(updated, local);
   return updated;
 }
 
@@ -124,20 +123,12 @@ Result<DwarfCube> CubeUpdater::Apply(UpdateProfile* profile) && {
   std::vector<std::vector<std::string>> changed = ChangedKeyPrefixes();
   local.changed_prefixes = changed.size();
 
-  // Stage the batch into a delta cube. Seeding with the live dictionaries
-  // keeps one id space across both cubes (merge compares keys directly) and
-  // keeps existing ids stable for the serving layer's cache revalidation.
+  // Stage the batch into a delta cube over the live cube's id space.
   Stopwatch phase_watch;
   DwarfCube delta;
   {
     trace::ScopedSpan span("dwarf.delta_build");
-    DwarfBuilder builder(cube_.schema());
-    std::vector<Dictionary> dictionaries;
-    dictionaries.reserve(cube_.num_dimensions());
-    for (size_t dim = 0; dim < cube_.num_dimensions(); ++dim) {
-      dictionaries.push_back(cube_.dictionary(dim));
-    }
-    SCD_RETURN_IF_ERROR(builder.ImportDictionaries(std::move(dictionaries)));
+    SCD_ASSIGN_OR_RETURN(DwarfBuilder builder, SeededBuilder(cube_));
     for (const auto& [keys, measure] : pending_) {
       SCD_RETURN_IF_ERROR(builder.AddTuple(keys, measure));
     }
@@ -169,7 +160,6 @@ Result<DwarfCube> CubeUpdater::Apply(UpdateProfile* profile) && {
 
   local.rebuild_ms = watch.ElapsedMillis();
   if (profile != nullptr) *profile = local;
-  if (hook_) hook_(merged, local);
   return merged;
 }
 

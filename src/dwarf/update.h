@@ -8,7 +8,6 @@
 #ifndef SCDWARF_DWARF_UPDATE_H_
 #define SCDWARF_DWARF_UPDATE_H_
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,13 +35,6 @@ struct UpdateProfile {
   double merge_ms = 0;        ///< Apply(): merging delta into the base cube
   uint64_t nodes_reused = 0;  ///< Apply(): base subtrees adopted unrebuilt
 };
-
-/// \brief Observer invoked with the rebuilt cube and its profile immediately
-/// before a successful Rebuild() returns. This is the hook the serving layer
-/// (src/server) uses to account for an epoch bump: the cube it sees is
-/// exactly the one the caller will publish next.
-using PostRebuildHook =
-    std::function<void(const DwarfCube& updated, const UpdateProfile& profile)>;
 
 /// \brief Applies batches of new tuples to an existing cube.
 ///
@@ -75,9 +67,6 @@ class CubeUpdater {
   /// invalidating its cache wholesale.
   std::vector<std::vector<std::string>> ChangedKeyPrefixes() const;
 
-  /// Installs \p hook, replacing any previous one. See PostRebuildHook.
-  void set_post_rebuild_hook(PostRebuildHook hook) { hook_ = std::move(hook); }
-
   /// Builds the updated cube by re-running DWARF construction over the base
   /// tuples plus the staged ones — O(history) per publish, but the reference
   /// path every other strategy must match. Consumes the updater. When
@@ -97,7 +86,6 @@ class CubeUpdater {
  private:
   DwarfCube cube_;
   std::vector<std::pair<std::vector<std::string>, Measure>> pending_;
-  PostRebuildHook hook_;
 };
 
 /// \brief Materializes the sub-cube of tuples matching \p predicates (same

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <functional>
-#include <iterator>
 #include <utility>
 
 #include "common/trace.h"
@@ -617,21 +616,13 @@ std::string Router::BuildStatsPayload() const {
 }
 
 std::string Router::MetricsJson() const {
-  std::vector<metrics::MetricSnapshot> all = registry_.Snapshot();
-  std::vector<metrics::MetricSnapshot> global =
-      metrics::GlobalRegistry().Snapshot();
-  all.insert(all.end(), std::make_move_iterator(global.begin()),
-             std::make_move_iterator(global.end()));
-  return "{\"metrics\":" + metrics::SnapshotToJson(all) + "}";
+  return "{\"metrics\":" +
+         metrics::SnapshotToJson(metrics::SnapshotWithGlobal(registry_)) + "}";
 }
 
 std::string Router::MetricsText() const {
-  std::vector<metrics::MetricSnapshot> all = registry_.Snapshot();
-  std::vector<metrics::MetricSnapshot> global =
-      metrics::GlobalRegistry().Snapshot();
-  all.insert(all.end(), std::make_move_iterator(global.begin()),
-             std::make_move_iterator(global.end()));
-  return metrics::SnapshotToPrometheusText(all);
+  return metrics::SnapshotToPrometheusText(
+      metrics::SnapshotWithGlobal(registry_));
 }
 
 }  // namespace scdwarf::replica

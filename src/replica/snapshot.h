@@ -21,16 +21,17 @@
 ///
 /// v3 is a direct image of the flat arena (dwarf_cube.h, DESIGN.md §12):
 /// loading validates the arrays in place (id bounds, level monotonicity,
-/// strict cell sort) and points the cube at the mapping, which stays mapped
-/// for the cube's lifetime via the arena's keepalive handle — replica load
-/// is validate-and-point, not rebuild. v3 is the only version the loader
+/// strict cell sort, keys within their dictionaries) and points the cube at
+/// the mapping, which stays mapped for the cube's lifetime via the arena's
+/// keepalive handle — replica load is validate-and-point, not rebuild. v3 is the only version the loader
 /// reads: any other version is an InvalidArgument naming both versions.
 ///
 /// Nodes are written in arena-id order *including dead merge slots* (ids an
 /// incremental merge left unreachable), so node ids survive the round trip
 /// unchanged and the writer never needs a reachability pass. Dead slots are
-/// still well-formed nodes, so validation accepts them, and compaction
-/// (EpochCubeStore::kCompactionChunkLimit) bounds how many a long-lived
+/// still well-formed nodes, so validation accepts them, and compaction (the
+/// rebuild QueryServer::ApplyUpdate runs once the served cube reaches
+/// QueryServer::kCompactionChunkLimit chunks) bounds how many a long-lived
 /// publisher accumulates.
 ///
 /// Writes go to a temp file in the same directory followed by an atomic

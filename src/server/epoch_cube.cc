@@ -1,55 +1,22 @@
 #include "server/epoch_cube.h"
 
-#include "common/trace.h"
+#include <string>
 
 namespace scdwarf::server {
 
-Result<uint64_t> EpochCubeStore::ApplyUpdate(
-    const std::vector<std::pair<std::vector<std::string>, dwarf::Measure>>&
-        tuples,
-    dwarf::UpdateProfile* profile) {
-  std::lock_guard<std::mutex> update_lock(update_mu_);
-  trace::ScopedSpan publish_span("server.publish");
-  // Update against a private copy; readers keep the published cube. The copy
-  // is O(arena chunks): chunks are shared immutably across epochs.
-  dwarf::CubeUpdater updater(dwarf::DwarfCube(*snapshot().cube));
-  for (const auto& [keys, measure] : tuples) {
-    SCD_RETURN_IF_ERROR(updater.AddTuple(keys, measure));
-  }
-  dwarf::UpdateProfile local_profile;
-  updater.set_post_rebuild_hook(
-      [&local_profile](const dwarf::DwarfCube&,
-                       const dwarf::UpdateProfile& rebuilt) {
-        local_profile = rebuilt;
-      });
-  std::vector<std::vector<std::string>> changed = updater.ChangedKeyPrefixes();
-  bool compact = snapshot().cube->arena_chunks() >= kCompactionChunkLimit;
-  Result<dwarf::DwarfCube> updated =
-      (full_rebuild_ || compact) ? std::move(updater).Rebuild()
-                                 : std::move(updater).Apply();
-  SCD_RETURN_IF_ERROR(updated.status());
-  if (profile != nullptr) *profile = local_profile;
-  auto published =
-      std::make_shared<const dwarf::DwarfCube>(std::move(*updated));
-  uint64_t published_epoch = epoch() + 1;
-  PublishLocked(std::move(published), published_epoch);
-  // Still under update_mu_, so revalidation sweeps arrive in epoch order.
-  if (publish_hook_) publish_hook_(published_epoch, changed);
-  return published_epoch;
-}
-
-Result<uint64_t> EpochCubeStore::PublishCube(dwarf::DwarfCube cube,
-                                             uint64_t epoch) {
-  std::lock_guard<std::mutex> update_lock(update_mu_);
-  trace::ScopedSpan publish_span("server.publish_snapshot");
-  if (epoch <= this->epoch()) {
+Status EpochCubeStore::Publish(dwarf::DwarfCube cube, uint64_t epoch) {
+  auto published = std::make_shared<const dwarf::DwarfCube>(std::move(cube));
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  if (epoch <= epoch_) {
     return Status::FailedPrecondition(
         "snapshot epoch " + std::to_string(epoch) +
-        " is not newer than current epoch " + std::to_string(this->epoch()));
+        " is not newer than current epoch " + std::to_string(epoch_));
   }
-  PublishLocked(std::make_shared<const dwarf::DwarfCube>(std::move(cube)),
-                epoch);
-  return epoch;
+  cube_ = std::move(published);
+  epoch_ = epoch;
+  retained_.push_back({epoch_, cube_});
+  while (retained_.size() > retain_epochs_) retained_.erase(retained_.begin());
+  return Status::OK();
 }
 
 Result<EpochCubeStore::Snapshot> EpochCubeStore::SnapshotAt(
@@ -61,15 +28,6 @@ Result<EpochCubeStore::Snapshot> EpochCubeStore::SnapshotAt(
   return Status::NotFound("epoch " + std::to_string(epoch) +
                           " is no longer retained (current epoch " +
                           std::to_string(epoch_) + ")");
-}
-
-void EpochCubeStore::PublishLocked(
-    std::shared_ptr<const dwarf::DwarfCube> cube, uint64_t epoch) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  cube_ = std::move(cube);
-  epoch_ = epoch;
-  retained_.push_back({epoch_, cube_});
-  while (retained_.size() > retain_epochs_) retained_.erase(retained_.begin());
 }
 
 }  // namespace scdwarf::server

@@ -1,29 +1,26 @@
 /// \file epoch_cube.h
 /// \brief Versioned holder of the served cube: readers take an epoch-stamped
-/// snapshot under a shared lock, writers rebuild off to the side and publish
-/// the new cube under the next epoch.
+/// snapshot under a shared lock, and each new cube is published under the
+/// next epoch.
 ///
 /// Readers never block on an update: a snapshot is a shared_ptr to an
 /// immutable DwarfCube, so in-flight queries keep executing against the
-/// epoch they started on while the publish swaps the pointer. Updates are
-/// serialized among themselves (one CubeUpdater rebuild at a time), which is
-/// what makes the epoch sequence a linear history.
+/// epoch they started on while Publish swaps the pointer. The store does not
+/// order its writers: QueryServer builds every new cube and publishes it
+/// under its own publish mutex, which is what makes the epoch sequence a
+/// linear history.
 
 #ifndef SCDWARF_SERVER_EPOCH_CUBE_H_
 #define SCDWARF_SERVER_EPOCH_CUBE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <shared_mutex>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "dwarf/dwarf_cube.h"
-#include "dwarf/update.h"
 
 namespace scdwarf::server {
 
@@ -69,66 +66,20 @@ class EpochCubeStore {
     retain_epochs_ = retain < 1 ? 1 : retain;
   }
 
-  /// \brief Observer invoked right after each publish with the new epoch and
-  /// the changed dimension-key prefixes of the batch (the deduped decoded key
-  /// paths of the merged tuples, from dwarf::CubeUpdater::ChangedKeyPrefixes).
-  /// The server revalidates its result cache here: entries whose query
-  /// provably misses every changed path carry over to the new epoch.
-  using PublishHook = std::function<void(
-      uint64_t epoch, const std::vector<std::vector<std::string>>& changed)>;
-
-  /// \brief Installs the publish observer. Must be set before updates start
-  /// flowing; not synchronized itself.
-  void set_publish_hook(PublishHook hook) { publish_hook_ = std::move(hook); }
-
-  /// \brief Merges \p tuples into the current cube and publishes the result
-  /// under the next epoch. Returns that epoch. Uses the incremental
-  /// delta-merge path (dwarf::CubeUpdater::Apply) unless full rebuilds were
-  /// forced with set_full_rebuild, or the arena chunk chain has grown past
-  /// kCompactionChunkLimit — then one full rebuild compacts it (the logical
-  /// result is identical either way). Updates are serialized; readers are
-  /// only blocked for the pointer swap. When \p profile is non-null it
-  /// receives the update profile (captured through the updater's
-  /// post-rebuild hook).
-  Result<uint64_t> ApplyUpdate(
-      const std::vector<std::pair<std::vector<std::string>, dwarf::Measure>>&
-          tuples,
-      dwarf::UpdateProfile* profile = nullptr);
-
-  /// \brief Publishes an externally built cube (a loaded snapshot file) under
-  /// \p epoch, which must be greater than the current epoch —
+  /// \brief Swaps in \p cube as the served cube under \p epoch and trims the
+  /// retention window. \p epoch must be greater than the current epoch —
   /// FailedPrecondition otherwise, so redelivered or out-of-order
-  /// load_snapshot notifications are rejected idempotently. Serialized with
-  /// ApplyUpdate; does NOT invoke the publish hook (a snapshot carries no
-  /// changed-prefix list, so the caller decides how to invalidate caches).
-  /// Returns \p epoch.
-  Result<uint64_t> PublishCube(dwarf::DwarfCube cube, uint64_t epoch);
-
-  /// \brief Forces every publish through the full from-scratch rebuild path
-  /// (the pre-incremental behavior). Fallback/debug knob; set before updates
-  /// start flowing, not synchronized itself.
-  void set_full_rebuild(bool full_rebuild) { full_rebuild_ = full_rebuild; }
-
-  /// Incremental publishes append one arena chunk per epoch; past this many
-  /// chunks one publish pays for a full rebuild to reset the chain (and drop
-  /// dead nodes) before chunk-lookup costs creep into reads.
-  static constexpr size_t kCompactionChunkLimit = 64;
+  /// load_snapshot notifications are rejected idempotently. Readers are
+  /// blocked only for the pointer swap.
+  Status Publish(dwarf::DwarfCube cube, uint64_t epoch);
 
  private:
-  /// Swaps in \p cube under \p epoch and trims the retention window.
-  /// Caller must hold update_mu_.
-  void PublishLocked(std::shared_ptr<const dwarf::DwarfCube> cube,
-                     uint64_t epoch);
-
   mutable std::shared_mutex mu_;  ///< guards epoch_, cube_ + retained_
-  std::mutex update_mu_;          ///< serializes writers
   uint64_t epoch_ = 0;
   std::shared_ptr<const dwarf::DwarfCube> cube_;
   /// Recent epochs, ascending, current one last; bounded by retain_epochs_.
   std::vector<Snapshot> retained_;
   size_t retain_epochs_ = 4;
-  PublishHook publish_hook_;
-  bool full_rebuild_ = false;
 };
 
 }  // namespace scdwarf::server

@@ -4,7 +4,6 @@
 
 #include <cstdio>
 #include <future>
-#include <iterator>
 
 #include "common/parallel.h"
 #include "common/trace.h"
@@ -116,25 +115,7 @@ QueryServer::QueryServer(dwarf::DwarfCube cube, ServerOptions options)
   if (num_workers_ > 1) {
     pool_ = std::make_unique<ThreadPool>(num_workers_);
   }
-  store_.set_full_rebuild(options_.full_rebuild);
   store_.set_retain_epochs(options_.retain_epochs);
-  // Delta-epoch revalidation: carry a cached result over to the new epoch
-  // iff its query provably misses every changed key prefix. The cache hands
-  // over each entry's parsed request, so the sweep parses nothing. The hook
-  // runs under the store's update lock, so sweeps — and snapshot spools —
-  // arrive in epoch order.
-  store_.set_publish_hook(
-      [this](uint64_t epoch,
-             const std::vector<std::vector<std::string>>& changed) {
-        cache_.Revalidate(epoch, [this, &changed](const QueryRequest& request) {
-          bool keep = !RequestMayTouchPrefixes(schema_, request, changed);
-          if (keep && RequestHasRangeConstraint(request)) {
-            range_revalidations_->Increment();
-          }
-          return keep;
-        });
-        SpoolSnapshot(epoch);
-      });
   // The spool starts with the initial cube so a replica fleet can bootstrap
   // before the first update arrives.
   SpoolSnapshot(options_.initial_epoch);
@@ -408,13 +389,16 @@ Result<uint64_t> QueryServer::LoadSnapshot(const std::string& path) {
         " dimensions; this server serves " +
         std::to_string(schema_.num_dimensions()));
   }
-  SCD_ASSIGN_OR_RETURN(
-      uint64_t epoch,
-      store_.PublishCube(std::move(loaded->cube), loaded->epoch));
-  // A snapshot publish carries no changed-prefix list, so no cached entry
-  // can be proven unaffected: drop the cache wholesale. Open cursor
-  // sessions keep their pinned snapshots and are untouched.
-  cache_.Revalidate(epoch, nullptr);
+  const uint64_t epoch = loaded->epoch;
+  {
+    std::lock_guard<std::mutex> publish_lock(publish_mu_);
+    trace::ScopedSpan publish_span("server.publish_snapshot");
+    SCD_RETURN_IF_ERROR(store_.Publish(std::move(loaded->cube), epoch));
+    // A snapshot publish carries no changed-prefix list, so no cached entry
+    // can be proven unaffected: drop the cache wholesale. Open cursor
+    // sessions keep their pinned snapshots and are untouched.
+    cache_.Revalidate(epoch, nullptr);
+  }
   snapshots_loaded_->Increment();
   snapshot_load_us_->Record(watch.ElapsedMicros());
   struct stat file_info {};
@@ -461,8 +445,36 @@ size_t QueryServer::open_sessions() const {
 Result<uint64_t> QueryServer::ApplyUpdate(
     const std::vector<std::pair<std::vector<std::string>, dwarf::Measure>>&
         tuples) {
+  std::lock_guard<std::mutex> publish_lock(publish_mu_);
+  trace::ScopedSpan publish_span("server.publish");
+  const EpochCubeStore::Snapshot live = store_.snapshot();
+  // Update against a private copy; readers keep the published cube. The copy
+  // is O(arena chunks): chunks are shared immutably across epochs.
+  dwarf::CubeUpdater updater{dwarf::DwarfCube(*live.cube)};
+  for (const auto& [keys, measure] : tuples) {
+    SCD_RETURN_IF_ERROR(updater.AddTuple(keys, measure));
+  }
+  const std::vector<std::vector<std::string>> changed =
+      updater.ChangedKeyPrefixes();
   dwarf::UpdateProfile profile;
-  SCD_ASSIGN_OR_RETURN(uint64_t epoch, store_.ApplyUpdate(tuples, &profile));
+  Result<dwarf::DwarfCube> updated =
+      live.cube->arena_chunks() >= kCompactionChunkLimit
+          ? std::move(updater).Rebuild(&profile)
+          : std::move(updater).Apply(&profile);
+  SCD_RETURN_IF_ERROR(updated.status());
+  const uint64_t epoch = live.epoch + 1;
+  SCD_RETURN_IF_ERROR(store_.Publish(std::move(*updated), epoch));
+  // Delta-epoch revalidation: carry a cached result over to the new epoch
+  // iff its query provably misses every changed key prefix. The cache hands
+  // over each entry's parsed request, so the sweep parses nothing.
+  cache_.Revalidate(epoch, [this, &changed](const QueryRequest& request) {
+    bool keep = !RequestMayTouchPrefixes(schema_, request, changed);
+    if (keep && RequestHasRangeConstraint(request)) {
+      range_revalidations_->Increment();
+    }
+    return keep;
+  });
+  SpoolSnapshot(epoch);
   updates_applied_->Increment();
   {
     std::lock_guard<std::mutex> lock(last_update_mu_);
@@ -554,21 +566,13 @@ std::string QueryServer::BuildStatsPayload() const {
 }
 
 std::string QueryServer::MetricsJson() const {
-  std::vector<metrics::MetricSnapshot> all = registry_.Snapshot();
-  std::vector<metrics::MetricSnapshot> global =
-      metrics::GlobalRegistry().Snapshot();
-  all.insert(all.end(), std::make_move_iterator(global.begin()),
-             std::make_move_iterator(global.end()));
-  return "{\"metrics\":" + metrics::SnapshotToJson(all) + "}";
+  return "{\"metrics\":" +
+         metrics::SnapshotToJson(metrics::SnapshotWithGlobal(registry_)) + "}";
 }
 
 std::string QueryServer::MetricsText() const {
-  std::vector<metrics::MetricSnapshot> all = registry_.Snapshot();
-  std::vector<metrics::MetricSnapshot> global =
-      metrics::GlobalRegistry().Snapshot();
-  all.insert(all.end(), std::make_move_iterator(global.begin()),
-             std::make_move_iterator(global.end()));
-  return metrics::SnapshotToPrometheusText(all);
+  return metrics::SnapshotToPrometheusText(
+      metrics::SnapshotWithGlobal(registry_));
 }
 
 }  // namespace scdwarf::server

@@ -37,6 +37,7 @@
 #include "common/thread_pool.h"
 #include "dwarf/cursor.h"
 #include "dwarf/dwarf_cube.h"
+#include "dwarf/update.h"
 #include "server/epoch_cube.h"
 #include "server/frame_handler.h"
 #include "server/result_cache.h"
@@ -68,11 +69,6 @@ struct ServerOptions {
   /// Idle time after which an open cursor session is reaped (the sweep runs
   /// on every query_open, and on demand via ReapIdleSessions).
   double session_ttl_seconds = 300.0;
-
-  /// Forces every publish through the full from-scratch rebuild instead of
-  /// the incremental delta-merge (fallback/debug knob; results are equal,
-  /// full rebuilds just cost O(history) per publish).
-  bool full_rebuild = false;
 
   /// Test/fault-injection seam: when set, every admitted request invokes it
   /// on the worker thread before executing (the overload tests park the
@@ -144,9 +140,13 @@ class QueryServer : public FrameHandler {
                           ClientContext* client = nullptr) override;
 
   /// \brief Merges \p tuples into the served cube and publishes the next
-  /// epoch. Before returning, the result cache is swept: entries whose query
-  /// provably misses every changed key prefix carry over to the new epoch,
-  /// the rest are invalidated. Open cursor sessions are unaffected — they
+  /// epoch; the one code path that publishes a batch. Under the publish
+  /// mutex it stages the batch in a dwarf::CubeUpdater, runs the incremental
+  /// Apply() — or, once the live cube has kCompactionChunkLimit arena
+  /// chunks, the compacting Rebuild() — publishes the result, sweeps the
+  /// result cache and spools the snapshot. The sweep carries entries whose
+  /// query provably misses every changed key prefix over to the new epoch
+  /// and invalidates the rest. Open cursor sessions are unaffected — they
   /// keep serving their pinned snapshot.
   Result<uint64_t> ApplyUpdate(
       const std::vector<std::pair<std::vector<std::string>, dwarf::Measure>>&
@@ -182,10 +182,16 @@ class QueryServer : public FrameHandler {
   /// exposition format (the "metrics_text" op / --prometheus-dump output).
   std::string MetricsText() const;
 
+  /// Incremental publishes append one arena chunk per epoch; the publish
+  /// that finds this many chunks rebuilds from scratch instead, resetting
+  /// the chain (and dropping dead nodes) before chunk-lookup costs creep
+  /// into reads.
+  static constexpr size_t kCompactionChunkLimit = 64;
+
   uint64_t epoch() const { return store_.epoch(); }
   int num_workers() const { return num_workers_; }
   size_t open_sessions() const;
-  EpochCubeStore& store() { return store_; }
+  const EpochCubeStore& store() const { return store_; }
   const ResultCache& cache() const { return cache_; }
 
  private:
@@ -268,6 +274,10 @@ class QueryServer : public FrameHandler {
   /// constraint carried across an epoch publish because every changed key
   /// provably missed the range (served again without recomputation).
   metrics::Counter* range_revalidations_;
+  /// Serializes publishes: ApplyUpdate and LoadSnapshot hold it from the
+  /// epoch read to the cache sweep (and the spool), so epochs, sweeps and
+  /// spooled files all arrive in epoch order.
+  std::mutex publish_mu_;
   mutable std::mutex last_update_mu_;
   dwarf::UpdateProfile last_update_;
   mutable std::mutex sessions_mu_;

@@ -3,7 +3,7 @@
 // Builds the 8-dimension bikes cube from the synthetic XML feed and serves
 // it over the length-prefixed JSON wire format (see src/server/wire.h):
 //
-//   scdwarf_server [--metrics-dump=PATH] [--trace-dump=PATH] [--full-rebuild]
+//   scdwarf_server [--metrics-dump=PATH] [--trace-dump=PATH]
 //                  [--snapshot-dir=DIR] [--notify=HOST:PORT,...]
 //                  [--bind=ADDR] [--prometheus-dump=PATH]
 //                  [port] [records] [workers]
@@ -16,8 +16,6 @@
 //                        (the "metrics" op payload) as JSON to PATH
 //   --trace-dump=PATH    enable span tracing (as if SCDWARF_TRACE=1) and on
 //                        exit write a chrome://tracing-compatible JSON file
-//   --full-rebuild       publish updates via full from-scratch rebuilds
-//                        instead of incremental delta merges (fallback knob)
 //   --snapshot-dir=DIR   spool every published epoch as a snapshot file in
 //                        DIR (replica fleet feed; see docs/OPERATIONS.md)
 //   --notify=LIST        comma-separated replica endpoints to send
@@ -61,7 +59,6 @@ int main(int argc, char** argv) {
   std::string snapshot_dir;
   std::string notify_list;
   std::string bind_address = server::TcpServer::kLoopback;
-  bool full_rebuild = false;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -77,8 +74,6 @@ int main(int argc, char** argv) {
       notify_list = arg.substr(9);
     } else if (arg.rfind("--bind=", 0) == 0) {
       bind_address = arg.substr(7);
-    } else if (arg == "--full-rebuild") {
-      full_rebuild = true;
     } else {
       positional.push_back(std::move(arg));
     }
@@ -128,7 +123,6 @@ int main(int argc, char** argv) {
 
   server::ServerOptions options;
   options.num_workers = workers;
-  options.full_rebuild = full_rebuild;
   options.snapshot_dir = snapshot_dir;
   if (notifier != nullptr) {
     options.post_publish = [&notifier](uint64_t epoch,

@@ -320,5 +320,39 @@ TEST_P(DwarfInvariantTest, ArenaIsWellFormed) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DwarfInvariantTest,
                          ::testing::Values(11, 22, 33, 44, 55));
 
+// CubeAssembler::Finish takes levels and keys straight from stored bytes, so
+// it must reject every node shape the flat-arena loader rejects: each case
+// below is one defect in an otherwise well-formed two-level cube whose
+// dictionaries hold one value per dimension.
+TEST(CubeAssemblerTest, RejectsNodesTheLoaderRejects) {
+  CubeSchema schema("asm", {DimensionSpec("a"), DimensionSpec("b")}, "m");
+  auto assemble = [&schema](NodeId root_all_child, DimKey leaf_key,
+                            bool root_is_leaf) {
+    std::vector<Dictionary> dictionaries(2);
+    dictionaries[0].Encode("a0");
+    dictionaries[1].Encode("b0");
+    CubeAssembler assembler(schema, std::move(dictionaries));
+    DwarfNode leaf;
+    leaf.level = 1;
+    leaf.cells.push_back({leaf_key, kNullNode, 5});
+    leaf.all_measure = 5;
+    NodeId leaf_id = assembler.AddNode(std::move(leaf));
+    DwarfNode root;
+    root.level = 0;
+    root.cells.push_back({0, leaf_id, 0});
+    root.all_child = root_all_child == kNullNode ? leaf_id : root_all_child;
+    NodeId root_id = assembler.AddNode(std::move(root));
+    assembler.SetRoot(root_is_leaf ? leaf_id : root_id);
+    return assembler.Finish();
+  };
+  ASSERT_TRUE(assemble(kNullNode, 0, false).ok());
+  // The root's ALL child is the root itself.
+  EXPECT_TRUE(assemble(1, 0, false).status().IsInvalidArgument());
+  // A leaf key of 7 under a one-value dictionary.
+  EXPECT_TRUE(assemble(kNullNode, 7, false).status().IsInvalidArgument());
+  // The root is the level-1 leaf.
+  EXPECT_TRUE(assemble(kNullNode, 0, true).status().IsInvalidArgument());
+}
+
 }  // namespace
 }  // namespace scdwarf::dwarf

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -21,6 +23,7 @@
 #include "client/client.h"
 #include "common/rng.h"
 #include "dwarf/builder.h"
+#include "dwarf/update.h"
 #include "json/json_parser.h"
 #include "json/json_value.h"
 #include "replica/replica.h"
@@ -493,12 +496,14 @@ TEST(SnapshotCodecTest, TruncatedAndCorruptBytesNeverCrash) {
   }
 
   // Single-byte corruption anywhere must never crash; it either fails or
-  // (e.g. a flipped measure byte) still parses as a well-formed snapshot.
+  // (e.g. a flipped measure byte) still parses as a well-formed snapshot,
+  // which a full roll-up then walks end to end.
   for (size_t pos = 0; pos < bytes.size(); pos += 7) {
     std::string flipped = bytes;
     flipped[pos] = static_cast<char>(flipped[pos] ^ 0x5a);
     WriteFileBytes(victim, flipped);
-    (void)LoadCubeSnapshot(victim.string());
+    auto loaded = LoadCubeSnapshot(victim.string());
+    if (loaded.ok()) (void)dwarf::ExtractBaseTuples(loaded->cube);
   }
 
   // Magic and trailer damage is always detected.
@@ -523,6 +528,28 @@ TEST(SnapshotCodecTest, TruncatedAndCorruptBytesNeverCrash) {
   }
 
   EXPECT_FALSE(LoadCubeSnapshot((dir / "missing.cf").string()).ok());
+  fs::remove_all(dir);
+}
+
+// The row cursor decodes cell keys unchecked, so a key past its level's
+// dictionary must fail the load. The file's last cell is the last cell of
+// its node, so raising its key keeps that node's cells sorted.
+TEST(SnapshotCodecTest, KeyPastItsDictionaryIsRejected) {
+  fs::path dir = ScratchDir("keybound");
+  dwarf::DwarfCube cube = BuildCube(8, 30);
+  const fs::path path = dir / SnapshotFileName(1);
+  ASSERT_TRUE(WriteCubeSnapshot(cube, 1, path.string()).ok());
+  ASSERT_TRUE(LoadCubeSnapshot(path.string()).ok());
+  std::string bytes = ReadFileBytes(path);
+  const size_t trailer_bytes = 8;
+  const size_t last_key = bytes.size() - trailer_bytes -
+                          sizeof(dwarf::DwarfCell) +
+                          offsetof(dwarf::DwarfCell, key);
+  const dwarf::DimKey past = 1000000;
+  std::memcpy(&bytes[last_key], &past, sizeof(past));
+  WriteFileBytes(path, bytes);
+  auto loaded = LoadCubeSnapshot(path.string());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
   fs::remove_all(dir);
 }
 

@@ -861,7 +861,7 @@ TEST(QueryServerTest, PublishesAcrossTheCompactionBoundary) {
     const size_t chunks = server.store().snapshot().cube->arena_chunks();
     ASSERT_TRUE(server.ApplyUpdate(batch).ok()) << "publish " << publish;
     const bool incremental = server.Stats().last_update.incremental;
-    EXPECT_EQ(incremental, chunks < EpochCubeStore::kCompactionChunkLimit)
+    EXPECT_EQ(incremental, chunks < QueryServer::kCompactionChunkLimit)
         << "publish " << publish << " started at " << chunks << " chunks";
     if (!incremental) {
       compactions.push_back(publish);
@@ -890,7 +890,7 @@ TEST(QueryServerTest, PublishesAcrossTheCompactionBoundary) {
     }
   }
   EXPECT_EQ(compactions, std::vector<int>{static_cast<int>(
-                             EpochCubeStore::kCompactionChunkLimit)});
+                             QueryServer::kCompactionChunkLimit)});
   EXPECT_EQ(server.Stats().updates_applied,
             static_cast<uint64_t>(kPublishes));
 }

@@ -4,9 +4,10 @@
 #
 #   tools/check_update_latency.sh [path/to/BENCH_server.json]
 #
-# Asserts that the incremental delta-merge publish beats the full-rebuild
-# baseline by at least 10x on the Month-scale dataset. An incremental publish
-# is O(batch x depth) and the rebuild is O(history), so a whole-cube walk
+# Asserts that the incremental delta-merge publish beats a from-scratch
+# CubeUpdater::Rebuild of the same batch by at least 10x on the Month-scale
+# dataset. An incremental publish is O(batch x depth) and the rebuild is
+# O(history), so a whole-cube walk
 # that comes back into the publish path pulls the ratio under the floor.
 # Prints both numbers either way; on a regression it fails loudly with them.
 # SCDWARF_MIN_UPDATE_SPEEDUP overrides the required ratio (default 10).
