@@ -185,7 +185,7 @@ std::unique_ptr<CubeClient> ClientPool::Acquire() {
 void ClientPool::Release(std::unique_ptr<CubeClient> conn) {
   if (conn == nullptr || !conn->connected()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (idle_.size() >= options_.max_idle) return;  // drop: pool is full
+  if (idle_.size() >= kMaxIdle) return;  // drop: pool is full
   idle_.push_back(std::move(conn));
 }
 

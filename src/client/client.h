@@ -63,9 +63,6 @@ struct ClientOptions {
   /// ClientPool::Call attempts = 1 + max_retries, each on a fresh or pooled
   /// connection. Retries fire only on transport errors (see file comment).
   int max_retries = 2;
-  /// Idle connections the pool keeps per endpoint; extras are closed on
-  /// release.
-  size_t max_idle = 8;
 };
 
 /// \brief One connection to one server. Not thread-safe — either own one per
@@ -119,7 +116,7 @@ class ClientPool {
   std::unique_ptr<CubeClient> Acquire();
 
   /// \brief Returns \p conn to the idle list; drops it instead when the pool
-  /// already holds max_idle connections or the connection is closed.
+  /// already holds kMaxIdle connections or the connection is closed.
   void Release(std::unique_ptr<CubeClient> conn);
 
   /// \brief Closes every idle connection (live checked-out connections are
@@ -130,6 +127,9 @@ class ClientPool {
   const Endpoint& endpoint() const { return endpoint_; }
 
  private:
+  /// Idle connections kept per endpoint; extras are closed on release.
+  static constexpr size_t kMaxIdle = 8;
+
   Endpoint endpoint_;
   ClientOptions options_;
   std::mutex mu_;

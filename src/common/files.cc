@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
@@ -17,6 +18,27 @@ namespace {
 
 Status ErrnoError(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
+}
+
+std::string ParentDirectory(const std::string& path) {
+  fs::path entry(path);
+  if (!entry.has_filename()) entry = entry.parent_path();  // "a/b/" is "a/b"
+  const std::string dir = entry.parent_path().string();
+  return dir.empty() ? "." : dir;
+}
+
+/// The sorted names of \p dir's entries for which \p keep holds.
+Result<std::vector<std::string>> ListEntries(
+    const std::string& dir, bool (*keep)(const fs::directory_entry&)) {
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    if (keep(*it)) names.push_back(it->path().filename().string());
+  }
+  if (ec) return Status::IoError("listing " + dir + ": " + ec.message());
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 }  // namespace
@@ -39,8 +61,7 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
     ::unlink(tmp.c_str());
     return status;
   }
-  const std::string dir = fs::path(path).parent_path().string();
-  return SyncDirectory(dir.empty() ? "." : dir);
+  return SyncDirectory(ParentDirectory(path));
 }
 
 bool WriteFull(int fd, const void* data, size_t size) {
@@ -73,6 +94,41 @@ Status SyncDirectory(const std::string& dir) {
   Status status = ::fsync(fd) == 0 ? Status::OK() : ErrnoError("fsync " + dir);
   ::close(fd);
   return status;
+}
+
+Status CreateDirectory(const std::string& dir) {
+  std::error_code ec;
+  const bool created = fs::create_directories(dir, ec);
+  if (ec) return Status::IoError("cannot create " + dir + ": " + ec.message());
+  return created ? SyncDirectory(ParentDirectory(dir)) : Status::OK();
+}
+
+Status RemoveFile(const std::string& path) {
+  if (::unlink(path.c_str()) != 0) {
+    if (errno == ENOENT) return Status::OK();
+    return ErrnoError("remove " + path);
+  }
+  return SyncDirectory(ParentDirectory(path));
+}
+
+Result<std::vector<std::string>> ListSubdirectories(const std::string& dir) {
+  return ListEntries(dir, [](const fs::directory_entry& entry) {
+    std::error_code ec;
+    return entry.is_directory(ec);
+  });
+}
+
+Result<std::vector<std::string>> ListFiles(const std::string& dir,
+                                           std::string_view suffix) {
+  SCD_ASSIGN_OR_RETURN(std::vector<std::string> names,
+                       ListEntries(dir, [](const fs::directory_entry& entry) {
+                         std::error_code ec;
+                         return entry.is_regular_file(ec);
+                       }));
+  std::erase_if(names, [suffix](const std::string& name) {
+    return !name.ends_with(suffix);
+  });
+  return names;
 }
 
 std::string SanitizeName(const std::string& name) {

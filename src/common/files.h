@@ -1,6 +1,6 @@
 /// \file files.h
-/// \brief Whole-file I/O for the storage engines, the snapshot spool and the
-/// binaries' dump flags.
+/// \brief Whole-file I/O and the directory operations for the storage
+/// engines' table catalog, the snapshot spool and the binaries' dump flags.
 
 #ifndef SCDWARF_COMMON_FILES_H_
 #define SCDWARF_COMMON_FILES_H_
@@ -30,6 +30,22 @@ Result<std::vector<uint8_t>> ReadFile(const std::string& path);
 
 /// \brief Fsyncs directory \p dir, making its entries' changes durable.
 Status SyncDirectory(const std::string& dir);
+
+/// \brief Creates directory \p dir and any missing parents. When \p dir is
+/// new, its parent is fsynced, so the new entry is durable on return.
+Status CreateDirectory(const std::string& dir);
+
+/// \brief Removes file \p path, if it exists, and fsyncs its directory, so
+/// the removal is durable on return.
+Status RemoveFile(const std::string& path);
+
+/// \brief The names of \p dir's subdirectories, sorted.
+Result<std::vector<std::string>> ListSubdirectories(const std::string& dir);
+
+/// \brief The names of \p dir's regular files that end in \p suffix,
+/// sorted.
+Result<std::vector<std::string>> ListFiles(const std::string& dir,
+                                           std::string_view suffix);
 
 /// \brief \p name as a file name: each character outside [A-Za-z0-9_-]
 /// becomes '_'.

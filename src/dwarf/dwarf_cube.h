@@ -304,6 +304,7 @@ class DwarfCube {
   friend class DwarfBuilder;
   friend class CubeAssembler;
   friend class CubeMerger;
+  friend class CubeUpdater;
 
   /// One immutable run of the arena: ids [begin, begin + arena->num_nodes()).
   struct NodeChunk {

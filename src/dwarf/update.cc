@@ -91,6 +91,10 @@ Result<DwarfCube> CubeUpdater::Rebuild(UpdateProfile* profile) && {
   local.new_tuples = pending_.size();
   local.changed_prefixes = ChangedKeyPrefixes().size();
   SCD_ASSIGN_OR_RETURN(DwarfCube updated, std::move(builder).Build());
+  // The builder counts one source tuple per re-fed distinct path; the cube's
+  // history counts every tuple it was fed, as Apply carries it.
+  updated.stats_.source_tuple_count =
+      cube_.source_tuple_count() + pending_.size();
   local.rebuild_ms = watch.ElapsedMillis();
   if (profile != nullptr) *profile = local;
   return updated;

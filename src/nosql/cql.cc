@@ -1,108 +1,15 @@
 #include "nosql/cql.h"
 
-#include <cctype>
-
-#include "common/strings.h"
-
 namespace scdwarf::nosql {
 
 namespace {
 
-// ------------------------------------------------------------------ lexer
-
-enum class TokenType {
-  kIdentifier,  // bare word or keyword
-  kNumber,
-  kString,    // 'quoted'
-  kSymbol,    // ( ) , . = ; { } < >
-  kEnd,
-};
-
-struct Token {
-  TokenType type;
-  std::string text;  // identifiers lower-cased; strings unescaped
-  std::string raw;   // original spelling (identifiers keep their case)
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view input) : input_(input) {}
-
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> tokens;
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= input_.size()) break;
-      char c = input_[pos_];
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        size_t begin = pos_;
-        while (pos_ < input_.size() &&
-               (std::isalnum(static_cast<unsigned char>(input_[pos_])) ||
-                input_[pos_] == '_')) {
-          ++pos_;
-        }
-        std::string raw(input_.substr(begin, pos_ - begin));
-        tokens.push_back({TokenType::kIdentifier, AsciiToLower(raw), raw});
-      } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-                 (c == '-' && pos_ + 1 < input_.size() &&
-                  std::isdigit(static_cast<unsigned char>(input_[pos_ + 1])))) {
-        size_t begin = pos_;
-        ++pos_;
-        while (pos_ < input_.size() &&
-               std::isdigit(static_cast<unsigned char>(input_[pos_]))) {
-          ++pos_;
-        }
-        std::string raw(input_.substr(begin, pos_ - begin));
-        tokens.push_back({TokenType::kNumber, raw, raw});
-      } else if (c == '\'') {
-        ++pos_;
-        std::string text;
-        while (true) {
-          if (pos_ >= input_.size()) {
-            return Status::ParseError("unterminated string literal");
-          }
-          if (input_[pos_] == '\'') {
-            if (pos_ + 1 < input_.size() && input_[pos_ + 1] == '\'') {
-              text.push_back('\'');
-              pos_ += 2;
-              continue;
-            }
-            ++pos_;
-            break;
-          }
-          text.push_back(input_[pos_++]);
-        }
-        tokens.push_back({TokenType::kString, text, text});
-      } else if (std::string("(),.=;{}<>*").find(c) != std::string::npos) {
-        tokens.push_back({TokenType::kSymbol, std::string(1, c),
-                          std::string(1, c)});
-        ++pos_;
-      } else {
-        return Status::ParseError(std::string("unexpected character '") + c +
-                                  "' in CQL input");
-      }
-    }
-    tokens.push_back({TokenType::kEnd, "", ""});
-    return tokens;
-  }
-
- private:
-  void SkipWhitespace() {
-    while (pos_ < input_.size() &&
-           std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  std::string_view input_;
-  size_t pos_ = 0;
-};
-
 // ----------------------------------------------------------------- parser
 
-class Parser {
+class Parser : public TokenParser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::vector<Token> tokens)
+      : TokenParser(std::move(tokens), "keyspace", "ks") {}
 
   Result<Statement> ParseStatement() {
     SCD_ASSIGN_OR_RETURN(Statement stmt, ParseStatementInner());
@@ -270,96 +177,6 @@ class Parser {
     }
     return Statement(stmt);
   }
-
-  Result<Value> ParseLiteral() {
-    const Token& token = Peek();
-    if (token.type == TokenType::kNumber) {
-      ++pos_;
-      SCD_ASSIGN_OR_RETURN(int64_t value, ParseInt64(token.text));
-      return Value::Int(value);
-    }
-    if (token.type == TokenType::kString) {
-      ++pos_;
-      return Value::Text(token.text);
-    }
-    if (token.type == TokenType::kIdentifier) {
-      if (token.text == "true") {
-        ++pos_;
-        return Value::Bool(true);
-      }
-      if (token.text == "false") {
-        ++pos_;
-        return Value::Bool(false);
-      }
-      if (token.text == "null") {
-        ++pos_;
-        return Value::Null();
-      }
-      return Error("expected a literal, got '" + token.raw + "'");
-    }
-    if (token.type == TokenType::kSymbol && token.text == "{") {
-      ++pos_;
-      std::vector<int64_t> members;
-      if (!ConsumeSymbol("}")) {
-        while (true) {
-          const Token& member = Peek();
-          if (member.type != TokenType::kNumber) {
-            return Error("set literals may contain only integers");
-          }
-          ++pos_;
-          SCD_ASSIGN_OR_RETURN(int64_t value, ParseInt64(member.text));
-          members.push_back(value);
-          if (ConsumeSymbol(",")) continue;
-          if (ConsumeSymbol("}")) break;
-          return Error("expected ',' or '}' in set literal");
-        }
-      }
-      return Value::IntSet(std::move(members));
-    }
-    return Error("expected a literal");
-  }
-
-  Status ParseQualifiedName(std::string* keyspace, std::string* table) {
-    SCD_ASSIGN_OR_RETURN(std::string first, ExpectIdentifier("keyspace name"));
-    if (!ConsumeSymbol(".")) {
-      return Error("table names must be keyspace-qualified (ks.table)");
-    }
-    SCD_ASSIGN_OR_RETURN(std::string second, ExpectIdentifier("table name"));
-    *keyspace = std::move(first);
-    *table = std::move(second);
-    return Status::OK();
-  }
-
-  // --- token helpers ---
-  const Token& Peek() const { return tokens_[pos_]; }
-  bool AtEnd() const { return Peek().type == TokenType::kEnd; }
-
-  bool PeekKeyword(std::string_view keyword) const {
-    return Peek().type == TokenType::kIdentifier && Peek().text == keyword;
-  }
-  bool ConsumeKeyword(std::string_view keyword) {
-    if (!PeekKeyword(keyword)) return false;
-    ++pos_;
-    return true;
-  }
-  bool ConsumeSymbol(std::string_view symbol) {
-    if (Peek().type != TokenType::kSymbol || Peek().text != symbol) return false;
-    ++pos_;
-    return true;
-  }
-  Result<std::string> ExpectIdentifier(const std::string& what) {
-    if (Peek().type != TokenType::kIdentifier) {
-      return Error("expected " + what);
-    }
-    return tokens_[pos_++].text;
-  }
-  Status Error(const std::string& message) const {
-    std::string near = AtEnd() ? "<end>" : Peek().raw;
-    return Status::ParseError(message + " (near '" + near + "')");
-  }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
 };
 
 // --------------------------------------------------------------- executor
@@ -454,8 +271,8 @@ Result<QueryResult> ExecuteSelect(Database* db, const SelectStmt& stmt) {
 }  // namespace
 
 Result<Statement> ParseCql(std::string_view input) {
-  Lexer lexer(input);
-  SCD_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
+  SCD_ASSIGN_OR_RETURN(std::vector<Token> tokens,
+                       Tokenize(input, "(),.=;{}<>*", "CQL"));
   Parser parser(std::move(tokens));
   return parser.ParseStatement();
 }
@@ -507,25 +324,6 @@ Result<QueryResult> ExecuteStatement(Database* db, const Statement& statement) {
 Result<QueryResult> ExecuteCql(Database* db, std::string_view input) {
   SCD_ASSIGN_OR_RETURN(Statement statement, ParseCql(input));
   return ExecuteStatement(db, statement);
-}
-
-std::string QueryResult::ToString() const {
-  std::string out;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    if (i > 0) out += " | ";
-    out += columns[i];
-  }
-  out += "\n";
-  out += std::string(out.size() > 1 ? out.size() - 1 : 0, '-');
-  out += "\n";
-  for (const Row& row : rows) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += " | ";
-      out += row[i].ToDisplayString();
-    }
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace scdwarf::nosql

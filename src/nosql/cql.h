@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/statement.h"
 #include "nosql/database.h"
 
 namespace scdwarf::nosql {
@@ -83,13 +84,7 @@ using Statement =
 Result<Statement> ParseCql(std::string_view input);
 
 /// \brief Result set of an executed statement. DDL/DML return empty results.
-struct QueryResult {
-  std::vector<std::string> columns;
-  std::vector<Row> rows;
-
-  /// Renders an ASCII table (for examples and debugging).
-  std::string ToString() const;
-};
+using QueryResult = StatementResult;
 
 /// \brief Parses and executes \p input against \p db.
 Result<QueryResult> ExecuteCql(Database* db, std::string_view input);

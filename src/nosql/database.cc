@@ -3,20 +3,15 @@
 #include <algorithm>
 #include <condition_variable>
 #include <deque>
-#include <filesystem>
-#include <functional>
 #include <set>
 #include <thread>
 #include <utility>
 
-#include "common/files.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
 
 namespace scdwarf::nosql {
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -176,15 +171,13 @@ class Database::Flusher {
   std::vector<std::thread> workers_;  // started last, once the state exists
 };
 
-Database::Database() : sync_(std::make_unique<Sync>()) {}
+Database::Database() = default;
 
 Database::~Database() = default;  // ~Flusher drains + joins first
 
 Database::Database(Database&& other) noexcept {
   other.flusher_.reset();  // drain + join: the worker holds &other
-  data_dir_ = std::move(other.data_dir_);
-  keyspaces_ = std::move(other.keyspaces_);
-  sync_ = std::move(other.sync_);
+  catalog_ = std::move(other.catalog_);
   log_ = std::move(other.log_);
 }
 
@@ -192,47 +185,19 @@ Database& Database::operator=(Database&& other) noexcept {
   if (this != &other) {
     flusher_.reset();
     other.flusher_.reset();
-    data_dir_ = std::move(other.data_dir_);
-    keyspaces_ = std::move(other.keyspaces_);
-    sync_ = std::move(other.sync_);
+    catalog_ = std::move(other.catalog_);
     log_ = std::move(other.log_);
   }
   return *this;
 }
 
 Result<Database> Database::Open(const std::string& data_dir) {
-  if (data_dir.empty()) {
-    return Status::InvalidArgument("data_dir must not be empty; "
-                                   "use the default constructor for memory mode");
-  }
   Database db;
-  db.data_dir_ = data_dir;
+  // Loads <dir>/<keyspace>/<table>.cf.
+  SCD_RETURN_IF_ERROR(db.catalog_.Open(data_dir));
   // The commit log is not fsynced per append (Cassandra's periodic sync).
   db.log_ = std::make_unique<RecordLog>(data_dir, "commitlog",
                                         /*fsync_each_append=*/false);
-  std::error_code ec;
-  fs::create_directories(data_dir, ec);
-  if (ec) return Status::IoError("cannot create " + data_dir + ": " + ec.message());
-
-  // Load existing segments: <dir>/<keyspace>/<table>.cf
-  for (const auto& ks_entry : fs::directory_iterator(data_dir)) {
-    if (!ks_entry.is_directory()) continue;
-    std::string keyspace = ks_entry.path().filename().string();
-    db.keyspaces_[keyspace];  // ensure keyspace exists even if empty
-    for (const auto& cf_entry : fs::directory_iterator(ks_entry.path())) {
-      if (cf_entry.path().extension() != ".cf") continue;
-      SCD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
-                           ReadFile(cf_entry.path().string()));
-      ByteReader reader(bytes);
-      auto table = Table::Deserialize(&reader);
-      if (!table.ok()) {
-        return table.status().WithContext("loading " +
-                                          cf_entry.path().string());
-      }
-      std::string name = (*table)->schema().name();
-      db.keyspaces_[keyspace][name] = std::move(*table);
-    }
-  }
   // The sidecar (a flush that never finished) holds older records than the
   // live log and replays first. Inserts are upserts, so records whose rows
   // also reached a segment re-apply idempotently.
@@ -241,79 +206,16 @@ Result<Database> Database::Open(const std::string& data_dir) {
   return db;
 }
 
-bool Database::HasKeyspace(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-  return keyspaces_.count(name) > 0;
-}
-
-Status Database::CreateKeyspace(const std::string& name) {
-  if (name.empty()) return Status::InvalidArgument("empty keyspace name");
-  std::unique_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-  if (keyspaces_.count(name) > 0) {
-    return Status::AlreadyExists("keyspace '" + name + "' already exists");
-  }
-  keyspaces_[name];
-  return Status::OK();
-}
-
 Status Database::CreateTable(const TableSchema& schema) {
   SCD_RETURN_IF_ERROR(schema.Validate());
-  std::unique_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-  auto ks = keyspaces_.find(schema.keyspace());
-  if (ks == keyspaces_.end()) {
-    return Status::NotFound("keyspace '" + schema.keyspace() + "' does not exist");
-  }
-  if (ks->second.count(schema.name()) > 0) {
-    return Status::AlreadyExists("table " + schema.QualifiedName() +
-                                 " already exists");
-  }
-  ks->second[schema.name()] = std::make_shared<Table>(schema);
-  return Status::OK();
-}
-
-Status Database::DropTable(const std::string& keyspace,
-                           const std::string& table) {
-  std::unique_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-  auto ks = keyspaces_.find(keyspace);
-  if (ks == keyspaces_.end() || ks->second.erase(table) == 0) {
-    return Status::NotFound("table " + keyspace + "." + table +
-                            " does not exist");
-  }
-  if (!data_dir_.empty()) {
-    std::error_code ec;
-    fs::remove(SegmentPath(keyspace, table), ec);
-  }
-  return Status::OK();
-}
-
-Status Database::CreateIndex(const std::string& keyspace,
-                             const std::string& table,
-                             const std::string& column) {
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
-  std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
-  return t->CreateIndex(column);
-}
-
-Result<std::shared_ptr<Table>> Database::GetTable(const std::string& keyspace,
-                                                  const std::string& table) {
-  std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-  auto ks = keyspaces_.find(keyspace);
-  if (ks == keyspaces_.end()) {
-    return Status::NotFound("keyspace '" + keyspace + "' does not exist");
-  }
-  auto it = ks->second.find(table);
-  if (it == ks->second.end()) {
-    return Status::NotFound("table " + keyspace + "." + table +
-                            " does not exist");
-  }
-  return it->second;
+  return catalog_.CreateTable(schema.keyspace(), schema.name(),
+                              std::make_shared<Table>(schema));
 }
 
 Result<std::shared_ptr<const Table>> Database::GetTable(
     const std::string& keyspace, const std::string& table) const {
-  auto* self = const_cast<Database*>(this);
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t,
-                       self->GetTable(keyspace, table));
+                       catalog_.GetTable(keyspace, table));
   return std::shared_ptr<const Table>(std::move(t));
 }
 
@@ -333,7 +235,7 @@ Status Database::BulkInsert(const std::string& keyspace,
   // log record for replay to trip over and applies no row. The pass reads
   // only the columns, which no writer changes, so it runs outside the lock,
   // and concurrent writers to different tables run theirs in parallel.
-  const bool durable = !data_dir_.empty();
+  const bool durable = catalog_.durable();
   ByteWriter record;
   {
     trace::ScopedSpan encode_span("nosql.log_encode");
@@ -350,7 +252,7 @@ Status Database::BulkInsert(const std::string& keyspace,
   // apply, so no mutation straddles Flush()'s log rotation (which holds
   // every shard lock): a logged row is applied before the rotation cut or
   // logged entirely after it.
-  std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
+  std::lock_guard<std::mutex> lock(catalog_.TableLock(keyspace, table));
   if (durable) {
     trace::ScopedSpan log_span("nosql.log_append");
     SCD_RETURN_IF_ERROR(log_->Append(record.data()));
@@ -364,7 +266,7 @@ Status Database::BulkInsert(const std::string& keyspace,
 Status Database::Reserve(const std::string& keyspace, const std::string& table,
                          size_t rows) {
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
-  std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
+  std::lock_guard<std::mutex> lock(catalog_.TableLock(keyspace, table));
   t->ReserveAdditional(rows);
   return Status::OK();
 }
@@ -379,14 +281,14 @@ Status Database::BulkDelete(const std::string& keyspace,
                             const std::vector<Value>& keys) {
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
   ByteWriter record;
-  if (!data_dir_.empty()) {
+  if (catalog_.durable()) {
     // Deletes are logged as single-value rows with the delete flag set.
     PutMutationHeader(&record, keyspace, table, keys.size(),
                       /*is_delete=*/true);
     for (const Value& key : keys) PutMutationRow(&record, {&key, 1});
   }
-  std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
-  if (!data_dir_.empty()) {
+  std::lock_guard<std::mutex> lock(catalog_.TableLock(keyspace, table));
+  if (catalog_.durable()) {
     trace::ScopedSpan log_span("nosql.log_append");
     SCD_RETURN_IF_ERROR(log_->Append(record.data()));
   }
@@ -397,7 +299,7 @@ Status Database::BulkDelete(const std::string& keyspace,
 }
 
 Status Database::Flush() {
-  if (data_dir_.empty()) return Status::OK();
+  if (!catalog_.durable()) return Status::OK();
   trace::ScopedSpan span("nosql.flush");
   Stopwatch flush_watch;
   FlushesCounter()->Increment();
@@ -407,10 +309,7 @@ Status Database::Flush() {
   // entirely in the fresh live log.
   {
     Stopwatch rotate_watch;
-    std::array<std::unique_lock<std::mutex>, kTableLockShards> shard_locks;
-    for (size_t i = 0; i < kTableLockShards; ++i) {
-      shard_locks[i] = std::unique_lock<std::mutex>(sync_->table_shards[i]);
-    }
+    auto shard_locks = catalog_.LockAllShards();
     SCD_ASSIGN_OR_RETURN(bool rotated, log_->Rotate());
     if (rotated) LogRotationsCounter()->Increment();
     LogRotateHistogram()->Record(rotate_watch.ElapsedMicros());
@@ -418,28 +317,19 @@ Status Database::Flush() {
   // Jobs are collected after the rotation so every table with sidecar
   // records still in the catalog gets a flush job.
   std::vector<std::pair<std::string, std::string>> jobs;
-  {
-    std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-    for (const auto& [keyspace, tables] : keyspaces_) {
-      // Keyspace directories are created even when empty so a reopen
-      // rediscovers the keyspace.
-      std::error_code ec;
-      fs::create_directories(fs::path(data_dir_) / SanitizeName(keyspace), ec);
-      if (ec) {
-        return Status::IoError("cannot create keyspace dir: " + ec.message());
-      }
-      for (const auto& [name, table] : tables) jobs.emplace_back(keyspace, name);
-    }
-  }
+  SCD_RETURN_IF_ERROR(catalog_.ForEachTable(
+      [&jobs](const std::string& keyspace, const std::string& name, Table&) {
+        jobs.emplace_back(keyspace, name);
+        return Status::OK();
+      }));
   for (const auto& [keyspace, name] : jobs) {
     SCD_RETURN_IF_ERROR(FlushTableAsync(keyspace, name));
   }
   SCD_RETURN_IF_ERROR(WaitFlushed());
-  // Every sidecar record is now covered by a fsynced segment (records for
-  // tables dropped meanwhile are skipped at replay anyway), so the sidecar
-  // can go once the keyspace directories' entries are durable too. On any
+  // Every sidecar record is now covered by a fsynced segment in a keyspace
+  // directory made durable at its creation (records for tables dropped
+  // meanwhile are skipped at replay anyway), so the sidecar can go. On any
   // earlier error it survives and is replayed at the next reopen.
-  SCD_RETURN_IF_ERROR(SyncDirectory(data_dir_));
   log_->RemoveRotated();
   FlushHistogram()->Record(flush_watch.ElapsedMicros());
   return Status::OK();
@@ -447,11 +337,11 @@ Status Database::Flush() {
 
 Status Database::FlushTableAsync(const std::string& keyspace,
                                  const std::string& table) {
-  if (data_dir_.empty()) return Status::OK();
+  if (!catalog_.durable()) return Status::OK();
   AsyncFlushesCounter()->Increment();
   Flusher* flusher = nullptr;
   {
-    std::lock_guard<std::mutex> lock(sync_->flusher_mu);
+    std::lock_guard<std::mutex> lock(*flusher_mu_);
     if (flusher_ == nullptr) flusher_ = std::make_unique<Flusher>(this);
     flusher = flusher_.get();
   }
@@ -461,7 +351,7 @@ Status Database::FlushTableAsync(const std::string& keyspace,
 Status Database::WaitFlushed() {
   Flusher* flusher = nullptr;
   {
-    std::lock_guard<std::mutex> lock(sync_->flusher_mu);
+    std::lock_guard<std::mutex> lock(*flusher_mu_);
     flusher = flusher_.get();
   }
   if (flusher == nullptr) return Status::OK();
@@ -472,87 +362,37 @@ Status Database::FlushTableNow(const std::string& keyspace,
                                const std::string& table) {
   trace::ScopedSpan span("nosql.segment_flush");
   Stopwatch watch;
-  std::shared_ptr<Table> t;
-  {
-    std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-    auto ks = keyspaces_.find(keyspace);
-    if (ks == keyspaces_.end()) return Status::OK();  // dropped since enqueue
-    auto it = ks->second.find(table);
-    if (it == ks->second.end()) return Status::OK();
-    t = it->second;
-  }
-  ByteWriter writer;
-  uint64_t version = 0;
-  {
-    std::lock_guard<std::mutex> lock(TableLock(keyspace, table));
-    version = t->mutation_version();
-    if (version == t->flushed_version()) return Status::OK();  // clean
-    trace::ScopedSpan serialize_span("nosql.serialize");
-    t->SerializeTo(&writer);
-  }
-  // The segment is written under the catalog shared lock: a concurrent
-  // DropTable (exclusive) either already removed the entry — the
-  // re-validation skips the write — or blocks until the segment is out and
-  // then removes the file, so a drop is never resurrected by a stale flush.
-  std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-  auto ks = keyspaces_.find(keyspace);
-  if (ks == keyspaces_.end()) return Status::OK();
-  auto it = ks->second.find(table);
-  if (it == ks->second.end() || it->second != t) return Status::OK();
-  std::error_code ec;
-  fs::create_directories(fs::path(data_dir_) / SanitizeName(keyspace), ec);
-  if (ec) {
-    return Status::IoError("cannot create keyspace dir: " + ec.message());
-  }
-  SCD_RETURN_IF_ERROR(
-      WriteFileAtomic(SegmentPath(keyspace, table), writer.view()));
-  t->MarkFlushed(version);
-  SegmentFlushesCounter()->Increment();
-  SegmentFlushHistogram()->Record(watch.ElapsedMicros());
-  return Status::OK();
-}
-
-std::mutex& Database::TableLock(const std::string& keyspace,
-                                const std::string& table) const {
-  size_t h = std::hash<std::string>()(keyspace) * 1000003u ^
-             std::hash<std::string>()(table);
-  return sync_->table_shards[h % kTableLockShards];
-}
-
-Result<uint64_t> Database::DiskSizeBytes() const {
-  if (data_dir_.empty()) return uint64_t{0};
-  return DirectoryBytes(data_dir_);
+  // A table dropped since enqueue is skipped. The catalog lock stays shared
+  // through the write: a concurrent DropTable either removed the entry
+  // before the look-up or waits until the segment is out and then removes
+  // the file, so a drop is never resurrected by a stale flush.
+  return catalog_.WithTable(keyspace, table, [&](Table& t) -> Status {
+    ByteWriter writer;
+    uint64_t version = 0;
+    {
+      std::lock_guard<std::mutex> lock(catalog_.TableLock(keyspace, table));
+      version = t.mutation_version();
+      if (version == t.flushed_version()) return Status::OK();  // clean
+      trace::ScopedSpan serialize_span("nosql.serialize");
+      t.SerializeTo(&writer);
+    }
+    SCD_RETURN_IF_ERROR(
+        catalog_.WriteTableFile(keyspace, table, writer.view()));
+    t.MarkFlushed(version);
+    SegmentFlushesCounter()->Increment();
+    SegmentFlushHistogram()->Record(watch.ElapsedMicros());
+    return Status::OK();
+  });
 }
 
 uint64_t Database::EstimateBytes() const {
   uint64_t total = 0;
-  std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-  for (const auto& [keyspace, tables] : keyspaces_) {
-    for (const auto& [name, table] : tables) {
-      total += table->EstimateSegmentBytes();
-    }
-  }
+  catalog_.ForEachTable(
+      [&total](const std::string&, const std::string&, Table& table) {
+        total += table.EstimateSegmentBytes();
+        return Status::OK();
+      });
   return total;
-}
-
-Result<std::vector<std::string>> Database::ListTables(
-    const std::string& keyspace) const {
-  std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-  auto ks = keyspaces_.find(keyspace);
-  if (ks == keyspaces_.end()) {
-    return Status::NotFound("keyspace '" + keyspace + "' does not exist");
-  }
-  std::vector<std::string> names;
-  names.reserve(ks->second.size());
-  for (const auto& [name, table] : ks->second) names.push_back(name);
-  return names;
-}
-
-std::string Database::SegmentPath(const std::string& keyspace,
-                                  const std::string& table) const {
-  return (fs::path(data_dir_) / SanitizeName(keyspace) /
-          (SanitizeName(table) + ".cf"))
-      .string();
 }
 
 Status Database::ReplayCommitLogRecord(ByteReader* record) {

@@ -7,15 +7,13 @@
 #ifndef SCDWARF_NOSQL_DATABASE_H_
 #define SCDWARF_NOSQL_DATABASE_H_
 
-#include <array>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 
 #include "common/record_log.h"
 #include "common/result.h"
+#include "common/table_catalog.h"
 #include "nosql/table.h"
 
 namespace scdwarf::nosql {
@@ -25,11 +23,16 @@ namespace scdwarf::nosql {
 /// With a data directory, every mutation batch is appended to a commit log
 /// before being applied, Flush() writes one segment file per column family,
 /// and Open() reloads segments then replays any unflushed log tail. Without a
-/// directory the store is purely in-memory (used by unit tests).
+/// directory the store is purely in-memory (used by unit tests). Keyspaces,
+/// column families, their locks and files are a TableCatalog
+/// (common/table_catalog.h), shared with sql::SqlEngine: a catalog change —
+/// CreateKeyspace, CreateTable, CreateIndex, DropTable — is on disk when it
+/// returns, and a keyspace or table name must be its own file name
+/// ([A-Za-z0-9_-]).
 ///
 /// Concurrency: mutations from different threads are safe and serialize
-/// behind a fixed pool of per-table shard locks (catalog changes — create /
-/// drop — take the catalog lock exclusively). Tables are shared_ptr-owned:
+/// behind the catalog's fixed pool of per-table shard locks (catalog
+/// changes take the catalog lock exclusively). Tables are shared_ptr-owned:
 /// GetTable() hands out shared ownership, so a concurrent DropTable only
 /// removes the catalog entry and the table object stays alive until the
 /// last user releases it — no use-after-free, mutations against a dropped
@@ -67,20 +70,30 @@ class Database {
   Database(Database&&) noexcept;
   Database& operator=(Database&&) noexcept;
 
-  Status CreateKeyspace(const std::string& name);
-  bool HasKeyspace(const std::string& name) const;
+  Status CreateKeyspace(const std::string& name) {
+    return catalog_.CreateScope(name);
+  }
+  bool HasKeyspace(const std::string& name) const {
+    return catalog_.HasScope(name);
+  }
 
   /// Creates a column family. The keyspace must exist.
   Status CreateTable(const TableSchema& schema);
-  Status DropTable(const std::string& keyspace, const std::string& table);
+  Status DropTable(const std::string& keyspace, const std::string& table) {
+    return catalog_.DropTable(keyspace, table);
+  }
   Status CreateIndex(const std::string& keyspace, const std::string& table,
-                     const std::string& column);
+                     const std::string& column) {
+    return catalog_.CreateIndex(keyspace, table, column);
+  }
 
   /// Looks up a table. The returned shared_ptr keeps the table alive even
   /// if it is concurrently dropped; mutations applied after the drop go to
   /// the orphaned object and are discarded with it.
   Result<std::shared_ptr<Table>> GetTable(const std::string& keyspace,
-                                          const std::string& table);
+                                          const std::string& table) {
+    return catalog_.GetTable(keyspace, table);
+  }
   Result<std::shared_ptr<const Table>> GetTable(const std::string& keyspace,
                                                 const std::string& table) const;
 
@@ -133,48 +146,35 @@ class Database {
   Status WaitFlushed();
 
   /// Bytes on disk: segment files plus commit-log tail. Zero in memory mode.
-  Result<uint64_t> DiskSizeBytes() const;
+  Result<uint64_t> DiskSizeBytes() const { return catalog_.DiskBytes(); }
 
   /// Sum of serialized segment sizes (works in memory mode too).
   uint64_t EstimateBytes() const;
 
   /// Names of tables in \p keyspace.
-  Result<std::vector<std::string>> ListTables(const std::string& keyspace) const;
+  Result<std::vector<std::string>> ListTables(
+      const std::string& keyspace) const {
+    return catalog_.ListTables(keyspace);
+  }
 
-  const std::string& data_dir() const { return data_dir_; }
+  const std::string& data_dir() const { return catalog_.data_dir(); }
 
  private:
   class Flusher;
 
-  static constexpr size_t kTableLockShards = 16;
-
-  /// Lock state lives behind one heap allocation so the Database itself
-  /// stays movable (mutexes are neither movable nor copyable).
-  struct Sync {
-    std::shared_mutex catalog_mu;  ///< keyspaces_ map shape
-    std::array<std::mutex, kTableLockShards> table_shards;  ///< row contents
-    std::mutex flusher_mu;  ///< lazy flusher creation
-  };
-
   /// Applies one framed commit-log record; \p record spans exactly it.
   Status ReplayCommitLogRecord(ByteReader* record);
-  std::string SegmentPath(const std::string& keyspace,
-                          const std::string& table) const;
-
-  /// The shard lock guarding (keyspace, table)'s row contents.
-  std::mutex& TableLock(const std::string& keyspace,
-                        const std::string& table) const;
 
   /// Serializes one column family to its segment file (runs on a flusher
   /// thread). Tables dropped since enqueue, or clean since their last
-  /// flush, are skipped; the segment hits disk under the catalog shared
-  /// lock so a racing DropTable cannot have its file removal overwritten.
+  /// flush, are skipped; the look-up, serialization and write share one
+  /// catalog shared-lock hold, so a racing DropTable cannot have its file
+  /// removal overwritten, nor a CreateIndex its file.
   Status FlushTableNow(const std::string& keyspace, const std::string& table);
 
-  std::string data_dir_;  // empty => in-memory
-  std::map<std::string, std::map<std::string, std::shared_ptr<Table>>>
-      keyspaces_;
-  std::unique_ptr<Sync> sync_;
+  TableCatalog<Table> catalog_{"keyspace", ".cf"};
+  /// Guards lazy flusher creation; on the heap so the Database stays movable.
+  std::unique_ptr<std::mutex> flusher_mu_ = std::make_unique<std::mutex>();
   std::unique_ptr<RecordLog> log_;    // commitlog.bin; null in memory mode
   std::unique_ptr<Flusher> flusher_;  // created lazily by FlushTableAsync
 };

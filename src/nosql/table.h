@@ -29,6 +29,7 @@ class Table {
   explicit Table(TableSchema schema);
 
   const TableSchema& schema() const { return schema_; }
+  const std::string& name() const { return schema_.name(); }
 
   /// Checks \p row's arity, its column types and its primary key against
   /// the schema.

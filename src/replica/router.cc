@@ -66,17 +66,6 @@ std::string MakeTooManySessionsPayload(size_t max_sessions) {
                               "); close or drain a session and retry");
 }
 
-void ForgetCursor(server::ClientContext* client, uint64_t cursor_id) {
-  if (client == nullptr) return;
-  auto& cursors = client->cursors;
-  for (auto it = cursors.begin(); it != cursors.end(); ++it) {
-    if (*it == cursor_id) {
-      cursors.erase(it);
-      return;
-    }
-  }
-}
-
 std::string NextRequestFrame(uint64_t replica_cursor) {
   return "{\"op\":\"query_next\",\"cursor\":" + std::to_string(replica_cursor) +
          "}";
@@ -428,7 +417,7 @@ void Router::DeliverPage(RouterSession* session, const Envelope& env,
   ++session->pages_delivered;
   if (env.done) {
     EraseSession(session->id);
-    ForgetCursor(client, session->id);
+    if (client != nullptr) client->ForgetCursor(session->id);
   }
   RewriteCursor(env, session->id, page);
 }
@@ -445,7 +434,7 @@ std::string Router::HandleClose(const QueryRequest& request,
       sessions_open_->Set(static_cast<int64_t>(sessions_.size()));
     }
   }
-  ForgetCursor(client, request.cursor_id);
+  if (client != nullptr) client->ForgetCursor(request.cursor_id);
   if (session == nullptr) {
     return MakeResponse(true, BestEpoch(), false, "{\"closed\":false}");
   }

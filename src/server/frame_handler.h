@@ -7,6 +7,7 @@
 #ifndef SCDWARF_SERVER_FRAME_HANDLER_H_
 #define SCDWARF_SERVER_FRAME_HANDLER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -19,6 +20,12 @@ namespace scdwarf::server {
 /// connection thread — not thread-safe on its own.
 struct ClientContext {
   std::vector<uint64_t> cursors;
+
+  /// Drops \p cursor_id, once its session is drained or closed.
+  void ForgetCursor(uint64_t cursor_id) {
+    auto it = std::find(cursors.begin(), cursors.end(), cursor_id);
+    if (it != cursors.end()) cursors.erase(it);
+  }
 };
 
 /// \brief Serves one request frame at a time. Implementations must be

@@ -45,24 +45,13 @@ bool RequestHasRangeConstraint(const QueryRequest& request) {
   return !request.rollup_where.empty();
 }
 
-void ForgetClientCursor(ClientContext* client, uint64_t cursor_id) {
-  if (client == nullptr) return;
-  auto& cursors = client->cursors;
-  for (auto it = cursors.begin(); it != cursors.end(); ++it) {
-    if (*it == cursor_id) {
-      cursors.erase(it);
-      return;
-    }
-  }
-}
-
 }  // namespace
 
 QueryServer::QueryServer(dwarf::DwarfCube cube, ServerOptions options)
     : options_(std::move(options)),
       num_workers_(ResolveThreadCount(options_.num_workers)),
       store_(std::move(cube), options_.initial_epoch),
-      cache_(options_.cache_capacity, options_.cache_shards, &registry_),
+      cache_(options_.cache_capacity, kCacheShards, &registry_),
       schema_(store_.snapshot().cube->schema()),
       latency_us_(registry_.GetHistogram(
           "server_request_us", {},
@@ -148,14 +137,14 @@ Status QueryServer::WriteSnapshotFile(const dwarf::DwarfCube& cube,
   return Status::OK();
 }
 
-std::string QueryServer::Admitted(const std::function<std::string()>& run,
-                                  const std::string& reject_response) {
+std::string QueryServer::Admitted(const std::function<std::string()>& run) {
   Stopwatch watch;
   size_t depth = in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (depth >= options_.max_queue_depth) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
     rejected_total_->Increment();
-    return reject_response;
+    return MakeResponse(false, store_.epoch(), false,
+                        MakeOverloadPayload(options_.max_queue_depth));
   }
   std::string response;
   if (pool_ == nullptr) {
@@ -183,9 +172,7 @@ std::string QueryServer::Admitted(const std::function<std::string()>& run,
 std::string QueryServer::HandleFrame(std::string_view request_json,
                                      ClientContext* client) {
   return Admitted(
-      [this, request_json, client] { return Process(request_json, client); },
-      MakeResponse(false, store_.epoch(), false,
-                   MakeOverloadPayload(options_.max_queue_depth)));
+      [this, request_json, client] { return Process(request_json, client); });
 }
 
 std::string QueryServer::Process(std::string_view request_json,
@@ -327,7 +314,7 @@ std::string QueryServer::HandleQueryNext(const QueryRequest& request,
     std::lock_guard<std::mutex> lock(sessions_mu_);
     sessions_.erase(session->id);
     sessions_open_->Set(static_cast<int64_t>(sessions_.size()));
-    ForgetClientCursor(client, session->id);
+    if (client != nullptr) client->ForgetCursor(session->id);
   }
   // The page reports the session's pinned epoch — what the rows were
   // computed against — not the store's possibly-newer epoch.
@@ -348,7 +335,7 @@ std::string QueryServer::HandleQueryClose(const QueryRequest& request,
       sessions_open_->Set(static_cast<int64_t>(sessions_.size()));
       closed = true;
     }
-    ForgetClientCursor(client, request.cursor_id);
+    if (client != nullptr) client->ForgetCursor(request.cursor_id);
   }
   JsonObject payload;
   payload.emplace_back("closed", JsonValue(closed));

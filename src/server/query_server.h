@@ -59,9 +59,6 @@ struct ServerOptions {
   /// Result-cache entries across all shards; 0 disables caching.
   size_t cache_capacity = 4096;
 
-  /// Result-cache shards (clamped to [1, cache_capacity]).
-  size_t cache_shards = 8;
-
   /// Cursor sessions held open at once; query_open beyond the cap is
   /// rejected with code "too_many_sessions".
   size_t max_sessions = 64;
@@ -195,6 +192,9 @@ class QueryServer : public FrameHandler {
   const ResultCache& cache() const { return cache_; }
 
  private:
+  /// Result-cache lock shards (clamped to [1, cache_capacity]).
+  static constexpr size_t kCacheShards = 8;
+
   /// \brief One open cursor: the pinned snapshot plus the paused traversal.
   struct Session {
     Session(uint64_t id, uint64_t epoch,
@@ -217,10 +217,9 @@ class QueryServer : public FrameHandler {
   };
 
   /// Runs \p run under admission control on the worker pool (or inline for
-  /// single-worker servers) and records the request metrics; returns
-  /// \p reject_response without executing when the server is over capacity.
-  std::string Admitted(const std::function<std::string()>& run,
-                       const std::string& reject_response);
+  /// single-worker servers) and records the request metrics; answers
+  /// "overloaded" without executing when the server is over capacity.
+  std::string Admitted(const std::function<std::string()>& run);
   /// Executes a parsed-or-unparsable request (cache + snapshot path).
   std::string Process(std::string_view request_json, ClientContext* client);
   /// Runs one successfully-parsed request (the op switch + cache path).

@@ -6,15 +6,12 @@
 #ifndef SCDWARF_SQL_ENGINE_H_
 #define SCDWARF_SQL_ENGINE_H_
 
-#include <array>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
 #include <string>
 
 #include "common/record_log.h"
 #include "common/result.h"
+#include "common/table_catalog.h"
 #include "sql/heap_table.h"
 
 namespace scdwarf::sql {
@@ -25,11 +22,16 @@ namespace scdwarf::sql {
 /// insert batch once all its rows are applied, a delete batch before it is
 /// applied. Flush() writes one tablespace file per table and truncates the
 /// log, Open() reloads tablespaces then replays any unflushed log tail.
+/// Databases, tables, their locks and files are the TableCatalog
+/// (common/table_catalog.h) that nosql::Database uses too: a catalog change
+/// — CreateDatabase, CreateTable, CreateIndex, DropTable — is on disk when
+/// it returns, and a database or table name must be its own file name
+/// ([A-Za-z0-9_-]).
 ///
 /// Concurrency: mirrors nosql::Database — mutations from different threads
-/// serialize behind a fixed pool of per-table shard locks, catalog changes
-/// take the catalog lock exclusively, and redo-log appends serialize behind
-/// the log's own lock. Tables are shared_ptr-owned: GetTable() hands out
+/// serialize behind the catalog's fixed pool of per-table shard locks,
+/// catalog changes take the catalog lock exclusively, and redo-log appends
+/// serialize behind the log's own lock. Tables are shared_ptr-owned: GetTable() hands out
 /// shared ownership, so a concurrent DropTable only removes the catalog
 /// entry and the object outlives every user. Reads concurrent with writes
 /// to the same table are not synchronized.
@@ -52,18 +54,28 @@ class SqlEngine {
   SqlEngine(SqlEngine&&) noexcept = default;
   SqlEngine& operator=(SqlEngine&&) noexcept = default;
 
-  Status CreateDatabase(const std::string& name);
-  bool HasDatabase(const std::string& name) const;
+  Status CreateDatabase(const std::string& name) {
+    return catalog_.CreateScope(name);
+  }
+  bool HasDatabase(const std::string& name) const {
+    return catalog_.HasScope(name);
+  }
 
   Status CreateTable(const SqlTableDef& def);
-  Status DropTable(const std::string& database, const std::string& table);
+  Status DropTable(const std::string& database, const std::string& table) {
+    return catalog_.DropTable(database, table);
+  }
   Status CreateIndex(const std::string& database, const std::string& table,
-                     const std::string& column);
+                     const std::string& column) {
+    return catalog_.CreateIndex(database, table, column);
+  }
 
   /// Looks up a table. The returned shared_ptr keeps the table alive even
   /// if it is concurrently dropped.
   Result<std::shared_ptr<HeapTable>> GetTable(const std::string& database,
-                                              const std::string& table);
+                                              const std::string& table) {
+    return catalog_.GetTable(database, table);
+  }
   Result<std::shared_ptr<const HeapTable>> GetTable(
       const std::string& database, const std::string& table) const;
 
@@ -88,35 +100,20 @@ class SqlEngine {
                     const std::vector<Value>& keys);
 
   Status Flush();
-  Result<uint64_t> DiskSizeBytes() const;
+  Result<uint64_t> DiskSizeBytes() const { return catalog_.DiskBytes(); }
   uint64_t EstimateBytes() const;
-  Result<std::vector<std::string>> ListTables(const std::string& database) const;
+  Result<std::vector<std::string>> ListTables(
+      const std::string& database) const {
+    return catalog_.ListTables(database);
+  }
 
-  const std::string& data_dir() const { return data_dir_; }
+  const std::string& data_dir() const { return catalog_.data_dir(); }
 
  private:
-  static constexpr size_t kTableLockShards = 16;
-
-  /// Lock state lives behind one heap allocation so the engine itself stays
-  /// movable (mutexes are neither movable nor copyable).
-  struct Sync {
-    std::shared_mutex catalog_mu;  ///< databases_ map shape
-    std::array<std::mutex, kTableLockShards> table_shards;  ///< row contents
-  };
-
   /// Applies one framed redo record; \p record spans exactly it.
   Status ReplayRedoRecord(ByteReader* record);
-  std::string TablespacePath(const std::string& database,
-                             const std::string& table) const;
 
-  /// The shard lock guarding (database, table)'s row contents.
-  std::mutex& TableLock(const std::string& database,
-                        const std::string& table) const;
-
-  std::string data_dir_;
-  std::map<std::string, std::map<std::string, std::shared_ptr<HeapTable>>>
-      databases_;
-  std::unique_ptr<Sync> sync_ = std::make_unique<Sync>();
+  TableCatalog<HeapTable> catalog_{"database", ".tbl"};
   std::unique_ptr<RecordLog> log_;  // redolog.bin; null in memory mode
 };
 

@@ -40,6 +40,7 @@ class HeapTable {
   explicit HeapTable(SqlTableDef def);
 
   const SqlTableDef& def() const { return def_; }
+  const std::string& name() const { return def_.name(); }
 
   /// Checks \p row's arity, column types and NOT NULL constraints against
   /// the definition.

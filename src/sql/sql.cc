@@ -1,92 +1,17 @@
 #include "sql/sql.h"
 
-#include <cctype>
 #include <unordered_map>
-
-#include "common/strings.h"
 
 namespace scdwarf::sql {
 
 namespace {
 
-// ------------------------------------------------------------------ lexer
-// (Shares its shape with the CQL lexer but supports VARCHAR(n) and
-// qualified column references.)
-
-enum class TokenType { kIdentifier, kNumber, kString, kSymbol, kEnd };
-
-struct Token {
-  TokenType type;
-  std::string text;  // identifiers lower-cased
-  std::string raw;
-};
-
-Result<std::vector<Token>> Tokenize(std::string_view input) {
-  std::vector<Token> tokens;
-  size_t pos = 0;
-  while (pos < input.size()) {
-    char c = input[pos];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++pos;
-      continue;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      size_t begin = pos;
-      while (pos < input.size() &&
-             (std::isalnum(static_cast<unsigned char>(input[pos])) ||
-              input[pos] == '_')) {
-        ++pos;
-      }
-      std::string raw(input.substr(begin, pos - begin));
-      tokens.push_back({TokenType::kIdentifier, AsciiToLower(raw), raw});
-    } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-               (c == '-' && pos + 1 < input.size() &&
-                std::isdigit(static_cast<unsigned char>(input[pos + 1])))) {
-      size_t begin = pos;
-      ++pos;
-      while (pos < input.size() &&
-             std::isdigit(static_cast<unsigned char>(input[pos]))) {
-        ++pos;
-      }
-      std::string raw(input.substr(begin, pos - begin));
-      tokens.push_back({TokenType::kNumber, raw, raw});
-    } else if (c == '\'') {
-      ++pos;
-      std::string text;
-      while (true) {
-        if (pos >= input.size()) {
-          return Status::ParseError("unterminated string literal");
-        }
-        if (input[pos] == '\'') {
-          if (pos + 1 < input.size() && input[pos + 1] == '\'') {
-            text.push_back('\'');
-            pos += 2;
-            continue;
-          }
-          ++pos;
-          break;
-        }
-        text.push_back(input[pos++]);
-      }
-      tokens.push_back({TokenType::kString, text, text});
-    } else if (std::string("(),.=;*").find(c) != std::string::npos) {
-      tokens.push_back({TokenType::kSymbol, std::string(1, c),
-                        std::string(1, c)});
-      ++pos;
-    } else {
-      return Status::ParseError(std::string("unexpected character '") + c +
-                                "' in SQL input");
-    }
-  }
-  tokens.push_back({TokenType::kEnd, "", ""});
-  return tokens;
-}
-
 // ----------------------------------------------------------------- parser
 
-class Parser {
+class Parser : public TokenParser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  explicit Parser(std::vector<Token> tokens)
+      : TokenParser(std::move(tokens), "database", "db") {}
 
   Result<SqlStatement> ParseStatement() {
     SCD_ASSIGN_OR_RETURN(SqlStatement stmt, ParseStatementInner());
@@ -297,72 +222,6 @@ class Parser {
     }
     return ref;
   }
-
-  Result<Value> ParseLiteral() {
-    const Token& token = Peek();
-    if (token.type == TokenType::kNumber) {
-      ++pos_;
-      SCD_ASSIGN_OR_RETURN(int64_t value, ParseInt64(token.text));
-      return Value::Int(value);
-    }
-    if (token.type == TokenType::kString) {
-      ++pos_;
-      return Value::Text(token.text);
-    }
-    if (token.type == TokenType::kIdentifier) {
-      if (token.text == "true") {
-        ++pos_;
-        return Value::Bool(true);
-      }
-      if (token.text == "false") {
-        ++pos_;
-        return Value::Bool(false);
-      }
-      if (token.text == "null") {
-        ++pos_;
-        return Value::Null();
-      }
-    }
-    return Error("expected a literal");
-  }
-
-  Status ParseQualifiedName(std::string* database, std::string* table) {
-    SCD_ASSIGN_OR_RETURN(std::string first, ExpectIdentifier("database name"));
-    if (!ConsumeSymbol(".")) {
-      return Error("table names must be database-qualified (db.table)");
-    }
-    SCD_ASSIGN_OR_RETURN(std::string second, ExpectIdentifier("table name"));
-    *database = std::move(first);
-    *table = std::move(second);
-    return Status::OK();
-  }
-
-  const Token& Peek() const { return tokens_[pos_]; }
-  bool AtEnd() const { return Peek().type == TokenType::kEnd; }
-  bool PeekKeyword(std::string_view keyword) const {
-    return Peek().type == TokenType::kIdentifier && Peek().text == keyword;
-  }
-  bool ConsumeKeyword(std::string_view keyword) {
-    if (!PeekKeyword(keyword)) return false;
-    ++pos_;
-    return true;
-  }
-  bool ConsumeSymbol(std::string_view symbol) {
-    if (Peek().type != TokenType::kSymbol || Peek().text != symbol) return false;
-    ++pos_;
-    return true;
-  }
-  Result<std::string> ExpectIdentifier(const std::string& what) {
-    if (Peek().type != TokenType::kIdentifier) return Error("expected " + what);
-    return tokens_[pos_++].text;
-  }
-  Status Error(const std::string& message) const {
-    std::string near = AtEnd() ? "<end>" : Peek().raw;
-    return Status::ParseError(message + " (near '" + near + "')");
-  }
-
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
 };
 
 // --------------------------------------------------------------- executor
@@ -493,7 +352,9 @@ Result<SqlResult> ExecuteSelect(SqlEngine* engine, const SqlSelect& stmt) {
 }  // namespace
 
 Result<SqlStatement> ParseSql(std::string_view input) {
-  SCD_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(input));
+  // No '{': the relational subset has no set literals.
+  SCD_ASSIGN_OR_RETURN(std::vector<Token> tokens,
+                       Tokenize(input, "(),.=;*", "SQL"));
   Parser parser(std::move(tokens));
   return parser.ParseStatement();
 }
@@ -561,25 +422,6 @@ Result<SqlResult> ExecuteSqlStatement(SqlEngine* engine,
 Result<SqlResult> ExecuteSql(SqlEngine* engine, std::string_view input) {
   SCD_ASSIGN_OR_RETURN(SqlStatement statement, ParseSql(input));
   return ExecuteSqlStatement(engine, statement);
-}
-
-std::string SqlResult::ToString() const {
-  std::string out;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    if (i > 0) out += " | ";
-    out += columns[i];
-  }
-  out += "\n";
-  out += std::string(out.size() > 1 ? out.size() - 1 : 0, '-');
-  out += "\n";
-  for (const SqlRow& row : rows) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += " | ";
-      out += row[i].ToDisplayString();
-    }
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace scdwarf::sql

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/statement.h"
 #include "sql/engine.h"
 
 namespace scdwarf::sql {
@@ -91,12 +92,7 @@ using SqlStatement = std::variant<SqlCreateDatabase, SqlCreateTable,
 Result<SqlStatement> ParseSql(std::string_view input);
 
 /// \brief Result set; DDL/DML yield empty column/row lists.
-struct SqlResult {
-  std::vector<std::string> columns;
-  std::vector<SqlRow> rows;
-
-  std::string ToString() const;
-};
+using SqlResult = StatementResult;
 
 Result<SqlResult> ExecuteSql(SqlEngine* engine, std::string_view input);
 Result<SqlResult> ExecuteSqlStatement(SqlEngine* engine,

@@ -153,6 +153,29 @@ TEST(CubeUpdaterTest, ApplyEqualsRebuild) {
             rebuilt->stats().coalesced_all_count);
 }
 
+// Both update paths count every tuple the cube was ever fed, the ones a
+// duplicate path merged included: the compaction step must not reset the
+// count to the number of distinct paths.
+TEST(CubeUpdaterTest, RebuildCarriesSourceTupleCount) {
+  const std::vector<std::pair<std::vector<std::string>, Measure>> base = {
+      {{"Mon", "Fenian St"}, 3},
+      {{"Mon", "Fenian St"}, 4},
+      {{"Tue", "Pearse St"}, 5}};
+  CubeUpdater incremental(BuildCube(base));
+  CubeUpdater full(BuildCube(base));
+  ASSERT_TRUE(incremental.AddTuple({"Wed", "Eyre Sq"}, 2).ok());
+  ASSERT_TRUE(full.AddTuple({"Wed", "Eyre Sq"}, 2).ok());
+  auto applied = std::move(incremental).Apply();
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  auto rebuilt = std::move(full).Rebuild();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+
+  EXPECT_TRUE(applied->StructurallyEquals(*rebuilt));
+  EXPECT_EQ(applied->source_tuple_count(), 4u);
+  EXPECT_EQ(rebuilt->source_tuple_count(), 4u);
+  EXPECT_EQ(rebuilt->stats().source_tuple_count, 4u);
+}
+
 TEST(CubeUpdaterTest, ApplyProfileReportsIncrementalPhases) {
   DwarfCube cube = BuildCube({{{"Mon", "Fenian St"}, 3},
                               {{"Mon", "Pearse St"}, 5},

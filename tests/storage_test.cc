@@ -1,6 +1,7 @@
-// Tests for the file and record-log layer under both storage engines
-// (common/files.h, common/record_log.h): the mutation record layout, replay
-// of torn and corrupt logs, and what a failed write leaves behind — in the
+// Tests for the file, record-log and catalog layer under both storage
+// engines (common/files.h, common/record_log.h, common/table_catalog.h): the
+// mutation record layout, replay of torn and corrupt logs, what a failed
+// write leaves behind, and which catalog changes a reopen finds — in the
 // layer itself and through each engine.
 
 #include <gtest/gtest.h>
@@ -214,15 +215,17 @@ TEST_F(StorageTest, FailedAtomicWriteLeavesTheOldFile) {
 
 // --------------------------------------------------------------- engines
 
-nosql::TableSchema KvSchema() {
-  return nosql::TableSchema("ks", "kv",
+nosql::TableSchema KvSchema(const std::string& keyspace = "ks",
+                            const std::string& name = "kv") {
+  return nosql::TableSchema(keyspace, name,
                             {{"id", DataType::kInt}, {"v", DataType::kText}},
                             "id");
 }
 
-sql::SqlTableDef KvDef() {
+sql::SqlTableDef KvDef(const std::string& database = "db",
+                       const std::string& name = "kv") {
   return sql::SqlTableDef(
-      "db", "kv", {{"id", DataType::kInt, false}, {"v", DataType::kText}},
+      database, name, {{"id", DataType::kInt, false}, {"v", DataType::kText}},
       "id");
 }
 
@@ -267,12 +270,13 @@ std::vector<std::vector<Value>> KvRows(int first, int count) {
   return rows;
 }
 
-/// The ids in \p scope.kv of \p engine, in scan order; none when the table
-/// is missing.
+/// The ids in \p scope.\p name of \p engine, in scan order; none when the
+/// table is missing.
 template <typename Engine>
-std::vector<int64_t> KvIds(const Engine& engine, const std::string& scope) {
+std::vector<int64_t> KvIds(const Engine& engine, const std::string& scope,
+                           const std::string& name = "kv") {
   std::vector<int64_t> ids;
-  auto table = engine.GetTable(scope, "kv");
+  auto table = engine.GetTable(scope, name);
   if (!table.ok()) return ids;
   for (const auto* row : (*table)->ScanAll()) ids.push_back(*(*row)[0].AsInt());
   return ids;
@@ -341,6 +345,136 @@ TEST_F(StorageTest, SqlLogCutInsideItsLastFrameOpens) {
     ASSERT_TRUE(engine.BulkInsert("db", "kv", KvRows(100, 10)).ok());
   }
   EXPECT_EQ(KvIds(OpenSql(dir_), "db").size(), 30u);
+}
+
+// --------------------------------------------------------------- catalog
+
+/// Opens \p dir with \p Engine, failing the test on error.
+template <typename Engine>
+Engine Reopen(const fs::path& dir) {
+  auto engine = Engine::Open(dir.string());
+  if (!engine.ok()) {
+    ADD_FAILURE() << engine.status();
+    return Engine();
+  }
+  return std::move(*engine);
+}
+
+// A catalog change is on disk when it returns: the rows of a table created
+// since the last flush (here, never flushed) are found at reopen.
+TEST_F(StorageTest, NoSqlRowsOfATableCreatedSinceTheLastFlushSurviveReopen) {
+  {
+    auto db = Reopen<nosql::Database>(dir_);
+    ASSERT_TRUE(db.CreateKeyspace("ks").ok());
+    ASSERT_TRUE(db.CreateTable(KvSchema()).ok());
+    ASSERT_TRUE(db.BulkInsert("ks", "kv", KvRows(0, 5)).ok());
+  }
+  EXPECT_EQ(KvIds(Reopen<nosql::Database>(dir_), "ks"),
+            (std::vector<int64_t>{0, 1, 2, 3, 4}));
+}
+
+TEST_F(StorageTest, SqlRowsOfATableCreatedSinceTheLastFlushSurviveReopen) {
+  {
+    auto engine = Reopen<sql::SqlEngine>(dir_);
+    ASSERT_TRUE(engine.CreateDatabase("db").ok());
+    ASSERT_TRUE(engine.CreateTable(KvDef()).ok());
+    ASSERT_TRUE(engine.BulkInsert("db", "kv", KvRows(0, 5)).ok());
+  }
+  EXPECT_EQ(KvIds(Reopen<sql::SqlEngine>(dir_), "db"),
+            (std::vector<int64_t>{0, 1, 2, 3, 4}));
+}
+
+// An index created after the last flush is still there after a reopen, and
+// serves an indexed look-up.
+TEST_F(StorageTest, NoSqlIndexCreatedSinceTheLastFlushSurvivesReopen) {
+  {
+    nosql::Database db = OpenNoSql(dir_);
+    ASSERT_TRUE(db.BulkInsert("ks", "kv", KvRows(0, 3)).ok());
+    ASSERT_TRUE(db.CreateIndex("ks", "kv", "v").ok());
+  }
+  nosql::Database db = OpenNoSql(dir_);
+  auto table = db.GetTable("ks", "kv");
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ((*table)->schema().secondary_indexes(), std::vector<size_t>{1});
+  auto rows = (*table)->SelectEq("v", Value::Text("row 1"));
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_EQ(rows->size(), 1u);
+}
+
+TEST_F(StorageTest, SqlIndexCreatedSinceTheLastFlushSurvivesReopen) {
+  {
+    sql::SqlEngine engine = OpenSql(dir_);
+    ASSERT_TRUE(engine.BulkInsert("db", "kv", KvRows(0, 3)).ok());
+    ASSERT_TRUE(engine.CreateIndex("db", "kv", "v").ok());
+  }
+  sql::SqlEngine engine = OpenSql(dir_);
+  auto table = engine.GetTable("db", "kv");
+  ASSERT_TRUE(table.ok()) << table.status();
+  EXPECT_EQ((*table)->def().secondary_indexes(), std::vector<size_t>{1});
+  EXPECT_EQ(KvIds(engine, "db"), (std::vector<int64_t>{0, 1, 2}));
+}
+
+// A dropped table stays dropped: neither its file nor its logged rows bring
+// it back, and its scope stays.
+TEST_F(StorageTest, NoSqlDroppedTableStaysDropped) {
+  {
+    nosql::Database db = OpenNoSql(dir_);
+    ASSERT_TRUE(db.BulkInsert("ks", "kv", KvRows(0, 3)).ok());
+    ASSERT_TRUE(db.DropTable("ks", "kv").ok());
+  }
+  auto db = Reopen<nosql::Database>(dir_);
+  EXPECT_TRUE(db.HasKeyspace("ks"));
+  EXPECT_TRUE(db.GetTable("ks", "kv").status().IsNotFound());
+}
+
+TEST_F(StorageTest, SqlDroppedTableStaysDropped) {
+  {
+    sql::SqlEngine engine = OpenSql(dir_);
+    ASSERT_TRUE(engine.BulkInsert("db", "kv", KvRows(0, 3)).ok());
+    ASSERT_TRUE(engine.DropTable("db", "kv").ok());
+  }
+  auto engine = Reopen<sql::SqlEngine>(dir_);
+  EXPECT_TRUE(engine.HasDatabase("db"));
+  EXPECT_TRUE(engine.GetTable("db", "kv").status().IsNotFound());
+}
+
+// Every scope and table name is its own file name, so a reopen finds each
+// under the name it was created with. A name that SanitizeName would change
+// ('.' becomes '_') is rejected at create, durable or in memory.
+TEST_F(StorageTest, NoSqlNamesAreTheirOwnFileNames) {
+  EXPECT_TRUE(nosql::Database().CreateKeyspace("city.bikes").IsInvalidArgument());
+  {
+    auto db = Reopen<nosql::Database>(dir_);
+    EXPECT_TRUE(db.CreateKeyspace("city.bikes").IsInvalidArgument());
+    ASSERT_TRUE(db.CreateKeyspace("city-bikes").ok());
+    EXPECT_TRUE(
+        db.CreateTable(KvSchema("city-bikes", "a.b")).IsInvalidArgument());
+    ASSERT_TRUE(db.CreateTable(KvSchema("city-bikes", "a_b")).ok());
+    ASSERT_TRUE(db.BulkInsert("city-bikes", "a_b", KvRows(0, 2)).ok());
+    ASSERT_TRUE(db.Flush().ok());
+  }
+  auto db = Reopen<nosql::Database>(dir_);
+  EXPECT_FALSE(db.HasKeyspace("city.bikes"));
+  EXPECT_EQ(*db.ListTables("city-bikes"), std::vector<std::string>{"a_b"});
+  EXPECT_EQ(KvIds(db, "city-bikes", "a_b"), (std::vector<int64_t>{0, 1}));
+}
+
+TEST_F(StorageTest, SqlNamesAreTheirOwnFileNames) {
+  EXPECT_TRUE(sql::SqlEngine().CreateDatabase("city.bikes").IsInvalidArgument());
+  {
+    auto engine = Reopen<sql::SqlEngine>(dir_);
+    EXPECT_TRUE(engine.CreateDatabase("city.bikes").IsInvalidArgument());
+    ASSERT_TRUE(engine.CreateDatabase("city-bikes").ok());
+    EXPECT_TRUE(
+        engine.CreateTable(KvDef("city-bikes", "a.b")).IsInvalidArgument());
+    ASSERT_TRUE(engine.CreateTable(KvDef("city-bikes", "a_b")).ok());
+    ASSERT_TRUE(engine.BulkInsert("city-bikes", "a_b", KvRows(0, 2)).ok());
+    ASSERT_TRUE(engine.Flush().ok());
+  }
+  auto engine = Reopen<sql::SqlEngine>(dir_);
+  EXPECT_FALSE(engine.HasDatabase("city.bikes"));
+  EXPECT_EQ(*engine.ListTables("city-bikes"), std::vector<std::string>{"a_b"});
+  EXPECT_EQ(KvIds(engine, "city-bikes", "a_b"), (std::vector<int64_t>{0, 1}));
 }
 
 }  // namespace
