@@ -6,12 +6,21 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <utility>
 
 #include "common/files.h"
 
 namespace scdwarf {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+/// The op byte of a create record; an insert's is 0, a delete's 1.
+constexpr uint8_t kCreateOp = 2;
+
+}  // namespace
 
 void PutMutationHeader(ByteWriter* writer, const std::string& scope,
                        const std::string& table, size_t num_rows,
@@ -25,6 +34,14 @@ void PutMutationHeader(ByteWriter* writer, const std::string& scope,
 void PutMutationRow(ByteWriter* writer, std::span<const Value> row) {
   writer->PutVarint(row.size());
   for (const Value& value : row) value.EncodeTo(writer);
+}
+
+void PutCreateRecord(ByteWriter* writer, const std::string& scope,
+                     const std::string& table) {
+  writer->PutU8(kCreateOp);
+  writer->PutString(scope);
+  writer->PutString(table);
+  writer->PutVarint(0);
 }
 
 Result<Mutation> DecodeMutation(ByteReader* record) {
@@ -67,27 +84,27 @@ RecordLog::RecordLog(const std::string& dir, const std::string& stem,
       rotated_path_((fs::path(dir) / (stem + ".old.bin")).string()),
       fsync_each_append_(fsync_each_append) {}
 
-Status RecordLog::Append(std::span<const uint8_t> record) {
+Status RecordLog::Append(std::span<const uint8_t> record, bool sync) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!broken_.ok()) return broken_;
   ByteWriter frame;
   frame.PutU32(static_cast<uint32_t>(record.size()));
-  return AppendLocked(path_, frame.data(), record);
+  return AppendLocked(path_, frame.data(), record, sync || fsync_each_append_);
 }
 
 Status RecordLog::AppendLocked(const std::string& path,
                                std::span<const uint8_t> head,
-                               std::span<const uint8_t> body) {
+                               std::span<const uint8_t> body, bool sync) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) return Status::IoError("cannot open " + path);
   const off_t before = ::lseek(fd, 0, SEEK_END);
   Status status;
   if (before < 0 || !WriteFull(fd, head.data(), head.size()) ||
       !WriteFull(fd, body.data(), body.size()) ||
-      (fsync_each_append_ && ::fsync(fd) != 0)) {
+      (sync && ::fsync(fd) != 0)) {
     status = Status::IoError("short write to " + path + ": " +
                              std::strerror(errno));
-  } else if (fsync_each_append_ && before == 0) {
+  } else if (sync && before == 0) {
     // A new file is durable only once its directory entry is.
     status = SyncDirectory(dir_);
   }
@@ -113,9 +130,10 @@ Result<bool> RecordLog::Rotate() {
   }
   // A prior flush failed (or crashed) after rotating: append the live log
   // to the surviving sidecar so replay order — sidecar, then live — still
-  // reproduces append order.
+  // reproduces append order. The copy is fsynced before the live log goes,
+  // whatever the policy, so no fsynced create record is lost with it.
   SCD_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFile(path_));
-  SCD_RETURN_IF_ERROR(AppendLocked(rotated_path_, {}, bytes));
+  SCD_RETURN_IF_ERROR(AppendLocked(rotated_path_, {}, bytes, /*sync=*/true));
   fs::remove(path_, ec);
   if (ec) return Status::IoError("removing " + path_ + ": " + ec.message());
   return true;
@@ -148,6 +166,37 @@ Status RecordLog::Replay(const std::function<Status(ByteReader*)>& apply) {
     }
   }
   return Status::OK();
+}
+
+Status ReplayMutations(RecordLog* log,
+                       const std::function<Status(Mutation&)>& apply) {
+  using Name = std::pair<std::string, std::string>;  ///< (scope, table)
+  std::map<Name, uint64_t> created_at;  ///< ordinal of the last create record
+  uint64_t ordinal = 0;
+  SCD_RETURN_IF_ERROR(log->Replay([&](ByteReader* record) -> Status {
+    ++ordinal;
+    SCD_ASSIGN_OR_RETURN(uint8_t op, record->ReadU8());
+    if (op != kCreateOp) return Status::OK();
+    SCD_ASSIGN_OR_RETURN(std::string scope, record->ReadString());
+    SCD_ASSIGN_OR_RETURN(std::string table, record->ReadString());
+    SCD_ASSIGN_OR_RETURN(uint64_t num_rows, record->ReadVarint());
+    if (num_rows != 0) {
+      return Status::ParseError("create record of " +
+                                std::to_string(num_rows) + " rows");
+    }
+    created_at[Name(std::move(scope), std::move(table))] = ordinal;
+    return Status::OK();
+  }));
+  ordinal = 0;
+  return log->Replay([&](ByteReader* record) -> Status {
+    ++ordinal;
+    SCD_ASSIGN_OR_RETURN(Mutation mutation, DecodeMutation(record));
+    auto created = created_at.find(Name(mutation.scope, mutation.table));
+    if (created != created_at.end() && ordinal < created->second) {
+      return Status::OK();
+    }
+    return apply(mutation);
+  });
 }
 
 }  // namespace scdwarf

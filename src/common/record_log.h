@@ -1,8 +1,8 @@
 /// \file record_log.h
-/// \brief The log under both storage engines: the mutation record codec and
-/// RecordLog, a framed append-only file with a flush sidecar. The NoSQL
-/// commit log and the SQL redo log are the same bytes and differ only in
-/// whether an append is fsynced.
+/// \brief The log under both storage engines: the mutation record codec,
+/// RecordLog, a framed append-only file with a flush sidecar, and the replay
+/// of mutations. The NoSQL commit log and the SQL redo log are the same
+/// bytes and differ only in whether an append is fsynced.
 
 #ifndef SCDWARF_COMMON_RECORD_LOG_H_
 #define SCDWARF_COMMON_RECORD_LOG_H_
@@ -29,6 +29,12 @@ void PutMutationHeader(ByteWriter* writer, const std::string& scope,
 
 /// \brief Writes one row of a mutation record: its arity, then its values.
 void PutMutationRow(ByteWriter* writer, std::span<const Value> row);
+
+/// \brief Writes the create record of table scope.table: a header of op 2
+/// and no rows, which DecodeMutation reads as an insert of no rows. Every
+/// earlier record of that name is a dropped table's.
+void PutCreateRecord(ByteWriter* writer, const std::string& scope,
+                     const std::string& table);
 
 /// \brief A decoded mutation record.
 struct Mutation {
@@ -62,8 +68,9 @@ class RecordLog {
   RecordLog(const RecordLog&) = delete;
   RecordLog& operator=(const RecordLog&) = delete;
 
-  /// Appends \p record behind its size as a 32-bit word.
-  Status Append(std::span<const uint8_t> record);
+  /// Appends \p record behind its size as a 32-bit word, fsynced when the
+  /// policy or \p sync says so.
+  Status Append(std::span<const uint8_t> record, bool sync = false);
 
   /// Moves the live log to the sidecar, or appends it to a sidecar that a
   /// failed flush left, so replay order stays append order. Returns whether
@@ -81,10 +88,11 @@ class RecordLog {
   Status Replay(const std::function<Status(ByteReader*)>& apply);
 
  private:
-  /// Appends \p head and \p body to \p path, fsyncing by the policy, and
-  /// cuts the file back if a write or the fsync fails. Caller holds mu_.
+  /// Appends \p head and \p body to \p path, fsyncing it (and, when it
+  /// is new, its directory) if \p sync, and cuts the file back if a write
+  /// or an fsync fails. Caller holds mu_.
   Status AppendLocked(const std::string& path, std::span<const uint8_t> head,
-                      std::span<const uint8_t> body);
+                      std::span<const uint8_t> body, bool sync);
 
   const std::string dir_;
   const std::string path_;
@@ -93,6 +101,13 @@ class RecordLog {
   std::mutex mu_;
   Status broken_;  ///< guarded by mu_; set when a failed cut leaves a tail
 };
+
+/// \brief Replays \p log and calls \p apply on each record that no later
+/// create record of its table's name follows (a first pass finds them, and
+/// a create record with rows is a ParseError), so a dropped table's rows
+/// never reach a table created later under its name.
+Status ReplayMutations(RecordLog* log,
+                       const std::function<Status(Mutation&)>& apply);
 
 }  // namespace scdwarf
 

@@ -1,7 +1,7 @@
 /// \file table_catalog.h
 /// \brief The table catalog under both storage engines: scopes (NoSQL
-/// keyspaces, SQL databases) of named tables, the locks that guard them, and
-/// every file and directory operation on a table's file.
+/// keyspaces, SQL databases) of named tables, the locks that guard them, the
+/// log of their mutations, and every file and directory operation on them.
 
 #ifndef SCDWARF_COMMON_TABLE_CATALOG_H_
 #define SCDWARF_COMMON_TABLE_CATALOG_H_
@@ -13,43 +13,50 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/files.h"
+#include "common/metrics.h"
+#include "common/record_log.h"
 #include "common/result.h"
+#include "common/stopwatch.h"
 
 namespace scdwarf {
 
-/// \brief Scopes of tables of type \p T, kept, locked and stored alike by
-/// nosql::Database and sql::SqlEngine. T provides name(), SerializeTo,
-/// CreateIndex and a static Deserialize.
+/// \brief Scopes of tables of type \p T, kept, locked, logged and stored
+/// alike by nosql::Database and sql::SqlEngine. T provides name(),
+/// SerializeTo, CreateIndex, Insert, DeleteByPk and a static Deserialize.
 ///
-/// Rooted at a data directory, each scope is the directory `<dir>/<scope>`
-/// and each table the file `<dir>/<scope>/<table><extension>` holding
-/// T::SerializeTo's bytes; without one, the catalog touches no file. Every
-/// catalog change is durable when it returns: CreateScope creates its
-/// directory and fsyncs the data directory, CreateTable and CreateIndex
-/// write the table's file (WriteFileAtomic), and DropTable removes it and
-/// fsyncs the scope's directory. A log record therefore never names a table
-/// that a reopen does not know. A scope or table name that SanitizeName
-/// would change is rejected at create, so every name round-trips through
-/// its file name.
+/// Rooted at a data directory, each scope is the directory `<dir>/<scope>`,
+/// each table the file `<dir>/<scope>/<table><extension>` holding
+/// T::SerializeTo's bytes, and the mutations go to one RecordLog there;
+/// without one, the catalog touches no file. Every catalog change is
+/// durable when it returns: CreateScope creates its directory and fsyncs
+/// the data directory, CreateTable logs the table's create record and then
+/// writes its file (WriteFileAtomic), CreateIndex rewrites the file, and
+/// DropTable removes it and fsyncs the scope's directory. Replay skips the
+/// records of tables a reopen does not know and those logged before their
+/// table's create record, so a dropped table's rows never come back. A
+/// scope or table name that SanitizeName would change is rejected at
+/// create, and a directory or file that breaks that rule at Open, so every
+/// name round-trips through its file name.
 ///
 /// Locking: the catalog lock guards the map's shape. Catalog changes hold it
 /// exclusively, file writes included; a flush holds it shared from the
 /// table's look-up to its file write (WithTable, ForEachTable), so no
 /// catalog change interleaves with it and a dropped table is never written
 /// again. A fixed pool of shard locks (TableLock) guards row contents; each
-/// is taken after the catalog lock, never before.
+/// is taken after the catalog lock, never before. Writers log and apply
+/// under LockTable, and DropTable takes the table's shard lock too, so all
+/// records of a dropped table precede its drop in the log.
 template <typename T>
 class TableCatalog {
  public:
   static constexpr size_t kShards = 16;
-  /// Every shard lock, held: no mutation runs meanwhile (log rotation).
-  using AllShards = std::array<std::unique_lock<std::mutex>, kShards>;
   using TableFn =
       std::function<Status(const std::string& scope, const std::string& name,
                            T& table)>;
@@ -59,9 +66,13 @@ class TableCatalog {
   TableCatalog(std::string scope_noun, std::string extension)
       : scope_noun_(std::move(scope_noun)), extension_(std::move(extension)) {}
 
-  /// Roots the catalog at \p data_dir, creating the directory, and loads
-  /// every table file under it. Each subdirectory is a scope, empty or not.
-  Status Open(const std::string& data_dir) {
+  /// Roots the catalog at \p data_dir, creating the directory, loads every
+  /// table file under it, and replays the log `<data_dir>/<log_stem>.bin`,
+  /// whose appends are fsynced when \p fsync_each_append. Each
+  /// subdirectory is a scope, empty or not. A subdirectory or table file
+  /// not named as its scope or table would be fails the open.
+  Status Open(const std::string& data_dir, const std::string& log_stem,
+              bool fsync_each_append) {
     if (data_dir.empty()) {
       return Status::InvalidArgument(
           "data_dir must not be empty; use the default constructor for "
@@ -72,6 +83,8 @@ class TableCatalog {
     SCD_ASSIGN_OR_RETURN(std::vector<std::string> scopes,
                          ListSubdirectories(data_dir_));
     for (const std::string& scope : scopes) {
+      SCD_RETURN_IF_ERROR(CheckName(scope_noun_, scope)
+                              .WithContext("opening " + data_dir_));
       Tables& tables = scopes_[scope];
       SCD_ASSIGN_OR_RETURN(std::vector<std::string> files,
                            ListFiles(ScopePath(scope), extension_));
@@ -82,10 +95,33 @@ class TableCatalog {
         auto table = T::Deserialize(&reader);
         if (!table.ok()) return table.status().WithContext("loading " + path);
         const std::string name = (*table)->name();
+        if (name + extension_ != file) {
+          return Status::InvalidArgument(
+              "loading " + path + ": holds table '" + name + "', not '" +
+              file.substr(0, file.size() - extension_.size()) + "'");
+        }
         tables[name] = std::move(*table);
       }
     }
-    return Status::OK();
+    log_ = std::make_unique<RecordLog>(data_dir_, log_stem, fsync_each_append);
+    // The sidecar (a flush that never finished) holds older records than the
+    // live log and replays first. A row also in a table's file replays as an
+    // upsert (NoSQL) or a tolerated duplicate (SQL), and a delete of a row
+    // no file holds as a no-op.
+    return ReplayMutations(log_.get(), [this](Mutation& mutation) -> Status {
+      // No other thread sees the catalog before Open returns: no lock.
+      std::shared_ptr<T> table = FindLocked(mutation.scope, mutation.table);
+      if (table == nullptr) return Status::OK();  // dropped since logged
+      for (std::vector<Value>& row : mutation.rows) {
+        Status status = mutation.is_delete ? table->DeleteByPk(row[0])
+                                           : table->Insert(std::move(row));
+        if (!status.ok() && !status.IsNotFound() &&
+            !status.IsAlreadyExists()) {
+          return status;
+        }
+      }
+      return Status::OK();
+    });
   }
 
   const std::string& data_dir() const { return data_dir_; }
@@ -108,7 +144,9 @@ class TableCatalog {
     return Status::OK();
   }
 
-  /// Adds \p table as scope.name once its file is written.
+  /// Adds \p table as scope.name once its create record is logged, fsynced
+  /// whatever the log's policy, and then its file written: no file reopens
+  /// without the record that keeps a dropped table's rows out of it.
   Status CreateTable(const std::string& scope, const std::string& name,
                      std::shared_ptr<T> table) {
     SCD_RETURN_IF_ERROR(CheckName("table", name));
@@ -119,15 +157,22 @@ class TableCatalog {
       return Status::AlreadyExists("table " + scope + "." + name +
                                    " already exists");
     }
+    if (durable()) {
+      ByteWriter record;
+      PutCreateRecord(&record, scope, name);
+      SCD_RETURN_IF_ERROR(log_->Append(record.data(), /*sync=*/true));
+    }
     SCD_RETURN_IF_ERROR(WriteLocked(scope, name, *table));
     tables->second[name] = std::move(table);
     return Status::OK();
   }
 
-  /// Removes scope.name once its file is removed.
+  /// Removes scope.name once its file is removed, after any writer holding
+  /// its lock (LockTable) is done.
   Status DropTable(const std::string& scope, const std::string& name) {
     std::unique_lock<std::shared_mutex> catalog(sync_->catalog_mu);
     if (FindLocked(scope, name) == nullptr) return NoTable(scope, name);
+    std::lock_guard<std::mutex> lock(TableLock(scope, name));
     if (durable()) SCD_RETURN_IF_ERROR(RemoveFile(TablePath(scope, name)));
     scopes_[scope].erase(name);
     return Status::OK();
@@ -149,14 +194,29 @@ class TableCatalog {
     return WriteLocked(scope, name, *table);
   }
 
+  /// Deletes \p keys from scope.name under its lock (LockTable), logged
+  /// first as rows of one key each.
+  Status DeleteRows(const std::string& scope, const std::string& name,
+                    const std::vector<Value>& keys) {
+    SCD_ASSIGN_OR_RETURN(std::shared_ptr<T> table, GetTable(scope, name));
+    ByteWriter record;
+    if (durable()) {
+      PutMutationHeader(&record, scope, name, keys.size(), /*is_delete=*/true);
+      for (const Value& key : keys) PutMutationRow(&record, {&key, 1});
+    }
+    SCD_ASSIGN_OR_RETURN(std::unique_lock<std::mutex> lock,
+                         LockTable(scope, name, *table));
+    SCD_RETURN_IF_ERROR(AppendLog(record.data()));
+    for (const Value& key : keys) SCD_RETURN_IF_ERROR(table->DeleteByPk(key));
+    return Status::OK();
+  }
+
   Result<std::shared_ptr<T>> GetTable(const std::string& scope,
                                       const std::string& name) const {
     std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-    auto tables = scopes_.find(scope);
-    if (tables == scopes_.end()) return NoScope(scope);
-    auto it = tables->second.find(name);
-    if (it == tables->second.end()) return NoTable(scope, name);
-    return it->second;
+    std::shared_ptr<T> table = FindLocked(scope, name);
+    if (table != nullptr) return table;
+    return scopes_.count(scope) > 0 ? NoTable(scope, name) : NoScope(scope);
   }
 
   Result<std::vector<std::string>> ListTables(const std::string& scope) const {
@@ -190,6 +250,16 @@ class TableCatalog {
     return Status::OK();
   }
 
+  /// The sum of \p bytes over every table.
+  uint64_t SumTables(uint64_t (T::*bytes)() const) const {
+    uint64_t total = 0;
+    ForEachTable([&](const std::string&, const std::string&, T& table) {
+      total += (table.*bytes)();
+      return Status::OK();
+    });
+    return total;
+  }
+
   /// Replaces scope.name's file with \p bytes. The caller holds the catalog
   /// lock (inside WithTable or ForEachTable).
   Status WriteTableFile(const std::string& scope, const std::string& name,
@@ -216,13 +286,42 @@ class TableCatalog {
     return sync_->shards[h % kShards];
   }
 
-  AllShards LockAllShards() const {
-    AllShards locks;
+  /// scope.name's shard lock, held, if \p table is still scope.name;
+  /// NotFound once it was dropped. A writer that looked \p table up takes
+  /// it to log and apply, so no record of a dropped table follows its drop.
+  Result<std::unique_lock<std::mutex>> LockTable(const std::string& scope,
+                                                 const std::string& name,
+                                                 const T& table) const {
+    std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
+    if (FindLocked(scope, name).get() != &table) return NoTable(scope, name);
+    return std::unique_lock<std::mutex>(TableLock(scope, name));
+  }
+
+  /// Appends a mutation record, under the lock LockTable gave; OK in
+  /// memory.
+  Status AppendLog(std::span<const uint8_t> record) {
+    return durable() ? log_->Append(record) : Status::OK();
+  }
+
+  /// Moves the log to its sidecar with every shard lock held, so each
+  /// logged mutation is either in the sidecar and applied, or wholly in the
+  /// fresh live log. Counts a rotation in \p rotations and records the
+  /// time with the locks, their waits included, in \p rotate_us.
+  Status RotateLog(metrics::Counter* rotations,
+                   FixedBucketHistogram* rotate_us) {
+    Stopwatch watch;
+    std::array<std::unique_lock<std::mutex>, kShards> locks;
     for (size_t i = 0; i < kShards; ++i) {
       locks[i] = std::unique_lock<std::mutex>(sync_->shards[i]);
     }
-    return locks;
+    SCD_ASSIGN_OR_RETURN(bool rotated, log_->Rotate());
+    if (rotated) rotations->Increment();
+    rotate_us->Record(watch.ElapsedMicros());
+    return Status::OK();
   }
+
+  /// Removes the sidecar, once every table it covers is on disk.
+  void RemoveRotatedLog() { log_->RemoveRotated(); }
 
  private:
   using Tables = std::map<std::string, std::shared_ptr<T>>;
@@ -284,6 +383,7 @@ class TableCatalog {
   std::string data_dir_;  // empty => in memory
   std::map<std::string, Tables> scopes_;
   std::unique_ptr<Sync> sync_ = std::make_unique<Sync>();
+  std::unique_ptr<RecordLog> log_;  // null in memory
 };
 
 }  // namespace scdwarf

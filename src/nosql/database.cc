@@ -178,7 +178,6 @@ Database::~Database() = default;  // ~Flusher drains + joins first
 Database::Database(Database&& other) noexcept {
   other.flusher_.reset();  // drain + join: the worker holds &other
   catalog_ = std::move(other.catalog_);
-  log_ = std::move(other.log_);
 }
 
 Database& Database::operator=(Database&& other) noexcept {
@@ -186,23 +185,16 @@ Database& Database::operator=(Database&& other) noexcept {
     flusher_.reset();
     other.flusher_.reset();
     catalog_ = std::move(other.catalog_);
-    log_ = std::move(other.log_);
   }
   return *this;
 }
 
 Result<Database> Database::Open(const std::string& data_dir) {
   Database db;
-  // Loads <dir>/<keyspace>/<table>.cf.
-  SCD_RETURN_IF_ERROR(db.catalog_.Open(data_dir));
-  // The commit log is not fsynced per append (Cassandra's periodic sync).
-  db.log_ = std::make_unique<RecordLog>(data_dir, "commitlog",
-                                        /*fsync_each_append=*/false);
-  // The sidecar (a flush that never finished) holds older records than the
-  // live log and replays first. Inserts are upserts, so records whose rows
-  // also reached a segment re-apply idempotently.
-  SCD_RETURN_IF_ERROR(db.log_->Replay(
-      [&db](ByteReader* record) { return db.ReplayCommitLogRecord(record); }));
+  // Loads <dir>/<keyspace>/<table>.cf, then replays commitlog.bin, which is
+  // not fsynced per append (Cassandra's periodic sync).
+  SCD_RETURN_IF_ERROR(
+      db.catalog_.Open(data_dir, "commitlog", /*fsync_each_append=*/false));
   return db;
 }
 
@@ -252,10 +244,11 @@ Status Database::BulkInsert(const std::string& keyspace,
   // apply, so no mutation straddles Flush()'s log rotation (which holds
   // every shard lock): a logged row is applied before the rotation cut or
   // logged entirely after it.
-  std::lock_guard<std::mutex> lock(catalog_.TableLock(keyspace, table));
+  SCD_ASSIGN_OR_RETURN(std::unique_lock<std::mutex> lock,
+                       catalog_.LockTable(keyspace, table, *t));
   if (durable) {
     trace::ScopedSpan log_span("nosql.log_append");
-    SCD_RETURN_IF_ERROR(log_->Append(record.data()));
+    SCD_RETURN_IF_ERROR(catalog_.AppendLog(record.data()));
   }
   trace::ScopedSpan apply_span("nosql.table_apply");
   t->ReserveAdditional(rows.size());
@@ -276,28 +269,6 @@ Status Database::Delete(const std::string& keyspace, const std::string& table,
   return BulkDelete(keyspace, table, {key});
 }
 
-Status Database::BulkDelete(const std::string& keyspace,
-                            const std::string& table,
-                            const std::vector<Value>& keys) {
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
-  ByteWriter record;
-  if (catalog_.durable()) {
-    // Deletes are logged as single-value rows with the delete flag set.
-    PutMutationHeader(&record, keyspace, table, keys.size(),
-                      /*is_delete=*/true);
-    for (const Value& key : keys) PutMutationRow(&record, {&key, 1});
-  }
-  std::lock_guard<std::mutex> lock(catalog_.TableLock(keyspace, table));
-  if (catalog_.durable()) {
-    trace::ScopedSpan log_span("nosql.log_append");
-    SCD_RETURN_IF_ERROR(log_->Append(record.data()));
-  }
-  for (const Value& key : keys) {
-    SCD_RETURN_IF_ERROR(t->DeleteByPk(key));
-  }
-  return Status::OK();
-}
-
 Status Database::Flush() {
   if (!catalog_.durable()) return Status::OK();
   trace::ScopedSpan span("nosql.flush");
@@ -307,13 +278,8 @@ Status Database::Flush() {
   // Afterwards each logged mutation is either in the sidecar and already
   // applied to its table — so the serialization below captures it — or
   // entirely in the fresh live log.
-  {
-    Stopwatch rotate_watch;
-    auto shard_locks = catalog_.LockAllShards();
-    SCD_ASSIGN_OR_RETURN(bool rotated, log_->Rotate());
-    if (rotated) LogRotationsCounter()->Increment();
-    LogRotateHistogram()->Record(rotate_watch.ElapsedMicros());
-  }
+  SCD_RETURN_IF_ERROR(
+      catalog_.RotateLog(LogRotationsCounter(), LogRotateHistogram()));
   // Jobs are collected after the rotation so every table with sidecar
   // records still in the catalog gets a flush job.
   std::vector<std::pair<std::string, std::string>> jobs;
@@ -330,7 +296,7 @@ Status Database::Flush() {
   // directory made durable at its creation (records for tables dropped
   // meanwhile are skipped at replay anyway), so the sidecar can go. On any
   // earlier error it survives and is replayed at the next reopen.
-  log_->RemoveRotated();
+  catalog_.RemoveRotatedLog();
   FlushHistogram()->Record(flush_watch.ElapsedMicros());
   return Status::OK();
 }
@@ -383,33 +349,6 @@ Status Database::FlushTableNow(const std::string& keyspace,
     SegmentFlushHistogram()->Record(watch.ElapsedMicros());
     return Status::OK();
   });
-}
-
-uint64_t Database::EstimateBytes() const {
-  uint64_t total = 0;
-  catalog_.ForEachTable(
-      [&total](const std::string&, const std::string&, Table& table) {
-        total += table.EstimateSegmentBytes();
-        return Status::OK();
-      });
-  return total;
-}
-
-Status Database::ReplayCommitLogRecord(ByteReader* record) {
-  SCD_ASSIGN_OR_RETURN(Mutation mutation, DecodeMutation(record));
-  auto table_result = GetTable(mutation.scope, mutation.table);
-  // Rows for tables dropped since the log was written are skipped.
-  if (!table_result.ok()) return Status::OK();
-  for (Row& row : mutation.rows) {
-    if (mutation.is_delete) {
-      // A delete of a row that never reached a segment replays as a no-op.
-      Status status = (*table_result)->DeleteByPk(row[0]);
-      if (!status.ok() && !status.IsNotFound()) return status;
-    } else {
-      SCD_RETURN_IF_ERROR((*table_result)->Insert(std::move(row)));
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace scdwarf::nosql

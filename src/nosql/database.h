@@ -24,21 +24,23 @@ namespace scdwarf::nosql {
 /// before being applied, Flush() writes one segment file per column family,
 /// and Open() reloads segments then replays any unflushed log tail. Without a
 /// directory the store is purely in-memory (used by unit tests). Keyspaces,
-/// column families, their locks and files are a TableCatalog
+/// column families, their locks, files and commit log are a TableCatalog
 /// (common/table_catalog.h), shared with sql::SqlEngine: a catalog change —
 /// CreateKeyspace, CreateTable, CreateIndex, DropTable — is on disk when it
-/// returns, and a keyspace or table name must be its own file name
-/// ([A-Za-z0-9_-]).
+/// returns, a re-created table never replays a dropped one's rows, and a
+/// keyspace or table name must be its own file name ([A-Za-z0-9_-]).
 ///
 /// Concurrency: mutations from different threads are safe and serialize
 /// behind the catalog's fixed pool of per-table shard locks (catalog
 /// changes take the catalog lock exclusively). Tables are shared_ptr-owned:
 /// GetTable() hands out shared ownership, so a concurrent DropTable only
 /// removes the catalog entry and the table object stays alive until the
-/// last user releases it — no use-after-free, mutations against a dropped
-/// table become no-ops on an orphan. Reads concurrent with writes to the
-/// *same* table are not synchronized; callers partition work so one table
-/// has one writer at a time or accept shard-lock serialization.
+/// last user releases it — no use-after-free. A mutation that looked its
+/// table up before a drop returns NotFound and logs nothing, so no record
+/// of a dropped table reaches a table re-created under its name. Reads
+/// concurrent with writes to the *same* table are not synchronized;
+/// callers partition work so one table has one writer at a time or accept
+/// shard-lock serialization.
 /// FlushTableAsync() hands segment serialization to a small pool of
 /// background flusher threads with a bounded queue (different tables
 /// serialize concurrently, one table never twice at once); WaitFlushed()
@@ -88,8 +90,8 @@ class Database {
   }
 
   /// Looks up a table. The returned shared_ptr keeps the table alive even
-  /// if it is concurrently dropped; mutations applied after the drop go to
-  /// the orphaned object and are discarded with it.
+  /// if it is concurrently dropped; Database's own mutations of it then
+  /// return NotFound.
   Result<std::shared_ptr<Table>> GetTable(const std::string& keyspace,
                                           const std::string& table) {
     return catalog_.GetTable(keyspace, table);
@@ -124,7 +126,9 @@ class Database {
 
   /// Deletes many rows by primary key with one commit-log append.
   Status BulkDelete(const std::string& keyspace, const std::string& table,
-                    const std::vector<Value>& keys);
+                    const std::vector<Value>& keys) {
+    return catalog_.DeleteRows(keyspace, table, keys);
+  }
 
   /// Writes all column families to segment files and truncates the commit
   /// log. No-op in memory mode. Internally rotates the commit log (under
@@ -149,7 +153,9 @@ class Database {
   Result<uint64_t> DiskSizeBytes() const { return catalog_.DiskBytes(); }
 
   /// Sum of serialized segment sizes (works in memory mode too).
-  uint64_t EstimateBytes() const;
+  uint64_t EstimateBytes() const {
+    return catalog_.SumTables(&Table::EstimateSegmentBytes);
+  }
 
   /// Names of tables in \p keyspace.
   Result<std::vector<std::string>> ListTables(
@@ -162,9 +168,6 @@ class Database {
  private:
   class Flusher;
 
-  /// Applies one framed commit-log record; \p record spans exactly it.
-  Status ReplayCommitLogRecord(ByteReader* record);
-
   /// Serializes one column family to its segment file (runs on a flusher
   /// thread). Tables dropped since enqueue, or clean since their last
   /// flush, are skipped; the look-up, serialization and write share one
@@ -175,7 +178,6 @@ class Database {
   TableCatalog<Table> catalog_{"keyspace", ".cf"};
   /// Guards lazy flusher creation; on the heap so the Database stays movable.
   std::unique_ptr<std::mutex> flusher_mu_ = std::make_unique<std::mutex>();
-  std::unique_ptr<RecordLog> log_;    // commitlog.bin; null in memory mode
   std::unique_ptr<Flusher> flusher_;  // created lazily by FlushTableAsync
 };
 

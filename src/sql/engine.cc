@@ -42,20 +42,12 @@ FixedBucketHistogram* LogRotateHistogram() {
 
 Result<SqlEngine> SqlEngine::Open(const std::string& data_dir) {
   SqlEngine engine;
-  // Loads <dir>/<database>/<table>.tbl.
-  SCD_RETURN_IF_ERROR(engine.catalog_.Open(data_dir));
-  // InnoDB's default durability (innodb_flush_log_at_trx_commit = 1)
-  // fsyncs the redo log at every commit; the Cassandra-style store syncs
-  // its commit log only periodically, one of the write-path differences
-  // behind Table 5.
-  engine.log_ = std::make_unique<RecordLog>(data_dir, "redolog",
-                                            /*fsync_each_append=*/true);
-  // The sidecar (a flush that never finished) holds older records than the
-  // live log and replays first. Rows that also reached a tablespace replay
-  // as tolerated AlreadyExists duplicates.
-  SCD_RETURN_IF_ERROR(engine.log_->Replay([&engine](ByteReader* record) {
-    return engine.ReplayRedoRecord(record);
-  }));
+  // Loads <dir>/<database>/<table>.tbl, then replays redolog.bin. InnoDB's
+  // default durability (innodb_flush_log_at_trx_commit = 1) fsyncs the redo
+  // log at every commit; the Cassandra-style store syncs its commit log
+  // only periodically, one of the write-path differences behind Table 5.
+  SCD_RETURN_IF_ERROR(
+      engine.catalog_.Open(data_dir, "redolog", /*fsync_each_append=*/true));
   return engine;
 }
 
@@ -99,34 +91,15 @@ Status SqlEngine::BulkInsert(const std::string& database,
   // replay. One shard-lock critical section covers the apply and the
   // append, so no batch straddles Flush()'s log rotation (which holds every
   // shard lock).
-  std::lock_guard<std::mutex> lock(catalog_.TableLock(database, table));
-  return t->InsertAll(std::move(rows), [&]() -> Status {
-    if (!catalog_.durable()) return Status::OK();
-    return log_->Append(record.data());
-  });
+  SCD_ASSIGN_OR_RETURN(std::unique_lock<std::mutex> lock,
+                       catalog_.LockTable(database, table, *t));
+  return t->InsertAll(std::move(rows),
+                      [&] { return catalog_.AppendLog(record.data()); });
 }
 
 Status SqlEngine::Delete(const std::string& database, const std::string& table,
                          const Value& key) {
   return BulkDelete(database, table, {key});
-}
-
-Status SqlEngine::BulkDelete(const std::string& database,
-                             const std::string& table,
-                             const std::vector<Value>& keys) {
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<HeapTable> t, GetTable(database, table));
-  ByteWriter record;
-  if (catalog_.durable()) {
-    PutMutationHeader(&record, database, table, keys.size(),
-                      /*is_delete=*/true);
-    for (const Value& key : keys) PutMutationRow(&record, {&key, 1});
-  }
-  std::lock_guard<std::mutex> lock(catalog_.TableLock(database, table));
-  if (catalog_.durable()) SCD_RETURN_IF_ERROR(log_->Append(record.data()));
-  for (const Value& key : keys) {
-    SCD_RETURN_IF_ERROR(t->DeleteByPk(key));
-  }
-  return Status::OK();
 }
 
 Status SqlEngine::Flush() {
@@ -146,13 +119,8 @@ Status SqlEngine::Flush() {
   // after the cut each logged mutation is either in the sidecar and already
   // applied — captured by the serialization below — or entirely in the
   // fresh live log.
-  {
-    Stopwatch rotate_watch;
-    auto shard_locks = catalog_.LockAllShards();
-    SCD_ASSIGN_OR_RETURN(bool rotated, log_->Rotate());
-    if (rotated) LogRotationsCounter()->Increment();
-    LogRotateHistogram()->Record(rotate_watch.ElapsedMicros());
-  }
+  SCD_RETURN_IF_ERROR(
+      catalog_.RotateLog(LogRotationsCounter(), LogRotateHistogram()));
   const std::string doublewrite = catalog_.DataPath("doublewrite.bin");
   SCD_RETURN_IF_ERROR(catalog_.ForEachTable(
       [&](const std::string& database, const std::string& name,
@@ -178,35 +146,8 @@ Status SqlEngine::Flush() {
   // removal fsyncs the data directory, and then the sidecar can go. On any
   // earlier error it survives and is replayed at the next reopen.
   SCD_RETURN_IF_ERROR(RemoveFile(doublewrite));
-  log_->RemoveRotated();
+  catalog_.RemoveRotatedLog();
   FlushHistogram()->Record(flush_watch.ElapsedMicros());
-  return Status::OK();
-}
-
-uint64_t SqlEngine::EstimateBytes() const {
-  uint64_t total = 0;
-  catalog_.ForEachTable(
-      [&total](const std::string&, const std::string&, HeapTable& table) {
-        total += table.EstimateTablespaceBytes();
-        return Status::OK();
-      });
-  return total;
-}
-
-Status SqlEngine::ReplayRedoRecord(ByteReader* record) {
-  SCD_ASSIGN_OR_RETURN(Mutation mutation, DecodeMutation(record));
-  auto table_result = GetTable(mutation.scope, mutation.table);
-  if (!table_result.ok()) return Status::OK();
-  for (SqlRow& row : mutation.rows) {
-    if (mutation.is_delete) {
-      Status status = (*table_result)->DeleteByPk(row[0]);
-      if (!status.ok() && !status.IsNotFound()) return status;
-    } else {
-      Status status = (*table_result)->Insert(std::move(row));
-      // Rows already present in a flushed tablespace replay as duplicates.
-      if (!status.ok() && !status.IsAlreadyExists()) return status;
-    }
-  }
   return Status::OK();
 }
 

@@ -22,19 +22,20 @@ namespace scdwarf::sql {
 /// insert batch once all its rows are applied, a delete batch before it is
 /// applied. Flush() writes one tablespace file per table and truncates the
 /// log, Open() reloads tablespaces then replays any unflushed log tail.
-/// Databases, tables, their locks and files are the TableCatalog
+/// Databases, tables, their locks, files and redo log are the TableCatalog
 /// (common/table_catalog.h) that nosql::Database uses too: a catalog change
 /// — CreateDatabase, CreateTable, CreateIndex, DropTable — is on disk when
-/// it returns, and a database or table name must be its own file name
-/// ([A-Za-z0-9_-]).
+/// it returns, a re-created table never replays a dropped one's rows, and
+/// a database or table name must be its own file name ([A-Za-z0-9_-]).
 ///
 /// Concurrency: mirrors nosql::Database — mutations from different threads
 /// serialize behind the catalog's fixed pool of per-table shard locks,
 /// catalog changes take the catalog lock exclusively, and redo-log appends
-/// serialize behind the log's own lock. Tables are shared_ptr-owned: GetTable() hands out
-/// shared ownership, so a concurrent DropTable only removes the catalog
-/// entry and the object outlives every user. Reads concurrent with writes
-/// to the same table are not synchronized.
+/// serialize behind the log's own lock. Tables are shared_ptr-owned:
+/// GetTable() hands out shared ownership, so a concurrent DropTable only
+/// removes the catalog entry and the object outlives every user; a
+/// mutation that looked the table up before the drop returns NotFound.
+/// Reads concurrent with writes to the same table are not synchronized.
 ///
 /// Durability: each mutation applies to the table and appends to the redo
 /// log (a RecordLog) under one shard-lock critical section, and the append
@@ -97,11 +98,15 @@ class SqlEngine {
 
   /// Deletes many rows by primary key with one redo-log append.
   Status BulkDelete(const std::string& database, const std::string& table,
-                    const std::vector<Value>& keys);
+                    const std::vector<Value>& keys) {
+    return catalog_.DeleteRows(database, table, keys);
+  }
 
   Status Flush();
   Result<uint64_t> DiskSizeBytes() const { return catalog_.DiskBytes(); }
-  uint64_t EstimateBytes() const;
+  uint64_t EstimateBytes() const {
+    return catalog_.SumTables(&HeapTable::EstimateTablespaceBytes);
+  }
   Result<std::vector<std::string>> ListTables(
       const std::string& database) const {
     return catalog_.ListTables(database);
@@ -110,11 +115,7 @@ class SqlEngine {
   const std::string& data_dir() const { return catalog_.data_dir(); }
 
  private:
-  /// Applies one framed redo record; \p record spans exactly it.
-  Status ReplayRedoRecord(ByteReader* record);
-
   TableCatalog<HeapTable> catalog_{"database", ".tbl"};
-  std::unique_ptr<RecordLog> log_;  // redolog.bin; null in memory mode
 };
 
 }  // namespace scdwarf::sql

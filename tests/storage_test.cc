@@ -197,6 +197,42 @@ TEST_F(StorageTest, FailedRotationAppendLeavesBothFilesWhole) {
                                  std::vector<uint8_t>(3, 3)}));
 }
 
+// ReplayMutations hands out no row logged before its table's last create
+// record, in the sidecar or the live log: those rows belong to a dropped
+// table of the same name. Other tables' rows pass.
+TEST_F(StorageTest, ReplaySkipsRecordsBeforeTheirTablesCreateRecord) {
+  RecordLog log(dir_.string(), "log", /*fsync_each_append=*/false);
+  auto append_row = [&log](const std::string& table, int64_t id) {
+    const Value key = Value::Int(id);
+    ByteWriter record;
+    PutMutationHeader(&record, "ks", table, 1, /*is_delete=*/false);
+    PutMutationRow(&record, {&key, 1});
+    ASSERT_TRUE(log.Append(record.data()).ok());
+  };
+  auto append_create = [&log](const std::string& table) {
+    ByteWriter record;
+    PutCreateRecord(&record, "ks", table);
+    ASSERT_TRUE(log.Append(record.data(), /*sync=*/true).ok());
+  };
+  append_create("t");
+  append_row("t", 1);
+  append_row("u", 2);
+  ASSERT_TRUE(*log.Rotate());
+  append_create("t");  // t was dropped, and is created again
+  append_row("t", 3);
+  append_row("u", 4);
+  std::vector<std::pair<std::string, int64_t>> replayed;
+  Status status = ReplayMutations(&log, [&replayed](Mutation& mutation) {
+    for (const std::vector<Value>& row : mutation.rows) {
+      replayed.emplace_back(mutation.table, *row.at(0).AsInt());
+    }
+    return Status::OK();
+  });
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(replayed, (std::vector<std::pair<std::string, int64_t>>{
+                          {"u", 2}, {"t", 3}, {"u", 4}}));
+}
+
 // ----------------------------------------------------------------- files
 
 // A failed atomic write removes its temp file and leaves the old file.
@@ -438,11 +474,59 @@ TEST_F(StorageTest, SqlDroppedTableStaysDropped) {
   EXPECT_TRUE(engine.GetTable("db", "kv").status().IsNotFound());
 }
 
+// A table re-created under a dropped table's name, with other columns,
+// reopens with its own rows only, though the dropped table's rows are still
+// in the log: replay skips every record logged before a table's create
+// record. Row 1 is in both tables; the new one's value is the one kept.
+TEST_F(StorageTest, NoSqlTableRecreatedUnderADroppedNameGetsOnlyItsRows) {
+  const std::vector<Value> row = {Value::Int(1), Value::Int(7),
+                                  Value::Text("new")};
+  {
+    nosql::Database db = OpenNoSql(dir_);
+    ASSERT_TRUE(db.BulkInsert("ks", "kv", KvRows(0, 3)).ok());
+    ASSERT_TRUE(db.DropTable("ks", "kv").ok());
+    const nosql::TableSchema wide(
+        "ks", "kv",
+        {{"id", DataType::kInt}, {"n", DataType::kInt}, {"v", DataType::kText}},
+        "id");
+    ASSERT_TRUE(db.CreateTable(wide).ok());
+    ASSERT_TRUE(db.Insert("ks", "kv", row).ok());
+  }
+  auto db = Reopen<nosql::Database>(dir_);
+  auto table = db.GetTable("ks", "kv");
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_EQ((*table)->ScanAll().size(), 1u);
+  EXPECT_EQ(*(*table)->ScanAll().front(), row);
+}
+
+TEST_F(StorageTest, SqlTableRecreatedUnderADroppedNameGetsOnlyItsRows) {
+  const std::vector<Value> row = {Value::Int(1), Value::Int(7),
+                                  Value::Text("new")};
+  {
+    sql::SqlEngine engine = OpenSql(dir_);
+    ASSERT_TRUE(engine.BulkInsert("db", "kv", KvRows(0, 3)).ok());
+    ASSERT_TRUE(engine.DropTable("db", "kv").ok());
+    const sql::SqlTableDef wide("db", "kv",
+                                {{"id", DataType::kInt, false},
+                                 {"n", DataType::kInt},
+                                 {"v", DataType::kText}},
+                                "id");
+    ASSERT_TRUE(engine.CreateTable(wide).ok());
+    ASSERT_TRUE(engine.Insert("db", "kv", row).ok());
+  }
+  auto engine = Reopen<sql::SqlEngine>(dir_);
+  auto table = engine.GetTable("db", "kv");
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_EQ((*table)->ScanAll().size(), 1u);
+  EXPECT_EQ(*(*table)->ScanAll().front(), row);
+}
+
 // Every scope and table name is its own file name, so a reopen finds each
 // under the name it was created with. A name that SanitizeName would change
 // ('.' becomes '_') is rejected at create, durable or in memory.
 TEST_F(StorageTest, NoSqlNamesAreTheirOwnFileNames) {
-  EXPECT_TRUE(nosql::Database().CreateKeyspace("city.bikes").IsInvalidArgument());
+  EXPECT_TRUE(
+      nosql::Database().CreateKeyspace("city.bikes").IsInvalidArgument());
   {
     auto db = Reopen<nosql::Database>(dir_);
     EXPECT_TRUE(db.CreateKeyspace("city.bikes").IsInvalidArgument());
@@ -460,7 +544,8 @@ TEST_F(StorageTest, NoSqlNamesAreTheirOwnFileNames) {
 }
 
 TEST_F(StorageTest, SqlNamesAreTheirOwnFileNames) {
-  EXPECT_TRUE(sql::SqlEngine().CreateDatabase("city.bikes").IsInvalidArgument());
+  EXPECT_TRUE(
+      sql::SqlEngine().CreateDatabase("city.bikes").IsInvalidArgument());
   {
     auto engine = Reopen<sql::SqlEngine>(dir_);
     EXPECT_TRUE(engine.CreateDatabase("city.bikes").IsInvalidArgument());
@@ -475,6 +560,37 @@ TEST_F(StorageTest, SqlNamesAreTheirOwnFileNames) {
   EXPECT_FALSE(engine.HasDatabase("city.bikes"));
   EXPECT_EQ(*engine.ListTables("city-bikes"), std::vector<std::string>{"a_b"});
   EXPECT_EQ(KvIds(engine, "city-bikes", "a_b"), (std::vector<int64_t>{0, 1}));
+}
+
+// A table file that holds another name than its own, or a scope directory
+// no scope name maps to, fails the open: loaded, that table's writes would
+// go to another table's file.
+TEST_F(StorageTest, NoSqlOpenRejectsNamesThatAreNotTheirFiles) {
+  ByteWriter bytes;
+  nosql::Table(KvSchema("ks", "a.b")).SerializeTo(&bytes);
+  fs::create_directories(dir_ / "ks");
+  ASSERT_TRUE(
+      WriteFileAtomic((dir_ / "ks" / "a_b.cf").string(), bytes.view()).ok());
+  EXPECT_TRUE(
+      nosql::Database::Open(dir_.string()).status().IsInvalidArgument());
+  fs::remove(dir_ / "ks" / "a_b.cf");
+  ASSERT_TRUE(nosql::Database::Open(dir_.string()).ok());
+  fs::create_directories(dir_ / "city.bikes");
+  EXPECT_TRUE(
+      nosql::Database::Open(dir_.string()).status().IsInvalidArgument());
+}
+
+TEST_F(StorageTest, SqlOpenRejectsNamesThatAreNotTheirFiles) {
+  ByteWriter bytes;
+  sql::HeapTable(KvDef("db", "a.b")).SerializeTo(&bytes);
+  fs::create_directories(dir_ / "db");
+  ASSERT_TRUE(
+      WriteFileAtomic((dir_ / "db" / "a_b.tbl").string(), bytes.view()).ok());
+  EXPECT_TRUE(sql::SqlEngine::Open(dir_.string()).status().IsInvalidArgument());
+  fs::remove(dir_ / "db" / "a_b.tbl");
+  ASSERT_TRUE(sql::SqlEngine::Open(dir_.string()).ok());
+  fs::create_directories(dir_ / "city.bikes");
+  EXPECT_TRUE(sql::SqlEngine::Open(dir_.string()).status().IsInvalidArgument());
 }
 
 }  // namespace
