@@ -199,7 +199,7 @@ Result<StoreRunResult> RunStore(StorageSchema schema,
       mapper::SqlDwarfMapper cube_mapper(&engine, "dwarfdb");
       mapper::SqlDwarfStoreStats stats;
       watch.Restart();
-      SCD_RETURN_IF_ERROR(cube_mapper.Store(cube, &stats).status());
+      SCD_RETURN_IF_ERROR(cube_mapper.Store(cube, {}, &stats).status());
       result.insert_ms = watch.ElapsedMillis();
       SCD_ASSIGN_OR_RETURN(result.disk_bytes, engine.DiskSizeBytes());
       result.rows = stats.node_rows + stats.cell_rows +

@@ -46,6 +46,26 @@ struct CubeIdMap {
 CubeIdMap AssignIds(const dwarf::DwarfCube& cube, int64_t node_base,
                     int64_t cell_base);
 
+/// \brief Calls \p fn(id, key, measure, pointer_node) for each cell of
+/// \p node_id and then its ALL cell, as every schema stores them: a
+/// leaf-level cell keeps its measure and points at no node (-1), any other
+/// cell stores measure 0 and points at its child's store id.
+template <typename Fn>
+void ForEachStoredCell(const dwarf::DwarfCube& cube, const CubeIdMap& ids,
+                       dwarf::NodeId node_id, Fn&& fn) {
+  const dwarf::NodeView node = cube.node(node_id);
+  const bool leaf = cube.IsLeafLevel(node.level);
+  const int64_t first_cell = ids.first_cell_id[node_id];
+  for (size_t c = 0; c < node.cells.size(); ++c) {
+    const dwarf::DwarfCell& cell = node.cells[c];
+    fn(first_cell + static_cast<int64_t>(c),
+       cube.dictionary(node.level).DecodeUnchecked(cell.key),
+       leaf ? cell.measure : 0, leaf ? -1 : ids.node_ids[cell.child]);
+  }
+  fn(first_cell + static_cast<int64_t>(node.cells.size()), kAllCellKey,
+     leaf ? node.all_measure : 0, leaf ? -1 : ids.node_ids[node.all_child]);
+}
+
 /// \brief Rejects cubes whose dictionaries contain the reserved ALL key —
 /// such a cube would be ambiguous after storage. Call before any Store().
 Status ValidateNoReservedKeys(const dwarf::DwarfCube& cube);

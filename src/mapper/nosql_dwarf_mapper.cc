@@ -6,84 +6,49 @@
 #include <span>
 
 #include "common/stopwatch.h"
-#include "common/strings.h"
 #include "common/trace.h"
 #include "mapper/id_map.h"
-#include "mapper/store_rows.h"
-#include "mapper/stored_cube.h"
 #include "nosql/cql.h"
 
 namespace scdwarf::mapper {
 
-using scdwarf::DataType;
 using nosql::Row;
 using nosql::Table;
-using nosql::TableSchema;
-using scdwarf::Value;
 
-Status NoSqlDwarfMapper::EnsureSchema() {
-  if (!db_->HasKeyspace(keyspace_)) {
-    SCD_RETURN_IF_ERROR(db_->CreateKeyspace(keyspace_));
-  }
-  auto create_if_missing = [this](const TableSchema& schema) -> Status {
-    Status status = db_->CreateTable(schema);
-    if (status.IsAlreadyExists()) return Status::OK();
-    return status;
-  };
-  // Table 1-A.
-  SCD_RETURN_IF_ERROR(create_if_missing(TableSchema(
-      keyspace_, kSchemaCf,
-      {{"id", DataType::kInt},
-       {"node_count", DataType::kInt},
-       {"cell_count", DataType::kInt},
-       {"size_as_mb", DataType::kInt},
-       {"entry_node_id", DataType::kInt},
-       {"is_cube", DataType::kBool}},
-      "id")));
-  // Table 1-B.
-  SCD_RETURN_IF_ERROR(create_if_missing(TableSchema(
-      keyspace_, kNodeCf,
-      {{"id", DataType::kInt},
-       {"parentids", DataType::kIntSet},
-       {"childrenids", DataType::kIntSet},
-       {"root", DataType::kBool},
-       {"schema_id", DataType::kInt}},
-      "id")));
-  // Table 1-C.
-  SCD_RETURN_IF_ERROR(create_if_missing(TableSchema(
-      keyspace_, kCellCf,
-      {{"id", DataType::kInt},
-       {"key", DataType::kText},
-       {"measure", DataType::kInt},
-       {"parentnode", DataType::kInt},
-       {"pointernode", DataType::kInt},
-       {"leaf", DataType::kBool},
-       {"schema_id", DataType::kInt},
-       {"dimension_table_name", DataType::kText}},
-      "id")));
-  // Metadata extension (see stored_cube.h).
-  SCD_RETURN_IF_ERROR(create_if_missing(TableSchema(
-      keyspace_, kMetaCf,
-      {{"id", DataType::kInt},
-       {"cube_id", DataType::kInt},
-       {"kind", DataType::kText},
-       {"idx", DataType::kInt},
-       {"value", DataType::kText}},
-      "id")));
-  return Status::OK();
+namespace {
+
+/// Table 1-A, 1-B and 1-C.
+const std::vector<TableDecl>& Tables() {
+  static const auto* const tables = new std::vector<TableDecl>{
+      {NoSqlDwarfMapper::kSchemaCf,
+       {{"id", DataType::kInt},
+        {"node_count", DataType::kInt},
+        {"cell_count", DataType::kInt},
+        {"size_as_mb", DataType::kInt},
+        {"entry_node_id", DataType::kInt},
+        {"is_cube", DataType::kBool}}},
+      {NoSqlDwarfMapper::kNodeCf,
+       {{"id", DataType::kInt},
+        {"parentids", DataType::kIntSet},
+        {"childrenids", DataType::kIntSet},
+        {"root", DataType::kBool},
+        {"schema_id", DataType::kInt}}},
+      {NoSqlDwarfMapper::kCellCf,
+       {{"id", DataType::kInt},
+        {"key", DataType::kText},
+        {"measure", DataType::kInt},
+        {"parentnode", DataType::kInt},
+        {"pointernode", DataType::kInt},
+        {"leaf", DataType::kBool},
+        {"schema_id", DataType::kInt},
+        {"dimension_table_name", DataType::kText}}}};
+  return *tables;
 }
 
-Result<int64_t> NoSqlDwarfMapper::NextId(const std::string& table,
-                                         size_t id_column) const {
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const Table> t,
-                       static_cast<const nosql::Database*>(db_)->GetTable(
-                           keyspace_, table));
-  int64_t max_id = -1;
-  for (const Row* row : t->ScanAll()) {
-    SCD_ASSIGN_OR_RETURN(int64_t id, (*row)[id_column].AsInt());
-    max_id = std::max(max_id, id);
-  }
-  return max_id + 1;
+}  // namespace
+
+Status NoSqlDwarfMapper::EnsureSchema() {
+  return scope_.EnsureTables(Tables());
 }
 
 Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
@@ -94,10 +59,9 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
   // §4: "The id field is obtained by querying the DWARF_Schema column
   // family ... to determine the next id to be used." Node/cell ids likewise
   // continue after existing rows so several cubes share the families.
-  SCD_ASSIGN_OR_RETURN(int64_t schema_id, NextId(kSchemaCf, 0));
-  SCD_ASSIGN_OR_RETURN(int64_t node_base, NextId(kNodeCf, 0));
-  SCD_ASSIGN_OR_RETURN(int64_t cell_base, NextId(kCellCf, 0));
-  SCD_ASSIGN_OR_RETURN(int64_t meta_base, NextId(kMetaCf, 0));
+  SCD_ASSIGN_OR_RETURN(int64_t schema_id, scope_.NextId(kSchemaCf));
+  SCD_ASSIGN_OR_RETURN(int64_t node_base, scope_.NextId(kNodeCf));
+  SCD_ASSIGN_OR_RETURN(int64_t cell_base, scope_.NextId(kCellCf));
 
   CubeIdMap ids;
   dwarf::ParentIds parents;
@@ -109,23 +73,19 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
 
   NoSqlStoreStats local_stats;
 
-  const std::vector<std::string> kSchemaCols = {
-      "id", "node_count", "cell_count", "size_as_mb", "entry_node_id",
-      "is_cube"};
-  const std::vector<std::string> kNodeCols = {"id", "parentids", "childrenids",
-                                              "root", "schema_id"};
-  const std::vector<std::string> kCellCols = {
-      "id",   "key",       "measure", "parentnode", "pointernode",
-      "leaf", "schema_id", "dimension_table_name"};
-
   // §4 / Fig. 3 statement mode: render each row as a textual CQL INSERT and
   // execute it; bulk mode applies each generated chunk as one mutation
   // batch per column family.
   auto insert_cql = [this, &local_stats](const std::string& table,
-                                         const std::vector<std::string>& cols,
                                          const Row& row) -> Status {
-    std::string stmt = "INSERT INTO " + keyspace_ + "." + table + " (";
-    stmt += StrJoin(cols, ",");
+    const TableDecl& decl = *std::find_if(
+        Tables().begin(), Tables().end(),
+        [&table](const TableDecl& t) { return t.name == table; });
+    std::string stmt = "INSERT INTO " + scope_.name() + "." + table + " (";
+    for (size_t i = 0; i < decl.columns.size(); ++i) {
+      if (i > 0) stmt += ",";
+      stmt += decl.columns[i].first;
+    }
     stmt += ") VALUES (";
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) stmt += ",";
@@ -133,7 +93,7 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
     }
     stmt += ")";
     ++local_stats.statements;
-    return nosql::ExecuteCql(db_, stmt).status();
+    return nosql::ExecuteCql(scope_.engine(), stmt).status();
   };
 
   // Every node contributes one node row, and one cell row per cell plus its
@@ -148,9 +108,9 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
                                  : Value::Int(ids.node_ids[cube.root()]),
                     Value::Bool(options.is_derived_cube)};
   if (options.via_cql_statements) {
-    SCD_RETURN_IF_ERROR(insert_cql(kSchemaCf, kSchemaCols, schema_row));
+    SCD_RETURN_IF_ERROR(insert_cql(kSchemaCf, schema_row));
   } else {
-    SCD_RETURN_IF_ERROR(db_->BulkInsert(keyspace_, kSchemaCf, {schema_row}));
+    SCD_RETURN_IF_ERROR(scope_.Insert(kSchemaCf, {schema_row}));
   }
 
   // Node and cell rows go through the one store path (store_rows.h): every
@@ -184,44 +144,32 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
                            Value::Bool(node_id == cube.root()),
                            Value::Int(schema_id)});
 
-      // Regular cells.
-      for (size_t c = 0; c < node.cells.size(); ++c) {
-        const dwarf::DwarfCell& cell = node.cells[c];
-        const std::string& key =
-            cube.dictionary(node.level).DecodeUnchecked(cell.key);
+      // Its cells, then its ALL cell (reserved key, see id_map.h).
+      ForEachStoredCell(cube, ids, node_id,
+                        [&](int64_t id, const std::string& key,
+                            dwarf::Measure measure, int64_t pointer_node) {
         cell_rows.push_back(
-            {Value::Int(first_cell + static_cast<int64_t>(c)),
-             Value::Text(key),
-             Value::Int(leaf ? cell.measure : 0),
+            {Value::Int(id), Value::Text(key), Value::Int(measure),
              Value::Int(ids.node_ids[node_id]),
-             leaf ? Value::Null() : Value::Int(ids.node_ids[cell.child]),
+             pointer_node < 0 ? Value::Null() : Value::Int(pointer_node),
              Value::Bool(leaf), Value::Int(schema_id), Value::Text(dim_table)});
-      }
-      // ALL cell (reserved key, see id_map.h).
-      cell_rows.push_back(
-          {Value::Int(first_cell + static_cast<int64_t>(node.cells.size())),
-           Value::Text(kAllCellKey), Value::Int(leaf ? node.all_measure : 0),
-           Value::Int(ids.node_ids[node_id]),
-           leaf ? Value::Null() : Value::Int(ids.node_ids[node.all_child]),
-           Value::Bool(leaf), Value::Int(schema_id), Value::Text(dim_table)});
+      });
     }
     return out;
   };
   auto apply = [&](const std::string& table, std::vector<Row> rows) -> Status {
     if (!options.via_cql_statements) {
-      return db_->BulkInsert(keyspace_, table, std::move(rows));
+      return scope_.Insert(table, std::move(rows));
     }
-    const std::vector<std::string>& cols =
-        table == kNodeCf ? kNodeCols : kCellCols;
-    for (const Row& row : rows) {
-      SCD_RETURN_IF_ERROR(insert_cql(table, cols, row));
-    }
+    for (const Row& row : rows) SCD_RETURN_IF_ERROR(insert_cql(table, row));
     return Status::OK();
   };
   // Both families' row counts are known: reserving each once means no
   // chunk's insert grows a row array or rehashes a primary index.
-  SCD_RETURN_IF_ERROR(db_->Reserve(keyspace_, kNodeCf, local_stats.node_rows));
-  SCD_RETURN_IF_ERROR(db_->Reserve(keyspace_, kCellCf, local_stats.cell_rows));
+  nosql::Database* db = scope_.engine();
+  const std::string& keyspace = scope_.name();
+  SCD_RETURN_IF_ERROR(db->Reserve(keyspace, kNodeCf, local_stats.node_rows));
+  SCD_RETURN_IF_ERROR(db->Reserve(keyspace, kCellCf, local_stats.cell_rows));
   Stopwatch apply_watch;
   // Statement mode stays serial: it exists to measure per-statement cost.
   SCD_RETURN_IF_ERROR(StoreRows(
@@ -230,121 +178,49 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
       generate, apply));
   local_stats.apply_ms = apply_watch.ElapsedMillis();
 
-  // Metadata extension rows.
-  std::vector<Row> meta_rows;
-  for (const MetaRow& row : MetaToRows(CubeMeta::FromSchema(cube.schema()))) {
-    meta_rows.push_back({Value::Int(meta_base++), Value::Int(schema_id),
-                         Value::Text(row.kind), Value::Int(row.idx),
-                         Value::Text(row.value)});
-  }
-  SCD_RETURN_IF_ERROR(db_->BulkInsert(keyspace_, kMetaCf, std::move(meta_rows)));
-
-  // §4: "when all column families have been populated, the NoSQL store is
-  // queried to determine the size of the DWARF structure and the size_as_mb
-  // field ... is updated."
-  Stopwatch flush_watch;
-  SCD_RETURN_IF_ERROR(db_->Flush());
-  local_stats.flush_ms = flush_watch.ElapsedMillis();
-  SCD_ASSIGN_OR_RETURN(uint64_t disk_bytes, db_->DiskSizeBytes());
-  uint64_t size_bytes = db_->data_dir().empty() ? db_->EstimateBytes()
-                                                : disk_bytes;
-  schema_row[3] = Value::Int(static_cast<int64_t>(size_bytes >> 20));
-  SCD_RETURN_IF_ERROR(db_->Insert(keyspace_, kSchemaCf, schema_row));
-
+  SCD_RETURN_IF_ERROR(scope_.WriteMeta(schema_id, cube.schema()));
+  SCD_ASSIGN_OR_RETURN(local_stats.flush_ms,
+                       scope_.RecordSize(kSchemaCf, std::move(schema_row)));
   if (stats != nullptr) *stats = local_stats;
   return schema_id;
 }
 
 Result<dwarf::DwarfCube> NoSqlDwarfMapper::Load(int64_t schema_id) const {
-  const nosql::Database* db = db_;
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const Table> schema_cf,
-                       db->GetTable(keyspace_, kSchemaCf));
-  SCD_ASSIGN_OR_RETURN(const Row* schema_row,
-                       schema_cf->GetByPk(Value::Int(schema_id)));
-
+  SCD_ASSIGN_OR_RETURN(Row schema_row, scope_.GetRow(kSchemaCf, schema_id));
   StoredCube stored;
-  if ((*schema_row)[4].is_null()) {
-    stored.entry_node_id = -1;
-  } else {
-    SCD_ASSIGN_OR_RETURN(stored.entry_node_id, (*schema_row)[4].AsInt());
-  }
-
-  // Metadata.
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const Table> meta_cf, db->GetTable(keyspace_, kMetaCf));
-  std::vector<MetaRow> meta_rows;
-  SCD_ASSIGN_OR_RETURN(
-      std::vector<const Row*> meta_matches,
-      meta_cf->SelectEq("cube_id", Value::Int(schema_id),
-                        /*allow_filtering=*/true));
-  for (const Row* row : meta_matches) {
-    MetaRow meta;
-    SCD_ASSIGN_OR_RETURN(meta.kind, (*row)[2].AsText());
-    SCD_ASSIGN_OR_RETURN(meta.idx, (*row)[3].AsInt());
-    SCD_ASSIGN_OR_RETURN(meta.value, (*row)[4].AsText());
-    meta_rows.push_back(std::move(meta));
-  }
-  SCD_ASSIGN_OR_RETURN(stored.meta, MetaFromRows(meta_rows));
-
+  SCD_ASSIGN_OR_RETURN(stored.entry_node_id, NodeIdOrNone(schema_row[4]));
+  SCD_ASSIGN_OR_RETURN(stored.meta, scope_.ReadMeta(schema_id));
   // Cells. (Node rows are redundant for reconstruction — the paper's
   // NoSQL-Min schema demonstrates exactly that — but their ids validate.)
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const Table> cell_cf, db->GetTable(keyspace_, kCellCf));
-  SCD_ASSIGN_OR_RETURN(
-      std::vector<const Row*> cell_matches,
-      cell_cf->SelectEq("schema_id", Value::Int(schema_id),
-                        /*allow_filtering=*/true));
-  stored.cells.reserve(cell_matches.size());
-  for (const Row* row : cell_matches) {
-    StoredCell cell;
-    SCD_ASSIGN_OR_RETURN(cell.id, (*row)[0].AsInt());
-    SCD_ASSIGN_OR_RETURN(cell.key, (*row)[1].AsText());
-    SCD_ASSIGN_OR_RETURN(cell.measure, (*row)[2].AsInt());
-    SCD_ASSIGN_OR_RETURN(cell.parent_node, (*row)[3].AsInt());
-    if ((*row)[4].is_null()) {
-      cell.pointer_node = -1;
-    } else {
-      SCD_ASSIGN_OR_RETURN(cell.pointer_node, (*row)[4].AsInt());
-    }
-    SCD_ASSIGN_OR_RETURN(cell.leaf, (*row)[5].AsBool());
-    stored.cells.push_back(std::move(cell));
-  }
+  SCD_RETURN_IF_ERROR(scope_.ForEachRow(
+      kCellCf, "schema_id", schema_id, [&stored](const Row& row) -> Status {
+        StoredCell cell;
+        SCD_ASSIGN_OR_RETURN(cell.id, row[0].AsInt());
+        SCD_ASSIGN_OR_RETURN(cell.key, row[1].AsText());
+        SCD_ASSIGN_OR_RETURN(cell.measure, row[2].AsInt());
+        SCD_ASSIGN_OR_RETURN(cell.parent_node, row[3].AsInt());
+        SCD_ASSIGN_OR_RETURN(cell.pointer_node, NodeIdOrNone(row[4]));
+        SCD_ASSIGN_OR_RETURN(cell.leaf, row[5].AsBool());
+        stored.cells.push_back(std::move(cell));
+        return Status::OK();
+      }));
   return RebuildCube(stored);
 }
 
 Result<bool> NoSqlDwarfMapper::IsDerivedCube(int64_t schema_id) const {
-  const nosql::Database* db = db_;
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const Table> schema_cf,
-                       db->GetTable(keyspace_, kSchemaCf));
-  SCD_ASSIGN_OR_RETURN(const Row* row, schema_cf->GetByPk(Value::Int(schema_id)));
-  return (*row)[5].AsBool();
+  SCD_ASSIGN_OR_RETURN(Row row, scope_.GetRow(kSchemaCf, schema_id));
+  return row[5].AsBool();
 }
 
 Status NoSqlDwarfMapper::DeleteCube(int64_t schema_id) {
-  const nosql::Database* db = db_;
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const Table> schema_cf,
-                       db->GetTable(keyspace_, kSchemaCf));
-  SCD_RETURN_IF_ERROR(schema_cf->GetByPk(Value::Int(schema_id)).status());
-
-  auto delete_matching = [this, db](const char* table, const char* column,
-                                    int64_t id) -> Status {
-    SCD_ASSIGN_OR_RETURN(std::shared_ptr<const Table> t, db->GetTable(keyspace_, table));
-    SCD_ASSIGN_OR_RETURN(std::vector<const Row*> rows,
-                         t->SelectEq(column, Value::Int(id),
-                                     /*allow_filtering=*/true));
-    std::vector<Value> keys;
-    keys.reserve(rows.size());
-    for (const Row* row : rows) keys.push_back((*row)[0]);
-    return db_->BulkDelete(keyspace_, table, keys);
-  };
-  SCD_RETURN_IF_ERROR(delete_matching(kCellCf, "schema_id", schema_id));
-  SCD_RETURN_IF_ERROR(delete_matching(kNodeCf, "schema_id", schema_id));
-  SCD_RETURN_IF_ERROR(delete_matching(kMetaCf, "cube_id", schema_id));
-  return db_->Delete(keyspace_, kSchemaCf, Value::Int(schema_id));
+  return scope_.DeleteCube(kSchemaCf, schema_id,
+                           {{kCellCf, "schema_id"}, {kNodeCf, "schema_id"}});
 }
 
 Result<std::vector<int64_t>> NoSqlDwarfMapper::ListSchemas() const {
-  const nosql::Database* db = db_;
+  const nosql::Database* db = scope_.engine();
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<const Table> schema_cf,
-                       db->GetTable(keyspace_, kSchemaCf));
+                       db->GetTable(scope_.name(), kSchemaCf));
   std::vector<int64_t> ids;
   for (const Row* row : schema_cf->ScanAll()) {
     SCD_ASSIGN_OR_RETURN(int64_t id, (*row)[0].AsInt());

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "dwarf/dwarf_cube.h"
+#include "mapper/store_scope.h"
 #include "nosql/database.h"
 
 namespace scdwarf::mapper {
@@ -38,10 +39,8 @@ struct NoSqlDwarfMapperOptions {
   /// statement ablation bench measures the difference.
   bool via_cql_statements = false;
 
-  /// Threads for row serialization: 0 = auto (SCDWARF_THREADS env override,
-  /// else hardware_concurrency), 1 = serial. Rows are generated in parallel
-  /// but applied in order, so the stored bytes are identical for any value.
-  /// Ignored (serial) in statement mode.
+  /// Threads for row serialization, as StoreOptions::num_threads (every
+  /// mapper's Store() takes it so). Ignored (serial) in statement mode.
   int num_threads = 0;
 };
 
@@ -49,7 +48,7 @@ struct NoSqlDwarfMapperOptions {
 class NoSqlDwarfMapper {
  public:
   NoSqlDwarfMapper(nosql::Database* db, std::string keyspace)
-      : db_(db), keyspace_(std::move(keyspace)) {}
+      : scope_(db, std::move(keyspace)) {}
 
   /// Creates the keyspace and the column families of Table 1 (plus the
   /// dwarf_metadata extension) if missing. Idempotent.
@@ -81,13 +80,10 @@ class NoSqlDwarfMapper {
   static constexpr const char* kSchemaCf = "dwarf_schema";
   static constexpr const char* kNodeCf = "dwarf_node";
   static constexpr const char* kCellCf = "dwarf_cell";
-  static constexpr const char* kMetaCf = "dwarf_metadata";
+  static constexpr const char* kMetaCf = kMetadataTable;
 
  private:
-  Result<int64_t> NextId(const std::string& table, size_t id_column) const;
-
-  nosql::Database* db_;
-  std::string keyspace_;
+  StoreScope<nosql::Database> scope_;
 };
 
 }  // namespace scdwarf::mapper

@@ -13,85 +13,50 @@
 namespace scdwarf::mapper {
 
 using sql::SqlRow;
-using sql::SqlTableDef;
 
 Status SqlDwarfMapper::EnsureSchema() {
-  if (!engine_->HasDatabase(database_)) {
-    SCD_RETURN_IF_ERROR(engine_->CreateDatabase(database_));
-  }
-  auto create_if_missing = [this](const SqlTableDef& def) -> Status {
-    Status status = engine_->CreateTable(def);
-    if (status.IsAlreadyExists()) return Status::OK();
-    return status;
-  };
-  SCD_RETURN_IF_ERROR(create_if_missing(SqlTableDef(
-      database_, kCubeTable,
-      {{"id", DataType::kInt, false},
-       {"node_count", DataType::kInt},
-       {"cell_count", DataType::kInt},
-       {"size_as_mb", DataType::kInt},
-       {"entry_node_id", DataType::kInt}},
-      "id")));
-  SCD_RETURN_IF_ERROR(create_if_missing(SqlTableDef(
-      database_, kNodeTable,
-      {{"id", DataType::kInt, false},
-       {"root", DataType::kBool},
-       {"cube_id", DataType::kInt}},
-      "id")));
-  SCD_RETURN_IF_ERROR(create_if_missing(SqlTableDef(
-      database_, kCellTable,
-      {{"id", DataType::kInt, false},
-       {"key_text", DataType::kText},
-       {"measure", DataType::kInt},
-       {"leaf", DataType::kBool},
-       {"cube_id", DataType::kInt},
-       {"dimension_table_name", DataType::kText}},
-      "id")));
-  // One row per node -> contained cell edge.
-  SCD_RETURN_IF_ERROR(create_if_missing(SqlTableDef(
-      database_, kNodeChildrenTable,
-      {{"id", DataType::kInt, false},
-       {"node_id", DataType::kInt},
-       {"cell_id", DataType::kInt}},
-      "id")));
-  // One row per cell -> pointed node edge.
-  SCD_RETURN_IF_ERROR(create_if_missing(SqlTableDef(
-      database_, kCellChildrenTable,
-      {{"id", DataType::kInt, false},
-       {"cell_id", DataType::kInt},
-       {"node_id", DataType::kInt}},
-      "id")));
-  SCD_RETURN_IF_ERROR(create_if_missing(SqlTableDef(
-      database_, kMetaTable,
-      {{"id", DataType::kInt, false},
-       {"cube_id", DataType::kInt},
-       {"kind", DataType::kText},
-       {"idx", DataType::kInt},
-       {"value", DataType::kText}},
-      "id")));
-  return Status::OK();
-}
-
-Result<int64_t> SqlDwarfMapper::NextId(const std::string& table) const {
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> t,
-                       static_cast<const sql::SqlEngine*>(engine_)->GetTable(
-                           database_, table));
-  // Rows scan in primary-key order: the last row has the max id.
-  auto rows = t->ScanAll();
-  if (rows.empty()) return int64_t{0};
-  SCD_ASSIGN_OR_RETURN(int64_t max_id, (*rows.back())[0].AsInt());
-  return max_id + 1;
+  return scope_.EnsureTables(
+      {{kCubeTable,
+        {{"id", DataType::kInt},
+         {"node_count", DataType::kInt},
+         {"cell_count", DataType::kInt},
+         {"size_as_mb", DataType::kInt},
+         {"entry_node_id", DataType::kInt}}},
+       {kNodeTable,
+        {{"id", DataType::kInt},
+         {"root", DataType::kBool},
+         {"cube_id", DataType::kInt}}},
+       {kCellTable,
+        {{"id", DataType::kInt},
+         {"key_text", DataType::kText},
+         {"measure", DataType::kInt},
+         {"leaf", DataType::kBool},
+         {"cube_id", DataType::kInt},
+         {"dimension_table_name", DataType::kText}}},
+       // One row per node -> contained cell edge.
+       {kNodeChildrenTable,
+        {{"id", DataType::kInt},
+         {"node_id", DataType::kInt},
+         {"cell_id", DataType::kInt}}},
+       // One row per cell -> pointed node edge.
+       {kCellChildrenTable,
+        {{"id", DataType::kInt},
+         {"cell_id", DataType::kInt},
+         {"node_id", DataType::kInt}}}});
 }
 
 Result<int64_t> SqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
+                                      StoreOptions options,
                                       SqlDwarfStoreStats* stats) {
   SCD_RETURN_IF_ERROR(EnsureSchema());
   SCD_RETURN_IF_ERROR(ValidateNoReservedKeys(cube));
-  SCD_ASSIGN_OR_RETURN(int64_t cube_id, NextId(kCubeTable));
-  SCD_ASSIGN_OR_RETURN(int64_t node_base, NextId(kNodeTable));
-  SCD_ASSIGN_OR_RETURN(int64_t cell_base, NextId(kCellTable));
-  SCD_ASSIGN_OR_RETURN(int64_t node_children_base, NextId(kNodeChildrenTable));
-  SCD_ASSIGN_OR_RETURN(int64_t cell_children_base, NextId(kCellChildrenTable));
+  SCD_ASSIGN_OR_RETURN(int64_t cube_id, scope_.NextId(kCubeTable));
+  SCD_ASSIGN_OR_RETURN(int64_t node_base, scope_.NextId(kNodeTable));
+  SCD_ASSIGN_OR_RETURN(int64_t cell_base, scope_.NextId(kCellTable));
+  SCD_ASSIGN_OR_RETURN(int64_t node_children_base,
+                       scope_.NextId(kNodeChildrenTable));
+  SCD_ASSIGN_OR_RETURN(int64_t cell_children_base,
+                       scope_.NextId(kCellChildrenTable));
 
   CubeIdMap ids;
   {
@@ -125,52 +90,38 @@ Result<int64_t> SqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
     std::vector<SqlRow>& cell_children_rows = out[3];
     int64_t nc_id = node_children_base + static_cast<int64_t>(nc_prefix[begin]);
     int64_t cc_id = cell_children_base + static_cast<int64_t>(cc_prefix[begin]);
-    auto emit_cell = [&](int64_t cell_id, const std::string& key,
-                         dwarf::Measure measure, bool leaf, int64_t node_id,
-                         int64_t pointed_node, const std::string& dim_table) {
-      cell_rows.push_back(
-          {Value::Int(cell_id), Value::Text(key), Value::Int(measure),
-           Value::Bool(leaf), Value::Int(cube_id), Value::Text(dim_table)});
-      node_children_rows.push_back(
-          {Value::Int(nc_id++), Value::Int(node_id), Value::Int(cell_id)});
-      if (pointed_node >= 0) {
-        cell_children_rows.push_back(
-            {Value::Int(cc_id++), Value::Int(cell_id),
-             Value::Int(pointed_node)});
-      }
-    };
     for (size_t i = begin; i < end; ++i) {
-      dwarf::NodeId node_id = ids.visit_order[i];
+      const dwarf::NodeId node_id = ids.visit_order[i];
       const dwarf::NodeView node = cube.node(node_id);
-      bool leaf = cube.IsLeafLevel(node.level);
+      const bool leaf = cube.IsLeafLevel(node.level);
       const std::string& dim_table =
           cube.schema().dimensions()[node.level].dimension_table;
-      node_rows.push_back({Value::Int(ids.node_ids[node_id]),
+      const int64_t node_store_id = ids.node_ids[node_id];
+      node_rows.push_back({Value::Int(node_store_id),
                            Value::Bool(node_id == cube.root()),
                            Value::Int(cube_id)});
-      const int64_t first_cell = ids.first_cell_id[node_id];
-      for (size_t c = 0; c < node.cells.size(); ++c) {
-        const dwarf::DwarfCell& cell = node.cells[c];
-        const std::string& key =
-            cube.dictionary(node.level).DecodeUnchecked(cell.key);
-        emit_cell(first_cell + static_cast<int64_t>(c), key,
-                  leaf ? cell.measure : 0, leaf, ids.node_ids[node_id],
-                  leaf ? -1 : ids.node_ids[cell.child], dim_table);
-      }
-      emit_cell(first_cell + static_cast<int64_t>(node.cells.size()),
-                kAllCellKey,
-                leaf ? node.all_measure : 0, leaf, ids.node_ids[node_id],
-                leaf ? -1 : ids.node_ids[node.all_child], dim_table);
+      ForEachStoredCell(cube, ids, node_id,
+                        [&](int64_t cell_id, const std::string& key,
+                            dwarf::Measure measure, int64_t pointer_node) {
+        cell_rows.push_back(
+            {Value::Int(cell_id), Value::Text(key), Value::Int(measure),
+             Value::Bool(leaf), Value::Int(cube_id), Value::Text(dim_table)});
+        node_children_rows.push_back({Value::Int(nc_id++),
+                                      Value::Int(node_store_id),
+                                      Value::Int(cell_id)});
+        if (pointer_node >= 0) {
+          cell_children_rows.push_back({Value::Int(cc_id++),
+                                        Value::Int(cell_id),
+                                        Value::Int(pointer_node)});
+        }
+      });
     }
     return out;
   };
-  SCD_RETURN_IF_ERROR(StoreRows(
-      num_threads_, n,
+  SCD_RETURN_IF_ERROR(scope_.StoreRows(
+      options.num_threads, n,
       {kNodeTable, kCellTable, kNodeChildrenTable, kCellChildrenTable},
-      kSqlRowsPerInsert, generate,
-      [this](const std::string& table, std::vector<SqlRow> rows) {
-        return engine_->BulkInsert(database_, table, std::move(rows));
-      }));
+      generate));
 
   // One node row per node; one cell row and one NODE_CHILDREN row per cell.
   if (stats != nullptr) {
@@ -185,163 +136,85 @@ Result<int64_t> SqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
                      Value::Int(0),
                      cube.empty() ? Value::Null()
                                   : Value::Int(ids.node_ids[cube.root()])};
-  SCD_RETURN_IF_ERROR(engine_->BulkInsert(database_, kCubeTable, {cube_row}));
-
-  SCD_ASSIGN_OR_RETURN(int64_t meta_base, NextId(kMetaTable));
-  std::vector<SqlRow> meta_rows;
-  for (const MetaRow& row : MetaToRows(CubeMeta::FromSchema(cube.schema()))) {
-    meta_rows.push_back({Value::Int(meta_base++), Value::Int(cube_id),
-                         Value::Text(row.kind), Value::Int(row.idx),
-                         Value::Text(row.value)});
-  }
+  SCD_RETURN_IF_ERROR(scope_.Insert(kCubeTable, {cube_row}));
+  SCD_RETURN_IF_ERROR(scope_.WriteMeta(cube_id, cube.schema()));
   SCD_RETURN_IF_ERROR(
-      engine_->BulkInsert(database_, kMetaTable, std::move(meta_rows)));
-
-  SCD_RETURN_IF_ERROR(engine_->Flush());
-  SCD_ASSIGN_OR_RETURN(uint64_t disk_bytes, engine_->DiskSizeBytes());
-  uint64_t size_bytes =
-      engine_->data_dir().empty() ? engine_->EstimateBytes() : disk_bytes;
-  // MySQL INSERT has no upsert here: update by delete-free overwrite is not
-  // available, so the size row is written through a fresh insert id... the
-  // engine rejects duplicate keys, so instead store the measured size in the
-  // metadata table alongside the logical schema.
-  SCD_ASSIGN_OR_RETURN(int64_t size_meta_id, NextId(kMetaTable));
-  SCD_RETURN_IF_ERROR(engine_->BulkInsert(
-      database_, kMetaTable,
-      {{Value::Int(size_meta_id), Value::Int(cube_id), Value::Text("size_mb"),
-        Value::Int(0),
-        Value::Text(std::to_string(size_bytes >> 20))}}));
+      scope_.RecordSize(kCubeTable, std::move(cube_row)).status());
   return cube_id;
 }
 
 Status SqlDwarfMapper::DeleteCube(int64_t cube_id) {
-  const sql::SqlEngine* engine = engine_;
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> cube_table,
-                       engine->GetTable(database_, kCubeTable));
-  SCD_RETURN_IF_ERROR(cube_table->GetByPk(Value::Int(cube_id)).status());
-
-  auto delete_matching = [this, engine](const char* table, const char* column,
-                                        int64_t id) -> Status {
-    SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> t,
-                         engine->GetTable(database_, table));
-    SCD_ASSIGN_OR_RETURN(std::vector<const sql::SqlRow*> rows,
-                         t->SelectEq(column, Value::Int(id)));
-    std::vector<Value> keys;
-    keys.reserve(rows.size());
-    for (const sql::SqlRow* row : rows) keys.push_back((*row)[0]);
-    return engine_->BulkDelete(database_, table, keys);
-  };
+  SCD_RETURN_IF_ERROR(scope_.GetRow(kCubeTable, cube_id).status());
   // The join tables carry no cube id; resolve their rows through the cube's
-  // cell and node ids.
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> cells,
-                       engine->GetTable(database_, kCellTable));
-  SCD_ASSIGN_OR_RETURN(std::vector<const sql::SqlRow*> cell_rows,
-                       cells->SelectEq("cube_id", Value::Int(cube_id)));
+  // cell ids.
   std::set<int64_t> cell_ids;
-  for (const sql::SqlRow* row : cell_rows) {
-    SCD_ASSIGN_OR_RETURN(int64_t id, (*row)[0].AsInt());
-    cell_ids.insert(id);
-  }
-  auto delete_edges = [this, engine, &cell_ids](const char* table) -> Status {
+  SCD_RETURN_IF_ERROR(scope_.ForEachRow(
+      kCellTable, "cube_id", cube_id, [&cell_ids](const SqlRow& row) -> Status {
+        SCD_ASSIGN_OR_RETURN(int64_t id, row[0].AsInt());
+        cell_ids.insert(id);
+        return Status::OK();
+      }));
+  sql::SqlEngine* engine = scope_.engine();
+  auto delete_edges = [&](const char* table, size_t cell_column) -> Status {
     SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> t,
-                         engine->GetTable(database_, table));
+                         engine->GetTable(scope_.name(), table));
     std::vector<Value> keys;
-    for (const sql::SqlRow* row : t->ScanAll()) {
-      SCD_ASSIGN_OR_RETURN(int64_t cell_id, (*row)[1].AsInt());
+    for (const SqlRow* row : t->ScanAll()) {
+      SCD_ASSIGN_OR_RETURN(int64_t cell_id, (*row)[cell_column].AsInt());
       if (cell_ids.count(cell_id) > 0) keys.push_back((*row)[0]);
     }
-    return engine_->BulkDelete(database_, table, keys);
+    return engine->BulkDelete(scope_.name(), table, keys);
   };
-  // NODE_CHILDREN stores (node_id, cell_id): the cell reference is column 2.
-  {
-    SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> t,
-                         engine->GetTable(database_, kNodeChildrenTable));
-    std::vector<Value> keys;
-    for (const sql::SqlRow* row : t->ScanAll()) {
-      SCD_ASSIGN_OR_RETURN(int64_t cell_id, (*row)[2].AsInt());
-      if (cell_ids.count(cell_id) > 0) keys.push_back((*row)[0]);
-    }
-    SCD_RETURN_IF_ERROR(engine_->BulkDelete(database_, kNodeChildrenTable, keys));
-  }
-  SCD_RETURN_IF_ERROR(delete_edges(kCellChildrenTable));
-  SCD_RETURN_IF_ERROR(delete_matching(kCellTable, "cube_id", cube_id));
-  SCD_RETURN_IF_ERROR(delete_matching(kNodeTable, "cube_id", cube_id));
-  SCD_RETURN_IF_ERROR(delete_matching(kMetaTable, "cube_id", cube_id));
-  return engine_->Delete(database_, kCubeTable, Value::Int(cube_id));
+  // NODE_CHILDREN stores (node_id, cell_id), CELL_CHILDREN (cell_id, node_id).
+  SCD_RETURN_IF_ERROR(delete_edges(kNodeChildrenTable, 2));
+  SCD_RETURN_IF_ERROR(delete_edges(kCellChildrenTable, 1));
+  return scope_.DeleteCube(kCubeTable, cube_id,
+                           {{kCellTable, "cube_id"}, {kNodeTable, "cube_id"}});
 }
 
 Result<dwarf::DwarfCube> SqlDwarfMapper::Load(int64_t cube_id) const {
-  const sql::SqlEngine* engine = engine_;
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> cube_table,
-                       engine->GetTable(database_, kCubeTable));
-  SCD_ASSIGN_OR_RETURN(const SqlRow* cube_row,
-                       cube_table->GetByPk(Value::Int(cube_id)));
-
+  SCD_ASSIGN_OR_RETURN(SqlRow cube_row, scope_.GetRow(kCubeTable, cube_id));
   StoredCube stored;
-  if ((*cube_row)[4].is_null()) {
-    stored.entry_node_id = -1;
-  } else {
-    SCD_ASSIGN_OR_RETURN(stored.entry_node_id, (*cube_row)[4].AsInt());
-  }
-
-  // Metadata (skipping the size_mb row).
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> meta_table,
-                       engine->GetTable(database_, kMetaTable));
-  std::vector<MetaRow> meta_rows;
-  SCD_ASSIGN_OR_RETURN(std::vector<const SqlRow*> meta_matches,
-                       meta_table->SelectEq("cube_id", Value::Int(cube_id)));
-  for (const SqlRow* row : meta_matches) {
-    MetaRow meta;
-    SCD_ASSIGN_OR_RETURN(meta.kind, (*row)[2].AsText());
-    if (meta.kind == "size_mb") continue;
-    SCD_ASSIGN_OR_RETURN(meta.idx, (*row)[3].AsInt());
-    SCD_ASSIGN_OR_RETURN(meta.value, (*row)[4].AsText());
-    meta_rows.push_back(std::move(meta));
-  }
-  SCD_ASSIGN_OR_RETURN(stored.meta, MetaFromRows(meta_rows));
+  SCD_ASSIGN_OR_RETURN(stored.entry_node_id, NodeIdOrNone(cube_row[4]));
+  SCD_ASSIGN_OR_RETURN(stored.meta, scope_.ReadMeta(cube_id));
 
   // The relational rebuild stitches three tables: cells joined to their
   // owning node through NODE_CHILDREN and to their pointed node through
-  // CELL_CHILDREN.
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> cell_table,
-                       engine->GetTable(database_, kCellTable));
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> node_children,
-                       engine->GetTable(database_, kNodeChildrenTable));
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> cell_children,
-                       engine->GetTable(database_, kCellChildrenTable));
-
-  std::map<int64_t, int64_t> owner_of_cell;     // cell id -> node id
-  for (const SqlRow* row : node_children->ScanAll()) {
-    SCD_ASSIGN_OR_RETURN(int64_t node_id, (*row)[1].AsInt());
-    SCD_ASSIGN_OR_RETURN(int64_t cell_id, (*row)[2].AsInt());
-    owner_of_cell[cell_id] = node_id;
-  }
-  std::map<int64_t, int64_t> pointed_by_cell;   // cell id -> node id
-  for (const SqlRow* row : cell_children->ScanAll()) {
-    SCD_ASSIGN_OR_RETURN(int64_t cell_id, (*row)[1].AsInt());
-    SCD_ASSIGN_OR_RETURN(int64_t node_id, (*row)[2].AsInt());
-    pointed_by_cell[cell_id] = node_id;
-  }
-
-  SCD_ASSIGN_OR_RETURN(std::vector<const SqlRow*> cell_matches,
-                       cell_table->SelectEq("cube_id", Value::Int(cube_id)));
-  for (const SqlRow* row : cell_matches) {
-    StoredCell cell;
-    SCD_ASSIGN_OR_RETURN(cell.id, (*row)[0].AsInt());
-    SCD_ASSIGN_OR_RETURN(cell.key, (*row)[1].AsText());
-    SCD_ASSIGN_OR_RETURN(cell.measure, (*row)[2].AsInt());
-    SCD_ASSIGN_OR_RETURN(cell.leaf, (*row)[3].AsBool());
-    auto owner = owner_of_cell.find(cell.id);
-    if (owner == owner_of_cell.end()) {
-      return Status::ParseError("cell " + std::to_string(cell.id) +
-                                " has no NODE_CHILDREN row");
+  // CELL_CHILDREN. Both map a cell id to a node id.
+  const sql::SqlEngine& engine = *scope_.engine();
+  auto edges = [&](const char* table, size_t cell_column,
+                   size_t node_column) -> Result<std::map<int64_t, int64_t>> {
+    SCD_ASSIGN_OR_RETURN(std::shared_ptr<const sql::HeapTable> t,
+                         engine.GetTable(scope_.name(), table));
+    std::map<int64_t, int64_t> node_of_cell;
+    for (const SqlRow* row : t->ScanAll()) {
+      SCD_ASSIGN_OR_RETURN(int64_t cell_id, (*row)[cell_column].AsInt());
+      SCD_ASSIGN_OR_RETURN(node_of_cell[cell_id], (*row)[node_column].AsInt());
     }
-    cell.parent_node = owner->second;
-    auto pointed = pointed_by_cell.find(cell.id);
-    cell.pointer_node =
-        pointed == pointed_by_cell.end() ? -1 : pointed->second;
-    stored.cells.push_back(std::move(cell));
-  }
+    return node_of_cell;
+  };
+  SCD_ASSIGN_OR_RETURN(auto owner_of_cell, edges(kNodeChildrenTable, 2, 1));
+  SCD_ASSIGN_OR_RETURN(auto pointed_by_cell, edges(kCellChildrenTable, 1, 2));
+
+  SCD_RETURN_IF_ERROR(scope_.ForEachRow(
+      kCellTable, "cube_id", cube_id, [&](const SqlRow& row) -> Status {
+        StoredCell cell;
+        SCD_ASSIGN_OR_RETURN(cell.id, row[0].AsInt());
+        SCD_ASSIGN_OR_RETURN(cell.key, row[1].AsText());
+        SCD_ASSIGN_OR_RETURN(cell.measure, row[2].AsInt());
+        SCD_ASSIGN_OR_RETURN(cell.leaf, row[3].AsBool());
+        auto owner = owner_of_cell.find(cell.id);
+        if (owner == owner_of_cell.end()) {
+          return Status::ParseError("cell " + std::to_string(cell.id) +
+                                    " has no NODE_CHILDREN row");
+        }
+        cell.parent_node = owner->second;
+        auto pointed = pointed_by_cell.find(cell.id);
+        cell.pointer_node =
+            pointed == pointed_by_cell.end() ? -1 : pointed->second;
+        stored.cells.push_back(std::move(cell));
+        return Status::OK();
+      }));
   return RebuildCube(stored);
 }
 

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "dwarf/dwarf_cube.h"
+#include "mapper/store_scope.h"
 #include "sql/engine.h"
 
 namespace scdwarf::mapper {
@@ -28,18 +29,15 @@ struct SqlDwarfStoreStats {
 class SqlDwarfMapper {
  public:
   SqlDwarfMapper(sql::SqlEngine* engine, std::string database)
-      : engine_(engine), database_(std::move(database)) {}
-
-  /// Threads for Store()'s row serialization: 0 = auto (SCDWARF_THREADS env
-  /// override, else hardware_concurrency), 1 = serial. Rows are generated in
-  /// parallel but applied in order — edge-table ids come from per-chunk
-  /// prefix counts — so the stored bytes are identical for any value.
-  void set_num_threads(int num_threads) { num_threads_ = num_threads; }
+      : scope_(engine, std::move(database)) {}
 
   /// Creates the five Fig. 4 tables (plus metadata) if missing.
   Status EnsureSchema();
 
-  Result<int64_t> Store(const dwarf::DwarfCube& cube,
+  /// Stores \p cube; returns its DWARF_CUBE id. Edge-table ids come from
+  /// per-chunk prefix counts, so the stored bytes are identical at any
+  /// thread count.
+  Result<int64_t> Store(const dwarf::DwarfCube& cube, StoreOptions options = {},
                         SqlDwarfStoreStats* stats = nullptr);
 
   Result<dwarf::DwarfCube> Load(int64_t cube_id) const;
@@ -52,14 +50,10 @@ class SqlDwarfMapper {
   static constexpr const char* kCellTable = "dwarf_cell";
   static constexpr const char* kNodeChildrenTable = "node_children";
   static constexpr const char* kCellChildrenTable = "cell_children";
-  static constexpr const char* kMetaTable = "dwarf_metadata";
+  static constexpr const char* kMetaTable = kMetadataTable;
 
  private:
-  Result<int64_t> NextId(const std::string& table) const;
-
-  sql::SqlEngine* engine_;
-  std::string database_;
-  int num_threads_ = 0;
+  StoreScope<sql::SqlEngine> scope_;
 };
 
 }  // namespace scdwarf::mapper

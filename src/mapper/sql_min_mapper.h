@@ -1,49 +1,15 @@
 /// \file sql_min_mapper.h
-/// \brief The MySQL-Min comparison schema: the NoSQL-Min layout (Table 3)
-/// expressed relationally — "designed to test how well MySQL performs using
-/// a schema without joins" (§5). Two tables, no node rows, no secondary
-/// indexes; rebuilds pay for it with full scans.
+/// \brief MySQL-Min: the Min mapper (nosql_min_mapper.h) over sql::SqlEngine
+/// — the NoSQL-Min layout expressed relationally, with no secondary index.
 
 #ifndef SCDWARF_MAPPER_SQL_MIN_MAPPER_H_
 #define SCDWARF_MAPPER_SQL_MIN_MAPPER_H_
 
-#include <string>
-
-#include "dwarf/dwarf_cube.h"
-#include "sql/engine.h"
+#include "mapper/nosql_min_mapper.h"
 
 namespace scdwarf::mapper {
 
-/// \brief DWARF <-> MySQL-Min mapping.
-class SqlMinMapper {
- public:
-  SqlMinMapper(sql::SqlEngine* engine, std::string database)
-      : engine_(engine), database_(std::move(database)) {}
-
-  /// Threads for Store()'s row serialization: 0 = auto (SCDWARF_THREADS env
-  /// override, else hardware_concurrency), 1 = serial. Rows are generated in
-  /// parallel but applied in order, so the stored bytes are identical for
-  /// any value.
-  void set_num_threads(int num_threads) { num_threads_ = num_threads; }
-
-  Status EnsureSchema();
-  Result<int64_t> Store(const dwarf::DwarfCube& cube);
-  Result<dwarf::DwarfCube> Load(int64_t cube_id) const;
-
-  /// Removes every row of the stored cube.
-  Status DeleteCube(int64_t cube_id);
-
-  static constexpr const char* kCubeTable = "dwarf_cube";
-  static constexpr const char* kCellTable = "dwarf_cell";
-  static constexpr const char* kMetaTable = "dwarf_metadata";
-
- private:
-  Result<int64_t> NextId(const std::string& table) const;
-
-  sql::SqlEngine* engine_;
-  std::string database_;
-  int num_threads_ = 0;
-};
+using SqlMinMapper = MinMapper<sql::SqlEngine>;
 
 }  // namespace scdwarf::mapper
 

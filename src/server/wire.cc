@@ -1,5 +1,6 @@
 #include "server/wire.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -995,7 +996,13 @@ Status WriteFull(int fd, const char* data, size_t size,
                  std::string_view peer) {
   size_t written = 0;
   while (written < size) {
-    ssize_t n = ::write(fd, data + written, size - written);
+    // MSG_NOSIGNAL: a socket shut down or reset under the write fails with
+    // EPIPE instead of raising SIGPIPE, which would kill the process. A
+    // pipe is no socket (ENOTSOCK) and takes write().
+    ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
+    if (n < 0 && errno == ENOTSOCK) {
+      n = ::write(fd, data + written, size - written);
+    }
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {

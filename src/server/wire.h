@@ -287,7 +287,9 @@ Result<Envelope> ReadEnvelope(std::string_view response);
 /// frame or surface as a spurious IoError. \p peer, when non-empty, names
 /// the remote endpoint in every error message ("... (peer 127.0.0.1:4321)"),
 /// so client-path callers (the router, the client pool) produce actionable
-/// retry logs instead of anonymous I/O failures.
+/// retry logs instead of anonymous I/O failures. A socket the peer or a
+/// local shutdown closed gives an IoError and raises no SIGPIPE; a pipe
+/// works too.
 Status WriteFull(int fd, const char* data, size_t size,
                  std::string_view peer = {});
 

@@ -2,6 +2,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
+#include <map>
+#include <memory>
 #include <set>
 
 #include "citibikes/bike_feed.h"
@@ -296,7 +299,7 @@ TEST(NoSqlMinMapperTest, SecondaryIndexesCreatedByDefault) {
   nosql::Database db;
   NoSqlMinMapper mapper(&db, "minks");
   ASSERT_TRUE(mapper.EnsureSchema().ok());
-  auto table = db.GetTable("minks", NoSqlMinMapper::kCellCf);
+  auto table = db.GetTable("minks", NoSqlMinMapper::kCellTable);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ((*table)->schema().secondary_indexes().size(), 2u);
 }
@@ -309,7 +312,7 @@ TEST(NoSqlMinMapperTest, IndexAblationSkipsIndexes) {
   dwarf::DwarfCube cube = BuildGeoCube();
   auto id = mapper.Store(cube);
   ASSERT_TRUE(id.ok()) << id.status();
-  auto table = db.GetTable("minks", NoSqlMinMapper::kCellCf);
+  auto table = db.GetTable("minks", NoSqlMinMapper::kCellTable);
   EXPECT_TRUE((*table)->schema().secondary_indexes().empty());
   // Load still works (falls back to filtering scans).
   auto rebuilt = mapper.Load(*id);
@@ -322,7 +325,7 @@ TEST(SqlDwarfMapperTest, GeoRoundTrip) {
   SqlDwarfMapper mapper(&engine, "dwarfdb");
   dwarf::DwarfCube cube = BuildGeoCube();
   SqlDwarfStoreStats stats;
-  auto id = mapper.Store(cube, &stats);
+  auto id = mapper.Store(cube, {}, &stats);
   ASSERT_TRUE(id.ok()) << id.status();
   // Every cell yields a NODE_CHILDREN row; every interior cell a
   // CELL_CHILDREN row — the Fig. 4 row explosion.
@@ -424,6 +427,219 @@ TEST(MapperDurabilityTest, RoundTripThroughDisk) {
     ExpectCubesEquivalent(cube, *rebuilt);
   }
   fs::remove_all(dir);
+}
+
+// ------------------------------------- one suite over the four schemas
+
+/// A store of one of the four schemas — in memory, or durable under a
+/// directory — behind the calls every mapper has.
+struct SchemaStore {
+  std::unique_ptr<nosql::Database> db;
+  std::unique_ptr<sql::SqlEngine> engine;
+  std::function<Result<int64_t>(const dwarf::DwarfCube&)> store;
+  std::function<Result<dwarf::DwarfCube>(int64_t)> load;
+  std::function<Status(int64_t)> delete_cube;
+};
+
+template <typename Mapper, typename Engine>
+void BindMapper(SchemaStore* s, Engine* engine) {
+  auto mapper = std::make_shared<Mapper>(engine, "scope");
+  s->store = [mapper](const dwarf::DwarfCube& cube) {
+    return mapper->Store(cube);
+  };
+  s->load = [mapper](int64_t id) { return mapper->Load(id); };
+  s->delete_cube = [mapper](int64_t id) { return mapper->DeleteCube(id); };
+}
+
+/// Opens \p schema's store under \p dir, or in memory when it is empty.
+SchemaStore OpenSchemaStore(const std::string& schema,
+                            const std::string& dir = "") {
+  SchemaStore s;
+  if (schema.rfind("nosql", 0) == 0) {
+    s.db = std::make_unique<nosql::Database>();
+    if (!dir.empty()) {
+      auto db = nosql::Database::Open(dir);
+      EXPECT_TRUE(db.ok()) << db.status();
+      *s.db = std::move(*db);
+    }
+    if (schema == "nosql_dwarf") {
+      BindMapper<NoSqlDwarfMapper>(&s, s.db.get());
+    } else {
+      BindMapper<NoSqlMinMapper>(&s, s.db.get());
+    }
+  } else {
+    s.engine = std::make_unique<sql::SqlEngine>();
+    if (!dir.empty()) {
+      auto engine = sql::SqlEngine::Open(dir);
+      EXPECT_TRUE(engine.ok()) << engine.status();
+      *s.engine = std::move(*engine);
+    }
+    if (schema == "mysql_dwarf") {
+      BindMapper<SqlDwarfMapper>(&s, s.engine.get());
+    } else {
+      BindMapper<SqlMinMapper>(&s, s.engine.get());
+    }
+  }
+  return s;
+}
+
+class EverySchemaTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(EverySchemaTest, GeoAndBikesRoundTrip) {
+  SchemaStore s = OpenSchemaStore(GetParam());
+  for (const dwarf::DwarfCube& cube : {BuildGeoCube(), BuildBikesCube()}) {
+    auto id = s.store(cube);
+    ASSERT_TRUE(id.ok()) << id.status();
+    auto rebuilt = s.load(*id);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    ExpectCubesEquivalent(cube, *rebuilt);
+  }
+}
+
+TEST_P(EverySchemaTest, TwoCubesShareTables) {
+  SchemaStore s = OpenSchemaStore(GetParam());
+  auto id1 = s.store(BuildGeoCube());
+  auto id2 = s.store(BuildBikesCube(200));
+  ASSERT_TRUE(id1.ok()) << id1.status();
+  ASSERT_TRUE(id2.ok()) << id2.status();
+  EXPECT_NE(*id1, *id2);
+  ExpectCubesEquivalent(BuildGeoCube(), *s.load(*id1));
+  ExpectCubesEquivalent(BuildBikesCube(200), *s.load(*id2));
+}
+
+TEST_P(EverySchemaTest, DeleteLeavesTheOtherCubeAndTheNextStoreGetsAFreshId) {
+  SchemaStore s = OpenSchemaStore(GetParam());
+  auto id1 = s.store(BuildGeoCube());
+  auto id2 = s.store(BuildBikesCube(200));
+  ASSERT_TRUE(id1.ok()) << id1.status();
+  ASSERT_TRUE(id2.ok()) << id2.status();
+  ASSERT_TRUE(s.delete_cube(*id1).ok());
+  EXPECT_TRUE(s.load(*id1).status().IsNotFound());
+  ExpectCubesEquivalent(BuildBikesCube(200), *s.load(*id2));
+  auto id3 = s.store(BuildGeoCube());
+  ASSERT_TRUE(id3.ok()) << id3.status();
+  EXPECT_NE(*id3, *id1);
+  EXPECT_NE(*id3, *id2);
+  ExpectCubesEquivalent(BuildGeoCube(), *s.load(*id3));
+  ExpectCubesEquivalent(BuildBikesCube(200), *s.load(*id2));
+}
+
+TEST_P(EverySchemaTest, EmptyCubeRoundTrip) {
+  SchemaStore s = OpenSchemaStore(GetParam());
+  dwarf::CubeSchema schema("e", {dwarf::DimensionSpec("x")}, "m");
+  dwarf::DwarfCube cube = dwarf::DwarfBuilder(schema).Build().ValueOrDie();
+  auto id = s.store(cube);
+  ASSERT_TRUE(id.ok()) << id.status();
+  auto rebuilt = s.load(*id);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  EXPECT_TRUE(rebuilt->empty());
+}
+
+TEST_P(EverySchemaTest, UnknownIdIsNotFound) {
+  SchemaStore s = OpenSchemaStore(GetParam());
+  auto id = s.store(BuildGeoCube());
+  ASSERT_TRUE(id.ok()) << id.status();
+  EXPECT_TRUE(s.load(*id + 1).status().IsNotFound());
+  EXPECT_TRUE(s.delete_cube(*id + 1).IsNotFound());
+  ExpectCubesEquivalent(BuildGeoCube(), *s.load(*id));
+}
+
+TEST_P(EverySchemaTest, DurableStoreReopensAndLoads) {
+  fs::path dir = fs::temp_directory_path() /
+                 ("scdwarf_every_schema_" + GetParam() + "_" +
+                  std::to_string(::getpid()));
+  fs::remove_all(dir);
+  dwarf::DwarfCube cube = BuildBikesCube(300);
+  int64_t id = -1;
+  {
+    SchemaStore s = OpenSchemaStore(GetParam(), dir.string());
+    auto stored = s.store(cube);
+    ASSERT_TRUE(stored.ok()) << stored.status();
+    id = *stored;
+  }
+  {
+    SchemaStore s = OpenSchemaStore(GetParam(), dir.string());
+    auto rebuilt = s.load(id);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    ExpectCubesEquivalent(cube, *rebuilt);
+  }
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(FourSchemas, EverySchemaTest,
+                         ::testing::Values("nosql_dwarf", "nosql_min",
+                                           "mysql_dwarf", "mysql_min"),
+                         [](const auto& info) { return info.param; });
+
+// ----------------------------------------------- create-if-missing checks
+
+// A durable Min cell table without its indexes (the index ablation's
+// store, or a crash between CreateTable and CreateIndex) gets them at the
+// next store.
+TEST(NoSqlMinMapperTest, ExistingCellTableWithoutIndexesGetsThem) {
+  fs::path dir = fs::temp_directory_path() /
+                 ("scdwarf_min_indexes_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    auto db = nosql::Database::Open(dir.string());
+    ASSERT_TRUE(db.ok()) << db.status();
+    NoSqlMinMapper ablation(&*db, "minks", {.create_secondary_indexes = false});
+    ASSERT_TRUE(ablation.EnsureSchema().ok());
+  }
+  auto db = nosql::Database::Open(dir.string());
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto table = db->GetTable("minks", NoSqlMinMapper::kCellTable);
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_TRUE((*table)->schema().secondary_indexes().empty());
+  NoSqlMinMapper mapper(&*db, "minks");
+  auto id = mapper.Store(BuildGeoCube());
+  ASSERT_TRUE(id.ok()) << id.status();
+  table = db->GetTable("minks", NoSqlMinMapper::kCellTable);
+  EXPECT_EQ((*table)->schema().secondary_indexes().size(), 2u);
+  ExpectCubesEquivalent(BuildGeoCube(), *mapper.Load(*id));
+  fs::remove_all(dir);
+}
+
+/// Rows per table of \p scope.
+template <typename Engine>
+std::map<std::string, size_t> RowCounts(const Engine& engine,
+                                        const std::string& scope) {
+  std::map<std::string, size_t> counts;
+  const std::vector<std::string> tables = engine.ListTables(scope).ValueOrDie();
+  for (const std::string& table : tables) {
+    counts[table] = engine.GetTable(scope, table).ValueOrDie()->num_rows();
+  }
+  return counts;
+}
+
+// The DWARF and Min layouts both name a table dwarf_cell (and, on SQL,
+// dwarf_cube) with other columns: storing one layout into the other's
+// scope fails before any row is written.
+TEST(SchemaConflictTest, NoSqlDwarfStoreIntoAMinKeyspaceWritesNoRow) {
+  nosql::Database db;
+  ASSERT_TRUE(NoSqlMinMapper(&db, "ks").Store(BuildGeoCube()).ok());
+  const auto before = RowCounts(db, "ks");
+  Status status = NoSqlDwarfMapper(&db, "ks").Store(BuildBikesCube()).status();
+  EXPECT_TRUE(status.IsFailedPrecondition()) << status;
+  EXPECT_NE(status.message().find("ks.dwarf_cell"), std::string::npos)
+      << status;
+  for (const auto& [table, rows] : RowCounts(db, "ks")) {
+    EXPECT_EQ(rows, before.count(table) > 0 ? before.at(table) : 0u) << table;
+  }
+}
+
+TEST(SchemaConflictTest, SqlDwarfStoreIntoAMinDatabaseWritesNoRow) {
+  sql::SqlEngine engine;
+  ASSERT_TRUE(SqlMinMapper(&engine, "db").Store(BuildGeoCube()).ok());
+  const auto before = RowCounts(engine, "db");
+  Status status =
+      SqlDwarfMapper(&engine, "db").Store(BuildBikesCube()).status();
+  EXPECT_TRUE(status.IsFailedPrecondition()) << status;
+  EXPECT_NE(status.message().find("db.dwarf_cube"), std::string::npos)
+      << status;
+  for (const auto& [table, rows] : RowCounts(engine, "db")) {
+    EXPECT_EQ(rows, before.count(table) > 0 ? before.at(table) : 0u) << table;
+  }
 }
 
 }  // namespace

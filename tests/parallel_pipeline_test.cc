@@ -323,11 +323,10 @@ TEST(ParallelStoreTest, NoSqlMappersStoreIdenticalBytes) {
   EXPECT_TRUE(reloaded->StructurallyEquals(cube));
 
   nosql::Database serial_min_db, parallel_min_db;
-  mapper::NoSqlMinMapper serial_min(&serial_min_db, "ks", {.num_threads = 1});
-  mapper::NoSqlMinMapper parallel_min(&parallel_min_db, "ks",
-                                      {.num_threads = 4});
-  ASSERT_TRUE(serial_min.Store(cube).ok());
-  ASSERT_TRUE(parallel_min.Store(cube).ok());
+  mapper::NoSqlMinMapper serial_min(&serial_min_db, "ks");
+  mapper::NoSqlMinMapper parallel_min(&parallel_min_db, "ks");
+  ASSERT_TRUE(serial_min.Store(cube, {.num_threads = 1}).ok());
+  ASSERT_TRUE(parallel_min.Store(cube, {.num_threads = 4}).ok());
   EXPECT_EQ(serial_min_db.EstimateBytes(), parallel_min_db.EstimateBytes());
   auto min_reloaded = parallel_min.Load(0);
   ASSERT_TRUE(min_reloaded.ok()) << min_reloaded.status();
@@ -339,11 +338,9 @@ TEST(ParallelStoreTest, SqlMappersStoreIdenticalBytes) {
 
   sql::SqlEngine serial_engine, parallel_engine;
   mapper::SqlDwarfMapper serial_mapper(&serial_engine, "db");
-  serial_mapper.set_num_threads(1);
   mapper::SqlDwarfMapper parallel_mapper(&parallel_engine, "db");
-  parallel_mapper.set_num_threads(4);
-  ASSERT_TRUE(serial_mapper.Store(cube).ok());
-  ASSERT_TRUE(parallel_mapper.Store(cube).ok());
+  ASSERT_TRUE(serial_mapper.Store(cube, {.num_threads = 1}).ok());
+  ASSERT_TRUE(parallel_mapper.Store(cube, {.num_threads = 4}).ok());
   EXPECT_EQ(serial_engine.EstimateBytes(), parallel_engine.EstimateBytes());
   auto reloaded = parallel_mapper.Load(0);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
@@ -351,11 +348,9 @@ TEST(ParallelStoreTest, SqlMappersStoreIdenticalBytes) {
 
   sql::SqlEngine serial_min_engine, parallel_min_engine;
   mapper::SqlMinMapper serial_min(&serial_min_engine, "db");
-  serial_min.set_num_threads(1);
   mapper::SqlMinMapper parallel_min(&parallel_min_engine, "db");
-  parallel_min.set_num_threads(4);
-  ASSERT_TRUE(serial_min.Store(cube).ok());
-  ASSERT_TRUE(parallel_min.Store(cube).ok());
+  ASSERT_TRUE(serial_min.Store(cube, {.num_threads = 1}).ok());
+  ASSERT_TRUE(parallel_min.Store(cube, {.num_threads = 4}).ok());
   EXPECT_EQ(serial_min_engine.EstimateBytes(),
             parallel_min_engine.EstimateBytes());
   auto min_reloaded = parallel_min.Load(0);

@@ -328,9 +328,8 @@ TEST(ParallelSweepTest, EverySchemaStoresByteIdenticalFilesAtAnyThreadCount) {
        [&](const std::string& dir, int threads) {
          auto db = nosql::Database::Open(dir);
          ASSERT_TRUE(db.ok()) << db.status();
-         mapper::NoSqlMinMapper cube_mapper(&*db, "ks",
-                                            {.num_threads = threads});
-         auto id = cube_mapper.Store(cube);
+         mapper::NoSqlMinMapper cube_mapper(&*db, "ks");
+         auto id = cube_mapper.Store(cube, {.num_threads = threads});
          ASSERT_TRUE(id.ok()) << id.status();
        }},
       {"mysql_dwarf",
@@ -338,9 +337,8 @@ TEST(ParallelSweepTest, EverySchemaStoresByteIdenticalFilesAtAnyThreadCount) {
          auto engine = sql::SqlEngine::Open(dir);
          ASSERT_TRUE(engine.ok()) << engine.status();
          mapper::SqlDwarfMapper cube_mapper(&*engine, "db");
-         cube_mapper.set_num_threads(threads);
          mapper::SqlDwarfStoreStats stats;
-         auto id = cube_mapper.Store(cube, &stats);
+         auto id = cube_mapper.Store(cube, {.num_threads = threads}, &stats);
          ASSERT_TRUE(id.ok()) << id.status();
          EXPECT_EQ(stats.node_rows, kFullCubeNodes);
          EXPECT_EQ(stats.cell_rows, kFullCubeCellRows);
@@ -351,8 +349,7 @@ TEST(ParallelSweepTest, EverySchemaStoresByteIdenticalFilesAtAnyThreadCount) {
          auto engine = sql::SqlEngine::Open(dir);
          ASSERT_TRUE(engine.ok()) << engine.status();
          mapper::SqlMinMapper cube_mapper(&*engine, "db");
-         cube_mapper.set_num_threads(threads);
-         auto id = cube_mapper.Store(cube);
+         auto id = cube_mapper.Store(cube, {.num_threads = threads});
          ASSERT_TRUE(id.ok()) << id.status();
        }},
   };

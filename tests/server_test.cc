@@ -1195,6 +1195,25 @@ TEST(WireTest, ReadFullRetriesAcrossSignalInterruption) {
   ::close(fds[1]);
 }
 
+// Stop() shuts down every live socket; a connection thread still executing
+// its request then writes the response to a shut-down socket. That write
+// must fail as an IoError, not raise SIGPIPE and kill the process.
+TEST(TcpServerTest, StopDuringAnExecutingRequestRaisesNoSigpipe) {
+  ServerOptions options;
+  options.pre_execute_hook = [] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  };
+  QueryServer server(BuildSeedCube(), options);
+  TcpServer tcp(&server);
+  ASSERT_TRUE(tcp.Start().ok());
+  int fd = ConnectLoopback(tcp.port());
+  ASSERT_TRUE(WriteFrame(fd, R"({"op":"ping"})").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  tcp.Stop();  // joins the connection thread after its write
+  EXPECT_FALSE(ReadFrame(fd, 1 << 20).ok());  // no response reached us
+  ::close(fd);
+}
+
 TEST(TcpServerTest, OversizedFrameClosesConnection) {
   QueryServer server{BuildSeedCube()};
   TcpServer tcp(&server, /*max_frame_bytes=*/64);
