@@ -218,9 +218,8 @@ Status NoSqlDwarfMapper::DeleteCube(int64_t schema_id) {
 }
 
 Result<std::vector<int64_t>> NoSqlDwarfMapper::ListSchemas() const {
-  const nosql::Database* db = scope_.engine();
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<const Table> schema_cf,
-                       db->GetTable(scope_.name(), kSchemaCf));
+                       scope_.engine()->GetTable(scope_.name(), kSchemaCf));
   std::vector<int64_t> ids;
   for (const Row* row : schema_cf->ScanAll()) {
     SCD_ASSIGN_OR_RETURN(int64_t id, (*row)[0].AsInt());

@@ -51,7 +51,7 @@ class NoSqlDwarfMapper {
       : scope_(db, std::move(keyspace)) {}
 
   /// Creates the keyspace and the column families of Table 1 (plus the
-  /// dwarf_metadata extension) if missing. Idempotent.
+  /// dwarf_metadata extension) if missing (EnsureTables).
   Status EnsureSchema();
 
   /// Stores \p cube; returns its DWARF_Schema id. Follows §4: next-id query,

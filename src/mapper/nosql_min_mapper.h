@@ -39,7 +39,7 @@ class MinMapper {
       : scope_(engine, std::move(scope)),
         create_secondary_indexes_(options.create_secondary_indexes) {}
 
-  /// Creates the two tables (plus metadata) if missing.
+  /// Creates the two tables (plus metadata) if missing (EnsureTables).
   Status EnsureSchema();
 
   /// Stores \p cube; returns its DWARF_Cube id.

@@ -31,7 +31,7 @@ class SqlDwarfMapper {
   SqlDwarfMapper(sql::SqlEngine* engine, std::string database)
       : scope_(engine, std::move(database)) {}
 
-  /// Creates the five Fig. 4 tables (plus metadata) if missing.
+  /// Creates the five Fig. 4 tables (plus metadata) if missing (EnsureTables).
   Status EnsureSchema();
 
   /// Stores \p cube; returns its DWARF_CUBE id. Edge-table ids come from

@@ -231,9 +231,4 @@ Result<double> StoreScope<Engine>::RecordSize(const std::string& cube_table,
 template class StoreScope<nosql::Database>;
 template class StoreScope<sql::SqlEngine>;
 
-Result<int64_t> NodeIdOrNone(const Value& value) {
-  if (value.is_null()) return int64_t{-1};
-  return value.AsInt();
-}
-
 }  // namespace scdwarf::mapper

@@ -119,7 +119,9 @@ class StoreScope {
 
 /// A stored node id: -1 for NULL (a leaf cell's pointer, an empty cube's
 /// entry node).
-Result<int64_t> NodeIdOrNone(const Value& value);
+inline Result<int64_t> NodeIdOrNone(const Value& value) {
+  return value.is_null() ? Result<int64_t>(int64_t{-1}) : value.AsInt();
+}
 
 }  // namespace scdwarf::mapper
 
