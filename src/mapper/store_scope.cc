@@ -98,22 +98,24 @@ Status StoreScope<Engine>::EnsureTables(
                   {"kind", DataType::kText},
                   {"idx", DataType::kInt},
                   {"value", DataType::kText}}});
+  // Every existing table is checked before any table is created, so a
+  // refused store leaves the scope as it found it.
   for (const TableDecl& decl : all) {
+    auto table = engine_->GetTable(name_, decl.name);
+    if (!table.ok()) continue;  // not created yet
     const auto def = TableDef(engine_, name_, decl);
-    Status created = engine_->CreateTable(def);
-    if (created.IsAlreadyExists()) {
-      SCD_ASSIGN_OR_RETURN(auto table, engine_->GetTable(name_, decl.name));
-      const auto& existing = DefOf(*table);
-      if (existing.columns() != def.columns() ||
-          existing.primary_key() != def.primary_key()) {
-        return Status::FailedPrecondition(
-            "table " + def.QualifiedName() +
-            " exists with other columns or another key than this schema "
-            "declares");
-      }
-    } else {
-      SCD_RETURN_IF_ERROR(created);
+    const auto& existing = DefOf(**table);
+    if (existing.columns() != def.columns() ||
+        existing.primary_key() != def.primary_key()) {
+      return Status::FailedPrecondition(
+          "table " + def.QualifiedName() +
+          " exists with other columns or another key than this schema "
+          "declares");
     }
+  }
+  for (const TableDecl& decl : all) {
+    SCD_RETURN_IF_ERROR(
+        OkIfExists(engine_->CreateTable(TableDef(engine_, name_, decl))));
     // An existing table may lack its indexes: its creation may have been
     // the last step before a crash, or a store without them made it.
     for (const std::string& column : decl.indexes) {

@@ -63,7 +63,7 @@ class StoreScope {
   /// Creates the scope and each of \p tables, then the metadata table, if
   /// missing, and each declared index a table lacks. FailedPrecondition,
   /// naming the table, when an existing table's columns or key differ from
-  /// its declaration — before any row is written.
+  /// its declaration — before any table is created.
   Status EnsureTables(const std::vector<TableDecl>& tables) const;
 
   /// One past the largest id in \p table's first column; 0 when empty.
