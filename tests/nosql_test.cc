@@ -229,6 +229,14 @@ TEST(ValueTest, MatchesVariantReferenceModel) {
     values.push_back(std::move(value));
     refs.push_back(std::move(ref));
   }
+  // Two values are equal exactly when their encodings are: a key can be
+  // hashed and compared as its encoded bytes.
+  std::vector<std::vector<uint8_t>> encodings;
+  for (const Value& value : values) {
+    ByteWriter writer;
+    value.EncodeTo(&writer);
+    encodings.push_back(writer.TakeBuffer());
+  }
 
   for (size_t i = 0; i < values.size(); ++i) {
     SCOPED_TRACE("value " + std::to_string(i) + ": " + RefCqlLiteral(refs[i]));
@@ -250,6 +258,8 @@ TEST(ValueTest, MatchesVariantReferenceModel) {
       ASSERT_EQ(value < values[j], refs[i] < refs[j]) << "against " << j;
       ASSERT_EQ(value == values[j], refs[i] == refs[j]) << "against " << j;
       ASSERT_EQ(value != values[j], refs[i] != refs[j]) << "against " << j;
+      ASSERT_EQ(value == values[j], encodings[i] == encodings[j])
+          << "against " << j;
     }
 
     // Copy, move and self-assignment keep the value; a moved-from value
@@ -609,6 +619,26 @@ class PrimaryIndexPropertyTest : public ::testing::TestWithParam<DataType> {
     for (const auto& [key, row] : model) model_keys.push_back(key);
     EXPECT_EQ(SortedKeys(table.ScanAll()), model_keys);
   }
+
+  /// The rows a segment holds, in the order it holds them.
+  static std::vector<Row> SegmentRows(const ByteWriter& segment) {
+    ByteReader reader(segment.data());
+    EXPECT_TRUE(reader.ReadU32().ok());  // magic
+    EXPECT_TRUE(reader.ReadU8().ok());   // version
+    auto schema = TableSchema::DecodeFrom(&reader);
+    EXPECT_TRUE(schema.ok()) << schema.status();
+    auto count = reader.ReadVarint();
+    EXPECT_TRUE(count.ok()) << count.status();
+    std::vector<Row> rows(count.ok() ? *count : 0);
+    for (Row& row : rows) {
+      for (size_t c = 0; c < schema->num_columns(); ++c) {
+        auto value = Value::DecodeFrom(&reader);
+        EXPECT_TRUE(value.ok()) << value.status();
+        row.push_back(value.ok() ? std::move(*value) : Value::Null());
+      }
+    }
+    return rows;
+  }
 };
 
 TEST_P(PrimaryIndexPropertyTest, MatchesMapModelThroughGrowthAndDeletes) {
@@ -628,6 +658,10 @@ TEST_P(PrimaryIndexPropertyTest, MatchesMapModelThroughGrowthAndDeletes) {
     uint64_t delete_pct;
   };
   const Phase phases[] = {{3000, 65, 15}, {2500, 15, 70}, {3000, 70, 10}};
+  // Live keys in slot order, the order segments write rows in: an upsert
+  // keeps its key's slot, though its payload, and so its encoded row,
+  // changes length; a key inserted again after its delete goes last.
+  std::vector<Value> slot_order;
   int step = 0;
   for (const Phase& phase : phases) {
     SCOPED_TRACE("phase ending at step " + std::to_string(step + phase.steps));
@@ -640,6 +674,7 @@ TEST_P(PrimaryIndexPropertyTest, MatchesMapModelThroughGrowthAndDeletes) {
                    Value::Int(rng.NextInRange(0, kTags - 1)),
                    Value::Text("v" + std::to_string(step))};
         ASSERT_TRUE(table->Insert(row).ok()) << "step " << step;
+        if (it == model.end()) slot_order.push_back(key);
         model[key] = std::move(row);
       } else if (roll < phase.upsert_pct + phase.delete_pct) {
         Status status = table->DeleteByPk(key);
@@ -648,6 +683,8 @@ TEST_P(PrimaryIndexPropertyTest, MatchesMapModelThroughGrowthAndDeletes) {
         } else {
           ASSERT_TRUE(status.ok()) << "step " << step << ": " << status;
           model.erase(it);
+          slot_order.erase(
+              std::find(slot_order.begin(), slot_order.end(), key));
         }
       }
       // Lookups (and the after-effects of the mutation above) are checked
@@ -666,6 +703,9 @@ TEST_P(PrimaryIndexPropertyTest, MatchesMapModelThroughGrowthAndDeletes) {
 
     ByteWriter writer;
     table->SerializeTo(&writer);
+    std::vector<Row> in_slot_order;
+    for (const Value& key : slot_order) in_slot_order.push_back(model[key]);
+    EXPECT_EQ(SegmentRows(writer), in_slot_order);
     ByteReader reader(writer.data());
     auto loaded = Table::Deserialize(&reader);
     ASSERT_TRUE(loaded.ok()) << loaded.status();
