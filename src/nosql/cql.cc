@@ -1,5 +1,7 @@
 #include "nosql/cql.h"
 
+#include <algorithm>
+
 namespace scdwarf::nosql {
 
 namespace {
@@ -129,6 +131,10 @@ class Parser : public TokenParser {
     if (!ConsumeSymbol("(")) return Error("expected '(' after table name");
     while (true) {
       SCD_ASSIGN_OR_RETURN(std::string column, ExpectIdentifier("column name"));
+      if (std::find(stmt.columns.begin(), stmt.columns.end(), column) !=
+          stmt.columns.end()) {
+        return Error("column '" + column + "' is named twice in INSERT");
+      }
       stmt.columns.push_back(std::move(column));
       if (ConsumeSymbol(",")) continue;
       if (ConsumeSymbol(")")) break;

@@ -121,6 +121,25 @@ void SweepCqlPrefixes(const std::string& statement) {
   EXPECT_TRUE(scdwarf::nosql::ParseCql(statement).ok()) << statement;
 }
 
+TEST_F(CqlEdgeTest, InsertNamingAColumnTwiceIsRejectedAndStoresNothing) {
+  // Cassandra: "Multiple definitions found for column".
+  for (const char* bad : {
+           "INSERT INTO ks.t (id, name, name) VALUES (1, 'a', 'b')",
+           "INSERT INTO ks.t (id, id, name) VALUES (2, 3, 'c')",
+           "INSERT INTO ks.t (id, NAME, name) VALUES (4, 'd', 'e')",
+           "BEGIN BATCH INSERT INTO ks.t (id, name, name) "
+           "VALUES (5, 'f', 'g'); APPLY BATCH",
+       }) {
+    auto result = Exec(bad);
+    ASSERT_TRUE(result.status().IsParseError()) << "input: " << bad;
+    EXPECT_NE(result.status().message().find("column '"), std::string::npos)
+        << result.status();
+  }
+  auto select = Exec("SELECT id FROM ks.t");
+  ASSERT_TRUE(select.ok()) << select.status();
+  EXPECT_TRUE(select->rows.empty());
+}
+
 TEST(CqlTruncationTest, EveryPrefixReturnsAResult) {
   for (const char* statement : {
            "CREATE KEYSPACE ks",
@@ -203,6 +222,23 @@ TEST_F(SqlEdgeTest, TrailingTokensAfterStatementAreRejected) {
   auto result = scdwarf::sql::ParseSql(
       "INSERT INTO db.t (id) VALUES (1); SELECT * FROM db.t");
   EXPECT_TRUE(result.status().IsParseError());
+}
+
+TEST_F(SqlEdgeTest, InsertNamingAColumnTwiceIsRejectedAndStoresNothing) {
+  // MySQL: error 1110, "Column 'name' specified twice".
+  for (const char* bad : {
+           "INSERT INTO db.t (id, name, name) VALUES (1, 'a', 'b')",
+           "INSERT INTO db.t (id, id, name) VALUES (2, 3, 'c')",
+           "INSERT INTO db.t (id, NAME, name) VALUES (4, 'd', 'e')",
+       }) {
+    auto result = Exec(bad);
+    ASSERT_TRUE(result.status().IsParseError()) << "input: " << bad;
+    EXPECT_NE(result.status().message().find("column '"), std::string::npos)
+        << result.status();
+  }
+  auto select = Exec("SELECT id FROM db.t");
+  ASSERT_TRUE(select.ok()) << select.status();
+  EXPECT_TRUE(select->rows.empty());
 }
 
 void SweepSqlPrefixes(const std::string& statement) {
