@@ -31,9 +31,11 @@ void PutMutationHeader(ByteWriter* writer, const std::string& scope,
   writer->PutVarint(num_rows);
 }
 
-void PutMutationRow(ByteWriter* writer, std::span<const Value> row) {
+size_t PutMutationRow(ByteWriter* writer, std::span<const Value> row) {
   writer->PutVarint(row.size());
+  const size_t values = writer->size();
   for (const Value& value : row) value.EncodeTo(writer);
+  return values;
 }
 
 void PutCreateRecord(ByteWriter* writer, const std::string& scope,

@@ -28,7 +28,10 @@ void PutMutationHeader(ByteWriter* writer, const std::string& scope,
                        bool is_delete);
 
 /// \brief Writes one row of a mutation record: its arity, then its values.
-void PutMutationRow(ByteWriter* writer, std::span<const Value> row);
+/// Returns the offset in \p writer where the values begin, so a caller can
+/// keep the row's value bytes (a NoSQL table's memtable holds exactly
+/// those).
+size_t PutMutationRow(ByteWriter* writer, std::span<const Value> row);
 
 /// \brief Writes the create record of table scope.table: a header of op 2
 /// and no rows, which DecodeMutation reads as an insert of no rows. Every

@@ -269,6 +269,30 @@ Result<Value> Value::DecodeFrom(ByteReader* reader) {
   return Status::ParseError("unknown value tag " + std::to_string(tag));
 }
 
+Status Value::SkipEncoded(ByteReader* reader) {
+  SCD_ASSIGN_OR_RETURN(uint8_t tag, reader->ReadU8());
+  switch (static_cast<Kind>(tag)) {
+    case Kind::kNull:
+      return Status::OK();
+    case Kind::kBool:
+      return reader->Skip(1);
+    case Kind::kInt:
+      return reader->ReadVarint().status();
+    case Kind::kText: {
+      SCD_ASSIGN_OR_RETURN(uint64_t length, reader->ReadVarint());
+      return reader->Skip(length);
+    }
+    case Kind::kIntSet: {
+      SCD_ASSIGN_OR_RETURN(uint64_t count, reader->ReadVarint());
+      for (uint64_t i = 0; i < count; ++i) {
+        SCD_RETURN_IF_ERROR(reader->ReadVarint().status());
+      }
+      return Status::OK();
+    }
+  }
+  return Status::ParseError("unknown value tag " + std::to_string(tag));
+}
+
 size_t Value::EncodedSize() const {
   ByteWriter writer;
   EncodeTo(&writer);

@@ -112,6 +112,9 @@ class alignas(8) Value {
   /// Binary encoding: 1 tag byte + payload. Inverse of DecodeValue.
   void EncodeTo(ByteWriter* writer) const;
   static Result<Value> DecodeFrom(ByteReader* reader);
+  /// Advances \p reader past one encoded value without decoding it; fails
+  /// as DecodeFrom does on a truncated value or an unknown tag.
+  static Status SkipEncoded(ByteReader* reader);
 
   /// Serialized size in bytes (matches EncodeTo output length).
   size_t EncodedSize() const;

@@ -1,6 +1,7 @@
 #include "mapper/dimension_table.h"
 
 #include <cctype>
+#include <iterator>
 
 #include "common/strings.h"
 
@@ -120,9 +121,10 @@ Result<DimensionTable> DimensionTableStore::Load(const std::string& name) const 
     attribute_names.push_back(schema.columns()[i].name);
   }
   DimensionTable result(name, std::move(attribute_names));
-  for (const nosql::Row* row : table->ScanAll()) {
-    SCD_ASSIGN_OR_RETURN(std::string member, (*row)[0].AsText());
-    std::vector<Value> attributes(row->begin() + 1, row->end());
+  for (nosql::Row& row : table->ScanAll()) {
+    SCD_ASSIGN_OR_RETURN(std::string member, row[0].AsText());
+    std::vector<Value> attributes(std::make_move_iterator(row.begin() + 1),
+                                  std::make_move_iterator(row.end()));
     SCD_RETURN_IF_ERROR(result.AddRow(member, std::move(attributes)));
   }
   return result;

@@ -114,7 +114,8 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
   }
 
   // Node and cell rows go through the one store path (store_rows.h): every
-  // chunk becomes one BulkInsert per column family, on that family's lane.
+  // chunk becomes one insert per column family, encoded on the pool thread
+  // that generated it and applied on that family's lane.
   auto generate = [&](size_t begin, size_t end) {
     std::vector<Rows> out(2);
     std::vector<Row>& node_rows = out[0];
@@ -157,25 +158,29 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
     }
     return out;
   };
-  auto apply = [&](const std::string& table, std::vector<Row> rows) -> Status {
-    if (!options.via_cql_statements) {
-      return scope_.Insert(table, std::move(rows));
-    }
-    for (const Row& row : rows) SCD_RETURN_IF_ERROR(insert_cql(table, row));
-    return Status::OK();
-  };
   // Both families' row counts are known: reserving each once means no
-  // chunk's insert grows a row array or rehashes a primary index.
+  // chunk's insert grows a slot array or rehashes a primary index.
   nosql::Database* db = scope_.engine();
   const std::string& keyspace = scope_.name();
   SCD_RETURN_IF_ERROR(db->Reserve(keyspace, kNodeCf, local_stats.node_rows));
   SCD_RETURN_IF_ERROR(db->Reserve(keyspace, kCellCf, local_stats.cell_rows));
   Stopwatch apply_watch;
-  // Statement mode stays serial: it exists to measure per-statement cost.
-  SCD_RETURN_IF_ERROR(StoreRows(
-      options.via_cql_statements ? 1 : options.num_threads,
-      ids.visit_order.size(), {kNodeCf, kCellCf}, /*rows_per_insert=*/1,
-      generate, apply));
+  if (options.via_cql_statements) {
+    // Statement mode stays serial: it exists to measure per-statement cost.
+    SCD_RETURN_IF_ERROR(StoreRows(
+        /*num_threads=*/1, ids.visit_order.size(), {kNodeCf, kCellCf},
+        /*rows_per_insert=*/1, generate,
+        [&](const std::string& table, Rows rows) -> Status {
+          for (const Row& row : rows) {
+            SCD_RETURN_IF_ERROR(insert_cql(table, row));
+          }
+          return Status::OK();
+        }));
+  } else {
+    SCD_RETURN_IF_ERROR(scope_.StoreRows(options.num_threads,
+                                         ids.visit_order.size(),
+                                         {kNodeCf, kCellCf}, generate));
+  }
   local_stats.apply_ms = apply_watch.ElapsedMillis();
 
   SCD_RETURN_IF_ERROR(scope_.WriteMeta(schema_id, cube.schema()));
@@ -221,8 +226,8 @@ Result<std::vector<int64_t>> NoSqlDwarfMapper::ListSchemas() const {
   SCD_ASSIGN_OR_RETURN(std::shared_ptr<const Table> schema_cf,
                        scope_.engine()->GetTable(scope_.name(), kSchemaCf));
   std::vector<int64_t> ids;
-  for (const Row* row : schema_cf->ScanAll()) {
-    SCD_ASSIGN_OR_RETURN(int64_t id, (*row)[0].AsInt());
+  for (const Value& value : schema_cf->ScanColumn(0)) {
+    SCD_ASSIGN_OR_RETURN(int64_t id, value.AsInt());
     ids.push_back(id);
   }
   std::sort(ids.begin(), ids.end());

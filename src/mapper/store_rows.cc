@@ -5,6 +5,7 @@
 #include <deque>
 #include <iterator>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -13,6 +14,7 @@
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
+#include "nosql/database.h"
 
 namespace scdwarf::mapper {
 
@@ -44,19 +46,19 @@ FixedBucketHistogram* ApplyTaskHistogram() {
   return hist;
 }
 
-/// \brief One destination table's apply lane: it coalesces the table's chunk
-/// rows, in push order, into batches of at least rows_per_insert rows and
-/// applies each batch. Threaded, it does so on its own worker behind a
-/// bounded FIFO; otherwise inline, on the caller. Errors are sticky: after
-/// the first one the lane drops the rows it still holds, and Push and
-/// Finish return that error.
+/// \brief One destination table's apply lane: it gathers the table's chunk
+/// batches, in push order, until they hold at least rows_per_insert rows
+/// and applies them as one insert. Threaded, it does so on its own worker
+/// behind a bounded FIFO; otherwise inline, on the caller. Errors are
+/// sticky: after the first one the lane drops the batches it still holds,
+/// and Push and Finish return that error.
+template <typename Batch>
 class RowLane {
  public:
-  RowLane(std::string table, size_t rows_per_insert, const ApplyRowsFn& apply,
-          bool threaded)
+  RowLane(std::string table, const RowSink<Batch>& sink, bool threaded)
       : table_(std::move(table)),
-        rows_per_insert_(std::max<size_t>(rows_per_insert, 1)),
-        apply_(apply) {
+        rows_per_insert_(std::max<size_t>(sink.rows_per_insert, 1)),
+        apply_(sink.apply) {
     if (threaded) worker_ = std::thread([this] { Loop(); });
   }
 
@@ -65,30 +67,30 @@ class RowLane {
   RowLane(const RowLane&) = delete;
   RowLane& operator=(const RowLane&) = delete;
 
-  /// Hands the lane one chunk's rows. Threaded, it blocks while the worker
+  /// Hands the lane one chunk's batch. Threaded, it blocks while the worker
   /// is kCapacity chunks behind, back-pressuring generation against the
   /// engine. Call only before Close.
-  Status Push(Rows rows) {
+  Status Push(Batch batch) {
     if (!worker_.joinable()) {
-      if (error_.ok()) error_ = Add(std::move(rows));
+      if (error_.ok()) error_ = Add(std::move(batch));
       return error_;
     }
     std::unique_lock<std::mutex> lock(mu_);
     space_.wait(lock,
                 [this] { return queue_.size() < kCapacity || !error_.ok(); });
     if (!error_.ok()) return error_;
-    queue_.push_back(std::move(rows));
+    queue_.push_back(std::move(batch));
     ApplyQueueDepthGauge()->Add(1);
     wake_.notify_one();
     return Status::OK();
   }
 
   /// Ends the input: the lane drains its queue and applies its last,
-  /// partial batch — on its worker, or inline when it has none. Does not
-  /// wait for the worker, so every lane's last batch can run at once.
+  /// partial insert — on its worker, or inline when it has none. Does not
+  /// wait for the worker, so every lane's last insert can run at once.
   void Close() {
     if (!worker_.joinable()) {
-      if (!finished_ && error_.ok()) error_ = ApplyBatch();
+      if (!finished_ && error_.ok()) error_ = ApplyPending();
       finished_ = true;
       return;
     }
@@ -115,13 +117,13 @@ class RowLane {
     while (true) {
       wake_.wait(lock, [this] { return finished_ || !queue_.empty(); });
       if (queue_.empty()) break;  // finished, and fully drained
-      Rows rows = std::move(queue_.front());
+      Batch batch = std::move(queue_.front());
       queue_.pop_front();
       ApplyQueueDepthGauge()->Sub(1);
       space_.notify_all();
       if (!error_.ok()) continue;
       lock.unlock();
-      Status status = Add(std::move(rows));
+      Status status = Add(std::move(batch));
       lock.lock();
       if (!status.ok()) {
         error_ = std::move(status);
@@ -130,29 +132,27 @@ class RowLane {
     }
     if (!error_.ok()) return;
     lock.unlock();
-    Status status = ApplyBatch();
+    Status status = ApplyPending();
     lock.lock();
     error_ = std::move(status);
   }
 
-  /// Appends one chunk's rows to the batch and applies the batch once it
+  /// Adds one chunk's batch to the pending insert and applies it once it
   /// holds rows_per_insert rows.
-  Status Add(Rows rows) {
-    if (batch_.empty()) {
-      batch_ = std::move(rows);
-    } else {
-      batch_.insert(batch_.end(), std::make_move_iterator(rows.begin()),
-                    std::make_move_iterator(rows.end()));
-    }
-    return batch_.size() < rows_per_insert_ ? Status::OK() : ApplyBatch();
+  Status Add(Batch batch) {
+    if (batch.size() == 0) return Status::OK();
+    pending_rows_ += batch.size();
+    pending_.push_back(std::move(batch));
+    return pending_rows_ < rows_per_insert_ ? Status::OK() : ApplyPending();
   }
 
-  /// Applies the batch, when it holds any row, as one insert.
-  Status ApplyBatch() {
-    if (batch_.empty()) return Status::OK();
+  /// Applies the pending batches, when there are any, as one insert.
+  Status ApplyPending() {
+    if (pending_.empty()) return Status::OK();
     trace::ScopedSpan span("mapper.apply_task");
     Stopwatch watch;
-    Status status = apply_(table_, std::exchange(batch_, {}));
+    pending_rows_ = 0;
+    Status status = apply_(table_, std::exchange(pending_, {}));
     ApplyTaskHistogram()->Record(watch.ElapsedMicros());
     ApplyTasksCounter()->Increment();
     if (status.ok()) return status;
@@ -161,67 +161,145 @@ class RowLane {
 
   const std::string table_;
   const size_t rows_per_insert_;
-  const ApplyRowsFn& apply_;
-  Rows batch_;  ///< touched only by the worker, or inline by the caller
+  const std::function<Status(const std::string&, std::vector<Batch>)>& apply_;
+  /// The next insert's batches and their rows; touched only by the worker,
+  /// or inline by the caller.
+  std::vector<Batch> pending_;
+  size_t pending_rows_ = 0;
   std::mutex mu_;
   std::condition_variable wake_;   ///< worker: chunk available or finished
   std::condition_variable space_;  ///< producer: queue has room (or error)
-  std::deque<Rows> queue_;
+  std::deque<Batch> queue_;
   Status error_;
   bool finished_ = false;
   std::thread worker_;  // last member: starts after the state above exists
 };
 
+/// One chunk's batches, one per table, or the error that stopped them.
+template <typename Batch>
+struct PreparedChunk {
+  Status status;
+  std::vector<Batch> batches;
+};
+
 }  // namespace
+
+template <typename Batch>
+Status StoreRows(int num_threads, size_t num_nodes,
+                 const std::vector<std::string>& tables,
+                 const GenerateRowsFn& generate, const RowSink<Batch>& sink) {
+  const int threads = ResolveThreadCount(num_threads);
+  std::deque<RowLane<Batch>> lanes;
+  for (const std::string& table : tables) {
+    lanes.emplace_back(table, sink, threads > 1);
+  }
+  // Generates nodes [begin, end) and prepares each table's rows, on the
+  // thread that generated them.
+  auto prepare = [&](size_t begin, size_t end) {
+    std::vector<Rows> rows = generate(begin, end);
+    SCD_CHECK_EQ(rows.size(), tables.size());
+    PreparedChunk<Batch> chunk;
+    chunk.batches.reserve(rows.size());
+    for (size_t t = 0; t < rows.size(); ++t) {
+      Result<Batch> batch = sink.prepare(tables[t], std::move(rows[t]));
+      if (!batch.ok()) {
+        chunk.status =
+            batch.status().WithContext("preparing rows of '" + tables[t] + "'");
+        break;
+      }
+      chunk.batches.push_back(std::move(*batch));
+    }
+    return chunk;
+  };
+  // Hands one chunk's batches to the lanes, stopping at the first error.
+  auto push = [&lanes](PreparedChunk<Batch> chunk) -> Status {
+    SCD_RETURN_IF_ERROR(chunk.status);
+    for (size_t t = 0; t < lanes.size(); ++t) {
+      SCD_RETURN_IF_ERROR(lanes[t].Push(std::move(chunk.batches[t])));
+    }
+    return Status::OK();
+  };
+  // The chunks: waves of one chunk per thread, each wave split into
+  // near-equal shards of about kRowChunkNodes nodes.
+  std::vector<ShardRange> chunks;
+  const size_t wave_nodes = kRowChunkNodes * static_cast<size_t>(threads);
+  for (size_t wave = 0; wave < num_nodes; wave += wave_nodes) {
+    for (ShardRange shard :
+         SplitShards(std::min(num_nodes, wave + wave_nodes) - wave, threads)) {
+      chunks.push_back({chunks.size(), wave + shard.begin, wave + shard.end});
+    }
+  }
+  Status status;
+  if (threads <= 1) {
+    for (const ShardRange& chunk : chunks) {
+      status = push(prepare(chunk.begin, chunk.end));
+      if (!status.ok()) break;
+    }
+  } else {
+    // The pool keeps up to two chunks per thread in flight and the caller
+    // pushes them in chunk order as they finish, so no thread waits for the
+    // slowest chunk of a wave. Declared before the pool, the slots outlive
+    // every task, also those still running when an error ends the loop.
+    std::mutex mu;
+    std::condition_variable done;
+    std::vector<std::optional<PreparedChunk<Batch>>> ready(chunks.size());
+    ThreadPool pool(threads);
+    size_t submitted = 0;
+    auto submit_next = [&] {
+      if (submitted == chunks.size()) return;
+      pool.Submit([&, chunk = chunks[submitted++]] {
+        PreparedChunk<Batch> prepared = prepare(chunk.begin, chunk.end);
+        std::lock_guard<std::mutex> lock(mu);
+        ready[chunk.shard] = std::move(prepared);
+        done.notify_all();
+      });
+    };
+    for (int i = 0; i < 2 * threads; ++i) submit_next();
+    for (size_t next = 0; next < chunks.size() && status.ok(); ++next) {
+      std::optional<PreparedChunk<Batch>> chunk;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        done.wait(lock, [&] { return ready[next].has_value(); });
+        chunk = std::exchange(ready[next], std::nullopt);
+      }
+      submit_next();
+      status = push(std::move(*chunk));
+    }
+  }
+  // Every lane applies its last insert, all at once, and is joined, even
+  // after an error, so no insert outlives this call.
+  for (RowLane<Batch>& lane : lanes) lane.Close();
+  for (RowLane<Batch>& lane : lanes) {
+    Status lane_status = lane.Finish();
+    if (status.ok()) status = std::move(lane_status);
+  }
+  return status;
+}
+
+template Status StoreRows<nosql::InsertBatch>(
+    int, size_t, const std::vector<std::string>&, const GenerateRowsFn&,
+    const RowSink<nosql::InsertBatch>&);
 
 Status StoreRows(int num_threads, size_t num_nodes,
                  const std::vector<std::string>& tables,
                  size_t rows_per_insert, const GenerateRowsFn& generate,
                  const ApplyRowsFn& apply) {
-  const int threads = ResolveThreadCount(num_threads);
-  std::deque<RowLane> lanes;
-  for (const std::string& table : tables) {
-    lanes.emplace_back(table, rows_per_insert, apply, threads > 1);
-  }
-  // Hands one chunk's rows to the lanes, stopping at the first lane error.
-  auto push = [&lanes](std::vector<Rows> chunk) -> Status {
-    SCD_CHECK_EQ(chunk.size(), lanes.size());
-    for (size_t t = 0; t < lanes.size(); ++t) {
-      SCD_RETURN_IF_ERROR(lanes[t].Push(std::move(chunk[t])));
-    }
-    return Status::OK();
-  };
-  Status status;
-  if (threads <= 1) {
-    for (size_t begin = 0; begin < num_nodes && status.ok();
-         begin += kRowChunkNodes) {
-      status =
-          push(generate(begin, std::min(num_nodes, begin + kRowChunkNodes)));
-    }
-  } else {
-    ThreadPool pool(threads);
-    const size_t wave_nodes = kRowChunkNodes * static_cast<size_t>(threads);
-    for (size_t wave = 0; wave < num_nodes && status.ok(); wave += wave_nodes) {
-      // One near-equal shard per worker, about kRowChunkNodes nodes each.
-      std::vector<std::vector<Rows>> chunks =
-          ParallelMapShards<std::vector<Rows>>(
-              pool, std::min(num_nodes, wave + wave_nodes) - wave,
-              [&](const ShardRange& shard) {
-                return generate(wave + shard.begin, wave + shard.end);
-              });
-      for (std::vector<Rows>& chunk : chunks) {
-        if (status.ok()) status = push(std::move(chunk));
-      }
-    }
-  }
-  // Every lane applies its last batch, all at once, and is joined, even
-  // after an error, so no insert outlives this call.
-  for (RowLane& lane : lanes) lane.Close();
-  for (RowLane& lane : lanes) {
-    Status lane_status = lane.Finish();
-    if (status.ok()) status = std::move(lane_status);
-  }
-  return status;
+  return StoreRows<Rows>(
+      num_threads, num_nodes, tables, generate,
+      {.prepare = [](const std::string&, Rows rows) -> Result<Rows> {
+         return rows;
+       },
+       .apply =
+           [&apply](const std::string& table, std::vector<Rows> chunks) {
+             Rows rows = std::move(chunks[0]);
+             for (size_t i = 1; i < chunks.size(); ++i) {
+               rows.insert(rows.end(),
+                           std::make_move_iterator(chunks[i].begin()),
+                           std::make_move_iterator(chunks[i].end()));
+             }
+             return apply(table, std::move(rows));
+           },
+       .rows_per_insert = rows_per_insert});
 }
 
 }  // namespace scdwarf::mapper

@@ -48,22 +48,78 @@ const sql::SqlTableDef& DefOf(const sql::HeapTable& table) {
   return table.def();
 }
 
-/// Cassandra filters a non-indexed column only when told to; MySQL always
-/// may.
-Result<std::vector<const nosql::Row*>> SelectEq(const nosql::Table& table,
-                                                const std::string& column,
-                                                const Value& value) {
-  return table.SelectEq(column, value, /*allow_filtering=*/true);
+/// Every row's id, its first column. A NoSQL table decodes only that
+/// column.
+std::vector<Value> Ids(const nosql::Table& table) {
+  return table.ScanColumn(0);
 }
-Result<std::vector<const sql::SqlRow*>> SelectEq(const sql::HeapTable& table,
-                                                 const std::string& column,
-                                                 const Value& value) {
-  return table.SelectEq(column, value);
+std::vector<Value> Ids(const sql::HeapTable& table) {
+  std::vector<Value> ids;
+  for (const sql::SqlRow* row : table.ScanAll()) ids.push_back((*row)[0]);
+  return ids;
 }
 
-/// See kSqlRowsPerInsert (store_rows.h).
-size_t RowsPerInsert(const nosql::Database*) { return 1; }
-size_t RowsPerInsert(const sql::SqlEngine*) { return kSqlRowsPerInsert; }
+/// The row keyed by \p key: decoded (NoSQL) or copied (SQL).
+Result<std::vector<Value>> RowByKey(const nosql::Table& table,
+                                    const Value& key) {
+  return table.GetByPk(key);
+}
+Result<std::vector<Value>> RowByKey(const sql::HeapTable& table,
+                                    const Value& key) {
+  SCD_ASSIGN_OR_RETURN(const sql::SqlRow* row, table.GetByPk(key));
+  return *row;
+}
+
+/// Calls \p fn on each row whose \p column equals \p value. Cassandra
+/// filters a non-indexed column only when told to; MySQL always may.
+Status ForEachEq(const nosql::Table& table, const std::string& column,
+                 const Value& value,
+                 const std::function<Status(const std::vector<Value>&)>& fn) {
+  SCD_ASSIGN_OR_RETURN(std::vector<nosql::Row> rows,
+                       table.SelectEq(column, value, /*allow_filtering=*/true));
+  for (const nosql::Row& row : rows) SCD_RETURN_IF_ERROR(fn(row));
+  return Status::OK();
+}
+Status ForEachEq(const sql::HeapTable& table, const std::string& column,
+                 const Value& value,
+                 const std::function<Status(const std::vector<Value>&)>& fn) {
+  SCD_ASSIGN_OR_RETURN(std::vector<const sql::SqlRow*> rows,
+                       table.SelectEq(column, value));
+  for (const sql::SqlRow* row : rows) SCD_RETURN_IF_ERROR(fn(*row));
+  return Status::OK();
+}
+
+/// NoSQL validates and encodes each chunk's rows on the pool thread that
+/// generated them, and its lanes only append and adopt; every chunk is one
+/// insert, as the store never fsyncs on insert.
+Status StoreRowsInto(const StoreScope<nosql::Database>& scope,
+                     int num_threads, size_t num_nodes,
+                     const std::vector<std::string>& tables,
+                     const GenerateRowsFn& generate) {
+  nosql::Database* db = scope.engine();
+  return StoreRows<nosql::InsertBatch>(
+      num_threads, num_nodes, tables, generate,
+      {.prepare = [&](const std::string& table, Rows rows) {
+         return db->EncodeInsert(scope.name(), table, rows);
+       },
+       .apply =
+           [db](const std::string&, std::vector<nosql::InsertBatch> batches) {
+             for (nosql::InsertBatch& batch : batches) {
+               SCD_RETURN_IF_ERROR(db->ApplyInsert(std::move(batch)));
+             }
+             return Status::OK();
+           }});
+}
+/// SQL coalesces chunks into inserts of kSqlRowsPerInsert rows
+/// (store_rows.h).
+Status StoreRowsInto(const StoreScope<sql::SqlEngine>& scope, int num_threads,
+                     size_t num_nodes, const std::vector<std::string>& tables,
+                     const GenerateRowsFn& generate) {
+  return StoreRows(num_threads, num_nodes, tables, kSqlRowsPerInsert, generate,
+                   [&scope](const std::string& table, Rows rows) {
+                     return scope.Insert(table, std::move(rows));
+                   });
+}
 
 /// NoSQL upserts the cube row with its size_as_mb column set.
 Status WriteSize(const StoreScope<nosql::Database>& scope,
@@ -130,8 +186,8 @@ template <typename Engine>
 Result<int64_t> StoreScope<Engine>::NextId(const std::string& table) const {
   SCD_ASSIGN_OR_RETURN(auto t, engine_->GetTable(name_, table));
   int64_t max_id = -1;
-  for (const Row* row : t->ScanAll()) {
-    SCD_ASSIGN_OR_RETURN(int64_t id, (*row)[0].AsInt());
+  for (const Value& value : Ids(*t)) {
+    SCD_ASSIGN_OR_RETURN(int64_t id, value.AsInt());
     max_id = std::max(max_id, id);
   }
   return max_id + 1;
@@ -141,8 +197,7 @@ template <typename Engine>
 Result<typename StoreScope<Engine>::Row> StoreScope<Engine>::GetRow(
     const std::string& table, int64_t id) const {
   SCD_ASSIGN_OR_RETURN(auto t, engine_->GetTable(name_, table));
-  SCD_ASSIGN_OR_RETURN(const Row* row, t->GetByPk(Value::Int(id)));
-  return *row;
+  return RowByKey(*t, Value::Int(id));
 }
 
 template <typename Engine>
@@ -150,21 +205,14 @@ Status StoreScope<Engine>::ForEachRow(const std::string& table,
                                       const std::string& column, int64_t id,
                                       const RowFn& fn) const {
   SCD_ASSIGN_OR_RETURN(auto t, engine_->GetTable(name_, table));
-  SCD_ASSIGN_OR_RETURN(std::vector<const Row*> rows,
-                       SelectEq(*t, column, Value::Int(id)));
-  for (const Row* row : rows) SCD_RETURN_IF_ERROR(fn(*row));
-  return Status::OK();
+  return ForEachEq(*t, column, Value::Int(id), fn);
 }
 
 template <typename Engine>
 Status StoreScope<Engine>::StoreRows(int num_threads, size_t num_nodes,
                                      const std::vector<std::string>& tables,
                                      const GenerateRowsFn& generate) const {
-  return mapper::StoreRows(
-      num_threads, num_nodes, tables, RowsPerInsert(engine_), generate,
-      [this](const std::string& table, Rows rows) {
-        return Insert(table, std::move(rows));
-      });
+  return StoreRowsInto(*this, num_threads, num_nodes, tables, generate);
 }
 
 template <typename Engine>

@@ -4,9 +4,9 @@
 /// id and the size record. A StoreScope is the keyspace of a
 /// nosql::Database or the database of a sql::SqlEngine that a mapper stores
 /// into; the few places where the engines differ (the table-definition
-/// type, SelectEq's filtering flag, rows per insert and the size record)
-/// are per-engine overloads in store_scope.cc, and Reserve, which only
-/// NoSQL has, one in nosql_min_mapper.cc.
+/// type, the reads, which decode NoSQL rows, the load path's batches and
+/// the size record) are per-engine overloads in store_scope.cc, and
+/// Reserve, which only NoSQL has, one in nosql_min_mapper.cc.
 
 #ifndef SCDWARF_MAPPER_STORE_SCOPE_H_
 #define SCDWARF_MAPPER_STORE_SCOPE_H_
@@ -82,8 +82,10 @@ class StoreScope {
     return engine_->BulkInsert(name_, table, std::move(rows));
   }
 
-  /// StoreRows (store_rows.h) into \p tables, in batches of the engine's
-  /// rows per insert: 1 for NoSQL, kSqlRowsPerInsert for SQL.
+  /// StoreRows (store_rows.h) into \p tables. NoSQL validates and encodes
+  /// each chunk's rows on the pool thread that generated them (EncodeInsert)
+  /// and its lanes only append and adopt them (ApplyInsert), one insert per
+  /// chunk; SQL coalesces chunks into inserts of kSqlRowsPerInsert rows.
   Status StoreRows(int num_threads, size_t num_nodes,
                    const std::vector<std::string>& tables,
                    const GenerateRowsFn& generate) const;

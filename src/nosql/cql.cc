@@ -223,7 +223,7 @@ Result<QueryResult> ExecuteSelect(Database* db, const SelectStmt& stmt) {
 
   // Candidate rows: use the most selective equality (pk first, then any
   // indexed column); remaining predicates filter.
-  std::vector<const Row*> candidates;
+  std::vector<Row> candidates;
   if (stmt.where.empty()) {
     candidates = table->ScanAll();
   } else {
@@ -256,19 +256,17 @@ Result<QueryResult> ExecuteSelect(Database* db, const SelectStmt& stmt) {
     for (size_t i = 0; i < stmt.where.size(); ++i) {
       if (static_cast<int>(i) == driver) continue;
       SCD_ASSIGN_OR_RETURN(size_t index, schema.ColumnIndex(stmt.where[i].first));
-      std::vector<const Row*> filtered;
-      for (const Row* row : candidates) {
-        if ((*row)[index] == stmt.where[i].second) filtered.push_back(row);
-      }
-      candidates = std::move(filtered);
+      std::erase_if(candidates, [&](const Row& row) {
+        return row[index] != stmt.where[i].second;
+      });
     }
   }
 
   result.rows.reserve(candidates.size());
-  for (const Row* row : candidates) {
+  for (const Row& row : candidates) {
     Row projected;
     projected.reserve(projection.size());
-    for (size_t index : projection) projected.push_back((*row)[index]);
+    for (size_t index : projection) projected.push_back(row[index]);
     result.rows.push_back(std::move(projected));
   }
   return result;

@@ -215,44 +215,61 @@ Status Database::Insert(const std::string& keyspace, const std::string& table,
                         Row row) {
   std::vector<Row> rows;
   rows.push_back(std::move(row));
-  return BulkInsert(keyspace, table, std::move(rows));
+  return BulkInsert(keyspace, table, rows);
 }
 
 Status Database::BulkInsert(const std::string& keyspace,
-                            const std::string& table, std::vector<Row> rows) {
+                            const std::string& table,
+                            const std::vector<Row>& rows) {
   trace::ScopedSpan span("nosql.bulk_insert");
-  SCD_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(keyspace, table));
-  // One pass validates each row and encodes it into the log record; the
-  // record is appended only after the pass, so a rejected batch leaves no
-  // log record for replay to trip over and applies no row. The pass reads
-  // only the columns, which no writer changes, so it runs outside the lock,
-  // and concurrent writers to different tables run theirs in parallel.
-  const bool durable = catalog_.durable();
+  SCD_ASSIGN_OR_RETURN(InsertBatch batch, EncodeInsert(keyspace, table, rows));
+  return ApplyInsert(std::move(batch));
+}
+
+Result<InsertBatch> Database::EncodeInsert(const std::string& keyspace,
+                                           const std::string& table,
+                                           const std::vector<Row>& rows) const {
+  trace::ScopedSpan span("nosql.log_encode");
+  InsertBatch batch;
+  SCD_ASSIGN_OR_RETURN(batch.table_, catalog_.GetTable(keyspace, table));
+  batch.keyspace_ = keyspace;
+  batch.table_name_ = table;
+  // One pass validates each row, encodes it into the record, whose row
+  // bytes the table then keeps, and hashes its key for the table's index,
+  // so a rejected batch leaves no record for replay to trip over and
+  // applies no row. Memory mode builds the same record and only skips its
+  // append.
   ByteWriter record;
-  {
-    trace::ScopedSpan encode_span("nosql.log_encode");
-    if (durable) {
-      PutMutationHeader(&record, keyspace, table, rows.size(),
-                        /*is_delete=*/false);
-    }
-    for (const Row& row : rows) {
-      SCD_RETURN_IF_ERROR(t->ValidateRow(row));
-      if (durable) PutMutationRow(&record, row);
-    }
+  PutMutationHeader(&record, keyspace, table, rows.size(),
+                    /*is_delete=*/false);
+  batch.rows_.rows.reserve(rows.size());
+  for (const Row& row : rows) {
+    SCD_RETURN_IF_ERROR(batch.table_->ValidateRow(row));
+    const size_t offset = PutMutationRow(&record, row);
+    const std::span<const uint8_t> values =
+        std::span<const uint8_t>(record.data()).subspan(offset);
+    batch.rows_.rows.push_back(
+        {offset, values.size(), batch.table_->KeyHash(values)});
   }
+  batch.rows_.bytes = record.TakeBuffer();
+  return batch;
+}
+
+Status Database::ApplyInsert(InsertBatch batch) {
+  Table& t = *batch.table_;
   // One shard-lock critical section covers the log append and the in-memory
   // apply, so no mutation straddles Flush()'s log rotation (which holds
   // every shard lock): a logged row is applied before the rotation cut or
   // logged entirely after it.
-  SCD_ASSIGN_OR_RETURN(std::unique_lock<std::mutex> lock,
-                       catalog_.LockTable(keyspace, table, *t));
-  if (durable) {
+  SCD_ASSIGN_OR_RETURN(
+      std::unique_lock<std::mutex> lock,
+      catalog_.LockTable(batch.keyspace_, batch.table_name_, t));
+  if (catalog_.durable()) {
     trace::ScopedSpan log_span("nosql.log_append");
-    SCD_RETURN_IF_ERROR(catalog_.AppendLog(record.data()));
+    SCD_RETURN_IF_ERROR(catalog_.AppendLog(batch.rows_.bytes));
   }
   trace::ScopedSpan apply_span("nosql.table_apply");
-  t->ReserveAdditional(rows.size());
-  for (Row& row : rows) t->InsertValidated(std::move(row));
+  t.InsertEncoded(std::move(batch.rows_));
   return Status::OK();
 }
 

@@ -18,6 +18,26 @@
 
 namespace scdwarf::nosql {
 
+/// \brief One table's insert batch, validated and encoded once by
+/// Database::EncodeInsert: the commit-log record inserting the rows, and
+/// where each row's values lie in it. Database::ApplyInsert logs the record
+/// and hands the same bytes to the table's memtable.
+class InsertBatch {
+ public:
+  InsertBatch() = default;
+
+  /// Rows in the batch.
+  size_t size() const { return rows_.rows.size(); }
+
+ private:
+  friend class Database;
+
+  std::string keyspace_;
+  std::string table_name_;
+  std::shared_ptr<Table> table_;  ///< the table the rows were checked against
+  EncodedRows rows_;              ///< its bytes are the commit-log record
+};
+
 /// \brief A single-node columnar NoSQL database.
 ///
 /// With a data directory, every mutation batch is appended to a commit log
@@ -103,14 +123,25 @@ class Database {
   Status Insert(const std::string& keyspace, const std::string& table, Row row);
 
   /// Applies many inserts into one table with a single commit-log append —
-  /// the paper's "executed in a bulk process" (§4). All or nothing: one
-  /// pass validates and encodes row by row, and the record is appended only
-  /// after it, so a batch holding one bad row is rejected whole and logs
-  /// nothing (in memory mode the pass only validates). The pass runs before
-  /// any lock is taken; the append and the apply share one shard-lock
-  /// critical section.
+  /// the paper's "executed in a bulk process" (§4). The one write path of
+  /// every insert: exactly EncodeInsert, then ApplyInsert.
   Status BulkInsert(const std::string& keyspace, const std::string& table,
-                    std::vector<Row> rows);
+                    const std::vector<Row>& rows);
+
+  /// The first step of BulkInsert: validates each row against the table and
+  /// writes it once into the batch's commit-log record. All or nothing: a
+  /// batch holding one bad row is rejected whole. It takes no lock (a
+  /// table's columns never change), so callers encode batches of any table
+  /// on any thread, concurrently.
+  Result<InsertBatch> EncodeInsert(const std::string& keyspace,
+                                   const std::string& table,
+                                   const std::vector<Row>& rows) const;
+
+  /// The second step of BulkInsert: under the table's shard lock, appends
+  /// \p batch's record to the commit log (durable mode) and adopts its row
+  /// bytes into the table. NotFound, logging nothing, when the table was
+  /// dropped or re-created since the batch was encoded.
+  Status ApplyInsert(InsertBatch batch);
 
   /// Pre-sizes \p table's row store and primary index for \p rows more rows
   /// (Table::ReserveAdditional, under the table's shard lock). A caller that

@@ -1,8 +1,10 @@
 #include "nosql/table.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace scdwarf::nosql {
@@ -18,6 +20,21 @@ void ReserveGeometric(Container* container, size_t needed) {
   if (needed > container->capacity()) {
     container->reserve(std::max(needed, 2 * container->capacity()));
   }
+}
+
+bool SameBytes(std::span<const uint8_t> a, std::span<const uint8_t> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size()) == 0);
+}
+
+uint64_t HashKey(std::span<const uint8_t> key) {
+  return HashBytes(key.data(), key.size());
+}
+
+std::vector<uint8_t> Encode(const Value& value) {
+  ByteWriter writer;
+  value.EncodeTo(&writer);
+  return writer.TakeBuffer();
 }
 }  // namespace
 
@@ -50,6 +67,33 @@ Status Table::ValidateRow(const Row& row) const {
   return Status::OK();
 }
 
+// Rows in the slab were encoded from validated values, so they decode.
+Table::Bytes Table::ColumnBytes(Bytes row, size_t index) const {
+  ByteReader reader(row.data(), row.size());
+  for (size_t i = 0; i < index; ++i) {
+    SCD_CHECK(Value::SkipEncoded(&reader).ok());
+  }
+  const size_t begin = reader.offset();
+  SCD_CHECK(Value::SkipEncoded(&reader).ok());
+  return row.subspan(begin, reader.offset() - begin);
+}
+
+Value Table::DecodeColumn(Bytes row, size_t index) const {
+  const Bytes column = ColumnBytes(row, index);
+  ByteReader reader(column.data(), column.size());
+  return Value::DecodeFrom(&reader).ValueOrDie();
+}
+
+Row Table::DecodeRow(Bytes bytes) const {
+  ByteReader reader(bytes.data(), bytes.size());
+  Row row;
+  row.reserve(schema_.num_columns());
+  for (size_t c = 0; c < schema_.num_columns(); ++c) {
+    row.push_back(Value::DecodeFrom(&reader).ValueOrDie());
+  }
+  return row;
+}
+
 void Table::WriteIndexEntry(std::multimap<Value, Row>* index,
                             const Value& value, const Value& pk) {
   // Materialize the index row (value, pk) — the hidden column family's
@@ -69,20 +113,23 @@ void Table::WriteIndexEntry(std::multimap<Value, Row>* index,
   index->emplace(value, std::move(entry));
 }
 
-void Table::IndexRow(size_t row_index) {
-  const Value& pk = rows_[row_index][pk_index_];
+void Table::IndexRow(size_t slot) {
+  if (secondary_.empty()) return;
+  const Value pk = DecodeColumn(slots_[slot], pk_index_);
   for (auto& [column, index] : secondary_) {
     // Cassandra does not index null values.
-    if (rows_[row_index][column].is_null()) continue;
-    WriteIndexEntry(&index, rows_[row_index][column], pk);
+    const Value value = DecodeColumn(slots_[slot], column);
+    if (!value.is_null()) WriteIndexEntry(&index, value, pk);
   }
 }
 
-void Table::UnindexRow(size_t row_index) {
-  const Value& pk = rows_[row_index][pk_index_];
+void Table::UnindexRow(size_t slot) {
+  if (secondary_.empty()) return;
+  const Value pk = DecodeColumn(slots_[slot], pk_index_);
   for (auto& [column, index] : secondary_) {
-    if (rows_[row_index][column].is_null()) continue;
-    auto [begin, end] = index.equal_range(rows_[row_index][column]);
+    const Value value = DecodeColumn(slots_[slot], column);
+    if (value.is_null()) continue;
+    auto [begin, end] = index.equal_range(value);
     for (auto it = begin; it != end; ++it) {
       if (it->second[1] == pk) {
         index.erase(it);
@@ -92,18 +139,22 @@ void Table::UnindexRow(size_t row_index) {
   }
 }
 
-size_t Table::FindBucket(const Value& key) const {
+size_t Table::FindBucket(Bytes key) const {
   if (buckets_.empty()) return kNoSlot;
-  const uint64_t hash = key.Hash();
+  const uint64_t hash = HashKey(key);
   const size_t mask = buckets_.size() - 1;
   for (size_t bucket = hash & mask; buckets_[bucket].slot != kNoSlot;
        bucket = (bucket + 1) & mask) {
     if (buckets_[bucket].hash == hash &&
-        rows_[buckets_[bucket].slot][pk_index_] == key) {
+        SameBytes(KeyBytes(slots_[buckets_[bucket].slot]), key)) {
       return bucket;
     }
   }
   return kNoSlot;
+}
+
+size_t Table::FindBucket(const Value& key) const {
+  return FindBucket(Encode(key));
 }
 
 void Table::ReserveIndex(size_t entries) {
@@ -136,43 +187,94 @@ void Table::EraseBucket(size_t hole) {
   buckets_[hole] = Bucket{};
 }
 
-Status Table::Insert(Row row) {
-  SCD_RETURN_IF_ERROR(ValidateRow(row));
-  InsertValidated(std::move(row));
-  return Status::OK();
+Table::Bytes Table::CopyToSlab(Bytes bytes) {
+  if (copy_block_ == kNoSlot ||
+      blocks_[copy_block_].capacity() - blocks_[copy_block_].size() <
+          bytes.size()) {
+    copy_block_ = blocks_.size();
+    blocks_.emplace_back().reserve(std::max(kCopyBlockBytes, bytes.size()));
+  }
+  // Within its reserved capacity the block never reallocates.
+  std::vector<uint8_t>& block = blocks_[copy_block_];
+  const size_t offset = block.size();
+  block.insert(block.end(), bytes.begin(), bytes.end());
+  return Bytes(block).subspan(offset, bytes.size());
 }
 
-void Table::InsertValidated(Row row) {
+void Table::MaybeCompact() {
+  if (dead_bytes_ < kCopyBlockBytes || dead_bytes_ <= live_bytes_) return;
+  // The old blocks stay alive until every live row is copied out of them.
+  std::vector<std::vector<uint8_t>> old = std::exchange(blocks_, {});
+  copy_block_ = kNoSlot;
+  for (Bytes& row : slots_) {
+    if (!row.empty()) row = CopyToSlab(row);
+  }
+  dead_bytes_ = 0;
+}
+
+uint64_t Table::KeyHash(Bytes row) const { return HashKey(KeyBytes(row)); }
+
+void Table::Put(Bytes row, uint64_t hash) {
   ReserveIndex(live_count_ + 1);
   // One probe run finds either the key (upsert) or the free bucket the new
-  // row's slot goes into.
-  const uint64_t hash = row[pk_index_].Hash();
+  // row's slot goes into; keys are read only on a hash match.
   const size_t mask = buckets_.size() - 1;
   size_t bucket = hash & mask;
   for (; buckets_[bucket].slot != kNoSlot; bucket = (bucket + 1) & mask) {
     const size_t slot = buckets_[bucket].slot;
     if (buckets_[bucket].hash == hash &&
-        rows_[slot][pk_index_] == row[pk_index_]) {
-      // Upsert: replace in place, fixing secondary index entries.
+        SameBytes(KeyBytes(slots_[slot]), KeyBytes(row))) {
+      // Upsert: the slot keeps its place and takes the new bytes, fixing
+      // secondary index entries.
       UnindexRow(slot);
-      rows_[slot] = std::move(row);
+      live_bytes_ -= slots_[slot].size();
+      dead_bytes_ += slots_[slot].size();
+      slots_[slot] = row;
+      live_bytes_ += row.size();
       IndexRow(slot);
-      BumpVersion();
       return;
     }
   }
-  const size_t slot = rows_.size();
+  const size_t slot = slots_.size();
   buckets_[bucket] = {hash, slot};
-  rows_.push_back(std::move(row));
-  live_.push_back(true);
+  slots_.push_back(row);
   ++live_count_;
+  live_bytes_ += row.size();
   IndexRow(slot);
+}
+
+Status Table::Insert(const Row& row) {
+  SCD_RETURN_IF_ERROR(ValidateRow(row));
+  ByteWriter writer;
+  for (const Value& value : row) value.EncodeTo(&writer);
+  const Bytes bytes = CopyToSlab(writer.data());
+  Put(bytes, KeyHash(bytes));
   BumpVersion();
+  MaybeCompact();
+  return Status::OK();
+}
+
+void Table::InsertEncoded(EncodedRows rows) {
+  if (rows.rows.empty()) return;
+  // With room for every row reserved up front, no Put below grows the
+  // bucket array, so the mask stays and a bucket can be fetched ahead.
+  ReserveAdditional(rows.rows.size());
+  const size_t mask = buckets_.size() - 1;
+  // Moving the buffer into the slab keeps its bytes where they are.
+  const Bytes block = blocks_.emplace_back(std::move(rows.bytes));
+  const std::vector<EncodedRows::Span>& spans = rows.rows;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (i + kPrefetchRows < spans.size()) {
+      __builtin_prefetch(&buckets_[spans[i + kPrefetchRows].key_hash & mask]);
+    }
+    Put(block.subspan(spans[i].offset, spans[i].size), spans[i].key_hash);
+  }
+  BumpVersion();
+  MaybeCompact();
 }
 
 void Table::ReserveAdditional(size_t additional) {
-  ReserveGeometric(&rows_, rows_.size() + additional);
-  ReserveGeometric(&live_, live_.size() + additional);
+  ReserveGeometric(&slots_, slots_.size() + additional);
   ReserveIndex(live_count_ + additional);
 }
 
@@ -180,9 +282,11 @@ Status Table::CreateIndex(std::string_view column) {
   SCD_RETURN_IF_ERROR(schema_.AddSecondaryIndex(column));
   size_t index = schema_.ColumnIndex(column).ValueOrDie();
   auto& entries = secondary_[index];
-  for (size_t slot = 0; slot < rows_.size(); ++slot) {
-    if (live_[slot] && !rows_[slot][index].is_null()) {
-      WriteIndexEntry(&entries, rows_[slot][index], rows_[slot][pk_index_]);
+  for (const Bytes row : slots_) {
+    if (row.empty()) continue;
+    const Value value = DecodeColumn(row, index);
+    if (!value.is_null()) {
+      WriteIndexEntry(&entries, value, DecodeColumn(row, pk_index_));
     }
   }
   BumpVersion();
@@ -198,31 +302,34 @@ Status Table::DeleteByPk(const Value& key) {
   const size_t slot = buckets_[bucket].slot;
   UnindexRow(slot);
   EraseBucket(bucket);
-  live_[slot] = false;
-  rows_[slot].clear();
-  rows_[slot].shrink_to_fit();
+  live_bytes_ -= slots_[slot].size();
+  dead_bytes_ += slots_[slot].size();
+  slots_[slot] = {};
   --live_count_;
   BumpVersion();
+  MaybeCompact();
   return Status::OK();
 }
 
-Result<const Row*> Table::GetByPk(const Value& key) const {
+Result<Row> Table::GetByPk(const Value& key) const {
   const size_t bucket = FindBucket(key);
   if (bucket == kNoSlot) {
     return Status::NotFound("no row with primary key " + key.ToCqlLiteral() +
                             " in " + schema_.QualifiedName());
   }
-  return &rows_[buckets_[bucket].slot];
+  return DecodeRow(slots_[buckets_[bucket].slot]);
 }
 
-Result<std::vector<const Row*>> Table::SelectEq(std::string_view column,
-                                                const Value& value,
-                                                bool allow_filtering) const {
+Result<std::vector<Row>> Table::SelectEq(std::string_view column,
+                                         const Value& value,
+                                         bool allow_filtering) const {
   SCD_ASSIGN_OR_RETURN(size_t index, schema_.ColumnIndex(column));
-  std::vector<const Row*> result;
+  std::vector<Row> result;
   if (index == pk_index_) {
-    auto row = GetByPk(value);
-    if (row.ok()) result.push_back(*row);
+    const size_t bucket = FindBucket(value);
+    if (bucket != kNoSlot) {
+      result.push_back(DecodeRow(slots_[buckets_[bucket].slot]));
+    }
     return result;
   }
   auto secondary_it = secondary_.find(index);
@@ -232,7 +339,9 @@ Result<std::vector<const Row*>> Table::SelectEq(std::string_view column,
       // Resolve the index entry through the base table (Cassandra's 2i read
       // path: index hit, then base-row fetch by primary key).
       const size_t base = FindBucket(it->second[1]);
-      if (base != kNoSlot) result.push_back(&rows_[buckets_[base].slot]);
+      if (base != kNoSlot) {
+        result.push_back(DecodeRow(slots_[buckets_[base].slot]));
+      }
     }
     return result;
   }
@@ -241,21 +350,39 @@ Result<std::vector<const Row*>> Table::SelectEq(std::string_view column,
         "column '" + std::string(column) + "' of " + schema_.QualifiedName() +
         " has no index; use ALLOW FILTERING to scan");
   }
-  for (size_t slot = 0; slot < rows_.size(); ++slot) {
-    if (live_[slot] && rows_[slot][index] == value) {
-      result.push_back(&rows_[slot]);
+  // Equal values have equal encodings, so the filter compares bytes.
+  const std::vector<uint8_t> wanted = Encode(value);
+  for (const Bytes row : slots_) {
+    if (!row.empty() && SameBytes(ColumnBytes(row, index), wanted)) {
+      result.push_back(DecodeRow(row));
     }
   }
   return result;
 }
 
-std::vector<const Row*> Table::ScanAll() const {
-  std::vector<const Row*> result;
+std::vector<Row> Table::ScanAll() const {
+  std::vector<Row> result;
   result.reserve(live_count_);
-  for (size_t slot = 0; slot < rows_.size(); ++slot) {
-    if (live_[slot]) result.push_back(&rows_[slot]);
+  for (const Bytes row : slots_) {
+    if (!row.empty()) result.push_back(DecodeRow(row));
   }
   return result;
+}
+
+std::vector<Value> Table::ScanColumn(size_t index) const {
+  SCD_CHECK_LT(index, schema_.num_columns());
+  std::vector<Value> result;
+  result.reserve(live_count_);
+  for (const Bytes row : slots_) {
+    if (!row.empty()) result.push_back(DecodeColumn(row, index));
+  }
+  return result;
+}
+
+uint64_t Table::memtable_bytes() const {
+  uint64_t bytes = 0;
+  for (const std::vector<uint8_t>& block : blocks_) bytes += block.capacity();
+  return bytes;
 }
 
 void Table::SerializeTo(ByteWriter* writer) const {
@@ -263,9 +390,8 @@ void Table::SerializeTo(ByteWriter* writer) const {
   writer->PutU8(kSegmentVersion);
   schema_.EncodeTo(writer);
   writer->PutVarint(live_count_);
-  for (size_t slot = 0; slot < rows_.size(); ++slot) {
-    if (!live_[slot]) continue;
-    for (const Value& value : rows_[slot]) value.EncodeTo(writer);
+  for (const Bytes row : slots_) {
+    if (!row.empty()) writer->PutRaw(row.data(), row.size());
   }
   // Secondary index blocks: each index persists its ordered (value ->
   // primary key) entries, the on-disk footprint Cassandra's hidden index
@@ -283,9 +409,21 @@ void Table::SerializeTo(ByteWriter* writer) const {
 }
 
 uint64_t Table::EstimateSegmentBytes() const {
-  ByteWriter writer;
-  SerializeTo(&writer);
-  return writer.size();
+  ByteWriter scratch;
+  schema_.EncodeTo(&scratch);
+  uint64_t bytes = sizeof(kSegmentMagic) + sizeof(kSegmentVersion) +
+                   scratch.size() + VarintLength(live_count_) + live_bytes_ +
+                   VarintLength(secondary_.size());
+  for (const auto& [column, entries] : secondary_) {
+    bytes += VarintLength(column) + VarintLength(entries.size());
+    for (const auto& [value, entry] : entries) {
+      scratch.Clear();
+      value.EncodeTo(&scratch);
+      entry[1].EncodeTo(&scratch);
+      bytes += scratch.size();
+    }
+  }
+  return bytes;
 }
 
 Result<std::unique_ptr<Table>> Table::Deserialize(ByteReader* reader) {
@@ -301,14 +439,17 @@ Result<std::unique_ptr<Table>> Table::Deserialize(ByteReader* reader) {
   SCD_ASSIGN_OR_RETURN(TableSchema schema, TableSchema::DecodeFrom(reader));
   auto table = std::make_unique<Table>(schema);
   SCD_ASSIGN_OR_RETURN(uint64_t num_rows, reader->ReadVarint());
+  // Each row is decoded, so a corrupt one fails here, and Insert checks it
+  // and keeps its encoding: the bytes SerializeTo wrote, and one encoding
+  // per key even where a damaged file spells a value another way.
+  Row row;
   for (uint64_t r = 0; r < num_rows; ++r) {
-    Row row;
-    row.reserve(schema.num_columns());
+    row.clear();
     for (size_t c = 0; c < schema.num_columns(); ++c) {
       SCD_ASSIGN_OR_RETURN(Value value, Value::DecodeFrom(reader));
       row.push_back(std::move(value));
     }
-    SCD_RETURN_IF_ERROR(table->Insert(std::move(row)));
+    SCD_RETURN_IF_ERROR(table->Insert(row));
   }
   // Index blocks were rebuilt by Insert; skip the persisted copies.
   SCD_ASSIGN_OR_RETURN(uint64_t num_indexes, reader->ReadVarint());
@@ -317,8 +458,8 @@ Result<std::unique_ptr<Table>> Table::Deserialize(ByteReader* reader) {
     (void)column;
     SCD_ASSIGN_OR_RETURN(uint64_t num_entries, reader->ReadVarint());
     for (uint64_t e = 0; e < num_entries; ++e) {
-      SCD_RETURN_IF_ERROR(Value::DecodeFrom(reader).status());
-      SCD_RETURN_IF_ERROR(Value::DecodeFrom(reader).status());
+      SCD_RETURN_IF_ERROR(Value::SkipEncoded(reader));
+      SCD_RETURN_IF_ERROR(Value::SkipEncoded(reader));
     }
   }
   return table;

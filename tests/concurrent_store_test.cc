@@ -214,7 +214,7 @@ TEST_F(ConcurrentStoreTest, NoSqlConcurrentTableFlushesLoseNoAcknowledgedRow) {
     for (int64_t id = 0; id < kRows; ++id) {
       auto row = (*t)->GetByPk(Value::Int(id));
       ASSERT_TRUE(row.ok()) << table << " lost row " << id;
-      EXPECT_EQ(**row, KvRow(id));
+      EXPECT_EQ(*row, KvRow(id));
     }
   }
 }

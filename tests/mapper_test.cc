@@ -111,12 +111,12 @@ TEST(IdMapTest, NumbersEachNodesCellsConsecutivelyInVisitOrder) {
       auto row = (*cells)->GetByPk(
           Value::Int(stored.first_cell_id[node] + static_cast<int64_t>(c)));
       ASSERT_TRUE(row.ok()) << row.status();
-      EXPECT_EQ(*(**row)[1].AsText(),
+      EXPECT_EQ(*(*row)[1].AsText(),
                 c < view.cells.size()
                     ? cube.dictionary(view.level).DecodeUnchecked(
                           view.cells[c].key)
                     : std::string(kAllCellKey));
-      EXPECT_EQ(*(**row)[3].AsInt(), stored.node_ids[node]);  // parentnode
+      EXPECT_EQ(*(*row)[3].AsInt(), stored.node_ids[node]);  // parentnode
     }
   }
 }

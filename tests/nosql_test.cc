@@ -253,6 +253,9 @@ TEST(ValueTest, MatchesVariantReferenceModel) {
     ASSERT_TRUE(decoded.ok()) << decoded.status();
     EXPECT_TRUE(reader.AtEnd());
     EXPECT_EQ(*decoded, value);
+    ByteReader skipper(writer.data());
+    ASSERT_TRUE(Value::SkipEncoded(&skipper).ok());
+    EXPECT_TRUE(skipper.AtEnd());
     EXPECT_EQ(decoded->Hash(), value.Hash());
     for (size_t j = 0; j < values.size(); ++j) {
       ASSERT_EQ(value < values[j], refs[i] < refs[j]) << "against " << j;
@@ -388,7 +391,7 @@ TEST(TableTest, InsertAndGet) {
   EXPECT_EQ(table.num_rows(), 1u);
   auto row = table.GetByPk(Value::Int(3));
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ(*(**row)[1].AsText(), "Fenian St");
+  EXPECT_EQ(*(*row)[1].AsText(), "Fenian St");
   EXPECT_TRUE(table.GetByPk(Value::Int(4)).status().IsNotFound());
 }
 
@@ -397,7 +400,7 @@ TEST(TableTest, InsertIsUpsert) {
   ASSERT_TRUE(table.Insert(CellRow(1, "a", 1, 0, Value::Null(), true)).ok());
   ASSERT_TRUE(table.Insert(CellRow(1, "b", 2, 0, Value::Null(), true)).ok());
   EXPECT_EQ(table.num_rows(), 1u);
-  EXPECT_EQ(*(**table.GetByPk(Value::Int(1)))[1].AsText(), "b");
+  EXPECT_EQ(*(*table.GetByPk(Value::Int(1)))[1].AsText(), "b");
 }
 
 TEST(TableTest, RowValidation) {
@@ -464,7 +467,7 @@ TEST(TableTest, SetColumnRoundTrip) {
                   .ok());
   auto row = table.GetByPk(Value::Int(1));
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ(*(**row)[2].AsIntSet(), (std::vector<int64_t>{4, 5, 6}));
+  EXPECT_EQ(*(*row)[2].AsIntSet(), (std::vector<int64_t>{4, 5, 6}));
 }
 
 TEST(TableTest, SerializeDeserializeRoundTrip) {
@@ -487,7 +490,7 @@ TEST(TableTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ((*loaded)->schema(), table.schema());
   auto row = (*loaded)->GetByPk(Value::Int(49));
   ASSERT_TRUE(row.ok());
-  EXPECT_EQ(*(**row)[1].AsText(), "station 49");
+  EXPECT_EQ(*(*row)[1].AsText(), "station 49");
   // Index survives reload.
   EXPECT_EQ((*loaded)->SelectEq("parentnode", Value::Int(3))->size(), 5u);
 }
@@ -505,12 +508,45 @@ TEST(TableTest, SecondaryIndexGrowsSegment) {
   EXPECT_GT(indexed.EstimateSegmentBytes(), plain.EstimateSegmentBytes());
 }
 
+TEST(TableTest, OverwrittenRowsAreCompactedAwayAndEveryRowKeepsItsSlot) {
+  TableSchema schema("ks", "kv",
+                     {{"id", DataType::kInt}, {"payload", DataType::kText}},
+                     "id");
+  Table table(schema);
+  auto row = [](int64_t id, int round) {
+    return Row{Value::Int(id),
+               Value::Text(std::string(100 + round, 'a' + round))};
+  };
+  for (int round = 0; round < 10; ++round) {
+    for (int64_t id = 0; id < 1000; ++id) {
+      ASSERT_TRUE(table.Insert(row(id, round)).ok());
+    }
+  }
+  for (int64_t id = 0; id < 1000; id += 2) {
+    ASSERT_TRUE(table.DeleteByPk(Value::Int(id)).ok());
+  }
+  // Ten rounds wrote about 1.1 MB; the 500 live rows hold about 55 KB, and
+  // the slab keeps at most twice the live bytes plus a block's slack.
+  EXPECT_LT(table.memtable_bytes(), 400u << 10);
+  std::vector<Row> expected;
+  for (int64_t id = 1; id < 1000; id += 2) expected.push_back(row(id, 9));
+  EXPECT_EQ(table.ScanAll(), expected);  // slot order is insertion order
+  EXPECT_EQ(*table.GetByPk(Value::Int(999)), row(999, 9));
+  ByteWriter writer;
+  table.SerializeTo(&writer);
+  ByteReader reader(writer.data());
+  auto loaded = Table::Deserialize(&reader);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ((*loaded)->ScanAll(), expected);
+}
+
 // Differential property test of the primary index: random upserts, deletes
 // and lookups against a std::map model, with one secondary index and one
 // unindexed column read through ALLOW FILTERING. The keys are chosen so
-// that their Value::Hash() values share the low kClusterBits bits: they
-// crowd into a few home buckets, so probe runs get long and cross each
-// other, and a delete inside a run has to move later entries back.
+// that the hashes of their encodings, which the index hashes, share the low
+// kClusterBits bits: they crowd into a few home buckets, so probe runs get
+// long and cross each other, and a delete inside a run has to move later
+// entries back.
 class PrimaryIndexPropertyTest : public ::testing::TestWithParam<DataType> {
  protected:
   static constexpr uint64_t kClusterBits = 4;
@@ -535,16 +571,19 @@ class PrimaryIndexPropertyTest : public ::testing::TestWithParam<DataType> {
       Value key = pk_type == DataType::kInt
                       ? Value::Int(i)
                       : Value::Text("key-" + std::to_string(i));
-      if ((key.Hash() & ((uint64_t{1} << kClusterBits) - 1)) == 0) {
+      ByteWriter encoded;
+      key.EncodeTo(&encoded);
+      const uint64_t hash = HashBytes(encoded.data().data(), encoded.size());
+      if ((hash & ((uint64_t{1} << kClusterBits) - 1)) == 0) {
         pool.push_back(std::move(key));
       }
     }
     return pool;
   }
 
-  static std::vector<Value> SortedKeys(const std::vector<const Row*>& rows) {
+  static std::vector<Value> SortedKeys(const std::vector<Row>& rows) {
     std::vector<Value> keys;
-    for (const Row* row : rows) keys.push_back((*row)[0]);
+    for (const Row& row : rows) keys.push_back(row[0]);
     std::sort(keys.begin(), keys.end());
     return keys;
   }
@@ -553,16 +592,16 @@ class PrimaryIndexPropertyTest : public ::testing::TestWithParam<DataType> {
   /// must be exactly the model keys whose \p column equals \p value.
   static void ExpectSelection(const Model& model, size_t column,
                               const Value& value,
-                              const Result<std::vector<const Row*>>& got) {
+                              const Result<std::vector<Row>>& got) {
     ASSERT_TRUE(got.ok()) << got.status();
     std::vector<Value> expected;
     for (const auto& [key, row] : model) {
       if (row[column] == value) expected.push_back(key);
     }
-    for (const Row* row : *got) {
-      auto it = model.find((*row)[0]);
-      ASSERT_NE(it, model.end()) << (*row)[0].ToCqlLiteral();
-      EXPECT_EQ(*row, it->second);
+    for (const Row& row : *got) {
+      auto it = model.find(row[0]);
+      ASSERT_NE(it, model.end()) << row[0].ToCqlLiteral();
+      EXPECT_EQ(row, it->second);
     }
     EXPECT_EQ(SortedKeys(*got), expected) << "column " << column << " = "
                                           << value.ToCqlLiteral();
@@ -583,7 +622,7 @@ class PrimaryIndexPropertyTest : public ::testing::TestWithParam<DataType> {
       EXPECT_TRUE(by_pk->empty());
     } else {
       ASSERT_TRUE(got.ok()) << key.ToCqlLiteral();
-      EXPECT_EQ(**got, it->second);
+      EXPECT_EQ(*got, it->second);
       ASSERT_EQ(by_pk->size(), 1u);
       EXPECT_EQ(by_pk->front(), *got);
     }
@@ -604,7 +643,7 @@ class PrimaryIndexPropertyTest : public ::testing::TestWithParam<DataType> {
         ASSERT_TRUE(got.status().IsNotFound()) << key.ToCqlLiteral();
       } else {
         ASSERT_TRUE(got.ok()) << key.ToCqlLiteral();
-        ASSERT_EQ(**got, it->second);
+        ASSERT_EQ(*got, it->second);
       }
     }
     for (int64_t grp = 0; grp < kGroups; ++grp) {
@@ -777,7 +816,7 @@ TEST_F(DatabaseDiskTest, FlushAndReopen) {
     auto table = db->GetTable("dwarfks", "dwarf_cell");
     ASSERT_TRUE(table.ok()) << table.status();
     EXPECT_EQ((*table)->num_rows(), 20u);
-    EXPECT_EQ(*(**(*table)->GetByPk(Value::Int(7)))[1].AsText(), "s7");
+    EXPECT_EQ(*(*(*table)->GetByPk(Value::Int(7)))[1].AsText(), "s7");
   }
 }
 
@@ -908,6 +947,37 @@ TEST_F(CorruptCommitLogTest, RecordIsParsedInsideItsFrame) {
 
 // A rejected insert leaves neither a row nor a commit-log record. A record
 // logged ahead of its validation would fail every later Open at replay.
+TEST_F(DatabaseDiskTest, BatchEncodedForADroppedTableAppliesAndLogsNothing) {
+  {
+    auto db = Database::Open(dir_.string());
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(db->CreateKeyspace("dwarfks").ok());
+    ASSERT_TRUE(db->CreateTable(CellSchema()).ok());
+    auto batch = db->EncodeInsert(
+        "dwarfks", "dwarf_cell",
+        {CellRow(1, "old", 1, 0, Value::Null(), true)});
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    EXPECT_EQ(batch->size(), 1u);
+    // The table is re-created between the batch's encode and its apply.
+    ASSERT_TRUE(db->DropTable("dwarfks", "dwarf_cell").ok());
+    ASSERT_TRUE(db->CreateTable(CellSchema()).ok());
+    EXPECT_TRUE(db->ApplyInsert(std::move(*batch)).IsNotFound());
+    EXPECT_EQ((*db->GetTable("dwarfks", "dwarf_cell"))->num_rows(), 0u);
+    // A bad row rejects its whole batch at encode.
+    Row bad = CellRow(2, "bad", 2, 0, Value::Null(), true);
+    bad[1] = Value::Int(9);
+    EXPECT_TRUE(db->EncodeInsert("dwarfks", "dwarf_cell",
+                                 {CellRow(3, "ok", 3, 0, Value::Null(), true),
+                                  bad})
+                    .status()
+                    .IsInvalidArgument());
+  }
+  // Nothing of either batch reached the commit log.
+  auto db = Database::Open(dir_.string());
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ((*db->GetTable("dwarfks", "dwarf_cell"))->num_rows(), 0u);
+}
+
 TEST_F(DatabaseDiskTest, RejectedInsertsLeaveNoRowAndTheStoreReopens) {
   {
     auto db = Database::Open(dir_.string());

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -485,6 +486,55 @@ TEST(StoreRowsTest, LastBatchesOfAllTablesRunAtOnce) {
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(started, 2u);  // one batch per table: the last one
   EXPECT_FALSE(timed_out);
+}
+
+// Each chunk's rows are prepared on the pool thread that generated them,
+// never on a lane, and a prepare error stops the load with its table's name.
+TEST(StoreRowsTest, PreparesOnThePoolAndStopsAtAPrepareError) {
+  std::mutex mu;
+  std::set<std::thread::id> preparers;
+  std::set<std::thread::id> appliers;
+  std::map<std::string, size_t> rows_applied;
+  mapper::RowSink<mapper::Rows> sink{
+      .prepare = [&](const std::string&,
+                     mapper::Rows rows) -> Result<mapper::Rows> {
+        std::lock_guard<std::mutex> lock(mu);
+        preparers.insert(std::this_thread::get_id());
+        return rows;
+      },
+      .apply =
+          [&](const std::string& table, std::vector<mapper::Rows> batches) {
+            std::lock_guard<std::mutex> lock(mu);
+            appliers.insert(std::this_thread::get_id());
+            for (const mapper::Rows& rows : batches) {
+              rows_applied[table] += rows.size();
+            }
+            return Status::OK();
+          }};
+  ASSERT_TRUE(mapper::StoreRows(4, kStoreRowsNodes, kStoreRowsTables,
+                                GenerateStoreRows, sink)
+                  .ok());
+  EXPECT_EQ(rows_applied["t_every"], kStoreRowsNodes);
+  EXPECT_FALSE(preparers.count(std::this_thread::get_id()));
+  for (const std::thread::id& lane : appliers) {
+    EXPECT_FALSE(preparers.count(lane));
+  }
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::atomic<int> prepared{0};
+    sink.prepare = [&](const std::string& table,
+                       mapper::Rows rows) -> Result<mapper::Rows> {
+      if (table == "t_third" && prepared.fetch_add(1) == 3) {
+        return Status::InvalidArgument("bad row");
+      }
+      return rows;
+    };
+    Status status = mapper::StoreRows(threads, kStoreRowsNodes,
+                                      kStoreRowsTables, GenerateStoreRows, sink);
+    EXPECT_TRUE(status.IsInvalidArgument()) << status;
+    EXPECT_NE(status.message().find("t_third"), std::string::npos) << status;
+  }
 }
 
 // -------------------------------------------------- common/parallel helpers

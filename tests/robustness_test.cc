@@ -145,7 +145,7 @@ TEST(StoreCorruptionTest, MissingCellRowFailsLoad) {
   ASSERT_TRUE(table.ok());
   auto rows = (*table)->ScanAll();
   ASSERT_FALSE(rows.empty());
-  nosql::Row tampered = *rows.front();
+  nosql::Row tampered = rows.front();
   tampered[4] = Value::Int(424242);  // pointernode
   tampered[5] = Value::Bool(false);  // leaf
   ASSERT_TRUE((*table)->Insert(tampered).ok());  // upsert by pk
@@ -315,7 +315,7 @@ TEST_P(StoreFileFuzzTest, CorruptNoSqlFilesNeverCrashOpen) {
     const char* cells = mapper::NoSqlDwarfMapper::kCellCf;
     auto table = db->GetTable("dwarfks", cells);
     ASSERT_TRUE(table.ok());
-    nosql::Row row = *(*table)->ScanAll().front();
+    nosql::Row row = (*table)->ScanAll().front();
     row[0] = Value::Int(100000);
     ASSERT_TRUE(db->Insert("dwarfks", cells, row).ok());
     ASSERT_TRUE(db->BulkDelete("dwarfks", cells,

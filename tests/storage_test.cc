@@ -306,6 +306,10 @@ std::vector<std::vector<Value>> KvRows(int first, int count) {
   return rows;
 }
 
+/// A scanned row: a NoSQL scan yields decoded rows, a SQL scan pointers.
+const std::vector<Value>& RowOf(const std::vector<Value>& row) { return row; }
+const std::vector<Value>& RowOf(const std::vector<Value>* row) { return *row; }
+
 /// The ids in \p scope.\p name of \p engine, in scan order; none when the
 /// table is missing.
 template <typename Engine>
@@ -314,7 +318,9 @@ std::vector<int64_t> KvIds(const Engine& engine, const std::string& scope,
   std::vector<int64_t> ids;
   auto table = engine.GetTable(scope, name);
   if (!table.ok()) return ids;
-  for (const auto* row : (*table)->ScanAll()) ids.push_back(*(*row)[0].AsInt());
+  for (const auto& row : (*table)->ScanAll()) {
+    ids.push_back(*RowOf(row)[0].AsInt());
+  }
   return ids;
 }
 
@@ -496,7 +502,7 @@ TEST_F(StorageTest, NoSqlTableRecreatedUnderADroppedNameGetsOnlyItsRows) {
   auto table = db.GetTable("ks", "kv");
   ASSERT_TRUE(table.ok()) << table.status();
   ASSERT_EQ((*table)->ScanAll().size(), 1u);
-  EXPECT_EQ(*(*table)->ScanAll().front(), row);
+  EXPECT_EQ((*table)->ScanAll().front(), row);
 }
 
 TEST_F(StorageTest, SqlTableRecreatedUnderADroppedNameGetsOnlyItsRows) {
