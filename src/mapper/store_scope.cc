@@ -75,10 +75,7 @@ Result<std::vector<Value>> RowByKey(const sql::HeapTable& table,
 Status ForEachEq(const nosql::Table& table, const std::string& column,
                  const Value& value,
                  const std::function<Status(const std::vector<Value>&)>& fn) {
-  SCD_ASSIGN_OR_RETURN(std::vector<nosql::Row> rows,
-                       table.SelectEq(column, value, /*allow_filtering=*/true));
-  for (const nosql::Row& row : rows) SCD_RETURN_IF_ERROR(fn(row));
-  return Status::OK();
+  return table.SelectEq(column, value, /*allow_filtering=*/true, fn);
 }
 Status ForEachEq(const sql::HeapTable& table, const std::string& column,
                  const Value& value,

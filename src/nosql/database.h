@@ -24,8 +24,6 @@ namespace scdwarf::nosql {
 /// and hands the same bytes to the table's memtable.
 class InsertBatch {
  public:
-  InsertBatch() = default;
-
   /// Rows in the batch.
   size_t size() const { return rows_.rows.size(); }
 
@@ -130,9 +128,10 @@ class Database {
 
   /// The first step of BulkInsert: validates each row against the table and
   /// writes it once into the batch's commit-log record. All or nothing: a
-  /// batch holding one bad row is rejected whole. It takes no lock (a
-  /// table's columns never change), so callers encode batches of any table
-  /// on any thread, concurrently.
+  /// batch holding one bad row is rejected whole. It takes no table lock (a
+  /// table's columns never change; the look-up holds the catalog lock
+  /// shared), so callers encode batches of any table on any thread,
+  /// concurrently.
   Result<InsertBatch> EncodeInsert(const std::string& keyspace,
                                    const std::string& table,
                                    const std::vector<Row>& rows) const;
@@ -143,7 +142,7 @@ class Database {
   /// dropped or re-created since the batch was encoded.
   Status ApplyInsert(InsertBatch batch);
 
-  /// Pre-sizes \p table's row store and primary index for \p rows more rows
+  /// Pre-sizes \p table's slot array and primary index for \p rows more rows
   /// (Table::ReserveAdditional, under the table's shard lock). A caller that
   /// knows a load's row count reserves once before its first insert, so no
   /// later batch moves the rows or rehashes the index; without it, capacity

@@ -84,13 +84,15 @@ Value Table::DecodeColumn(Bytes row, size_t index) const {
   return Value::DecodeFrom(&reader).ValueOrDie();
 }
 
-Row Table::DecodeRow(Bytes bytes) const {
+void Table::DecodeRow(Bytes bytes, Row* row) const {
   ByteReader reader(bytes.data(), bytes.size());
+  row->resize(schema_.num_columns());
+  for (Value& value : *row) value = Value::DecodeFrom(&reader).ValueOrDie();
+}
+
+Row Table::DecodeRow(Bytes bytes) const {
   Row row;
-  row.reserve(schema_.num_columns());
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    row.push_back(Value::DecodeFrom(&reader).ValueOrDie());
-  }
+  DecodeRow(bytes, &row);
   return row;
 }
 
@@ -320,17 +322,18 @@ Result<Row> Table::GetByPk(const Value& key) const {
   return DecodeRow(slots_[buckets_[bucket].slot]);
 }
 
-Result<std::vector<Row>> Table::SelectEq(std::string_view column,
-                                         const Value& value,
-                                         bool allow_filtering) const {
+Status Table::SelectEq(std::string_view column, const Value& value,
+                       bool allow_filtering,
+                       const std::function<Status(const Row&)>& visit) const {
   SCD_ASSIGN_OR_RETURN(size_t index, schema_.ColumnIndex(column));
-  std::vector<Row> result;
+  Row row;
+  auto visit_slot = [&](size_t slot) {
+    DecodeRow(slots_[slot], &row);
+    return visit(row);
+  };
   if (index == pk_index_) {
     const size_t bucket = FindBucket(value);
-    if (bucket != kNoSlot) {
-      result.push_back(DecodeRow(slots_[buckets_[bucket].slot]));
-    }
-    return result;
+    return bucket == kNoSlot ? Status::OK() : visit_slot(buckets_[bucket].slot);
   }
   auto secondary_it = secondary_.find(index);
   if (secondary_it != secondary_.end()) {
@@ -339,11 +342,9 @@ Result<std::vector<Row>> Table::SelectEq(std::string_view column,
       // Resolve the index entry through the base table (Cassandra's 2i read
       // path: index hit, then base-row fetch by primary key).
       const size_t base = FindBucket(it->second[1]);
-      if (base != kNoSlot) {
-        result.push_back(DecodeRow(slots_[buckets_[base].slot]));
-      }
+      if (base != kNoSlot) SCD_RETURN_IF_ERROR(visit_slot(buckets_[base].slot));
     }
-    return result;
+    return Status::OK();
   }
   if (!allow_filtering) {
     return Status::FailedPrecondition(
@@ -352,12 +353,25 @@ Result<std::vector<Row>> Table::SelectEq(std::string_view column,
   }
   // Equal values have equal encodings, so the filter compares bytes.
   const std::vector<uint8_t> wanted = Encode(value);
-  for (const Bytes row : slots_) {
-    if (!row.empty() && SameBytes(ColumnBytes(row, index), wanted)) {
-      result.push_back(DecodeRow(row));
+  for (size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (!slots_[slot].empty() &&
+        SameBytes(ColumnBytes(slots_[slot], index), wanted)) {
+      SCD_RETURN_IF_ERROR(visit_slot(slot));
     }
   }
-  return result;
+  return Status::OK();
+}
+
+Result<std::vector<Row>> Table::SelectEq(std::string_view column,
+                                         const Value& value,
+                                         bool allow_filtering) const {
+  std::vector<Row> rows;
+  SCD_RETURN_IF_ERROR(SelectEq(column, value, allow_filtering,
+                               [&rows](const Row& row) {
+                                 rows.push_back(row);
+                                 return Status::OK();
+                               }));
+  return rows;
 }
 
 std::vector<Row> Table::ScanAll() const {

@@ -25,6 +25,7 @@
 #define SCDWARF_NOSQL_TABLE_H_
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -97,10 +98,17 @@ class Table {
   /// The row keyed by \p key, decoded; NotFound when absent.
   Result<Row> GetByPk(const Value& key) const;
 
-  /// All rows where \p column equals \p value, decoded. Uses the secondary
-  /// index when one exists; otherwise requires \p allow_filtering
-  /// (Cassandra's rule) and scans, decoding only \p column of the rows that
-  /// do not match. Primary-key equality is always allowed.
+  /// Calls \p visit on each row where \p column equals \p value, decoded
+  /// into one Row that the next row overwrites; stops at the first error.
+  /// Uses the secondary index when one exists; otherwise requires
+  /// \p allow_filtering (Cassandra's rule) and scans, comparing only
+  /// \p column's bytes of the rows that do not match. Primary-key equality
+  /// is always allowed.
+  Status SelectEq(std::string_view column, const Value& value,
+                  bool allow_filtering,
+                  const std::function<Status(const Row&)>& visit) const;
+
+  /// The rows SelectEq visits, collected.
   Result<std::vector<Row>> SelectEq(std::string_view column,
                                     const Value& value,
                                     bool allow_filtering = false) const;
@@ -176,7 +184,9 @@ class Table {
   Bytes ColumnBytes(Bytes row, size_t index) const;
   Bytes KeyBytes(Bytes row) const { return ColumnBytes(row, pk_index_); }
   Value DecodeColumn(Bytes row, size_t index) const;
-  Row DecodeRow(Bytes row) const;
+  /// Decodes \p bytes into \p row, reusing its storage.
+  void DecodeRow(Bytes bytes, Row* row) const;
+  Row DecodeRow(Bytes bytes) const;
 
   /// The bucket holding the row whose encoded key is \p key, or kNoSlot.
   size_t FindBucket(Bytes key) const;
