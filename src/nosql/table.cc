@@ -262,14 +262,19 @@ void Table::InsertEncoded(EncodedRows rows) {
   // bucket array, so the mask stays and a bucket can be fetched ahead.
   ReserveAdditional(rows.rows.size());
   const size_t mask = buckets_.size() - 1;
-  // Moving the buffer into the slab keeps its bytes where they are.
-  const Bytes block = blocks_.emplace_back(std::move(rows.bytes));
+  // A large buffer becomes a slab block as it is (moving it keeps its bytes
+  // where they are); a small one's rows are copied to the copy block, so
+  // single-row inserts do not leave a heap block each.
+  const bool adopt = rows.bytes.size() >= kAdoptBytes;
+  const Bytes bytes =
+      adopt ? Bytes(blocks_.emplace_back(std::move(rows.bytes))) : rows.bytes;
   const std::vector<EncodedRows::Span>& spans = rows.rows;
   for (size_t i = 0; i < spans.size(); ++i) {
     if (i + kPrefetchRows < spans.size()) {
       __builtin_prefetch(&buckets_[spans[i + kPrefetchRows].key_hash & mask]);
     }
-    Put(block.subspan(spans[i].offset, spans[i].size), spans[i].key_hash);
+    const Bytes row = bytes.subspan(spans[i].offset, spans[i].size);
+    Put(adopt ? row : CopyToSlab(row), spans[i].key_hash);
   }
   BumpVersion();
   MaybeCompact();

@@ -75,7 +75,8 @@ class Table {
   uint64_t KeyHash(std::span<const uint8_t> row) const;
 
   /// Upserts every row of \p rows, in order, adopting their buffer as one
-  /// slab block. Each row must have passed ValidateRow: the bulk write path
+  /// slab block (a buffer under 4 KiB has its rows copied to the slab
+  /// instead). Each row must have passed ValidateRow: the bulk write path
   /// validates a batch while it encodes it, and never twice. Nothing is
   /// decoded or hashed here unless the table has a secondary index, and the
   /// index buckets the next rows land in are fetched ahead.
@@ -169,6 +170,9 @@ class Table {
   static constexpr size_t kMinBuckets = 16;
   /// Size of a copy block, the slab block single rows are copied to.
   static constexpr size_t kCopyBlockBytes = size_t{64} << 10;
+  /// InsertEncoded adopts a buffer of at least this many bytes as a slab
+  /// block and copies the rows of a smaller one to the copy block.
+  static constexpr size_t kAdoptBytes = size_t{4} << 10;
   /// How many rows ahead InsertEncoded fetches a row's home bucket, so the
   /// cache miss of a random bucket overlaps the rows before it.
   static constexpr size_t kPrefetchRows = 8;
