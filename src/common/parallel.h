@@ -1,8 +1,7 @@
 /// \file parallel.h
 /// \brief Deterministic data-parallel helpers over ThreadPool: contiguous
-/// sharding, parallel-for, and sharded map whose results are combined in
-/// shard order — so any reduction over them is reproducible regardless of
-/// scheduling.
+/// sharding and a parallel-for over the shards, so work split by them is
+/// reproducible regardless of scheduling.
 ///
 /// Thread-count policy lives here in one place: a knob value of 0 means
 /// "auto", which honours the SCDWARF_THREADS environment variable and falls
@@ -64,20 +63,6 @@ void ParallelForShards(ThreadPool& pool, size_t n, Fn&& fn) {
   }
   std::unique_lock<std::mutex> lock(mu);
   done.wait(lock, [&] { return pending == 0; });
-}
-
-/// \brief Sharded map with deterministic reduction order: computes
-/// \p fn(shard) -> T per shard concurrently and returns the results indexed
-/// by shard (i.e. in input order), so folding over the returned vector is
-/// reproducible for any scheduling.
-template <typename T, typename Fn>
-std::vector<T> ParallelMapShards(ThreadPool& pool, size_t n, Fn&& fn) {
-  std::vector<ShardRange> shards = SplitShards(n, pool.num_threads());
-  std::vector<T> results(shards.size());
-  ParallelForShards(pool, n, [&](const ShardRange& shard) {
-    results[shard.shard] = fn(shard);
-  });
-  return results;
 }
 
 }  // namespace scdwarf

@@ -226,7 +226,7 @@ class Table {
   /// The slab: blocks of encoded rows, never reallocated once rows point
   /// into them (a copy block is reserved whole when it is made).
   std::vector<std::vector<uint8_t>> blocks_;
-  size_t copy_block_ = kNoSlot;  ///< index of the current copy block
+  size_t copy_block_ = kNoSlot;  ///< the current copy block; kNoSlot: none
   std::vector<Bytes> slots_;     ///< each slot's row bytes; empty once deleted
   size_t live_count_ = 0;  // live slots, which is also the index's entries
   uint64_t live_bytes_ = 0;  ///< bytes of the live rows

@@ -557,13 +557,5 @@ TEST(ParallelHelpersTest, SplitShardsCoversRangeContiguously) {
   EXPECT_EQ(SplitShards(2, 4).size(), 2u);  // never emits empty shards
 }
 
-TEST(ParallelHelpersTest, ParallelMapShardsPreservesShardOrder) {
-  ThreadPool pool(4);
-  std::vector<size_t> begins = ParallelMapShards<size_t>(
-      pool, 1000, [](const ShardRange& shard) { return shard.begin; });
-  ASSERT_EQ(begins.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(begins.begin(), begins.end()));
-}
-
 }  // namespace
 }  // namespace scdwarf::etl
