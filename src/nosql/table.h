@@ -8,8 +8,9 @@
 /// arity varint, in a commit-log record (Cassandra has kept memtable cells
 /// serialized since 2.1). The bytes live in append-only slab blocks that
 /// are never reallocated: a bulk insert adopts its commit-log record whole
-/// as one block, and a single row is copied to the end of a copy block. A
-/// slot array points into them in insertion order. An upsert keeps its
+/// as one block, and the rows of a small record or a single row are copied
+/// to the end of a copy block. A slot array points into them in insertion
+/// order. An upsert keeps its
 /// key's slot and points it at the new bytes, a delete empties the slot,
 /// and segments write the live slots in slot order; once the bytes of
 /// overwritten and deleted rows outweigh the live ones, the live rows are
