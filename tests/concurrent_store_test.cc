@@ -8,6 +8,8 @@
 ///    only removed once every segment is on disk.
 ///  - A sidecar left by a flush that never finished (crash simulation) is
 ///    replayed at reopen, before the live log.
+///  - Flush() called from several threads at once, while a writer inserts,
+///    must fail no call and lose no acknowledged row.
 ///  - Async flushes of the same tables requested from several threads at
 ///    once must not let a stale segment overwrite a newer one.
 
@@ -17,6 +19,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +63,38 @@ class ConcurrentStoreTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
+
+  /// Runs \p write while three threads call \p engine's Flush() in a loop
+  /// until it returns, and expects every Flush() to return OK.
+  template <typename Engine, typename WriteFn>
+  static void FlushWhileWriting(Engine& engine, WriteFn write) {
+    constexpr int kFlushThreads = 3;
+    std::atomic<bool> done{false};
+    std::mutex mu;
+    int failed = 0;
+    Status first_failure;
+    std::vector<std::thread> flushers;
+    for (int f = 0; f < kFlushThreads; ++f) {
+      flushers.emplace_back([&] {
+        while (!done.load()) {
+          Status status = engine.Flush();
+          if (status.ok()) continue;
+          std::lock_guard<std::mutex> lock(mu);
+          if (failed++ == 0) first_failure = std::move(status);
+        }
+      });
+    }
+    write();
+    done.store(true);
+    for (std::thread& flusher : flushers) flusher.join();
+    EXPECT_EQ(failed, 0) << "first failure: " << first_failure;
+  }
+
+  /// Races of one concurrent-flush test, each in a fresh directory.
+  static constexpr int kRaces = 3;
+  /// Rows its writer inserts into each table, one batch each.
+  static constexpr int64_t kRaceRows = 600;
+
   fs::path dir_;
 };
 
@@ -215,6 +250,77 @@ TEST_F(ConcurrentStoreTest, NoSqlConcurrentTableFlushesLoseNoAcknowledgedRow) {
       auto row = (*t)->GetByPk(Value::Int(id));
       ASSERT_TRUE(row.ok()) << table << " lost row " << id;
       EXPECT_EQ(*row, KvRow(id));
+    }
+  }
+}
+
+// Flush() called from three threads at once while a writer inserts into two
+// tables. Concurrent flushes must take turns: one that deleted the sidecar
+// while another's rotated records were in no file yet would lose rows at
+// the reopen below, and SQL flushes sharing one doublewrite temp file would
+// fail.
+TEST_F(ConcurrentStoreTest, NoSqlConcurrentFlushesFailNoneAndLoseNoRow) {
+  for (int race = 0; race < kRaces; ++race) {
+    SCOPED_TRACE("race " + std::to_string(race));
+    const std::string dir = (dir_ / std::to_string(race)).string();
+    {
+      auto db = nosql::Database::Open(dir);
+      ASSERT_TRUE(db.ok()) << db.status();
+      ASSERT_TRUE(db->CreateKeyspace("ks").ok());
+      ASSERT_TRUE(db->CreateTable(KvSchema("a")).ok());
+      ASSERT_TRUE(db->CreateTable(KvSchema("b")).ok());
+      FlushWhileWriting(*db, [&] {
+        for (int64_t id = 0; id < kRaceRows; ++id) {
+          ASSERT_TRUE(db->BulkInsert("ks", "a", {KvRow(id)}).ok());
+          ASSERT_TRUE(db->BulkInsert("ks", "b", {KvRow(id)}).ok());
+        }
+      });
+      // Closed without a final flush: every row must be in a segment, the
+      // sidecar or the live log.
+    }
+    auto db = nosql::Database::Open(dir);
+    ASSERT_TRUE(db.ok()) << db.status();
+    for (const char* table : {"a", "b"}) {
+      auto t = db->GetTable("ks", table);
+      ASSERT_TRUE(t.ok()) << t.status();
+      EXPECT_EQ((*t)->num_rows(), static_cast<size_t>(kRaceRows)) << table;
+      for (int64_t id = 0; id < kRaceRows; ++id) {
+        auto row = (*t)->GetByPk(Value::Int(id));
+        ASSERT_TRUE(row.ok()) << table << " lost row " << id;
+        EXPECT_EQ(*row, KvRow(id));
+      }
+    }
+  }
+}
+
+TEST_F(ConcurrentStoreTest, SqlConcurrentFlushesFailNoneAndLoseNoRow) {
+  for (int race = 0; race < kRaces; ++race) {
+    SCOPED_TRACE("race " + std::to_string(race));
+    const std::string dir = (dir_ / std::to_string(race)).string();
+    {
+      auto engine = sql::SqlEngine::Open(dir);
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      ASSERT_TRUE(engine->CreateDatabase("db").ok());
+      ASSERT_TRUE(engine->CreateTable(SqlKvDef("a")).ok());
+      ASSERT_TRUE(engine->CreateTable(SqlKvDef("b")).ok());
+      FlushWhileWriting(*engine, [&] {
+        for (int64_t id = 0; id < kRaceRows; ++id) {
+          ASSERT_TRUE(engine->BulkInsert("db", "a", {SqlKvRow(id)}).ok());
+          ASSERT_TRUE(engine->BulkInsert("db", "b", {SqlKvRow(id)}).ok());
+        }
+      });
+    }
+    auto engine = sql::SqlEngine::Open(dir);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    for (const char* table : {"a", "b"}) {
+      auto t = engine->GetTable("db", table);
+      ASSERT_TRUE(t.ok()) << t.status();
+      EXPECT_EQ((*t)->num_rows(), static_cast<size_t>(kRaceRows)) << table;
+      for (int64_t id = 0; id < kRaceRows; ++id) {
+        auto row = (*t)->GetByPk(Value::Int(id));
+        ASSERT_TRUE(row.ok()) << table << " lost row " << id;
+        EXPECT_EQ(**row, SqlKvRow(id));
+      }
     }
   }
 }
