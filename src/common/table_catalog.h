@@ -6,7 +6,9 @@
 #ifndef SCDWARF_COMMON_TABLE_CATALOG_H_
 #define SCDWARF_COMMON_TABLE_CATALOG_H_
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -16,6 +18,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.h"
@@ -43,16 +46,20 @@ namespace scdwarf {
 /// table's create record, so a dropped table's rows never come back. A
 /// scope or table name that SanitizeName would change is rejected at
 /// create, and a directory or file that breaks that rule at Open, so every
-/// name round-trips through its file name.
+/// name round-trips through its file name. Flush is the one flush protocol
+/// of both engines: rotate the log to its sidecar, write every table, and
+/// delete the sidecar; an engine supplies only how one table is written
+/// and on how many threads.
 ///
 /// Locking: the catalog lock guards the map's shape. Catalog changes hold it
-/// exclusively, file writes included; a flush holds it shared from the
-/// table's look-up to its file write (WithTable, ForEachTable), so no
-/// catalog change interleaves with it and a dropped table is never written
-/// again. A fixed pool of shard locks (TableLock) guards row contents; each
-/// is taken after the catalog lock, never before. Writers log and apply
-/// under LockTable, and DropTable takes the table's shard lock too, so all
-/// records of a dropped table precede its drop in the log.
+/// exclusively, file writes included; a flush holds it shared while it
+/// writes the tables, so no catalog change interleaves with a table's
+/// serialization and file write and a dropped table is never written again.
+/// The flush lock lets one flush run at a time. A fixed pool of shard locks
+/// (TableLock) guards row contents; each is taken after the catalog lock,
+/// never before. Writers log and apply under LockTable, and DropTable takes
+/// the table's shard lock too, so all records of a dropped table precede
+/// its drop in the log.
 template <typename T>
 class TableCatalog {
  public:
@@ -229,15 +236,6 @@ class TableCatalog {
     return names;
   }
 
-  /// Calls \p fn on scope.name under the catalog lock shared; OK without a
-  /// call when the table does not exist (a flush job of a dropped table).
-  Status WithTable(const std::string& scope, const std::string& name,
-                   const std::function<Status(T&)>& fn) const {
-    std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
-    std::shared_ptr<T> table = FindLocked(scope, name);
-    return table == nullptr ? Status::OK() : fn(*table);
-  }
-
   /// Calls \p fn on every table in name order under the catalog lock
   /// shared, stopping at the first error.
   Status ForEachTable(const TableFn& fn) const {
@@ -261,7 +259,7 @@ class TableCatalog {
   }
 
   /// Replaces scope.name's file with \p bytes. The caller holds the catalog
-  /// lock (inside WithTable or ForEachTable).
+  /// lock (a write of Flush's).
   Status WriteTableFile(const std::string& scope, const std::string& name,
                         std::string_view bytes) const {
     return WriteFileAtomic(TablePath(scope, name), bytes);
@@ -303,6 +301,69 @@ class TableCatalog {
     return durable() ? log_->Append(record) : Status::OK();
   }
 
+  /// Puts every mutation logged before the call into its table's file, then
+  /// deletes the log that held them; OK at once in memory. One flush runs
+  /// at a time. It moves the log to its sidecar (RotateLog), then calls
+  /// \p write once on each table, on up to \p max_threads threads, the
+  /// caller's among them, with the catalog lock held shared. The sidecar is
+  /// deleted only if every write returned OK; otherwise the first error in
+  /// table order is returned and the sidecar replays at the next Open.
+  Status Flush(size_t max_threads, const TableFn& write,
+               metrics::Counter* rotations, FixedBucketHistogram* rotate_us) {
+    if (!durable()) return Status::OK();
+    std::lock_guard<std::mutex> flush(sync_->flush_mu);
+    SCD_RETURN_IF_ERROR(RotateLog(rotations, rotate_us));
+    // The tables are listed after the rotation, so each table with records
+    // in the sidecar is written, unless it was dropped (replay skips those).
+    std::shared_lock<std::shared_mutex> catalog(sync_->catalog_mu);
+    struct Job {
+      const std::string* scope;
+      const std::string* name;
+      T* table;
+      Status status;
+    };
+    std::vector<Job> jobs;
+    for (const auto& [scope, tables] : scopes_) {
+      for (const auto& [name, table] : tables) {
+        jobs.push_back({&scope, &name, table.get(), Status::OK()});
+      }
+    }
+    std::atomic<size_t> next{0};
+    auto drain = [&] {
+      for (size_t i; (i = next.fetch_add(1)) < jobs.size();) {
+        jobs[i].status = write(*jobs[i].scope, *jobs[i].name, *jobs[i].table);
+      }
+    };
+    std::vector<std::thread> helpers;
+    for (size_t i = 1; i < std::min(max_threads, jobs.size()); ++i) {
+      helpers.emplace_back(drain);
+    }
+    drain();
+    for (std::thread& helper : helpers) helper.join();
+    for (const Job& job : jobs) SCD_RETURN_IF_ERROR(job.status);
+    log_->RemoveRotated();
+    return Status::OK();
+  }
+
+ private:
+  using Tables = std::map<std::string, std::shared_ptr<T>>;
+
+  /// Lock state lives behind one heap allocation so the catalog, and the
+  /// engine holding it, stay movable.
+  struct Sync {
+    std::shared_mutex catalog_mu;  ///< scopes_'s shape
+    std::array<std::mutex, kShards> shards;  ///< row contents
+    std::mutex flush_mu;  ///< one Flush at a time
+  };
+
+  std::string ScopePath(const std::string& scope) const {
+    return DataPath(SanitizeName(scope));
+  }
+  std::string TablePath(const std::string& scope,
+                        const std::string& name) const {
+    return ScopePath(scope) + "/" + SanitizeName(name) + extension_;
+  }
+
   /// Moves the log to its sidecar with every shard lock held, so each
   /// logged mutation is either in the sidecar and applied, or wholly in the
   /// fresh live log. Counts a rotation in \p rotations and records the
@@ -318,27 +379,6 @@ class TableCatalog {
     if (rotated) rotations->Increment();
     rotate_us->Record(watch.ElapsedMicros());
     return Status::OK();
-  }
-
-  /// Removes the sidecar, once every table it covers is on disk.
-  void RemoveRotatedLog() { log_->RemoveRotated(); }
-
- private:
-  using Tables = std::map<std::string, std::shared_ptr<T>>;
-
-  /// Lock state lives behind one heap allocation so the catalog, and the
-  /// engine holding it, stay movable.
-  struct Sync {
-    std::shared_mutex catalog_mu;  ///< scopes_'s shape
-    std::array<std::mutex, kShards> shards;  ///< row contents
-  };
-
-  std::string ScopePath(const std::string& scope) const {
-    return DataPath(SanitizeName(scope));
-  }
-  std::string TablePath(const std::string& scope,
-                        const std::string& name) const {
-    return ScopePath(scope) + "/" + SanitizeName(name) + extension_;
   }
 
   /// InvalidArgument unless \p name is non-empty and its own file name.

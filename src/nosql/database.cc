@@ -1,10 +1,5 @@
 #include "nosql/database.h"
 
-#include <algorithm>
-#include <condition_variable>
-#include <deque>
-#include <set>
-#include <thread>
 #include <utility>
 
 #include "common/metrics.h"
@@ -25,7 +20,7 @@ FixedBucketHistogram* FlushHistogram() {
   static FixedBucketHistogram* const hist =
       metrics::GlobalRegistry().GetHistogram(
           "nosql_flush_us", {},
-          "full Flush wall time: rotation + segment writes + barrier (us)");
+          "full Flush wall time: rotation + segment writes (us)");
   return hist;
 }
 
@@ -44,13 +39,6 @@ FixedBucketHistogram* LogRotateHistogram() {
   return hist;
 }
 
-metrics::Counter* AsyncFlushesCounter() {
-  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
-      "nosql_async_flushes_total", {},
-      "segment flush jobs handed to the background flusher");
-  return counter;
-}
-
 metrics::Counter* SegmentFlushesCounter() {
   static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
       "nosql_segment_flushes_total", {},
@@ -67,127 +55,6 @@ FixedBucketHistogram* SegmentFlushHistogram() {
 }
 
 }  // namespace
-
-/// \brief Background segment serializer: a small fixed pool of worker
-/// threads drains a bounded queue of (keyspace, table) flush jobs, so the
-/// segments of different tables serialize concurrently.
-///
-/// No two flushes of one table ever run at once: a worker takes the oldest
-/// queued job whose table has no flush running. Otherwise an older
-/// serialization could reach disk after a newer one was marked flushed,
-/// and the next Flush() would skip the table as clean and delete the
-/// sidecar holding the rows the stale segment lacks.
-///
-/// Enqueue() blocks while the queue is full (back-pressure against an
-/// ingester outrunning the disk), Wait() blocks until the queue and any
-/// in-flight job drain and reports the first error since the last barrier.
-/// The destructor drains remaining jobs before joining, so no accepted
-/// flush is ever dropped.
-class Database::Flusher {
- public:
-  explicit Flusher(Database* db) : db_(db) {
-    for (size_t i = 0; i < kWorkers; ++i) {
-      workers_.emplace_back([this] { Loop(); });
-    }
-  }
-
-  ~Flusher() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stopping_ = true;
-    }
-    wake_.notify_all();
-    space_.notify_all();
-    for (std::thread& worker : workers_) worker.join();
-  }
-
-  Status Enqueue(const std::string& keyspace, const std::string& table) {
-    std::unique_lock<std::mutex> lock(mu_);
-    space_.wait(lock,
-                [this] { return queue_.size() < kCapacity || stopping_; });
-    if (stopping_) return Status::FailedPrecondition("flusher is stopping");
-    queue_.emplace_back(keyspace, table);
-    ++in_flight_;
-    wake_.notify_all();
-    return Status::OK();
-  }
-
-  Status Wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    drained_.wait(lock, [this] { return in_flight_ == 0; });
-    Status first = std::move(first_error_);
-    first_error_ = Status::OK();
-    return first;
-  }
-
- private:
-  using Job = std::pair<std::string, std::string>;  ///< (keyspace, table)
-
-  /// Bounded queue depth: enough to overlap serialization with ingestion,
-  /// small enough that back-pressure caps memory held in pending jobs.
-  static constexpr size_t kCapacity = 8;
-  /// Worker threads. A Store() flushes two large column families (nodes
-  /// and cells) and two small ones; four workers serialize them all at
-  /// once, and each holds at most one segment image in memory.
-  static constexpr size_t kWorkers = 4;
-
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      auto next = queue_.end();
-      wake_.wait(lock, [&] {
-        next = std::find_if(queue_.begin(), queue_.end(),
-                            [this](const Job& job) {
-                              return running_.count(job) == 0;
-                            });
-        return next != queue_.end() || (stopping_ && queue_.empty());
-      });
-      if (next == queue_.end()) return;  // stopping, and fully drained
-      Job job = std::move(*next);
-      queue_.erase(next);
-      running_.insert(job);
-      space_.notify_all();
-      lock.unlock();
-      Status status = db_->FlushTableNow(job.first, job.second);
-      lock.lock();
-      running_.erase(job);
-      if (!status.ok() && first_error_.ok()) first_error_ = std::move(status);
-      if (--in_flight_ == 0) drained_.notify_all();
-      // A job queued behind this table's flush may run now.
-      if (!queue_.empty()) wake_.notify_all();
-    }
-  }
-
-  Database* db_;
-  std::mutex mu_;
-  std::condition_variable wake_;     ///< workers: a runnable job, or stopping
-  std::condition_variable space_;    ///< producers: queue has room
-  std::condition_variable drained_;  ///< barrier: all jobs completed
-  std::deque<Job> queue_;
-  std::set<Job> running_;  ///< tables with a flush in progress
-  size_t in_flight_ = 0;   ///< queued + currently running
-  bool stopping_ = false;
-  Status first_error_;
-  std::vector<std::thread> workers_;  // started last, once the state exists
-};
-
-Database::Database() = default;
-
-Database::~Database() = default;  // ~Flusher drains + joins first
-
-Database::Database(Database&& other) noexcept {
-  other.flusher_.reset();  // drain + join: the worker holds &other
-  catalog_ = std::move(other.catalog_);
-}
-
-Database& Database::operator=(Database&& other) noexcept {
-  if (this != &other) {
-    flusher_.reset();
-    other.flusher_.reset();
-    catalog_ = std::move(other.catalog_);
-  }
-  return *this;
-}
 
 Result<Database> Database::Open(const std::string& data_dir) {
   Database db;
@@ -291,81 +158,33 @@ Status Database::Flush() {
   trace::ScopedSpan span("nosql.flush");
   Stopwatch flush_watch;
   FlushesCounter()->Increment();
-  // Rotate the commit log with every writer excluded (all shard locks).
-  // Afterwards each logged mutation is either in the sidecar and already
-  // applied to its table — so the serialization below captures it — or
-  // entirely in the fresh live log.
-  SCD_RETURN_IF_ERROR(
-      catalog_.RotateLog(LogRotationsCounter(), LogRotateHistogram()));
-  // Jobs are collected after the rotation so every table with sidecar
-  // records still in the catalog gets a flush job.
-  std::vector<std::pair<std::string, std::string>> jobs;
-  SCD_RETURN_IF_ERROR(catalog_.ForEachTable(
-      [&jobs](const std::string& keyspace, const std::string& name, Table&) {
-        jobs.emplace_back(keyspace, name);
+  // Each table's span parents on this one from whichever thread writes it.
+  const uint64_t flush_span = trace::CurrentSpanId();
+  SCD_RETURN_IF_ERROR(catalog_.Flush(
+      kFlushThreads,
+      [&](const std::string& keyspace, const std::string& name,
+          Table& table) -> Status {
+        trace::ScopedSpan segment_span("nosql.segment_flush", flush_span);
+        Stopwatch watch;
+        ByteWriter writer;
+        uint64_t version = 0;
+        {
+          std::lock_guard<std::mutex> lock(catalog_.TableLock(keyspace, name));
+          version = table.mutation_version();
+          if (version == table.flushed_version()) return Status::OK();  // clean
+          trace::ScopedSpan serialize_span("nosql.serialize");
+          table.SerializeTo(&writer);
+        }
+        SCD_RETURN_IF_ERROR(
+            catalog_.WriteTableFile(keyspace, name, writer.view()));
+        table.MarkFlushed(version);
+        SegmentFlushesCounter()->Increment();
+        SegmentFlushHistogram()->Record(watch.ElapsedMicros());
         return Status::OK();
-      }));
-  for (const auto& [keyspace, name] : jobs) {
-    SCD_RETURN_IF_ERROR(FlushTableAsync(keyspace, name));
-  }
-  SCD_RETURN_IF_ERROR(WaitFlushed());
-  // Every sidecar record is now covered by a fsynced segment in a keyspace
-  // directory made durable at its creation (records for tables dropped
-  // meanwhile are skipped at replay anyway), so the sidecar can go. On any
-  // earlier error it survives and is replayed at the next reopen.
-  catalog_.RemoveRotatedLog();
+      },
+      LogRotationsCounter(), LogRotateHistogram()));
   FlushHistogram()->Record(flush_watch.ElapsedMicros());
   return Status::OK();
-}
-
-Status Database::FlushTableAsync(const std::string& keyspace,
-                                 const std::string& table) {
-  if (!catalog_.durable()) return Status::OK();
-  AsyncFlushesCounter()->Increment();
-  Flusher* flusher = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(*flusher_mu_);
-    if (flusher_ == nullptr) flusher_ = std::make_unique<Flusher>(this);
-    flusher = flusher_.get();
-  }
-  return flusher->Enqueue(keyspace, table);
-}
-
-Status Database::WaitFlushed() {
-  Flusher* flusher = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(*flusher_mu_);
-    flusher = flusher_.get();
-  }
-  if (flusher == nullptr) return Status::OK();
-  return flusher->Wait();
-}
-
-Status Database::FlushTableNow(const std::string& keyspace,
-                               const std::string& table) {
-  trace::ScopedSpan span("nosql.segment_flush");
-  Stopwatch watch;
-  // A table dropped since enqueue is skipped. The catalog lock stays shared
-  // through the write: a concurrent DropTable either removed the entry
-  // before the look-up or waits until the segment is out and then removes
-  // the file, so a drop is never resurrected by a stale flush.
-  return catalog_.WithTable(keyspace, table, [&](Table& t) -> Status {
-    ByteWriter writer;
-    uint64_t version = 0;
-    {
-      std::lock_guard<std::mutex> lock(catalog_.TableLock(keyspace, table));
-      version = t.mutation_version();
-      if (version == t.flushed_version()) return Status::OK();  // clean
-      trace::ScopedSpan serialize_span("nosql.serialize");
-      t.SerializeTo(&writer);
-    }
-    SCD_RETURN_IF_ERROR(
-        catalog_.WriteTableFile(keyspace, table, writer.view()));
-    t.MarkFlushed(version);
-    SegmentFlushesCounter()->Increment();
-    SegmentFlushHistogram()->Record(watch.ElapsedMicros());
-    return Status::OK();
-  });
 }
 
 }  // namespace scdwarf::nosql

@@ -8,7 +8,6 @@
 #define SCDWARF_NOSQL_DATABASE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "common/record_log.h"
@@ -59,16 +58,14 @@ class InsertBatch {
 /// concurrent with writes to the *same* table are not synchronized;
 /// callers partition work so one table has one writer at a time or accept
 /// shard-lock serialization.
-/// FlushTableAsync() hands segment serialization to a small pool of
-/// background flusher threads with a bounded queue (different tables
-/// serialize concurrently, one table never twice at once); WaitFlushed()
-/// is the completion barrier.
 ///
 /// Durability: each mutation appends to the commit log (a RecordLog) and
 /// applies to the table under one shard-lock critical section, so no
-/// mutation straddles Flush()'s log rotation. Flush() rotates the log to a
-/// sidecar under all shard locks, serializes every dirty table, and deletes
-/// the sidecar only after every segment, and the directories holding them,
+/// mutation straddles Flush()'s log rotation. Flush() is the catalog's one
+/// flush (TableCatalog::Flush), one at a time: it rotates the log to a
+/// sidecar under all shard locks, writes the segments of the tables
+/// mutated since their last flush on up to four threads, and deletes the
+/// sidecar only after every segment, and the directories holding them,
 /// are fsynced. A process crash anywhere in between leaves the sidecar or
 /// the live log to replay, so it loses no acknowledged mutation (inserts are
 /// upserts, so re-replay is idempotent). The commit log itself is not
@@ -77,18 +74,10 @@ class InsertBatch {
 class Database {
  public:
   /// In-memory database.
-  Database();
-  ~Database();
+  Database() = default;
 
   /// Creates or opens a durable database rooted at \p data_dir.
   static Result<Database> Open(const std::string& data_dir);
-
-  /// Moving drains and stops both databases' flusher threads first (they
-  /// hold back-pointers); the flusher pool restarts lazily on the next async
-  /// flush. Concurrent use of a Database while it is being moved is UB, as
-  /// for any standard type.
-  Database(Database&&) noexcept;
-  Database& operator=(Database&&) noexcept;
 
   Status CreateKeyspace(const std::string& name) {
     return catalog_.CreateScope(name);
@@ -161,23 +150,11 @@ class Database {
   }
 
   /// Writes all column families to segment files and truncates the commit
-  /// log. No-op in memory mode. Internally rotates the commit log (under
-  /// every shard lock, so no in-flight mutation straddles the cut), enqueues
-  /// every table on the background flusher, waits for the barrier, and
-  /// removes the rotated log only if every segment was written — tables
-  /// untouched since their last flush are skipped.
+  /// log. No-op in memory mode. Tables untouched since their last flush
+  /// keep their segment. Each table's serialization and segment write run
+  /// under one catalog shared-lock hold, so a racing DropTable cannot have
+  /// its file removal overwritten, nor a CreateIndex its file.
   Status Flush();
-
-  /// Queues one column family for serialization on the background flusher
-  /// pool and returns once the job is accepted (blocking only while the
-  /// bounded queue is full). Clean tables — no mutations since their last
-  /// flush — are skipped when the job runs. No-op in memory mode.
-  Status FlushTableAsync(const std::string& keyspace, const std::string& table);
-
-  /// Blocks until every queued async flush has completed and returns the
-  /// first flush error since the last barrier (OK when none, or when no
-  /// flush was ever queued).
-  Status WaitFlushed();
 
   /// Bytes on disk: segment files plus commit-log tail. Zero in memory mode.
   Result<uint64_t> DiskSizeBytes() const { return catalog_.DiskBytes(); }
@@ -196,19 +173,12 @@ class Database {
   const std::string& data_dir() const { return catalog_.data_dir(); }
 
  private:
-  class Flusher;
-
-  /// Serializes one column family to its segment file (runs on a flusher
-  /// thread). Tables dropped since enqueue, or clean since their last
-  /// flush, are skipped; the look-up, serialization and write share one
-  /// catalog shared-lock hold, so a racing DropTable cannot have its file
-  /// removal overwritten, nor a CreateIndex its file.
-  Status FlushTableNow(const std::string& keyspace, const std::string& table);
+  /// Threads a Flush() writes segments on. A Store() flushes two large
+  /// column families (nodes and cells) and two small ones; four threads
+  /// write them all at once, and each holds one segment image at a time.
+  static constexpr size_t kFlushThreads = 4;
 
   TableCatalog<Table> catalog_{"keyspace", ".cf"};
-  /// Guards lazy flusher creation; on the heap so the Database stays movable.
-  std::unique_ptr<std::mutex> flusher_mu_ = std::make_unique<std::mutex>();
-  std::unique_ptr<Flusher> flusher_;  // created lazily by FlushTableAsync
 };
 
 }  // namespace scdwarf::nosql

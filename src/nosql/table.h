@@ -142,9 +142,9 @@ class Table {
   static Result<std::unique_ptr<Table>> Deserialize(ByteReader* reader);
 
   /// Monotonic mutation counter, bumped by every successful Insert /
-  /// InsertEncoded / DeleteByPk / CreateIndex. The async flusher compares
-  /// it against flushed_version() to skip serializing tables whose last
-  /// flush already captured every mutation.
+  /// InsertEncoded / DeleteByPk / CreateIndex. Database::Flush compares it
+  /// against flushed_version() to skip serializing tables whose last flush
+  /// already captured every mutation.
   uint64_t mutation_version() const {
     return version_.load(std::memory_order_acquire);
   }
@@ -155,13 +155,10 @@ class Table {
     return flushed_version_.load(std::memory_order_acquire);
   }
 
-  /// Records that a serialization taken at \p version reached disk.
-  /// Monotonic: out-of-order completions keep the maximum.
+  /// Records that a serialization taken at \p version reached disk. Two
+  /// flushes of one table never overlap (one Flush() runs at a time).
   void MarkFlushed(uint64_t version) {
-    uint64_t seen = flushed_version_.load(std::memory_order_relaxed);
-    while (seen < version && !flushed_version_.compare_exchange_weak(
-                                 seen, version, std::memory_order_acq_rel)) {
-    }
+    flushed_version_.store(version, std::memory_order_release);
   }
 
  private:

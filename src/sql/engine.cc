@@ -115,14 +115,10 @@ Status SqlEngine::Flush() {
       return Status::OK();
     });
   }
-  // Rotate the redo log with every writer excluded (all shard locks);
-  // after the cut each logged mutation is either in the sidecar and already
-  // applied — captured by the serialization below — or entirely in the
-  // fresh live log.
-  SCD_RETURN_IF_ERROR(
-      catalog_.RotateLog(LogRotationsCounter(), LogRotateHistogram()));
+  // Tables are written one at a time: the doublewrite copy is one file.
   const std::string doublewrite = catalog_.DataPath("doublewrite.bin");
-  SCD_RETURN_IF_ERROR(catalog_.ForEachTable(
+  SCD_RETURN_IF_ERROR(catalog_.Flush(
+      /*max_threads=*/1,
       [&](const std::string& database, const std::string& name,
           HeapTable& table) -> Status {
         ByteWriter writer;
@@ -133,20 +129,17 @@ Status SqlEngine::Flush() {
           table.SerializeTo(&writer);
         }
         // InnoDB writes every page twice: first to the doublewrite buffer,
-        // then in place (torn-page protection; on by default).
+        // then in place (torn-page protection; on by default). The copy
+        // goes once the tablespace is durable.
         SCD_RETURN_IF_ERROR(WriteFileAtomic(doublewrite, writer.view()));
         SCD_RETURN_IF_ERROR(
             catalog_.WriteTableFile(database, name, writer.view()));
+        SCD_RETURN_IF_ERROR(RemoveFile(doublewrite));
         std::lock_guard<std::mutex> lock(catalog_.TableLock(database, name));
         table.CommitTransaction();
         return Status::OK();
-      }));
-  // Every sidecar record is now covered by a fsynced tablespace in a
-  // database directory made durable at its creation. The doublewrite
-  // removal fsyncs the data directory, and then the sidecar can go. On any
-  // earlier error it survives and is replayed at the next reopen.
-  SCD_RETURN_IF_ERROR(RemoveFile(doublewrite));
-  catalog_.RemoveRotatedLog();
+      },
+      LogRotationsCounter(), LogRotateHistogram()));
   FlushHistogram()->Record(flush_watch.ElapsedMicros());
   return Status::OK();
 }

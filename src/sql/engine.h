@@ -40,8 +40,10 @@ namespace scdwarf::sql {
 /// Durability: each mutation applies to the table and appends to the redo
 /// log (a RecordLog) under one shard-lock critical section, and the append
 /// is fsynced before the mutation returns, so an acknowledged mutation
-/// survives a process crash and a power loss alike. Flush() rotates the log
-/// to a sidecar under all shard locks, serializes every table, and deletes
+/// survives a process crash and a power loss alike. Flush() is the
+/// catalog's one flush (TableCatalog::Flush), one at a time: it rotates the
+/// log to a sidecar under all shard locks, writes every table in turn (its
+/// doublewrite copy, its tablespace, then the copy's removal), and deletes
 /// the sidecar only after every tablespace, and the directories holding
 /// them, are fsynced (replay tolerates duplicates).
 class SqlEngine {
@@ -102,6 +104,8 @@ class SqlEngine {
     return catalog_.DeleteRows(database, table, keys);
   }
 
+  /// Writes every table's tablespace and truncates the redo log; in memory,
+  /// commits each table's open transaction and writes nothing.
   Status Flush();
   Result<uint64_t> DiskSizeBytes() const { return catalog_.DiskBytes(); }
   uint64_t EstimateBytes() const {

@@ -1,17 +1,15 @@
 /// \file concurrent_store_test.cc
 /// \brief Concurrency regressions for the storage engines (ctest label
 /// `parallel`, run under TSAN in the verify flow):
-///  - DropTable racing mutations and background flushes must not free a
-///    table out from under its users (tables are shared_ptr-owned).
+///  - DropTable racing mutations and flushes must not free a table out
+///    from under its users (tables are shared_ptr-owned).
 ///  - Flush() racing writers must not lose acknowledged mutations: the
 ///    commit/redo log is rotated to a sidecar under the shard locks and
 ///    only removed once every segment is on disk.
 ///  - A sidecar left by a flush that never finished (crash simulation) is
 ///    replayed at reopen, before the live log.
 ///  - Flush() called from several threads at once, while a writer inserts,
-///    must fail no call and lose no acknowledged row.
-///  - Async flushes of the same tables requested from several threads at
-///    once must not let a stale segment overwrite a newer one.
+///    must fail no call and lose no acknowledged row: flushes take turns.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/trace.h"
 #include "nosql/database.h"
 #include "sql/engine.h"
 
@@ -99,8 +98,8 @@ class ConcurrentStoreTest : public ::testing::Test {
 };
 
 // Regression: GetTable used to hand out a raw pointer that DropTable could
-// destroy mid-mutation (and mid-background-flush) — a use-after-free that
-// TSAN/ASAN flags here. With shared_ptr ownership the mutation lands on the
+// destroy mid-mutation (and mid-flush) — a use-after-free that TSAN/ASAN
+// flags here. With shared_ptr ownership the mutation lands on the
 // orphaned table object and is discarded with it.
 TEST_F(ConcurrentStoreTest, NoSqlDropTableDuringMutationsAndFlushesIsSafe) {
   auto db = nosql::Database::Open(dir_.string());
@@ -116,7 +115,7 @@ TEST_F(ConcurrentStoreTest, NoSqlDropTableDuringMutationsAndFlushesIsSafe) {
       for (int i = 0; i < 8; ++i) rows.push_back(KvRow(id++));
       // NotFound while the table is dropped is fine; crashing is not.
       (void)db->BulkInsert("ks", "t", std::move(rows));
-      (void)db->FlushTableAsync("ks", "t");
+      EXPECT_TRUE(db->Flush().ok());
     }
   });
   for (int round = 0; round < 50; ++round) {
@@ -125,7 +124,6 @@ TEST_F(ConcurrentStoreTest, NoSqlDropTableDuringMutationsAndFlushesIsSafe) {
   }
   stop.store(true);
   writer.join();
-  EXPECT_TRUE(db->WaitFlushed().ok());
   // The final incarnation of the table is still usable.
   ASSERT_TRUE(db->GetTable("ks", "t").ok());
   EXPECT_TRUE(db->Insert("ks", "t", KvRow(1 << 20)).ok());
@@ -200,60 +198,6 @@ TEST_F(ConcurrentStoreTest, NoSqlRotatedCommitLogReplaysOnOpen) {
   EXPECT_FALSE(fs::exists(dir_ / "commitlog.old.bin"));
 }
 
-// Async segment flushes of the same tables requested from several threads
-// while a writer inserts into both. If two flushes of one table ever ran at
-// once, an older serialization could land on disk after a newer one was
-// marked flushed: the next Flush() would skip the table as clean, delete
-// the sidecar holding the missing rows, and the reopen below would lose
-// them.
-TEST_F(ConcurrentStoreTest, NoSqlConcurrentTableFlushesLoseNoAcknowledgedRow) {
-  constexpr int64_t kRows = 600;
-  constexpr int kFlushThreads = 3;
-  {
-    auto db = nosql::Database::Open(dir_.string());
-    ASSERT_TRUE(db.ok()) << db.status();
-    ASSERT_TRUE(db->CreateKeyspace("ks").ok());
-    ASSERT_TRUE(db->CreateTable(KvSchema("a")).ok());
-    ASSERT_TRUE(db->CreateTable(KvSchema("b")).ok());
-    ASSERT_TRUE(db->Flush().ok());  // persist the schemas first
-    std::atomic<bool> done{false};
-    std::thread writer([&] {
-      for (int64_t id = 0; id < kRows; ++id) {
-        ASSERT_TRUE(db->BulkInsert("ks", "a", {KvRow(id)}).ok());
-        ASSERT_TRUE(db->BulkInsert("ks", "b", {KvRow(id)}).ok());
-      }
-      done.store(true);
-    });
-    std::vector<std::thread> flushers;
-    for (int f = 0; f < kFlushThreads; ++f) {
-      flushers.emplace_back([&] {
-        while (!done.load()) {
-          ASSERT_TRUE(db->FlushTableAsync("ks", "a").ok());
-          ASSERT_TRUE(db->FlushTableAsync("ks", "b").ok());
-        }
-      });
-    }
-    writer.join();
-    for (std::thread& flusher : flushers) flusher.join();
-    ASSERT_TRUE(db->WaitFlushed().ok());
-    ASSERT_TRUE(db->Flush().ok());
-    // Closed without a final flush: every row must be in a segment or in
-    // the live log.
-  }
-  auto db = nosql::Database::Open(dir_.string());
-  ASSERT_TRUE(db.ok()) << db.status();
-  for (const char* table : {"a", "b"}) {
-    auto t = db->GetTable("ks", table);
-    ASSERT_TRUE(t.ok()) << t.status();
-    EXPECT_EQ((*t)->num_rows(), static_cast<size_t>(kRows)) << table;
-    for (int64_t id = 0; id < kRows; ++id) {
-      auto row = (*t)->GetByPk(Value::Int(id));
-      ASSERT_TRUE(row.ok()) << table << " lost row " << id;
-      EXPECT_EQ(*row, KvRow(id));
-    }
-  }
-}
-
 // Flush() called from three threads at once while a writer inserts into two
 // tables. Concurrent flushes must take turns: one that deleted the sidecar
 // while another's rotated records were in no file yet would lose rows at
@@ -323,6 +267,34 @@ TEST_F(ConcurrentStoreTest, SqlConcurrentFlushesFailNoneAndLoseNoRow) {
       }
     }
   }
+}
+
+// A flush writes its tables on several threads; each table's span still
+// parents on the flush that wrote it, so a trace shows one tree per flush.
+TEST_F(ConcurrentStoreTest, NoSqlSegmentFlushSpansParentOnTheirFlush) {
+  auto db = nosql::Database::Open(dir_.string());
+  ASSERT_TRUE(db.ok()) << db.status();
+  ASSERT_TRUE(db->CreateKeyspace("ks").ok());
+  for (const char* table : {"a", "b", "c", "d"}) {
+    ASSERT_TRUE(db->CreateTable(KvSchema(table)).ok());
+    ASSERT_TRUE(db->BulkInsert("ks", table, {KvRow(1), KvRow(2)}).ok());
+  }
+  trace::Clear();
+  trace::SetEnabled(true);
+  Status flushed = db->Flush();
+  trace::SetEnabled(false);
+  ASSERT_TRUE(flushed.ok()) << flushed;
+  uint64_t flush_id = 0;
+  std::vector<uint64_t> segment_parents;
+  for (const trace::Span& span : trace::Snapshot()) {
+    if (span.name == "nosql.flush") flush_id = span.id;
+    if (span.name == "nosql.segment_flush") {
+      segment_parents.push_back(span.parent);
+    }
+  }
+  trace::Clear();
+  ASSERT_NE(flush_id, 0u);
+  EXPECT_EQ(segment_parents, std::vector<uint64_t>(4, flush_id));
 }
 
 TEST_F(ConcurrentStoreTest, SqlDropTableDuringMutationsIsSafe) {

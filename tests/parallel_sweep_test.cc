@@ -242,8 +242,7 @@ TEST(ParallelSweepTest, StoreThreadMatrixWritesByteIdenticalSegments) {
       mapper::NoSqlDwarfMapper cube_mapper(&*db, "ks");
       auto id = cube_mapper.Store(cube, {.num_threads = threads});
       ASSERT_TRUE(id.ok()) << id.status();
-      // Store() already flushed (through the async flusher when threads>1);
-      // the database going out of scope drains any remaining work.
+      // Store() already flushed every segment.
     }
     std::map<std::string, std::string> segments = ReadSegments(dir);
     EXPECT_FALSE(segments.empty());
