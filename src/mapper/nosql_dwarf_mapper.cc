@@ -139,21 +139,20 @@ Result<int64_t> NoSqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
       }
       std::vector<int64_t> children_ids(node.cells.size() + 1);
       std::iota(children_ids.begin(), children_ids.end(), first_cell);
-      node_rows.push_back({Value::Int(ids.node_ids[node_id]),
-                           Value::IntSet(std::move(parent_ids)),
-                           Value::IntSet(std::move(children_ids)),
-                           Value::Bool(node_id == cube.root()),
-                           Value::Int(schema_id)});
+      AddRow(&node_rows, Value::Int(ids.node_ids[node_id]),
+             Value::IntSet(std::move(parent_ids)),
+             Value::IntSet(std::move(children_ids)),
+             Value::Bool(node_id == cube.root()), Value::Int(schema_id));
 
       // Its cells, then its ALL cell (reserved key, see id_map.h).
       ForEachStoredCell(cube, ids, node_id,
                         [&](int64_t id, const std::string& key,
                             dwarf::Measure measure, int64_t pointer_node) {
-        cell_rows.push_back(
-            {Value::Int(id), Value::Text(key), Value::Int(measure),
-             Value::Int(ids.node_ids[node_id]),
-             pointer_node < 0 ? Value::Null() : Value::Int(pointer_node),
-             Value::Bool(leaf), Value::Int(schema_id), Value::Text(dim_table)});
+        AddRow(&cell_rows, Value::Int(id), Value::Text(key),
+               Value::Int(measure), Value::Int(ids.node_ids[node_id]),
+               pointer_node < 0 ? Value::Null() : Value::Int(pointer_node),
+               Value::Bool(leaf), Value::Int(schema_id),
+               Value::Text(dim_table));
       });
     }
     return out;

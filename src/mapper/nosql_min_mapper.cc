@@ -86,11 +86,10 @@ Result<int64_t> MinMapper<Engine>::Store(const dwarf::DwarfCube& cube,
       ForEachStoredCell(cube, ids, node_id,
                         [&](int64_t id, const std::string& key,
                             dwarf::Measure measure, int64_t pointer_node) {
-        cell_rows.push_back(
-            {Value::Int(id), Value::Text(key), Value::Int(measure),
-             Value::Bool(leaf), Value::Bool(is_root), Value::Int(cube_id),
-             Value::Int(ids.node_ids[node_id]),
-             pointer_node < 0 ? Value::Null() : Value::Int(pointer_node)});
+        AddRow(&cell_rows, Value::Int(id), Value::Text(key),
+               Value::Int(measure), Value::Bool(leaf), Value::Bool(is_root),
+               Value::Int(cube_id), Value::Int(ids.node_ids[node_id]),
+               pointer_node < 0 ? Value::Null() : Value::Int(pointer_node));
       });
     }
     return out;

@@ -97,22 +97,19 @@ Result<int64_t> SqlDwarfMapper::Store(const dwarf::DwarfCube& cube,
       const std::string& dim_table =
           cube.schema().dimensions()[node.level].dimension_table;
       const int64_t node_store_id = ids.node_ids[node_id];
-      node_rows.push_back({Value::Int(node_store_id),
-                           Value::Bool(node_id == cube.root()),
-                           Value::Int(cube_id)});
+      AddRow(&node_rows, Value::Int(node_store_id),
+             Value::Bool(node_id == cube.root()), Value::Int(cube_id));
       ForEachStoredCell(cube, ids, node_id,
                         [&](int64_t cell_id, const std::string& key,
                             dwarf::Measure measure, int64_t pointer_node) {
-        cell_rows.push_back(
-            {Value::Int(cell_id), Value::Text(key), Value::Int(measure),
-             Value::Bool(leaf), Value::Int(cube_id), Value::Text(dim_table)});
-        node_children_rows.push_back({Value::Int(nc_id++),
-                                      Value::Int(node_store_id),
-                                      Value::Int(cell_id)});
+        AddRow(&cell_rows, Value::Int(cell_id), Value::Text(key),
+               Value::Int(measure), Value::Bool(leaf), Value::Int(cube_id),
+               Value::Text(dim_table));
+        AddRow(&node_children_rows, Value::Int(nc_id++),
+               Value::Int(node_store_id), Value::Int(cell_id));
         if (pointer_node >= 0) {
-          cell_children_rows.push_back({Value::Int(cc_id++),
-                                        Value::Int(cell_id),
-                                        Value::Int(pointer_node)});
+          AddRow(&cell_children_rows, Value::Int(cc_id++),
+                 Value::Int(cell_id), Value::Int(pointer_node));
         }
       });
     }

@@ -21,6 +21,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -39,6 +40,16 @@ inline constexpr size_t kSqlRowsPerInsert = 128 * 1024;
 /// Rows bound for one table (nosql::Row and sql::SqlRow are both
 /// std::vector<Value>).
 using Rows = std::vector<std::vector<Value>>;
+
+/// Appends a row of \p values to \p rows, moving each value in. A braced
+/// list (`rows.push_back({...})`) can only be copied from, so it would
+/// allocate every set and every text over 14 bytes twice.
+template <typename... Values>
+void AddRow(Rows* rows, Values&&... values) {
+  std::vector<Value>& row = rows->emplace_back();
+  row.reserve(sizeof...(values));
+  (row.push_back(std::forward<Values>(values)), ...);
+}
 
 /// Generates the rows that nodes [begin, end) of the visit order contribute:
 /// one Rows per destination table, in the order of StoreRows' \p tables.
