@@ -197,7 +197,7 @@ void ClientPool::DropIdle() {
 
 Result<std::string> ClientPool::Call(std::string_view request_json) {
   Status last = Status::OK();
-  for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     std::unique_ptr<CubeClient> conn = Acquire();
     Result<std::string> response = conn->Call(request_json);
     if (response.ok()) {

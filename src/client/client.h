@@ -11,7 +11,7 @@
 ///  - Any transport error closes the connection; the next Call reconnects.
 ///    Protocol-level errors (an "ok":false response) are NOT transport
 ///    errors — the frame arrived fine — and never close the socket.
-///  - ClientPool::Call retries on a fresh connection up to max_retries
+///  - ClientPool::Call retries on a fresh connection up to kMaxRetries
 ///    times. That is safe because every wire op is idempotent on the server:
 ///    queries are pure reads, query_open just allocates another session
 ///    (reaped by TTL if the response was lost), and load_snapshot rejects
@@ -60,9 +60,6 @@ struct ClientOptions {
   int connect_timeout_ms = 2000;
   int io_timeout_ms = 5000;  ///< per-frame send/receive timeout
   size_t max_frame_bytes = 1 << 20;
-  /// ClientPool::Call attempts = 1 + max_retries, each on a fresh or pooled
-  /// connection. Retries fire only on transport errors (see file comment).
-  int max_retries = 2;
 };
 
 /// \brief One connection to one server. Not thread-safe — either own one per
@@ -107,7 +104,7 @@ class ClientPool {
   ClientPool& operator=(const ClientPool&) = delete;
 
   /// \brief Acquire → Call → Release, retrying transport errors on a fresh
-  /// connection up to options.max_retries times. Returns the last transport
+  /// connection up to kMaxRetries times. Returns the last transport
   /// error when every attempt fails.
   Result<std::string> Call(std::string_view request_json);
 
@@ -129,6 +126,9 @@ class ClientPool {
  private:
   /// Idle connections kept per endpoint; extras are closed on release.
   static constexpr size_t kMaxIdle = 8;
+  /// Call's attempts are 1 + kMaxRetries, each on a fresh or pooled
+  /// connection. Retries fire only on transport errors (see file comment).
+  static constexpr int kMaxRetries = 2;
 
   Endpoint endpoint_;
   ClientOptions options_;
