@@ -16,17 +16,9 @@
 // SCDWARF_ROUTER_CLIENTS / SCDWARF_ROUTER_REQUESTS / SCDWARF_ROUTER_DATASET
 // override the load shape.
 
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -44,6 +36,7 @@
 #include "replica/router.h"
 #include "replica/snapshot.h"
 #include "server/tcp_server.h"
+#include "testing/soak.h"
 
 namespace {
 
@@ -102,91 +95,6 @@ std::vector<std::string> MakeRequestPool(const dwarf::DwarfCube& cube,
     pool.push_back(json::SerializeJson(json::JsonValue(std::move(request))));
   }
   return pool;
-}
-
-// ----------------------------------------------------- replica subprocesses
-
-struct ReplicaProcess {
-  pid_t pid = -1;
-  int stdin_fd = -1;   ///< write end; closing it tells the replica to exit
-  int stdout_fd = -1;  ///< banner side; kept open for the process lifetime
-  uint16_t port = 0;
-};
-
-// Forks one scdwarf_replica over \p spool and parses the "replica serving on
-// 127.0.0.1:PORT" banner from its stdout pipe.
-Result<ReplicaProcess> SpawnReplica(const std::string& binary,
-                                    const std::string& spool) {
-  int to_child[2];
-  int from_child[2];
-  if (pipe(to_child) != 0 || pipe(from_child) != 0) {
-    return Status::IoError(std::string("pipe: ") + std::strerror(errno));
-  }
-  pid_t pid = fork();
-  if (pid < 0) {
-    return Status::IoError(std::string("fork: ") + std::strerror(errno));
-  }
-  if (pid == 0) {
-    dup2(to_child[0], STDIN_FILENO);
-    dup2(from_child[1], STDOUT_FILENO);
-    close(to_child[0]);
-    close(to_child[1]);
-    close(from_child[0]);
-    close(from_child[1]);
-    std::string spool_flag = "--snapshot-dir=" + spool;
-    execl(binary.c_str(), binary.c_str(), spool_flag.c_str(), "--workers=1",
-          "--cache-capacity=0", static_cast<char*>(nullptr));
-    std::fprintf(stderr, "exec %s: %s\n", binary.c_str(),
-                 std::strerror(errno));
-    _exit(127);
-  }
-  close(to_child[0]);
-  close(from_child[1]);
-  ReplicaProcess process;
-  process.pid = pid;
-  process.stdin_fd = to_child[1];
-  process.stdout_fd = from_child[0];
-
-  std::string banner;
-  char c = 0;
-  while (banner.find('\n') == std::string::npos) {
-    ssize_t n = read(process.stdout_fd, &c, 1);
-    if (n <= 0) break;
-    banner.push_back(c);
-  }
-  size_t colon = banner.find("127.0.0.1:");
-  if (colon == std::string::npos) {
-    return Status::IoError("replica banner missing port: \"" + banner + "\"");
-  }
-  process.port = static_cast<uint16_t>(
-      std::atoi(banner.c_str() + colon + std::strlen("127.0.0.1:")));
-  if (process.port == 0) {
-    return Status::IoError("replica banner carried port 0: \"" + banner +
-                           "\"");
-  }
-  return process;
-}
-
-void StopReplica(ReplicaProcess& process) {
-  if (process.pid < 0) return;
-  if (process.stdin_fd >= 0) close(process.stdin_fd);  // EOF -> clean exit
-  int status = 0;
-  for (int spin = 0; spin < 200; ++spin) {  // up to ~2s of polite waiting
-    pid_t done = waitpid(process.pid, &status, WNOHANG);
-    if (done == process.pid) {
-      process.pid = -1;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (process.pid >= 0) {
-    kill(process.pid, SIGKILL);
-    waitpid(process.pid, &status, 0);
-    process.pid = -1;
-  }
-  if (process.stdout_fd >= 0) close(process.stdout_fd);
-  process.stdin_fd = -1;
-  process.stdout_fd = -1;
 }
 
 // ----------------------------------------------------------------- the load
@@ -344,10 +252,12 @@ int main(int argc, char** argv) {
   double qps_at_1 = 0;
   bool failed = false;
   for (int replica_count : {1, 2, 4}) {
-    std::vector<ReplicaProcess> processes;
+    std::vector<soak::ReplicaProcess> processes;
     std::vector<client::Endpoint> endpoints;
     for (int i = 0; i < replica_count && !failed; ++i) {
-      auto process = SpawnReplica(replica_bin, spool.string());
+      auto process = soak::SpawnReplica(
+          replica_bin, {"--snapshot-dir=" + spool.string(), "--workers=1",
+                        "--cache-capacity=0"});
       if (!process.ok()) {
         std::fprintf(stderr, "spawn replica: %s\n",
                      process.status().ToString().c_str());
@@ -360,7 +270,9 @@ int main(int argc, char** argv) {
       processes.push_back(std::move(*process));
     }
     if (failed) {
-      for (ReplicaProcess& process : processes) StopReplica(process);
+      for (soak::ReplicaProcess& process : processes) {
+        soak::StopReplica(process);
+      }
       break;
     }
 
@@ -393,7 +305,7 @@ int main(int argc, char** argv) {
       }
     }
     front.Stop();
-    for (ReplicaProcess& process : processes) StopReplica(process);
+    for (soak::ReplicaProcess& process : processes) soak::StopReplica(process);
     if (failed) break;
 
     double qps = load.seconds > 0

@@ -238,7 +238,7 @@ Status Fleet::Start() {
   // The fleet: real replica subprocesses, in-process router in front.
   std::vector<client::Endpoint> endpoints;
   for (int i = 0; i < options_.replicas; ++i) {
-    Result<Replica> spawned = SpawnReplica(0);
+    Result<ReplicaProcess> spawned = LaunchReplica(0);
     if (!spawned.ok()) {
       Stop();
       return spawned.status();
@@ -365,7 +365,7 @@ void Fleet::Stop() {
   if (router_tcp_ != nullptr) router_tcp_->Stop();
   {
     std::lock_guard<std::mutex> lock(replicas_mu_);
-    for (Replica& replica : replicas_) StopReplicaProcess(replica);
+    for (ReplicaProcess& replica : replicas_) StopReplica(replica);
     replicas_.clear();
   }
   router_tcp_.reset();
@@ -426,7 +426,7 @@ Status Fleet::KillReplica(int index) {
   if (index < 0 || static_cast<size_t>(index) >= replicas_.size()) {
     return Status::InvalidArgument("no replica " + std::to_string(index));
   }
-  Replica& replica = replicas_[static_cast<size_t>(index)];
+  ReplicaProcess& replica = replicas_[static_cast<size_t>(index)];
   if (replica.pid < 0) {
     return Status::FailedPrecondition("replica " + std::to_string(index) +
                                       " already dead");
@@ -457,7 +457,7 @@ Status Fleet::RestartReplica(int index) {
     if (index < 0 || static_cast<size_t>(index) >= replicas_.size()) {
       return Status::InvalidArgument("no replica " + std::to_string(index));
     }
-    Replica& replica = replicas_[static_cast<size_t>(index)];
+    ReplicaProcess& replica = replicas_[static_cast<size_t>(index)];
     if (replica.pid >= 0) {
       return Status::FailedPrecondition("replica " + std::to_string(index) +
                                         " still running");
@@ -466,9 +466,9 @@ Status Fleet::RestartReplica(int index) {
   }
   // The port was just freed by SIGKILL; SO_REUSEADDR makes an immediate
   // rebind legal, but give the kernel a few tries anyway.
-  Result<Replica> spawned = Status::Internal("unreached");
+  Result<ReplicaProcess> spawned = Status::Internal("unreached");
   for (int attempt = 0; attempt < 5; ++attempt) {
-    spawned = SpawnReplica(port);
+    spawned = LaunchReplica(port);
     if (spawned.ok()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
@@ -560,92 +560,103 @@ uint64_t Fleet::published_epoch() const {
 
 // ------------------------------------------------------ replica subprocesses
 
-Result<Fleet::Replica> Fleet::SpawnReplica(uint16_t port) {
+Result<ReplicaProcess> SpawnReplica(const std::string& binary,
+                                    const std::vector<std::string>& flags) {
+  // argv is built before the fork: the child of a threaded process must
+  // not allocate.
+  std::vector<char*> argv;
+  argv.push_back(const_cast<char*>(binary.c_str()));
+  for (const std::string& flag : flags) {
+    argv.push_back(const_cast<char*>(flag.c_str()));
+  }
+  argv.push_back(nullptr);
   int to_child[2];
   int from_child[2];
-  if (::pipe(to_child) != 0 || ::pipe(from_child) != 0) {
+  if (::pipe(to_child) != 0) {
     return Status::IoError(std::string("pipe: ") + std::strerror(errno));
+  }
+  if (::pipe(from_child) != 0) {
+    Status status =
+        Status::IoError(std::string("pipe: ") + std::strerror(errno));
+    ::close(to_child[0]);
+    ::close(to_child[1]);
+    return status;
   }
   pid_t pid = ::fork();
   if (pid < 0) {
-    return Status::IoError(std::string("fork: ") + std::strerror(errno));
+    Status status =
+        Status::IoError(std::string("fork: ") + std::strerror(errno));
+    for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
+      ::close(fd);
+    }
+    return status;
   }
   if (pid == 0) {
     ::dup2(to_child[0], STDIN_FILENO);
     ::dup2(from_child[1], STDOUT_FILENO);
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
-    std::string spool_flag = "--snapshot-dir=" + spool_;
-    std::string port_flag = "--port=" + std::to_string(port);
-    std::string poll_flag =
-        "--poll-ms=" + std::to_string(options_.replica_poll_ms);
-    std::string retain_flag =
-        "--retain-epochs=" + std::to_string(options_.retain_epochs);
-    ::execl(options_.replica_bin.c_str(), options_.replica_bin.c_str(),
-            spool_flag.c_str(), port_flag.c_str(), poll_flag.c_str(),
-            retain_flag.c_str(), "--workers=1",
-            static_cast<char*>(nullptr));
-    std::fprintf(stderr, "exec %s: %s\n", options_.replica_bin.c_str(),
-                 std::strerror(errno));
+    for (int fd : {to_child[0], to_child[1], from_child[0], from_child[1]}) {
+      ::close(fd);
+    }
+    ::execv(binary.c_str(), argv.data());
+    std::fprintf(stderr, "exec %s: %s\n", binary.c_str(), std::strerror(errno));
     _exit(127);
   }
   ::close(to_child[0]);
   ::close(from_child[1]);
-  Replica replica;
+  ReplicaProcess replica;
   replica.pid = pid;
   replica.stdin_fd = to_child[1];
   replica.stdout_fd = from_child[0];
 
   std::string banner;
   char c = 0;
-  while (banner.find('\n') == std::string::npos) {
-    ssize_t n = ::read(replica.stdout_fd, &c, 1);
-    if (n <= 0) break;
+  while (banner.find('\n') == std::string::npos &&
+         ::read(replica.stdout_fd, &c, 1) == 1) {
     banner.push_back(c);
   }
   size_t colon = banner.find("127.0.0.1:");
   size_t epoch_at = banner.find("(epoch ");
-  if (colon == std::string::npos || epoch_at == std::string::npos) {
-    StopReplicaProcess(replica);
-    return Status::IoError("replica banner malformed: \"" + banner + "\"");
+  if (colon != std::string::npos && epoch_at != std::string::npos) {
+    replica.port = static_cast<uint16_t>(
+        std::atoi(banner.c_str() + colon + std::strlen("127.0.0.1:")));
+    replica.banner_epoch = static_cast<uint64_t>(
+        std::atoll(banner.c_str() + epoch_at + std::strlen("(epoch ")));
   }
-  replica.port = static_cast<uint16_t>(
-      std::atoi(banner.c_str() + colon + std::strlen("127.0.0.1:")));
-  replica.banner_epoch = static_cast<uint64_t>(
-      std::atoll(banner.c_str() + epoch_at + std::strlen("(epoch ")));
   if (replica.port == 0) {
-    StopReplicaProcess(replica);
-    return Status::IoError("replica banner carried port 0: \"" + banner +
+    StopReplica(replica);
+    return Status::IoError("replica banner carried no port: \"" + banner +
                            "\"");
   }
   return replica;
 }
 
-void Fleet::StopReplicaProcess(Replica& replica) {
+void StopReplica(ReplicaProcess& replica) {
+  if (replica.stdin_fd >= 0) ::close(replica.stdin_fd);  // EOF: clean exit
   if (replica.pid >= 0) {
-    if (replica.stdin_fd >= 0) ::close(replica.stdin_fd);  // EOF: clean exit
     int status = 0;
     bool exited = false;
-    for (int spin = 0; spin < 200; ++spin) {
-      if (::waitpid(replica.pid, &status, WNOHANG) == replica.pid) {
-        exited = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    for (int spin = 0; spin < 200 && !exited; ++spin) {
+      exited = ::waitpid(replica.pid, &status, WNOHANG) == replica.pid;
+      if (!exited) std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
     if (!exited) {
       ::kill(replica.pid, SIGKILL);
       ::waitpid(replica.pid, &status, 0);
     }
-    replica.pid = -1;
-    replica.stdin_fd = -1;
   }
-  if (replica.stdin_fd >= 0) ::close(replica.stdin_fd);
   if (replica.stdout_fd >= 0) ::close(replica.stdout_fd);
+  replica.pid = -1;
   replica.stdin_fd = -1;
   replica.stdout_fd = -1;
+}
+
+Result<ReplicaProcess> Fleet::LaunchReplica(uint16_t port) {
+  return SpawnReplica(
+      options_.replica_bin,
+      {"--snapshot-dir=" + spool_, "--port=" + std::to_string(port),
+       "--poll-ms=" + std::to_string(options_.replica_poll_ms),
+       "--retain-epochs=" + std::to_string(options_.retain_epochs),
+       "--workers=1"});
 }
 
 // --------------------------------------------------------------- the checker

@@ -65,6 +65,26 @@
 
 namespace scdwarf::soak {
 
+/// \brief A running scdwarf_replica child process.
+struct ReplicaProcess {
+  pid_t pid = -1;
+  int stdin_fd = -1;   ///< write end; closing it tells the replica to exit
+  int stdout_fd = -1;  ///< banner side; kept open for the process lifetime
+  uint16_t port = 0;
+  uint64_t banner_epoch = 0;  ///< the epoch its banner reported
+};
+
+/// \brief Forks \p binary with \p flags and reads its "replica serving on
+/// 127.0.0.1:PORT (epoch N, ...)" banner. On every error the child, if one
+/// was forked, is stopped and every pipe closed. The one replica launcher
+/// of the soak fleet and bench_router.
+Result<ReplicaProcess> SpawnReplica(const std::string& binary,
+                                    const std::vector<std::string>& flags);
+
+/// \brief Closes \p replica's stdin, which tells it to exit, waits up to
+/// about 2 s before killing it, and closes both pipes.
+void StopReplica(ReplicaProcess& replica);
+
 /// \brief Knobs of one soak run. Defaults suit the ctest slice; the bench
 /// binary and check_soak.sh widen them.
 struct FleetOptions {
@@ -170,19 +190,11 @@ class Fleet {
   server::QueryServer* publisher() { return publisher_.get(); }
 
  private:
-  struct Replica {
-    pid_t pid = -1;
-    int stdin_fd = -1;
-    int stdout_fd = -1;
-    uint16_t port = 0;
-    uint64_t banner_epoch = 0;
-  };
-
   /// What a differential check concluded about one answer.
   enum class Verdict { kChecked, kAvailability, kTransport, kUnchecked };
 
-  Result<Replica> SpawnReplica(uint16_t port);
-  void StopReplicaProcess(Replica& replica);
+  /// Spawns one replica of this fleet over the spool, on \p port (0: any).
+  Result<ReplicaProcess> LaunchReplica(uint16_t port);
   /// Model cube for \p epoch: waits (bounded) for the publisher to catch
   /// up, nullptr + kUnchecked when the epoch aged out of the window,
   /// records a mismatch on a never-published epoch.
@@ -209,7 +221,7 @@ class Fleet {
   std::unique_ptr<replica::Router> router_;
   std::unique_ptr<server::TcpServer> router_tcp_;
   uint16_t router_port_ = 0;
-  std::vector<Replica> replicas_;
+  std::vector<ReplicaProcess> replicas_;
   mutable std::mutex replicas_mu_;  ///< guards replicas_ (killer vs helpers)
 
   // epoch → model cube, pruned to the trailing model_epochs entries.

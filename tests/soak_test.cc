@@ -2,10 +2,14 @@
 // it leans on: a short deterministic churn slice of the full fleet, replica
 // crash-restart with epoch-pinned failover mid-cursor-drain, spool-corruption
 // skip-and-count (both through real scdwarf_replica subprocesses and against
-// an in-process ReplicaServer), and the TcpServer bind-address knob.
+// an in-process ReplicaServer), the replica launcher's failure path, and the
+// TcpServer bind-address knob.
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -382,6 +386,19 @@ TEST(ReplicaSpoolTest, BootstrapFailsCleanlyWhenNothingLoads) {
 }
 
 // -------------------------------------------------------- bind-address knob
+
+// A child whose banner names no port is stopped and reaped, and its pipes
+// closed: no process outlives a failed launch.
+TEST(ReplicaLauncherTest, BannerWithoutPortStopsTheChild) {
+  Result<ReplicaProcess> replica = SpawnReplica(
+      "/bin/sh", {"-c", "echo replica serving nowhere; exec cat"});
+  ASSERT_FALSE(replica.ok());
+  EXPECT_NE(replica.status().ToString().find("no port"), std::string::npos)
+      << replica.status();
+  int status = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);  // no child left, running or unreaped
+}
 
 TEST(TcpServerBindTest, DefaultsToLoopback) {
   server::QueryServer query_server(BuildSoakCube(11, 20));
