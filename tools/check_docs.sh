@@ -10,6 +10,8 @@
 #    docs/OPERATIONS.md.
 # 3. Every RequestOp enumerator in src/server/wire.h must appear in
 #    docs/WIRE_PROTOCOL.md — the wire spec may not silently lag the op set.
+# 4. Every span name that a trace::ScopedSpan opens in src/ with a literal
+#    must appear in docs/OPERATIONS.md.
 #
 # Exits non-zero with one line per violation.
 
@@ -85,8 +87,27 @@ else
   done
 fi
 
+# --- 4. Span names are documented ------------------------------------------
+
+if [ -f "$ops_doc" ]; then
+  # `trace::ScopedSpan span("name"` or a member's `span_{"name"`, possibly
+  # wrapped after the bracket.
+  span_names=$(grep -rzoE 'trace::ScopedSpan\s+[A-Za-z0-9_]+[({]\s*"[a-z0-9_.]+"' \
+                 src --include='*.cc' --include='*.h' \
+               | tr '\0' '\n' | grep -oE '"[a-z0-9_.]+"' | tr -d '"' \
+               | sort -u)
+  if [ -z "$span_names" ]; then
+    report "found no span names in src/ (extraction regex broken?)"
+  fi
+  for name in $span_names; do
+    if ! grep -qF -- "$name" "$ops_doc"; then
+      report "span \`$name\` is opened in src/ but missing from $ops_doc"
+    fi
+  done
+fi
+
 if [ "$errors" -ne 0 ]; then
   echo "check_docs: $errors problem(s)" >&2
   exit 1
 fi
-echo "check_docs: OK ($(echo "$md_files" | wc -w) markdown files, $(echo "$metric_names" | wc -w) metrics, $(echo "$request_ops" | wc -w) wire ops)"
+echo "check_docs: OK ($(echo "$md_files" | wc -w) markdown files, $(echo "$metric_names" | wc -w) metrics, $(echo "$request_ops" | wc -w) wire ops, $(echo "$span_names" | wc -w) spans)"
