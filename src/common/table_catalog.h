@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -335,8 +336,12 @@ class TableCatalog {
       }
     };
     std::vector<std::thread> helpers;
-    for (size_t i = 1; i < std::min(max_threads, jobs.size()); ++i) {
-      helpers.emplace_back(drain);
+    try {
+      for (size_t i = 1; i < std::min(max_threads, jobs.size()); ++i) {
+        helpers.emplace_back(drain);
+      }
+    } catch (const std::system_error&) {
+      // No thread to spare: the caller writes what the helpers do not.
     }
     drain();
     for (std::thread& helper : helpers) helper.join();
