@@ -20,7 +20,7 @@ struct NoSqlStoreStats {
   uint64_t cell_rows = 0;
   uint64_t statements = 0;  ///< CQL statements executed (statement mode only)
   double apply_ms = 0;  ///< row generation + application (chunks and lanes)
-  double flush_ms = 0;  ///< segment flush barrier at the end of Store()
+  double flush_ms = 0;  ///< the Flush() at the end of Store()
 };
 
 /// \brief Mapper options.

@@ -432,13 +432,7 @@ Status Fleet::KillReplica(int index) {
                                       " already dead");
   }
   ::kill(replica.pid, SIGKILL);
-  int status = 0;
-  ::waitpid(replica.pid, &status, 0);
-  replica.pid = -1;
-  if (replica.stdin_fd >= 0) ::close(replica.stdin_fd);
-  if (replica.stdout_fd >= 0) ::close(replica.stdout_fd);
-  replica.stdin_fd = -1;
-  replica.stdout_fd = -1;
+  StopReplica(replica);  // reaps it and closes its pipes
   {
     std::lock_guard<std::mutex> counters_lock(counters_mu_);
     ++counters_.kills;
