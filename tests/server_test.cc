@@ -518,6 +518,44 @@ TEST(QueryServerTest, WorkerCountHonorsThreadPolicy) {
   ASSERT_EQ(unsetenv("SCDWARF_THREADS"), 0);
 }
 
+// num_workers bounds the requests executing at once, at every value: four
+// callers, each on its own handle, park 20 ms inside the pre-execute hook,
+// and the hook never sees more of them at once than the server has workers.
+TEST(QueryServerTest, NumWorkersBoundsConcurrentExecutions) {
+  for (int workers : {1, 2}) {
+    std::atomic<int> inside{0};
+    std::atomic<int> most{0};
+    ServerOptions options;
+    options.num_workers = workers;
+    options.max_queue_depth = 16;
+    options.pre_execute_hook = [&] {
+      int now = inside.fetch_add(1) + 1;
+      int seen = most.load();
+      while (now > seen && !most.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      inside.fetch_sub(1);
+    };
+    QueryServer server(BuildSeedCube(), options);
+    std::atomic<int> answered_ok{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 4; ++c) {
+      callers.emplace_back([&] {
+        ServerHandle handle(&server);
+        std::string response =
+            handle.Call(R"({"op":"point","keys":["Mon",null,"D2"]})");
+        if (response.rfind(R"({"ok":true,)", 0) == 0) ++answered_ok;
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    EXPECT_EQ(answered_ok.load(), 4) << "num_workers " << workers;
+    EXPECT_LE(most.load(), workers) << "num_workers " << workers;
+    if (workers == 2) {
+      EXPECT_EQ(most.load(), 2);
+    }
+  }
+}
+
 TEST(QueryServerTest, StatsEndpointReportsCounters) {
   ServerOptions options;
   options.num_workers = 1;
