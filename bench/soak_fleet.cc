@@ -1,10 +1,10 @@
 // Open-ended fault-injected soak of the replica fan-out fleet (the
 // src/testing/soak.h harness as an operator tool): an in-process publisher
 // spools epochs to a shared directory, N real scdwarf_replica processes
-// follow it by polling (no notifications — the shared-filesystem deployment
-// mode), an in-process router fronts them, and M session threads churn a
-// mixed differential-checked workload while a killer SIGKILLs and respawns
-// replicas and a corrupter drops broken files into the spool.
+// follow it by polling, an in-process router fronts them, and M session
+// threads churn a mixed differential-checked workload while a killer
+// SIGKILLs and respawns replicas and a corrupter drops broken files into the
+// spool.
 //
 // Exit is nonzero on ANY differential mismatch, on a one-shot p99 over
 // --p99-bound-us, or (when faults are enabled) when no injected kill

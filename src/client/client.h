@@ -13,9 +13,8 @@
 ///    errors — the frame arrived fine — and never close the socket.
 ///  - ClientPool::Call retries on a fresh connection up to kMaxRetries
 ///    times. That is safe because every wire op is idempotent on the server:
-///    queries are pure reads, query_open just allocates another session
-///    (reaped by TTL if the response was lost), and load_snapshot rejects
-///    replayed epochs.
+///    queries are pure reads and query_open just allocates another session
+///    (reaped by TTL if the response was lost).
 ///  - Every error message carries the endpoint ("... (peer 127.0.0.1:4321)"),
 ///    threaded through wire::ReadFull/WriteFull, so router retry logs name
 ///    the replica that failed.

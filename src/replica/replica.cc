@@ -6,10 +6,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "json/json_parser.h"
-#include "json/json_value.h"
 #include "replica/snapshot.h"
-#include "server/wire.h"
 
 namespace scdwarf::replica {
 
@@ -30,11 +27,7 @@ ReplicaServer::ReplicaServer(ReplicaOptions options)
       load_failures_(metrics::GlobalRegistry().GetCounter(
           "replica_snapshot_load_failures_total", {},
           "spool snapshot files that failed to load (truncated, bad magic, "
-          "mid-rename garbage) and were skipped")),
-      catchup_loads_(metrics::GlobalRegistry().GetCounter(
-          "replica_catchup_loads_total", {},
-          "snapshot files loaded by spool catch-up (start-up fast-forward or "
-          "poll) rather than by publisher notification")) {}
+          "mid-rename garbage) and were skipped")) {}
 
 ReplicaServer::~ReplicaServer() { Stop(); }
 
@@ -52,8 +45,7 @@ Status ReplicaServer::Start() {
   // mid-write. Of the trailing retain_epochs files, the oldest loadable one
   // becomes the bootstrap cube; PollOnce() then fast-forwards through every
   // newer file, so a restarted replica rejoins at the newest spooled epoch
-  // with its retention window repopulated for epoch-pinned router failover —
-  // no publisher notification needed.
+  // with its retention window repopulated for epoch-pinned router failover.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.bootstrap_wait_ms);
@@ -62,7 +54,6 @@ Status ReplicaServer::Start() {
   server_options.cache_capacity = options_.cache_capacity;
   server_options.max_sessions = options_.max_sessions;
   server_options.retain_epochs = options_.retain_epochs;
-  server_options.allow_snapshot_load = true;
   size_t seen = 0;
   for (;;) {
     Result<std::vector<SnapshotFileEntry>> listed =
@@ -97,11 +88,10 @@ Status ReplicaServer::Start() {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   // Fast-forward through the remaining newer files via the same skip-and-count
-  // path the poll thread uses (errors here are transient; the poll thread or
-  // the next notification retries).
+  // path the poll thread uses (errors here are transient; the poll thread
+  // retries).
   (void)PollOnce();
-  tcp_ = std::make_unique<server::TcpServer>(server_.get(),
-                                             options_.max_frame_bytes);
+  tcp_ = std::make_unique<server::TcpServer>(server_.get());
   Status started = tcp_->Start(options_.port, options_.bind_address);
   if (!started.ok()) {
     tcp_.reset();
@@ -137,12 +127,11 @@ Result<size_t> ReplicaServer::PollOnce() {
     Result<uint64_t> result = server_->LoadSnapshot(entry.path);
     if (result.ok()) {
       ++loaded;
-      catchup_loads_->Increment();
       continue;
     }
-    // A concurrent load_snapshot notification may have raced us past this
-    // epoch — that is not a bad file, and the epoch guard above skips it on
-    // the next pass.
+    // A concurrent PollOnce (the poll thread and a direct call) may have
+    // loaded this epoch first — that is not a bad file, and the epoch guard
+    // above skips it on the next pass.
     if (result.status().IsFailedPrecondition() &&
         entry.epoch <= server_->epoch()) {
       continue;
@@ -176,31 +165,6 @@ void ReplicaServer::Stop() {
   poll_cv_.notify_all();
   if (poll_thread_.joinable()) poll_thread_.join();
   if (tcp_ != nullptr) tcp_->Stop();
-}
-
-SnapshotNotifier::SnapshotNotifier(std::vector<client::Endpoint> replicas,
-                                   client::ClientOptions options) {
-  pools_.reserve(replicas.size());
-  for (client::Endpoint& endpoint : replicas) {
-    pools_.push_back(
-        std::make_unique<client::ClientPool>(std::move(endpoint), options));
-  }
-}
-
-size_t SnapshotNotifier::NotifyAll(const std::string& path) {
-  json::JsonObject request;
-  request.emplace_back("op", json::JsonValue("load_snapshot"));
-  request.emplace_back("path", json::JsonValue(path));
-  const std::string frame =
-      json::SerializeJson(json::JsonValue(std::move(request)));
-  size_t acknowledged = 0;
-  for (const std::unique_ptr<client::ClientPool>& pool : pools_) {
-    Result<std::string> response = pool->Call(frame);
-    if (!response.ok()) continue;
-    Result<server::Envelope> env = server::ReadEnvelope(*response);
-    if (env.ok() && env->ok) ++acknowledged;
-  }
-  return acknowledged;
 }
 
 }  // namespace scdwarf::replica

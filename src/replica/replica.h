@@ -1,8 +1,7 @@
 /// \file replica.h
 /// \brief A replica serving process: loads the newest epoch snapshot file
 /// from a spool directory, serves it read-only over TCP, and follows later
-/// epochs either by publisher notification ("load_snapshot" frames) or by
-/// polling the spool.
+/// epochs by polling the spool. No wire op changes what a replica serves.
 ///
 /// Replicas never mutate snapshot files — they mmap them PROT_READ (see
 /// snapshot.h) — and never apply updates themselves; the single publisher
@@ -20,9 +19,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "client/client.h"
 #include "common/metrics.h"
 #include "common/result.h"
 #include "server/query_server.h"
@@ -37,20 +34,19 @@ struct ReplicaOptions {
   /// Address the TCP listener binds ("0.0.0.0" serves every interface —
   /// required when the spool is a shared filesystem and clients are remote).
   std::string bind_address = server::TcpServer::kLoopback;
-  int num_workers = 1;
+  int num_workers = 0;  ///< ServerOptions::num_workers; 0 = auto
   size_t cache_capacity = 4096;
   size_t max_sessions = 64;
   size_t retain_epochs = 4;
-  /// Spool poll period; 0 relies on publisher load_snapshot notifications.
+  /// Spool poll period; 0 serves the epoch loaded at start-up.
   int poll_interval_ms = 0;
   /// How long Start() waits for the first loadable snapshot file to appear
   /// before giving up (the publisher may still be starting).
   int bootstrap_wait_ms = 10000;
-  size_t max_frame_bytes = 1 << 20;
 };
 
-/// \brief One replica process: QueryServer (allow_snapshot_load) + TcpServer
-/// + optional spool-poll thread.
+/// \brief One replica process: QueryServer + TcpServer + optional
+/// spool-poll thread.
 class ReplicaServer {
  public:
   explicit ReplicaServer(ReplicaOptions options);
@@ -62,9 +58,8 @@ class ReplicaServer {
   /// \brief Waits for a loadable snapshot to appear in the spool (up to
   /// bootstrap_wait_ms), then catches up: the trailing retain_epochs spool
   /// files are loaded oldest-first, so a restarted replica rejoins at the
-  /// newest spooled epoch — without waiting for a publisher notification —
-  /// with its epoch-retention window already populated for epoch-pinned
-  /// router failover. Corrupt or truncated files are skipped (counted by
+  /// newest spooled epoch with its epoch-retention window already populated
+  /// for epoch-pinned router failover. Corrupt or truncated files are skipped (counted by
   /// replica_snapshot_load_failures_total), never fatal, as long as at
   /// least one file loads.
   Status Start();
@@ -96,31 +91,12 @@ class ReplicaServer {
   std::unique_ptr<server::QueryServer> server_;
   std::unique_ptr<server::TcpServer> tcp_;
   metrics::Counter* load_failures_;  ///< replica_snapshot_load_failures_total
-  metrics::Counter* catchup_loads_;  ///< replica_catchup_loads_total
   std::mutex failed_mu_;
   std::map<std::string, uint64_t> failed_sizes_;  ///< guarded by failed_mu_
   std::mutex poll_mu_;
   std::condition_variable poll_cv_;
   bool stopping_ = false;  ///< guarded by poll_mu_
   std::thread poll_thread_;
-};
-
-/// \brief Publisher-side fan-out notifier: tells every replica to load a
-/// freshly spooled snapshot file. Wire each publish through
-/// ServerOptions.post_publish.
-class SnapshotNotifier {
- public:
-  explicit SnapshotNotifier(std::vector<client::Endpoint> replicas,
-                            client::ClientOptions options = {});
-
-  /// \brief Sends {"op":"load_snapshot","path":...} to every replica.
-  /// Best-effort: a down replica catches up from the spool (or the next
-  /// notification) instead of blocking the publisher. Returns how many
-  /// replicas acknowledged the load.
-  size_t NotifyAll(const std::string& path);
-
- private:
-  std::vector<std::unique_ptr<client::ClientPool>> pools_;
 };
 
 }  // namespace scdwarf::replica

@@ -161,27 +161,14 @@ std::string Router::HandleFrame(std::string_view request_json,
       return MakeResponse(true, BestEpoch(), false, BuildStatsPayload());
     case RequestOp::kMetrics:
       return MakeResponse(true, BestEpoch(), false, MetricsJson());
-    case RequestOp::kMetricsText: {
-      JsonObject payload;
-      payload.emplace_back("text", JsonValue(MetricsText()));
+    case RequestOp::kMetricsText:
       return MakeResponse(true, BestEpoch(), false,
-                          json::SerializeJson(JsonValue(std::move(payload))));
-    }
-    case RequestOp::kPing: {
-      JsonObject payload;
-      payload.emplace_back("epoch",
-                           JsonValue(static_cast<int64_t>(BestEpoch())));
-      payload.emplace_back("uptime_s", JsonValue(uptime_.ElapsedSeconds()));
-      payload.emplace_back("sessions",
-                           JsonValue(static_cast<int64_t>(open_sessions())));
+                          server::MakeMetricsTextPayload(MetricsText()));
+    case RequestOp::kPing:
       return MakeResponse(true, BestEpoch(), false,
-                          json::SerializeJson(JsonValue(std::move(payload))));
-    }
-    case RequestOp::kLoadSnapshot:
-      return MakeResponse(
-          false, BestEpoch(), false,
-          MakeErrorPayload(Status::FailedPrecondition(
-              "load_snapshot must be sent to a replica, not the router")));
+                          server::MakePingPayload(BestEpoch(),
+                                                  uptime_.ElapsedSeconds(),
+                                                  open_sessions()));
     case RequestOp::kQueryOpen:
       return HandleOpen(*request, request_json, client);
     case RequestOp::kQueryNext:

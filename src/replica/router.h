@@ -17,8 +17,7 @@
 ///    already-delivered pages are replayed and discarded, and the drain
 ///    continues byte-identically. Sessions whose epoch has aged out
 ///    everywhere surface code "epoch_gone".
-///  - stats / metrics / metrics_text / ping answer about the router itself;
-///    load_snapshot is rejected (the publisher notifies replicas directly).
+///  - stats / metrics / metrics_text / ping answer about the router itself.
 ///  - Responses are forwarded as raw bytes. The router reads only the
 ///    envelope (server::ReadEnvelope: ok, epoch, code, cursor, done from
 ///    the response's fixed head and page trailer, never the rows) and

@@ -2,8 +2,7 @@
 //
 // Loads the newest epoch snapshot file from a spool directory (written by
 // scdwarf_server --snapshot-dir=...), serves it over the wire protocol, and
-// follows later epochs via publisher "load_snapshot" notifications and/or
-// spool polling:
+// follows later epochs by polling the spool:
 //
 //   scdwarf_replica --snapshot-dir=DIR [--port=N] [--bind=ADDR] [--workers=N]
 //                   [--poll-ms=N] [--cache-capacity=N] [--retain-epochs=N]
@@ -15,9 +14,10 @@
 //   --bind=ADDR          IPv4 address to listen on (default 127.0.0.1;
 //                        0.0.0.0 serves every interface — use when the spool
 //                        is on a shared filesystem and clients are remote)
-//   --workers=N          query worker threads (default 1)
+//   --workers=N          most requests executing at once (default 0 =
+//                        SCDWARF_THREADS / hardware; 1 = one at a time)
 //   --poll-ms=N          poll the spool every N ms for new epochs
-//                        (default 0 = rely on load_snapshot notifications)
+//                        (default 0 = serve the start-up epoch)
 //   --cache-capacity=N   result-cache entries (default 4096; 0 disables)
 //   --retain-epochs=N    epochs kept for epoch-pinned query_open (default 4)
 //   --metrics-dump=PATH  on exit, write the metric registry snapshot as JSON

@@ -68,9 +68,8 @@ class EpochCubeStore {
 
   /// \brief Swaps in \p cube as the served cube under \p epoch and trims the
   /// retention window. \p epoch must be greater than the current epoch —
-  /// FailedPrecondition otherwise, so redelivered or out-of-order
-  /// load_snapshot notifications are rejected idempotently. Readers are
-  /// blocked only for the pointer swap.
+  /// FailedPrecondition otherwise, so a stale or replayed snapshot is
+  /// rejected idempotently. Readers are blocked only for the pointer swap.
   Status Publish(dwarf::DwarfCube cube, uint64_t epoch);
 
  private:

@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 
 #include <cstdio>
-#include <future>
 
 #include "common/parallel.h"
 #include "common/trace.h"
@@ -53,6 +52,7 @@ QueryServer::QueryServer(dwarf::DwarfCube cube, ServerOptions options)
       store_(std::move(cube), options_.initial_epoch),
       cache_(options_.cache_capacity, kCacheShards, &registry_),
       schema_(store_.snapshot().cube->schema()),
+      slots_(num_workers_),
       latency_us_(registry_.GetHistogram(
           "server_request_us", {},
           "end-to-end request latency including queueing (us)")),
@@ -101,9 +101,6 @@ QueryServer::QueryServer(dwarf::DwarfCube cube, ServerOptions options)
         "server_op_us", {{"op", RequestOpName(static_cast<RequestOp>(i))}},
         "per-op execute latency, excluding admission queueing (us)");
   }
-  if (num_workers_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(num_workers_);
-  }
   store_.set_retain_epochs(options_.retain_epochs);
   // The spool starts with the initial cube so a replica fleet can bootstrap
   // before the first update arrives.
@@ -112,8 +109,10 @@ QueryServer::QueryServer(dwarf::DwarfCube cube, ServerOptions options)
 
 void QueryServer::SpoolSnapshot(uint64_t epoch) {
   if (options_.snapshot_dir.empty()) return;
-  std::string path;
-  Status status = WriteSnapshotFile(*store_.snapshot().cube, epoch, &path);
+  Stopwatch watch;
+  Status status = replica::WriteCubeSnapshot(
+      *store_.snapshot().cube, epoch,
+      options_.snapshot_dir + "/" + replica::SnapshotFileName(epoch));
   if (!status.ok()) {
     // Serving must not die with the spool; the gap in published files is
     // visible to operators through server_snapshots_published_total.
@@ -122,22 +121,12 @@ void QueryServer::SpoolSnapshot(uint64_t epoch) {
                  status.ToString().c_str());
     return;
   }
-  if (options_.post_publish) options_.post_publish(epoch, path);
-}
-
-Status QueryServer::WriteSnapshotFile(const dwarf::DwarfCube& cube,
-                                      uint64_t epoch, std::string* path_out) {
-  Stopwatch watch;
-  std::string path =
-      options_.snapshot_dir + "/" + replica::SnapshotFileName(epoch);
-  SCD_RETURN_IF_ERROR(replica::WriteCubeSnapshot(cube, epoch, path));
   snapshots_published_->Increment();
   snapshot_write_us_->Record(watch.ElapsedMicros());
-  if (path_out != nullptr) *path_out = path;
-  return Status::OK();
 }
 
-std::string QueryServer::Admitted(const std::function<std::string()>& run) {
+std::string QueryServer::HandleFrame(std::string_view request_json,
+                                     ClientContext* client) {
   Stopwatch watch;
   size_t depth = in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (depth >= options_.max_queue_depth) {
@@ -146,33 +135,16 @@ std::string QueryServer::Admitted(const std::function<std::string()>& run) {
     return MakeResponse(false, store_.epoch(), false,
                         MakeOverloadPayload(options_.max_queue_depth));
   }
-  std::string response;
-  if (pool_ == nullptr) {
-    // Single-worker servers execute inline, the repo-wide num_threads == 1
-    // convention; admission control above still bounds concurrent callers.
-    if (options_.pre_execute_hook) options_.pre_execute_hook();
-    response = run();
-  } else {
-    std::promise<std::string> promise;
-    std::future<std::string> future = promise.get_future();
-    // The caller blocks on the future below, so everything \p run captures
-    // (the request bytes, the ClientContext) outlives the worker-side call.
-    pool_->Submit([this, &run, &promise] {
-      if (options_.pre_execute_hook) options_.pre_execute_hook();
-      promise.set_value(run());
-    });
-    response = future.get();
-  }
+  // The caller runs its own request once it holds an execution slot, so at
+  // most num_workers requests execute at once.
+  slots_.acquire();
+  if (options_.pre_execute_hook) options_.pre_execute_hook();
+  std::string response = Process(request_json, client);
+  slots_.release();
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   requests_total_->Increment();
   latency_us_->Record(watch.ElapsedMicros());
   return response;
-}
-
-std::string QueryServer::HandleFrame(std::string_view request_json,
-                                     ClientContext* client) {
-  return Admitted(
-      [this, request_json, client] { return Process(request_json, client); });
 }
 
 std::string QueryServer::Process(std::string_view request_json,
@@ -199,24 +171,14 @@ std::string QueryServer::Dispatch(const QueryRequest& request,
       return MakeResponse(true, snapshot.epoch, false, BuildStatsPayload());
     case RequestOp::kMetrics:
       return MakeResponse(true, snapshot.epoch, false, MetricsJson());
-    case RequestOp::kPing: {
-      JsonObject payload;
-      payload.emplace_back("epoch",
-                           JsonValue(static_cast<int64_t>(snapshot.epoch)));
-      payload.emplace_back("uptime_s", JsonValue(uptime_.ElapsedSeconds()));
-      payload.emplace_back("sessions",
-                           JsonValue(static_cast<int64_t>(open_sessions())));
+    case RequestOp::kPing:
       return MakeResponse(true, snapshot.epoch, false,
-                          json::SerializeJson(JsonValue(std::move(payload))));
-    }
-    case RequestOp::kMetricsText: {
-      JsonObject payload;
-      payload.emplace_back("text", JsonValue(MetricsText()));
+                          MakePingPayload(snapshot.epoch,
+                                          uptime_.ElapsedSeconds(),
+                                          open_sessions()));
+    case RequestOp::kMetricsText:
       return MakeResponse(true, snapshot.epoch, false,
-                          json::SerializeJson(JsonValue(std::move(payload))));
-    }
-    case RequestOp::kLoadSnapshot:
-      return HandleLoadSnapshot(request);
+                          MakeMetricsTextPayload(MetricsText()));
     case RequestOp::kQueryOpen: {
       // An epoch-pinned open (router failover) re-opens against the retained
       // snapshot of that exact epoch, so the new cursor replays the same
@@ -340,28 +302,6 @@ std::string QueryServer::HandleQueryClose(const QueryRequest& request,
   JsonObject payload;
   payload.emplace_back("closed", JsonValue(closed));
   return MakeResponse(true, epoch, false,
-                      json::SerializeJson(JsonValue(std::move(payload))));
-}
-
-std::string QueryServer::HandleLoadSnapshot(const QueryRequest& request) {
-  if (!options_.allow_snapshot_load) {
-    return MakeResponse(
-        false, store_.epoch(), false,
-        MakeErrorPayload(Status::FailedPrecondition(
-            "load_snapshot is disabled on this server (replica mode only)")));
-  }
-  Result<uint64_t> epoch = LoadSnapshot(request.snapshot_path);
-  if (!epoch.ok()) {
-    return MakeResponse(false, store_.epoch(), false,
-                        MakeErrorPayload(epoch.status()));
-  }
-  JsonObject payload;
-  payload.emplace_back("loaded", JsonValue(true));
-  payload.emplace_back("epoch", JsonValue(static_cast<int64_t>(*epoch)));
-  payload.emplace_back(
-      "nodes", JsonValue(static_cast<int64_t>(
-                   store_.snapshot().cube->num_nodes())));
-  return MakeResponse(true, *epoch, false,
                       json::SerializeJson(JsonValue(std::move(payload))));
 }
 

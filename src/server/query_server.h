@@ -1,14 +1,16 @@
 /// \file query_server.h
 /// \brief The concurrent cube query service: owns the epoch-snapshot cube
-/// store, the result cache, the cursor-session table and a worker pool, and
-/// turns request frames into response frames.
+/// store, the result cache and the cursor-session table, and turns request
+/// frames into response frames.
 ///
-/// Execution model: callers (TCP connection threads, or test/bench threads
-/// through ServerHandle) block in HandleFrame while the request runs on the
-/// worker pool. Admission control bounds the number of requests queued or
-/// executing; anything beyond the bound is answered immediately with an
-/// "overloaded" rejection instead of joining an unbounded queue — overload
-/// shows up as explicit errors, not as unbounded latency.
+/// Execution model: each caller (a TCP connection thread, or a test/bench
+/// thread through ServerHandle) runs its own request in HandleFrame once it
+/// holds one of num_workers execution slots, so at most num_workers requests
+/// execute at once and the server owns no thread. Admission control bounds
+/// the requests waiting for a slot or executing; anything beyond the bound
+/// is answered immediately with an "overloaded" rejection instead of joining
+/// an unbounded queue — overload shows up as explicit errors, not as
+/// unbounded latency.
 ///
 /// Cursor sessions: query_open pins a session to the current epoch snapshot
 /// (the session holds the snapshot's shared_ptr, so later publishes never
@@ -24,6 +26,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <semaphore>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -34,7 +37,6 @@
 #include "common/metrics.h"
 #include "common/result.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "dwarf/cursor.h"
 #include "dwarf/dwarf_cube.h"
 #include "dwarf/update.h"
@@ -47,13 +49,15 @@ namespace scdwarf::server {
 
 /// \brief Serving knobs. Defaults suit the tests and small deployments.
 struct ServerOptions {
-  /// Worker threads executing queries. Resolved through the same policy as
-  /// the construction pipeline: 0 = auto (SCDWARF_THREADS env override, else
-  /// hardware_concurrency); see common::ResolveThreadCount.
+  /// Most requests executing at once; 1 = one at a time. Resolved through
+  /// the same policy as the construction pipeline: 0 = auto (SCDWARF_THREADS
+  /// env override, else hardware_concurrency); see
+  /// common::ResolveThreadCount.
   int num_workers = 0;
 
-  /// Admission bound: maximum requests queued or executing at once. Requests
-  /// arriving beyond it are rejected with code "overloaded".
+  /// Admission bound: maximum requests waiting for an execution slot or
+  /// executing at once. Requests arriving beyond it are rejected with code
+  /// "overloaded".
   size_t max_queue_depth = 128;
 
   /// Result-cache entries across all shards; 0 disables caching.
@@ -68,13 +72,10 @@ struct ServerOptions {
   double session_ttl_seconds = 300.0;
 
   /// Test/fault-injection seam: when set, every admitted request invokes it
-  /// on the worker thread before executing (the overload tests park the
-  /// worker here to fill the queue deterministically).
+  /// on the calling thread once it holds an execution slot, before executing
+  /// (the overload tests park a request here to fill the queue
+  /// deterministically).
   std::function<void()> pre_execute_hook;
-
-  /// Accept the "load_snapshot" wire op (replica mode). Off by default: a
-  /// publisher-facing server must not let clients swap its cube.
-  bool allow_snapshot_load = false;
 
   /// When non-empty, the server spools each published epoch (including the
   /// initial cube, as epoch initial_epoch) to
@@ -89,11 +90,6 @@ struct ServerOptions {
   /// file passes the file's epoch here so its numbering matches the
   /// publisher's.
   uint64_t initial_epoch = 0;
-
-  /// Invoked after every successful publish that wrote a snapshot file, with
-  /// the epoch and the file path (runs on the publishing thread, after the
-  /// cache sweep). The server main uses it to notify replicas.
-  std::function<void(uint64_t epoch, const std::string& path)> post_publish;
 };
 
 /// \brief Point-in-time serving statistics (the "stats" op renders these).
@@ -129,8 +125,9 @@ class QueryServer : public FrameHandler {
   QueryServer& operator=(const QueryServer&) = delete;
 
   /// \brief Serves one request frame payload and returns the response frame
-  /// payload. Blocks the calling thread until the request has executed on
-  /// the worker pool (or was rejected by admission control). Thread-safe.
+  /// payload. Runs the request on the calling thread once it holds an
+  /// execution slot, or answers "overloaded" at once when max_queue_depth
+  /// requests are already waiting or executing. Thread-safe.
   /// \p client, when given, records cursor sessions opened by this caller so
   /// CloseClientSessions can reclaim them on disconnect.
   std::string HandleFrame(std::string_view request_json,
@@ -154,13 +151,11 @@ class QueryServer : public FrameHandler {
   void CloseClientSessions(ClientContext& client) override;
 
   /// \brief Loads the snapshot file at \p path and publishes it as the
-  /// served cube (replica mode; backs the "load_snapshot" op but is always
-  /// available programmatically). The file's epoch must exceed the current
-  /// epoch — FailedPrecondition otherwise, making redelivered notifications
-  /// harmless. The result cache is dropped wholesale on success: a snapshot
-  /// carries no changed-prefix list, so nothing can be proven unaffected.
-  /// Open cursor sessions keep serving their pinned snapshots. Returns the
-  /// published epoch.
+  /// served cube (a replica's spool poll). The file's epoch must exceed the
+  /// current epoch — FailedPrecondition otherwise. The result cache is
+  /// dropped wholesale on success: a snapshot carries no changed-prefix
+  /// list, so nothing can be proven unaffected. Open cursor sessions keep
+  /// serving their pinned snapshots. Returns the published epoch.
   Result<uint64_t> LoadSnapshot(const std::string& path);
 
   /// \brief Drops sessions idle longer than session_ttl_seconds and returns
@@ -216,10 +211,6 @@ class QueryServer : public FrameHandler {
     double last_used;        ///< uptime seconds; guarded by sessions_mu_
   };
 
-  /// Runs \p run under admission control on the worker pool (or inline for
-  /// single-worker servers) and records the request metrics; answers
-  /// "overloaded" without executing when the server is over capacity.
-  std::string Admitted(const std::function<std::string()>& run);
   /// Executes a parsed-or-unparsable request (cache + snapshot path).
   std::string Process(std::string_view request_json, ClientContext* client);
   /// Runs one successfully-parsed request (the op switch + cache path).
@@ -235,17 +226,12 @@ class QueryServer : public FrameHandler {
                               ClientContext* client);
   std::string HandleQueryClose(const QueryRequest& request,
                                ClientContext* client);
-  std::string HandleLoadSnapshot(const QueryRequest& request);
   size_t ReapIdleSessionsLocked(double now);  // requires sessions_mu_
   std::string BuildStatsPayload() const;
   /// Writes the current cube as \p epoch into options_.snapshot_dir and
-  /// invokes post_publish; failures are reported on stderr, never thrown
-  /// into the serving path. No-op when snapshot_dir is unset.
+  /// bumps the publish metrics; failures are reported on stderr, never
+  /// thrown into the serving path. No-op when snapshot_dir is unset.
   void SpoolSnapshot(uint64_t epoch);
-  /// Serializes \p cube as \p epoch into options_.snapshot_dir; on success
-  /// fills \p path_out and bumps the publish metrics.
-  Status WriteSnapshotFile(const dwarf::DwarfCube& cube, uint64_t epoch,
-                           std::string* path_out);
 
   ServerOptions options_;
   int num_workers_;
@@ -257,12 +243,14 @@ class QueryServer : public FrameHandler {
   EpochCubeStore store_;
   ResultCache cache_;
   dwarf::CubeSchema schema_;  ///< dimension layout; fixed across epochs
-  std::unique_ptr<ThreadPool> pool_;  ///< null when num_workers_ == 1
+  /// num_workers_ execution slots; a caller holds one while its request
+  /// runs.
+  std::counting_semaphore<> slots_;
   Stopwatch uptime_;
   FixedBucketHistogram* latency_us_;  ///< server_request_us
   /// server_op_us{op=...}, indexed by RequestOp.
   std::array<FixedBucketHistogram*, kNumRequestOps> op_latency_us_{};
-  /// Admission-control level (queued + executing). Stays a plain atomic —
+  /// Admission-control level (waiting + executing). Stays a plain atomic —
   /// its acq_rel increment/decrement IS the admission decision, not a
   /// monitoring read; max_queue_depth bounds it.
   std::atomic<size_t> in_flight_{0};

@@ -4,13 +4,13 @@
 // it over the length-prefixed JSON wire format (see src/server/wire.h):
 //
 //   scdwarf_server [--metrics-dump=PATH] [--trace-dump=PATH]
-//                  [--snapshot-dir=DIR] [--notify=HOST:PORT,...]
-//                  [--bind=ADDR] [--prometheus-dump=PATH]
-//                  [port] [records] [workers]
+//                  [--snapshot-dir=DIR] [--bind=ADDR]
+//                  [--prometheus-dump=PATH] [port] [records] [workers]
 //
 //   port     TCP port (default 0 = kernel-assigned, printed)
 //   records  synthetic feed records for the served cube (default 20000)
-//   workers  query worker threads (default 0 = SCDWARF_THREADS / hardware)
+//   workers  most requests executing at once (default 0 =
+//            SCDWARF_THREADS / hardware; 1 = one at a time)
 //
 //   --metrics-dump=PATH  on exit, write the full metric registry snapshot
 //                        (the "metrics" op payload) as JSON to PATH
@@ -18,8 +18,6 @@
 //                        exit write a chrome://tracing-compatible JSON file
 //   --snapshot-dir=DIR   spool every published epoch as a snapshot file in
 //                        DIR (replica fleet feed; see docs/OPERATIONS.md)
-//   --notify=LIST        comma-separated replica endpoints to send
-//                        "load_snapshot" after each spooled publish
 //   --bind=ADDR          IPv4 address to listen on (default 127.0.0.1;
 //                        0.0.0.0 serves every interface)
 //   --prometheus-dump=PATH  on exit, write the metric registries in
@@ -37,16 +35,13 @@
 
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "citibikes/bike_feed.h"
-#include "client/client.h"
 #include "common/files.h"
 #include "common/trace.h"
 #include "etl/parallel_pipeline.h"
-#include "replica/replica.h"
 #include "server/query_server.h"
 #include "server/tcp_server.h"
 
@@ -57,7 +52,6 @@ int main(int argc, char** argv) {
   std::string trace_dump;
   std::string prometheus_dump;
   std::string snapshot_dir;
-  std::string notify_list;
   std::string bind_address = server::TcpServer::kLoopback;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -70,8 +64,6 @@ int main(int argc, char** argv) {
       prometheus_dump = arg.substr(18);
     } else if (arg.rfind("--snapshot-dir=", 0) == 0) {
       snapshot_dir = arg.substr(15);
-    } else if (arg.rfind("--notify=", 0) == 0) {
-      notify_list = arg.substr(9);
     } else if (arg.rfind("--bind=", 0) == 0) {
       bind_address = arg.substr(7);
     } else {
@@ -106,32 +98,9 @@ int main(int argc, char** argv) {
             << cube->stats().tuple_count << " tuples, "
             << cube->num_dimensions() << " dimensions\n";
 
-  std::unique_ptr<replica::SnapshotNotifier> notifier;
-  if (!notify_list.empty()) {
-    auto endpoints = client::ParseEndpointList(notify_list);
-    if (!endpoints.ok()) {
-      std::cerr << endpoints.status() << "\n";
-      return 1;
-    }
-    if (snapshot_dir.empty()) {
-      std::cerr << "--notify requires --snapshot-dir (replicas load the "
-                   "spooled files)\n";
-      return 1;
-    }
-    notifier = std::make_unique<replica::SnapshotNotifier>(*endpoints);
-  }
-
   server::ServerOptions options;
   options.num_workers = workers;
   options.snapshot_dir = snapshot_dir;
-  if (notifier != nullptr) {
-    options.post_publish = [&notifier](uint64_t epoch,
-                                       const std::string& path) {
-      size_t acked = notifier->NotifyAll(path);
-      std::cout << "epoch " << epoch << " spooled to " << path << "; "
-                << acked << " replica(s) loaded it\n";
-    };
-  }
   server::QueryServer server(std::move(*cube), options);
   server::TcpServer tcp(&server);
   if (Status status = tcp.Start(static_cast<uint16_t>(port), bind_address);

@@ -34,7 +34,6 @@ Result<RequestOp> ParseOp(std::string_view name) {
   if (name == "query_close") return RequestOp::kQueryClose;
   if (name == "ping") return RequestOp::kPing;
   if (name == "metrics_text") return RequestOp::kMetricsText;
-  if (name == "load_snapshot") return RequestOp::kLoadSnapshot;
   return Status::InvalidArgument("unknown op '" + std::string(name) + "'");
 }
 
@@ -142,7 +141,6 @@ const char* RequestOpName(RequestOp op) {
     case RequestOp::kQueryClose: return "query_close";
     case RequestOp::kPing: return "ping";
     case RequestOp::kMetricsText: return "metrics_text";
-    case RequestOp::kLoadSnapshot: return "load_snapshot";
   }
   return "?";
 }
@@ -286,14 +284,6 @@ Result<QueryRequest> ParseRequestValue(const JsonValue& root) {
     case RequestOp::kPing:
     case RequestOp::kMetricsText:
       break;
-    case RequestOp::kLoadSnapshot: {
-      SCD_ASSIGN_OR_RETURN(JsonValue path, root.Get("path"));
-      SCD_ASSIGN_OR_RETURN(request.snapshot_path, path.AsString());
-      if (request.snapshot_path.empty()) {
-        return Status::InvalidArgument("\"path\" must not be empty");
-      }
-      break;
-    }
   }
   return request;
 }
@@ -431,9 +421,6 @@ std::string NormalizedCacheKey(const QueryRequest& request) {
       break;
     case RequestOp::kPing:
     case RequestOp::kMetricsText:
-      break;
-    case RequestOp::kLoadSnapshot:
-      root.emplace_back("path", JsonValue(request.snapshot_path));
       break;
   }
   return json::SerializeJson(JsonValue(std::move(root)));
@@ -647,9 +634,6 @@ ExecResult ExecuteRequest(const dwarf::DwarfCube& cube,
     case RequestOp::kPing:
       return {false, MakeErrorPayload(Status::Internal(
                          "stats/metrics requests are handled by the server"))};
-    case RequestOp::kLoadSnapshot:
-      return {false, MakeErrorPayload(Status::Internal(
-                         "load_snapshot is handled by the server"))};
     case RequestOp::kQueryOpen:
     case RequestOp::kQueryNext:
     case RequestOp::kQueryClose:
@@ -802,7 +786,6 @@ bool RequestMayTouchPrefixes(
     case RequestOp::kMetrics:
     case RequestOp::kMetricsText:
     case RequestOp::kPing:
-    case RequestOp::kLoadSnapshot:
     case RequestOp::kQueryOpen:
     case RequestOp::kQueryNext:
     case RequestOp::kQueryClose:
@@ -855,6 +838,21 @@ std::string MakeCursorOpenPayload(uint64_t cursor_id, uint64_t epoch,
   AppendJsonMeasure(static_cast<dwarf::Measure>(epoch), &payload);
   payload.append(",\"page_size\":");
   AppendJsonMeasure(static_cast<dwarf::Measure>(page_size), &payload);
+  payload.push_back('}');
+  return payload;
+}
+
+std::string MakePingPayload(uint64_t epoch, double uptime_s, size_t sessions) {
+  JsonObject payload;
+  payload.emplace_back("epoch", JsonValue(static_cast<int64_t>(epoch)));
+  payload.emplace_back("uptime_s", JsonValue(uptime_s));
+  payload.emplace_back("sessions", JsonValue(static_cast<int64_t>(sessions)));
+  return json::SerializeJson(JsonValue(std::move(payload)));
+}
+
+std::string MakeMetricsTextPayload(std::string_view text) {
+  std::string payload = "{\"text\":";
+  AppendJsonString(text, &payload);
   payload.push_back('}');
   return payload;
 }

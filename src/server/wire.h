@@ -21,14 +21,10 @@
 ///   {"op":"metrics"}
 ///   {"op":"metrics_text"}
 ///   {"op":"ping"}
-///   {"op":"load_snapshot", "path":"/spool/epoch-...cf"}
 ///
 /// "ping" is the fleet health probe: {"epoch":N,"uptime_s":S,"sessions":K}
 /// with no cube work. "metrics_text" returns {"text":...} holding the metric
 /// registries rendered in the Prometheus text exposition format.
-/// "load_snapshot" asks a replica to publish the epoch snapshot file at
-/// "path" (see src/replica/snapshot.h); servers reject it unless
-/// ServerOptions.allow_snapshot_load is set.
 ///
 /// Cursor sessions page large row results (slice/rollup) incrementally:
 ///
@@ -105,11 +101,10 @@ enum class RequestOp {
   kQueryClose,
   kPing,
   kMetricsText,
-  kLoadSnapshot,
 };
 
 /// Number of RequestOp values, for op-indexed tables.
-constexpr size_t kNumRequestOps = static_cast<size_t>(RequestOp::kLoadSnapshot) + 1;
+constexpr size_t kNumRequestOps = static_cast<size_t>(RequestOp::kMetricsText) + 1;
 
 /// Wire name of \p op ("point", "aggregate", ...).
 const char* RequestOpName(RequestOp op);
@@ -151,7 +146,6 @@ struct QueryRequest {
   /// kQueryOpen: pin the session to this retained epoch instead of the
   /// current one (absent = current).
   std::optional<uint64_t> open_epoch;
-  std::string snapshot_path;  ///< kLoadSnapshot
 };
 
 /// Largest accepted query_open page_size (keeps one response frame bounded).
@@ -257,6 +251,13 @@ std::string MakeErrorPayload(const Status& status);
 /// reads it.
 std::string MakeCursorOpenPayload(uint64_t cursor_id, uint64_t epoch,
                                   size_t page_size);
+
+/// \brief Payload of a "ping" answer: {"epoch":E,"uptime_s":S,"sessions":K}.
+std::string MakePingPayload(uint64_t epoch, double uptime_s, size_t sessions);
+
+/// \brief Payload of a "metrics_text" answer: {"text":...}, \p text being
+/// the registries in the Prometheus text exposition format.
+std::string MakeMetricsTextPayload(std::string_view text);
 
 /// \brief The envelope fields of one response, as ReadEnvelope found them.
 /// \p code views the response it was read from.

@@ -213,8 +213,8 @@ Status Fleet::Start() {
     return Status::IoError("create spool " + spool_ + ": " + ec.message());
   }
 
-  // Initial cube + publisher. No notifier anywhere: replicas follow the
-  // spool purely by polling, which is exactly the catch-up path under test.
+  // Initial cube + publisher. Replicas follow the spool by polling, which is
+  // exactly the catch-up path under test.
   Rng seed_rng(options_.seed);
   dwarf::DwarfBuilder builder(SoakSchema());
   for (auto& [keys, measure] : SoakBatch(seed_rng, 64)) {
@@ -443,7 +443,7 @@ Status Fleet::KillReplica(int index) {
 Status Fleet::RestartReplica(int index) {
   // Everything at or below this epoch was already spooled (ApplyUpdate
   // spools synchronously), so a restarted replica reaching it proves the
-  // spool catch-up path — there is no notifier to tell it anything.
+  // spool catch-up path.
   const uint64_t newest_spooled = publisher_->epoch();
   uint16_t port = 0;
   {

@@ -7,10 +7,9 @@
 ///
 ///  - an in-process publisher (server::QueryServer) that applies a random
 ///    tuple batch every publish interval and spools each epoch to a shared
-///    snapshot directory. The publisher sends NO load_snapshot
-///    notifications: replicas follow the spool purely by polling, so every
-///    epoch a replica serves past its bootstrap proves the spool catch-up
-///    path (the shared-filesystem deployment mode);
+///    snapshot directory. Replicas follow the spool by polling, the one way
+///    they follow a publisher, so every epoch a replica serves past its
+///    bootstrap proves the spool catch-up path;
 ///  - N real scdwarf_replica subprocesses over that spool, each on a fixed
 ///    port so a killed replica can be respawned in place;
 ///  - one in-process replica::Router fronted by a server::TcpServer;
@@ -169,8 +168,8 @@ class Fleet {
 
   /// \brief Respawns replica \p index on its original port and verifies the
   /// banner epoch is at least the newest epoch the publisher had spooled
-  /// before the spawn — the spool catch-up proof (there is no notifier in a
-  /// soak fleet). Counts a restart, and a catch-up when the proof holds.
+  /// before the spawn — the spool catch-up proof. Counts a restart, and a
+  /// catch-up when the proof holds.
   Status RestartReplica(int index);
 
   /// \brief Drops one corrupt artifact into the spool at a near-future

@@ -1,8 +1,8 @@
 // Tests for the replica fan-out subsystem (src/replica + src/client): the
 // snapshot codec round-trip (including arenas with dead merge slots and a
-// corruption sweep), the new wire ops (ping, metrics_text, load_snapshot,
-// epoch-pinned query_open), the client library, the replica serving process,
-// and the shard router's routing + mid-drain failover.
+// corruption sweep), the new wire ops (ping, metrics_text, epoch-pinned
+// query_open), the client library, the replica serving process, and the
+// shard router's routing + mid-drain failover.
 
 #include <gtest/gtest.h>
 
@@ -597,13 +597,23 @@ TEST(WireOpsTest, MetricsTextRendersPrometheus) {
   EXPECT_NE(wired.find("server_requests_total"), std::string::npos);
 }
 
+// No client can swap a server's cube: a load_snapshot frame is an unknown op
+// on a server and on the router alike.
 TEST(WireOpsTest, LoadSnapshotGatedOffByDefault) {
+  const std::string frame = R"({"op":"load_snapshot","path":"/nonexistent.cf"})";
   QueryServer server(BuildCube(7, 30));
   ServerHandle handle(&server);
-  Envelope env =
-      Parse(handle.Call(R"({"op":"load_snapshot","path":"/nonexistent.cf"})"));
+  Envelope env = Parse(handle.Call(frame));
   EXPECT_FALSE(env.ok);
-  EXPECT_EQ(env.code, "failed_precondition");
+  EXPECT_EQ(env.code, "invalid_argument");
+  EXPECT_EQ(server.epoch(), 0u);
+
+  RouterOptions options;
+  options.health_interval_ms = 0;
+  Router router({}, options);
+  Envelope routed = Parse(router.HandleFrame(frame));
+  EXPECT_FALSE(routed.ok);
+  EXPECT_EQ(routed.code, "invalid_argument");
 }
 
 TEST(WireOpsTest, ReplicaLoadsSnapshotsAndRejectsStaleEpochs) {
@@ -620,28 +630,23 @@ TEST(WireOpsTest, ReplicaLoadsSnapshotsAndRejectsStaleEpochs) {
   ASSERT_TRUE(bootstrap.ok());
   ServerOptions replica_options;
   replica_options.num_workers = 1;
-  replica_options.allow_snapshot_load = true;
   replica_options.initial_epoch = bootstrap->epoch;
   QueryServer replica(std::move(bootstrap->cube), replica_options);
-  ServerHandle handle(&replica);
 
   Rng rng(88);
   ASSERT_TRUE(publisher.ApplyUpdate(RandomBatch(rng, 6)).ok());
   const std::string epoch1 = (dir / SnapshotFileName(1)).string();
   ASSERT_TRUE(fs::exists(epoch1));
 
-  Envelope env = Parse(
-      handle.Call(R"({"op":"load_snapshot","path":")" + epoch1 + "\"}"));
-  ASSERT_TRUE(env.ok);
-  EXPECT_EQ(env.epoch, 1u);
-  EXPECT_TRUE(env.value.Get("loaded").ValueOrDie().AsBool().ValueOrDie());
+  Result<uint64_t> loaded = replica.LoadSnapshot(epoch1);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(*loaded, 1u);
   EXPECT_EQ(replica.epoch(), 1u);
 
-  // A redelivered notification is rejected, not reapplied.
-  Envelope replay = Parse(
-      handle.Call(R"({"op":"load_snapshot","path":")" + epoch1 + "\"}"));
-  EXPECT_FALSE(replay.ok);
-  EXPECT_EQ(replay.code, "failed_precondition");
+  // A stale epoch is rejected, not reapplied; PollOnce relies on this.
+  Result<uint64_t> replay = replica.LoadSnapshot(epoch1);
+  EXPECT_FALSE(replay.ok());
+  EXPECT_TRUE(replay.status().IsFailedPrecondition()) << replay.status();
   EXPECT_EQ(replica.epoch(), 1u);
 
   // Replica answers now match the publisher's current cube byte-for-byte.
@@ -794,10 +799,11 @@ TEST(ReplicaServerTest, BootstrapsFollowsSpoolAndNotifications) {
   EXPECT_EQ(*polled, 1u);
   EXPECT_EQ(replica_server.epoch(), 1u);
 
-  // Epoch 2 arrives by publisher notification.
+  // Epoch 2 arrives by spool polling too.
   ASSERT_TRUE(publisher.ApplyUpdate(RandomBatch(rng, 5)).ok());
-  SnapshotNotifier notifier({endpoint});
-  EXPECT_EQ(notifier.NotifyAll((dir / SnapshotFileName(2)).string()), 1u);
+  polled = replica_server.PollOnce();
+  ASSERT_TRUE(polled.ok());
+  EXPECT_EQ(*polled, 1u);
   EXPECT_EQ(replica_server.epoch(), 2u);
 
   // Nothing new left in the spool.
@@ -828,7 +834,6 @@ TEST(RouterTest, RoutesOneShotsSticksCursorsAndFailsOver) {
     ASSERT_TRUE(loaded.ok());
     ServerOptions options;
     options.num_workers = 1;
-    options.allow_snapshot_load = true;
     options.initial_epoch = loaded->epoch;
     replicas.push_back(
         std::make_unique<QueryServer>(std::move(loaded->cube), options));
@@ -856,16 +861,12 @@ TEST(RouterTest, RoutesOneShotsSticksCursorsAndFailsOver) {
         << request_json;
   }
 
-  // The router answers ping/metrics itself and rejects load_snapshot.
+  // The router answers ping/metrics itself.
   Envelope ping = Parse(router.HandleFrame(R"({"op":"ping"})"));
   ASSERT_TRUE(ping.ok);
   EXPECT_EQ(ping.epoch, 0u);
   EXPECT_NE(router.MetricsText().find("router_requests_total"),
             std::string::npos);
-  Envelope rejected =
-      Parse(router.HandleFrame(R"({"op":"load_snapshot","path":"x"})"));
-  EXPECT_FALSE(rejected.ok);
-  EXPECT_EQ(rejected.code, "failed_precondition");
 
   // Unknown cursors behave exactly like a server's.
   Envelope unknown = Parse(router.HandleFrame(R"({"op":"query_next","cursor":424242})"));

@@ -742,7 +742,7 @@ TEST(ServerFuzzTest, TcpWireMatchesDirectAcrossPublishStorm) {
 // requests, but routed client -> TCP -> router -> TCP -> one of three
 // replica processes bootstrapped from the publisher's epoch-0 snapshot
 // file. The publisher publishes three more epochs mid-sweep (each spooled
-// and load_snapshot-notified to the live replicas), cursor sessions drain
+// and loaded by the live replicas), cursor sessions drain
 // one page per iteration across those publishes, and one replica is killed
 // cold mid-run — every response must stay byte-identical to executing the
 // request directly against the publisher's snapshot, including the pages
@@ -770,7 +770,6 @@ TEST(ServerFuzzTest, RouterModeMatchesDirectTraversal) {
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     ServerOptions replica_options;
     replica_options.num_workers = 1;
-    replica_options.allow_snapshot_load = true;
     replica_options.initial_epoch = loaded->epoch;
     replicas.push_back(
         std::make_unique<QueryServer>(std::move(loaded->cube),
@@ -799,8 +798,8 @@ TEST(ServerFuzzTest, RouterModeMatchesDirectTraversal) {
   };
 
   int dead_replica = -1;
-  // Publishes spool a snapshot; the publisher then notifies the live
-  // replicas synchronously, exactly like --notify does between processes.
+  // Publishes spool a snapshot; the live replicas then load it
+  // synchronously, the load a replica's spool poll makes.
   auto publish = [&](bool fresh_values) {
     std::vector<std::pair<std::vector<std::string>, Measure>> batch;
     for (int t = 0; t < 8; ++t) {

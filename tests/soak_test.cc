@@ -246,7 +246,7 @@ TEST(SoakFleetTest, KillMidDrainFailsOverAndRestartCatchesUpViaSpool) {
   // The fresh process bootstrapped from the oldest retained file and
   // fast-forwarded through the rest — those loads are counted.
   auto catchup_loads =
-      fleet.ReplicaCounter(pinned, "replica_catchup_loads_total");
+      fleet.ReplicaCounter(pinned, "replica_snapshots_loaded_total");
   ASSERT_TRUE(catchup_loads.ok()) << catchup_loads.status();
   EXPECT_GT(*catchup_loads, 0u);
 
@@ -299,7 +299,7 @@ TEST(SoakFleetTest, CorruptSpoolFilesAreSkippedCountedAndOverwritten) {
   ASSERT_TRUE(fleet.PublishBatch().ok());
   EXPECT_TRUE(WaitForEpoch(fleet.replica_port(0), 3));
   auto catchup_loads =
-      fleet.ReplicaCounter(0, "replica_catchup_loads_total");
+      fleet.ReplicaCounter(0, "replica_snapshots_loaded_total");
   ASSERT_TRUE(catchup_loads.ok());
   EXPECT_GE(*catchup_loads, 2u);
   fleet.Stop();

@@ -12,6 +12,8 @@
 #    docs/WIRE_PROTOCOL.md — the wire spec may not silently lag the op set.
 # 4. Every span name that a trace::ScopedSpan opens in src/ with a literal
 #    must appear in docs/OPERATIONS.md.
+# 5. Every field of server::ServerOptions and client::ClientOptions must be
+#    named, in backticks, in docs/OPERATIONS.md (its knob tables).
 #
 # Exits non-zero with one line per violation.
 
@@ -106,8 +108,34 @@ if [ -f "$ops_doc" ]; then
   done
 fi
 
+# --- 5. Every ServerOptions / ClientOptions field is documented -----------
+
+option_fields=""
+if [ -f "$ops_doc" ]; then
+  for spec in src/server/query_server.h:ServerOptions \
+              src/client/client.h:ClientOptions; do
+    header=${spec%%:*}
+    struct=${spec##*:}
+    # A field is the last identifier before the `;` (or ` = default;`) that
+    # ends a line of the struct body, comments stripped.
+    fields=$(sed -n "/^struct $struct {/,/^};/p" "$header" \
+             | sed 's://.*$::' \
+             | grep -oE '[A-Za-z_][A-Za-z0-9_]*[[:space:]]*(=[^;]*)?;[[:space:]]*$' \
+             | grep -oE '^[A-Za-z_][A-Za-z0-9_]*')
+    if [ -z "$fields" ]; then
+      report "found no fields of $struct in $header (extraction broken?)"
+    fi
+    for field in $fields; do
+      if ! grep -qF -- "\`$field\`" "$ops_doc"; then
+        report "$struct field \`$field\` ($header) is missing from $ops_doc"
+      fi
+    done
+    option_fields="$option_fields $fields"
+  done
+fi
+
 if [ "$errors" -ne 0 ]; then
   echo "check_docs: $errors problem(s)" >&2
   exit 1
 fi
-echo "check_docs: OK ($(echo "$md_files" | wc -w) markdown files, $(echo "$metric_names" | wc -w) metrics, $(echo "$request_ops" | wc -w) wire ops, $(echo "$span_names" | wc -w) spans)"
+echo "check_docs: OK ($(echo "$md_files" | wc -w) markdown files, $(echo "$metric_names" | wc -w) metrics, $(echo "$request_ops" | wc -w) wire ops, $(echo "$span_names" | wc -w) spans, $(echo "$option_fields" | wc -w) option fields)"

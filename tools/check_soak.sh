@@ -13,9 +13,8 @@
 # Fails on ANY differential mismatch, on a one-shot p99 over
 # SCDWARF_SOAK_P99_BOUND_US (default 200000), and unless at least
 # SCDWARF_SOAK_MIN_KILLS (default 3) kills were survived with every restart
-# provably catching up to the newest spooled epoch via the spool alone (the
-# soak publisher sends no notifications). The soak row is merged into
-# BENCH_server.json next to the benchmark rows.
+# provably catching up to the newest spooled epoch via the spool. The soak
+# row is merged into BENCH_server.json next to the benchmark rows.
 
 set -u
 build_dir="${1:-build}"
