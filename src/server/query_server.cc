@@ -31,6 +31,22 @@ std::string MakeTooManySessionsPayload(size_t max_sessions) {
                               "); close or drain a session and retry");
 }
 
+/// Holds one of a server's execution slots from construction to
+/// destruction, so a request that throws still gives its slot back.
+class ExecutionSlot {
+ public:
+  explicit ExecutionSlot(std::counting_semaphore<>& slots) : slots_(slots) {
+    slots_.acquire();
+  }
+  ~ExecutionSlot() { slots_.release(); }
+
+  ExecutionSlot(const ExecutionSlot&) = delete;
+  ExecutionSlot& operator=(const ExecutionSlot&) = delete;
+
+ private:
+  std::counting_semaphore<>& slots_;
+};
+
 /// True when \p request carries a value-range constraint — a value-bound
 /// aggregate range or a rollup "where" clause — i.e. the constraints the
 /// revalidation sweep can decide at the string level.
@@ -135,12 +151,14 @@ std::string QueryServer::HandleFrame(std::string_view request_json,
     return MakeResponse(false, store_.epoch(), false,
                         MakeOverloadPayload(options_.max_queue_depth));
   }
-  // The caller runs its own request once it holds an execution slot, so at
-  // most num_workers requests execute at once.
-  slots_.acquire();
-  if (options_.pre_execute_hook) options_.pre_execute_hook();
-  std::string response = Process(request_json, client);
-  slots_.release();
+  std::string response;
+  {
+    // The caller runs its own request once it holds an execution slot, so
+    // at most num_workers requests execute at once.
+    ExecutionSlot slot(slots_);
+    if (options_.pre_execute_hook) options_.pre_execute_hook();
+    response = Process(request_json, client);
+  }
   in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   requests_total_->Increment();
   latency_us_->Record(watch.ElapsedMicros());
